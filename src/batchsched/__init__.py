@@ -12,7 +12,6 @@ from .core import (
     DualOutcome,
     Instance,
     JobClass,
-    MachineCounts,
     Placement,
     Rat,
     Rejected,
@@ -22,10 +21,9 @@ from .core import (
     VerifyReport,
     Violation,
     classify,
-    counts_for,
     emit_instance,
+    job_setup_bound,
     lower_bound_tmin,
-    machine_counts,
     parse_instance,
     trivial_one_job_per_machine,
     verify_schedule,
@@ -43,9 +41,7 @@ from .preemptive import (
     KnapsackSolution,
     class_jump_pmtn,
     continuous_knapsack,
-    dual_nice,
     dual_pmtn,
-    dual_pmtn_packed,
 )
 from .search import CertifiedReport, SearchResult, certified_report, epsilon_search
 from .splittable import class_jump_split, dual_split, two_approx_split

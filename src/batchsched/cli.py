@@ -21,7 +21,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .core import (
@@ -48,7 +47,7 @@ from .splittable import class_jump_split, dual_split, two_approx_split
 def parse_rat(text: str) -> Rat:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"unparsable rational {text!r}") from exc
 
 
@@ -65,18 +64,23 @@ def _placement_to_json(p: Placement) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _placement_from_json(raw: dict) -> Placement:
+    if not isinstance(raw, dict):
+        raise ValidationError("placement must be an object")
+    for key in ("kind", "class", "start", "dur"):
+        if key not in raw:
+            raise ValidationError(f"placement missing field {key!r}")
     kind = raw["kind"]
     if kind not in (SETUP, PIECE):
         raise ValidationError(f"unknown placement kind {kind!r}")
-    return Placement(
-        kind,
-        raw["class"],
-        parse_rat(raw["start"]),
-        parse_rat(raw["dur"]),
-        job=raw.get("job"),
-        piece=raw.get("piece"),
-    )
+    cls, job, piece = raw["class"], raw.get("job"), raw.get("piece")
+    if not (_is_int(cls) and (job is None or _is_int(job)) and (piece is None or _is_int(piece))):
+        raise ValidationError("placement class, job and piece must be integers")
+    return Placement(kind, cls, parse_rat(raw["start"]), parse_rat(raw["dur"]), job=job, piece=piece)
 
 
 def emit_schedule(sched: Schedule) -> dict:
@@ -91,13 +95,25 @@ def emit_schedule(sched: Schedule) -> dict:
 
 
 def parse_schedule(raw: dict, m: int) -> Schedule:
-    if not isinstance(raw, dict) or "machines" not in raw:
-        raise ValidationError("schedule must be an object with a machines field")
-    machines = [[_placement_from_json(p) for p in mach] for mach in raw["machines"]]
-    compressed = [
-        (tuple(_placement_from_json(p) for p in entry["config"]), entry["mult"])
-        for entry in raw.get("compressed", [])
-    ]
+    if not isinstance(raw, dict) or not isinstance(raw.get("machines"), list):
+        raise ValidationError("schedule must be an object with a machines list")
+    entries = raw.get("compressed", [])
+    if not isinstance(entries, list):
+        raise ValidationError("compressed must be a list")
+    machines = []
+    for mach in raw["machines"]:
+        if not isinstance(mach, list):
+            raise ValidationError("each machine must be a list of placements")
+        machines.append([_placement_from_json(p) for p in mach])
+    compressed = []
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("config"), list)
+            and _is_int(entry.get("mult"))
+        ):
+            raise ValidationError("compressed entries need a config list and an integer mult")
+        compressed.append((tuple(_placement_from_json(p) for p in entry["config"]), entry["mult"]))
     return Schedule(m=m, machines=machines, compressed=compressed)
 
 
@@ -120,18 +136,21 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
+def _two_approx(inst: Instance, variant: Variant) -> SearchResult:
+    """The variant's 2-approximation, certified by the instance lower bound."""
+    if variant is Variant.SPLITTABLE:
+        sched, makespan = two_approx_split(inst)
+    else:
+        sched, makespan = next_fit_two_approx(inst, variant)
+    tmin = lower_bound_tmin(inst, variant)
+    return SearchResult(guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan)
+
+
 def _solve_one(inst: Instance, variant: Variant, algo: str, args) -> tuple[int, dict, Schedule]:
     """Returns (exit code, summary, schedule or None)."""
     t0 = time.perf_counter()
-    tmin = lower_bound_tmin(inst, variant)
     if algo == "two-approx":
-        if variant is Variant.SPLITTABLE:
-            sched, makespan = two_approx_split(inst)
-        else:
-            sched, makespan = next_fit_two_approx(inst, variant)
-        result = SearchResult(
-            guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan, probes=[]
-        )
+        result = _two_approx(inst, variant)
     elif algo == "dual":
         if args.T is None:
             raise ValidationError("--algo dual needs --T")
@@ -153,7 +172,7 @@ def _solve_one(inst: Instance, variant: Variant, algo: str, args) -> tuple[int, 
         result = SearchResult(
             guess=guess,
             schedule=out.schedule,
-            lower_bound=tmin,
+            lower_bound=lower_bound_tmin(inst, variant),
             makespan=out.schedule.makespan(),
             probes=[(guess, True)],
         )
@@ -289,10 +308,11 @@ def cmd_gen(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+
 _BENCH_ALGOS = {
-    "split-two": lambda inst: _wrap_plain(inst, Variant.SPLITTABLE, two_approx_split),
-    "pmtn-two": lambda inst: _wrap_plain2(inst, Variant.PREEMPTIVE),
-    "nonp-two": lambda inst: _wrap_plain2(inst, Variant.NONPREEMPTIVE),
+    "split-two": lambda inst: _two_approx(inst, Variant.SPLITTABLE),
+    "pmtn-two": lambda inst: _two_approx(inst, Variant.PREEMPTIVE),
+    "nonp-two": lambda inst: _two_approx(inst, Variant.NONPREEMPTIVE),
     "split-jump": class_jump_split,
     "pmtn-jump": class_jump_pmtn,
     "nonp-int": exact_integer_search_nonp,
@@ -300,18 +320,6 @@ _BENCH_ALGOS = {
     "pmtn-eps": lambda inst: epsilon_search(inst, Variant.PREEMPTIVE, Fraction(1, 1000)),
     "nonp-eps": lambda inst: epsilon_search(inst, Variant.NONPREEMPTIVE, Fraction(1, 1000)),
 }
-
-
-def _wrap_plain(inst, variant, fn):
-    sched, makespan = fn(inst)
-    tmin = lower_bound_tmin(inst, variant)
-    return SearchResult(guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan)
-
-
-def _wrap_plain2(inst, variant):
-    sched, makespan = next_fit_two_approx(inst, variant)
-    tmin = lower_bound_tmin(inst, variant)
-    return SearchResult(guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan)
 
 
 def cmd_bench(args) -> int:
@@ -330,11 +338,9 @@ def cmd_bench(args) -> int:
         inst = parse_instance(_read_json(path))
         instances.append((os.path.basename(path), inst))
     instances.sort(key=lambda e: e[1].n)
-    threads = int(os.environ.get("SCHED_THREADS", args.threads))
 
-    def run(entry):
-        name, inst = entry
-        rows = []
+    all_rows = []
+    for name, inst in instances:
         for algo in algos:
             fn = _BENCH_ALGOS[algo]
             times = []
@@ -344,17 +350,7 @@ def cmd_bench(args) -> int:
                 result = fn(inst)
                 times.append(time.perf_counter() - t0)
             ratio = certified_report(result).ratio_bound
-            rows.append((name, inst.n, algo, result.makespan, ratio, statistics.median(times)))
-        return rows
-
-    all_rows = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows in pool.map(run, instances):
-                all_rows.extend(rows)
-    else:
-        for entry in instances:
-            all_rows.extend(run(entry))
+            all_rows.append((name, inst.n, algo, result.makespan, ratio, statistics.median(times)))
 
     print(f"{'instance':24s} {'n':>8s} {'algo':12s} {'makespan':>14s} {'ratio<=':>10s} "
           f"{'median_s':>9s} {'x_prev':>7s}")
@@ -411,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--suite", required=True)
     b.add_argument("--algos", default="split-jump,pmtn-jump,nonp-int")
     b.add_argument("--repeat", type=int, default=1)
-    b.add_argument("--threads", type=int, default=1)
     b.set_defaults(fn=cmd_bench)
     return ap
 

@@ -8,7 +8,6 @@ comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -158,6 +157,12 @@ def emit_instance(inst: Instance) -> dict:
     }
 
 
+def job_setup_bound(inst: Instance) -> int:
+    """max(s_i + longest job of class i): no schedule of the non-splittable
+    variants beats this."""
+    return max(cl.setup + cl.t_max for cl in inst.classes)
+
+
 def lower_bound_tmin(inst: Instance, variant: Variant) -> Rat:
     """Certified lower bound on the optimal makespan of the variant.
 
@@ -167,7 +172,7 @@ def lower_bound_tmin(inst: Instance, variant: Variant) -> Rat:
     base = Fraction(inst.total_load, inst.m)
     if variant is Variant.SPLITTABLE:
         return max(base, Fraction(inst.s_max))
-    return max(base, Fraction(max(cl.setup + cl.t_max for cl in inst.classes)))
+    return max(base, Fraction(job_setup_bound(inst)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,61 +255,8 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Machine-count formulas and the class partition for a makespan guess
+# The class partition for a makespan guess
 # ---------------------------------------------------------------------------
-
-
-def _ceil(x: Rat) -> int:
-    return math.ceil(x)
-
-
-def _floor(x: Rat) -> int:
-    return math.floor(x)
-
-
-@dataclass(frozen=True)
-class MachineCounts:
-    """Machine/setup lower-bound counts for one class at a makespan guess T.
-
-    alpha       ceil(P / (T - s)): machines any schedule needs for the class
-    alpha_floor floor(P / (T - s))
-    beta        ceil(2P / T): machines when the class is packed into gaps of
-                height T/2 above each setup
-    beta_floor  floor(2P / T)
-    gamma       machines actually occupied by the half-gap packing once an
-                underfull last machine is folded onto its predecessor
-    """
-
-    alpha: int
-    alpha_floor: int
-    beta: int
-    beta_floor: int
-    gamma: int
-
-
-def counts_for(s: int, work: int, guess: Rat) -> MachineCounts:
-    """MachineCounts from raw setup s, class work P and guess T.  Needs T > s."""
-    if guess <= s:
-        raise ContractError(f"machine counts need T > s (T={guess}, s={s})")
-    ratio = Fraction(work, 1) / (guess - s)
-    half = Fraction(2 * work, 1) / guess
-    beta_floor = _floor(half)
-    if work - Fraction(beta_floor) * guess / 2 <= guess - s:
-        gamma = max(beta_floor, 1)
-    else:
-        gamma = _ceil(half)
-    return MachineCounts(
-        alpha=_ceil(ratio),
-        alpha_floor=_floor(ratio),
-        beta=_ceil(half),
-        beta_floor=beta_floor,
-        gamma=gamma,
-    )
-
-
-def machine_counts(inst: Instance, i: int, guess: Rat) -> MachineCounts:
-    """Counts for class i of inst at makespan guess T; requires T > s_i."""
-    return counts_for(inst.classes[i].setup, inst.work(i), guess)
 
 
 @dataclass(frozen=True)
@@ -328,7 +280,6 @@ class ClassPartition:
     chp_star: tuple[int, ...]  # chp_minus classes with big jobs
     big_jobs: dict[int, tuple[int, ...]]  # class -> positions with s + t > T/2
     work: tuple[int, ...]  # P(C_i) for every class
-    counts: dict[int, MachineCounts]  # alpha family where defined (T > s_i)
 
 
 def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> ClassPartition:
@@ -345,13 +296,10 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
     exp_plus, exp_zero, exp_minus = [], [], []
     chp_plus, chp_minus, chp_star = [], [], []
     big_jobs: dict[int, tuple[int, ...]] = {}
-    counts: dict[int, MachineCounts] = {}
     work = []
     for i, cl in enumerate(inst.classes):
         p = cl.total
         work.append(p)
-        if cl.setup * q_ < p_:
-            counts[i] = counts_for(cl.setup, p, guess)
         sq2 = 2 * cl.setup * q_
         if sq2 > p_:
             expensive.append(i)
@@ -386,7 +334,6 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
         chp_star=tuple(chp_star),
         big_jobs=big_jobs,
         work=tuple(work),
-        counts=counts,
     )
 
 

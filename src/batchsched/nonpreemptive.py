@@ -27,16 +27,11 @@ from .core import (
     Rejected,
     Schedule,
     Variant,
+    job_setup_bound,
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
-from .search import SearchResult
-
-
-def _job_setup_bound(inst: Instance) -> int:
-    """max(s_i + longest job of class i): no schedule of the non-splittable
-    variants beats this."""
-    return max(cl.setup + cl.t_max for cl in inst.classes)
+from .search import CachedProbe, SearchResult, trivial_search
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,8 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
         it = trigger.get(u)
         if it is None:
             continue
-        assert st.stacks[u] and st.stacks[u][-1] is it
+        if not (st.stacks[u] and st.stacks[u][-1] is it):
+            raise ContractError("next-fit trigger is not on top of its machine")
         st.pop(u)
         if it.kind == PIECE:
             st.insert(u + 1, 0, _Item(SETUP, it.cls, Fraction(inst.classes[it.cls].setup)))
@@ -181,7 +177,8 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     st.stacks = [s for s in st.stacks if s]
     sched = st.to_schedule()
     makespan = sched.makespan()
-    assert makespan <= 2 * tmin
+    if makespan > 2 * tmin:
+        raise ContractError(f"next-fit makespan {makespan} exceeds 2*T_min")
     return sched, makespan
 
 
@@ -262,13 +259,14 @@ def _decide_nonp(inst: Instance, guess: Rat):
     if guess <= 0:
         return False, "load", None
     if inst.m >= inst.n:
-        if guess >= _job_setup_bound(inst):
+        if guess >= job_setup_bound(inst):
             return True, "", None
         return False, "job-bound", None
-    if guess < _job_setup_bound(inst):
+    if guess < job_setup_bound(inst):
         return False, "job-bound", None
     counts = counts_nonp(inst, guess)
-    assert not counts.blocked  # job-setup bound implies T > s_i for all i
+    if counts.blocked:  # the job-setup bound implies T > s_i for all i
+        raise ContractError("class with setup at or above the guess passed the job bound")
     need = sum(counts.machines)
     if inst.m < need:
         return False, "machines", counts
@@ -350,7 +348,8 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             residual[i] = out
         want = max(counts.leftover[i], Fraction(0))
         got = sum((d for _, d in out), Fraction(0))
-        assert got == want, f"residual work {got} != leftover bound {want}"
+        if got != want:
+            raise ContractError(f"residual work {got} != leftover bound {want}")
 
     # Step 3: one fresh setup per class with residual work, then greedy over
     # machines below the guess (opened ones first, then fresh), keeping items
@@ -462,7 +461,8 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
                 if it.kind == PIECE:
                     st.push_setup(target, it.cls, Fraction(inst.classes[it.cls].setup))
                 st._push(target, it)
-    assert carry is None
+    if carry is not None:
+        raise ContractError("repair left an item unplaced")
 
 
 def exact_integer_search_nonp(inst: Instance) -> SearchResult:
@@ -470,18 +470,9 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     [ceil(T_min), ceil(2*T_min)].  The optimum is integral, so the returned
     guess is a certified lower bound on it and the schedule is within 3/2."""
     if inst.m >= inst.n:
-        sched = trivial_one_job_per_machine(inst)
-        best = Fraction(_job_setup_bound(inst))
-        return SearchResult(
-            guess=best, schedule=sched, lower_bound=best, makespan=sched.makespan(), probes=[]
-        )
+        return trivial_search(inst)
     tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
-    probes: list[tuple[Rat, bool]] = []
-
-    def probe(k: int) -> bool:
-        ok = _decide_nonp(inst, Fraction(k))[0]
-        probes.append((Fraction(k), ok))
-        return ok
+    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess)[0])
 
     lo = math.ceil(tmin) - 1  # below T_min: certified rejected without a probe
     hi = math.ceil(2 * tmin)
@@ -493,12 +484,5 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
             hi = mid
         else:
             lo = mid
-    out = dual_nonp(inst, Fraction(hi))
-    assert isinstance(out, Accepted)
-    return SearchResult(
-        guess=Fraction(hi),
-        schedule=out.schedule,
-        lower_bound=Fraction(hi),  # all smaller integers rejected or under T_min
-        makespan=out.schedule.makespan(),
-        probes=probes,
-    )
+    # all smaller integers are rejected or under T_min
+    return probe.finish(dual_nonp, inst, Fraction(hi), Fraction(hi))

@@ -96,19 +96,16 @@ def _scan_candidates(inst: Instance, variant: Variant) -> list[Rat]:
 def min_accepted_scan(inst: Instance, variant: Variant) -> Rat:
     """Least accepted guess over a dense grid: every breakpoint at which the
     dual's decision can change, plus all midpoints in between.  Candidates are
-    probed in ascending order; the first acceptance is returned.  Preemptive
-    probing uses the packed (gamma) dual, the one the searches walk."""
+    probed in ascending order; the first acceptance is returned."""
     from .nonpreemptive import _decide_nonp
     from .preemptive import _decide_pmtn
     from .splittable import _decide_split
 
-    if variant is Variant.PREEMPTIVE:
-        decide = lambda inst_, guess: _decide_pmtn(inst_, guess, "gamma")
-    else:
-        decide = {
-            Variant.SPLITTABLE: _decide_split,
-            Variant.NONPREEMPTIVE: _decide_nonp,
-        }[variant]
+    decide = {
+        Variant.SPLITTABLE: _decide_split,
+        Variant.PREEMPTIVE: _decide_pmtn,
+        Variant.NONPREEMPTIVE: _decide_nonp,
+    }[variant]
     for guess in _scan_candidates(inst, variant):
         if decide(inst, guess)[0]:
             return guess

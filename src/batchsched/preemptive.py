@@ -20,28 +20,29 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    PIECE,
     Accepted,
     ClassPartition,
     ContractError,
     DualOutcome,
     Instance,
     JobRef,
-    Placement,
     Rat,
     Rejected,
     Schedule,
     Variant,
     classify,
+    job_setup_bound,
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
-from .search import SearchResult
+from .search import (
+    CachedProbe,
+    SearchResult,
+    _bisect_right_interval,
+    class_jump_walk,
+    trivial_search,
+)
 from .wrap import Batch, Builder, Gap, run_wrap
-
-
-def _job_setup_bound(inst: Instance) -> int:
-    return max(cl.setup + cl.t_max for cl in inst.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -110,37 +111,33 @@ ClsSpec = tuple[int, int, list[tuple[JobRef, Rat]], Rat]
 
 def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     """Machines the half-gap packing occupies for an expensive heavy class:
-    max(1, ceil(2(s+P)/T) - 2).  Coincides with the gamma of machine_counts
-    and, unlike floor(P/(T-s)), only steps on the grid 2(s+P)/k, continuously
-    from the right."""
+    max(1, ceil(2(s+P)/T) - 2).  It only steps on the grid 2(s+P)/k,
+    continuously from the right, so the dual's accept boundary is attained."""
     return max(1, math.ceil(2 * (setup + work) / guess) - 2)
 
 
 @dataclass
 class _NiceParts:
-    plus: list[ClsSpec]  # expensive, setup + work >= T
+    plus: list[ClsSpec]  # expensive, setup + work > T
     minus: list[ClsSpec]  # expensive, setup + work <= 3/4 T
     cheap: list[ClsSpec]
-    alpha_floor: dict[int, int]
     gamma: dict[int, int]
 
-    def count(self, cls: int, style: str) -> int:
-        return self.alpha_floor[cls] if style == "alpha" else self.gamma[cls]
 
-
-def _nice_parts(specs: list[ClsSpec], guess: Rat, right_continuous: bool = False) -> _NiceParts:
+def _nice_parts(specs: list[ClsSpec], guess: Rat) -> _NiceParts:
+    """Split a nice instance at the guess, right-continuously: a class with
+    setup + work equal to the guess belongs to the almost-full layer, as it
+    does just above the guess."""
     half = guess / 2
     plus, minus, cheap = [], [], []
-    alpha_floor: dict[int, int] = {}
     gamma: dict[int, int] = {}
     for spec in specs:
         cls, setup, items, work = spec
         if setup > half:
             reach = setup + work
-            if reach > guess or (reach == guess and not right_continuous):
+            if reach > guess:
                 if guess <= setup:
                     raise ContractError("nice construction needs T > every setup")
-                alpha_floor[cls] = math.floor(work / (guess - setup))
                 gamma[cls] = _gamma_count(setup, work, guess)
                 plus.append(spec)
             elif reach <= Fraction(3, 4) * guess:
@@ -149,16 +146,16 @@ def _nice_parts(specs: list[ClsSpec], guess: Rat, right_continuous: bool = False
                 raise ContractError("instance is not nice for this guess")
         else:
             cheap.append(spec)
-    return _NiceParts(plus=plus, minus=minus, cheap=cheap, alpha_floor=alpha_floor, gamma=gamma)
+    return _NiceParts(plus=plus, minus=minus, cheap=cheap, gamma=gamma)
 
 
-def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat, style: str = "alpha"):
+def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat):
     """(accepted, reason, required load, required machines)."""
     load = Fraction(0)
     machines = (len(parts.minus) + 1) // 2
     for cls, setup, _, work in parts.plus:
-        load += parts.count(cls, style) * setup + work
-        machines += parts.count(cls, style)
+        load += parts.gamma[cls] * setup + work
+        machines += parts.gamma[cls]
     for _, setup, _, work in parts.minus + parts.cheap:
         load += setup + work
     if m < machines:
@@ -168,55 +165,31 @@ def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat, style: str = "alph
     return True, "", load, machines
 
 
-def _build_nice(
-    builder: Builder, parts: _NiceParts, first: int, count: int, guess: Rat, style: str
-) -> None:
+def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, guess: Rat) -> None:
     """Place a nice instance on machines first..first+count-1.
 
-    style "alpha": expensive heavy classes wrap into full-height gaps and an
-    underfull last machine is folded onto its predecessor.  style "gamma":
-    gaps of height T/2 above each setup with the overflow piled onto the last
-    machine (the shape whose reshape points the jump search walks).
+    Each expensive heavy class gets gaps of height T/2 above its setups, with
+    the overflow piled onto its last machine (the shape whose reshape points
+    the jump search walks).
     """
     base = first
     limit = first + count
     threehalf = Fraction(3, 2) * guess
 
-    for cls, setup, items, work in parts.plus:
+    for cls, setup, items, _ in parts.plus:
         s = Fraction(setup)
         batch = Batch(cls=cls, setup=s, jobs=tuple(items))
-        if style == "alpha":
-            alpha = math.ceil(work / (guess - setup))
-            gaps = [Gap(base, Fraction(0), guess)]
-            gaps += [Gap(base + r, s, guess) for r in range(1, alpha)]
-            if base + alpha > limit:
-                raise ContractError("nice construction ran out of machines")
-            res = run_wrap(builder, [batch], gaps)
-            if alpha >= 2 and res.last_fill < guess:
-                # fold the job load of the underfull last machine on top of
-                # its predecessor (which is full to the guess) and discard the
-                # freed setup
-                row = builder.pop_row(res.last_machine)
-                for p in row:
-                    if p.kind == PIECE:
-                        builder.row(res.last_machine - 1).append(
-                            Placement(PIECE, p.cls, guess + (p.start - s), p.dur, p.job, p.piece)
-                        )
-                base += alpha - 1
-            else:
-                base += alpha
+        g = parts.gamma[cls]
+        if g == 1:
+            gaps = [Gap(base, Fraction(0), threehalf)]
         else:
-            g = parts.gamma[cls]
-            if g == 1:
-                gaps = [Gap(base, Fraction(0), threehalf)]
-            else:
-                gaps = [Gap(base, Fraction(0), s + guess / 2)]
-                gaps += [Gap(base + r, s, s + guess / 2) for r in range(1, g - 1)]
-                gaps.append(Gap(base + g - 1, s, threehalf))
-            if base + g > limit:
-                raise ContractError("nice construction ran out of machines")
-            run_wrap(builder, [batch], gaps)
-            base += g
+            gaps = [Gap(base, Fraction(0), s + guess / 2)]
+            gaps += [Gap(base + r, s, s + guess / 2) for r in range(1, g - 1)]
+            gaps.append(Gap(base + g - 1, s, threehalf))
+        if base + g > limit:
+            raise ContractError("nice construction ran out of machines")
+        run_wrap(builder, [batch], gaps)
+        base += g
 
     odd_machine: Optional[int] = None
     mm = parts.minus
@@ -267,25 +240,6 @@ def _full_specs(inst: Instance, indices) -> list[ClsSpec]:
     return out
 
 
-def dual_nice(inst: Instance, guess: Rat, style: str = "alpha") -> DualOutcome:
-    """3/2-dual for nice instances (precondition: no class lands strictly
-    between (3/4)*guess and guess in setup + work)."""
-    if guess <= 0:
-        return Rejected(guess, "load")
-    part = classify(inst, guess)
-    if part.exp_zero:
-        raise ContractError("dual_nice needs a nice instance for this guess")
-    if guess < _job_setup_bound(inst):
-        return Rejected(guess, "job-bound")
-    parts = _nice_parts(_full_specs(inst, range(inst.c)), guess)
-    ok, reason, _, _ = _decide_nice_parts(parts, inst.m, guess, style)
-    if not ok:
-        return Rejected(guess, reason)
-    builder = Builder(inst.m)
-    _build_nice(builder, parts, 0, inst.m, guess, style)
-    return Accepted(builder.finalize(), guess)
-
-
 # ---------------------------------------------------------------------------
 # General instances
 # ---------------------------------------------------------------------------
@@ -315,22 +269,17 @@ class _PmtnPlan:
     reject: Optional[str] = None
 
 
-def _pmtn_plan(inst: Instance, guess: Rat, style: str = "alpha") -> _PmtnPlan:
-    rc = style == "gamma"
-    part = classify(inst, guess, right_continuous=rc)
+def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
+    part = classify(inst, guess, right_continuous=True)
     half = guess / 2
     plan = _PmtnPlan(part=part)
     if not part.exp_zero:
         plan.nice = True
-        plan.nice_parts = _nice_parts(_full_specs(inst, range(inst.c)), guess, rc)
-        _, _, plan.load, plan.machines = _decide_nice_parts(
-            plan.nice_parts, inst.m, guess, style
-        )
+        plan.nice_parts = _nice_parts(_full_specs(inst, range(inst.c)), guess)
+        _, _, plan.load, plan.machines = _decide_nice_parts(plan.nice_parts, inst.m, guess)
         return plan
 
     def count(i: int) -> int:
-        if style == "alpha":
-            return part.counts[i].alpha_floor
         return _gamma_count(inst.classes[i].setup, inst.classes[i].total, guess)
 
     plan.large = list(part.exp_zero)
@@ -394,17 +343,17 @@ def _pmtn_plan(inst: Instance, guess: Rat, style: str = "alpha") -> _PmtnPlan:
     return plan
 
 
-def _decide_pmtn(inst: Instance, guess: Rat, style: str = "alpha"):
+def _decide_pmtn(inst: Instance, guess: Rat):
     """(accepted, reason, required load, required machines)."""
     if guess <= 0:
         return False, "load", None, None
     if inst.m >= inst.n:
-        if guess >= _job_setup_bound(inst):
+        if guess >= job_setup_bound(inst):
             return True, "", None, None
         return False, "job-bound", None, None
-    if guess < _job_setup_bound(inst):
+    if guess < job_setup_bound(inst):
         return False, "job-bound", None, None
-    plan = _pmtn_plan(inst, guess, style)
+    plan = _pmtn_plan(inst, guess)
     if plan.reject is not None:
         # load/machines deliberately None: the reject is a geometric
         # certificate, not captured by the load comparison
@@ -416,41 +365,35 @@ def _decide_pmtn(inst: Instance, guess: Rat, style: str = "alpha"):
     return True, "", plan.load, plan.machines
 
 
-def dual_pmtn(inst: Instance, guess: Rat, style: str = "alpha") -> DualOutcome:
+def dual_pmtn(inst: Instance, guess: Rat) -> DualOutcome:
     """Either a preemptive schedule with makespan <= (3/2)*guess (no two
     pieces of one job overlapping in time) or a certificate guess < OPT.
 
-    style "alpha" counts machines for heavy classes by floor(P/(T-s)); style
-    "gamma" by the half-gap packing (fewer, so it accepts no later), with the
-    matching construction.  Both directions of the contract hold for both.
+    Heavy classes are counted by the half-gap packing
+    max(1, ceil(2(s+P)/T) - 2), with the matching construction.
     """
     if guess <= 0:
         return Rejected(guess, "load")
     if inst.m >= inst.n:
-        if guess >= _job_setup_bound(inst):
+        if guess >= job_setup_bound(inst):
             return Accepted(trivial_one_job_per_machine(inst), guess)
         return Rejected(guess, "job-bound")
-    if guess < _job_setup_bound(inst):
+    if guess < job_setup_bound(inst):
         return Rejected(guess, "job-bound")
-    plan = _pmtn_plan(inst, guess, style)
+    plan = _pmtn_plan(inst, guess)
     if plan.reject is not None:
         return Rejected(guess, plan.reject)
     if inst.m < plan.machines:
         return Rejected(guess, "machines")
     if inst.m * guess < plan.load:
         return Rejected(guess, "load")
-    return Accepted(_build_pmtn(inst, guess, plan, style), guess)
+    return Accepted(_build_pmtn(inst, guess, plan), guess)
 
 
-def dual_pmtn_packed(inst: Instance, guess: Rat) -> DualOutcome:
-    """The gamma-mode dual: the decision the jump search walks."""
-    return dual_pmtn(inst, guess, style="gamma")
-
-
-def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Schedule:
+def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     builder = Builder(inst.m)
     if plan.nice:
-        _build_nice(builder, plan.nice_parts, 0, inst.m, guess, style)
+        _build_nice(builder, plan.nice_parts, 0, inst.m, guess)
         return builder.finalize()
 
     part = plan.part
@@ -505,7 +448,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Sche
                         leftovers.append((i, (i, j), rest))
                 total2 = sum((d for _, d in inside), Fraction(0))
                 want = plan.obligatory[i] + share * (Fraction(cl.total) - plan.obligatory[i])
-                assert total2 == want, "split-class bookkeeping broken"
+                if total2 != want:
+                    raise ContractError("split-class bookkeeping broken")
                 sub_specs.append((i, cl.setup, inside, total2))
             elif share == 1:
                 sub_specs.append(
@@ -537,7 +481,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Sche
         budget = plan.free_time - sum(
             inst.classes[i].setup + inst.classes[i].total for i in part.chp_star
         )
-        assert budget >= 0
+        if budget < 0:
+            raise ContractError("oversized-job classes overrun the free time")
         star = set(part.chp_star)
         for i in part.chp_minus:
             if i in star:
@@ -577,15 +522,17 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Sche
     # The nice remainder occupies the machines after the large ones.
     sub_specs.sort(key=lambda sp: sp[0])
     sub_specs = [sp for sp in sub_specs if sp[2]]
-    parts = _nice_parts(sub_specs, guess, style == "gamma")
-    ok, reason, _, _ = _decide_nice_parts(parts, inst.m - l, guess, style)
-    assert ok, f"nice remainder rejected ({reason}); budget accounting broken"
-    _build_nice(builder, parts, l, inst.m - l, guess, style)
+    parts = _nice_parts(sub_specs, guess)
+    ok, reason, _, _ = _decide_nice_parts(parts, inst.m - l, guess)
+    if not ok:
+        raise ContractError(f"nice remainder rejected ({reason}); budget accounting broken")
+    _build_nice(builder, parts, l, inst.m - l, guess)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
     # small: setup + piece fits in half the guess.
     for i, ref, dur in leftovers:
-        assert inst.classes[i].setup + dur <= half, "leftover too large for a bottom"
+        if inst.classes[i].setup + dur > half:
+            raise ContractError("leftover too large for a bottom")
     kplus = [(i, ref, dur) for i, ref, dur in leftovers if dur > quarter]
     kminus = [(i, ref, dur) for i, ref, dur in leftovers if dur <= quarter]
 
@@ -593,7 +540,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Sche
         return (0 if i == split_cls else 1, i)
 
     kplus.sort(key=lambda e: (cls_order(e[0]), e[1]))
-    assert len(kplus) <= l, "more big leftovers than large machines"
+    if len(kplus) > l:
+        raise ContractError("more big leftovers than large machines")
     for u, (i, ref, dur) in enumerate(kplus):
         s = Fraction(inst.classes[i].setup)
         builder.put_setup(u, i, Fraction(0), s)
@@ -622,29 +570,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan, style: str) -> Sche
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JumpTrace:
-    structure_interval: tuple[Rat, Rat]
-    jump_interval: tuple[Rat, Rat]
-    fastest: Optional[int]
-    jumps: list[tuple[int, Rat]]
-    final_interval: tuple[Rat, Rat]
-    heavy: tuple[int, ...]
-    refined: bool = False
-    fallback: bool = False
-
-
-def _bisect_right_interval(values, probe, lo_idx, hi_idx):
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if probe(values[mid]):
-            hi_idx = mid
-        else:
-            lo_idx = mid
-    return lo_idx, hi_idx
-
-
-def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, style: str, cap: int = 96):
+def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, cap: int = 96):
     """All guesses in (t_fail, t_ok) at which the dual's decision data can
     change, assuming the class layers are constant on the bracket: machine
     count steps of the heavy classes, sign changes of the free time and the
@@ -662,31 +588,16 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, style: str, cap: i
 
     for i in part.exp_plus:
         cl = inst.classes[i]
-        s, p = cl.setup, cl.total
-        if style == "alpha":
-            # steps of floor(P/(T-s)) at s + P/k
-            k_first = math.floor(Fraction(p) / (t_ok - s)) + 1
-            k_last = math.ceil(Fraction(p) / (t_fail - s)) - 1
-            if k_last - k_first > cap:
-                return None
-            for k in range(max(k_first, 1), k_last + 1):
-                note(s + Fraction(p, k))
-        else:
-            # steps of the half-gap count at 2(s+P)/d
-            v2 = 2 * Fraction(s + p)
-            d_first = math.floor(v2 / t_ok) + 1
-            d_last = math.ceil(v2 / t_fail) - 1
-            if d_last - d_first > cap:
-                return None
-            for d in range(max(d_first, 1), d_last + 1):
-                note(v2 / d)
+        # steps of the half-gap count at 2(s+P)/d
+        v2 = 2 * Fraction(cl.setup + cl.total)
+        d_first = math.floor(v2 / t_ok) + 1
+        d_last = math.ceil(v2 / t_fail) - 1
+        if d_last - d_first > cap:
+            return None
+        for d in range(max(d_first, 1), d_last + 1):
+            note(v2 / d)
         if len(breaks) > cap:
             return None
-
-    def count(i: int) -> int:
-        if style == "alpha":
-            return part.counts[i].alpha_floor
-        return _gamma_count(inst.classes[i].setup, inst.classes[i].total, mid)
 
     if l and m > l:
         # With the machine counts frozen at the midpoint, the free time is
@@ -694,7 +605,7 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, style: str, cap: i
         g_const = Fraction(0)
         for i in part.exp_plus:
             cl = inst.classes[i]
-            g_const += count(i) * cl.setup + cl.total
+            g_const += _gamma_count(cl.setup, cl.total, mid) * cl.setup + cl.total
         for i in list(part.exp_minus) + list(part.chp_plus):
             cl = inst.classes[i]
             g_const += cl.setup + cl.total
@@ -758,36 +669,11 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     """
     m = inst.m
     if m >= inst.n:
-        sched = trivial_one_job_per_machine(inst)
-        best = Fraction(_job_setup_bound(inst))
-        return SearchResult(
-            guess=best, schedule=sched, lower_bound=best, makespan=sched.makespan(), probes=[]
-        )
+        return trivial_search(inst)
+    probe = CachedProbe(lambda guess: _decide_pmtn(inst, guess)[0])
 
-    probes: list[tuple[Rat, bool]] = []
-    cache: dict[Rat, bool] = {}
-
-    def probe(guess: Rat) -> bool:
-        guess = Fraction(guess)
-        hit = cache.get(guess)
-        if hit is not None:
-            return hit
-        ok = _decide_pmtn(inst, guess, "gamma")[0]
-        cache[guess] = ok
-        probes.append((guess, ok))
-        return ok
-
-    def finish(t_star: Rat, lb: Rat, trace: Optional[JumpTrace]) -> SearchResult:
-        out = dual_pmtn(inst, t_star, style="gamma")
-        assert isinstance(out, Accepted), f"search landed on rejected guess {t_star}"
-        return SearchResult(
-            guess=t_star,
-            schedule=out.schedule,
-            lower_bound=lb,
-            makespan=out.schedule.makespan(),
-            probes=probes,
-            trace=trace,
-        )
+    def finish(t_star: Rat, lb: Rat, trace) -> SearchResult:
+        return probe.finish(dual_pmtn, inst, t_star, lb, trace)
 
     tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
     if probe(tmin):
@@ -806,57 +692,18 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
         for t in cl.jobs:
             struct.add(2 * (s + t))
     cands = [tmin] + sorted(v for v in struct if tmin < v < top) + [top]
-    lo, hi = _bisect_right_interval(cands, probe, 0, len(cands) - 1)
-    low_end, high_end = cands[lo], cands[hi]
 
-    # Heavy classes: expensive with setup + work past the guess, throughout
-    # the open bracket.
-    heavy = tuple(
-        i
-        for i, cl in enumerate(inst.classes)
-        if 2 * cl.setup >= high_end and cl.setup + cl.total >= high_end
-    )
-    x_lo, x_hi = low_end, high_end
-    fastest: Optional[int] = None
-    collected: list[tuple[int, Rat]] = []
-    if heavy:
-        fastest = min(heavy, key=lambda i: (-(inst.classes[i].setup + inst.classes[i].total), i))
-        v2 = 2 * Fraction(inst.classes[fastest].setup + inst.classes[fastest].total)
-        d_hi = max(3, math.ceil(v2 / high_end))
-        d_cap = d_hi + m + 2
-        d_lo = d_hi
-        while d_lo <= d_cap and v2 / d_lo >= high_end:
-            d_lo += 1
-        d_top = min(d_cap, math.ceil(v2 / low_end) - 1)
-        if d_lo <= d_top:
-            a_idx, r_idx = d_lo - 1, d_top + 1
-            while r_idx - a_idx > 1:
-                mid = (a_idx + r_idx) // 2
-                if probe(v2 / mid):
-                    a_idx = mid
-                else:
-                    r_idx = mid
-            x_hi = v2 / a_idx if a_idx >= d_lo else high_end
-            x_lo = v2 / r_idx if r_idx <= d_top else low_end
-        for i in heavy:
-            w2 = 2 * Fraction(inst.classes[i].setup + inst.classes[i].total)
-            d = max(3, math.ceil(w2 / x_hi))
-            cand = w2 / d
-            if x_lo < cand < x_hi:
-                collected.append((i, cand))
+    def heavy(high_end: Rat) -> dict[int, Rat]:
+        # expensive with setup + work past the guess throughout the open
+        # bracket; a class reshapes at 2(s+P)/d, d >= 3
+        return {
+            i: 2 * Fraction(cl.setup + cl.total)
+            for i, cl in enumerate(inst.classes)
+            if 2 * cl.setup >= high_end and cl.setup + cl.total >= high_end
+        }
 
-    chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
-    lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
-    t_fail, t_ok = chain[lo2], chain[hi2]
-
-    trace = JumpTrace(
-        structure_interval=(low_end, high_end),
-        jump_interval=(x_lo, x_hi),
-        fastest=fastest,
-        jumps=collected,
-        final_interval=(t_fail, t_ok),
-        heavy=heavy,
-    )
+    trace = class_jump_walk(probe, cands, heavy, 3, m)
+    t_fail, t_ok = trace.final_interval
 
     # Exact refinement: inside the bracket the decision can still move where
     # a heavy class needs another machine, where the free time or the
@@ -866,7 +713,7 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     # closed-form: the bracket top, or required load / m.
     for _ in range(60):
         trace.final_interval = (t_fail, t_ok)
-        breaks = _pmtn_breakpoints(inst, t_fail, t_ok, "gamma")
+        breaks = _pmtn_breakpoints(inst, t_fail, t_ok)
         if breaks is None:  # too many candidates: halve the bracket first
             trace.refined = True
             mid = (t_fail + t_ok) / 2
@@ -883,7 +730,7 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
         gap = t_ok - t_fail
         datas = set()
         for q in (Fraction(1, 7), Fraction(3, 7), Fraction(1, 2), Fraction(6, 7)):
-            _, _, load_v, machines_v = _decide_pmtn(inst, t_fail + gap * q, "gamma")
+            _, _, load_v, machines_v = _decide_pmtn(inst, t_fail + gap * q)
             datas.add((load_v, machines_v))
         if len(datas) != 1:
             trace.refined = True

@@ -1,11 +1,13 @@
-"""Variant-generic makespan search: bisection to a (3/2+eps) guarantee,
-plus the result/reporting types shared by all search strategies."""
+"""Variant-generic makespan search: bisection to a (3/2+eps) guarantee, the
+class-jump walk shared by the splittable and preemptive exact searches, plus
+the result/reporting types shared by all search strategies."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     Accepted,
@@ -16,7 +18,9 @@ from .core import (
     Schedule,
     ValidationError,
     Variant,
+    job_setup_bound,
     lower_bound_tmin,
+    trivial_one_job_per_machine,
 )
 
 
@@ -36,20 +40,156 @@ class SearchResult:
     lower_bound: Rat
     makespan: Rat
     probes: list[tuple[Rat, bool]] = field(default_factory=list)
-    trace: Optional[object] = None
+    trace: Optional[JumpTrace] = None
 
 
 def dual_for(variant: Variant):
-    """The 3/2-dual used by the searches.  The preemptive searches walk the
-    packed (gamma) flavor of the dual: it never accepts later than the plain
-    one and its accept boundary is attained, so exact searches make sense."""
+    """The 3/2-dual used by the searches."""
     from . import nonpreemptive, preemptive, splittable
 
     return {
         Variant.SPLITTABLE: splittable.dual_split,
-        Variant.PREEMPTIVE: preemptive.dual_pmtn_packed,
+        Variant.PREEMPTIVE: preemptive.dual_pmtn,
         Variant.NONPREEMPTIVE: nonpreemptive.dual_nonp,
     }[variant]
+
+
+def trivial_search(inst: Instance) -> SearchResult:
+    """m >= n, non-splittable: one job per machine is optimal, and its
+    makespan is the job-setup bound, so no probe is needed."""
+    sched = trivial_one_job_per_machine(inst)
+    best = Fraction(job_setup_bound(inst))
+    return SearchResult(
+        guess=best, schedule=sched, lower_bound=best, makespan=sched.makespan(), probes=[]
+    )
+
+
+class CachedProbe:
+    """A search's view of the dual decision: each distinct guess is decided
+    once, and the decided guesses are recorded in probe order."""
+
+    def __init__(self, decide: Callable[[Rat], bool]):
+        self.decide = decide
+        self.cache: dict[Rat, bool] = {}
+        self.probes: list[tuple[Rat, bool]] = []
+
+    def __call__(self, guess: Rat) -> bool:
+        guess = Fraction(guess)
+        ok = self.cache.get(guess)
+        if ok is None:
+            ok = self.cache[guess] = self.decide(guess)
+            self.probes.append((guess, ok))
+        return ok
+
+    def finish(
+        self, dual, inst: Instance, guess: Rat, lower_bound: Rat, trace: Optional[JumpTrace] = None
+    ) -> SearchResult:
+        """Build the schedule for the guess the search settled on."""
+        out = dual(inst, guess)
+        if not out.accepted:
+            raise ContractError(f"search landed on rejected guess {guess}")
+        return SearchResult(
+            guess=guess,
+            schedule=out.schedule,
+            lower_bound=lower_bound,
+            makespan=out.schedule.makespan(),
+            probes=self.probes,
+            trace=trace,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Class jumping
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class JumpTrace:
+    """Class-jump search internals kept for inspection and for the
+    jump-density checks."""
+
+    structure_interval: tuple[Rat, Rat]  # bracket (A, B] with constant class layers
+    jump_interval: tuple[Rat, Rat]  # X: between consecutive jumps of the fastest member
+    fastest: Optional[int]
+    jumps: list[tuple[int, Rat]]  # collected (class, jump) strictly inside X
+    final_interval: tuple[Rat, Rat]
+    members: tuple[int, ...]  # classes whose machine count jumps throughout (A, B]
+    refined: bool = False
+    fallback: bool = False
+
+
+def _bisect_right_interval(values, probe, lo_idx, hi_idx):
+    """Indices into `values` with values[lo_idx] rejected, values[hi_idx]
+    accepted; narrows to an adjacent such pair."""
+    while hi_idx - lo_idx > 1:
+        mid = (lo_idx + hi_idx) // 2
+        if probe(values[mid]):
+            hi_idx = mid
+        else:
+            lo_idx = mid
+    return lo_idx, hi_idx
+
+
+def class_jump_walk(
+    probe: CachedProbe,
+    cands: list[Rat],
+    jump_values: Callable[[Rat], dict[int, Rat]],
+    d_min: int,
+    m: int,
+) -> JumpTrace:
+    """Narrow the least accepted guess to a bracket with no class jump inside.
+
+    `cands` are increasing thresholds, cands[0] rejected and cands[-1]
+    accepted, between which the class layers do not change.  For the bracket
+    (A, B] found among them, `jump_values(B)` maps each member class to its v:
+    the class needs one more machine each time the guess drops past v/d,
+    d >= d_min.  The jumps of the fastest member (largest v) are bisected,
+    up to m + d_min - 1 of them below B, past which the member alone needs
+    more than m machines.  Between two consecutive ones every other member
+    jumps at most once, so those jumps are collected and bisected.
+    """
+    lo, hi = _bisect_right_interval(cands, probe, 0, len(cands) - 1)
+    low_end, high_end = cands[lo], cands[hi]
+    values = jump_values(high_end)
+    x_lo, x_hi = low_end, high_end
+    fastest: Optional[int] = None
+    collected: list[tuple[int, Rat]] = []
+    if values:
+        fastest = min(values, key=lambda i: (-values[i], i))
+        v = values[fastest]
+        d_hi = max(d_min, math.ceil(v / high_end))  # largest jump at or below B
+        d_cap = d_hi + m + d_min - 1
+        # clip the jumps v/d to the open bracket
+        d_lo = d_hi
+        while d_lo <= d_cap and v / d_lo >= high_end:
+            d_lo += 1
+        d_top = min(d_cap, math.ceil(v / low_end) - 1)
+        if d_lo <= d_top:
+            # virtual index d_lo-1 stands for B (accepted), d_top+1 for A (rejected)
+            a_idx, r_idx = d_lo - 1, d_top + 1
+            while r_idx - a_idx > 1:
+                mid = (a_idx + r_idx) // 2
+                if probe(v / mid):
+                    a_idx = mid
+                else:
+                    r_idx = mid
+            x_hi = v / a_idx if a_idx >= d_lo else high_end
+            x_lo = v / r_idx if r_idx <= d_top else low_end
+        for i, w in values.items():
+            cand = w / max(d_min, math.ceil(w / x_hi))
+            if x_lo < cand < x_hi:
+                collected.append((i, cand))
+
+    chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
+    lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
+    return JumpTrace(
+        structure_interval=(low_end, high_end),
+        jump_interval=(x_lo, x_hi),
+        fastest=fastest,
+        jumps=collected,
+        final_interval=(chain[lo2], chain[hi2]),
+        members=tuple(values),
+    )
 
 
 def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:

@@ -9,19 +9,18 @@ bisecting numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     Accepted,
+    ContractError,
     DualOutcome,
     Instance,
     Rat,
     Rejected,
     Schedule,
 )
-from .search import SearchResult
+from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk
 from .wrap import Batch, Builder, Gap, run_wrap
 
 
@@ -130,30 +129,6 @@ def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
     return Accepted(builder.finalize(), guess)
 
 
-@dataclass
-class JumpTrace:
-    """Search internals kept for inspection and for the jump-density checks."""
-
-    setup_interval: tuple[Rat, Rat]  # partition-stable bracket (A, B]
-    jump_interval: tuple[Rat, Rat]  # X: between consecutive jumps of the fastest class
-    fastest: Optional[int]
-    jumps: list[tuple[int, Rat]]  # collected (class, jump) strictly inside X
-    final_interval: tuple[Rat, Rat]
-    expensive: tuple[int, ...]  # classes expensive throughout the bracket
-
-
-def _bisect_right_interval(values, probe, lo_idx, hi_idx):
-    """Indices into `values` with values[lo_idx] rejected, values[hi_idx]
-    accepted; narrows to an adjacent such pair."""
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if probe(values[mid]):
-            hi_idx = mid
-        else:
-            lo_idx = mid
-    return lo_idx, hi_idx
-
-
 def class_jump_split(inst: Instance) -> SearchResult:
     """Exact 3/2-approximation: returns the least guess the dual accepts.
 
@@ -165,31 +140,7 @@ def class_jump_split(inst: Instance) -> SearchResult:
     answer in closed form.
     """
     m = inst.m
-    work = [cl.total for cl in inst.classes]
-    probes: list[tuple[Rat, bool]] = []
-    cache: dict[Rat, bool] = {}
-
-    def probe(guess: Rat) -> bool:
-        guess = Fraction(guess)
-        hit = cache.get(guess)
-        if hit is not None:
-            return hit
-        ok = _decide_split(inst, guess)[0]
-        cache[guess] = ok
-        probes.append((guess, ok))
-        return ok
-
-    def finish(t_star: Rat, trace: JumpTrace) -> SearchResult:
-        out = dual_split(inst, t_star)
-        assert isinstance(out, Accepted), f"search landed on rejected guess {t_star}"
-        return SearchResult(
-            guess=t_star,
-            schedule=out.schedule,
-            lower_bound=t_star,
-            makespan=out.schedule.makespan(),
-            probes=probes,
-            trace=trace,
-        )
+    probe = CachedProbe(lambda guess: _decide_split(inst, guess)[0])
 
     smax = Fraction(inst.s_max)
     top = Fraction(2 * inst.total_load)
@@ -197,7 +148,7 @@ def class_jump_split(inst: Instance) -> SearchResult:
         # nothing below s_max is ever accepted, so this is the exact optimum
         # of the search space
         trace = JumpTrace((smax, smax), (smax, smax), None, [], (smax, smax), ())
-        return finish(smax, trace)
+        return probe.finish(dual_split, inst, smax, smax, trace)
 
     # Bracket the answer between consecutive doubled setup values: inside,
     # the expensive/cheap split does not change.
@@ -205,46 +156,18 @@ def class_jump_split(inst: Instance) -> SearchResult:
     cands += sorted({Fraction(2 * cl.setup) for cl in inst.classes if 2 * cl.setup > smax})
     cands.append(top)
     if not probe(top):
-        raise AssertionError("dual rejected 2N; load certificate broken")
-    lo, hi = _bisect_right_interval(cands, probe, 0, len(cands) - 1)
-    low_end, high_end = cands[lo], cands[hi]
+        raise ContractError("dual rejected 2N; load certificate broken")
 
-    expensive = tuple(i for i, cl in enumerate(inst.classes) if 2 * cl.setup >= high_end)
-    x_lo, x_hi = low_end, high_end
-    fastest: Optional[int] = None
-    collected: list[tuple[int, Rat]] = []
+    def expensive(high_end: Rat) -> dict[int, Rat]:
+        # expensive throughout the bracket; a class jumps at 2P/d
+        return {
+            i: Fraction(2 * cl.total)
+            for i, cl in enumerate(inst.classes)
+            if 2 * cl.setup >= high_end
+        }
 
-    if expensive:
-        fastest = min(expensive, key=lambda i: (-work[i], i))
-        pf2 = Fraction(2 * work[fastest])
-        d_hi = math.ceil(pf2 / high_end)  # largest candidate of f at or below B
-        d_cap = d_hi + m
-        # clip candidates 2P_f/d to the open bracket
-        d_lo = d_hi
-        while d_lo <= d_cap and pf2 / d_lo >= high_end:
-            d_lo += 1
-        d_top = d_cap if low_end <= 0 else min(d_cap, math.ceil(pf2 / low_end) - 1)
-        if d_lo <= d_top:
-            # virtual index d_lo-1 stands for B (accepted), d_top+1 for A (rejected)
-            a_idx, r_idx = d_lo - 1, d_top + 1
-            while r_idx - a_idx > 1:
-                mid = (a_idx + r_idx) // 2
-                if probe(pf2 / mid):
-                    a_idx = mid
-                else:
-                    r_idx = mid
-            x_hi = pf2 / a_idx if a_idx >= d_lo else high_end
-            x_lo = pf2 / r_idx if r_idx <= d_top else low_end
-
-        for i in expensive:
-            d = math.ceil(Fraction(2 * work[i]) / x_hi)
-            cand = Fraction(2 * work[i], d)
-            if x_lo < cand < x_hi:
-                collected.append((i, cand))
-
-    chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
-    lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
-    t_fail, t_ok = chain[lo2], chain[hi2]
+    trace = class_jump_walk(probe, cands, expensive, 1, m)
+    t_fail, t_ok = trace.final_interval
 
     # Between t_fail and t_ok no class jumps, so the required load is one
     # constant L: everything below L/m is rejected, everything at or above is
@@ -254,18 +177,9 @@ def class_jump_split(inst: Instance) -> SearchResult:
     if m < machines_mid:
         t_star = t_ok
     else:
-        t_new = load_mid / m
-        if t_new >= t_ok:
+        t_star = load_mid / m
+        if t_star >= t_ok:
             t_star = t_ok
-        else:
-            assert t_new > t_fail, "load certificate inconsistent across the bracket"
-            t_star = t_new
-    trace = JumpTrace(
-        setup_interval=(low_end, high_end),
-        jump_interval=(x_lo, x_hi),
-        fastest=fastest,
-        jumps=collected,
-        final_interval=(t_fail, t_ok),
-        expensive=expensive,
-    )
-    return finish(t_star, trace)
+        elif t_star <= t_fail:
+            raise ContractError("load certificate inconsistent across the bracket")
+    return probe.finish(dual_split, inst, t_star, t_star, trace)

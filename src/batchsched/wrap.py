@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import PIECE, SETUP, CapacityError, JobRef, Placement, Rat, Schedule
+from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, Placement, Rat, Schedule
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,6 @@ class Builder:
     def row(self, machine: int) -> list[Placement]:
         return self._machines.setdefault(machine, [])
 
-    def pop_row(self, machine: int) -> list[Placement]:
-        return self._machines.pop(machine)
-
     def put_setup(self, machine: int, cls: int, start: Rat, dur: Rat):
         self.row(machine).append(Placement(SETUP, cls, start, dur))
 
@@ -121,7 +118,6 @@ class Builder:
 
 @dataclass
 class WrapResult:
-    fills: list[tuple[int, Rat]]  # (virtual machine id, fill end time) per used gap
     last_machine: int  # virtual id of the gap holding the final item
     last_fill: Rat  # end time of the content on that machine
     placed: int  # number of emitted placements (configs count once)
@@ -158,7 +154,6 @@ class _Run:
             raise CapacityError("empty wrap template")
         self.pos = 0
         self.cfg: Optional[list[Placement]] = None
-        self.fills: list[tuple[int, Rat]] = []
         self.placed = 0
         self.open: Rat = self._open(0)
         self.close: Rat = self._close(0)
@@ -224,7 +219,6 @@ class _Run:
     def next_gap(self):
         if self._in_tail(self.pos):
             self._flush_cfg()
-        self.fills.append((self._machine(self.pos), self.t))
         if self.pos + 1 >= self.total:
             raise CapacityError("wrap sequence exceeds template capacity")
         self.pos += 1
@@ -234,9 +228,9 @@ class _Run:
     def bulk_full_gaps(self, cls: int, setup: Rat, ref: JobRef, count: int):
         """Emit `count` identical tail gaps fully covered by one job: a setup
         ending at the gap start plus a full-height piece, as one config."""
-        assert self._in_tail(self.pos + 1) and count >= 1
+        if not (self._in_tail(self.pos + 1) and count >= 1):
+            raise ContractError("bulk gaps must be at least one tail gap")
         self._flush_cfg()
-        self.fills.append((self._machine(self.pos), self.t))
         a, b = self.tail_gap
         cfg = (
             self.b.make_setup(cls, a - setup, setup),
@@ -246,8 +240,6 @@ class _Run:
         if self.pos + count >= self.total:
             raise CapacityError("wrap sequence exceeds template capacity")
         self.b.put_config(self._machine(self.pos + 1), cfg, count)
-        for k in range(count - 1):
-            self.fills.append((self._machine(self.pos + 1 + k), b))
         self.pos += count
         self._sync()
         self.t = b  # gap is exactly full; next item immediately crosses
@@ -255,9 +247,7 @@ class _Run:
     def finish(self) -> WrapResult:
         if self._in_tail(self.pos):
             self._flush_cfg(final=True)
-        self.fills.append((self._machine(self.pos), self.t))
         return WrapResult(
-            fills=self.fills,
             last_machine=self._machine(self.pos),
             last_fill=self.t,
             placed=self.placed,
@@ -344,7 +334,7 @@ def run_wrap(
 
 def wrap(seq: WrapSequence, template: WrapTemplate, m: Optional[int] = None) -> tuple[Schedule, WrapResult]:
     """Plain wrapping into an explicit template; returns the partial schedule
-    (machines renumbered consecutively) and per-gap fill levels."""
+    (machines renumbered consecutively) and where the content ends."""
     builder = Builder(m if m is not None else (template[-1].machine + 1 if template else 0))
     result = run_wrap(builder, seq, list(template))
     return builder.finalize(), result
@@ -384,11 +374,3 @@ def wrap_parallel_compressed(
     result = run_wrap(builder, seq, [], tail_gap=gap, tail_count=count, tail_base=0)
     return builder.finalize(), result
 
-
-def batches_from_classes(
-    classes: list[tuple[int, int, list[tuple[JobRef, Rat]]]]
-) -> WrapSequence:
-    """Helper: build a wrap sequence from (class index, setup, items) triples."""
-    return [
-        Batch(cls=i, setup=Fraction(s), jobs=tuple(items)) for i, s, items in classes
-    ]

@@ -27,7 +27,7 @@ from batchsched.preemptive import (
     KnapsackItem,
     class_jump_pmtn,
     continuous_knapsack,
-    dual_pmtn_packed,
+    dual_pmtn,
 )
 from batchsched.search import dual_for, epsilon_search
 from batchsched.splittable import class_jump_split, dual_split, two_approx_split
@@ -192,7 +192,7 @@ def test_criterion_5_class_jump_exactness_and_6_jump_density():
     tol = F(1, 10**5)
     for variant, search, dual, family, seed in (
         (Variant.SPLITTABLE, class_jump_split, dual_split, "split", 11),
-        (Variant.PREEMPTIVE, class_jump_pmtn, dual_pmtn_packed, "pmtn", 13),
+        (Variant.PREEMPTIVE, class_jump_pmtn, dual_pmtn, "pmtn", 13),
     ):
         for inst in _corpus_b(seed):
             r = search(inst)
@@ -207,10 +207,9 @@ def test_criterion_5_class_jump_exactness_and_6_jump_density():
             if tr is None:
                 continue
             x_lo, x_hi = tr.jump_interval
-            members = tr.expensive if family == "split" else tr.heavy
             collected_cls = [c for c, _ in tr.jumps]
             assert len(collected_cls) == len(set(collected_cls))
-            for cls in members:
+            for cls in tr.members:
                 assert _enumerate_jumps_in(inst, x_lo, x_hi, cls, family) <= 1
     _announce("5+6", "class jumping exact vs scan/eps; jump density", t0)
 

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from batchsched.cli import (
     emit_schedule,
     generate_instance,
@@ -55,6 +57,37 @@ def test_solve_eps_probe_budget(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["probes"] <= 11
+
+
+def _malformed(mutate):
+    setup = {"kind": "setup", "class": 0, "start": "0", "dur": "1"}
+    piece = {"kind": "piece", "class": 0, "job": 0, "piece": 0, "start": "1", "dur": "2"}
+    raw = {
+        "makespan": "3",
+        "machines": [[dict(setup), dict(piece)]],
+        "compressed": [{"config": [dict(setup), dict(piece, job=1)], "mult": 1}],
+    }
+    mutate(raw)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda raw: raw["machines"][0][0].pop("class"),
+        lambda raw: raw["compressed"][0].update(mult="1"),
+        lambda raw: raw["machines"][0][1].update(job="0"),
+    ],
+    ids=["missing-class", "string-mult", "string-job"],
+)
+def test_verify_malformed_schedule_exit_one(tmp_path, capsys, mutate):
+    inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
+    ipath = write_instance(tmp_path, "i.json", inst)
+    spath = write_instance(tmp_path, "s.json", _malformed(mutate))
+    code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):

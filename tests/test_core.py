@@ -6,7 +6,6 @@ import pytest
 from batchsched.core import (
     PIECE,
     SETUP,
-    ContractError,
     Instance,
     JobClass,
     Placement,
@@ -14,9 +13,7 @@ from batchsched.core import (
     ValidationError,
     Variant,
     classify,
-    counts_for,
     lower_bound_tmin,
-    machine_counts,
     parse_instance,
     verify_schedule,
 )
@@ -64,36 +61,6 @@ def test_lower_bound_single_machine():
     one = Instance(m=1, classes=(JobClass(1, (1,)),))
     for v in Variant:
         assert lower_bound_tmin(one, v) == 2
-
-
-def test_machine_counts_examples():
-    c = counts_for(6, 5, F(10))
-    assert (c.alpha, c.alpha_floor, c.beta, c.beta_floor, c.gamma) == (2, 1, 1, 1, 1)
-    c = counts_for(3, 14, F(10))
-    assert c.alpha == 2 and c.beta == 3
-    c = counts_for(6, 4, F(12))  # boundary: setup == half the guess, class cheap
-    assert c.alpha == 1
-
-
-def test_machine_counts_requires_guess_above_setup():
-    inst = Instance(m=1, classes=(JobClass(5, (1,)),))
-    with pytest.raises(ContractError):
-        machine_counts(inst, 0, F(5))
-    assert machine_counts(inst, 0, F(6)).alpha == 1
-
-
-def test_machine_count_order_on_grid():
-    # alpha_floor <= alpha; expensive classes: gamma <= beta <= alpha
-    for s in range(1, 31):
-        for p in range(1, 31):
-            for t in range(s + 1, 31):
-                c = counts_for(s, p, F(t))
-                assert c.alpha_floor <= c.alpha
-                if 2 * s > t:
-                    assert 1 <= c.beta <= c.alpha
-                    assert c.gamma <= c.beta
-                    # gamma has the closed form max(1, ceil(2(s+p)/t) - 2)
-                    assert c.gamma == max(1, -((-2 * (s + p)) // t) - 2)
 
 
 def test_classify_examples():

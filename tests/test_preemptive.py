@@ -2,16 +2,12 @@ import itertools
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from batchsched.core import (
     Accepted,
-    ContractError,
     Instance,
     JobClass,
     Rejected,
     Variant,
-    machine_counts,
     verify_schedule,
 )
 from batchsched.oracle import exact_nonp, min_accepted_scan
@@ -24,9 +20,7 @@ from batchsched.preemptive import (
     _pmtn_plan,
     class_jump_pmtn,
     continuous_knapsack,
-    dual_nice,
     dual_pmtn,
-    dual_pmtn_packed,
 )
 
 from conftest import random_instance, tiny_instances
@@ -98,39 +92,35 @@ NICE = Instance(m=4, classes=(JobClass(6, (8,)), JobClass(6, (1,)), JobClass(1, 
 
 
 def test_nice_decision_formula_values():
+    # class 0 packs into max(1, ceil(2*14/10) - 2) = 1 half-gap machine
     parts = _nice_parts(_full_specs(NICE, range(3)), F(10))
     ok, _, load, machines = _decide_nice_parts(parts, 4, F(10))
-    assert load == 32 and machines == 3 and ok
+    assert load == 26 and machines == 2 and ok
     ok2, reason, _, _ = _decide_nice_parts(parts, 2, F(10))
-    assert not ok2 and reason == "machines"
+    assert not ok2 and reason == "load"
+    ok1, reason1, _, _ = _decide_nice_parts(parts, 1, F(10))
+    assert not ok1 and reason1 == "machines"
 
 
 def test_nice_rejects_below_job_bound():
     # guess 10 passes the load check but the longest job cannot finish by
     # then: setup 6 + job 8 = 14 is a certified bound, so reject
-    out = dual_nice(NICE, F(10))
+    out = dual_pmtn(NICE, F(10))
     assert isinstance(out, Rejected) and out.reason == "job-bound"
 
 
 def test_nice_accepts_and_builds_at_valid_guess():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
-    out = dual_nice(inst, F(11))
+    out = dual_pmtn(inst, F(11))
     assert isinstance(out, Accepted)
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
-    out2 = dual_nice(inst, F(11), style="gamma")
-    assert isinstance(out2, Accepted)
-    assert verify_schedule(inst, out2.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
-
-
-def test_nice_contract_error_when_not_nice():
-    inst = Instance(m=2, classes=(JobClass(5, (2,)), JobClass(1, (4,))))
-    with pytest.raises(ContractError):
-        dual_nice(inst, F(8))  # class 0 sits strictly between 3/4 T and T
 
 
 def test_all_cheap_degenerate_wrap():
-    inst = Instance(m=3, classes=(JobClass(1, (2, 2)), JobClass(2, (1,))))
-    out = dual_nice(inst, F(4))
+    # m = 2 < n = 3 keeps the nice wrap on, not the one-job-per-machine path
+    inst = Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(2, (1,))))
+    assert _pmtn_plan(inst, F(4)).nice
+    out = dual_pmtn(inst, F(4))
     assert isinstance(out, Accepted)
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(6)).ok
 
@@ -154,10 +144,10 @@ def test_pmtn_reject_example():
 
 def test_pmtn_defers_to_nice_when_nice():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
-    a = dual_pmtn(inst, F(11))
-    b = dual_nice(inst, F(11))
-    assert isinstance(a, Accepted) and isinstance(b, Accepted)
-    assert a.schedule.machines == b.schedule.machines
+    assert _pmtn_plan(inst, F(11)).nice
+    out = dual_pmtn(inst, F(11))
+    assert isinstance(out, Accepted)
+    assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
 
 
 def test_pmtn_knapsack_case_with_rejected_class():
@@ -175,16 +165,15 @@ def test_pmtn_knapsack_case_with_rejected_class():
             JobClass(21, (10,)),
             JobClass(9, (12,)),  # selected outright
             JobClass(1, (25,)),  # share 0: head goes to a bottom
-            JobClass(10, (2,)),
+            JobClass(11, (1,)),  # setup above a quarter of the guess
             JobClass(2, (5, 5, 5)),  # wrapped into the bottoms
         ),
     )
     plan = _pmtn_plan(inst, F(40))
     assert plan.case_a and plan.knapsack.x == {5: F(1), 6: F(0)}
-    for style in ("alpha", "gamma"):
-        out = dual_pmtn(inst, F(40), style=style)
-        assert isinstance(out, Accepted)
-        assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
+    out = dual_pmtn(inst, F(40))
+    assert isinstance(out, Accepted)
+    assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
 
 
 def test_pmtn_greedy_case_with_straddler():
@@ -203,10 +192,9 @@ def test_pmtn_greedy_case_with_straddler():
     )
     plan = _pmtn_plan(inst, F(40))
     assert not plan.nice and not plan.case_a
-    for style in ("alpha", "gamma"):
-        out = dual_pmtn(inst, F(40), style=style)
-        assert isinstance(out, Accepted)
-        assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
+    out = dual_pmtn(inst, F(40))
+    assert isinstance(out, Accepted)
+    assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
 
 
 def test_pmtn_knapsack_split_item_case():
@@ -225,10 +213,9 @@ def test_pmtn_knapsack_split_item_case():
     guess = F(585, 8)
     plan = _pmtn_plan(inst, guess)
     assert plan.case_a and plan.split_cls == 5
-    for style in ("alpha", "gamma"):
-        out = dual_pmtn(inst, guess, style=style)
-        assert isinstance(out, Accepted)
-        assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess).ok
+    out = dual_pmtn(inst, guess)
+    assert isinstance(out, Accepted)
+    assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess).ok
 
 
 def test_pmtn_trivial_when_machines_cover_jobs():
@@ -244,13 +231,10 @@ def test_pmtn_accepts_above_exact_nonpreemptive_optimum():
     for inst in tiny_instances(400, seed=77):
         opt = exact_nonp(inst)
         for guess in (F(opt), F(opt) + 1, F(2 * opt)):
-            for style in ("alpha", "gamma"):
-                out = dual_pmtn(inst, guess, style=style)
-                assert isinstance(out, Accepted), (inst, guess, style)
-                rep = verify_schedule(
-                    inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess
-                )
-                assert rep.ok, (inst, guess, style, [str(v) for v in rep.violations][:4])
+            out = dual_pmtn(inst, guess)
+            assert isinstance(out, Accepted), (inst, guess)
+            rep = verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess)
+            assert rep.ok, (inst, guess, [str(v) for v in rep.violations][:4])
 
 
 # -- class jumping ------------------------------------------------------------
@@ -260,11 +244,9 @@ def test_gamma_jump_arithmetic():
     # with 2 half-gap machines a class with setup 6 and work 10 reshapes at
     # 2*16/4 = 8; the next reshape is at 2*16/5 = 6.4
     assert F(2 * 16, 4) == 8 and F(2 * 16, 5) == F(32, 5)
-    inst = Instance(m=4, classes=(JobClass(6, (10,)),))
-    assert machine_counts(inst, 0, F(8)).gamma == 2
-    assert machine_counts(inst, 0, F(8) + F(1, 100)).gamma == 2
-    assert machine_counts(inst, 0, F(8) - F(1, 100)).gamma == 3
     assert _gamma_count(6, 10, F(8)) == 2
+    assert _gamma_count(6, 10, F(8) + F(1, 100)) == 2
+    assert _gamma_count(6, 10, F(8) - F(1, 100)) == 3
 
 
 def test_class_jump_single_class_scan_agreement():
@@ -272,7 +254,7 @@ def test_class_jump_single_class_scan_agreement():
     r = class_jump_pmtn(inst)
     scan = min_accepted_scan(inst, Variant.PREEMPTIVE)
     assert r.guess <= scan and r.makespan <= F(3, 2) * scan
-    assert isinstance(dual_pmtn_packed(inst, r.guess), Accepted)
+    assert isinstance(dual_pmtn(inst, r.guess), Accepted)
     assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 from batchsched.core import (
@@ -36,6 +37,18 @@ def test_two_approx_huge_machine_count_compressed():
     assert makespan <= bound
     assert sched.placement_count() < 100  # compressed, not materialized
     assert verify_schedule(inst, sched, Variant.SPLITTABLE, bound).ok
+
+
+def test_class_jump_huge_machine_count():
+    # two jobs long enough to span about 10m and 2m tail gaps: the search and
+    # its schedule must cost O(output), not O(m)
+    m = 10**12
+    inst = Instance(m, (JobClass(3, (10 * m + 7,) + (5,) * 25), JobClass(5, (2 * m,) + (9,) * 25)))
+    t0 = time.perf_counter()
+    r = class_jump_split(inst)
+    assert time.perf_counter() - t0 < 2
+    assert r.schedule.placement_count() < 1000
+    assert verify_schedule(inst, r.schedule, Variant.SPLITTABLE, F(3, 2) * r.guess).ok
 
 
 def test_dual_accept_two_classes():
