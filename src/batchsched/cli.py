@@ -38,10 +38,10 @@ from .core import (
     parse_instance,
     verify_schedule,
 )
-from .nonpreemptive import dual_nonp, exact_integer_search_nonp, next_fit_two_approx
-from .preemptive import class_jump_pmtn, dual_pmtn
-from .search import SearchResult, certified_report, epsilon_search
-from .splittable import class_jump_split, dual_split, two_approx_split
+from .nonpreemptive import exact_integer_search_nonp, next_fit_two_approx
+from .preemptive import class_jump_pmtn
+from .search import SearchResult, certified_report, epsilon_search, variant_ops
+from .splittable import class_jump_split, two_approx_split
 
 
 def parse_rat(text: str) -> Rat:
@@ -155,12 +155,7 @@ def _solve_one(inst: Instance, variant: Variant, algo: str, args) -> tuple[int, 
         if args.T is None:
             raise ValidationError("--algo dual needs --T")
         guess = parse_rat(args.T)
-        dual = {
-            Variant.SPLITTABLE: dual_split,
-            Variant.PREEMPTIVE: dual_pmtn,
-            Variant.NONPREEMPTIVE: dual_nonp,
-        }[variant]
-        out = dual(inst, guess)
+        out = variant_ops(variant).dual(inst, guess)
         if not out.accepted:
             summary = {
                 "accepted": False,
@@ -180,12 +175,7 @@ def _solve_one(inst: Instance, variant: Variant, algo: str, args) -> tuple[int, 
         eps = parse_rat(args.epsilon) if args.epsilon is not None else Fraction(1, 1000)
         result = epsilon_search(inst, variant, eps)
     elif algo == "jump":
-        search = {
-            Variant.SPLITTABLE: class_jump_split,
-            Variant.PREEMPTIVE: class_jump_pmtn,
-            Variant.NONPREEMPTIVE: exact_integer_search_nonp,
-        }[variant]
-        result = search(inst)
+        result = variant_ops(variant).search(inst)
     else:
         raise ValidationError(f"unknown algorithm {algo!r}")
     wall = time.perf_counter() - t0
@@ -242,7 +232,10 @@ def _parse_dist(spec: str):
     parts = spec.split(":")
     if len(parts) != 3 or parts[0] != "uniform":
         raise ValidationError(f"unknown distribution {spec!r} (expected uniform:lo:hi)")
-    lo, hi = int(parts[1]), int(parts[2])
+    try:
+        lo, hi = int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValidationError(f"bad distribution bounds in {spec!r}") from exc
     if not (1 <= lo <= hi):
         raise ValidationError(f"bad distribution bounds in {spec!r}")
     return lo, hi
@@ -323,6 +316,8 @@ _BENCH_ALGOS = {
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValidationError("--repeat must be >= 1")
     names = sorted(os.listdir(args.suite))
     paths = [os.path.join(args.suite, n) for n in names if n.endswith(".json")]
     if not paths:

@@ -269,7 +269,6 @@ class ClassPartition:
     at least one job with setup + t_j > T/2 (those jobs are in big_jobs).
     """
 
-    guess: Rat
     expensive: tuple[int, ...]
     cheap: tuple[int, ...]
     exp_plus: tuple[int, ...]  # T <= s + P
@@ -279,7 +278,6 @@ class ClassPartition:
     chp_minus: tuple[int, ...]  # s < T/4
     chp_star: tuple[int, ...]  # chp_minus classes with big jobs
     big_jobs: dict[int, tuple[int, ...]]  # class -> positions with s + t > T/2
-    work: tuple[int, ...]  # P(C_i) for every class
 
 
 def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> ClassPartition:
@@ -296,10 +294,8 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
     exp_plus, exp_zero, exp_minus = [], [], []
     chp_plus, chp_minus, chp_star = [], [], []
     big_jobs: dict[int, tuple[int, ...]] = {}
-    work = []
     for i, cl in enumerate(inst.classes):
         p = cl.total
-        work.append(p)
         sq2 = 2 * cl.setup * q_
         if sq2 > p_:
             expensive.append(i)
@@ -323,7 +319,6 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
                     big_jobs[i] = big
                     chp_star.append(i)
     return ClassPartition(
-        guess=guess,
         expensive=tuple(expensive),
         cheap=tuple(cheap),
         exp_plus=tuple(exp_plus),
@@ -333,7 +328,6 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
         chp_minus=tuple(chp_minus),
         chp_star=tuple(chp_star),
         big_jobs=big_jobs,
-        work=tuple(work),
     )
 
 
@@ -365,6 +359,55 @@ class Rejected:
 
 
 DualOutcome = Union[Accepted, Rejected]
+
+
+class Decision(NamedTuple):
+    """A dual's verdict on a guess, reached without building a schedule.
+
+    load and machines are the requirements the guess was held against (None
+    when a direct bound or a geometric certificate decided).  plan is what the
+    construction needs; None when no planning was needed (rejected outright,
+    or accepted because m >= n).
+    """
+
+    accepted: bool
+    reason: str  # as in Rejected; "" when accepted
+    load: Optional[Rat] = None
+    machines: Optional[int] = None
+    plan: object = None
+
+
+def decide_need(m: int, guess: Rat, load: Rat, machines: int, plan: object = None) -> Decision:
+    """Accept unless the guess needs more than m machines or more load than
+    m * guess."""
+    if m < machines:
+        return Decision(False, "machines", load, machines, plan)
+    if m * guess < load:
+        return Decision(False, "load", load, machines, plan)
+    return Decision(True, "", load, machines, plan)
+
+
+def job_bound_decision(inst: Instance, guess: Rat) -> Optional[Decision]:
+    """The start shared by the non-splittable duals: a guess below the
+    job-setup bound is certified infeasible, and with m >= n every other guess
+    is accepted (one job per machine).  None when planning has to decide."""
+    if guess <= 0:
+        return Decision(False, "load")
+    if guess < job_setup_bound(inst):
+        return Decision(False, "job-bound")
+    if inst.m >= inst.n:
+        return Decision(True, "")
+    return None
+
+
+def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> DualOutcome:
+    """A non-splittable dual from its decision: the rejection, one job per
+    machine for an accepted guess without a plan, or build(inst, guess, plan)."""
+    if not d.accepted:
+        return Rejected(guess, d.reason)
+    if d.plan is None:
+        return Accepted(trivial_one_job_per_machine(inst), guess)
+    return Accepted(build(inst, guess, d.plan), guess)
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,18 @@ from typing import Optional
 from .core import (
     PIECE,
     SETUP,
-    Accepted,
     ContractError,
+    Decision,
     DualOutcome,
     Instance,
     JobRef,
     Placement,
     Rat,
-    Rejected,
     Schedule,
     Variant,
-    job_setup_bound,
+    decide_need,
+    decided_outcome,
+    job_bound_decision,
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
@@ -200,7 +201,6 @@ class NonpCounts:
     blocked      True when some class has T <= s_i (guaranteed reject)
     """
 
-    guess: Rat
     machines: list[int]
     leftover: list[Rat]
     big_jobs: list[JobRef]
@@ -244,7 +244,6 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
         machines.append(mi)
         leftover.append(Fraction(cl.total) - mi * (guess - cl.setup))
     return NonpCounts(
-        guess=guess,
         machines=machines,
         leftover=leftover,
         big_jobs=big,
@@ -254,41 +253,26 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
     )
 
 
-def _decide_nonp(inst: Instance, guess: Rat):
-    """(accepted, reason, counts) without building a schedule."""
-    if guess <= 0:
-        return False, "load", None
-    if inst.m >= inst.n:
-        if guess >= job_setup_bound(inst):
-            return True, "", None
-        return False, "job-bound", None
-    if guess < job_setup_bound(inst):
-        return False, "job-bound", None
+def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
+    """The dual's verdict on a guess; its plan is the NonpCounts."""
+    early = job_bound_decision(inst, guess)
+    if early is not None:
+        return early
     counts = counts_nonp(inst, guess)
     if counts.blocked:  # the job-setup bound implies T > s_i for all i
         raise ContractError("class with setup at or above the guess passed the job bound")
-    need = sum(counts.machines)
-    if inst.m < need:
-        return False, "machines", counts
     load = Fraction(inst.total_work)
     for i, cl in enumerate(inst.classes):
         load += counts.machines[i] * cl.setup
         if counts.leftover[i] > 0:
             load += cl.setup
-    if inst.m * guess < load:
-        return False, "load", counts
-    return True, "", counts
+    return decide_need(inst.m, guess, load, sum(counts.machines), counts)
 
 
 def dual_nonp(inst: Instance, guess: Rat) -> DualOutcome:
     """Either a non-preemptive schedule with makespan <= (3/2)*guess or a
     certificate that guess < OPT."""
-    ok, reason, counts = _decide_nonp(inst, guess)
-    if not ok:
-        return Rejected(guess, reason)
-    if inst.m >= inst.n:
-        return Accepted(trivial_one_job_per_machine(inst), guess)
-    return Accepted(_build_nonp(inst, guess, counts), guess)
+    return decided_outcome(inst, guess, _decide_nonp(inst, guess), _build_nonp)
 
 
 def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
@@ -472,7 +456,7 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     if inst.m >= inst.n:
         return trivial_search(inst)
     tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
-    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess)[0])
+    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess).accepted)
 
     lo = math.ceil(tmin) - 1  # below T_min: certified rejected without a probe
     hi = math.ceil(2 * tmin)

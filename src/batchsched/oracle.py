@@ -97,16 +97,10 @@ def min_accepted_scan(inst: Instance, variant: Variant) -> Rat:
     """Least accepted guess over a dense grid: every breakpoint at which the
     dual's decision can change, plus all midpoints in between.  Candidates are
     probed in ascending order; the first acceptance is returned."""
-    from .nonpreemptive import _decide_nonp
-    from .preemptive import _decide_pmtn
-    from .splittable import _decide_split
+    from .search import variant_ops
 
-    decide = {
-        Variant.SPLITTABLE: _decide_split,
-        Variant.PREEMPTIVE: _decide_pmtn,
-        Variant.NONPREEMPTIVE: _decide_nonp,
-    }[variant]
+    decide = variant_ops(variant).decide
     for guess in _scan_candidates(inst, variant):
-        if decide(inst, guess)[0]:
+        if decide(inst, guess).accepted:
             return guess
     raise ContractError("no accepted candidate; scan grid broken")

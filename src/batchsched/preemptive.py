@@ -20,20 +20,20 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Accepted,
     ClassPartition,
     ContractError,
+    Decision,
     DualOutcome,
     Instance,
     JobRef,
     Rat,
-    Rejected,
     Schedule,
     Variant,
     classify,
-    job_setup_bound,
+    decide_need,
+    decided_outcome,
+    job_bound_decision,
     lower_bound_tmin,
-    trivial_one_job_per_machine,
 )
 from .search import (
     CachedProbe,
@@ -149,8 +149,8 @@ def _nice_parts(specs: list[ClsSpec], guess: Rat) -> _NiceParts:
     return _NiceParts(plus=plus, minus=minus, cheap=cheap, gamma=gamma)
 
 
-def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat):
-    """(accepted, reason, required load, required machines)."""
+def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat) -> Decision:
+    """Whether m machines take the nice instance at the guess."""
     load = Fraction(0)
     machines = (len(parts.minus) + 1) // 2
     for cls, setup, _, work in parts.plus:
@@ -158,11 +158,7 @@ def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat):
         machines += parts.gamma[cls]
     for _, setup, _, work in parts.minus + parts.cheap:
         load += setup + work
-    if m < machines:
-        return False, "machines", load, machines
-    if m * guess < load:
-        return False, "load", load, machines
-    return True, "", load, machines
+    return decide_need(m, guess, load, machines)
 
 
 def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, guess: Rat) -> None:
@@ -258,8 +254,6 @@ class _PmtnPlan:
     knapsack: Optional[KnapsackSolution] = None
     split_cls: Optional[int] = None
     obligatory: dict[int, Rat] = field(default_factory=dict)  # L*_i per star class
-    sub_specs: list[ClsSpec] = field(default_factory=list)  # the nice remainder
-    leftovers: list[tuple[int, JobRef, Rat]] = field(default_factory=list)  # K
     load: Rat = Fraction(0)
     machines: int = 0
     # Set when the guess is certified infeasible before the load/machine
@@ -276,7 +270,8 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
     if not part.exp_zero:
         plan.nice = True
         plan.nice_parts = _nice_parts(_full_specs(inst, range(inst.c)), guess)
-        _, _, plan.load, plan.machines = _decide_nice_parts(plan.nice_parts, inst.m, guess)
+        d = _decide_nice_parts(plan.nice_parts, inst.m, guess)
+        plan.load, plan.machines = d.load, d.machines
         return plan
 
     def count(i: int) -> int:
@@ -343,26 +338,17 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
     return plan
 
 
-def _decide_pmtn(inst: Instance, guess: Rat):
-    """(accepted, reason, required load, required machines)."""
-    if guess <= 0:
-        return False, "load", None, None
-    if inst.m >= inst.n:
-        if guess >= job_setup_bound(inst):
-            return True, "", None, None
-        return False, "job-bound", None, None
-    if guess < job_setup_bound(inst):
-        return False, "job-bound", None, None
+def _decide_pmtn(inst: Instance, guess: Rat) -> Decision:
+    """The dual's verdict on a guess; its plan is the _PmtnPlan."""
+    early = job_bound_decision(inst, guess)
+    if early is not None:
+        return early
     plan = _pmtn_plan(inst, guess)
     if plan.reject is not None:
         # load/machines deliberately None: the reject is a geometric
         # certificate, not captured by the load comparison
-        return False, plan.reject, None, None
-    if inst.m < plan.machines:
-        return False, "machines", plan.load, plan.machines
-    if inst.m * guess < plan.load:
-        return False, "load", plan.load, plan.machines
-    return True, "", plan.load, plan.machines
+        return Decision(False, plan.reject, plan=plan)
+    return decide_need(inst.m, guess, plan.load, plan.machines, plan)
 
 
 def dual_pmtn(inst: Instance, guess: Rat) -> DualOutcome:
@@ -372,22 +358,7 @@ def dual_pmtn(inst: Instance, guess: Rat) -> DualOutcome:
     Heavy classes are counted by the half-gap packing
     max(1, ceil(2(s+P)/T) - 2), with the matching construction.
     """
-    if guess <= 0:
-        return Rejected(guess, "load")
-    if inst.m >= inst.n:
-        if guess >= job_setup_bound(inst):
-            return Accepted(trivial_one_job_per_machine(inst), guess)
-        return Rejected(guess, "job-bound")
-    if guess < job_setup_bound(inst):
-        return Rejected(guess, "job-bound")
-    plan = _pmtn_plan(inst, guess)
-    if plan.reject is not None:
-        return Rejected(guess, plan.reject)
-    if inst.m < plan.machines:
-        return Rejected(guess, "machines")
-    if inst.m * guess < plan.load:
-        return Rejected(guess, "load")
-    return Accepted(_build_pmtn(inst, guess, plan), guess)
+    return decided_outcome(inst, guess, _decide_pmtn(inst, guess), _build_pmtn)
 
 
 def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
@@ -427,6 +398,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     )
     leftovers: list[tuple[int, JobRef, Rat]] = []  # (class, job, duration)
     split_cls = None
+    star = set(part.chp_star)
 
     if plan.case_a:
         sol = plan.knapsack
@@ -452,14 +424,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
                     raise ContractError("split-class bookkeeping broken")
                 sub_specs.append((i, cl.setup, inside, total2))
             elif share == 1:
-                sub_specs.append(
-                    (
-                        i,
-                        cl.setup,
-                        [((i, j), Fraction(t)) for j, t in enumerate(cl.jobs)],
-                        Fraction(cl.total),
-                    )
-                )
+                sub_specs += _full_specs(inst, [i])
             else:  # share == 0: only the obligatory tails leave the bottom
                 inside = [((i, j), tail_dur[(i, j)]) for j in part.big_jobs[i]]
                 sub_specs.append((i, cl.setup, inside, plan.obligatory[i]))
@@ -469,7 +434,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
                     else:
                         leftovers.append((i, (i, j), Fraction(t)))
         for i in part.chp_minus:
-            if i not in set(part.chp_star):
+            if i not in star:
                 cl = inst.classes[i]
                 for j, t in enumerate(cl.jobs):
                     leftovers.append((i, (i, j), Fraction(t)))
@@ -483,21 +448,13 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         )
         if budget < 0:
             raise ContractError("oversized-job classes overrun the free time")
-        star = set(part.chp_star)
         for i in part.chp_minus:
             if i in star:
                 continue
             cl = inst.classes[i]
             reach = cl.setup + cl.total
             if reach <= budget:
-                sub_specs.append(
-                    (
-                        i,
-                        cl.setup,
-                        [((i, j), Fraction(t)) for j, t in enumerate(cl.jobs)],
-                        Fraction(cl.total),
-                    )
-                )
+                sub_specs += _full_specs(inst, [i])
                 budget -= reach
             elif budget > cl.setup:
                 inside: list[tuple[JobRef, Rat]] = []
@@ -523,9 +480,9 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     sub_specs.sort(key=lambda sp: sp[0])
     sub_specs = [sp for sp in sub_specs if sp[2]]
     parts = _nice_parts(sub_specs, guess)
-    ok, reason, _, _ = _decide_nice_parts(parts, inst.m - l, guess)
-    if not ok:
-        raise ContractError(f"nice remainder rejected ({reason}); budget accounting broken")
+    d = _decide_nice_parts(parts, inst.m - l, guess)
+    if not d.accepted:
+        raise ContractError(f"nice remainder rejected ({d.reason}); budget accounting broken")
     _build_nice(builder, parts, l, inst.m - l, guess)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
@@ -670,7 +627,7 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     m = inst.m
     if m >= inst.n:
         return trivial_search(inst)
-    probe = CachedProbe(lambda guess: _decide_pmtn(inst, guess)[0])
+    probe = CachedProbe(lambda guess: _decide_pmtn(inst, guess).accepted)
 
     def finish(t_star: Rat, lb: Rat, trace) -> SearchResult:
         return probe.finish(dual_pmtn, inst, t_star, lb, trace)
@@ -730,8 +687,8 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
         gap = t_ok - t_fail
         datas = set()
         for q in (Fraction(1, 7), Fraction(3, 7), Fraction(1, 2), Fraction(6, 7)):
-            _, _, load_v, machines_v = _decide_pmtn(inst, t_fail + gap * q)
-            datas.add((load_v, machines_v))
+            d = _decide_pmtn(inst, t_fail + gap * q)
+            datas.add((d.load, d.machines))
         if len(datas) != 1:
             trace.refined = True
             mid = (t_fail + t_ok) / 2

@@ -7,11 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    Accepted,
     ContractError,
+    Decision,
     DualOutcome,
     Instance,
     Rat,
@@ -43,14 +43,23 @@ class SearchResult:
     trace: Optional[JumpTrace] = None
 
 
-def dual_for(variant: Variant):
-    """The 3/2-dual used by the searches."""
-    from . import nonpreemptive, preemptive, splittable
+class VariantOps(NamedTuple):
+    decide: Callable[[Instance, Rat], Decision]  # the dual's verdict, no schedule
+    dual: Callable[[Instance, Rat], DualOutcome]  # the 3/2-dual: verdict and schedule
+    search: Callable[[Instance], SearchResult]  # the exact search
+
+
+def variant_ops(variant: Variant) -> VariantOps:
+    """The variant's decision, dual and exact search.  The module attributes
+    are read at call time, so a function patched into its module is seen."""
+    from . import nonpreemptive as nonp, preemptive as pmtn, splittable as split
 
     return {
-        Variant.SPLITTABLE: splittable.dual_split,
-        Variant.PREEMPTIVE: preemptive.dual_pmtn,
-        Variant.NONPREEMPTIVE: nonpreemptive.dual_nonp,
+        Variant.SPLITTABLE: VariantOps(split._decide_split, split.dual_split, split.class_jump_split),
+        Variant.PREEMPTIVE: VariantOps(pmtn._decide_pmtn, pmtn.dual_pmtn, pmtn.class_jump_pmtn),
+        Variant.NONPREEMPTIVE: VariantOps(
+            nonp._decide_nonp, nonp.dual_nonp, nonp.exact_integer_search_nonp
+        ),
     }[variant]
 
 
@@ -197,44 +206,25 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
 
     Keeps (lo rejected-or-T_min, hi accepted) and stops once hi <= (1+eps)*lo,
     so the schedule is within (3/2)(1+eps) of optimal.  Probe count is at most
-    ceil(log2(1/eps)) + 1.
+    ceil(log2(1/eps)) + 1; the probes only decide, and the schedule is built
+    once, for the final guess.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be > 0")
-    dual = dual_for(variant)
-    tmin = lower_bound_tmin(inst, variant)
-    probes: list[tuple[Rat, bool]] = []
-
-    def probe(guess: Rat) -> DualOutcome:
-        out = dual(inst, guess)
-        probes.append((guess, out.accepted))
-        return out
-
-    lo = tmin  # certified lower bound by construction, never probed
-    hi = 2 * tmin
-    out = probe(hi)
-    if not out.accepted:
+    ops = variant_ops(variant)
+    probe = CachedProbe(lambda guess: ops.decide(inst, guess).accepted)
+    lo = lower_bound_tmin(inst, variant)  # certified lower bound by construction, never probed
+    hi = 2 * lo
+    if not probe(hi):
         raise ContractError(f"dual rejected 2*T_min = {hi}; 2-approximation bound broken")
-    best: Accepted = out
-    lb = tmin
     while hi > (1 + eps) * lo:
         mid = (lo + hi) / 2
-        out = probe(mid)
-        if out.accepted:
+        if probe(mid):
             hi = mid
-            best = out
         else:
-            lo = mid
-            if mid > lb:
-                lb = mid
-    return SearchResult(
-        guess=hi,
-        schedule=best.schedule,
-        lower_bound=lb,
-        makespan=best.schedule.makespan(),
-        probes=probes,
-    )
+            lo = mid  # every rejected midpoint lies above lo
+    return probe.finish(ops.dual, inst, hi, lo)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ from fractions import Fraction
 from .core import (
     Accepted,
     ContractError,
+    Decision,
     DualOutcome,
     Instance,
     Rat,
     Rejected,
     Schedule,
+    decide_need,
 )
 from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk
 from .wrap import Batch, Builder, Gap, run_wrap
@@ -54,17 +56,17 @@ def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
     return sched, sched.makespan()
 
 
-def _decide_split(inst: Instance, guess: Rat):
-    """(accepted, reason, required load, required machines) for a guess.
+def _decide_split(inst: Instance, guess: Rat) -> Decision:
+    """The dual's verdict on a guess, with the required load and machines.
 
     The load/machine thresholds certify rejection: any feasible schedule with
     makespan guess needs ceil(2P_i/guess) setups per class with setup beyond
     guess/2, and distinct machines for all of those.
     """
     if guess <= 0:
-        return False, "load", None, None
+        return Decision(False, "load")
     if guess < inst.s_max:
-        return False, "setup-bound", None, None
+        return Decision(False, "setup-bound")
     half = guess / 2
     load = Fraction(inst.total_work)
     machines_exp = 0
@@ -75,19 +77,15 @@ def _decide_split(inst: Instance, guess: Rat):
             machines_exp += beta
         else:
             load += cl.setup
-    if inst.m < machines_exp:
-        return False, "machines", load, machines_exp
-    if inst.m * guess < load:
-        return False, "load", load, machines_exp
-    return True, "", load, machines_exp
+    return decide_need(inst.m, guess, load, machines_exp)
 
 
 def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
     """Either a schedule with makespan <= (3/2)*guess or a certificate that
     guess < OPT for the splittable variant."""
-    ok, reason, _, _ = _decide_split(inst, guess)
-    if not ok:
-        return Rejected(guess, reason)
+    d = _decide_split(inst, guess)
+    if not d.accepted:
+        return Rejected(guess, d.reason)
     half = guess / 2
     builder = Builder(inst.m)
     base = 0
@@ -140,7 +138,7 @@ def class_jump_split(inst: Instance) -> SearchResult:
     answer in closed form.
     """
     m = inst.m
-    probe = CachedProbe(lambda guess: _decide_split(inst, guess)[0])
+    probe = CachedProbe(lambda guess: _decide_split(inst, guess).accepted)
 
     smax = Fraction(inst.s_max)
     top = Fraction(2 * inst.total_load)
@@ -173,11 +171,11 @@ def class_jump_split(inst: Instance) -> SearchResult:
     # constant L: everything below L/m is rejected, everything at or above is
     # accepted (machine permitting).  Evaluate at the midpoint.
     mid = (t_fail + t_ok) / 2
-    _, _, load_mid, machines_mid = _decide_split(inst, mid)
-    if m < machines_mid:
+    d = _decide_split(inst, mid)
+    if m < d.machines:
         t_star = t_ok
     else:
-        t_star = load_mid / m
+        t_star = d.load / m
         if t_star >= t_ok:
             t_star = t_ok
         elif t_star <= t_fail:

@@ -29,7 +29,7 @@ from batchsched.preemptive import (
     continuous_knapsack,
     dual_pmtn,
 )
-from batchsched.search import dual_for, epsilon_search
+from batchsched.search import epsilon_search, variant_ops
 from batchsched.splittable import class_jump_split, dual_split, two_approx_split
 from batchsched.wrap import Batch, Gap, wrap, wrap_parallel_compressed
 
@@ -146,7 +146,7 @@ def test_criterion_3_dual_contract_and_4_tiny_ratio():
             (Variant.PREEMPTIVE, "jump_pmtn"),
             (Variant.NONPREEMPTIVE, "int_nonp"),
         ):
-            dual = dual_for(variant)
+            dual = variant_ops(variant).dual
             for guess, ok in row[key]:
                 if ok:
                     out = dual(inst, guess)

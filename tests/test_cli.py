@@ -178,6 +178,24 @@ def test_bench_runs(tmp_path, capsys):
     assert "split-jump" in out and "nonp-int" in out
 
 
+@pytest.mark.parametrize("spec", ["uniform:a:3", "uniform:1:2.5"])
+def test_gen_bad_distribution_bounds_exit_one(tmp_path, capsys, spec):
+    code = main(["gen", "--seed", "1", "--machines", "2", "--classes", "2", "--setup", spec,
+                 "--out", str(tmp_path / "g.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and spec in err
+
+
+def test_bench_zero_repeat_exit_one(tmp_path, capsys):
+    main(["gen", "--seed", "1", "--machines", "3", "--classes", "3",
+          "--out", str(tmp_path / "i1.json")])
+    code = main(["bench", "--suite", str(tmp_path), "--repeat", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "--repeat" in err
+
+
 def test_parse_rat():
     assert parse_rat("3/4") == F(3, 4)
     assert parse_rat("7") == 7

@@ -94,12 +94,12 @@ NICE = Instance(m=4, classes=(JobClass(6, (8,)), JobClass(6, (1,)), JobClass(1, 
 def test_nice_decision_formula_values():
     # class 0 packs into max(1, ceil(2*14/10) - 2) = 1 half-gap machine
     parts = _nice_parts(_full_specs(NICE, range(3)), F(10))
-    ok, _, load, machines = _decide_nice_parts(parts, 4, F(10))
-    assert load == 26 and machines == 2 and ok
-    ok2, reason, _, _ = _decide_nice_parts(parts, 2, F(10))
-    assert not ok2 and reason == "load"
-    ok1, reason1, _, _ = _decide_nice_parts(parts, 1, F(10))
-    assert not ok1 and reason1 == "machines"
+    d = _decide_nice_parts(parts, 4, F(10))
+    assert d.load == 26 and d.machines == 2 and d.accepted
+    d2 = _decide_nice_parts(parts, 2, F(10))
+    assert not d2.accepted and d2.reason == "load"
+    d1 = _decide_nice_parts(parts, 1, F(10))
+    assert not d1.accepted and d1.reason == "machines"
 
 
 def test_nice_rejects_below_job_bound():

@@ -4,16 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from batchsched import nonpreemptive, preemptive, splittable
+from batchsched.cli import generate_instance
 from batchsched.core import (
     Instance,
     JobClass,
     ValidationError,
     Variant,
+    job_setup_bound,
     lower_bound_tmin,
     verify_schedule,
 )
 from batchsched.oracle import exact_nonp, min_accepted_scan
-from batchsched.search import SearchResult, certified_report, epsilon_search
+from batchsched.search import SearchResult, certified_report, epsilon_search, variant_ops
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance, tiny_instances
@@ -44,6 +47,50 @@ def test_eps_converges_to_exact_boundary():
     assert j.guess == 11
     assert abs(r.guess - 11) <= F(11, 10**8)
     assert abs(r.makespan - j.makespan) <= j.makespan / 10**5
+
+
+@pytest.mark.parametrize(
+    "variant, module, name",
+    [
+        (Variant.SPLITTABLE, splittable, "dual_split"),
+        (Variant.PREEMPTIVE, preemptive, "dual_pmtn"),
+        (Variant.NONPREEMPTIVE, nonpreemptive, "dual_nonp"),
+    ],
+    ids=["split", "pmtn", "nonp"],
+)
+def test_eps_builds_only_the_final_guess(monkeypatch, variant, module, name):
+    inst = generate_instance(seed=3, machines=3, classes=4)
+    real = getattr(module, name)
+    calls = []
+
+    def counting(inst, guess):
+        calls.append(guess)
+        return real(inst, guess)
+
+    monkeypatch.setattr(module, name, counting)
+    r = epsilon_search(inst, variant, F(1, 1000))
+    assert len(r.probes) > 1
+    assert calls == [r.guess]
+    assert r.schedule == real(inst, r.guess).schedule
+
+
+def test_decide_matches_dual():
+    rng = random.Random(2024)
+    for k in range(120):
+        inst = random_instance(rng, max_m=10, max_c=4, max_jobs=4, max_val=20)
+        if k % 4 == 0:  # one job per machine
+            inst = Instance(m=inst.n + rng.randint(0, 2), classes=inst.classes)
+        for v in Variant:
+            ops = variant_ops(v)
+            tmin = lower_bound_tmin(inst, v)
+            bound = inst.s_max if v is Variant.SPLITTABLE else job_setup_bound(inst)
+            guesses = [F(bound) - F(1, 2), F(bound) * F(9, 10)]
+            guesses += [tmin * q for q in (F(1), F(23, 20), F(4, 3), F(2))]
+            for g in guesses:
+                d = ops.decide(inst, g)
+                out = ops.dual(inst, g)
+                assert d.accepted == out.accepted, (inst, v, g)
+                assert d.reason == ("" if out.accepted else out.reason), (inst, v, g)
 
 
 def test_eps_rejects_bad_tolerance():
