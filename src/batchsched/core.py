@@ -267,25 +267,24 @@ class ClassPartition:
     classes split by setup+work against T and (3/4)T; cheap classes split by
     setup against T/4.  chp_star collects the cheap small-setup classes owning
     at least one job with setup + t_j > T/2 (those jobs are in big_jobs).
+    Every boundary case counts with the layer it belongs to just above T
+    (right-continuous), so the construction shapes match their limits from
+    above, which the exact searches rely on.
     """
 
     expensive: tuple[int, ...]
     cheap: tuple[int, ...]
-    exp_plus: tuple[int, ...]  # T <= s + P
-    exp_zero: tuple[int, ...]  # 3/4 T < s + P < T
+    exp_plus: tuple[int, ...]  # T < s + P
+    exp_zero: tuple[int, ...]  # 3/4 T < s + P <= T
     exp_minus: tuple[int, ...]  # s + P <= 3/4 T
-    chp_plus: tuple[int, ...]  # T/4 <= s <= T/2
-    chp_minus: tuple[int, ...]  # s < T/4
+    chp_plus: tuple[int, ...]  # T/4 < s <= T/2
+    chp_minus: tuple[int, ...]  # s <= T/4
     chp_star: tuple[int, ...]  # chp_minus classes with big jobs
     big_jobs: dict[int, tuple[int, ...]]  # class -> positions with s + t > T/2
 
 
-def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> ClassPartition:
-    """Split the classes at the guess.  With right_continuous the upper
-    boundary cases (setup + work equal to the guess, setup equal to a quarter
-    of it) count with the layer they belong to just above the guess; the dual
-    decision values coincide either way, but the construction shapes match
-    their limits from above, which exact searches rely on."""
+def classify(inst: Instance, guess: Rat) -> ClassPartition:
+    """Split the classes at the guess, right-continuously."""
     if guess <= 0:
         raise ContractError("classify needs T > 0")
     # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p etc.
@@ -300,7 +299,7 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
         if sq2 > p_:
             expensive.append(i)
             reach = (cl.setup + p) * q_
-            if reach > p_ or (reach == p_ and not right_continuous):
+            if reach > p_:
                 exp_plus.append(i)
             elif 4 * reach > 3 * p_:
                 exp_zero.append(i)
@@ -308,7 +307,7 @@ def classify(inst: Instance, guess: Rat, right_continuous: bool = False) -> Clas
                 exp_minus.append(i)
         else:
             cheap.append(i)
-            if 2 * sq2 > p_ or (2 * sq2 == p_ and not right_continuous):
+            if 2 * sq2 > p_:
                 chp_plus.append(i)
             else:
                 chp_minus.append(i)

@@ -40,6 +40,7 @@ from .search import (
     SearchResult,
     _bisect_right_interval,
     class_jump_walk,
+    close_bracket,
     trivial_search,
 )
 from .wrap import Batch, Builder, Gap, run_wrap
@@ -55,6 +56,7 @@ class KnapsackItem:
     cls: int
     profit: Rat  # > 0
     weight: Rat  # >= 0
+    growth: Rat = 0  # d weight / d guess; orders density ties as just above
 
 
 @dataclass
@@ -67,15 +69,19 @@ class KnapsackSolution:
 def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSolution:
     """Greedy by profit density; optimal for the continuous relaxation.
 
-    Weightless items are taken outright.  At most one item is fractional; ties
-    in density break towards the smaller class index.
+    Weightless items are taken outright.  At most one item is fractional.
+    Ties in density break as the densities order just above the guess (the
+    slower-growing weight first), then towards the smaller class index.  The
+    first item that does not fit whole is the split item even when its share
+    is 0 (the capacity ran out exactly).  So the solution is the limit of the
+    ones for slightly larger guesses and capacities.
     """
     if capacity < 0:
         raise ContractError("knapsack capacity must be >= 0")
     free = [it for it in items if it.weight == 0]
     rest = sorted(
         (it for it in items if it.weight > 0),
-        key=lambda it: (-(it.profit / it.weight), it.cls),
+        key=lambda it: (-(it.profit / it.weight), it.growth / it.weight, it.cls),
     )
     x: dict[int, Rat] = {}
     value = Fraction(0)
@@ -89,7 +95,7 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
             x[it.cls] = Fraction(1)
             value += it.profit
             remaining -= it.weight
-        elif remaining > 0:
+        elif split is None:
             share = remaining / it.weight
             x[it.cls] = share
             value += share * it.profit
@@ -250,9 +256,7 @@ class _PmtnPlan:
     nice_parts: Optional[_NiceParts] = None
     large: list[int] = field(default_factory=list)  # classes on dedicated machines
     free_time: Rat = Fraction(0)  # F: room for small-setup classes off the large machines
-    case_a: bool = False
-    knapsack: Optional[KnapsackSolution] = None
-    split_cls: Optional[int] = None
+    knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
     obligatory: dict[int, Rat] = field(default_factory=dict)  # L*_i per star class
     load: Rat = Fraction(0)
     machines: int = 0
@@ -264,7 +268,7 @@ class _PmtnPlan:
 
 
 def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
-    part = classify(inst, guess, right_continuous=True)
+    part = classify(inst, guess)
     half = guess / 2
     plan = _PmtnPlan(part=part)
     if not part.exp_zero:
@@ -311,8 +315,7 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
         plan.reject = "load"
         return plan
 
-    plan.case_a = free < star_total
-    if plan.case_a:
+    if free < star_total:
         items = []
         lstar_sum = Fraction(0)
         for i in part.chp_star:
@@ -321,7 +324,8 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
             ob = sum(Fraction(cl.jobs[j]) for j in big) - len(big) * (half - cl.setup)
             plan.obligatory[i] = ob
             lstar_sum += cl.setup + ob
-            items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=Fraction(cl.total) - ob))
+            items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=Fraction(cl.total) - ob,
+                                      growth=Fraction(len(big), 2)))
         capacity = free - lstar_sum
         if capacity < 0:
             # Even the unavoidable spill of the oversized-job classes exceeds
@@ -329,10 +333,12 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
             plan.load = load
             plan.reject = "load"
             return plan
-        plan.knapsack = continuous_knapsack(items, capacity)
-        plan.split_cls = plan.knapsack.split_item
+        sol = plan.knapsack = continuous_knapsack(items, capacity)
+        # a rejected class (share 0) pays a second setup; the split item pays
+        # none, even at share 0, so the load is right-continuous where the
+        # capacity runs out
         for i in part.chp_star:
-            if plan.knapsack.x.get(i, Fraction(0)) == 0:
+            if sol.x[i] == 0 and i != sol.split_item:
                 load += inst.classes[i].setup
     plan.load = load
     return plan
@@ -400,9 +406,9 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     split_cls = None
     star = set(part.chp_star)
 
-    if plan.case_a:
-        sol = plan.knapsack
-        split_cls = plan.split_cls
+    sol = plan.knapsack
+    if sol is not None:
+        split_cls = sol.split_item
         for i in part.chp_star:
             cl = inst.classes[i]
             share = sol.x.get(i, Fraction(0))
@@ -414,7 +420,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
                         d2 = share * head_dur[(i, j)] + tail_dur[(i, j)]
                     else:
                         d2 = share * t
-                    inside.append(((i, j), d2))
+                    if d2 > 0:
+                        inside.append(((i, j), d2))
                     rest = Fraction(t) - d2
                     if rest > 0:
                         leftovers.append((i, (i, j), rest))
@@ -527,13 +534,12 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
-def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, cap: int = 96):
+def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
     """All guesses in (t_fail, t_ok) at which the dual's decision data can
-    change, assuming the class layers are constant on the bracket: machine
-    count steps of the heavy classes, sign changes of the free time and the
-    knapsack capacity, the case switch, density order flips and prefix
-    saturation points of the knapsack.  Returns None when there are more than
-    `cap` of them (caller bisects first)."""
+    change, assuming the class layers and the heavy-class machine counts are
+    constant on the bracket (the class-jump walk's final bracket): sign
+    changes of the free time and the knapsack capacity, the case switch,
+    density order flips and prefix saturation points of the knapsack."""
     mid = (t_fail + t_ok) / 2
     part = classify(inst, mid)
     m, l = inst.m, len(part.exp_zero)
@@ -542,19 +548,6 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, cap: int = 96):
     def note(v: Rat):
         if t_fail < v < t_ok:
             breaks.add(v)
-
-    for i in part.exp_plus:
-        cl = inst.classes[i]
-        # steps of the half-gap count at 2(s+P)/d
-        v2 = 2 * Fraction(cl.setup + cl.total)
-        d_first = math.floor(v2 / t_ok) + 1
-        d_last = math.ceil(v2 / t_fail) - 1
-        if d_last - d_first > cap:
-            return None
-        for d in range(max(d_first, 1), d_last + 1):
-            note(v2 / d)
-        if len(breaks) > cap:
-            return None
 
     if l and m > l:
         # With the machine counts frozen at the midpoint, the free time is
@@ -608,33 +601,27 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat, cap: int = 96):
                 den = cb - yb
                 if den != 0:
                     note((ya - ca) / den)  # sum of first weights == capacity
-    if len(breaks) > cap:
-        return None
     return breaks
 
 
 def class_jump_pmtn(inst: Instance) -> SearchResult:
-    """3/2-approximation via jump walking: probes the dual only at structural
-    thresholds, at guesses where some heavy class needs another machine, and
-    at the load average of the final bracket.
+    """Exact 3/2-approximation: returns the least guess the dual accepts.
 
-    Navigation uses the reshape points 2(s_i+P_i)/k of the half-gap packing;
-    exactness then comes from refining over the machine-count breakpoints of
-    the decision inside the final bracket.  Should the decision still vary
-    there (the knapsack's rejected set can move), the search degrades to a
-    plain bisection and reports the bracket bottom as its certified bound.
+    Probes the dual only at structural thresholds, at guesses where some
+    heavy class needs another machine (the reshape points 2(s_i+P_i)/k of
+    the half-gap packing), and at the breakpoints of the knapsack case inside
+    the final bracket.  On the bracket left after those the decision's
+    required load and machines are constant, and the decision is
+    right-continuous, so `search.close_bracket` pins the answer in closed
+    form: the bracket top, or required load / m.
     """
     m = inst.m
     if m >= inst.n:
         return trivial_search(inst)
     probe = CachedProbe(lambda guess: _decide_pmtn(inst, guess).accepted)
-
-    def finish(t_star: Rat, lb: Rat, trace) -> SearchResult:
-        return probe.finish(dual_pmtn, inst, t_star, lb, trace)
-
     tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
     if probe(tmin):
-        return finish(tmin, tmin, None)
+        return probe.finish(dual_pmtn, inst, tmin, tmin)
     top = 2 * tmin
     if not probe(top):
         raise ContractError("dual rejected 2*T_min; 2-approximation bound broken")
@@ -660,78 +647,10 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
         }
 
     trace = class_jump_walk(probe, cands, heavy, 3, m)
+    # No heavy class jumps inside the walk's bracket; the decision can still
+    # move at the knapsack case's breakpoints, so bisect those too.
     t_fail, t_ok = trace.final_interval
-
-    # Exact refinement: inside the bracket the decision can still move where
-    # a heavy class needs another machine, where the free time or the
-    # knapsack capacity changes sign, at the case switch, and where the
-    # knapsack's greedy order or saturation point shifts.  Walk those
-    # breakpoints until the decision data is constant, then the answer is
-    # closed-form: the bracket top, or required load / m.
-    for _ in range(60):
-        trace.final_interval = (t_fail, t_ok)
-        breaks = _pmtn_breakpoints(inst, t_fail, t_ok)
-        if breaks is None:  # too many candidates: halve the bracket first
-            trace.refined = True
-            mid = (t_fail + t_ok) / 2
-            if probe(mid):
-                t_ok = mid
-            else:
-                t_fail = mid
-            continue
-        if breaks:
-            trace.refined = True
-            chain2 = [t_fail] + sorted(breaks) + [t_ok]
-            lo3, hi3 = _bisect_right_interval(chain2, probe, 0, len(chain2) - 1)
-            t_fail, t_ok = chain2[lo3], chain2[hi3]
-        gap = t_ok - t_fail
-        datas = set()
-        for q in (Fraction(1, 7), Fraction(3, 7), Fraction(1, 2), Fraction(6, 7)):
-            d = _decide_pmtn(inst, t_fail + gap * q)
-            datas.add((d.load, d.machines))
-        if len(datas) != 1:
-            trace.refined = True
-            mid = (t_fail + t_ok) / 2
-            if probe(mid):
-                t_ok = mid
-            else:
-                t_fail = mid
-            continue
-        load_mid, machines_mid = next(iter(datas))
-        if load_mid is None:
-            # the whole interior is rejected by the geometric certificate
-            # (free time / capacity negative up to the bracket top)
-            return finish(t_ok, t_ok, trace)
-        if m < machines_mid:
-            return finish(t_ok, t_ok, trace)
-        t_new = load_mid / m
-        if t_new >= t_ok:
-            return finish(t_ok, t_ok, trace)
-        if t_new > t_fail:
-            if probe(t_new):
-                return finish(t_new, t_new, trace)
-            t_fail = t_new  # rejected: legal shrink, decision data was not constant
-            trace.refined = True
-            continue
-        # t_new at or below the rejected bottom: inconsistent; halve
-        trace.refined = True
-        mid = (t_fail + t_ok) / 2
-        if probe(mid):
-            t_ok = mid
-        else:
-            t_fail = mid
-
-    # Last resort: plain bisection.  The bracket top is accepted and within a
-    # factor (1 + 2^-60) of the certified bound below it.
-    trace.fallback = True
-    tiny = Fraction(1, 2**60)
-    rounds = 0
-    while t_ok - t_fail > t_fail * tiny and rounds < 200:
-        rounds += 1
-        mid = (t_fail + t_ok) / 2
-        if probe(mid):
-            t_ok = mid
-        else:
-            t_fail = mid
-    trace.final_interval = (t_fail, t_ok)
-    return finish(t_ok, t_fail, trace)
+    chain = [t_fail] + sorted(_pmtn_breakpoints(inst, t_fail, t_ok)) + [t_ok]
+    lo, hi = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
+    trace.final_interval = (chain[lo], chain[hi])
+    return close_bracket(probe, inst, _decide_pmtn, dual_pmtn, trace)

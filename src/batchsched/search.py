@@ -1,6 +1,7 @@
 """Variant-generic makespan search: bisection to a (3/2+eps) guarantee, the
-class-jump walk shared by the splittable and preemptive exact searches, plus
-the result/reporting types shared by all search strategies."""
+class-jump walk and the closed-form closing shared by the splittable and
+preemptive exact searches, plus the result/reporting types shared by all
+search strategies."""
 
 from __future__ import annotations
 
@@ -123,8 +124,6 @@ class JumpTrace:
     jumps: list[tuple[int, Rat]]  # collected (class, jump) strictly inside X
     final_interval: tuple[Rat, Rat]
     members: tuple[int, ...]  # classes whose machine count jumps throughout (A, B]
-    refined: bool = False
-    fallback: bool = False
 
 
 def _bisect_right_interval(values, probe, lo_idx, hi_idx):
@@ -199,6 +198,33 @@ def class_jump_walk(
         final_interval=(chain[lo2], chain[hi2]),
         members=tuple(values),
     )
+
+
+def close_bracket(
+    probe: CachedProbe,
+    inst: Instance,
+    decide: Callable[[Instance, Rat], Decision],
+    dual: Callable[[Instance, Rat], DualOutcome],
+    trace: JumpTrace,
+) -> SearchResult:
+    """The least accepted guess in trace.final_interval (t_fail, t_ok].
+
+    The caller has narrowed the bracket until the decision's required load L
+    and machines are constant inside it, and the decision is
+    right-continuous, so t_fail decides like the interior.  The interior then
+    accepts exactly from L/m on (machines permitting): the answer is L/m when
+    that lies inside, else the bracket top.  Every guess below the answer is
+    rejected, so it is also the certified lower bound.  Decided at the
+    midpoint; the schedule is built once, for the answer.
+    """
+    t_fail, t_ok = trace.final_interval
+    d = decide(inst, (t_fail + t_ok) / 2)
+    t_star = t_ok
+    if d.load is not None and d.machines <= inst.m:
+        t_star = min(d.load / inst.m, t_ok)
+        if t_star <= t_fail:
+            raise ContractError("required load inconsistent across the bracket")
+    return probe.finish(dual, inst, t_star, t_star, trace)
 
 
 def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:

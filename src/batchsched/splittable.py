@@ -22,7 +22,7 @@ from .core import (
     Schedule,
     decide_need,
 )
-from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk
+from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk, close_bracket
 from .wrap import Batch, Builder, Gap, run_wrap
 
 
@@ -135,7 +135,7 @@ def class_jump_split(inst: Instance) -> SearchResult:
     the class with the largest work, every other class jumps at most once, so
     all candidate guesses in the bracket can be collected and bisected, and
     between two neighbours the required load is constant, which pins the
-    answer in closed form.
+    answer in closed form (`search.close_bracket`).
     """
     m = inst.m
     probe = CachedProbe(lambda guess: _decide_split(inst, guess).accepted)
@@ -165,19 +165,4 @@ def class_jump_split(inst: Instance) -> SearchResult:
         }
 
     trace = class_jump_walk(probe, cands, expensive, 1, m)
-    t_fail, t_ok = trace.final_interval
-
-    # Between t_fail and t_ok no class jumps, so the required load is one
-    # constant L: everything below L/m is rejected, everything at or above is
-    # accepted (machine permitting).  Evaluate at the midpoint.
-    mid = (t_fail + t_ok) / 2
-    d = _decide_split(inst, mid)
-    if m < d.machines:
-        t_star = t_ok
-    else:
-        t_star = d.load / m
-        if t_star >= t_ok:
-            t_star = t_ok
-        elif t_star <= t_fail:
-            raise ContractError("load certificate inconsistent across the bracket")
-    return probe.finish(dual_split, inst, t_star, t_star, trace)
+    return close_bracket(probe, inst, _decide_split, dual_split, trace)

@@ -50,6 +50,13 @@ def test_solve_bad_input_exit_one(tmp_path, capsys):
     assert main(["solve", "--variant", "split", "--algo", "jump", "--in", path]) == 1
 
 
+def test_solve_directory_input_exit_one(tmp_path, capsys):
+    code = main(["solve", "--variant", "split", "--algo", "jump", "--in", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_solve_eps_probe_budget(tmp_path, capsys):
     path = write_instance(tmp_path, "a.json", GOOD)
     code = main(["solve", "--variant", "pmtn", "--algo", "eps", "--epsilon", "1/1000",
@@ -194,6 +201,14 @@ def test_bench_zero_repeat_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "--repeat" in err
+
+
+def test_bench_file_suite_exit_one(tmp_path, capsys):
+    path = write_instance(tmp_path, "a.json", GOOD)
+    code = main(["bench", "--suite", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_parse_rat():

@@ -70,7 +70,7 @@ def test_classify_examples():
             JobClass(5, (4,)),  # expensive, reaches the guess
             JobClass(5, (1,)),  # expensive, light
             JobClass(6, (1,)),  # expensive, in between
-            JobClass(2, (3,)),  # cheap with mid setup
+            JobClass(2, (3,)),  # cheap, setup exactly a quarter: small-setup
             JobClass(1, (4, 1)),  # cheap small setup, one oversized job
         ),
     )
@@ -78,10 +78,10 @@ def test_classify_examples():
     assert part.exp_plus == (0,)
     assert part.exp_minus == (1,)
     assert part.exp_zero == (2,)
-    assert part.chp_plus == (3,)
-    assert part.chp_minus == (4,)
-    assert part.chp_star == (4,)
-    assert part.big_jobs[4] == (0,)
+    assert part.chp_plus == ()
+    assert part.chp_minus == (3, 4)
+    assert part.chp_star == (3, 4)
+    assert part.big_jobs == {3: (0,), 4: (0,)}
 
 
 def test_classify_all_cheap_at_double_setup():

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from batchsched.core import (
     Accepted,
     Instance,
@@ -14,6 +16,7 @@ from batchsched.oracle import exact_nonp, min_accepted_scan
 from batchsched.preemptive import (
     KnapsackItem,
     _decide_nice_parts,
+    _decide_pmtn,
     _full_specs,
     _gamma_count,
     _nice_parts,
@@ -22,6 +25,7 @@ from batchsched.preemptive import (
     continuous_knapsack,
     dual_pmtn,
 )
+from batchsched.search import certified_report
 
 from conftest import random_instance, tiny_instances
 
@@ -170,7 +174,7 @@ def test_pmtn_knapsack_case_with_rejected_class():
         ),
     )
     plan = _pmtn_plan(inst, F(40))
-    assert plan.case_a and plan.knapsack.x == {5: F(1), 6: F(0)}
+    assert plan.knapsack is not None and plan.knapsack.x == {5: F(1), 6: F(0)}
     out = dual_pmtn(inst, F(40))
     assert isinstance(out, Accepted)
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
@@ -191,7 +195,7 @@ def test_pmtn_greedy_case_with_straddler():
         ),
     )
     plan = _pmtn_plan(inst, F(40))
-    assert not plan.nice and not plan.case_a
+    assert not plan.nice and plan.knapsack is None
     out = dual_pmtn(inst, F(40))
     assert isinstance(out, Accepted)
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
@@ -212,7 +216,7 @@ def test_pmtn_knapsack_split_item_case():
     )
     guess = F(585, 8)
     plan = _pmtn_plan(inst, guess)
-    assert plan.case_a and plan.split_cls == 5
+    assert plan.knapsack is not None and plan.knapsack.split_item == 5
     out = dual_pmtn(inst, guess)
     assert isinstance(out, Accepted)
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess).ok
@@ -271,8 +275,111 @@ def test_class_jump_random_scan_agreement():
     for _ in range(80):
         inst = random_instance(rng, max_m=5, max_c=5, max_jobs=4, max_val=20)
         r = class_jump_pmtn(inst)
-        assert not getattr(r.trace, "fallback", False)
+        assert r.lower_bound == r.guess
         scan = min_accepted_scan(inst, Variant.PREEMPTIVE)
         assert r.guess <= scan
         assert r.makespan <= F(3, 2) * scan
         assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
+
+
+# The knapsack capacity runs out exactly at the answer, with the split item
+# at share 0.  The answer must decide as the guesses just above it do, so
+# that the search closes on it exactly.
+EXHAUSTED_AT_ANSWER = [
+    (
+        Instance(5, (JobClass(68, (16,)), JobClass(66, (12,)), JobClass(56, (5, 14)),
+                     JobClass(35, (12, 2)), JobClass(12, (56,)), JobClass(44, (1, 31, 7)),
+                     JobClass(69, (13,)))),
+        F(730, 7),
+    ),
+    (
+        Instance(9, (JobClass(48, (19,)), JobClass(57, (14,)), JobClass(56, (7, 13, 2)),
+                     JobClass(17, (46, 24)), JobClass(38, (27, 21, 6, 10)), JobClass(59, (11,)),
+                     JobClass(60, (3, 2, 5)), JobClass(31, (16, 33, 24)), JobClass(9, (39,)))),
+        F(856, 11),
+    ),
+]
+
+
+@pytest.mark.parametrize("inst,answer", EXHAUSTED_AT_ANSWER)
+def test_class_jump_exact_at_knapsack_exhaustion(inst, answer):
+    sol = _pmtn_plan(inst, answer).knapsack
+    assert sol.x[sol.split_item] == 0
+    r = class_jump_pmtn(inst)
+    assert r.guess == r.lower_bound == answer
+    assert len(r.probes) <= 8
+    assert certified_report(r).ratio_bound <= F(3, 2)
+    assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
+
+
+def test_class_jump_exact_at_density_tie():
+    # at the answer 42 the star classes 7 and 8 are equally dense, and just
+    # above it 8 is denser; the tie must break as just above, so that 42
+    # decides as the guesses above it do and the search closes on it exactly
+    inst = Instance(12, (
+        JobClass(24, (2, 7)), JobClass(5, (19,)), JobClass(5, (24, 14)), JobClass(23, (2, 5, 2, 2)),
+        JobClass(22, (15, 16, 10)), JobClass(24, (2, 3, 6, 1)), JobClass(21, (2, 2, 7, 1)),
+        JobClass(3, (20,)), JobClass(5, (14, 25)), JobClass(5, (22,)), JobClass(5, (17,)),
+        JobClass(23, (2, 8, 2)), JobClass(23, (12,)), JobClass(21, (14, 14)),
+    ))
+    assert _pmtn_plan(inst, F(42)).knapsack.split_item == 8
+    r = class_jump_pmtn(inst)
+    assert r.guess == r.lower_bound == 42
+    assert len(r.probes) <= 8
+    assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(63)).ok
+
+
+def _split_work(rng, work, parts):
+    cuts = sorted(rng.sample(range(1, work), min(parts, work) - 1)) if work > 1 else []
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [work]))
+
+
+def knapsack_heavy_instance(rng):
+    """Shapes that drive the preemptive dual into its knapsack case, around an
+    answer scale S: classes with setup just above S/2 and little work (setup
+    + work in (3/4 S, S), a dedicated machine each), up to two heavy classes,
+    and 1-60 small-setup classes with jobs at 35-70% of S (oversized jobs).
+    m is the load over S, clipped to [n/8, n/2]."""
+    S = rng.randint(40, 120)
+    small = rng.randint(1, rng.choice((6, 12, 24, 60)))
+    classes = []
+    for _ in range(max(1, round(small * rng.uniform(0.5, 1.0)))):
+        s = S // 2 + rng.randint(1, S // 10)
+        work = rng.randint(max(1, 76 * S // 100 - s), max(1, 9 * S // 10 - s))
+        classes.append(JobClass(s, _split_work(rng, work, rng.randint(1, 4))))
+    for _ in range(rng.randint(0, 2)):
+        s = S // 2 + rng.randint(1, S // 10)
+        classes.append(JobClass(s, tuple(
+            rng.randint(S // 8, 95 * S // 100 - s) for _ in range(rng.randint(2, 6)))))
+    for _ in range(small):
+        classes.append(JobClass(rng.randint(1, S // 8), tuple(
+            rng.randint(35 * S // 100, 70 * S // 100) for _ in range(rng.randint(1, 2)))))
+    rng.shuffle(classes)
+    n = sum(len(cl.jobs) for cl in classes)
+    m = round(sum(cl.setup + cl.total for cl in classes) / S * rng.uniform(0.95, 1.05))
+    return Instance(m=min(max(m, n // 8, 1), n // 2), classes=tuple(classes))
+
+
+def test_class_jump_knapsack_heavy_corpus():
+    # the closing rests on the decision's load and machines being constant
+    # on the final bracket and right-continuous at its bottom
+    rng = random.Random(2024)
+    searches = knapsack = many_star = 0
+    while searches < 300:
+        inst = knapsack_heavy_instance(rng)
+        r = class_jump_pmtn(inst)
+        if r.probes[0][1]:
+            continue  # T_min accepted: no bracket to close
+        searches += 1
+        assert r.lower_bound == r.guess, inst
+        lo, hi = r.trace.final_interval
+        needs = {
+            (d.load, d.machines)
+            for d in (_decide_pmtn(inst, lo + (hi - lo) * F(k, 97)) for k in range(1, 97))
+        }
+        assert len(needs) == 1, inst
+        assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
+        plan = _pmtn_plan(inst, r.guess)
+        knapsack += plan.knapsack is not None
+        many_star += len(plan.part.chp_star) > 14
+    assert knapsack >= 60 and many_star >= 30
