@@ -45,14 +45,18 @@ from .splittable import class_jump_split, two_approx_split
 
 
 def parse_rat(text: str) -> Rat:
+    """ASCII "p/q" or "p" text directly, anything else as Fraction reads it."""
     try:
+        if isinstance(text, str):
+            num, slash, den = text.partition("/")
+            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"unparsable rational {text!r}") from exc
 
 
 def fmt_rat(x: Rat) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 

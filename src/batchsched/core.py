@@ -8,11 +8,14 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 # All time quantities are Fractions.  The alias documents intent.
 Rat = Fraction
@@ -191,12 +194,28 @@ class Placement(NamedTuple):
     job: Optional[int] = None  # position within cls, pieces only
     piece: Optional[int] = None  # piece counter within the job, pieces only
 
-    @property
-    def end(self) -> Rat:
-        return self.start + self.dur
-
     def shifted(self, delta: Rat) -> "Placement":
         return Placement(self.kind, self.cls, self.start + delta, self.dur, self.job, self.piece)
+
+
+# Past this bit length of the common denominator, time_scale keeps the times
+# as Fractions: the lcm of many unrelated denominators (distinct primes, say)
+# grows with each one, and so does the cost of every integer on that scale.
+TIME_SCALE_BITS = 256
+
+
+def time_scale(placements: Iterable[Placement]) -> tuple[int, Callable[[Rat], Rat]]:
+    """One integer time scale for the placements: D, the lcm of every start
+    and duration denominator, and the map q -> q * D, an int.  Past
+    TIME_SCALE_BITS the map leaves each time as it is, with D = 1, so the same
+    comparisons then run on the Fractions.  A time t on the scale is the
+    rational t / D."""
+    scale = 1
+    for den in {q.denominator for p in placements for q in (p.start, p.dur)}:
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > TIME_SCALE_BITS:
+            return 1, lambda q: q
+    return scale, lambda q: q.numerator * (scale // q.denominator)
 
 
 @dataclass
@@ -216,17 +235,16 @@ class Schedule:
     def machine_count(self) -> int:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
 
+    def placements(self) -> Iterable[Placement]:
+        """Every placement once: the machines' in order, then each
+        configuration's (not repeated by its multiplicity)."""
+        return chain(chain.from_iterable(self.machines),
+                     chain.from_iterable(config for config, _ in self.compressed))
+
     def makespan(self) -> Rat:
-        top = Fraction(0)
-        for mach in self.machines:
-            for p in mach:
-                if p.end > top:
-                    top = p.end
-        for config, _ in self.compressed:
-            for p in config:
-                if p.end > top:
-                    top = p.end
-        return top
+        scale, to_int = time_scale(self.placements())
+        top = max((to_int(p.start) + to_int(p.dur) for p in self.placements()), default=0)
+        return Fraction(max(top, 0), scale)
 
     def expand(self) -> "Schedule":
         """Materialize the compressed part; piece ids are renumbered in
@@ -441,34 +459,35 @@ class VerifyReport:
     violations: list[Violation]
 
 
-def _check_machine(inst: Instance, label, placements, out: list[Violation]):
-    """Rules (a) and (b) on one machine; placements need not be sorted."""
-    seq = sorted(placements, key=lambda p: (p.start, p.end))
+def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]):
+    """Rules (a) and (b) on one machine.  rows are (start, end, placement)
+    with start and end on the time scale, in any order."""
+    classes = inst.classes
     prev_end = None
     ready: Optional[int] = None
-    for p in seq:
-        if not (0 <= p.cls < inst.c):
+    for start, end, p in sorted(rows, key=itemgetter(0, 1)):
+        if not (0 <= p.cls < len(classes)):
             out.append(Violation("s", label, p.start, f"unknown class {p.cls}"))
             continue
-        if p.start < 0:
+        if start < 0:
             out.append(Violation("a", label, p.start, "placement starts before time 0"))
-        if p.dur <= 0:
+        if end <= start:
             out.append(Violation("a", label, p.start, "placement with non-positive duration"))
-        if prev_end is not None and p.start < prev_end:
+        if prev_end is not None and start < prev_end:
             out.append(Violation("a", label, p.start, "placements overlap on the machine"))
-        prev_end = p.end if prev_end is None else max(prev_end, p.end)
+        prev_end = end if prev_end is None else max(prev_end, end)
         if p.kind == SETUP:
-            if p.dur != inst.classes[p.cls].setup:
+            if end - start != classes[p.cls].setup * scale:
                 out.append(
                     Violation(
                         "b", label, p.start,
                         f"setup of class {p.cls} has length {p.dur}, expected "
-                        f"{inst.classes[p.cls].setup}",
+                        f"{classes[p.cls].setup}",
                     )
                 )
             ready = p.cls
         else:
-            if p.job is None or not (0 <= p.job < len(inst.classes[p.cls].jobs)):
+            if p.job is None or not (0 <= p.job < len(classes[p.cls].jobs)):
                 out.append(Violation("s", label, p.start, f"unknown job id ({p.cls}, {p.job})"))
                 continue
             if ready != p.cls:
@@ -486,7 +505,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, job-total and parallelism accounting multiply by the
-    multiplicity.
+    multiplicity.  The rules compare integers on one time_scale, converted
+    one machine or configuration at a time; the report holds Fractions.
     """
     out: list[Violation] = []
 
@@ -498,42 +518,41 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             )
         )
 
-    # intervals[ref] = list of (start, end, copies); copies > 1 only possible
-    # from compressed configurations.
-    intervals: dict[JobRef, list[tuple[Rat, Rat, int]]] = {}
-    totals: dict[JobRef, Rat] = {}
+    scale, to_int = time_scale(sched.placements())
+    top = 0
+    # intervals[ref] = list of (start, end, copies) on the time scale; copies
+    # > 1 only possible from compressed configurations.
+    intervals: dict[JobRef, list[tuple[int, int, int]]] = {}
+    totals: dict[JobRef, int] = {}
     counts: dict[JobRef, int] = {}
 
-    def account(p: Placement, copies: int):
-        if p.kind != PIECE or p.job is None:
-            return
-        ref = (p.cls, p.job)
-        if not (0 <= p.cls < inst.c and 0 <= p.job < len(inst.classes[p.cls].jobs)):
-            return
-        totals[ref] = totals.get(ref, Fraction(0)) + p.dur * copies
-        counts[ref] = counts.get(ref, 0) + copies
-        intervals.setdefault(ref, []).append((p.start, p.end, copies))
-
-    for idx, mach in enumerate(sched.machines):
-        _check_machine(inst, idx, mach, out)
-        for p in mach:
-            account(p, 1)
-    for k, (config, mult) in enumerate(sched.compressed):
-        if mult < 1:
-            out.append(Violation("s", f"compressed[{k}]", Fraction(0), "multiplicity < 1"))
+    parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
+    parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
+    for label, placements, copies in parts:
+        rows = [(start := to_int(p.start), start + to_int(p.dur), p) for p in placements]
+        top = max(top, max((end for _, end, _ in rows), default=0))
+        if copies < 1:
+            out.append(Violation("s", label, Fraction(0), "multiplicity < 1"))
             continue
-        _check_machine(inst, f"compressed[{k}]", config, out)
-        for p in config:
-            account(p, mult)
+        _check_machine(inst, label, rows, scale, out)
+        for start, end, p in rows:
+            if p.kind != PIECE or p.job is None:
+                continue
+            if not (0 <= p.cls < inst.c and 0 <= p.job < len(inst.classes[p.cls].jobs)):
+                continue
+            ref = (p.cls, p.job)
+            totals[ref] = totals.get(ref, 0) + (end - start) * copies
+            counts[ref] = counts.get(ref, 0) + copies
+            intervals.setdefault(ref, []).append((start, end, copies))
 
     for ref in inst.job_refs():
-        want = Fraction(inst.duration(ref))
-        got = totals.get(ref, Fraction(0))
-        if got != want:
+        want = inst.duration(ref)
+        got = totals.get(ref, 0)
+        if got != want * scale:
             out.append(
                 Violation(
                     "c", "-", Fraction(0),
-                    f"job {ref} placed for {got} time units, needs exactly {want}",
+                    f"job {ref} placed for {Fraction(got, scale)} time units, needs exactly {want}",
                 )
             )
 
@@ -551,7 +570,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                     bad = True
                     out.append(
                         Violation(
-                            "e", "-", start,
+                            "e", "-", Fraction(start, scale),
                             f"job {ref} runs on {copies} identical machines in parallel",
                         )
                     )
@@ -562,11 +581,11 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             for (s1, e1, _), (s2, e2, _) in zip(ivs_sorted, ivs_sorted[1:]):
                 if s2 < e1:
                     out.append(
-                        Violation("e", "-", s2, f"pieces of job {ref} overlap in time")
+                        Violation("e", "-", Fraction(s2, scale), f"pieces of job {ref} overlap in time")
                     )
                     break
 
-    makespan = sched.makespan()
+    makespan = Fraction(top, scale)
     if makespan > bound:
         out.append(
             Violation("f", "-", makespan, f"makespan {makespan} exceeds bound {bound}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Optional
 
@@ -66,6 +67,20 @@ class KnapsackSolution:
     value: Rat
 
 
+def _per_weight(x: Rat, weight: Rat) -> tuple[int, int]:
+    """x / weight as an unreduced integer pair (num, den), den > 0."""
+    return x.numerator * weight.denominator, x.denominator * weight.numerator
+
+
+def _density_order(a, b) -> int:
+    """Negative when item a goes first: the higher profit per weight, then
+    the lower growth per weight, then the smaller class.  a and b are
+    (profit ratio, growth ratio, item), compared by cross-multiplying."""
+    (pa, qa), (ga, ha), ita = a
+    (pb, qb), (gb, hb), itb = b
+    return (pb * qa - pa * qb) or (ga * hb - gb * ha) or (ita.cls - itb.cls)
+
+
 def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSolution:
     """Greedy by profit density; optimal for the continuous relaxation.
 
@@ -79,10 +94,11 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
     if capacity < 0:
         raise ContractError("knapsack capacity must be >= 0")
     free = [it for it in items if it.weight == 0]
-    rest = sorted(
-        (it for it in items if it.weight > 0),
-        key=lambda it: (-(it.profit / it.weight), it.growth / it.weight, it.cls),
-    )
+    rest = [it for _, _, it in sorted(
+        ((_per_weight(it.profit, it.weight), _per_weight(it.growth, it.weight), it)
+         for it in items if it.weight > 0),
+        key=cmp_to_key(_density_order),
+    )]
     x: dict[int, Rat] = {}
     value = Fraction(0)
     for it in free:
@@ -278,35 +294,19 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
         plan.load, plan.machines = d.load, d.machines
         return plan
 
-    def count(i: int) -> int:
-        return _gamma_count(inst.classes[i].setup, inst.classes[i].total, guess)
-
+    classes = inst.classes
+    gamma = {i: _gamma_count(classes[i].setup, classes[i].total, guess) for i in part.exp_plus}
     plan.large = list(part.exp_zero)
     l = len(plan.large)
-    free = (inst.m - l) * guess
-    for i in part.exp_plus:
-        cl = inst.classes[i]
-        free -= count(i) * cl.setup + cl.total
-    for i in list(part.exp_minus) + list(part.chp_plus):
-        cl = inst.classes[i]
-        free -= cl.setup + cl.total
+    taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
+    taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
+    free = (inst.m - l) * guess - taken
     plan.free_time = free
 
-    star_total = sum(
-        inst.classes[i].setup + inst.classes[i].total for i in part.chp_star
-    )
-    machines = l + (len(part.exp_minus) + 1) // 2
-    for i in part.exp_plus:
-        machines += count(i)
-    plan.machines = machines
-
-    load = Fraction(inst.total_work)
-    plus_set = set(part.exp_plus)
-    for i, cl in enumerate(inst.classes):
-        if i in plus_set:
-            load += count(i) * cl.setup
-        else:
-            load += cl.setup
+    star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
+    plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
+    # every class pays one setup, an expensive heavy class one per machine
+    load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
 
     if free < 0:
         # The classes outside the dedicated machines alone overrun the other
@@ -321,10 +321,10 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
         for i in part.chp_star:
             cl = inst.classes[i]
             big = part.big_jobs[i]
-            ob = sum(Fraction(cl.jobs[j]) for j in big) - len(big) * (half - cl.setup)
+            ob = sum(cl.jobs[j] for j in big) - len(big) * (half - cl.setup)
             plan.obligatory[i] = ob
             lstar_sum += cl.setup + ob
-            items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=Fraction(cl.total) - ob,
+            items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
                                       growth=Fraction(len(big), 2)))
         capacity = free - lstar_sum
         if capacity < 0:

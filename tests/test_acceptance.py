@@ -224,22 +224,34 @@ def test_criterion_7_knapsack_oracle():
         ]
         cap = F(rng.randint(0, 30))
         sol = continuous_knapsack(items, cap)
-        # independent optimum: some extreme solution has <= 1 fractional item
-        best = F(0)
+        # independent optimum: some extreme solution has <= 1 fractional item.
+        # Every input is integral, so each mask's weight and profit are ints,
+        # built from the mask with its lowest bit cleared.
+        profit = [int(it.profit) for it in items]
+        weight = [int(it.weight) for it in items]
+        room_max = int(cap)
+        mask_w, mask_v = [0] * (1 << n), [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            k = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            mask_w[mask] = mask_w[rest] + weight[k]
+            mask_v[mask] = mask_v[rest] + profit[k]
+        best_whole, best = 0, F(0)  # the best all-or-nothing and fractional values
         for mask in range(1 << n):
-            w = sum(items[k].weight for k in range(n) if mask >> k & 1)
-            if w > cap:
+            w, v = mask_w[mask], mask_v[mask]
+            if w > room_max:
                 continue
-            v = sum(items[k].profit for k in range(n) if mask >> k & 1)
-            if v > best:
-                best = v
-            room = cap - w
+            best_whole = max(best_whole, v)
+            room = room_max - w
             for k in range(n):
-                if not mask >> k & 1 and items[k].weight > 0:
-                    cand = v + min(F(1), room / items[k].weight) * items[k].profit
-                    if cand > best:
-                        best = cand
-        assert sol.value == best
+                if not mask >> k & 1 and weight[k] > 0:
+                    if room >= weight[k]:
+                        best_whole = max(best_whole, v + profit[k])
+                    else:
+                        cand = v + F(room, weight[k]) * profit[k]
+                        if cand > best:
+                            best = cand
+        assert sol.value == max(F(best_whole), best)
     _announce("7", "continuous knapsack equals brute-force optimum", t0)
 
 

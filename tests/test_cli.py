@@ -11,7 +11,14 @@ from batchsched.cli import (
     parse_rat,
     parse_schedule,
 )
-from batchsched.core import Variant, emit_instance, lower_bound_tmin, parse_instance, verify_schedule
+from batchsched.core import (
+    ValidationError,
+    Variant,
+    emit_instance,
+    lower_bound_tmin,
+    parse_instance,
+    verify_schedule,
+)
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance
@@ -214,6 +221,22 @@ def test_bench_file_suite_exit_one(tmp_path, capsys):
 def test_parse_rat():
     assert parse_rat("3/4") == F(3, 4)
     assert parse_rat("7") == 7
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-3/4", " 3/4 ", "1.5", "007/2", "12/8", "0/5", "1/0", "3/", "/3", "a/3", "3/-4",
+    "\u0663", "\u00b2", "", 3,
+])
+def test_parse_rat_agrees_with_fraction(text):
+    # the direct path for ASCII digit text accepts and rejects what Fraction does
+    try:
+        want = F(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        with pytest.raises(ValidationError, match="unparsable rational"):
+            parse_rat(text)
+    else:
+        got = parse_rat(text)
+        assert type(got) is F and got == want
 
 
 def test_compressed_schedule_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from batchsched.core import (
     classify,
     lower_bound_tmin,
     parse_instance,
+    time_scale,
     verify_schedule,
 )
 
@@ -279,3 +281,153 @@ def test_verifier_catches_mutations():
             bad = Schedule(m=rs.schedule.m, machines=rs.schedule.machines, compressed=cfgs)
             assert not verify_schedule(inst, bad, Variant.SPLITTABLE, F(3, 2) * rs.guess).ok
     assert all(v > 0 for v in caught.values()), caught
+
+
+# -- the verifier on one integer time scale ----------------------------------
+# Hand-built bad schedules with times in thirds, quarters and sevenths; the
+# expected lists are the exact reports, in order.
+
+SCALE_INST = Instance(m=3, classes=(JobClass(1, (1, 2)), JobClass(2, (3,))))
+
+
+def _bad_machines():
+    return Schedule(m=3, machines=[
+        [Placement(SETUP, 0, F(-1, 3), F(1)),
+         Placement(PIECE, 0, F(2, 3), F(1, 4), job=0, piece=0),
+         Placement(PIECE, 0, F(11, 12), F(3, 4), job=0, piece=1),
+         Placement(PIECE, 0, F(5, 3), F(0), job=1, piece=0)],
+        [Placement(SETUP, 1, F(0), F(13, 7)),
+         Placement(PIECE, 1, F(13, 7), F(3), job=0, piece=0),
+         Placement(PIECE, 0, F(1, 7), F(2), job=1, piece=1)],
+        [Placement(SETUP, 5, F(1, 3), F(1)),
+         Placement(PIECE, 0, F(1, 4), F(1, 7), job=7, piece=0)],
+    ])
+
+
+def _bad_compressed():
+    # one explicit machine, a configuration twice and one with multiplicity 0:
+    # 3 machines on an instance with 2
+    return Schedule(m=2, machines=[
+        [Placement(SETUP, 0, F(0), F(1)),
+         Placement(PIECE, 0, F(1), F(1, 3), job=1, piece=0),
+         Placement(PIECE, 0, F(4, 3), F(1, 4), job=1, piece=1)],
+    ], compressed=[
+        ((Placement(SETUP, 0, F(0), F(1)),
+          Placement(PIECE, 0, F(5, 4), F(1, 2), job=0, piece=0),
+          Placement(PIECE, 0, F(13, 7), F(5, 7), job=1, piece=2)), 2),
+        ((Placement(SETUP, 1, F(0), F(2)), Placement(PIECE, 1, F(2), F(3), job=0, piece=0)), 0),
+    ])
+
+
+def _bad_overlap():
+    return Schedule(m=3, machines=[
+        [Placement(SETUP, 0, F(0), F(1)),
+         Placement(PIECE, 0, F(1), F(1, 3), job=1, piece=0),
+         Placement(PIECE, 0, F(4, 3), F(1), job=0, piece=0)],
+        [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(5, 4), F(5, 3), job=1, piece=1)],
+        [Placement(SETUP, 1, F(1, 7), F(2)), Placement(PIECE, 1, F(15, 7), F(3), job=0, piece=0)],
+    ])
+
+
+MACHINE_RULES = [
+    ("a", 0, F(-1, 3), "placement starts before time 0"),
+    ("a", 0, F(5, 3), "placement with non-positive duration"),
+    ("b", 1, F(0), "setup of class 1 has length 13/7, expected 2"),
+    ("a", 1, F(1, 7), "placements overlap on the machine"),
+    ("b", 1, F(1, 7), "piece of class 0 not preceded by a setup of its class"),
+    ("a", 1, F(13, 7), "placements overlap on the machine"),
+    ("s", 2, F(1, 4), "unknown job id (0, 7)"),
+    ("s", 2, F(1, 3), "unknown class 5"),
+]
+COMPRESSED_RULES = [
+    ("s", "-", F(0), "schedule uses 3 machines, instance has 2"),
+    ("s", "compressed[1]", F(0), "multiplicity < 1"),
+    ("c", "-", F(0), "job (0, 1) placed for 169/84 time units, needs exactly 2"),
+    ("c", "-", F(0), "job (1, 0) placed for 0 time units, needs exactly 3"),
+]
+
+
+@pytest.mark.parametrize("schedule, variant, makespan, expected", [
+    (_bad_machines, Variant.SPLITTABLE, F(34, 7), MACHINE_RULES),
+    (_bad_machines, Variant.PREEMPTIVE, F(34, 7), MACHINE_RULES + [
+        ("e", "-", F(5, 3), "pieces of job (0, 1) overlap in time")]),
+    (_bad_machines, Variant.NONPREEMPTIVE, F(34, 7), MACHINE_RULES + [
+        ("d", "-", F(0), "job (0, 0) split into 2 pieces"),
+        ("d", "-", F(0), "job (0, 1) split into 2 pieces")]),
+    (_bad_compressed, Variant.SPLITTABLE, F(5), COMPRESSED_RULES),
+    (_bad_compressed, Variant.PREEMPTIVE, F(5), COMPRESSED_RULES + [
+        ("e", "-", F(13, 7), "job (0, 1) runs on 2 identical machines in parallel"),
+        ("e", "-", F(5, 4), "job (0, 0) runs on 2 identical machines in parallel")]),
+    (_bad_compressed, Variant.NONPREEMPTIVE, F(5), COMPRESSED_RULES + [
+        ("d", "-", F(0), "job (0, 1) split into 4 pieces"),
+        ("d", "-", F(0), "job (0, 0) split into 2 pieces")]),
+    (_bad_overlap, Variant.SPLITTABLE, F(36, 7), [
+        ("f", "-", F(36, 7), "makespan 36/7 exceeds bound 5")]),
+    (_bad_overlap, Variant.PREEMPTIVE, F(36, 7), [
+        ("e", "-", F(5, 4), "pieces of job (0, 1) overlap in time"),
+        ("f", "-", F(36, 7), "makespan 36/7 exceeds bound 5")]),
+    (_bad_overlap, Variant.NONPREEMPTIVE, F(36, 7), [
+        ("d", "-", F(0), "job (0, 1) split into 2 pieces"),
+        ("f", "-", F(36, 7), "makespan 36/7 exceeds bound 5")]),
+])
+def test_verify_exact_violations_mixed_denominators(schedule, variant, makespan, expected):
+    sched = schedule()
+    rep = verify_schedule(SCALE_INST, sched, variant, F(5))
+    assert not rep.ok
+    assert type(rep.makespan) is F and rep.makespan == makespan == sched.makespan()
+    got = [(v.rule, v.machine, v.time, v.message) for v in rep.violations]
+    assert got == expected
+    assert all(type(v.time) is F for v in rep.violations)
+
+
+def test_verify_bound_off_the_time_grid():
+    inst = Instance(m=1, classes=(JobClass(1, (1,)),))
+    sched = Schedule(m=1, machines=[[
+        Placement(SETUP, 0, F(1, 4), F(1)), Placement(PIECE, 0, F(5, 4), F(1), job=0, piece=0),
+    ]])
+    assert time_scale(sched.placements())[0] == 4
+    ok = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(7, 3))
+    assert ok.ok and ok.makespan == F(9, 4) and ok.violations == []
+    bad = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(11, 5))
+    assert [(v.rule, v.time, v.message) for v in bad.violations] == [
+        ("f", F(9, 4), "makespan 9/4 exceeds bound 11/5")]
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for k in range(2, int(limit ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
+    return [k for k in range(limit) if sieve[k]]
+
+
+def test_verify_distinct_prime_denominators_fast():
+    # 16,000 placements whose times carry 8,000 distinct prime denominators:
+    # their lcm is past the integer scale's cap, so the rules run on the
+    # Fractions themselves, as fast as before the scale existed
+    primes = _primes_below(82_000)[:8000]
+    assert len(primes) == 8000
+    jobs = 4000
+    inst = Instance(m=2 * jobs, classes=(JobClass(1, (2,) * jobs),))
+    machines = []
+    for j in range(jobs):
+        p, q = primes[2 * j], primes[2 * j + 1]
+        machines.append([Placement(SETUP, 0, F(0), F(1)),
+                         Placement(PIECE, 0, F(1), F(1, p), job=j, piece=0)])
+        machines.append([Placement(SETUP, 0, F(1, q), F(1)),
+                         Placement(PIECE, 0, 1 + F(1, q), 2 - F(1, p), job=j, piece=1)])
+    sched = Schedule(m=inst.m, machines=machines)
+    assert time_scale(sched.placements())[0] == 1
+    top = max(p.start + p.dur for mach in machines for p in mach)
+    t0 = time.perf_counter()
+    rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(7, 2))
+    assert time.perf_counter() - t0 <= 2.0
+    assert rep.ok and rep.violations == [] and rep.makespan == top == sched.makespan()
+    # one stretched piece: the Fraction path reports it like the integer one
+    machines[1][1] = Placement(PIECE, 0, 1 + F(1, 3), F(2), job=0, piece=1)
+    rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
+    assert [(v.rule, v.machine, v.time, v.message) for v in rep.violations] == [
+        ("c", "-", F(0), "job (0, 0) placed for 5/2 time units, needs exactly 2"),
+        ("f", "-", F(10, 3), "makespan 10/3 exceeds bound 3"),
+    ]
