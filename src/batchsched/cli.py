@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -60,8 +61,17 @@ def fmt_rat(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _placement_to_json(p: Placement) -> dict:
-    out = {"kind": p.kind, "class": p.cls, "start": fmt_rat(p.start), "dur": fmt_rat(p.dur)}
+def _fmt_time(t, scale: int) -> str:
+    """t / scale as fmt_rat writes it: t is an int on the scale, or a Rat at scale 1."""
+    if scale == 1:
+        return fmt_rat(t)
+    g = math.gcd(t, scale)
+    return f"{t // g}/{scale // g}" if g != scale else str(t // g)
+
+
+def _placement_to_json(p: Placement, scale: int) -> dict:
+    out = {"kind": p.kind, "class": p.cls,
+           "start": _fmt_time(p.start, scale), "dur": _fmt_time(p.dur, scale)}
     if p.kind == PIECE:
         out["job"] = p.job
         out["piece"] = p.piece
@@ -88,11 +98,12 @@ def _placement_from_json(raw: dict) -> Placement:
 
 
 def emit_schedule(sched: Schedule) -> dict:
+    scale = sched.scale
     return {
         "makespan": fmt_rat(sched.makespan()),
-        "machines": [[_placement_to_json(p) for p in mach] for mach in sched.machines],
+        "machines": [[_placement_to_json(p, scale) for p in mach] for mach in sched.machines],
         "compressed": [
-            {"config": [_placement_to_json(p) for p in config], "mult": mult}
+            {"config": [_placement_to_json(p, scale) for p in config], "mult": mult}
             for config, mult in sched.compressed
         ],
     }

@@ -1,9 +1,9 @@
 """Data model, exact time arithmetic, class partitions and the feasibility verifier.
 
-All times (setups, processing times, starts, durations, makespans) are exact
-rationals backed by arbitrary-precision integers.  Nothing in this package
-rounds, ever: accept/reject decisions and approximation-ratio checks are exact
-comparisons.
+Setups and processing times are ints, guesses, bounds and makespans exact
+Fractions, and a schedule's starts and durations ints on its integer time
+scale (`Schedule.scale`: t means t / scale) or Fractions at scale 1.  Nothing
+here rounds, ever: accept/reject decisions and ratio checks are exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-# All time quantities are Fractions.  The alias documents intent.
+# Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
 Rat = Fraction
 
 # A job is identified by (class index, position within the class), 0-based.
@@ -189,7 +189,7 @@ PIECE = "piece"
 class Placement(NamedTuple):
     kind: str  # SETUP or PIECE
     cls: int
-    start: Rat
+    start: Rat  # an int on the schedule's scale, or a Rat at scale 1
     dur: Rat
     job: Optional[int] = None  # position within cls, pieces only
     piece: Optional[int] = None  # piece counter within the job, pieces only
@@ -202,6 +202,15 @@ class Placement(NamedTuple):
 # as Fractions: the lcm of many unrelated denominators (distinct primes, say)
 # grows with each one, and so does the cost of every integer on that scale.
 TIME_SCALE_BITS = 256
+
+
+def scaled(x: Rat, scale: int) -> int:
+    """x * scale as an int: a value of the decision moved onto a build's
+    integer time scale.  ContractError unless that is exact."""
+    t, r = divmod(x.numerator * scale, x.denominator)
+    if r:
+        raise ContractError(f"{x} is not on the time scale 1/{scale}")
+    return t
 
 
 def time_scale(placements: Iterable[Placement]) -> tuple[int, Callable[[Rat], Rat]]:
@@ -226,11 +235,15 @@ class Schedule:
     `compressed` is a machine configuration with a multiplicity: the schedule
     behaves as if `mult` further machines carried exactly those placements.
     The machine budget is len(machines) + sum of multiplicities <= m.
+    A placement time t means t / scale.  Every schedule the library builds
+    keeps its times as ints on the scale its construction derived from the
+    guess; parsed and hand-built schedules may hold Fractions at scale 1.
     """
 
     m: int
     machines: list[list[Placement]] = field(default_factory=list)
     compressed: list[tuple[tuple[Placement, ...], int]] = field(default_factory=list)
+    scale: int = 1
 
     def machine_count(self) -> int:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
@@ -242,9 +255,8 @@ class Schedule:
                      chain.from_iterable(config for config, _ in self.compressed))
 
     def makespan(self) -> Rat:
-        scale, to_int = time_scale(self.placements())
-        top = max((to_int(p.start) + to_int(p.dur) for p in self.placements()), default=0)
-        return Fraction(max(top, 0), scale)
+        top = max((p.start + p.dur for p in self.placements()), default=0)
+        return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
         """Materialize the compressed part; piece ids are renumbered in
@@ -266,7 +278,7 @@ class Schedule:
                 else:
                     row.append(p)
             out.append(row)
-        return Schedule(m=self.m, machines=out, compressed=[])
+        return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
 
     def placement_count(self) -> int:
         return sum(len(m) for m in self.machines) + sum(len(c) for c, _ in self.compressed)
@@ -465,38 +477,32 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
     classes = inst.classes
     prev_end = None
     ready: Optional[int] = None
+
+    def flag(rule: str, message: str):  # at the current row's start
+        out.append(Violation(rule, label, Fraction(start, scale), message))
+
     for start, end, p in sorted(rows, key=itemgetter(0, 1)):
         if not (0 <= p.cls < len(classes)):
-            out.append(Violation("s", label, p.start, f"unknown class {p.cls}"))
+            flag("s", f"unknown class {p.cls}")
             continue
         if start < 0:
-            out.append(Violation("a", label, p.start, "placement starts before time 0"))
+            flag("a", "placement starts before time 0")
         if end <= start:
-            out.append(Violation("a", label, p.start, "placement with non-positive duration"))
+            flag("a", "placement with non-positive duration")
         if prev_end is not None and start < prev_end:
-            out.append(Violation("a", label, p.start, "placements overlap on the machine"))
+            flag("a", "placements overlap on the machine")
         prev_end = end if prev_end is None else max(prev_end, end)
         if p.kind == SETUP:
             if end - start != classes[p.cls].setup * scale:
-                out.append(
-                    Violation(
-                        "b", label, p.start,
-                        f"setup of class {p.cls} has length {p.dur}, expected "
-                        f"{classes[p.cls].setup}",
-                    )
-                )
+                flag("b", f"setup of class {p.cls} has length {Fraction(end - start, scale)}, "
+                          f"expected {classes[p.cls].setup}")
             ready = p.cls
         else:
             if p.job is None or not (0 <= p.job < len(classes[p.cls].jobs)):
-                out.append(Violation("s", label, p.start, f"unknown job id ({p.cls}, {p.job})"))
+                flag("s", f"unknown job id ({p.cls}, {p.job})")
                 continue
             if ready != p.cls:
-                out.append(
-                    Violation(
-                        "b", label, p.start,
-                        f"piece of class {p.cls} not preceded by a setup of its class",
-                    )
-                )
+                flag("b", f"piece of class {p.cls} not preceded by a setup of its class")
 
 
 def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Rat) -> VerifyReport:
@@ -505,8 +511,9 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, job-total and parallelism accounting multiply by the
-    multiplicity.  The rules compare integers on one time_scale, converted
-    one machine or configuration at a time; the report holds Fractions.
+    multiplicity.  The rules compare integers on one time scale: the
+    schedule's own when its times are ints, else time_scale's, converted one
+    machine or configuration at a time.  The report holds Fractions.
     """
     out: list[Violation] = []
 
@@ -518,7 +525,10 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             )
         )
 
-    scale, to_int = time_scale(sched.placements())
+    scale, to_int = sched.scale, int
+    if not all(type(p.start) is int and type(p.dur) is int for p in sched.placements()):
+        scale, to_int = time_scale(sched.placements())
+        scale *= sched.scale
     top = 0
     # intervals[ref] = list of (start, end, copies) on the time scale; copies
     # > 1 only possible from compressed configurations.
@@ -599,11 +609,7 @@ def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     machines: list[list[Placement]] = []
     for i, cl in enumerate(inst.classes):
         for j, t in enumerate(cl.jobs):
-            s = Fraction(cl.setup)
             machines.append(
-                [
-                    Placement(SETUP, i, Fraction(0), s),
-                    Placement(PIECE, i, s, Fraction(t), job=j, piece=0),
-                ]
+                [Placement(SETUP, i, 0, cl.setup), Placement(PIECE, i, cl.setup, t, job=j, piece=0)]
             )
     return Schedule(m=inst.m, machines=machines)

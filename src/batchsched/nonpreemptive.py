@@ -30,6 +30,7 @@ from .core import (
     decided_outcome,
     job_bound_decision,
     lower_bound_tmin,
+    scaled,
     trivial_one_job_per_machine,
 )
 from .search import CachedProbe, SearchResult, trivial_search
@@ -52,17 +53,23 @@ class _Item:
 
 
 class _Stacks:
-    def __init__(self, m: int):
+    """Machine stacks with durations and loads as ints on the time scale."""
+
+    def __init__(self, m: int, scale: int = 1):
         self.m = m
+        self.scale = scale
         self.stacks: list[list[_Item]] = []
-        self.loads: list[Rat] = []
+        self.loads: list[int] = []
         self._seq = 0
+
+    def setup(self, inst: Instance, cls: int) -> _Item:
+        return _Item(SETUP, cls, inst.classes[cls].setup * self.scale)
 
     def new_machine(self) -> int:
         if len(self.stacks) >= self.m:
             raise ContractError("construction ran out of machines")
         self.stacks.append([])
-        self.loads.append(Fraction(0))
+        self.loads.append(0)
         return len(self.stacks) - 1
 
     def _push(self, u: int, it: _Item) -> _Item:
@@ -95,7 +102,7 @@ class _Stacks:
         machines: list[list[Placement]] = []
         piece_counter: dict[JobRef, int] = {}
         for stack in self.stacks:
-            t = Fraction(0)
+            t = 0
             row = []
             for it in stack:
                 if it.kind == SETUP:
@@ -106,23 +113,22 @@ class _Stacks:
                     row.append(Placement(PIECE, it.cls, t, it.dur, job=it.ref[1], piece=k))
                 t += it.dur
             machines.append(row)
-        return Schedule(m=self.m, machines=machines)
+        return Schedule(m=self.m, machines=machines, scale=self.scale)
 
 
-def _stack_wrap(st: _Stacks, cls: int, setup: int, items, cap: Rat) -> list[int]:
+def _stack_wrap(st: _Stacks, cls: int, setup: int, items, cap: int) -> list[int]:
     """Fill machines [setup, pieces...] up to exactly cap, cutting jobs at the
     border; returns the used machine ids in order."""
     used = [st.new_machine()]
-    st.push_setup(used[-1], cls, Fraction(setup))
+    st.push_setup(used[-1], cls, setup)
     for ref, dur in items:
-        dur = Fraction(dur)
         while st.loads[used[-1]] + dur > cap:
             head = cap - st.loads[used[-1]]
             if head > 0:
                 st.push_piece(used[-1], cls, ref, head)
                 dur -= head
             used.append(st.new_machine())
-            st.push_setup(used[-1], cls, Fraction(setup))
+            st.push_setup(used[-1], cls, setup)
         if dur > 0:
             st.push_piece(used[-1], cls, ref, dur)
     return used
@@ -136,6 +142,7 @@ def _stack_wrap(st: _Stacks, cls: int, setup: int, items, cap: Rat) -> list[int]
 def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat]:
     """Linear-time schedule with makespan at most twice the instance lower
     bound, feasible without preemption (hence for the preemptive variant too).
+    Every time is an int (scale 1).
     """
     if variant is Variant.SPLITTABLE:
         raise ContractError("next-fit two-approximation covers pmtn and nonp only")
@@ -147,8 +154,8 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     cur = st.new_machine()
     trigger: dict[int, _Item] = {}  # machine -> the item that pushed it past tmin
     for i, cl in enumerate(inst.classes):
-        items = [(SETUP, None, Fraction(cl.setup))]
-        items += [(PIECE, (i, j), Fraction(t)) for j, t in enumerate(cl.jobs)]
+        items = [(SETUP, None, cl.setup)]
+        items += [(PIECE, (i, j), t) for j, t in enumerate(cl.jobs)]
         for kind, ref, dur in items:
             if kind == SETUP:
                 it = st.push_setup(cur, i, dur)
@@ -167,7 +174,7 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
             raise ContractError("next-fit trigger is not on top of its machine")
         st.pop(u)
         if it.kind == PIECE:
-            st.insert(u + 1, 0, _Item(SETUP, it.cls, Fraction(inst.classes[it.cls].setup)))
+            st.insert(u + 1, 0, st.setup(inst, it.cls))
             st.insert(u + 1, 1, it)
         else:
             st.insert(u + 1, 0, it)
@@ -276,50 +283,52 @@ def dual_nonp(inst: Instance, guess: Rat) -> DualOutcome:
 
 
 def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
-    half = guess / 2
-    st = _Stacks(inst.m)
+    """The construction on the scale q of the guess p/q, where the guess is p."""
+    scale, T = guess.denominator, guess.numerator
+    st = _Stacks(inst.m, scale)
     solo = set(counts.solo)
     fill_targets: dict[int, list[int]] = {}
 
     # Step 1: jobs that cannot share a machine.  Expensive classes wrap over
     # their machine minimum; each big cheap job opens its own machine; the
     # remaining forced cheap jobs wrap class by class.
-    forced_by_cls: dict[int, list[tuple[JobRef, Rat]]] = {}
+    forced_by_cls: dict[int, list[tuple[JobRef, int]]] = {}
     for ref in counts.forced:
-        forced_by_cls.setdefault(ref[0], []).append((ref, Fraction(inst.duration(ref))))
+        forced_by_cls.setdefault(ref[0], []).append((ref, inst.duration(ref) * scale))
     for i, cl in enumerate(inst.classes):
         targets: list[int] = []
-        if cl.setup > half:
-            items = [((i, j), Fraction(t)) for j, t in enumerate(cl.jobs)]
-            used = _stack_wrap(st, i, cl.setup, items, guess)
+        setup = cl.setup * scale
+        if 2 * setup > T:
+            items = [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
+            used = _stack_wrap(st, i, setup, items, T)
             targets = [used[-1]]
         else:
             for i2, j in counts.big_jobs:
                 if i2 != i:
                     continue
                 u = st.new_machine()
-                st.push_setup(u, i, Fraction(cl.setup))
-                st.push_piece(u, i, (i, j), Fraction(cl.jobs[j]))
+                st.push_setup(u, i, setup)
+                st.push_piece(u, i, (i, j), cl.jobs[j] * scale)
                 targets.append(u)
             if i in forced_by_cls:
-                used = _stack_wrap(st, i, cl.setup, forced_by_cls[i], guess)
+                used = _stack_wrap(st, i, setup, forced_by_cls[i], T)
                 targets.append(used[-1])
         fill_targets[i] = targets
 
     # Step 2: top the opened machines of each cheap class up to the guess with
     # its remaining jobs, cutting at the border.
-    residual: dict[int, list[tuple[JobRef, Rat]]] = {}
+    residual: dict[int, list[tuple[str, JobRef, int]]] = {}  # class -> its PIECE items
     for i, cl in enumerate(inst.classes):
-        if cl.setup > half:
+        if 2 * cl.setup * scale > T:
             continue
-        rest = [((i, j), Fraction(t)) for j, t in enumerate(cl.jobs) if (i, j) not in solo]
-        out: list[tuple[JobRef, Rat]] = []
+        rest = [((i, j), t * scale) for j, t in enumerate(cl.jobs) if (i, j) not in solo]
+        out: list[tuple[str, JobRef, int]] = []
         targets = fill_targets[i]
         ti = 0
         for ref, dur in rest:
             while dur > 0 and ti < len(targets):
                 u = targets[ti]
-                room = guess - st.loads[u]
+                room = T - st.loads[u]
                 if room <= 0:
                     ti += 1
                     continue
@@ -327,11 +336,11 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 st.push_piece(u, i, ref, take)
                 dur -= take
             if dur > 0:
-                out.append((ref, dur))
+                out.append((PIECE, ref, dur))
         if out:
             residual[i] = out
-        want = max(counts.leftover[i], Fraction(0))
-        got = sum((d for _, d in out), Fraction(0))
+        want = max(scaled(counts.leftover[i], scale), 0)
+        got = sum(d for _, _, d in out)
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")
 
@@ -340,48 +349,45 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     # whole even when they stick out.
     order: list[int] = []
     if residual:
-        seq: list[tuple[str, int, Optional[JobRef], Rat]] = []
-        for i in sorted(residual):
-            seq.append((SETUP, i, None, Fraction(inst.classes[i].setup)))
-            for ref, dur in residual[i]:
-                seq.append((PIECE, i, ref, dur))
-        avail = [u for u in range(len(st.stacks)) if st.loads[u] < guess]
+        avail = [u for u in range(len(st.stacks)) if st.loads[u] < T]
         pos = 0
 
         def advance() -> int:
             nonlocal pos
             while pos < len(avail):
                 u2 = avail[pos]
-                if st.loads[u2] < guess:
+                if st.loads[u2] < T:
                     return u2
                 pos += 1
             return st.new_machine()
 
         u = advance()
-        for kind, i, ref, dur in seq:
-            if st.loads[u] >= guess:
-                u = advance()
-            if kind == SETUP:
-                it = st.push_setup(u, i, dur, step3=True)
-            else:
-                it = st.push_piece(u, i, ref, dur, step3=True)
-            if not order or order[-1] != u:
-                order.append(u)
-            if st.loads[u] > guess:
-                it.crossed = True  # stays whole; the greedy just moves on
+        for i in sorted(residual):
+            for kind, ref, dur in [(SETUP, None, inst.classes[i].setup * scale), *residual[i]]:
+                if st.loads[u] >= T:
+                    u = advance()
+                if kind == SETUP:
+                    it = st.push_setup(u, i, dur, step3=True)
+                else:
+                    it = st.push_piece(u, i, ref, dur, step3=True)
+                if not order or order[-1] != u:
+                    order.append(u)
+                if st.loads[u] > T:
+                    it.crossed = True  # stays whole; the greedy just moves on
 
-    _repair(inst, st, order, guess)
+    _repair(inst, st, order, T)
     return st.to_schedule()
 
 
-def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
-    """Step 4: make the schedule non-preemptive, then fix loads and setups."""
-    # Pieces per job; a job in more than one piece was split in step 1 or 2
-    # (or its tail travelled through step 3).
+def _repair(inst: Instance, st: _Stacks, order: list[int], guess: int):
+    """Step 4 (guess on the stacks' scale): make the schedule non-preemptive,
+    then fix loads and setups."""
+    # Pieces per job in more than one piece, that is per piece shorter than
+    # its job: split in step 1 or 2 (or its tail travelled through step 3).
     pieces: dict[JobRef, list[tuple[int, _Item]]] = {}
     for u, stack in enumerate(st.stacks):
         for it in stack:
-            if it.kind == PIECE:
+            if it.kind == PIECE and it.dur != inst.duration(it.ref) * st.scale:
                 pieces.setdefault(it.ref, []).append((u, it))
     for u in range(len(st.stacks)):
         stack = st.stacks[u]
@@ -395,8 +401,9 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
             continue
         if last.seq != min(it.seq for _, it in family):
             continue  # only the first piece is swapped for its whole parent
-        grow = Fraction(inst.duration(last.ref)) - last.dur
-        last.dur = Fraction(inst.duration(last.ref))
+        whole = inst.duration(last.ref) * st.scale
+        grow = whole - last.dur
+        last.dur = whole
         st.loads[u] += grow
         for v, other in family:
             if other is not last:
@@ -413,7 +420,7 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
         ins = next((k for k, it in enumerate(stack) if it.step3), len(stack))
         if carry is not None:
             if carry.kind == PIECE:
-                st.insert(u, ins, _Item(SETUP, carry.cls, Fraction(inst.classes[carry.cls].setup)))
+                st.insert(u, ins, st.setup(inst, carry.cls))
                 st.insert(u, ins + 1, carry)
             else:
                 st.insert(u, ins, carry)
@@ -421,9 +428,7 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
         elif ins < len(stack) and stack[ins].kind == PIECE:
             covered = ins > 0 and stack[ins - 1].cls == stack[ins].cls
             if not covered:
-                st.insert(
-                    u, ins, _Item(SETUP, stack[ins].cls, Fraction(inst.classes[stack[ins].cls].setup))
-                )
+                st.insert(u, ins, st.setup(inst, stack[ins].cls))
         if stack and stack[-1].crossed:
             it = st.pop(u)
             it.crossed = False
@@ -443,7 +448,7 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], guess: Rat):
                 if target is None:
                     raise ContractError("repair found no machine for the final item")
                 if it.kind == PIECE:
-                    st.push_setup(target, it.cls, Fraction(inst.classes[it.cls].setup))
+                    st._push(target, st.setup(inst, it.cls))
                 st._push(target, it)
     if carry is not None:
         raise ContractError("repair left an item unplaced")

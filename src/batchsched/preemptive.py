@@ -14,7 +14,6 @@ guess the dual accepts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .core import (
     decided_outcome,
     job_bound_decision,
     lower_bound_tmin,
+    scaled,
 )
 from .search import (
     CachedProbe,
@@ -126,8 +126,9 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
 # Nice instances (no class with 3/4 T < setup + work < T)
 # ---------------------------------------------------------------------------
 
-# A class spec is (class id, setup, [(job ref, duration), ...], total work);
-# durations may be fractional job pieces.
+# A class spec is (class id, setup, [(job ref, duration), ...], total work),
+# all on one time scale with the guess they are held against: the decision's
+# (scale 1) or the build's.  Durations may be job pieces.
 ClsSpec = tuple[int, int, list[tuple[JobRef, Rat]], Rat]
 
 
@@ -135,7 +136,7 @@ def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     """Machines the half-gap packing occupies for an expensive heavy class:
     max(1, ceil(2(s+P)/T) - 2).  It only steps on the grid 2(s+P)/k,
     continuously from the right, so the dual's accept boundary is attained."""
-    return max(1, math.ceil(2 * (setup + work) / guess) - 2)
+    return max(1, -(-2 * (setup + work) // guess) - 2)
 
 
 @dataclass
@@ -150,19 +151,18 @@ def _nice_parts(specs: list[ClsSpec], guess: Rat) -> _NiceParts:
     """Split a nice instance at the guess, right-continuously: a class with
     setup + work equal to the guess belongs to the almost-full layer, as it
     does just above the guess."""
-    half = guess / 2
     plus, minus, cheap = [], [], []
     gamma: dict[int, int] = {}
     for spec in specs:
         cls, setup, items, work = spec
-        if setup > half:
+        if 2 * setup > guess:
             reach = setup + work
             if reach > guess:
                 if guess <= setup:
                     raise ContractError("nice construction needs T > every setup")
                 gamma[cls] = _gamma_count(setup, work, guess)
                 plus.append(spec)
-            elif reach <= Fraction(3, 4) * guess:
+            elif 4 * reach <= 3 * guess:
                 minus.append(spec)
             else:
                 raise ContractError("instance is not nice for this guess")
@@ -183,8 +183,9 @@ def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat) -> Decision:
     return decide_need(m, guess, load, machines)
 
 
-def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, guess: Rat) -> None:
-    """Place a nice instance on machines first..first+count-1.
+def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, guess: int) -> None:
+    """Place a nice instance on machines first..first+count-1.  The guess
+    and the parts are ints on the builder's scale, where the guess is even.
 
     Each expensive heavy class gets gaps of height T/2 above its setups, with
     the overflow piled onto its last machine (the shape whose reshape points
@@ -192,17 +193,17 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
     """
     base = first
     limit = first + count
-    threehalf = Fraction(3, 2) * guess
+    half = guess // 2
+    threehalf = 3 * half
 
-    for cls, setup, items, _ in parts.plus:
-        s = Fraction(setup)
+    for cls, s, items, _ in parts.plus:
         batch = Batch(cls=cls, setup=s, jobs=tuple(items))
         g = parts.gamma[cls]
         if g == 1:
-            gaps = [Gap(base, Fraction(0), threehalf)]
+            gaps = [Gap(base, 0, threehalf)]
         else:
-            gaps = [Gap(base, Fraction(0), s + guess / 2)]
-            gaps += [Gap(base + r, s, s + guess / 2) for r in range(1, g - 1)]
+            gaps = [Gap(base, 0, s + half)]
+            gaps += [Gap(base + r, s, s + half) for r in range(1, g - 1)]
             gaps.append(Gap(base + g - 1, s, threehalf))
         if base + g > limit:
             raise ContractError("nice construction ran out of machines")
@@ -216,9 +217,9 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
         base += 1
         if u >= limit:
             raise ContractError("nice construction ran out of machines")
-        t = Fraction(0)
+        t = 0
         for cls, setup, items, _ in (mm[k], mm[k + 1]):
-            builder.put_setup(u, cls, t, Fraction(setup))
+            builder.put_setup(u, cls, t, setup)
             t += setup
             for ref, dur in items:
                 builder.put_piece(u, cls, ref, t, dur)
@@ -229,8 +230,8 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
         base += 1
         if odd_machine >= limit:
             raise ContractError("nice construction ran out of machines")
-        t = Fraction(0)
-        builder.put_setup(odd_machine, cls, t, Fraction(setup))
+        t = 0
+        builder.put_setup(odd_machine, cls, t, setup)
         t += setup
         for ref, dur in items:
             builder.put_piece(odd_machine, cls, ref, t, dur)
@@ -241,20 +242,17 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
     gaps = []
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
-    gaps += [Gap(u, guess / 2, threehalf) for u in range(base, limit)]
-    seq = [
-        Batch(cls=cls, setup=Fraction(setup), jobs=tuple(items))
-        for cls, setup, items, _ in parts.cheap
-    ]
+    gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
+    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items)) for cls, setup, items, _ in parts.cheap]
     run_wrap(builder, seq, gaps)
 
 
-def _full_specs(inst: Instance, indices) -> list[ClsSpec]:
+def _full_specs(inst: Instance, indices, scale: int = 1) -> list[ClsSpec]:
     out = []
     for i in indices:
         cl = inst.classes[i]
-        items = [((i, j), Fraction(t)) for j, t in enumerate(cl.jobs)]
-        out.append((i, cl.setup, items, Fraction(cl.total)))
+        items = [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
+        out.append((i, cl.setup * scale, items, cl.total * scale))
     return out
 
 
@@ -269,7 +267,6 @@ class _PmtnPlan:
 
     part: ClassPartition
     nice: bool = False
-    nice_parts: Optional[_NiceParts] = None
     large: list[int] = field(default_factory=list)  # classes on dedicated machines
     free_time: Rat = Fraction(0)  # F: room for small-setup classes off the large machines
     knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
@@ -289,8 +286,8 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
     plan = _PmtnPlan(part=part)
     if not part.exp_zero:
         plan.nice = True
-        plan.nice_parts = _nice_parts(_full_specs(inst, range(inst.c)), guess)
-        d = _decide_nice_parts(plan.nice_parts, inst.m, guess)
+        specs = [(i, cl.setup, (), cl.total) for i, cl in enumerate(inst.classes)]  # no job items
+        d = _decide_nice_parts(_nice_parts(specs, guess), inst.m, guess)
         plan.load, plan.machines = d.load, d.machines
         return plan
 
@@ -368,14 +365,21 @@ def dual_pmtn(inst: Instance, guess: Rat) -> DualOutcome:
 
 
 def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
-    builder = Builder(inst.m)
+    """The construction on the scale 4q of the guess p/q, where a quarter
+    guess is p; times the knapsack split share's denominator, so the split
+    class's pieces are ints too."""
+    sol = plan.knapsack
+    scale = 4 * guess.denominator
+    if sol is not None and sol.split_item is not None:
+        scale *= sol.x[sol.split_item].denominator
+    T = scaled(guess, scale)
+    half, quarter = T // 2, T // 4
+    builder = Builder(inst.m, scale)
     if plan.nice:
-        _build_nice(builder, plan.nice_parts, 0, inst.m, guess)
+        _build_nice(builder, _nice_parts(_full_specs(inst, range(inst.c), scale), T), 0, inst.m, T)
         return builder.finalize()
 
     part = plan.part
-    half = guess / 2
-    quarter = guess / 4
     l = len(plan.large)
 
     # Dedicated machines: one almost-full expensive class each, starting at
@@ -383,74 +387,74 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     for u, i in enumerate(plan.large):
         cl = inst.classes[i]
         t = half
-        builder.put_setup(u, i, t, Fraction(cl.setup))
-        t += cl.setup
+        builder.put_setup(u, i, t, cl.setup * scale)
+        t += cl.setup * scale
         for j, dur in enumerate(cl.jobs):
-            builder.put_piece(u, i, (i, j), t, Fraction(dur))
-            t += dur
+            builder.put_piece(u, i, (i, j), t, dur * scale)
+            t += dur * scale
 
     # Split every oversized job of a small-setup class: the head fits below
     # half the guess next to its setup, the tail must leave the large machines.
-    head_dur: dict[JobRef, Rat] = {}
-    tail_dur: dict[JobRef, Rat] = {}
+    head_dur: dict[JobRef, int] = {}
+    tail_dur: dict[JobRef, int] = {}
     for i in part.chp_star:
         cl = inst.classes[i]
         for j in part.big_jobs[i]:
-            head_dur[(i, j)] = half - cl.setup
-            tail_dur[(i, j)] = cl.setup + cl.jobs[j] - half
+            head_dur[(i, j)] = half - cl.setup * scale
+            tail_dur[(i, j)] = (cl.setup + cl.jobs[j]) * scale - half
 
     sub_specs: list[ClsSpec] = _full_specs(
-        inst, list(part.exp_plus) + list(part.exp_minus) + list(part.chp_plus)
+        inst, list(part.exp_plus) + list(part.exp_minus) + list(part.chp_plus), scale
     )
-    leftovers: list[tuple[int, JobRef, Rat]] = []  # (class, job, duration)
+    leftovers: list[tuple[int, JobRef, int]] = []  # (class, job, duration)
     split_cls = None
     star = set(part.chp_star)
 
-    sol = plan.knapsack
     if sol is not None:
         split_cls = sol.split_item
         for i in part.chp_star:
             cl = inst.classes[i]
             share = sol.x.get(i, Fraction(0))
             big = set(part.big_jobs[i])
+            obligatory = scaled(plan.obligatory[i], scale)
             if i == split_cls:
-                inside: list[tuple[JobRef, Rat]] = []
+                inside: list[tuple[JobRef, int]] = []
                 for j, t in enumerate(cl.jobs):
+                    t *= scale
                     if j in big:
-                        d2 = share * head_dur[(i, j)] + tail_dur[(i, j)]
+                        d2 = scaled(share * head_dur[(i, j)], 1) + tail_dur[(i, j)]
                     else:
-                        d2 = share * t
+                        d2 = scaled(share * t, 1)
                     if d2 > 0:
                         inside.append(((i, j), d2))
-                    rest = Fraction(t) - d2
-                    if rest > 0:
-                        leftovers.append((i, (i, j), rest))
-                total2 = sum((d for _, d in inside), Fraction(0))
-                want = plan.obligatory[i] + share * (Fraction(cl.total) - plan.obligatory[i])
+                    if t > d2:
+                        leftovers.append((i, (i, j), t - d2))
+                total2 = sum(d for _, d in inside)
+                want = obligatory + share * (cl.total * scale - obligatory)
                 if total2 != want:
                     raise ContractError("split-class bookkeeping broken")
-                sub_specs.append((i, cl.setup, inside, total2))
+                sub_specs.append((i, cl.setup * scale, inside, total2))
             elif share == 1:
-                sub_specs += _full_specs(inst, [i])
+                sub_specs += _full_specs(inst, [i], scale)
             else:  # share == 0: only the obligatory tails leave the bottom
                 inside = [((i, j), tail_dur[(i, j)]) for j in part.big_jobs[i]]
-                sub_specs.append((i, cl.setup, inside, plan.obligatory[i]))
+                sub_specs.append((i, cl.setup * scale, inside, obligatory))
                 for j, t in enumerate(cl.jobs):
                     if j in big:
                         leftovers.append((i, (i, j), head_dur[(i, j)]))
                     else:
-                        leftovers.append((i, (i, j), Fraction(t)))
+                        leftovers.append((i, (i, j), t * scale))
         for i in part.chp_minus:
             if i not in star:
                 cl = inst.classes[i]
                 for j, t in enumerate(cl.jobs):
-                    leftovers.append((i, (i, j), Fraction(t)))
+                    leftovers.append((i, (i, j), t * scale))
     else:
         # Case without a knapsack: everything with an oversized job fits
         # outside the large machines whole; greedily cut the remaining
         # small-setup classes so the nice remainder exactly uses the free time.
-        sub_specs += _full_specs(inst, part.chp_star)
-        budget = plan.free_time - sum(
+        sub_specs += _full_specs(inst, part.chp_star, scale)
+        budget = scaled(plan.free_time, scale) - scale * sum(
             inst.classes[i].setup + inst.classes[i].total for i in part.chp_star
         )
         if budget < 0:
@@ -459,43 +463,45 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             if i in star:
                 continue
             cl = inst.classes[i]
-            reach = cl.setup + cl.total
+            setup = cl.setup * scale
+            reach = setup + cl.total * scale
             if reach <= budget:
-                sub_specs += _full_specs(inst, [i])
+                sub_specs += _full_specs(inst, [i], scale)
                 budget -= reach
-            elif budget > cl.setup:
-                inside: list[tuple[JobRef, Rat]] = []
-                room = budget - cl.setup
+            elif budget > setup:
+                inside: list[tuple[JobRef, int]] = []
+                room = budget - setup
                 split_cls = i
                 for j, t in enumerate(cl.jobs):
+                    t *= scale
                     if room <= 0:
-                        leftovers.append((i, (i, j), Fraction(t)))
+                        leftovers.append((i, (i, j), t))
                         continue
-                    take = min(room, Fraction(t))
+                    take = min(room, t)
                     inside.append(((i, j), take))
                     room -= take
                     if take < t:
-                        leftovers.append((i, (i, j), Fraction(t) - take))
-                sub_specs.append((i, cl.setup, inside, budget - cl.setup))
-                budget = Fraction(0)
+                        leftovers.append((i, (i, j), t - take))
+                sub_specs.append((i, setup, inside, budget - setup))
+                budget = 0
             else:
                 for j, t in enumerate(cl.jobs):
-                    leftovers.append((i, (i, j), Fraction(t)))
-                budget = Fraction(0)  # nothing more fits wholly
+                    leftovers.append((i, (i, j), t * scale))
+                budget = 0  # nothing more fits wholly
 
     # The nice remainder occupies the machines after the large ones.
     sub_specs.sort(key=lambda sp: sp[0])
     sub_specs = [sp for sp in sub_specs if sp[2]]
-    parts = _nice_parts(sub_specs, guess)
-    d = _decide_nice_parts(parts, inst.m - l, guess)
+    parts = _nice_parts(sub_specs, T)
+    d = _decide_nice_parts(parts, inst.m - l, T)
     if not d.accepted:
         raise ContractError(f"nice remainder rejected ({d.reason}); budget accounting broken")
-    _build_nice(builder, parts, l, inst.m - l, guess)
+    _build_nice(builder, parts, l, inst.m - l, T)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
     # small: setup + piece fits in half the guess.
     for i, ref, dur in leftovers:
-        if inst.classes[i].setup + dur > half:
+        if inst.classes[i].setup * scale + dur > half:
             raise ContractError("leftover too large for a bottom")
     kplus = [(i, ref, dur) for i, ref, dur in leftovers if dur > quarter]
     kminus = [(i, ref, dur) for i, ref, dur in leftovers if dur <= quarter]
@@ -507,22 +513,22 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     if len(kplus) > l:
         raise ContractError("more big leftovers than large machines")
     for u, (i, ref, dur) in enumerate(kplus):
-        s = Fraction(inst.classes[i].setup)
-        builder.put_setup(u, i, Fraction(0), s)
+        s = inst.classes[i].setup * scale
+        builder.put_setup(u, i, 0, s)
         builder.put_piece(u, i, ref, s, dur)
     lprime = len(kplus)
 
     if kminus:
         if lprime >= l:
             raise ContractError("no large machine left for small leftovers")
-        by_cls: dict[int, list[tuple[JobRef, Rat]]] = {}
+        by_cls: dict[int, list[tuple[JobRef, int]]] = {}
         for i, ref, dur in kminus:
             by_cls.setdefault(i, []).append((ref, dur))
         seq = [
-            Batch(cls=i, setup=Fraction(inst.classes[i].setup), jobs=tuple(by_cls[i]))
+            Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)
         ]
-        gaps = [Gap(lprime, Fraction(0), half)]
+        gaps = [Gap(lprime, 0, half)]
         gaps += [Gap(u, quarter, half) for u in range(lprime + 1, l)]
         run_wrap(builder, seq, gaps)
 

@@ -26,12 +26,12 @@ from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk, close
 from .wrap import Batch, Builder, Gap, run_wrap
 
 
-def _class_batch(inst: Instance, i: int) -> Batch:
+def _class_batch(inst: Instance, i: int, scale: int) -> Batch:
     cl = inst.classes[i]
     return Batch(
         cls=i,
-        setup=Fraction(cl.setup),
-        jobs=tuple(((i, j), Fraction(t)) for j, t in enumerate(cl.jobs)),
+        setup=cl.setup * scale,
+        jobs=tuple(((i, j), t * scale) for j, t in enumerate(cl.jobs)),
     )
 
 
@@ -39,15 +39,16 @@ def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
     """All classes wrapped into one gap of height N/m per machine, sitting
     above a reserve of s_max for the setups cut loose at gap borders.  The
     first machine needs no reserve, so its gap starts at 0 and a single
-    machine yields makespan exactly N."""
-    smax = Fraction(inst.s_max)
+    machine yields makespan exactly N.  Built on the scale of N/m."""
     per = Fraction(inst.total_load, inst.m)
-    builder = Builder(inst.m)
-    seq = [_class_batch(inst, i) for i in range(inst.c)]
+    scale = per.denominator
+    smax, per = inst.s_max * scale, per.numerator
+    builder = Builder(inst.m, scale)
+    seq = (_class_batch(inst, i, scale) for i in range(inst.c))
     run_wrap(
         builder,
         seq,
-        [Gap(0, Fraction(0), smax + per)],
+        [Gap(0, 0, smax + per)],
         tail_gap=(smax, smax + per),
         tail_count=inst.m - 1,
         tail_base=1,
@@ -82,25 +83,27 @@ def _decide_split(inst: Instance, guess: Rat) -> Decision:
 
 def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
     """Either a schedule with makespan <= (3/2)*guess or a certificate that
-    guess < OPT for the splittable variant."""
+    guess < OPT for the splittable variant.  Built on the scale 2q of the
+    guess p/q, where half the guess is p."""
     d = _decide_split(inst, guess)
     if not d.accepted:
         return Rejected(guess, d.reason)
-    half = guess / 2
-    builder = Builder(inst.m)
+    scale = 2 * guess.denominator
+    half = guess.numerator
+    builder = Builder(inst.m, scale)
     base = 0
     leftover_gaps: list[Gap] = []
     cheap: list[int] = []
     for i, cl in enumerate(inst.classes):
-        if cl.setup <= half:
+        s = cl.setup * scale
+        if s <= half:
             cheap.append(i)
             continue
-        s = Fraction(cl.setup)
-        beta = math.ceil(Fraction(2 * cl.total) / guess)
+        beta = -(-cl.total * scale // half)  # ceil(2P/guess)
         res = run_wrap(
             builder,
-            [_class_batch(inst, i)],
-            [Gap(base, Fraction(0), s + half)],
+            [_class_batch(inst, i, scale)],
+            [Gap(base, 0, s + half)],
             tail_gap=(s, s + half),
             tail_count=beta - 1,
             tail_base=base + 1,
@@ -108,18 +111,16 @@ def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
         )
         # Last machine of the class: reserve half a guess for one cheap setup,
         # then its remaining headroom up to (3/2)*guess is usable.
-        if res.last_fill < guess:
-            leftover_gaps.append(
-                Gap(res.last_machine, res.last_fill + half, Fraction(3, 2) * guess)
-            )
+        if res.last_fill < 2 * half:
+            leftover_gaps.append(Gap(res.last_machine, res.last_fill + half, 3 * half))
         base += beta
     if cheap:
-        seq = [_class_batch(inst, i) for i in cheap]
+        seq = (_class_batch(inst, i, scale) for i in cheap)  # one batch alive at a time
         run_wrap(
             builder,
             seq,
             leftover_gaps,
-            tail_gap=(half, Fraction(3, 2) * guess),
+            tail_gap=(half, 3 * half),
             tail_count=inst.m - base,
             tail_base=base,
             setups_below=True,  # half a guess is reserved under every gap

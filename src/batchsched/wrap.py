@@ -12,14 +12,16 @@ Templates whose tail consists of many identical parallel gaps can be wrapped
 in compressed form: runs of gaps that carry the same content (the middle gaps
 of one long job) are emitted once with a multiplicity, so the output size is
 bounded by the sequence length, independent of the gap count.
+
+Times are ints on the Builder's scale or, in the public helpers below, Rats
+at scale 1; the code needs only +, -, // and comparisons.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, Placement, Rat, Schedule
 
@@ -75,11 +77,13 @@ class Builder:
 
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
-    machine slots.  Piece ids are assigned per job in creation order.
+    machine slots.  Piece ids are assigned per job in creation order.  Times
+    are on the integer time scale `scale` (1/scale time units per step).
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, scale: int = 1):
         self.m = m
+        self.scale = scale
         self._machines: dict[int, list[Placement]] = {}
         self._configs: list[tuple[int, tuple[Placement, ...], int]] = []
         self._piece_counter: dict[JobRef, int] = {}
@@ -113,7 +117,7 @@ class Builder:
     def finalize(self) -> Schedule:
         explicit = [self._machines[k] for k in sorted(self._machines)]
         configs = [(pl, mult) for _, pl, mult in sorted(self._configs, key=lambda e: e[0])]
-        return Schedule(m=self.m, machines=explicit, compressed=configs)
+        return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale)
 
 
 @dataclass
@@ -266,7 +270,7 @@ def _place_item(run: _Run, cls: int, setup: Rat, ref: JobRef, dur: Rat):
         if run.tail_count and run._in_tail(run.pos + 1):
             height = run.tail_gap[1] - run.tail_gap[0]
             if rest > height:
-                full = math.ceil(rest / height) - 1
+                full = -(-rest // height) - 1  # ceil, exact on ints past 2**53
                 avail = run.total - run.pos - 2  # keep one gap for the final piece
                 full = min(full, max(avail, 0))
                 if full >= 1:
@@ -309,7 +313,7 @@ def _place_batch(run: _Run, batch: Batch):
 
 def run_wrap(
     builder: Builder,
-    seq: WrapSequence,
+    seq: Iterable[Batch],
     explicit: WrapTemplate,
     tail_gap: Optional[tuple[Rat, Rat]] = None,
     tail_count: int = 0,

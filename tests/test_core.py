@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -264,7 +265,7 @@ def test_verifier_catches_mutations():
                     machines.append(list(machines[u]))
                 else:
                     return None
-            return Schedule(m=base.m, machines=machines)
+            return dataclasses.replace(base, machines=machines)
 
         for which in caught:
             sched = mutate(which)
@@ -278,8 +279,9 @@ def test_verifier_catches_mutations():
         rs = class_jump_split(inst)
         if rs.schedule.compressed:
             cfgs = [(c, mult + 1) for c, mult in rs.schedule.compressed]
-            bad = Schedule(m=rs.schedule.m, machines=rs.schedule.machines, compressed=cfgs)
-            assert not verify_schedule(inst, bad, Variant.SPLITTABLE, F(3, 2) * rs.guess).ok
+            bad = dataclasses.replace(rs.schedule, compressed=cfgs)
+            rep = verify_schedule(inst, bad, Variant.SPLITTABLE, F(3, 2) * rs.guess)
+            assert any(v.rule == "c" for v in rep.violations), (rep, inst)
     assert all(v > 0 for v in caught.values()), caught
 
 

@@ -211,3 +211,27 @@ def test_wrap_soundness_rules_on_random_templates():
         inst = Instance(m=u, classes=tuple(JobClass(s, j) for s, j in zip(setups, jobs_by_cls)))
         rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10**9))
         assert rep.ok, [str(v) for v in rep.violations][:4]
+
+
+def test_run_wrap_int_gaps_past_float_precision():
+    # int times far beyond 2**53: the remainder 5H + 1 spans ceil((5H+1)/H) - 1
+    # = 5 whole tail gaps; a float division would read the ratio as 5.0 and
+    # emit one bulk gap too few
+    from batchsched.core import Placement
+    from batchsched.wrap import Builder, run_wrap
+
+    H = 2**61 + 1
+    s = 2**60 + 3
+    builder = Builder(9)
+    res = run_wrap(builder, [Batch(0, s, (((0, 0), 6 * H + 1),))], [Gap(0, 0, s + H)],
+                   tail_gap=(s, s + H), tail_count=8, tail_base=1)
+    sched = builder.finalize()
+    assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
+    assert sched.machines == [
+        [Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0, piece=0)]
+    ]
+    assert sched.compressed == [
+        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0, piece=1)), 5),
+        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, 1, job=0, piece=2)), 1),
+    ]
+    assert all(type(p.start) is int and type(p.dur) is int for p in sched.placements())
