@@ -29,7 +29,7 @@ from .core import (
     SETUP,
     Instance,
     JobClass,
-    Placement,
+    PlacementT,
     Rat,
     Schedule,
     ValidationError,
@@ -69,12 +69,12 @@ def _fmt_time(t, scale: int) -> str:
     return f"{t // g}/{scale // g}" if g != scale else str(t // g)
 
 
-def _placement_to_json(p: Placement, scale: int) -> dict:
-    out = {"kind": p.kind, "class": p.cls,
-           "start": _fmt_time(p.start, scale), "dur": _fmt_time(p.dur, scale)}
-    if p.kind == PIECE:
-        out["job"] = p.job
-        out["piece"] = p.piece
+def _placement_to_json(p: PlacementT, scale: int) -> dict:
+    kind, cls, start, dur, job, piece = p
+    out = {"kind": kind, "class": cls, "start": _fmt_time(start, scale), "dur": _fmt_time(dur, scale)}
+    if kind == PIECE:
+        out["job"] = job
+        out["piece"] = piece
     return out
 
 
@@ -82,7 +82,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _placement_from_json(raw: dict) -> Placement:
+def _placement_from_json(raw: dict) -> PlacementT:
     if not isinstance(raw, dict):
         raise ValidationError("placement must be an object")
     for key in ("kind", "class", "start", "dur"):
@@ -94,7 +94,7 @@ def _placement_from_json(raw: dict) -> Placement:
     cls, job, piece = raw["class"], raw.get("job"), raw.get("piece")
     if not (_is_int(cls) and (job is None or _is_int(job)) and (piece is None or _is_int(piece))):
         raise ValidationError("placement class, job and piece must be integers")
-    return Placement(kind, cls, parse_rat(raw["start"]), parse_rat(raw["dur"]), job=job, piece=piece)
+    return (kind, cls, parse_rat(raw["start"]), parse_rat(raw["dur"]), job, piece)
 
 
 def emit_schedule(sched: Schedule) -> dict:

@@ -186,16 +186,19 @@ SETUP = "setup"
 PIECE = "piece"
 
 
-class Placement(NamedTuple):
-    kind: str  # SETUP or PIECE
-    cls: int
-    start: Rat  # an int on the schedule's scale, or a Rat at scale 1
-    dur: Rat
-    job: Optional[int] = None  # position within cls, pieces only
-    piece: Optional[int] = None  # piece counter within the job, pieces only
+# A placement is the plain tuple (kind, cls, start, dur, job, piece): kind is
+# SETUP or PIECE, start and dur are ints on the schedule's scale or Rats at
+# scale 1, and job (the position within cls) and piece (the piece counter
+# within the job) are None for setups.  A plain tuple, not a NamedTuple:
+# CPython stops tracking an exact tuple of ints, strs and Nones the first time
+# the cyclic collector sees it, so a built schedule is not rescanned by every
+# full collection while it grows.
+PlacementT = tuple[str, int, Rat, Rat, Optional[int], Optional[int]]
 
-    def shifted(self, delta: Rat) -> "Placement":
-        return Placement(self.kind, self.cls, self.start + delta, self.dur, self.job, self.piece)
+
+def Placement(kind: str, cls: int, start: Rat, dur: Rat,
+              job: Optional[int] = None, piece: Optional[int] = None) -> PlacementT:
+    return (kind, cls, start, dur, job, piece)
 
 
 # Past this bit length of the common denominator, time_scale keeps the times
@@ -213,14 +216,14 @@ def scaled(x: Rat, scale: int) -> int:
     return t
 
 
-def time_scale(placements: Iterable[Placement]) -> tuple[int, Callable[[Rat], Rat]]:
+def time_scale(placements: Iterable[PlacementT]) -> tuple[int, Callable[[Rat], Rat]]:
     """One integer time scale for the placements: D, the lcm of every start
     and duration denominator, and the map q -> q * D, an int.  Past
     TIME_SCALE_BITS the map leaves each time as it is, with D = 1, so the same
     comparisons then run on the Fractions.  A time t on the scale is the
     rational t / D."""
     scale = 1
-    for den in {q.denominator for p in placements for q in (p.start, p.dur)}:
+    for den in {q.denominator for _, _, start, dur, _, _ in placements for q in (start, dur)}:
         scale = math.lcm(scale, den)
         if scale.bit_length() > TIME_SCALE_BITS:
             return 1, lambda q: q
@@ -237,25 +240,27 @@ class Schedule:
     The machine budget is len(machines) + sum of multiplicities <= m.
     A placement time t means t / scale.  Every schedule the library builds
     keeps its times as ints on the scale its construction derived from the
-    guess; parsed and hand-built schedules may hold Fractions at scale 1.
+    guess; parsed and hand-built schedules may hold Fractions, and only at
+    scale 1: the verifier and the JSON writer take a non-int time as the
+    rational itself.
     """
 
     m: int
-    machines: list[list[Placement]] = field(default_factory=list)
-    compressed: list[tuple[tuple[Placement, ...], int]] = field(default_factory=list)
+    machines: list[list[PlacementT]] = field(default_factory=list)
+    compressed: list[tuple[tuple[PlacementT, ...], int]] = field(default_factory=list)
     scale: int = 1
 
     def machine_count(self) -> int:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
 
-    def placements(self) -> Iterable[Placement]:
+    def placements(self) -> Iterable[PlacementT]:
         """Every placement once: the machines' in order, then each
         configuration's (not repeated by its multiplicity)."""
         return chain(chain.from_iterable(self.machines),
                      chain.from_iterable(config for config, _ in self.compressed))
 
     def makespan(self) -> Rat:
-        top = max((p.start + p.dur for p in self.placements()), default=0)
+        top = max((start + dur for _, _, start, dur, _, _ in self.placements()), default=0)
         return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
@@ -266,15 +271,15 @@ class Schedule:
             for _ in range(mult):
                 machines.append(list(config))
         counter: dict[JobRef, int] = {}
-        out: list[list[Placement]] = []
+        out: list[list[PlacementT]] = []
         for mach in machines:
             row = []
-            for p in sorted(mach, key=lambda q: q.start):
-                if p.kind == PIECE:
-                    ref = (p.cls, p.job)
-                    k = counter.get(ref, 0)
-                    counter[ref] = k + 1
-                    row.append(Placement(PIECE, p.cls, p.start, p.dur, p.job, k))
+            for p in sorted(mach, key=itemgetter(2)):
+                kind, cls, start, dur, job, _ = p
+                if kind == PIECE:
+                    k = counter.get((cls, job), 0)
+                    counter[(cls, job)] = k + 1
+                    row.append((PIECE, cls, start, dur, job, k))
                 else:
                     row.append(p)
             out.append(row)
@@ -481,9 +486,9 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
     def flag(rule: str, message: str):  # at the current row's start
         out.append(Violation(rule, label, Fraction(start, scale), message))
 
-    for start, end, p in sorted(rows, key=itemgetter(0, 1)):
-        if not (0 <= p.cls < len(classes)):
-            flag("s", f"unknown class {p.cls}")
+    for start, end, (kind, cls, _, _, job, _) in sorted(rows, key=itemgetter(0, 1)):
+        if not (0 <= cls < len(classes)):
+            flag("s", f"unknown class {cls}")
             continue
         if start < 0:
             flag("a", "placement starts before time 0")
@@ -492,17 +497,17 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
         if prev_end is not None and start < prev_end:
             flag("a", "placements overlap on the machine")
         prev_end = end if prev_end is None else max(prev_end, end)
-        if p.kind == SETUP:
-            if end - start != classes[p.cls].setup * scale:
-                flag("b", f"setup of class {p.cls} has length {Fraction(end - start, scale)}, "
-                          f"expected {classes[p.cls].setup}")
-            ready = p.cls
+        if kind == SETUP:
+            if end - start != classes[cls].setup * scale:
+                flag("b", f"setup of class {cls} has length {Fraction(end - start, scale)}, "
+                          f"expected {classes[cls].setup}")
+            ready = cls
         else:
-            if p.job is None or not (0 <= p.job < len(classes[p.cls].jobs)):
-                flag("s", f"unknown job id ({p.cls}, {p.job})")
+            if job is None or not (0 <= job < len(classes[cls].jobs)):
+                flag("s", f"unknown job id ({cls}, {job})")
                 continue
-            if ready != p.cls:
-                flag("b", f"piece of class {p.cls} not preceded by a setup of its class")
+            if ready != cls:
+                flag("b", f"piece of class {cls} not preceded by a setup of its class")
 
 
 def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Rat) -> VerifyReport:
@@ -526,7 +531,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         )
 
     scale, to_int = sched.scale, int
-    if not all(type(p.start) is int and type(p.dur) is int for p in sched.placements()):
+    if not all(type(start) is int and type(dur) is int
+               for _, _, start, dur, _, _ in sched.placements()):
         scale, to_int = time_scale(sched.placements())
         scale *= sched.scale
     top = 0
@@ -539,18 +545,18 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
     for label, placements, copies in parts:
-        rows = [(start := to_int(p.start), start + to_int(p.dur), p) for p in placements]
+        rows = [(start := to_int(p[2]), start + to_int(p[3]), p) for p in placements]
         top = max(top, max((end for _, end, _ in rows), default=0))
         if copies < 1:
             out.append(Violation("s", label, Fraction(0), "multiplicity < 1"))
             continue
         _check_machine(inst, label, rows, scale, out)
-        for start, end, p in rows:
-            if p.kind != PIECE or p.job is None:
+        for start, end, (kind, cls, _, _, job, _) in rows:
+            if kind != PIECE or job is None:
                 continue
-            if not (0 <= p.cls < inst.c and 0 <= p.job < len(inst.classes[p.cls].jobs)):
+            if not (0 <= cls < inst.c and 0 <= job < len(inst.classes[cls].jobs)):
                 continue
-            ref = (p.cls, p.job)
+            ref = (cls, job)
             totals[ref] = totals.get(ref, 0) + (end - start) * copies
             counts[ref] = counts.get(ref, 0) + copies
             intervals.setdefault(ref, []).append((start, end, copies))
@@ -606,10 +612,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
 
 def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     """One setup + one job per machine; optimal when m >= n (non-splittable)."""
-    machines: list[list[Placement]] = []
+    machines: list[list[PlacementT]] = []
     for i, cl in enumerate(inst.classes):
         for j, t in enumerate(cl.jobs):
-            machines.append(
-                [Placement(SETUP, i, 0, cl.setup), Placement(PIECE, i, cl.setup, t, job=j, piece=0)]
-            )
+            machines.append([(SETUP, i, 0, cl.setup, None, None), (PIECE, i, cl.setup, t, j, 0)])
     return Schedule(m=inst.m, machines=machines)

@@ -22,7 +22,7 @@ from .core import (
     DualOutcome,
     Instance,
     JobRef,
-    Placement,
+    PlacementT,
     Rat,
     Schedule,
     Variant,
@@ -99,18 +99,18 @@ class _Stacks:
         self.loads[u] -= it.dur
 
     def to_schedule(self) -> Schedule:
-        machines: list[list[Placement]] = []
+        machines: list[list[PlacementT]] = []
         piece_counter: dict[JobRef, int] = {}
         for stack in self.stacks:
             t = 0
             row = []
             for it in stack:
                 if it.kind == SETUP:
-                    row.append(Placement(SETUP, it.cls, t, it.dur))
+                    row.append((SETUP, it.cls, t, it.dur, None, None))
                 else:
                     k = piece_counter.get(it.ref, 0)
                     piece_counter[it.ref] = k + 1
-                    row.append(Placement(PIECE, it.cls, t, it.dur, job=it.ref[1], piece=k))
+                    row.append((PIECE, it.cls, t, it.dur, it.ref[1], k))
                 t += it.dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)

@@ -247,7 +247,7 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
     run_wrap(builder, seq, gaps)
 
 
-def _full_specs(inst: Instance, indices, scale: int = 1) -> list[ClsSpec]:
+def _full_specs(inst: Instance, indices, scale: int) -> list[ClsSpec]:
     out = []
     for i in indices:
         cl = inst.classes[i]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, Placement, Rat, Schedule
+from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, PlacementT, Rat, Schedule
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class Builder:
     def __init__(self, m: int, scale: int = 1):
         self.m = m
         self.scale = scale
-        self._machines: dict[int, list[Placement]] = {}
-        self._configs: list[tuple[int, tuple[Placement, ...], int]] = []
+        self._machines: dict[int, list[PlacementT]] = {}
+        self._configs: list[tuple[int, tuple[PlacementT, ...], int]] = []
         self._piece_counter: dict[JobRef, int] = {}
 
     def _next_piece(self, ref: JobRef) -> int:
@@ -93,24 +93,22 @@ class Builder:
         self._piece_counter[ref] = k + 1
         return k
 
-    def row(self, machine: int) -> list[Placement]:
+    def row(self, machine: int) -> list[PlacementT]:
         return self._machines.setdefault(machine, [])
 
     def put_setup(self, machine: int, cls: int, start: Rat, dur: Rat):
-        self.row(machine).append(Placement(SETUP, cls, start, dur))
+        self.row(machine).append((SETUP, cls, start, dur, None, None))
 
     def put_piece(self, machine: int, cls: int, ref: JobRef, start: Rat, dur: Rat):
-        self.row(machine).append(
-            Placement(PIECE, cls, start, dur, job=ref[1], piece=self._next_piece(ref))
-        )
+        self.row(machine).append((PIECE, cls, start, dur, ref[1], self._next_piece(ref)))
 
-    def make_setup(self, cls: int, start: Rat, dur: Rat) -> Placement:
-        return Placement(SETUP, cls, start, dur)
+    def make_setup(self, cls: int, start: Rat, dur: Rat) -> PlacementT:
+        return (SETUP, cls, start, dur, None, None)
 
-    def make_piece(self, cls: int, ref: JobRef, start: Rat, dur: Rat) -> Placement:
-        return Placement(PIECE, cls, start, dur, job=ref[1], piece=self._next_piece(ref))
+    def make_piece(self, cls: int, ref: JobRef, start: Rat, dur: Rat) -> PlacementT:
+        return (PIECE, cls, start, dur, ref[1], self._next_piece(ref))
 
-    def put_config(self, base_machine: int, placements: tuple[Placement, ...], mult: int):
+    def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
         if mult > 0 and placements:
             self._configs.append((base_machine, placements, mult))
 
@@ -157,7 +155,7 @@ class _Run:
         if self.total == 0:
             raise CapacityError("empty wrap template")
         self.pos = 0
-        self.cfg: Optional[list[Placement]] = None
+        self.cfg: Optional[list[PlacementT]] = None
         self.placed = 0
         self.open: Rat = self._open(0)
         self.close: Rat = self._close(0)

@@ -307,27 +307,20 @@ def test_criterion_9_near_linear_scaling():
     warm = gen(10_000, 7)
     for fn in algos.values():
         fn(warm)
-    # Timing hygiene for solves of tens of milliseconds on a shared host:
-    # every sample times the same work, 160k jobs (16 solves at 10k, 4 at 40k,
-    # 1 at 160k); the sizes run back to back in each of two rounds, so a drift
-    # in host speed hits all of them alike; and the cyclic collector pauses
-    # inside a sample, because when it runs a full pass depends on everything
-    # else alive in the process, not on the solve (the benchmark's
-    # py.gc_pause_s measures the collector).  Time per solve is the best round.
+    # A solve at n = 10k takes tens of milliseconds, so one solve per sample reads host noise
+    # as much as growth.  Every sample instead times the same work, 160k jobs
+    # (16 solves at 10k, 4 at 40k, 1 at 160k), with the cyclic collector on,
+    # so its cost stays in the growth; per size the best of three rounds.
     insts = {n: gen(n, 1) for n in (10_000, 40_000, 160_000)}
     times = {}
-    for _ in range(2):
+    for _ in range(3):
         for n, inst in insts.items():
             reps = 160_000 // n
             for name, fn in algos.items():
-                gc.disable()
-                try:
-                    t1 = time.time()
-                    for _ in range(reps):
-                        fn(inst)
-                    dt = (time.time() - t1) / reps
-                finally:
-                    gc.enable()
+                t1 = time.time()
+                for _ in range(reps):
+                    fn(inst)
+                dt = (time.time() - t1) / reps
                 times[(name, n)] = min(times.get((name, n), dt), dt)
     for name in algos:
         g1 = times[(name, 40_000)] / times[(name, 10_000)]

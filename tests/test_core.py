@@ -229,37 +229,36 @@ def test_verifier_catches_mutations():
             busy = [i for i, m in enumerate(machines) if m]
             u = rng.choice(busy)
             if which == "drop_setup":
-                k = next((k for k, p in enumerate(machines[u]) if p.kind == SETUP), None)
-                if k is None or all(q.kind == SETUP for q in machines[u]):
+                k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == SETUP), None)
+                if k is None or all(kind == SETUP for kind, *_ in machines[u]):
                     return None
                 del machines[u][k]
             elif which == "stretch":
-                k = next((k for k, p in enumerate(machines[u]) if p.kind == PIECE), None)
+                k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == PIECE), None)
                 if k is None:
                     return None
-                p = machines[u][k]
-                machines[u][k] = Placement(PIECE, p.cls, p.start, p.dur + 1, p.job, p.piece)
+                _, cls, start, dur, job, piece = machines[u][k]
+                machines[u][k] = Placement(PIECE, cls, start, dur + base.scale, job, piece)
             elif which == "shift_overlap":
                 if len(machines[u]) < 2:
                     return None
-                p = machines[u][1]
-                machines[u][1] = p.shifted(-p.start + machines[u][0].start)
+                kind, cls, _, dur, job, piece = machines[u][1]
+                machines[u][1] = Placement(kind, cls, machines[u][0][2], dur, job, piece)
             elif which == "drop_piece":
-                k = next((k for k, p in enumerate(machines[u]) if p.kind == PIECE), None)
+                k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == PIECE), None)
                 if k is None:
                     return None
                 del machines[u][k]
             elif which == "foreign_setup":
                 if inst.c < 2:
                     return None
-                k = next((k for k, p in enumerate(machines[u]) if p.kind == PIECE), None)
+                k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == PIECE), None)
                 if k is None:
                     return None
-                p = machines[u][k]
-                other = (p.cls + 1) % inst.c
-                machines[u].insert(
-                    k, Placement(SETUP, other, p.start, F(inst.classes[other].setup))
-                )
+                _, cls, start, *_ = machines[u][k]
+                other = (cls + 1) % inst.c
+                setup = inst.classes[other].setup * base.scale
+                machines[u].insert(k, Placement(SETUP, other, start, setup))
             elif which == "dup_machine":
                 if len(machines) < base.m:
                     machines.append(list(machines[u]))
@@ -421,7 +420,7 @@ def test_verify_distinct_prime_denominators_fast():
                          Placement(PIECE, 0, 1 + F(1, q), 2 - F(1, p), job=j, piece=1)])
     sched = Schedule(m=inst.m, machines=machines)
     assert time_scale(sched.placements())[0] == 1
-    top = max(p.start + p.dur for mach in machines for p in mach)
+    top = max(start + dur for mach in machines for _, _, start, dur, _, _ in mach)
     t0 = time.perf_counter()
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(7, 2))
     assert time.perf_counter() - t0 <= 2.0

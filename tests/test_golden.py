@@ -60,8 +60,8 @@ def test_golden_schedules_on_the_integer_scale():
     split_shares = 0
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
-        assert all(type(p.start) is int and type(p.dur) is int for p in sched.placements()), (
-            inst, variant, algo)
+        assert all(type(p) is tuple and type(p[2]) is int and type(p[3]) is int
+                   for p in sched.placements()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
         mem = verify_schedule(inst, sched, variant, bound)
         wire = verify_schedule(inst, parse_schedule(json.loads(schedule_text(sched)), inst.m),

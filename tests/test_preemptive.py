@@ -97,7 +97,7 @@ NICE = Instance(m=4, classes=(JobClass(6, (8,)), JobClass(6, (1,)), JobClass(1, 
 
 def test_nice_decision_formula_values():
     # class 0 packs into max(1, ceil(2*14/10) - 2) = 1 half-gap machine
-    parts = _nice_parts(_full_specs(NICE, range(3)), F(10))
+    parts = _nice_parts(_full_specs(NICE, range(3), 1), F(10))
     d = _decide_nice_parts(parts, 4, F(10))
     assert d.load == 26 and d.machines == 2 and d.accepted
     d2 = _decide_nice_parts(parts, 2, F(10))

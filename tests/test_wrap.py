@@ -17,9 +17,9 @@ from batchsched.wrap import (
 
 def flat(sched):
     return [
-        (u, p.kind, p.cls, p.start, p.dur)
+        (u, kind, cls, start, dur)
         for u, mach in enumerate(sched.machines)
-        for p in sorted(mach, key=lambda q: q.start)
+        for kind, cls, start, dur, _, _ in sorted(mach, key=lambda q: q[2])
     ]
 
 
@@ -122,8 +122,8 @@ def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
     sched, _ = wrap_parallel_compressed(seq, (F(2), F(6)), 2)
     total = sum(
-        p.dur * mult for cfg, mult in sched.compressed for p in cfg if p.kind == PIECE
-    ) + sum(p.dur for m in sched.machines for p in m if p.kind == PIECE)
+        dur * mult for cfg, mult in sched.compressed for kind, _, _, dur, _, _ in cfg if kind == PIECE
+    ) + sum(dur for m in sched.machines for kind, _, _, dur, _, _ in m if kind == PIECE)
     assert total == 6
 
 
@@ -163,9 +163,9 @@ def test_compressed_matches_plain_on_random_cases():
                 want[ref] = d
         got = {}
         for mach in plain.machines:
-            for p in mach:
-                if p.kind == PIECE:
-                    got[(p.cls, p.job)] = got.get((p.cls, p.job), F(0)) + p.dur
+            for kind, cls, _, dur, job, _ in mach:
+                if kind == PIECE:
+                    got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
         # work bound: placements <= |Q| + 2 |template|
         q_len = sum(1 + len(b.jobs) for b in seq)
@@ -234,4 +234,5 @@ def test_run_wrap_int_gaps_past_float_precision():
         ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0, piece=1)), 5),
         ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, 1, job=0, piece=2)), 1),
     ]
-    assert all(type(p.start) is int and type(p.dur) is int for p in sched.placements())
+    assert all(type(start) is int and type(dur) is int
+               for _, _, start, dur, _, _ in sched.placements())
