@@ -1,13 +1,15 @@
 """Command line: solve instances, verify schedules, generate random
-instances, benchmark algorithm suites.
+instances.
 
 Instance files:  {"m": int, "classes": [{"setup": int, "jobs": [int, ...]}]}
-Schedule files:  {"makespan": "p/q",
-                  "machines": [[{"kind": "setup"|"piece", "class": i,
-                                 "job": j, "piece": k,
-                                 "start": "p/q", "dur": "p/q"}, ...], ...],
-                  "compressed": [{"config": [...], "mult": int}, ...]}
-Rationals travel as "p/q" strings so nothing is ever rounded.
+Schedule files:  {"scale": D, "makespan": "p/q",
+                  "machines": [[row, ...], ...],
+                  "compressed": [{"config": [row, ...], "mult": int}, ...]}
+A row is [0, class, start, dur] for a setup or [1, class, start, dur, job,
+piece] for a piece, its times ints t meaning t/D, so nothing is ever rounded;
+other rationals (makespan, guesses, bounds) travel as "p/q" strings.
+Schedule files in the older format, a dict per placement with "p/q" times,
+are rejected: solve the instance again.
 
 Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
 failure.
@@ -18,15 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import statistics
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     PIECE,
     SETUP,
+    ContractError,
     Instance,
     JobClass,
     PlacementT,
@@ -39,10 +41,9 @@ from .core import (
     parse_instance,
     verify_schedule,
 )
-from .nonpreemptive import exact_integer_search_nonp, next_fit_two_approx
-from .preemptive import class_jump_pmtn
+from .nonpreemptive import next_fit_two_approx
 from .search import SearchResult, certified_report, epsilon_search, variant_ops
-from .splittable import class_jump_split, two_approx_split
+from .splittable import two_approx_split
 
 
 def parse_rat(text: str) -> Rat:
@@ -61,80 +62,84 @@ def fmt_rat(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _fmt_time(t, scale: int) -> str:
-    """t / scale as fmt_rat writes it: t is an int on the scale, or a Rat at scale 1."""
-    if scale == 1:
-        return fmt_rat(t)
-    g = math.gcd(t, scale)
-    return f"{t // g}/{scale // g}" if g != scale else str(t // g)
+# Every shape or type error in a schedule file names the one format it takes.
+SCHEDULE_FORMAT = (
+    'schedules are {"scale": D, "machines": [[row, ...], ...], '
+    '"compressed": [{"config": [row, ...], "mult": k}, ...]} with rows '
+    "[0, class, start, dur] for a setup and [1, class, start, dur, job, piece] "
+    "for a piece, times ints in units of 1/D"
+)
 
 
-def _placement_to_json(p: PlacementT, scale: int) -> dict:
+def _row(p: PlacementT) -> list:
     kind, cls, start, dur, job, piece = p
-    out = {"kind": kind, "class": cls, "start": _fmt_time(start, scale), "dur": _fmt_time(dur, scale)}
-    if kind == PIECE:
-        out["job"] = job
-        out["piece"] = piece
-    return out
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _placement_from_json(raw: dict) -> PlacementT:
-    if not isinstance(raw, dict):
-        raise ValidationError("placement must be an object")
-    for key in ("kind", "class", "start", "dur"):
-        if key not in raw:
-            raise ValidationError(f"placement missing field {key!r}")
-    kind = raw["kind"]
-    if kind not in (SETUP, PIECE):
-        raise ValidationError(f"unknown placement kind {kind!r}")
-    cls, job, piece = raw["class"], raw.get("job"), raw.get("piece")
-    if not (_is_int(cls) and (job is None or _is_int(job)) and (piece is None or _is_int(piece))):
-        raise ValidationError("placement class, job and piece must be integers")
-    return (kind, cls, parse_rat(raw["start"]), parse_rat(raw["dur"]), job, piece)
+    return [0, cls, start, dur] if kind == SETUP else [1, cls, start, dur, job, piece]
 
 
 def emit_schedule(sched: Schedule) -> dict:
-    scale = sched.scale
+    """The schedule's own int times and scale as rows; ContractError for a
+    schedule holding a non-int time (only a hand-built one can)."""
+    scale, top = sched.scale, 0
+    for _, _, start, dur, _, _ in sched.placements():
+        if type(start) is not int or type(dur) is not int:
+            raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
+        top = max(top, start + dur)
+    g = math.gcd(top, scale)
     return {
-        "makespan": fmt_rat(sched.makespan()),
-        "machines": [[_placement_to_json(p, scale) for p in mach] for mach in sched.machines],
+        "scale": scale,
+        "makespan": f"{top // g}/{scale // g}" if g != scale else str(top // g),
+        "machines": [[_row(p) for p in mach] for mach in sched.machines],
         "compressed": [
-            {"config": [_placement_to_json(p, scale) for p in config], "mult": mult}
+            {"config": [_row(p) for p in config], "mult": mult}
             for config, mult in sched.compressed
         ],
     }
 
 
-def parse_schedule(raw: dict, m: int) -> Schedule:
-    if not isinstance(raw, dict) or not isinstance(raw.get("machines"), list):
-        raise ValidationError("schedule must be an object with a machines list")
+def _rows(raw) -> list[PlacementT]:
+    """Rows as placements, checking only their shape and types (exact ints,
+    so no bool): the verifier judges everything else."""
+    if type(raw) is not list or set(map(type, raw)) - {list} \
+            or set(map(type, chain.from_iterable(raw))) - {int}:
+        raise ValidationError(f"a machine or config must be a list of rows of ints; "
+                              f"{SCHEDULE_FORMAT}")
+    out = []
+    for r in raw:
+        if len(r) == 4 and r[0] == 0:
+            out.append((SETUP, r[1], r[2], r[3], None, None))
+        elif len(r) == 6 and r[0] == 1:
+            out.append((PIECE, r[1], r[2], r[3], r[4], r[5]))
+        else:
+            raise ValidationError(f"bad schedule row {r!r:.80}; {SCHEDULE_FORMAT}")
+    return out
+
+
+def parse_schedule(raw, m: int) -> Schedule:
+    """A schedule file's placements as ints on its scale.  ValidationError
+    for anything not of SCHEDULE_FORMAT's shape, older files included."""
+    if not (isinstance(raw, dict) and type(raw.get("scale")) is int and raw["scale"] >= 1
+            and type(raw.get("machines")) is list):
+        raise ValidationError(f"schedule needs an int scale >= 1 and a machines list; "
+                              f"{SCHEDULE_FORMAT}")
     entries = raw.get("compressed", [])
-    if not isinstance(entries, list):
-        raise ValidationError("compressed must be a list")
-    machines = []
-    for mach in raw["machines"]:
-        if not isinstance(mach, list):
-            raise ValidationError("each machine must be a list of placements")
-        machines.append([_placement_from_json(p) for p in mach])
+    if type(entries) is not list:
+        raise ValidationError(f"compressed must be a list; {SCHEDULE_FORMAT}")
     compressed = []
     for entry in entries:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("config"), list)
-            and _is_int(entry.get("mult"))
-        ):
-            raise ValidationError("compressed entries need a config list and an integer mult")
-        compressed.append((tuple(_placement_from_json(p) for p in entry["config"]), entry["mult"]))
-    return Schedule(m=m, machines=machines, compressed=compressed)
+        if not (isinstance(entry, dict) and type(entry.get("mult")) is int):
+            raise ValidationError(f"compressed entries need a config and an int mult; "
+                                  f"{SCHEDULE_FORMAT}")
+        compressed.append((tuple(_rows(entry.get("config"))), entry["mult"]))
+    machines = [_rows(mach) for mach in raw["machines"]]
+    return Schedule(m=m, machines=machines, compressed=compressed, scale=raw["scale"])
 
 
 def _read_json(path: str):
     with (sys.stdin if path == "-" else open(path)) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # bad JSON or bytes, or an int past CPython's digit limit
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _write_json(path, obj):
@@ -313,67 +318,6 @@ def cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-_BENCH_ALGOS = {
-    "split-two": lambda inst: _two_approx(inst, Variant.SPLITTABLE),
-    "pmtn-two": lambda inst: _two_approx(inst, Variant.PREEMPTIVE),
-    "nonp-two": lambda inst: _two_approx(inst, Variant.NONPREEMPTIVE),
-    "split-jump": class_jump_split,
-    "pmtn-jump": class_jump_pmtn,
-    "nonp-int": exact_integer_search_nonp,
-    "split-eps": lambda inst: epsilon_search(inst, Variant.SPLITTABLE, Fraction(1, 1000)),
-    "pmtn-eps": lambda inst: epsilon_search(inst, Variant.PREEMPTIVE, Fraction(1, 1000)),
-    "nonp-eps": lambda inst: epsilon_search(inst, Variant.NONPREEMPTIVE, Fraction(1, 1000)),
-}
-
-
-def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValidationError("--repeat must be >= 1")
-    names = sorted(os.listdir(args.suite))
-    paths = [os.path.join(args.suite, n) for n in names if n.endswith(".json")]
-    if not paths:
-        print("no instance files in suite", file=sys.stderr)
-        return 1
-    algos = args.algos.split(",")
-    for a in algos:
-        if a not in _BENCH_ALGOS:
-            print(f"unknown algo {a!r}; known: {', '.join(sorted(_BENCH_ALGOS))}", file=sys.stderr)
-            return 1
-    instances = []
-    for path in paths:
-        inst = parse_instance(_read_json(path))
-        instances.append((os.path.basename(path), inst))
-    instances.sort(key=lambda e: e[1].n)
-
-    all_rows = []
-    for name, inst in instances:
-        for algo in algos:
-            fn = _BENCH_ALGOS[algo]
-            times = []
-            result = None
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = fn(inst)
-                times.append(time.perf_counter() - t0)
-            ratio = certified_report(result).ratio_bound
-            all_rows.append((name, inst.n, algo, result.makespan, ratio, statistics.median(times)))
-
-    print(f"{'instance':24s} {'n':>8s} {'algo':12s} {'makespan':>14s} {'ratio<=':>10s} "
-          f"{'median_s':>9s} {'x_prev':>7s}")
-    last: dict[str, float] = {}
-    for name, n, algo, makespan, ratio, med in all_rows:
-        scale = f"{med / last[algo]:.2f}" if algo in last and last[algo] > 0 else "-"
-        last[algo] = med
-        print(f"{name:24s} {n:8d} {algo:12s} {float(makespan):14.2f} "
-              f"{float(ratio):10.4f} {med:9.3f} {scale:>7s}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,11 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gen)
 
-    b = sub.add_parser("bench", help="run algorithms over a directory of instances")
-    b.add_argument("--suite", required=True)
-    b.add_argument("--algos", default="split-jump,pmtn-jump,nonp-int")
-    b.add_argument("--repeat", type=int, default=1)
-    b.set_defaults(fn=cmd_bench)
     return ap
 
 
@@ -427,9 +366,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchsched.cli import (
     emit_schedule,
@@ -74,25 +76,58 @@ def test_solve_eps_probe_budget(tmp_path, capsys):
 
 
 def _malformed(mutate):
-    setup = {"kind": "setup", "class": 0, "start": "0", "dur": "1"}
-    piece = {"kind": "piece", "class": 0, "job": 0, "piece": 0, "start": "1", "dur": "2"}
     raw = {
+        "scale": 1,
         "makespan": "3",
-        "machines": [[dict(setup), dict(piece)]],
-        "compressed": [{"config": [dict(setup), dict(piece, job=1)], "mult": 1}],
+        "machines": [[[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]],
+        "compressed": [{"config": [[0, 0, 0, 1], [1, 0, 1, 2, 1, 0]], "mult": 1}],
     }
     mutate(raw)
     return raw
 
 
+def _set_row(machine, index, row):
+    def mutate(raw):
+        raw["machines"][machine][index] = row
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda raw: raw["machines"][0][0].pop("class"),
+        _set_row(0, 0, [0, 0, 1]),
+        _set_row(0, 1, [1, 0, 1, 2, 0]),
+        _set_row(0, 0, [0, 0, 0, 1, 0, 0]),
+        _set_row(0, 1, [1, 0, 1, 2]),
+        _set_row(0, 0, []),
+        _set_row(0, 1, [1, 0, "3/2", 2, 0, 0]),
+        _set_row(0, 1, [1, 0, 1.5, 2, 0, 0]),
+        _set_row(0, 1, [1, 0, 1, True, 0, 0]),
+        _set_row(0, 0, [False, 0, 0, 1]),
+        _set_row(0, 1, [1, 0, 1, 2, "0", 0]),
+        _set_row(0, 0, [2, 0, 0, 1]),
+        _set_row(0, 0, ["setup", 0, 0, 1]),
+        _set_row(0, 0, {"kind": "setup", "class": 0, "start": "0", "dur": "1"}),
+        lambda raw: raw["machines"].__setitem__(0, {"rows": []}),
         lambda raw: raw["compressed"][0].update(mult="1"),
-        lambda raw: raw["machines"][0][1].update(job="0"),
+        lambda raw: raw["compressed"][0].update(mult=True),
+        lambda raw: raw["compressed"][0].pop("config"),
+        lambda raw: raw.update(compressed={}),
+        lambda raw: raw.update(scale=0),
+        lambda raw: raw.update(scale=-1),
+        lambda raw: raw.update(scale="4"),
+        lambda raw: raw.update(scale=True),
+        lambda raw: raw.update(scale=1.0),
+        lambda raw: raw.pop("scale"),
+        lambda raw: raw.pop("machines"),
     ],
-    ids=["missing-class", "string-mult", "string-job"],
+    ids=[
+        "missing-class", "short-piece-row", "long-setup-row", "piece-row-as-setup",
+        "empty-row", "string-time", "float-time", "bool-time", "bool-kind", "string-job",
+        "kind-2", "kind-name", "dict-row", "dict-machine", "string-mult", "bool-mult",
+        "missing-config", "dict-compressed", "scale-0", "scale-negative", "string-scale",
+        "bool-scale", "float-scale", "missing-scale", "missing-machines",
+    ],
 )
 def test_verify_malformed_schedule_exit_one(tmp_path, capsys, mutate):
     inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
@@ -102,6 +137,99 @@ def test_verify_malformed_schedule_exit_one(tmp_path, capsys, mutate):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_unmutated_malformed_base_is_accepted(tmp_path, capsys):
+    # the cases above fail for their mutation alone
+    inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
+    ipath = write_instance(tmp_path, "i.json", inst)
+    spath = write_instance(tmp_path, "s.json", _malformed(lambda raw: None))
+    code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
+    assert code == 0 and capsys.readouterr().out == "ok makespan=3 bound=9\n"
+
+
+def test_verify_old_format_names_the_row_format(tmp_path, capsys):
+    setup = {"kind": "setup", "class": 0, "start": "0", "dur": "1"}
+    piece = {"kind": "piece", "class": 0, "job": 0, "piece": 0, "start": "1", "dur": "2"}
+    old = {"makespan": "3", "machines": [[setup, piece]],
+           "compressed": [{"config": [setup, dict(piece, job=1)], "mult": 1}]}
+    inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
+    ipath = write_instance(tmp_path, "i.json", inst)
+    spath = write_instance(tmp_path, "s.json", old)
+    code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert "[0, class, start, dur]" in err and "[1, class, start, dur, job, piece]" in err
+    assert '"scale": D' in err
+
+
+@pytest.mark.parametrize("where", ["instance", "schedule"])
+def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
+    # json.loads refuses ints of more than 4,300 digits with a plain ValueError
+    huge = "9" * 5000
+    inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
+    sched = '{"scale": 1, "machines": [[[0, 0, 0, 1], [1, 0, 1, %s, 0, 0]]]}' % huge
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    ipath.write_text(inst)
+    spath.write_text(sched)
+    if where == "instance":
+        code = main(["solve", "--variant", "split", "--algo", "jump", "--in", str(ipath)])
+    else:
+        code = main(["verify", "--in", str(ipath), "--schedule", str(spath),
+                     "--variant", "pmtn", "--bound", "9"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL = st.integers(-1, 4)
+_GOOD_ROW = (st.tuples(st.just(0), _SMALL, _SMALL, _SMALL).map(list)
+             | st.tuples(st.just(1), _SMALL, _SMALL, _SMALL, _SMALL, _SMALL).map(list))
+_ROWS = st.lists(_GOOD_ROW | st.lists(_SMALL | st.booleans() | _JSON, max_size=7), max_size=4) | _JSON
+
+
+def _schedules(scale, rows, mult, other):
+    return st.fixed_dictionaries(
+        {"scale": scale, "machines": st.lists(rows, max_size=3) | other},
+        optional={"compressed": st.lists(st.fixed_dictionaries({"config": rows, "mult": mult})
+                                         | other, max_size=2) | other},
+    )
+
+
+# any JSON value, dicts near the schedule format, and files of the format's
+# shape (which parse, so the verifier must judge them)
+_SCHEDULE_LIKE = st.one_of(
+    _JSON,
+    _schedules(_SMALL | _JSON, _ROWS, _SMALL | _JSON, _JSON),
+    _schedules(st.integers(1, 4), st.lists(_GOOD_ROW, max_size=4), _SMALL, st.nothing()),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_SCHEDULE_LIKE)
+def test_parse_schedule_any_json_schedule_or_validation_error(raw):
+    try:
+        sched = parse_schedule(raw, 2)
+    except ValidationError:
+        return
+    assert all(type(p[2]) is int and type(p[3]) is int for p in sched.placements())
+    # whatever parses, the verifier judges without raising
+    inst = parse_instance({"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    verify_schedule(inst, sched, Variant.PREEMPTIVE, F(9))
+
+
+def test_emit_rejects_non_int_times():
+    from batchsched.core import PIECE, SETUP, ContractError, Schedule
+
+    sched = Schedule(m=1, machines=[[(SETUP, 0, 0, 1, None, None), (PIECE, 0, 1, F(1, 2), 0, 0)]])
+    with pytest.raises(ContractError):
+        emit_schedule(sched)
 
 
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
@@ -120,17 +248,11 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     rep = verify_schedule(inst, parsed, Variant.SPLITTABLE, F(3, 2) * r.guess)
     assert rep.ok
 
-    # tampering: drop a setup
+    # tampering: drop a setup row
     raw = json.loads(open(spath).read())
-    for mach in raw["machines"]:
-        if mach and mach[0]["kind"] == "setup":
-            mach.pop(0)
-            break
-    else:
-        for entry in raw["compressed"]:
-            if entry["config"] and entry["config"][0]["kind"] == "setup":
-                entry["config"].pop(0)
-                break
+    groups = raw["machines"] + [entry["config"] for entry in raw["compressed"]]
+    rows = next(rows for rows in groups if rows and rows[0][0] == 0)
+    rows.pop(0)
     tpath = write_instance(tmp_path, "t.json", raw)
     assert main(["verify", "--in", ipath, "--schedule", tpath,
                  "--variant", "split", "--bound", bound]) == 3
@@ -181,17 +303,6 @@ def test_gen_cli_and_solve(tmp_path):
                  "--out", str(tmp_path / "s.json")]) == 0
 
 
-def test_bench_runs(tmp_path, capsys):
-    for seed in (1, 2):
-        main(["gen", "--seed", str(seed), "--machines", "3", "--classes", "3",
-              "--out", str(tmp_path / f"i{seed}.json")])
-    code = main(["bench", "--suite", str(tmp_path), "--algos", "split-jump,nonp-int",
-                 "--repeat", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "split-jump" in out and "nonp-int" in out
-
-
 @pytest.mark.parametrize("spec", ["uniform:a:3", "uniform:1:2.5"])
 def test_gen_bad_distribution_bounds_exit_one(tmp_path, capsys, spec):
     code = main(["gen", "--seed", "1", "--machines", "2", "--classes", "2", "--setup", spec,
@@ -199,23 +310,6 @@ def test_gen_bad_distribution_bounds_exit_one(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and spec in err
-
-
-def test_bench_zero_repeat_exit_one(tmp_path, capsys):
-    main(["gen", "--seed", "1", "--machines", "3", "--classes", "3",
-          "--out", str(tmp_path / "i1.json")])
-    code = main(["bench", "--suite", str(tmp_path), "--repeat", "0"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and "--repeat" in err
-
-
-def test_bench_file_suite_exit_one(tmp_path, capsys):
-    path = write_instance(tmp_path, "a.json", GOOD)
-    code = main(["bench", "--suite", path])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_parse_rat():

@@ -1,11 +1,15 @@
-"""Golden output: the emitted schedule JSON of a fixed corpus, pinned by one
-sha256, plus the invariants of the integer time scale on the same solves."""
+"""Golden output: the emitted schedules of a fixed corpus, pinned by two
+sha256s (their content in the schedule file format before integer rows, and
+their wire JSON now), plus the invariants of the integer time scale and of
+the wire round trip on the same solves."""
 
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction as F
 
+import batchsched.core as core
 from batchsched.cli import _two_approx, emit_schedule, generate_instance, parse_schedule
 from batchsched.core import Variant, verify_schedule
 from batchsched.preemptive import _pmtn_plan
@@ -13,9 +17,12 @@ from batchsched.search import epsilon_search, variant_ops
 
 from test_preemptive import knapsack_heavy_instance
 
-# sha256 over the sort_keys JSON of every schedule below, in order; the
-# schedules were emitted when every time was still a Fraction
+# sha256 over the sort_keys JSON of every schedule below, in order, in the
+# file format before integer rows; the schedules were emitted when every time
+# was still a Fraction
 GOLDEN_SHA256 = "a54ef50d1d0a160559ba8e008b3b28abf2b7ab68c616bf6c0824bd68638f6f0d"
+# the same over emit_schedule's rows on the integer scale
+WIRE_SHA256 = "40a15acb916f0dd8650bd8893516d572833ebba78cfadcf004f55fe612027a0b"
 
 
 def corpus():
@@ -42,34 +49,84 @@ def solves():
             yield inst, variant, "eps", r, F(3, 2) * r.guess
 
 
-def schedule_text(sched) -> str:
-    return json.dumps(emit_schedule(sched), sort_keys=True)
+def old_format(raw: dict) -> dict:
+    """An emitted schedule in the file format before integer rows: a dict per
+    placement with reduced "p/q" times and no scale."""
+    scale = raw["scale"]
+
+    def text(t):
+        x = F(t, scale)
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+    def placement(row):
+        kind, cls, start, dur, *ids = row
+        out = {"kind": ("setup", "piece")[kind], "class": cls, "start": text(start), "dur": text(dur)}
+        if kind == 1:
+            out["job"], out["piece"] = ids
+        return out
+
+    return {
+        "makespan": raw["makespan"],
+        "machines": [[placement(row) for row in mach] for mach in raw["machines"]],
+        "compressed": [{"config": [placement(row) for row in entry["config"]], "mult": entry["mult"]}
+                       for entry in raw["compressed"]],
+    }
 
 
-def golden_digest(rows) -> str:
+def digest(texts) -> str:
     h = hashlib.sha256()
-    for *_, r, _bound in rows:
-        h.update(schedule_text(r.schedule).encode())
+    for text in texts:
+        h.update(text.encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
-def test_golden_schedules_on_the_integer_scale():
+def over_the_wire(sched, m):
+    """emit -> dumps -> loads -> parse, with a profiler that records every
+    call into fractions.py on the way."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        raw = json.loads(json.dumps(emit_schedule(sched), sort_keys=True))
+        back = parse_schedule(raw, m)
+    finally:
+        sys.setprofile(None)
+    return raw, back, calls
+
+
+def test_golden_schedules_on_the_integer_scale(monkeypatch):
+    def no_time_scale(_placements):
+        raise AssertionError("time_scale ran on a parsed schedule")
+
     rows = list(solves())
     assert len(rows) == 350 * 9
     split_shares = 0
+    old_texts, wire_texts = [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
         assert all(type(p) is tuple and type(p[2]) is int and type(p[3]) is int
                    for p in sched.placements()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
+        raw, back, fraction_calls = over_the_wire(sched, inst.m)
+        assert back == sched and not fraction_calls, (inst, variant, algo, fraction_calls)
         mem = verify_schedule(inst, sched, variant, bound)
-        wire = verify_schedule(inst, parse_schedule(json.loads(schedule_text(sched)), inst.m),
-                               variant, bound)
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "time_scale", no_time_scale)
+            wire = verify_schedule(inst, back, variant, bound)
         assert mem.ok and mem == wire, (inst, variant, algo)
+        assert raw["makespan"] == str(r.makespan)
+        old_texts.append(json.dumps(old_format(raw), sort_keys=True))
+        wire_texts.append(json.dumps(raw, sort_keys=True))
         if variant is Variant.PREEMPTIVE and algo != "two-approx":
             sol = _pmtn_plan(inst, r.guess).knapsack
             if sol is not None and sol.split_item is not None:
                 split_shares += sol.x[sol.split_item].denominator > 1
     assert split_shares >= 1
-    assert golden_digest(rows) == GOLDEN_SHA256
+    # every emitted time is the same rational as before integer rows
+    assert digest(old_texts) == GOLDEN_SHA256
+    assert digest(wire_texts) == WIRE_SHA256
