@@ -63,7 +63,7 @@ def fmt_rat(x: Rat) -> str:
 
 
 # Every shape or type error in a schedule file names the one format it takes.
-SCHEDULE_FORMAT = (
+_SCHEDULE_FORMAT = (
     'schedules are {"scale": D, "machines": [[row, ...], ...], '
     '"compressed": [{"config": [row, ...], "mult": k}, ...]} with rows '
     "[0, class, start, dur] for a setup and [1, class, start, dur, job, piece] "
@@ -102,7 +102,7 @@ def _rows(raw) -> list[PlacementT]:
     if type(raw) is not list or set(map(type, raw)) - {list} \
             or set(map(type, chain.from_iterable(raw))) - {int}:
         raise ValidationError(f"a machine or config must be a list of rows of ints; "
-                              f"{SCHEDULE_FORMAT}")
+                              f"{_SCHEDULE_FORMAT}")
     out = []
     for r in raw:
         if len(r) == 4 and r[0] == 0:
@@ -110,25 +110,25 @@ def _rows(raw) -> list[PlacementT]:
         elif len(r) == 6 and r[0] == 1:
             out.append((PIECE, r[1], r[2], r[3], r[4], r[5]))
         else:
-            raise ValidationError(f"bad schedule row {r!r:.80}; {SCHEDULE_FORMAT}")
+            raise ValidationError(f"bad schedule row {r!r:.80}; {_SCHEDULE_FORMAT}")
     return out
 
 
 def parse_schedule(raw, m: int) -> Schedule:
     """A schedule file's placements as ints on its scale.  ValidationError
-    for anything not of SCHEDULE_FORMAT's shape, older files included."""
+    for anything not of _SCHEDULE_FORMAT's shape, older files included."""
     if not (isinstance(raw, dict) and type(raw.get("scale")) is int and raw["scale"] >= 1
             and type(raw.get("machines")) is list):
         raise ValidationError(f"schedule needs an int scale >= 1 and a machines list; "
-                              f"{SCHEDULE_FORMAT}")
+                              f"{_SCHEDULE_FORMAT}")
     entries = raw.get("compressed", [])
     if type(entries) is not list:
-        raise ValidationError(f"compressed must be a list; {SCHEDULE_FORMAT}")
+        raise ValidationError(f"compressed must be a list; {_SCHEDULE_FORMAT}")
     compressed = []
     for entry in entries:
         if not (isinstance(entry, dict) and type(entry.get("mult")) is int):
             raise ValidationError(f"compressed entries need a config and an int mult; "
-                                  f"{SCHEDULE_FORMAT}")
+                                  f"{_SCHEDULE_FORMAT}")
         compressed.append((tuple(_rows(entry.get("config"))), entry["mult"]))
     machines = [_rows(mach) for mach in raw["machines"]]
     return Schedule(m=m, machines=machines, compressed=compressed, scale=raw["scale"])

@@ -240,9 +240,10 @@ class Schedule:
     The machine budget is len(machines) + sum of multiplicities <= m.
     A placement time t means t / scale.  Every schedule the library builds
     keeps its times as ints on the scale its construction derived from the
-    guess; parsed and hand-built schedules may hold Fractions, and only at
-    scale 1: the verifier and the JSON writer take a non-int time as the
-    rational itself.
+    guess, and a parsed schedule file holds ints on its own scale; only a
+    hand-built schedule may hold Fractions, and only at scale 1: the
+    verifier takes a non-int time as the rational itself, and the JSON
+    writer refuses it.
     """
 
     m: int
