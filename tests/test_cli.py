@@ -224,6 +224,15 @@ def test_parse_schedule_any_json_schedule_or_validation_error(raw):
     verify_schedule(inst, sched, Variant.PREEMPTIVE, F(9))
 
 
+def test_non_utf8_file_exit_one(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_bytes(b'{"m": 2, "classes": [\xff]}')
+    code = main(["solve", "--variant", "split", "--algo", "jump", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+
 def test_emit_rejects_non_int_times():
     from batchsched.core import PIECE, SETUP, ContractError, Schedule
 
