@@ -1,20 +1,17 @@
 """Scheduling n jobs of c classes on m identical machines with batch setup
 times: splittable, preemptive and non-preemptive variants, with linear-time
 2-approximations, 3/2-dual decision procedures, (3/2+eps) bisection, exact
-3/2 jump searches, a feasibility verifier, certified lower bounds and a
-brute-force oracle for small instances."""
+3/2 jump searches, a feasibility verifier and certified lower bounds."""
 
 from .core import (
-    Accepted,
     CapacityError,
     ClassPartition,
     ContractError,
-    DualOutcome,
+    Decision,
     Instance,
     JobClass,
     Placement,
     Rat,
-    Rejected,
     Schedule,
     ValidationError,
     Variant,
@@ -35,7 +32,6 @@ from .nonpreemptive import (
     exact_integer_search_nonp,
     next_fit_two_approx,
 )
-from .oracle import exact_nonp, min_accepted_scan
 from .preemptive import (
     KnapsackItem,
     KnapsackSolution,
@@ -45,16 +41,6 @@ from .preemptive import (
 )
 from .search import CertifiedReport, SearchResult, certified_report, epsilon_search
 from .splittable import class_jump_split, dual_split, two_approx_split
-from .wrap import (
-    Batch,
-    Gap,
-    WrapSequence,
-    WrapTemplate,
-    sequence_load,
-    split,
-    template_capacity,
-    wrap,
-    wrap_parallel_compressed,
-)
+from .wrap import Batch, Gap
 
 __version__ = "0.1.0"

@@ -47,15 +47,19 @@ from .splittable import two_approx_split
 
 
 def parse_rat(text: str) -> Rat:
-    """ASCII "p/q" or "p" text directly, anything else as Fraction reads it."""
+    """ASCII "p/q" or "p" text directly, anything else as Fraction reads it.
+    A numerator or denominator past CPython's int-string digit limit is
+    refused, as it is in a JSON file: it could not be written back."""
     try:
         if isinstance(text, str):
             num, slash, den = text.partition("/")
             if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
                 return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(text)
+        x = Fraction(text)
+        fmt_rat(x)  # "1e5000" reads, but only int() checks the digit limit
+        return x
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"unparsable rational {text!r}") from exc
+        raise ValidationError(f"unparsable rational {text!r}: {exc}") from exc
 
 
 def fmt_rat(x: Rat) -> str:

@@ -2,20 +2,20 @@
 
 Setups and processing times are ints, guesses, bounds and makespans exact
 Fractions, and a schedule's starts and durations ints on its integer time
-scale (`Schedule.scale`: t means t / scale) or Fractions at scale 1.  Nothing
-here rounds, ever: accept/reject decisions and ratio checks are exact.
+scale (`Schedule.scale`: t means t / scale), or Fractions in a hand-built
+schedule.  Nothing here rounds, ever: accept/reject decisions and ratio
+checks are exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
 Rat = Fraction
@@ -187,24 +187,18 @@ PIECE = "piece"
 
 
 # A placement is the plain tuple (kind, cls, start, dur, job, piece): kind is
-# SETUP or PIECE, start and dur are ints on the schedule's scale or Rats at
-# scale 1, and job (the position within cls) and piece (the piece counter
-# within the job) are None for setups.  A plain tuple, not a NamedTuple:
-# CPython stops tracking an exact tuple of ints, strs and Nones the first time
-# the cyclic collector sees it, so a built schedule is not rescanned by every
-# full collection while it grows.
+# SETUP or PIECE, start and dur are ints on the schedule's scale (Rats in a
+# hand-built schedule), and job (the position within cls) and piece (the
+# piece counter within the job) are None for setups.  A plain tuple, not a
+# NamedTuple: CPython stops tracking an exact tuple of ints, strs and Nones
+# the first time the cyclic collector sees it, so a built schedule is not
+# rescanned by every full collection while it grows.
 PlacementT = tuple[str, int, Rat, Rat, Optional[int], Optional[int]]
 
 
 def Placement(kind: str, cls: int, start: Rat, dur: Rat,
               job: Optional[int] = None, piece: Optional[int] = None) -> PlacementT:
     return (kind, cls, start, dur, job, piece)
-
-
-# Past this bit length of the common denominator, time_scale keeps the times
-# as Fractions: the lcm of many unrelated denominators (distinct primes, say)
-# grows with each one, and so does the cost of every integer on that scale.
-TIME_SCALE_BITS = 256
 
 
 def scaled(x: Rat, scale: int) -> int:
@@ -214,20 +208,6 @@ def scaled(x: Rat, scale: int) -> int:
     if r:
         raise ContractError(f"{x} is not on the time scale 1/{scale}")
     return t
-
-
-def time_scale(placements: Iterable[PlacementT]) -> tuple[int, Callable[[Rat], Rat]]:
-    """One integer time scale for the placements: D, the lcm of every start
-    and duration denominator, and the map q -> q * D, an int.  Past
-    TIME_SCALE_BITS the map leaves each time as it is, with D = 1, so the same
-    comparisons then run on the Fractions.  A time t on the scale is the
-    rational t / D."""
-    scale = 1
-    for den in {q.denominator for _, _, start, dur, _, _ in placements for q in (start, dur)}:
-        scale = math.lcm(scale, den)
-        if scale.bit_length() > TIME_SCALE_BITS:
-            return 1, lambda q: q
-    return scale, lambda q: q.numerator * (scale // q.denominator)
 
 
 @dataclass
@@ -241,9 +221,8 @@ class Schedule:
     A placement time t means t / scale.  Every schedule the library builds
     keeps its times as ints on the scale its construction derived from the
     guess, and a parsed schedule file holds ints on its own scale; only a
-    hand-built schedule may hold Fractions, and only at scale 1: the
-    verifier takes a non-int time as the rational itself, and the JSON
-    writer refuses it.
+    hand-built schedule may hold Fractions: the verifier runs the same rules
+    on them, and the JSON writer refuses them.
     """
 
     m: int
@@ -367,49 +346,31 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
 
 
 # ---------------------------------------------------------------------------
-# Dual outcome
+# Dual decisions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Accepted:
-    schedule: Schedule
-    guess: Rat
-
-    @property
-    def accepted(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Rejected:
-    guess: Rat
-    # "load": m*T < required load; "machines": m < required machine count;
-    # "setup-bound" / "job-bound": guess is below a direct lower bound.
-    reason: str
-
-    @property
-    def accepted(self) -> bool:
-        return False
-
-
-DualOutcome = Union[Accepted, Rejected]
-
-
 class Decision(NamedTuple):
-    """A dual's verdict on a guess, reached without building a schedule.
+    """A dual's verdict on a guess.
 
+    reason says why a guess is rejected: "load" (m*T below the required
+    load), "machines" (m below the required machine count), "setup-bound" or
+    "job-bound" (the guess is below a direct lower bound); "" when accepted.
     load and machines are the requirements the guess was held against (None
-    when a direct bound or a geometric certificate decided).  plan is what the
-    construction needs; None when no planning was needed (rejected outright,
-    or accepted because m >= n).
+    when a direct bound or a geometric certificate decided).  plan is what
+    the construction needs; None when no planning was needed (rejected
+    outright, or accepted because m >= n).  schedule is set by the dual
+    (`dual_split`, `dual_pmtn`, `dual_nonp`) exactly when it accepts: one
+    with makespan <= (3/2)*guess.  The decision functions the searches probe
+    leave it None.
     """
 
     accepted: bool
-    reason: str  # as in Rejected; "" when accepted
+    reason: str
     load: Optional[Rat] = None
     machines: Optional[int] = None
     plan: object = None
+    schedule: Optional[Schedule] = None
 
 
 def decide_need(m: int, guess: Rat, load: Rat, machines: int, plan: object = None) -> Decision:
@@ -435,14 +396,15 @@ def job_bound_decision(inst: Instance, guess: Rat) -> Optional[Decision]:
     return None
 
 
-def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> DualOutcome:
-    """A non-splittable dual from its decision: the rejection, one job per
-    machine for an accepted guess without a plan, or build(inst, guess, plan)."""
+def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> Decision:
+    """A non-splittable dual from its decision: the rejection as it is, else
+    the decision with its schedule, one job per machine for an accepted guess
+    without a plan or build(inst, guess, plan)."""
     if not d.accepted:
-        return Rejected(guess, d.reason)
+        return d
     if d.plan is None:
-        return Accepted(trivial_one_job_per_machine(inst), guess)
-    return Accepted(build(inst, guess, d.plan), guess)
+        return d._replace(schedule=trivial_one_job_per_machine(inst))
+    return d._replace(schedule=build(inst, guess, d.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +479,11 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, job-total and parallelism accounting multiply by the
-    multiplicity.  The rules compare integers on one time scale: the
-    schedule's own when its times are ints, else time_scale's, converted one
-    machine or configuration at a time.  The report holds Fractions.
+    multiplicity.  The rules run on the schedule's own times over
+    `sched.scale` with +, -, comparisons, `* scale` and `Fraction(t, scale)`
+    only: ints for every library-built and parsed schedule, and exactly the
+    same rules on a hand-built schedule's Fractions.  The report holds
+    Fractions.
     """
     out: list[Violation] = []
 
@@ -531,11 +495,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             )
         )
 
-    scale, to_int = sched.scale, int
-    if not all(type(start) is int and type(dur) is int
-               for _, _, start, dur, _, _ in sched.placements()):
-        scale, to_int = time_scale(sched.placements())
-        scale *= sched.scale
+    scale = sched.scale
     top = 0
     # intervals[ref] = list of (start, end, copies) on the time scale; copies
     # > 1 only possible from compressed configurations.
@@ -546,7 +506,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
     for label, placements, copies in parts:
-        rows = [(start := to_int(p[2]), start + to_int(p[3]), p) for p in placements]
+        rows = [(start := p[2], start + p[3], p) for p in placements]
         top = max(top, max((end for _, end, _ in rows), default=0))
         if copies < 1:
             out.append(Violation("s", label, Fraction(0), "multiplicity < 1"))

@@ -19,7 +19,6 @@ from .core import (
     SETUP,
     ContractError,
     Decision,
-    DualOutcome,
     Instance,
     JobRef,
     PlacementT,
@@ -276,9 +275,9 @@ def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
     return decide_need(inst.m, guess, load, sum(counts.machines), counts)
 
 
-def dual_nonp(inst: Instance, guess: Rat) -> DualOutcome:
-    """Either a non-preemptive schedule with makespan <= (3/2)*guess or a
-    certificate that guess < OPT."""
+def dual_nonp(inst: Instance, guess: Rat) -> Decision:
+    """The decision with either a non-preemptive schedule of makespan <=
+    (3/2)*guess or a certificate that guess < OPT."""
     return decided_outcome(inst, guess, _decide_nonp(inst, guess), _build_nonp)
 
 

@@ -23,7 +23,6 @@ from .core import (
     ClassPartition,
     ContractError,
     Decision,
-    DualOutcome,
     Instance,
     JobRef,
     Rat,
@@ -354,9 +353,10 @@ def _decide_pmtn(inst: Instance, guess: Rat) -> Decision:
     return decide_need(inst.m, guess, plan.load, plan.machines, plan)
 
 
-def dual_pmtn(inst: Instance, guess: Rat) -> DualOutcome:
-    """Either a preemptive schedule with makespan <= (3/2)*guess (no two
-    pieces of one job overlapping in time) or a certificate guess < OPT.
+def dual_pmtn(inst: Instance, guess: Rat) -> Decision:
+    """The decision with either a preemptive schedule of makespan <=
+    (3/2)*guess (no two pieces of one job overlapping in time) or a
+    certificate guess < OPT.
 
     Heavy classes are counted by the half-gap packing
     max(1, ceil(2(s+P)/T) - 2), with the matching construction.

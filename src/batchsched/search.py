@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple, Optional
 from .core import (
     ContractError,
     Decision,
-    DualOutcome,
     Instance,
     Rat,
     Schedule,
@@ -46,7 +45,7 @@ class SearchResult:
 
 class VariantOps(NamedTuple):
     decide: Callable[[Instance, Rat], Decision]  # the dual's verdict, no schedule
-    dual: Callable[[Instance, Rat], DualOutcome]  # the 3/2-dual: verdict and schedule
+    dual: Callable[[Instance, Rat], Decision]  # the 3/2-dual: verdict and schedule
     search: Callable[[Instance], SearchResult]  # the exact search
 
 
@@ -204,7 +203,7 @@ def close_bracket(
     probe: CachedProbe,
     inst: Instance,
     decide: Callable[[Instance, Rat], Decision],
-    dual: Callable[[Instance, Rat], DualOutcome],
+    dual: Callable[[Instance, Rat], Decision],
     trace: JumpTrace,
 ) -> SearchResult:
     """The least accepted guess in trace.final_interval (t_fail, t_ok].

@@ -12,13 +12,10 @@ import math
 from fractions import Fraction
 
 from .core import (
-    Accepted,
     ContractError,
     Decision,
-    DualOutcome,
     Instance,
     Rat,
-    Rejected,
     Schedule,
     decide_need,
 )
@@ -81,13 +78,13 @@ def _decide_split(inst: Instance, guess: Rat) -> Decision:
     return decide_need(inst.m, guess, load, machines_exp)
 
 
-def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
-    """Either a schedule with makespan <= (3/2)*guess or a certificate that
-    guess < OPT for the splittable variant.  Built on the scale 2q of the
-    guess p/q, where half the guess is p."""
+def dual_split(inst: Instance, guess: Rat) -> Decision:
+    """The decision with either a schedule of makespan <= (3/2)*guess or a
+    certificate that guess < OPT for the splittable variant.  Built on the
+    scale 2q of the guess p/q, where half the guess is p."""
     d = _decide_split(inst, guess)
     if not d.accepted:
-        return Rejected(guess, d.reason)
+        return d
     scale = 2 * guess.denominator
     half = guess.numerator
     builder = Builder(inst.m, scale)
@@ -125,7 +122,7 @@ def dual_split(inst: Instance, guess: Rat) -> DualOutcome:
             tail_base=base,
             setups_below=True,  # half a guess is reserved under every gap
         )
-    return Accepted(builder.finalize(), guess)
+    return d._replace(schedule=builder.finalize())
 
 
 def class_jump_split(inst: Instance) -> SearchResult:

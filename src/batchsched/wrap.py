@@ -13,14 +13,13 @@ in compressed form: runs of gaps that carry the same content (the middle gaps
 of one long job) are emitted once with a multiplicity, so the output size is
 bounded by the sequence length, independent of the gap count.
 
-Times are ints on the Builder's scale or, in the public helpers below, Rats
-at scale 1; the code needs only +, -, // and comparisons.
+Times are ints on the Builder's scale.  The code needs only +, -, // and
+comparisons on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, PlacementT, Rat, Schedule
@@ -36,10 +35,6 @@ class Gap:
         if not (0 <= self.open < self.close):
             raise ValueError(f"gap needs 0 <= open < close, got ({self.open}, {self.close})")
 
-    @property
-    def height(self) -> Rat:
-        return self.close - self.open
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -49,24 +44,8 @@ class Batch:
     setup: Rat
     jobs: tuple[tuple[JobRef, Rat], ...]
 
-    @property
-    def load(self) -> Rat:
-        return self.setup + sum(d for _, d in self.jobs)
 
-
-WrapTemplate = list[Gap]
-WrapSequence = list[Batch]
-
-
-def template_capacity(gaps: WrapTemplate) -> Rat:
-    return sum((g.height for g in gaps), Fraction(0))
-
-
-def sequence_load(seq: WrapSequence) -> Rat:
-    return sum((b.load for b in seq), Fraction(0))
-
-
-def check_template(gaps: WrapTemplate):
+def check_template(gaps: list[Gap]):
     for g1, g2 in zip(gaps, gaps[1:]):
         if g2.machine <= g1.machine:
             raise ValueError("template machines must be strictly increasing")
@@ -131,7 +110,7 @@ class _Run:
     def __init__(
         self,
         builder: Builder,
-        explicit: WrapTemplate,
+        explicit: list[Gap],
         tail_gap: Optional[tuple[Rat, Rat]],
         tail_count: int,
         tail_base: int,
@@ -312,7 +291,7 @@ def _place_batch(run: _Run, batch: Batch):
 def run_wrap(
     builder: Builder,
     seq: Iterable[Batch],
-    explicit: WrapTemplate,
+    explicit: list[Gap],
     tail_gap: Optional[tuple[Rat, Rat]] = None,
     tail_count: int = 0,
     tail_base: int = 0,
@@ -332,47 +311,4 @@ def run_wrap(
     for batch in seq:
         _place_batch(run, batch)
     return run.finish()
-
-
-def wrap(seq: WrapSequence, template: WrapTemplate, m: Optional[int] = None) -> tuple[Schedule, WrapResult]:
-    """Plain wrapping into an explicit template; returns the partial schedule
-    (machines renumbered consecutively) and where the content ends."""
-    builder = Builder(m if m is not None else (template[-1].machine + 1 if template else 0))
-    result = run_wrap(builder, seq, list(template))
-    return builder.finalize(), result
-
-
-def split(
-    piece: tuple[int, Rat, JobRef, Rat],
-    template: WrapTemplate,
-    gap_index: int,
-    t: Rat,
-    m: Optional[int] = None,
-) -> tuple[int, Rat, Schedule]:
-    """Place one job piece starting at time t inside gap `gap_index`,
-    cutting at gap ends; returns the gap index and time right after it.
-
-    `piece` is (class, setup of the class, job ref, duration).
-    """
-    cls, setup, ref, dur = piece
-    gap = template[gap_index]
-    if not (gap.open <= t < gap.close):
-        raise ValueError(f"t={t} outside gap [{gap.open}, {gap.close})")
-    builder = Builder(m if m is not None else template[-1].machine + 1)
-    run = _Run(builder, list(template), None, 0, 0, False)
-    run.pos = gap_index
-    run._sync()
-    run.t = t
-    _place_item(run, cls, setup, ref, dur)
-    return run.pos, run.t, builder.finalize()
-
-
-def wrap_parallel_compressed(
-    seq: WrapSequence, gap: tuple[Rat, Rat], count: int, m: Optional[int] = None
-) -> tuple[Schedule, WrapResult]:
-    """Wrap into `count` identical gaps; output size is O(|seq|), independent
-    of count.  Expanding the schedule reproduces the plain wrap exactly."""
-    builder = Builder(m if m is not None else count)
-    result = run_wrap(builder, seq, [], tail_gap=gap, tail_count=count, tail_base=0)
-    return builder.finalize(), result
 

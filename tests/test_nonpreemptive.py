@@ -2,10 +2,8 @@ import random
 from fractions import Fraction as F
 
 from batchsched.core import (
-    Accepted,
     Instance,
     JobClass,
-    Rejected,
     Variant,
     lower_bound_tmin,
     verify_schedule,
@@ -16,9 +14,9 @@ from batchsched.nonpreemptive import (
     exact_integer_search_nonp,
     next_fit_two_approx,
 )
-from batchsched.oracle import exact_nonp
 
 from conftest import random_instance, tiny_instances
+from oracle import exact_nonp
 
 
 def test_next_fit_two_classes():
@@ -69,9 +67,9 @@ def test_counts_expensive_class():
 
 def test_dual_reject_then_accept():
     out6 = dual_nonp(EX, F(6))
-    assert isinstance(out6, Rejected) and out6.reason == "load"
+    assert not out6.accepted and out6.reason == "load"
     out7 = dual_nonp(EX, F(7))
-    assert isinstance(out7, Accepted)
+    assert out7.accepted
     rep = verify_schedule(EX, out7.schedule, Variant.NONPREEMPTIVE, F(21, 2))
     assert rep.ok
     assert exact_nonp(EX) == 7
@@ -80,7 +78,7 @@ def test_dual_reject_then_accept():
 def test_dual_single_machine_exact_fit():
     inst = Instance(m=1, classes=(JobClass(2, (3, 3)),))
     out = dual_nonp(inst, F(8))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert out.schedule.makespan() == 8
 
 

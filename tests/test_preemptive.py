@@ -5,14 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from batchsched.core import (
-    Accepted,
     Instance,
     JobClass,
-    Rejected,
     Variant,
     verify_schedule,
 )
-from batchsched.oracle import exact_nonp, min_accepted_scan
 from batchsched.preemptive import (
     KnapsackItem,
     _decide_nice_parts,
@@ -28,6 +25,7 @@ from batchsched.preemptive import (
 from batchsched.search import certified_report
 
 from conftest import random_instance, tiny_instances
+from oracle import exact_nonp, min_accepted_scan
 
 
 # -- continuous knapsack ----------------------------------------------------
@@ -110,13 +108,13 @@ def test_nice_rejects_below_job_bound():
     # guess 10 passes the load check but the longest job cannot finish by
     # then: setup 6 + job 8 = 14 is a certified bound, so reject
     out = dual_pmtn(NICE, F(10))
-    assert isinstance(out, Rejected) and out.reason == "job-bound"
+    assert not out.accepted and out.reason == "job-bound"
 
 
 def test_nice_accepts_and_builds_at_valid_guess():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
     out = dual_pmtn(inst, F(11))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
 
 
@@ -125,7 +123,7 @@ def test_all_cheap_degenerate_wrap():
     inst = Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(2, (1,))))
     assert _pmtn_plan(inst, F(4)).nice
     out = dual_pmtn(inst, F(4))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(6)).ok
 
 
@@ -135,7 +133,7 @@ def test_all_cheap_degenerate_wrap():
 def test_pmtn_accepts_case_without_knapsack():
     inst = Instance(m=2, classes=(JobClass(5, (2,)), JobClass(1, (4,))))
     out = dual_pmtn(inst, F(8))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     rep = verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(12))
     assert rep.ok and rep.makespan <= 12
 
@@ -143,14 +141,14 @@ def test_pmtn_accepts_case_without_knapsack():
 def test_pmtn_reject_example():
     inst = Instance(m=2, classes=(JobClass(5, (2,)), JobClass(1, (4, 4, 4))))
     out = dual_pmtn(inst, F(8))
-    assert isinstance(out, Rejected) and out.reason == "load"
+    assert not out.accepted and out.reason == "load"
 
 
 def test_pmtn_defers_to_nice_when_nice():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
     assert _pmtn_plan(inst, F(11)).nice
     out = dual_pmtn(inst, F(11))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
 
 
@@ -176,7 +174,7 @@ def test_pmtn_knapsack_case_with_rejected_class():
     plan = _pmtn_plan(inst, F(40))
     assert plan.knapsack is not None and plan.knapsack.x == {5: F(1), 6: F(0)}
     out = dual_pmtn(inst, F(40))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
 
 
@@ -197,7 +195,7 @@ def test_pmtn_greedy_case_with_straddler():
     plan = _pmtn_plan(inst, F(40))
     assert not plan.nice and plan.knapsack is None
     out = dual_pmtn(inst, F(40))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
 
 
@@ -218,14 +216,14 @@ def test_pmtn_knapsack_split_item_case():
     plan = _pmtn_plan(inst, guess)
     assert plan.knapsack is not None and plan.knapsack.split_item == 5
     out = dual_pmtn(inst, guess)
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess).ok
 
 
 def test_pmtn_trivial_when_machines_cover_jobs():
     inst = Instance(m=2, classes=(JobClass(5, (2,)), JobClass(1, (4,))))
     out = dual_pmtn(inst, F(8))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert out.schedule.makespan() == 7  # one job per machine is optimal
 
 
@@ -236,7 +234,7 @@ def test_pmtn_accepts_above_exact_nonpreemptive_optimum():
         opt = exact_nonp(inst)
         for guess in (F(opt), F(opt) + 1, F(2 * opt)):
             out = dual_pmtn(inst, guess)
-            assert isinstance(out, Accepted), (inst, guess)
+            assert out.accepted, (inst, guess)
             rep = verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(3, 2) * guess)
             assert rep.ok, (inst, guess, [str(v) for v in rep.violations][:4])
 
@@ -258,7 +256,7 @@ def test_class_jump_single_class_scan_agreement():
     r = class_jump_pmtn(inst)
     scan = min_accepted_scan(inst, Variant.PREEMPTIVE)
     assert r.guess <= scan and r.makespan <= F(3, 2) * scan
-    assert isinstance(dual_pmtn(inst, r.guess), Accepted)
+    assert dual_pmtn(inst, r.guess).accepted
     assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
 
 

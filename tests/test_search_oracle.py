@@ -15,11 +15,11 @@ from batchsched.core import (
     lower_bound_tmin,
     verify_schedule,
 )
-from batchsched.oracle import exact_nonp, min_accepted_scan
 from batchsched.search import SearchResult, certified_report, epsilon_search, variant_ops
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance, tiny_instances
+from oracle import exact_nonp, min_accepted_scan
 
 
 def test_eps_one_needs_single_probe():
@@ -89,8 +89,9 @@ def test_decide_matches_dual():
             for g in guesses:
                 d = ops.decide(inst, g)
                 out = ops.dual(inst, g)
-                assert d.accepted == out.accepted, (inst, v, g)
-                assert d.reason == ("" if out.accepted else out.reason), (inst, v, g)
+                assert d.schedule is None
+                assert out._replace(schedule=None) == d, (inst, v, g)  # verdict, reason, plan
+                assert (out.schedule is not None) == out.accepted, (inst, v, g)
 
 
 def test_eps_rejects_bad_tolerance():

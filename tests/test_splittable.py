@@ -3,18 +3,16 @@ import time
 from fractions import Fraction as F
 
 from batchsched.core import (
-    Accepted,
     Instance,
     JobClass,
-    Rejected,
     Variant,
     lower_bound_tmin,
     verify_schedule,
 )
-from batchsched.oracle import min_accepted_scan
 from batchsched.splittable import class_jump_split, dual_split, two_approx_split
 
 from conftest import random_instance
+from oracle import min_accepted_scan
 
 
 def test_two_approx_small():
@@ -54,21 +52,21 @@ def test_class_jump_huge_machine_count():
 def test_dual_accept_two_classes():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(2, (3,))))
     out = dual_split(inst, F(10))
-    assert isinstance(out, Accepted)
+    assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.SPLITTABLE, F(15)).ok
 
 
 def test_dual_reject_machine_count():
     inst = Instance(m=1, classes=(JobClass(6, (5, 5)), JobClass(2, (3,))))
     out = dual_split(inst, F(10))
-    assert isinstance(out, Rejected) and out.reason == "machines"
+    assert not out.accepted and out.reason == "machines"
 
 
 def test_dual_exact_load_boundary():
     inst = Instance(m=2, classes=(JobClass(6, (5, 5)),))
-    assert isinstance(dual_split(inst, F(11)), Accepted)
+    assert dual_split(inst, F(11)).accepted
     out = dual_split(inst, F(11) - F(1, 1000))
-    assert isinstance(out, Rejected) and out.reason == "load"
+    assert not out.accepted and out.reason == "load"
 
 
 def test_class_jump_single_class():
@@ -85,7 +83,7 @@ def test_class_jump_all_cheap_load_average():
     # average, which may sit below any scan grid point
     inst = Instance(m=4, classes=(JobClass(1, (2,)), JobClass(2, (1, 1))))
     r = class_jump_split(inst)
-    assert isinstance(dual_split(inst, r.guess), Accepted)
+    assert dual_split(inst, r.guess).accepted
     assert r.guess == F(9, 4)  # (work + all setups) / m
     scan = min_accepted_scan(inst, Variant.SPLITTABLE)
     assert r.guess <= scan and r.makespan <= F(3, 2) * scan
@@ -104,7 +102,7 @@ def test_class_jump_matches_scan_on_random_instances():
         scan = min_accepted_scan(inst, Variant.SPLITTABLE)
         assert r.guess <= scan
         assert r.makespan <= F(3, 2) * scan
-        assert isinstance(dual_split(inst, r.guess), Accepted)
+        assert dual_split(inst, r.guess).accepted
         assert verify_schedule(inst, r.schedule, Variant.SPLITTABLE, F(3, 2) * r.guess).ok
 
 

@@ -4,15 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from batchsched.core import PIECE, SETUP, CapacityError
-from batchsched.wrap import (
-    Batch,
-    Gap,
-    sequence_load,
-    split,
-    template_capacity,
-    wrap,
-    wrap_parallel_compressed,
-)
+from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
 def flat(sched):
@@ -27,10 +19,28 @@ def batch(cls, s, durs, start_ref=0):
     return Batch(cls=cls, setup=F(s), jobs=tuple(((cls, start_ref + k), F(d)) for k, d in enumerate(durs)))
 
 
+def load(seq):
+    return sum(b.setup + sum(d for _, d in b.jobs) for b in seq)
+
+
+def wrap_plain(seq, gaps, m):
+    """Wrap into explicit gaps: the schedule and where its content ends."""
+    builder = Builder(m)
+    res = run_wrap(builder, seq, gaps)
+    return builder.finalize(), res
+
+
+def wrap_tail(seq, gap, count):
+    """Wrap into `count` identical gaps, emitted in compressed form."""
+    builder = Builder(count)
+    res = run_wrap(builder, seq, [], tail_gap=gap, tail_count=count)
+    return builder.finalize(), res
+
+
 def test_wrap_two_gap_example():
     seq = [batch(0, 2, [3, 3])]
     tmpl = [Gap(1, F(0), F(6)), Gap(2, F(2), F(6))]
-    sched, res = wrap(seq, tmpl, m=3)
+    sched, res = wrap_plain(seq, tmpl, 3)
     assert flat(sched) == [
         (0, SETUP, 0, F(0), F(2)),
         (0, PIECE, 0, F(2), F(3)),
@@ -45,7 +55,7 @@ def test_wrap_setup_exactly_fills_gap():
     # next gap, setup moved below the gap start
     seq = [batch(0, 2, [2]), batch(1, 1, [2])]
     tmpl = [Gap(0, F(0), F(4)), Gap(1, F(2), F(8))]
-    sched, _ = wrap(seq, tmpl, m=2)
+    sched, _ = wrap_plain(seq, tmpl, 2)
     assert flat(sched) == [
         (0, SETUP, 0, F(0), F(2)),
         (0, PIECE, 0, F(2), F(2)),
@@ -57,8 +67,7 @@ def test_wrap_setup_exactly_fills_gap():
 def test_wrap_long_job_split_across_four_gaps():
     seq = [batch(0, 1, [10])]
     tmpl = [Gap(k, F(0 if k == 0 else 1), F(4)) for k in range(4)]
-    sched, _ = wrap(seq, tmpl, m=5)
-    pieces = [(u, p.start, p.dur) for u, k, c, *_ in [] for p in []]  # noqa
+    sched, _ = wrap_plain(seq, tmpl, 5)
     got = flat(sched)
     durs = [e[4] for e in got if e[1] == PIECE]
     assert durs == [F(3), F(3), F(3), F(1)]
@@ -71,19 +80,22 @@ def test_wrap_long_job_split_across_four_gaps():
 def test_wrap_capacity_error():
     seq = [batch(0, 1, [10])]
     with pytest.raises(CapacityError):
-        wrap(seq, [Gap(0, F(0), F(4))], m=1)
+        wrap_plain(seq, [Gap(0, F(0), F(4))], 1)
+
+
+# A piece starting at time t inside a gap: the gap opens at t - 1, under the
+# piece's class setup of length 1.
 
 
 def test_split_piece_fits():
-    tmpl = [Gap(0, F(0), F(6))]
-    r, t, _ = split((0, F(1), (0, 0), F(1)), tmpl, 0, F(2))
-    assert (r, t) == (0, F(3))
+    _, res = wrap_plain([batch(0, 1, [1])], [Gap(0, F(1), F(6))], 1)
+    assert (res.last_machine, res.last_fill) == (0, F(3))
 
 
 def test_split_piece_cut_once():
-    tmpl = [Gap(0, F(0), F(6)), Gap(1, F(2), F(8))]
-    r, t, sched = split((0, F(1), (0, 0), F(5)), tmpl, 0, F(4))
-    assert (r, t) == (1, F(5))
+    tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
+    sched, res = wrap_plain([batch(0, 1, [5])], tmpl, 2)
+    assert (res.last_machine, res.last_fill) == (1, F(5))
     got = flat(sched)
     assert (0, PIECE, 0, F(4), F(2)) in got
     assert (1, SETUP, 0, F(1), F(1)) in got  # placed right below the next gap
@@ -91,18 +103,18 @@ def test_split_piece_cut_once():
 
 
 def test_split_exact_fit_no_cut():
-    tmpl = [Gap(0, F(0), F(6))]
-    r, t, sched = split((0, F(1), (0, 0), F(2)), tmpl, 0, F(4))
-    assert (r, t) == (0, F(6))
-    assert len(sched.machines[0]) == 1
+    tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
+    sched, res = wrap_plain([batch(0, 1, [2])], tmpl, 2)
+    assert (res.last_machine, res.last_fill) == (0, F(6))
+    assert flat(sched) == [(0, SETUP, 0, F(3), F(1)), (0, PIECE, 0, F(4), F(2))]
 
 
 def test_compressed_single_long_job():
     seq = [batch(0, 1, [10])]
-    sched, _ = wrap_parallel_compressed(seq, (F(1), F(2)), 12)
+    sched, _ = wrap_tail(seq, (F(1), F(2)), 12)
     assert len(sched.compressed) <= 3 + 1
     assert sched.machine_count() <= 12
-    plain, _ = wrap(seq, [Gap(k, F(1), F(2)) for k in range(12)], m=12)
+    plain, _ = wrap_plain(seq, [Gap(k, F(1), F(2)) for k in range(12)], 12)
     assert [
         [tuple(p) for p in mach] for mach in sched.expand().machines
     ] == [[tuple(p) for p in mach] for mach in plain.machines]
@@ -110,8 +122,8 @@ def test_compressed_single_long_job():
 
 def test_compressed_no_crossing_matches_plain():
     seq = [batch(0, 1, [1]), batch(1, 2, [1, 1])]
-    sched, _ = wrap_parallel_compressed(seq, (F(2), F(9)), 3)
-    plain, _ = wrap(seq, [Gap(k, F(2), F(9)) for k in range(3)], m=3)
+    sched, _ = wrap_tail(seq, (F(2), F(9)), 3)
+    plain, _ = wrap_plain(seq, [Gap(k, F(2), F(9)) for k in range(3)], 3)
     assert [
         [tuple(p) for p in mach] for mach in sched.expand().machines
     ] == [[tuple(p) for p in mach] for mach in plain.machines]
@@ -120,7 +132,7 @@ def test_compressed_no_crossing_matches_plain():
 
 def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
-    sched, _ = wrap_parallel_compressed(seq, (F(2), F(6)), 2)
+    sched, _ = wrap_tail(seq, (F(2), F(6)), 2)
     total = sum(
         dur * mult for cfg, mult in sched.compressed for kind, _, _, dur, _, _ in cfg if kind == PIECE
     ) + sum(dur for m in sched.machines for kind, _, _, dur, _, _ in m if kind == PIECE)
@@ -139,10 +151,9 @@ def random_case(rng):
         seq.append(batch(ci, s, durs, start_ref=ref))
         ref += len(durs)
     count = rng.randint(1, 20)
-    load = sequence_load(seq)
     # identical gaps above a floor that fits every setup, tall enough to fit
     a = F(smax)
-    height = load / count + F(rng.randint(1, 5))
+    height = load(seq) / count + F(rng.randint(1, 5))
     return seq, (a, a + height), count
 
 
@@ -150,9 +161,9 @@ def test_compressed_matches_plain_on_random_cases():
     rng = random.Random(20240817)
     for _ in range(150):
         seq, gap, count = random_case(rng)
-        comp, _ = wrap_parallel_compressed(seq, gap, count)
+        comp, _ = wrap_tail(seq, gap, count)
         tmpl = [Gap(k, gap[0], gap[1]) for k in range(count)]
-        plain, res = wrap(seq, tmpl, m=count)
+        plain, res = wrap_plain(seq, tmpl, count)
         assert [
             [tuple(p) for p in mach] for mach in comp.expand().machines
         ] == [[tuple(p) for p in mach] for mach in plain.machines]
@@ -193,10 +204,10 @@ def test_wrap_soundness_rules_on_random_templates():
             seq.append(batch(ci, s, durs))
             setups.append(s)
             jobs_by_cls.append(tuple(durs))
-        load = sequence_load(seq)
+        need = load(seq)
         gaps = []
         a = F(smax)
-        remaining = load + rng.randint(0, 6)
+        remaining = need + rng.randint(0, 6)
         u = 0
         while remaining > 0:
             h = F(rng.randint(1, 12))
@@ -204,10 +215,11 @@ def test_wrap_soundness_rules_on_random_templates():
             gaps.append(Gap(u, a, a + h))
             remaining -= h
             u += 1
-        if template_capacity(gaps) < load:
-            gaps.append(Gap(u, a, a + load - template_capacity(gaps)))
+        capacity = sum(g.close - g.open for g in gaps)
+        if capacity < need:
+            gaps.append(Gap(u, a, a + need - capacity))
             u += 1
-        sched, _ = wrap(seq, gaps, m=u)
+        sched, _ = wrap_plain(seq, gaps, u)
         inst = Instance(m=u, classes=tuple(JobClass(s, j) for s, j in zip(setups, jobs_by_cls)))
         rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10**9))
         assert rep.ok, [str(v) for v in rep.violations][:4]
@@ -218,7 +230,6 @@ def test_run_wrap_int_gaps_past_float_precision():
     # = 5 whole tail gaps; a float division would read the ratio as 5.0 and
     # emit one bulk gap too few
     from batchsched.core import Placement
-    from batchsched.wrap import Builder, run_wrap
 
     H = 2**61 + 1
     s = 2**60 + 3
