@@ -37,6 +37,7 @@ from .core import (
     ValidationError,
     Variant,
     emit_instance,
+    fmt_rat,
     lower_bound_tmin,
     parse_instance,
     verify_schedule,
@@ -60,10 +61,6 @@ def parse_rat(text: str) -> Rat:
         return x
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"unparsable rational {text!r}: {exc}") from exc
-
-
-def fmt_rat(x: Rat) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # Every shape or type error in a schedule file names the one format it takes.

@@ -202,6 +202,25 @@ def test_rational_past_the_digit_limit_exit_one(tmp_path, capsys, args):
     assert captured.err.startswith("error: unparsable rational") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
+    # inputs that read fine, but the makespan they give has 4,301 digits: a
+    # 4,300-digit guess, or a schedule time of 4,300 nines plus a duration
+    ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    if cmd == "solve":
+        args = ["solve", "--variant", "split", "--algo", "dual", "--T", "9" * 4299 + "8",
+                "--in", ipath, "--emit", "summary"]
+    else:
+        spath = tmp_path / "s.json"
+        spath.write_text('{"scale": 1, "machines": [[[0, 0, %s, 1], [1, 0, 1, 2, 0, 0]]]}' % ("9" * 4300))
+        args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False),
