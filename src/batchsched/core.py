@@ -291,8 +291,6 @@ class ClassPartition:
     above, which the exact searches rely on.
     """
 
-    expensive: tuple[int, ...]
-    cheap: tuple[int, ...]
     exp_plus: tuple[int, ...]  # T < s + P
     exp_zero: tuple[int, ...]  # 3/4 T < s + P <= T
     exp_minus: tuple[int, ...]  # s + P <= 3/4 T
@@ -308,7 +306,6 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
         raise ContractError("classify needs T > 0")
     # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p etc.
     p_, q_ = guess.numerator, guess.denominator
-    expensive, cheap = [], []
     exp_plus, exp_zero, exp_minus = [], [], []
     chp_plus, chp_minus, chp_star = [], [], []
     big_jobs: dict[int, tuple[int, ...]] = {}
@@ -316,7 +313,6 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
         p = cl.total
         sq2 = 2 * cl.setup * q_
         if sq2 > p_:
-            expensive.append(i)
             reach = (cl.setup + p) * q_
             if reach > p_:
                 exp_plus.append(i)
@@ -324,21 +320,15 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
                 exp_zero.append(i)
             else:
                 exp_minus.append(i)
+        elif 2 * sq2 > p_:
+            chp_plus.append(i)
         else:
-            cheap.append(i)
-            if 2 * sq2 > p_:
-                chp_plus.append(i)
-            else:
-                chp_minus.append(i)
-                big = tuple(
-                    j for j, t in enumerate(cl.jobs) if 2 * (cl.setup + t) * q_ > p_
-                )
-                if big:
-                    big_jobs[i] = big
-                    chp_star.append(i)
+            chp_minus.append(i)
+            big = tuple(j for j, t in enumerate(cl.jobs) if 2 * (cl.setup + t) * q_ > p_)
+            if big:
+                big_jobs[i] = big
+                chp_star.append(i)
     return ClassPartition(
-        expensive=tuple(expensive),
-        cheap=tuple(cheap),
         exp_plus=tuple(exp_plus),
         exp_zero=tuple(exp_zero),
         exp_minus=tuple(exp_minus),
@@ -455,8 +445,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     lists at base[cls] + job (base: prefix sums of the class sizes), so rule
     (c) is one list comparison.  Only a job with more than one piece or copy
     keeps intervals, for rule (e).  Violators of (d) or (e) are listed by
-    first appearance, which takes one more pass over their pieces.  About
-    0.7 µs per placement on the benchmark's large built schedules.
+    first appearance, which takes one more pass over their pieces.  README
+    gives its measured cost.
 
     The rules run on the schedule's own times over `sched.scale` with +, -,
     comparisons, `* scale` and `Fraction(t, scale)` only: ints for every
@@ -471,8 +461,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     def flag(rule: str, label, t: Rat, message: str):
         out.append(Violation(rule, label, Fraction(t, scale), message))
 
-    if sched.machine_count() > sched.m:
-        flag("s", "-", 0, f"schedule uses {sched.machine_count()} machines, instance has {sched.m}")
+    if sched.machine_count() > inst.m:
+        flag("s", "-", 0, f"schedule uses {sched.machine_count()} machines, instance has {inst.m}")
 
     classes = inst.classes
     sizes = [len(cl.jobs) for cl in classes]

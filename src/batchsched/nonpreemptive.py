@@ -294,6 +294,9 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     forced_by_cls: dict[int, list[tuple[JobRef, int]]] = {}
     for ref in counts.forced:
         forced_by_cls.setdefault(ref[0], []).append((ref, inst.duration(ref) * scale))
+    big_by_cls: dict[int, list[int]] = {}
+    for i, j in counts.big_jobs:
+        big_by_cls.setdefault(i, []).append(j)
     for i, cl in enumerate(inst.classes):
         targets: list[int] = []
         setup = cl.setup * scale
@@ -302,9 +305,7 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             used = _stack_wrap(st, i, setup, items, T)
             targets = [used[-1]]
         else:
-            for i2, j in counts.big_jobs:
-                if i2 != i:
-                    continue
+            for j in big_by_cls.get(i, ()):
                 u = st.new_machine()
                 st.push_setup(u, i, setup)
                 st.push_piece(u, i, (i, j), cl.jobs[j] * scale)

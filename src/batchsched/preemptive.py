@@ -5,17 +5,21 @@ classes whose setup+work almost fills a machine (between 3/4 T and T) each
 get a dedicated "large" machine; what the remaining machines cannot take of
 the small-setup cheap classes must go onto the large machines, and picking
 which classes stay whole outside them is a continuous knapsack problem.  The
-rest is an easy ("nice") instance placed by wrapping.
+rest is an easy ("nice") instance placed by wrapping.  An instance with no
+dedicated machine is nice as a whole: the same plan, with no geometric
+reject and no knapsack.
 
 The class-jumping search walks the finitely many guesses at which some class
 needs another machine instead of bisecting, which yields the exact smallest
-guess the dual accepts.
+guess the dual accepts; inside its last bracket it reads the knapsack case's
+breakpoints off the plan at the bracket's midpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import combinations
 from fractions import Fraction
 from typing import Optional
 
@@ -211,30 +215,20 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
 
     odd_machine: Optional[int] = None
     mm = parts.minus
-    for k in range(0, len(mm) - 1, 2):
+    for k in range(0, len(mm), 2):
         u = base
         base += 1
         if u >= limit:
             raise ContractError("nice construction ran out of machines")
         t = 0
-        for cls, setup, items, _ in (mm[k], mm[k + 1]):
+        for cls, setup, items, _ in mm[k:k + 2]:
             builder.put_setup(u, cls, t, setup)
             t += setup
             for ref, dur in items:
                 builder.put_piece(u, cls, ref, t, dur)
                 t += dur
-    if len(mm) % 2 == 1:
-        cls, setup, items, _ = mm[-1]
-        odd_machine = base
-        base += 1
-        if odd_machine >= limit:
-            raise ContractError("nice construction ran out of machines")
-        t = 0
-        builder.put_setup(odd_machine, cls, t, setup)
-        t += setup
-        for ref, dur in items:
-            builder.put_piece(odd_machine, cls, ref, t, dur)
-            t += dur
+        if k + 1 == len(mm):
+            odd_machine = u
 
     if not parts.cheap:
         return
@@ -262,12 +256,16 @@ def _full_specs(inst: Instance, indices, scale: int) -> list[ClsSpec]:
 
 @dataclass
 class _PmtnPlan:
-    """Everything the decision and the construction share for one guess."""
+    """Everything the decision and the construction share for one guess.
+
+    The classes of part.exp_zero get one dedicated machine each.  Without
+    them the instance is nice: the plan then has no geometric reject and no
+    knapsack, and its load and machine count are the nice instance's.
+    """
 
     part: ClassPartition
-    nice: bool = False
-    large: list[int] = field(default_factory=list)  # classes on dedicated machines
-    free_time: Rat = Fraction(0)  # F: room for small-setup classes off the large machines
+    free_time: Rat = Fraction(0)  # F: room for small-setup classes off the dedicated machines
+    star_total: int = 0  # setup + work of the star classes, all of which F must take
     knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
     obligatory: dict[int, Rat] = field(default_factory=dict)  # L*_i per star class
     load: Rat = Fraction(0)
@@ -279,64 +277,55 @@ class _PmtnPlan:
     reject: Optional[str] = None
 
 
+def _star_items(inst: Instance, part: ClassPartition, half: Rat,
+                free: Rat) -> tuple[list[KnapsackItem], dict[int, Rat], Rat]:
+    """The knapsack items of the star classes at half the guess, each one's
+    obligatory spill L*_i (what its oversized jobs overrun half the guess by,
+    next to its setup) and the knapsack capacity the free time leaves after
+    every star setup and spill.  A weight grows by its item's growth per unit
+    of guess."""
+    items: list[KnapsackItem] = []
+    obligatory: dict[int, Rat] = {}
+    for i in part.chp_star:
+        cl = inst.classes[i]
+        big = part.big_jobs[i]
+        ob = obligatory[i] = sum(cl.jobs[j] for j in big) - len(big) * (half - cl.setup)
+        items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
+                                  growth=Fraction(len(big), 2)))
+    return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
+
+
 def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
     part = classify(inst, guess)
-    half = guess / 2
     plan = _PmtnPlan(part=part)
-    if not part.exp_zero:
-        plan.nice = True
-        specs = [(i, cl.setup, (), cl.total) for i, cl in enumerate(inst.classes)]  # no job items
-        d = _decide_nice_parts(_nice_parts(specs, guess), inst.m, guess)
-        plan.load, plan.machines = d.load, d.machines
-        return plan
-
     classes = inst.classes
     gamma = {i: _gamma_count(classes[i].setup, classes[i].total, guess) for i in part.exp_plus}
-    plan.large = list(part.exp_zero)
-    l = len(plan.large)
+    l = len(part.exp_zero)
     taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
     taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
-    free = (inst.m - l) * guess - taken
-    plan.free_time = free
-
-    star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
+    free = plan.free_time = (inst.m - l) * guess - taken
+    star_total = plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
     plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
     # every class pays one setup, an expensive heavy class one per machine
-    load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
+    plan.load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
 
-    if free < 0:
+    if l and free < 0:
         # The classes outside the dedicated machines alone overrun the other
         # m - l machines: certified infeasible.
-        plan.load = load
         plan.reject = "load"
-        return plan
-
-    if free < star_total:
-        items = []
-        lstar_sum = Fraction(0)
-        for i in part.chp_star:
-            cl = inst.classes[i]
-            big = part.big_jobs[i]
-            ob = sum(cl.jobs[j] for j in big) - len(big) * (half - cl.setup)
-            plan.obligatory[i] = ob
-            lstar_sum += cl.setup + ob
-            items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
-                                      growth=Fraction(len(big), 2)))
-        capacity = free - lstar_sum
+    elif l and free < star_total:
+        items, plan.obligatory, capacity = _star_items(inst, part, guess / 2, free)
         if capacity < 0:
             # Even the unavoidable spill of the oversized-job classes exceeds
             # the room outside the dedicated machines.
-            plan.load = load
             plan.reject = "load"
             return plan
         sol = plan.knapsack = continuous_knapsack(items, capacity)
         # a rejected class (share 0) pays a second setup; the split item pays
         # none, even at share 0, so the load is right-continuous where the
         # capacity runs out
-        for i in part.chp_star:
-            if sol.x[i] == 0 and i != sol.split_item:
-                load += inst.classes[i].setup
-    plan.load = load
+        plan.load += sum(classes[i].setup for i in part.chp_star
+                         if sol.x[i] == 0 and i != sol.split_item)
     return plan
 
 
@@ -375,16 +364,12 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     T = scaled(guess, scale)
     half, quarter = T // 2, T // 4
     builder = Builder(inst.m, scale)
-    if plan.nice:
-        _build_nice(builder, _nice_parts(_full_specs(inst, range(inst.c), scale), T), 0, inst.m, T)
-        return builder.finalize()
-
     part = plan.part
-    l = len(plan.large)
+    l = len(part.exp_zero)
 
     # Dedicated machines: one almost-full expensive class each, starting at
     # half the guess so their bottoms stay free for leftovers.
-    for u, i in enumerate(plan.large):
+    for u, i in enumerate(part.exp_zero):
         cl = inst.classes[i]
         t = half
         builder.put_setup(u, i, t, cl.setup * scale)
@@ -454,9 +439,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         # outside the large machines whole; greedily cut the remaining
         # small-setup classes so the nice remainder exactly uses the free time.
         sub_specs += _full_specs(inst, part.chp_star, scale)
-        budget = scaled(plan.free_time, scale) - scale * sum(
-            inst.classes[i].setup + inst.classes[i].total for i in part.chp_star
-        )
+        budget = scaled(plan.free_time - plan.star_total, scale)
         if budget < 0:
             raise ContractError("oversized-job classes overrun the free time")
         for i in part.chp_minus:
@@ -545,68 +528,44 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
     change, assuming the class layers and the heavy-class machine counts are
     constant on the bracket (the class-jump walk's final bracket): sign
     changes of the free time and the knapsack capacity, the case switch,
-    density order flips and prefix saturation points of the knapsack."""
+    density order flips and prefix saturation points of the knapsack.
+
+    On such a bracket every quantity involved is linear in the guess, so each
+    point is read off the plan at the midpoint: the free time grows at rate
+    m - l, each knapsack weight at its item's growth, and the capacity at
+    m - l plus their sum."""
     mid = (t_fail + t_ok) / 2
-    part = classify(inst, mid)
-    m, l = inst.m, len(part.exp_zero)
+    plan = _pmtn_plan(inst, mid)
+    part = plan.part
+    rate = inst.m - len(part.exp_zero)
     breaks: set[Rat] = set()
 
     def note(v: Rat):
         if t_fail < v < t_ok:
             breaks.add(v)
 
-    if l and m > l:
-        # With the machine counts frozen at the midpoint, the free time is
-        # linear: F(T) = (m - l) T - g_const.
-        g_const = Fraction(0)
-        for i in part.exp_plus:
-            cl = inst.classes[i]
-            g_const += _gamma_count(cl.setup, cl.total, mid) * cl.setup + cl.total
-        for i in list(part.exp_minus) + list(part.chp_plus):
-            cl = inst.classes[i]
-            g_const += cl.setup + cl.total
-        star_total = sum(inst.classes[i].setup + inst.classes[i].total for i in part.chp_star)
-        note(g_const / (m - l))  # F = 0
-        note((g_const + star_total) / (m - l))  # case switch
-        if part.chp_star:
-            # weights w_i(T) = wa_i + wb_i T and capacity Y(T) = ya + yb T
-            wa, wb, prof = {}, {}, {}
-            la = Fraction(0)
-            lb = Fraction(0)
-            for i in part.chp_star:
-                cl = inst.classes[i]
-                big = part.big_jobs[i]
-                # L*_i(T) = P(big) + |big| s_i - |big| T / 2
-                la += cl.setup + sum(cl.jobs[j] for j in big) + len(big) * cl.setup
-                lb -= Fraction(len(big), 2)
-                wa[i] = Fraction(cl.total - sum(cl.jobs[j] for j in big) - len(big) * cl.setup)
-                wb[i] = Fraction(len(big), 2)
-                prof[i] = Fraction(cl.setup)
-            ya = -g_const - la
-            yb = Fraction(m - l) - lb
-            note(-ya / yb)  # Y = 0 (yb > 0: m > l and lb <= 0)
-            star = list(part.chp_star)
-            if len(star) <= 14:
-                for a in range(len(star)):
-                    for b in range(a + 1, len(star)):
-                        i, j = star[a], star[b]
-                        den = prof[i] * wb[j] - prof[j] * wb[i]
-                        if den != 0:
-                            note((prof[j] * wa[i] - prof[i] * wa[j]) / den)
-            # prefix saturation under the midpoint density order
-            def density(i):
-                w = wa[i] + wb[i] * mid
-                return (-(prof[i] / w) if w > 0 else Fraction(-10 ** 18), i)
-
-            ordered = sorted(star, key=density)
-            ca = Fraction(0)
-            cb = Fraction(0)
-            for i in ordered:
-                ca += wa[i]
-                cb += wb[i]
-                den = cb - yb
-                if den != 0:
-                    note((ya - ca) / den)  # sum of first weights == capacity
+    if not part.exp_zero or rate <= 0:
+        return breaks
+    free = plan.free_time
+    note(mid - free / rate)  # F = 0
+    note(mid + (plan.star_total - free) / rate)  # case switch
+    if not part.chp_star:
+        return breaks
+    items, _, cap = _star_items(inst, part, mid / 2, free)
+    cap_rate = rate + sum(it.growth for it in items)
+    note(mid - cap / cap_rate)  # capacity = 0
+    if len(items) <= 14:
+        for a, b in combinations(items, 2):
+            den = a.profit * b.growth - b.profit * a.growth
+            if den != 0:
+                note(mid + (b.profit * a.weight - a.profit * b.weight) / den)
+    # prefix saturation under the midpoint density order (every weight is
+    # positive: an oversized job leaves T/2 - s >= T/4 below half the guess)
+    weight = growth = 0
+    for it in sorted(items, key=lambda it: (-it.profit / it.weight, it.cls)):
+        weight += it.weight
+        growth += it.growth
+        note(mid + (cap - weight) / (growth - cap_rate))  # sum of first weights == capacity
     return breaks
 
 

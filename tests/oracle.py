@@ -171,11 +171,11 @@ def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: R
     """
     out: list[Violation] = []
 
-    if sched.machine_count() > sched.m:
+    if sched.machine_count() > inst.m:
         out.append(
             Violation(
                 "s", "-", Fraction(0),
-                f"schedule uses {sched.machine_count()} machines, instance has {sched.m}",
+                f"schedule uses {sched.machine_count()} machines, instance has {inst.m}",
             )
         )
 

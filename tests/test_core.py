@@ -89,7 +89,8 @@ def test_classify_examples():
 def test_classify_all_cheap_at_double_setup():
     inst = random_instance(random.Random(7))
     part = classify(inst, F(2 * inst.s_max))
-    assert not part.expensive and len(part.cheap) == inst.c
+    assert part.exp_plus + part.exp_zero + part.exp_minus == ()
+    assert sorted(part.chp_plus + part.chp_minus) == list(range(inst.c))
 
 
 def test_classify_partitions_cover():
@@ -100,8 +101,8 @@ def test_classify_partitions_cover():
         part = classify(inst, guess)
         exp = part.exp_plus + part.exp_zero + part.exp_minus
         chp = part.chp_plus + part.chp_minus
-        assert sorted(exp) == sorted(part.expensive)
-        assert sorted(chp) == sorted(part.cheap)
+        assert sorted(exp) == [i for i, cl in enumerate(inst.classes) if 2 * cl.setup > guess]
+        assert sorted(chp) == [i for i, cl in enumerate(inst.classes) if 2 * cl.setup <= guess]
         assert sorted(exp + chp) == list(range(inst.c))
         assert set(part.chp_star) <= set(part.chp_minus)
 
@@ -207,6 +208,23 @@ def test_verify_machine_budget():
     assert any(v.rule == "s" for v in rep.violations)
 
 
+def test_verify_machine_budget_from_the_instance():
+    # a schedule that claims more machines than the instance has is judged
+    # by the instance's budget
+    inst = Instance(m=1, classes=(JobClass(1, (2, 2)),))
+    sched = Schedule(
+        m=2,
+        machines=[
+            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=0, piece=0)],
+            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=1, piece=0)],
+        ],
+    )
+    rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
+    assert not rep.ok and rep.makespan == 3
+    assert [(v.rule, v.message) for v in rep.violations] == [
+        ("s", "schedule uses 2 machines, instance has 1")]
+
+
 def test_verifier_catches_mutations():
     # corrupt correct schedules in every rule-relevant way; the verifier must
     # flag each one
@@ -305,12 +323,13 @@ def _bad_machines():
 
 
 def _bad_compressed():
-    # one explicit machine, a configuration twice and one with multiplicity 0:
-    # 3 machines on an instance with 2
-    return Schedule(m=2, machines=[
+    # two explicit machines (one empty), a configuration twice and one with
+    # multiplicity 0: 4 machines on an instance with 3
+    return Schedule(m=3, machines=[
         [Placement(SETUP, 0, F(0), F(1)),
          Placement(PIECE, 0, F(1), F(1, 3), job=1, piece=0),
          Placement(PIECE, 0, F(4, 3), F(1, 4), job=1, piece=1)],
+        [],
     ], compressed=[
         ((Placement(SETUP, 0, F(0), F(1)),
           Placement(PIECE, 0, F(5, 4), F(1, 2), job=0, piece=0),
@@ -340,7 +359,7 @@ MACHINE_RULES = [
     ("s", 2, F(1, 3), "unknown class 5"),
 ]
 COMPRESSED_RULES = [
-    ("s", "-", F(0), "schedule uses 3 machines, instance has 2"),
+    ("s", "-", F(0), "schedule uses 4 machines, instance has 3"),
     ("s", "compressed[1]", F(0), "multiplicity < 1"),
     ("c", "-", F(0), "job (0, 1) placed for 169/84 time units, needs exactly 2"),
     ("c", "-", F(0), "job (1, 0) placed for 0 time units, needs exactly 3"),

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,8 @@ from batchsched.core import (
     Instance,
     JobClass,
     Variant,
+    job_setup_bound,
+    lower_bound_tmin,
     verify_schedule,
 )
 from batchsched.preemptive import (
@@ -121,10 +125,41 @@ def test_nice_accepts_and_builds_at_valid_guess():
 def test_all_cheap_degenerate_wrap():
     # m = 2 < n = 3 keeps the nice wrap on, not the one-job-per-machine path
     inst = Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(2, (1,))))
-    assert _pmtn_plan(inst, F(4)).nice
+    plan = _pmtn_plan(inst, F(4))
+    assert not plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(4))
     assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(6)).ok
+
+
+def test_plan_without_dedicated_machine_is_the_nice_count():
+    # with no class in exp_zero the plan is the nice instance's count, even
+    # where its free time is negative or short of the oversized-job classes:
+    # the guess is then held against load and machines only
+    rng = random.Random(17)
+    seen = Counter()
+    for r in range(400):
+        inst = random_instance(rng, max_m=1 + r % 2 * 5, max_c=10, max_jobs=4, max_val=30)
+        low, tmin = job_setup_bound(inst), lower_bound_tmin(inst, Variant.PREEMPTIVE)
+        for k in range(13):
+            guess = low + (2 * tmin - low) * F(k, 12)
+            cls = list(enumerate(inst.classes))
+            if inst.m >= inst.n or any(
+                    2 * cl.setup > guess and 3 * guess < 4 * (cl.setup + cl.total) <= 4 * guess
+                    for _, cl in cls):
+                continue
+            heavy = {i: max(1, math.ceil(2 * (cl.setup + cl.total) / guess) - 2)
+                     for i, cl in cls if 2 * cl.setup > guess and cl.setup + cl.total > guess}
+            minus = [i for i, cl in cls if 2 * cl.setup > guess and 4 * (cl.setup + cl.total) <= 3 * guess]
+            load = sum(heavy.get(i, 1) * cl.setup + cl.total for i, cl in cls)
+            machines = (len(minus) + 1) // 2 + sum(heavy.values())
+            d = _decide_pmtn(inst, guess)
+            assert (d.load, d.machines) == (load, machines), (inst, guess)
+            assert d.reason == ("machines" if machines > inst.m else "load" if load > inst.m * guess else "")
+            seen[d.reason or "accepted"] += 1
+            seen["free < 0"] += d.plan.free_time < 0
+            seen["0 <= free < star"] += 0 <= d.plan.free_time < d.plan.star_total
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
 
 # -- general dual -------------------------------------------------------------
@@ -146,7 +181,8 @@ def test_pmtn_reject_example():
 
 def test_pmtn_defers_to_nice_when_nice():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
-    assert _pmtn_plan(inst, F(11)).nice
+    plan = _pmtn_plan(inst, F(11))
+    assert not plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(11))
     assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(33, 2)).ok
@@ -193,7 +229,7 @@ def test_pmtn_greedy_case_with_straddler():
         ),
     )
     plan = _pmtn_plan(inst, F(40))
-    assert not plan.nice and plan.knapsack is None
+    assert plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(40))
     assert out.accepted
     assert verify_schedule(inst, out.schedule, Variant.PREEMPTIVE, F(60)).ok
