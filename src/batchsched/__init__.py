@@ -25,13 +25,7 @@ from .core import (
     trivial_one_job_per_machine,
     verify_schedule,
 )
-from .nonpreemptive import (
-    NonpCounts,
-    counts_nonp,
-    dual_nonp,
-    exact_integer_search_nonp,
-    next_fit_two_approx,
-)
+from .nonpreemptive import dual_nonp, exact_integer_search_nonp, next_fit_two_approx
 from .preemptive import (
     KnapsackItem,
     KnapsackSolution,

@@ -57,8 +57,11 @@ class JobClass:
     setup: int
     jobs: tuple[int, ...]
 
-    @property
+    @cached_property
     def total(self) -> int:
+        """Sum of the processing times, summed once: the decisions read it
+        for every class on every probe.  Kept in the instance __dict__, so
+        equality and hashing still see only setup and jobs."""
         return sum(self.jobs)
 
     @property

@@ -32,37 +32,38 @@ from .core import (
     scaled,
     trivial_one_job_per_machine,
 )
-from .search import CachedProbe, SearchResult, trivial_search
+from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_search
 
 
 # ---------------------------------------------------------------------------
 # Machine stacks: items packed back-to-back from time 0
 # ---------------------------------------------------------------------------
 
-
-@dataclass(eq=False)
-class _Item:
-    kind: str  # SETUP or PIECE
-    cls: int
-    dur: Rat
-    ref: Optional[JobRef] = None
-    seq: int = 0  # creation order, identifies the first piece of a split
-    step3: bool = False
-    crossed: bool = False
+# A stack item is the plain tuple (kind, cls, dur, job, seq): kind is SETUP
+# or PIECE, dur an int on the stacks' scale, job the position within cls
+# (None for a setup) and seq the item's number in creation order, so no two
+# items are equal.  Plain tuples of ints, strs and Nones, which the cyclic
+# collector stops tracking, so a full collection does not rescan the stacks.
+StackItem = tuple[str, int, int, Optional[int], int]
 
 
 class _Stacks:
     """Machine stacks with durations and loads as ints on the time scale."""
 
-    def __init__(self, m: int, scale: int = 1):
-        self.m = m
+    def __init__(self, inst: Instance, scale: int = 1):
+        self.m = inst.m
         self.scale = scale
-        self.stacks: list[list[_Item]] = []
+        self.setups = [cl.setup * scale for cl in inst.classes]
+        self.stacks: list[list[StackItem]] = []
         self.loads: list[int] = []
-        self._seq = 0
+        self.seq = 0
 
-    def setup(self, inst: Instance, cls: int) -> _Item:
-        return _Item(SETUP, cls, inst.classes[cls].setup * self.scale)
+    def item(self, kind: str, cls: int, dur: int, job: Optional[int] = None) -> StackItem:
+        self.seq += 1
+        return (kind, cls, dur, job, self.seq)
+
+    def setup(self, cls: int) -> StackItem:
+        return self.item(SETUP, cls, self.setups[cls])
 
     def new_machine(self) -> int:
         if len(self.stacks) >= self.m:
@@ -71,31 +72,22 @@ class _Stacks:
         self.loads.append(0)
         return len(self.stacks) - 1
 
-    def _push(self, u: int, it: _Item) -> _Item:
-        self._seq += 1
-        it.seq = self._seq
+    def push(self, u: int, it: StackItem):
         self.stacks[u].append(it)
-        self.loads[u] += it.dur
-        return it
+        self.loads[u] += it[2]
 
-    def push_setup(self, u: int, cls: int, dur: Rat, step3=False) -> _Item:
-        return self._push(u, _Item(SETUP, cls, dur, step3=step3))
-
-    def push_piece(self, u: int, cls: int, ref: JobRef, dur: Rat, step3=False) -> _Item:
-        return self._push(u, _Item(PIECE, cls, dur, ref=ref, step3=step3))
-
-    def insert(self, u: int, index: int, it: _Item):
+    def insert(self, u: int, index: int, it: StackItem):
         self.stacks[u].insert(index, it)
-        self.loads[u] += it.dur
+        self.loads[u] += it[2]
 
-    def pop(self, u: int) -> _Item:
+    def pop(self, u: int) -> StackItem:
         it = self.stacks[u].pop()
-        self.loads[u] -= it.dur
+        self.loads[u] -= it[2]
         return it
 
-    def remove(self, u: int, it: _Item):
-        self.stacks[u].remove(it)  # identity comparison: _Item has eq=False
-        self.loads[u] -= it.dur
+    def remove(self, u: int, it: StackItem):
+        self.stacks[u].remove(it)
+        self.loads[u] -= it[2]
 
     def to_schedule(self) -> Schedule:
         machines: list[list[PlacementT]] = []
@@ -103,33 +95,33 @@ class _Stacks:
         for stack in self.stacks:
             t = 0
             row = []
-            for it in stack:
-                if it.kind == SETUP:
-                    row.append((SETUP, it.cls, t, it.dur, None, None))
+            for kind, cls, dur, job, _ in stack:
+                if kind == SETUP:
+                    row.append((SETUP, cls, t, dur, None, None))
                 else:
-                    k = piece_counter.get(it.ref, 0)
-                    piece_counter[it.ref] = k + 1
-                    row.append((PIECE, it.cls, t, it.dur, it.ref[1], k))
-                t += it.dur
+                    k = piece_counter.get((cls, job), 0)
+                    piece_counter[(cls, job)] = k + 1
+                    row.append((PIECE, cls, t, dur, job, k))
+                t += dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)
 
 
-def _stack_wrap(st: _Stacks, cls: int, setup: int, items, cap: int) -> list[int]:
-    """Fill machines [setup, pieces...] up to exactly cap, cutting jobs at the
-    border; returns the used machine ids in order."""
+def _stack_wrap(st: _Stacks, cls: int, items, cap: int) -> list[int]:
+    """Fill machines [setup, pieces...] up to exactly cap, cutting the
+    (job, dur) items at the border; returns the used machine ids in order."""
     used = [st.new_machine()]
-    st.push_setup(used[-1], cls, setup)
-    for ref, dur in items:
+    st.push(used[-1], st.setup(cls))
+    for job, dur in items:
         while st.loads[used[-1]] + dur > cap:
             head = cap - st.loads[used[-1]]
             if head > 0:
-                st.push_piece(used[-1], cls, ref, head)
+                st.push(used[-1], st.item(PIECE, cls, head, job))
                 dur -= head
             used.append(st.new_machine())
-            st.push_setup(used[-1], cls, setup)
+            st.push(used[-1], st.setup(cls))
         if dur > 0:
-            st.push_piece(used[-1], cls, ref, dur)
+            st.push(used[-1], st.item(PIECE, cls, dur, job))
     return used
 
 
@@ -149,37 +141,26 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
         sched = trivial_one_job_per_machine(inst)
         return sched, sched.makespan()
     tmin = lower_bound_tmin(inst, variant)
-    st = _Stacks(inst.m)
+    st = _Stacks(inst)
     cur = st.new_machine()
-    trigger: dict[int, _Item] = {}  # machine -> the item that pushed it past tmin
     for i, cl in enumerate(inst.classes):
-        items = [(SETUP, None, cl.setup)]
-        items += [(PIECE, (i, j), t) for j, t in enumerate(cl.jobs)]
-        for kind, ref, dur in items:
-            if kind == SETUP:
-                it = st.push_setup(cur, i, dur)
-            else:
-                it = st.push_piece(cur, i, ref, dur)
+        for it in [st.setup(i), *(st.item(PIECE, i, t, j) for j, t in enumerate(cl.jobs))]:
+            st.push(cur, it)
             if st.loads[cur] > tmin:
-                trigger[cur] = it
                 cur = st.new_machine()
-    # Move each over-the-line item to the start of the next machine; moved
-    # jobs get a fresh setup in front.
+    # A machine is opened only when the item on top of the one before went
+    # over the line: move each such item to the start of the next machine,
+    # with a fresh setup in front of a moved job.
     for u in range(len(st.stacks) - 1):
-        it = trigger.get(u)
-        if it is None:
-            continue
-        if not (st.stacks[u] and st.stacks[u][-1] is it):
-            raise ContractError("next-fit trigger is not on top of its machine")
-        st.pop(u)
-        if it.kind == PIECE:
-            st.insert(u + 1, 0, st.setup(inst, it.cls))
+        it = st.pop(u)
+        if it[0] == PIECE:
+            st.insert(u + 1, 0, st.setup(it[1]))
             st.insert(u + 1, 1, it)
         else:
             st.insert(u + 1, 0, it)
     # Trailing setups serve no job: drop them.
     for u in range(len(st.stacks)):
-        while st.stacks[u] and st.stacks[u][-1].kind == SETUP:
+        while st.stacks[u] and st.stacks[u][-1][0] == SETUP:
             st.pop(u)
     st.stacks = [s for s in st.stacks if s]
     sched = st.to_schedule()
@@ -201,17 +182,18 @@ class NonpCounts:
     machines[i]  least machines any T-feasible schedule opens for class i
     leftover[i]  x_i = P(C_i) - machines[i] * (T - s_i): work that cannot fit
                  on those machines (forces an extra setup when positive)
-    big_jobs     refs with t_j > T/2
-    forced       refs of cheap classes with t_j <= T/2 but s_i + t_j > T/2
-    solo         all jobs that cannot share a machine with another solo job
+    big_jobs     cheap class -> positions with t_j > T/2
+    forced       cheap class -> positions with t_j <= T/2 but s_i + t_j > T/2
     blocked      True when some class has T <= s_i (guaranteed reject)
+
+    No job of a cheap class in big_jobs or forced can share a machine with
+    another such job, and neither can any job of an expensive class.
     """
 
     machines: list[int]
     leftover: list[Rat]
-    big_jobs: list[JobRef]
-    forced: list[JobRef]
-    solo: list[JobRef]
+    big_jobs: dict[int, tuple[int, ...]]
+    forced: dict[int, tuple[int, ...]]
     blocked: bool = False
 
 
@@ -220,9 +202,8 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
     p_, q_ = guess.numerator, guess.denominator
     machines: list[int] = []
     leftover: list[Rat] = []
-    big: list[JobRef] = []
-    forced: list[JobRef] = []
-    solo: list[JobRef] = []
+    big_jobs: dict[int, tuple[int, ...]] = {}
+    forced: dict[int, tuple[int, ...]] = {}
     blocked = False
     for i, cl in enumerate(inst.classes):
         if 2 * cl.setup * q_ > p_:
@@ -232,29 +213,29 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
                 leftover.append(Fraction(0))
                 continue
             mi = math.ceil(Fraction(cl.total) / (guess - cl.setup))
-            solo += [(i, j) for j in range(len(cl.jobs))]
         else:
             kw = 0
-            nbig = 0
+            big: list[int] = []
+            frc: list[int] = []
             sq2 = 2 * cl.setup * q_
             for j, t in enumerate(cl.jobs):
                 if 2 * t * q_ > p_:
-                    nbig += 1
-                    big.append((i, j))
-                    solo.append((i, j))
+                    big.append(j)
                 elif sq2 + 2 * t * q_ > p_:
                     kw += t
-                    forced.append((i, j))
-                    solo.append((i, j))
-            mi = nbig + (math.ceil(Fraction(kw) / (guess - cl.setup)) if kw else 0)
+                    frc.append(j)
+            if big:
+                big_jobs[i] = tuple(big)
+            if frc:
+                forced[i] = tuple(frc)
+            mi = len(big) + (math.ceil(Fraction(kw) / (guess - cl.setup)) if kw else 0)
         machines.append(mi)
         leftover.append(Fraction(cl.total) - mi * (guess - cl.setup))
     return NonpCounts(
         machines=machines,
         leftover=leftover,
-        big_jobs=big,
+        big_jobs=big_jobs,
         forced=forced,
-        solo=solo,
         blocked=blocked,
     )
 
@@ -284,48 +265,41 @@ def dual_nonp(inst: Instance, guess: Rat) -> Decision:
 def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     """The construction on the scale q of the guess p/q, where the guess is p."""
     scale, T = guess.denominator, guess.numerator
-    st = _Stacks(inst.m, scale)
-    solo = set(counts.solo)
+    st = _Stacks(inst, scale)
     fill_targets: dict[int, list[int]] = {}
 
     # Step 1: jobs that cannot share a machine.  Expensive classes wrap over
     # their machine minimum; each big cheap job opens its own machine; the
     # remaining forced cheap jobs wrap class by class.
-    forced_by_cls: dict[int, list[tuple[JobRef, int]]] = {}
-    for ref in counts.forced:
-        forced_by_cls.setdefault(ref[0], []).append((ref, inst.duration(ref) * scale))
-    big_by_cls: dict[int, list[int]] = {}
-    for i, j in counts.big_jobs:
-        big_by_cls.setdefault(i, []).append(j)
     for i, cl in enumerate(inst.classes):
-        targets: list[int] = []
-        setup = cl.setup * scale
-        if 2 * setup > T:
-            items = [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
-            used = _stack_wrap(st, i, setup, items, T)
-            targets = [used[-1]]
-        else:
-            for j in big_by_cls.get(i, ()):
-                u = st.new_machine()
-                st.push_setup(u, i, setup)
-                st.push_piece(u, i, (i, j), cl.jobs[j] * scale)
-                targets.append(u)
-            if i in forced_by_cls:
-                used = _stack_wrap(st, i, setup, forced_by_cls[i], T)
-                targets.append(used[-1])
-        fill_targets[i] = targets
+        if 2 * st.setups[i] > T:
+            used = _stack_wrap(st, i, [(j, t * scale) for j, t in enumerate(cl.jobs)], T)
+            fill_targets[i] = [used[-1]]
+            continue
+        targets = fill_targets[i] = []
+        for j in counts.big_jobs.get(i, ()):
+            u = st.new_machine()
+            st.push(u, st.setup(i))
+            st.push(u, st.item(PIECE, i, cl.jobs[j] * scale, j))
+            targets.append(u)
+        if i in counts.forced:
+            used = _stack_wrap(st, i, [(j, cl.jobs[j] * scale) for j in counts.forced[i]], T)
+            targets.append(used[-1])
 
     # Step 2: top the opened machines of each cheap class up to the guess with
-    # its remaining jobs, cutting at the border.
-    residual: dict[int, list[tuple[str, JobRef, int]]] = {}  # class -> its PIECE items
+    # its jobs neither big nor forced, cutting at the border.
+    residual: dict[int, list[tuple[int, int]]] = {}  # class -> its (job, dur) left over
     for i, cl in enumerate(inst.classes):
-        if 2 * cl.setup * scale > T:
+        if 2 * st.setups[i] > T:
             continue
-        rest = [((i, j), t * scale) for j, t in enumerate(cl.jobs) if (i, j) not in solo]
-        out: list[tuple[str, JobRef, int]] = []
+        solo = {*counts.big_jobs.get(i, ()), *counts.forced.get(i, ())}
+        out: list[tuple[int, int]] = []
         targets = fill_targets[i]
         ti = 0
-        for ref, dur in rest:
+        for j, t in enumerate(cl.jobs):
+            if j in solo:
+                continue
+            dur = t * scale
             while dur > 0 and ti < len(targets):
                 u = targets[ti]
                 room = T - st.loads[u]
@@ -333,20 +307,23 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                     ti += 1
                     continue
                 take = min(room, dur)
-                st.push_piece(u, i, ref, take)
+                st.push(u, st.item(PIECE, i, take, j))
                 dur -= take
             if dur > 0:
-                out.append((PIECE, ref, dur))
+                out.append((j, dur))
         if out:
             residual[i] = out
         want = max(scaled(counts.leftover[i], scale), 0)
-        got = sum(d for _, _, d in out)
+        got = sum(d for _, d in out)
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")
 
     # Step 3: one fresh setup per class with residual work, then greedy over
     # machines below the guess (opened ones first, then fresh), keeping items
-    # whole even when they stick out.
+    # whole even when they stick out.  Every item from here on has a seq
+    # above step3; the ones that cross the guess are noted in crossed.
+    step3 = st.seq
+    crossed: set[int] = set()
     order: list[int] = []
     if residual:
         avail = [u for u in range(len(st.stacks)) if st.loads[u] < T]
@@ -363,93 +340,87 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
 
         u = advance()
         for i in sorted(residual):
-            for kind, ref, dur in [(SETUP, None, inst.classes[i].setup * scale), *residual[i]]:
+            for it in [st.setup(i), *(st.item(PIECE, i, dur, j) for j, dur in residual[i])]:
                 if st.loads[u] >= T:
                     u = advance()
-                if kind == SETUP:
-                    it = st.push_setup(u, i, dur, step3=True)
-                else:
-                    it = st.push_piece(u, i, ref, dur, step3=True)
+                st.push(u, it)
                 if not order or order[-1] != u:
                     order.append(u)
                 if st.loads[u] > T:
-                    it.crossed = True  # stays whole; the greedy just moves on
+                    crossed.add(it[4])  # stays whole; the greedy just moves on
 
-    _repair(inst, st, order, T)
+    _repair(inst, st, order, step3, crossed, T)
     return st.to_schedule()
 
 
-def _repair(inst: Instance, st: _Stacks, order: list[int], guess: int):
+def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: set[int],
+            guess: int):
     """Step 4 (guess on the stacks' scale): make the schedule non-preemptive,
-    then fix loads and setups."""
-    # Pieces per job in more than one piece, that is per piece shorter than
-    # its job: split in step 1 or 2 (or its tail travelled through step 3).
-    pieces: dict[JobRef, list[tuple[int, _Item]]] = {}
+    then fix loads and setups.  order is step 3's machines in greedy order,
+    step3 the last seq before step 3 and crossed the seqs of the items that
+    crossed the guess there."""
+    # The pieces of each job in more than one piece, that is each piece
+    # shorter than its job: split in step 1 or 2 (or its tail travelled
+    # through step 3).  The first one made, if it tops its machine, grows
+    # back to its whole job, and the others go.
+    pieces: dict[JobRef, list[tuple[int, StackItem]]] = {}
     for u, stack in enumerate(st.stacks):
         for it in stack:
-            if it.kind == PIECE and it.dur != inst.duration(it.ref) * st.scale:
-                pieces.setdefault(it.ref, []).append((u, it))
-    for u in range(len(st.stacks)):
-        stack = st.stacks[u]
-        if not stack:
+            if it[0] == PIECE and it[2] != inst.classes[it[1]].jobs[it[3]] * st.scale:
+                pieces.setdefault((it[1], it[3]), []).append((u, it))
+    for u, stack in enumerate(st.stacks):
+        if not stack or stack[-1][0] != PIECE:
             continue
-        last = stack[-1]
-        if last.kind != PIECE:
+        kind, cls, dur, job, seq = stack[-1]
+        family = pieces.get((cls, job), ())
+        if len(family) < 2 or seq != min(it[4] for _, it in family):
             continue
-        family = pieces.get(last.ref, [])
-        if len(family) < 2:
-            continue
-        if last.seq != min(it.seq for _, it in family):
-            continue  # only the first piece is swapped for its whole parent
-        whole = inst.duration(last.ref) * st.scale
-        grow = whole - last.dur
-        last.dur = whole
-        st.loads[u] += grow
+        del pieces[(cls, job)]
+        whole = inst.classes[cls].jobs[job] * st.scale
+        stack[-1] = (kind, cls, whole, job, seq)
+        st.loads[u] += whole - dur
         for v, other in family:
-            if other is not last:
+            if other[4] != seq:
                 st.remove(v, other)
-        pieces[last.ref] = [(u, last)]
 
-    # Items recorded as crossing the guess move to the next machine of the
-    # greedy order (fresh setup in front of moved jobs); a class whose jobs
-    # continue on the next machine without a crossing predecessor gets a
-    # setup inserted below the continuation.
-    carry: Optional[_Item] = None
+    # Items that crossed the guess move to the next machine of the greedy
+    # order (fresh setup in front of moved jobs); a class whose jobs continue
+    # on the next machine without a crossing predecessor gets a setup
+    # inserted below the continuation.
+    carry: Optional[StackItem] = None
     for idx, u in enumerate(order):
         stack = st.stacks[u]
-        ins = next((k for k, it in enumerate(stack) if it.step3), len(stack))
+        ins = next((k for k, it in enumerate(stack) if it[4] > step3), len(stack))
+        # Read before the inserts, which go below the top or onto a stack
+        # with nothing from step 3 (and so nothing that crossed) on it.
+        crosses = bool(stack) and stack[-1][4] in crossed
         if carry is not None:
-            if carry.kind == PIECE:
-                st.insert(u, ins, st.setup(inst, carry.cls))
-                st.insert(u, ins + 1, carry)
-            else:
-                st.insert(u, ins, carry)
+            if carry[0] == PIECE:
+                st.insert(u, ins, st.setup(carry[1]))
+                ins += 1
+            st.insert(u, ins, carry)
             carry = None
-        elif ins < len(stack) and stack[ins].kind == PIECE:
-            covered = ins > 0 and stack[ins - 1].cls == stack[ins].cls
-            if not covered:
-                st.insert(u, ins, st.setup(inst, stack[ins].cls))
-        if stack and stack[-1].crossed:
-            it = st.pop(u)
-            it.crossed = False
-            if idx < len(order) - 1:
-                carry = it
-            else:
-                # no successor in the greedy order: park the item on an empty
-                # machine, or on any other machine still at or below the guess
-                target = None
-                if len(st.stacks) < st.m:
-                    target = st.new_machine()
-                else:
-                    for v in range(len(st.stacks)):
-                        if v != u and st.loads[v] <= guess:
-                            target = v
-                            break
-                if target is None:
-                    raise ContractError("repair found no machine for the final item")
-                if it.kind == PIECE:
-                    st._push(target, st.setup(inst, it.cls))
-                st._push(target, it)
+        elif ins < len(stack) and stack[ins][0] == PIECE:
+            if ins == 0 or stack[ins - 1][1] != stack[ins][1]:
+                st.insert(u, ins, st.setup(stack[ins][1]))
+        if not crosses:
+            continue
+        it = st.pop(u)
+        if idx < len(order) - 1:
+            carry = it
+            continue
+        # no successor in the greedy order: park the item on an empty machine,
+        # or on any other machine still at or below the guess
+        if len(st.stacks) < st.m:
+            target = st.new_machine()
+        else:
+            target = next((v for v in range(len(st.stacks)) if v != u and st.loads[v] <= guess),
+                          None)
+            if target is None:
+                raise ContractError("repair found no machine for the final item")
+        if it[0] == PIECE:
+            st.push(target, st.setup(it[1]))
+        st.push(target, it)
     if carry is not None:
         raise ContractError("repair left an item unplaced")
 
@@ -467,11 +438,8 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     hi = math.ceil(2 * tmin)
     if not probe(hi):
         raise ContractError(f"dual rejected ceil(2*T_min) = {hi}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
+    # index k stands for the guess lo + k; the top index is passed, since
+    # len() of a range past sys.maxsize overflows while indexing it does not
+    _, k = _bisect_right_interval(range(lo, hi + 1), probe, 0, hi - lo)
     # all smaller integers are rejected or under T_min
-    return probe.finish(dual_nonp, inst, Fraction(hi), Fraction(hi))
+    return probe.finish(dual_nonp, inst, Fraction(lo + k), Fraction(lo + k))

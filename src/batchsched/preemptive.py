@@ -295,7 +295,9 @@ def _star_items(inst: Instance, part: ClassPartition, half: Rat,
     return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
 
 
-def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
+def _pmtn_counts(inst: Instance, guess: Rat) -> _PmtnPlan:
+    """The plan's arithmetic: the partition, free time, star total, load and
+    machines, before any geometric reject or knapsack."""
     part = classify(inst, guess)
     plan = _PmtnPlan(part=part)
     classes = inst.classes
@@ -303,17 +305,23 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
     l = len(part.exp_zero)
     taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
     taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
-    free = plan.free_time = (inst.m - l) * guess - taken
-    star_total = plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
+    plan.free_time = (inst.m - l) * guess - taken
+    plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
     plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
     # every class pays one setup, an expensive heavy class one per machine
     plan.load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
+    return plan
 
+
+def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
+    """The counts, then the geometric reject or the knapsack."""
+    plan = _pmtn_counts(inst, guess)
+    part, free, l = plan.part, plan.free_time, len(plan.part.exp_zero)
     if l and free < 0:
         # The classes outside the dedicated machines alone overrun the other
         # m - l machines: certified infeasible.
         plan.reject = "load"
-    elif l and free < star_total:
+    elif l and free < plan.star_total:
         items, plan.obligatory, capacity = _star_items(inst, part, guess / 2, free)
         if capacity < 0:
             # Even the unavoidable spill of the oversized-job classes exceeds
@@ -324,7 +332,7 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
         # a rejected class (share 0) pays a second setup; the split item pays
         # none, even at share 0, so the load is right-continuous where the
         # capacity runs out
-        plan.load += sum(classes[i].setup for i in part.chp_star
+        plan.load += sum(inst.classes[i].setup for i in part.chp_star
                          if sol.x[i] == 0 and i != sol.split_item)
     return plan
 
@@ -531,11 +539,11 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
     density order flips and prefix saturation points of the knapsack.
 
     On such a bracket every quantity involved is linear in the guess, so each
-    point is read off the plan at the midpoint: the free time grows at rate
-    m - l, each knapsack weight at its item's growth, and the capacity at
-    m - l plus their sum."""
+    point is read off the plan's counts at the midpoint (no knapsack runs):
+    the free time grows at rate m - l, each knapsack weight at its item's
+    growth, and the capacity at m - l plus their sum."""
     mid = (t_fail + t_ok) / 2
-    plan = _pmtn_plan(inst, mid)
+    plan = _pmtn_counts(inst, mid)
     part = plan.part
     rate = inst.m - len(part.exp_zero)
     breaks: set[Rat] = set()

@@ -50,6 +50,15 @@ def test_parse_instance_rejects_bad_fields():
 INST = Instance(m=2, classes=(JobClass(2, (3,)), JobClass(1, (1, 1))))
 
 
+def test_job_class_total_is_cached_outside_equality_and_hash():
+    a, b = JobClass(3, (4, 5)), JobClass(3, (4, 5))
+    assert a.total == 9
+    assert "total" in vars(a) and "total" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert dataclasses.replace(a, jobs=(1,)).total == 1
+
+
 def test_lower_bound_splittable():
     assert lower_bound_tmin(INST, Variant.SPLITTABLE) == 4  # max(8/2, 2)
 

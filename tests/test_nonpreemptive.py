@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 from batchsched.core import (
@@ -9,12 +11,14 @@ from batchsched.core import (
     verify_schedule,
 )
 from batchsched.nonpreemptive import (
+    _decide_nonp,
     counts_nonp,
     dual_nonp,
     exact_integer_search_nonp,
     next_fit_two_approx,
 )
 
+from batchsched.search import CachedProbe
 from conftest import random_instance, tiny_instances
 from oracle import exact_nonp
 
@@ -48,8 +52,8 @@ def test_counts_at_six():
     c = counts_nonp(EX, F(6))
     assert c.machines == [1, 1]
     assert c.leftover == [F(1), F(0)]
-    assert c.big_jobs == [(0, 0)]
-    assert c.forced == [(1, 0)]
+    assert c.big_jobs == {0: (0,)}
+    assert c.forced == {1: (0,)}
 
 
 def test_counts_at_seven():
@@ -62,7 +66,10 @@ def test_counts_expensive_class():
     inst = Instance(m=3, classes=(JobClass(6, (3, 2)),))
     c = counts_nonp(inst, F(10))
     assert c.machines == [2]  # ceil(5 / 4)
-    assert c.solo == [(0, 0), (0, 1)]
+    # both jobs are solo as jobs of an expensive class (2 s > T), which the
+    # build wraps whole; no job of it is listed per job
+    assert 2 * inst.classes[0].setup > 10
+    assert c.big_jobs == {} and c.forced == {}
 
 
 def test_dual_reject_then_accept():
@@ -101,9 +108,29 @@ def test_integer_search_unit_instance():
     assert r.guess == 3 == exact_nonp(inst)
 
 
-def test_probe_budget():
-    import math
+def test_integer_search_past_sys_maxsize():
+    # a guess range of about 10**30 integers: the bisection indexes a range
+    # too long for len(), and probes exactly as a plain integer bisection
+    inst = Instance(m=2, classes=(JobClass(10**30 + 7, (3, 5)), JobClass(2, (1, 1, 1))))
+    r = exact_integer_search_nonp(inst)
 
+    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess).accepted)
+    tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
+    lo, hi = math.ceil(tmin) - 1, math.ceil(2 * tmin)
+    assert hi - lo > sys.maxsize
+    assert probe(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    assert r.guess == hi
+    assert r.probes == probe.probes
+    assert len(r.probes) > 90
+
+
+def test_probe_budget():
     rng = random.Random(8)
     for _ in range(60):
         inst = random_instance(rng)

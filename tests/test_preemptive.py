@@ -14,6 +14,7 @@ from batchsched.core import (
     lower_bound_tmin,
     verify_schedule,
 )
+from batchsched import preemptive
 from batchsched.preemptive import (
     KnapsackItem,
     _decide_nice_parts,
@@ -21,6 +22,7 @@ from batchsched.preemptive import (
     _full_specs,
     _gamma_count,
     _nice_parts,
+    _pmtn_breakpoints,
     _pmtn_plan,
     class_jump_pmtn,
     continuous_knapsack,
@@ -417,3 +419,22 @@ def test_class_jump_knapsack_heavy_corpus():
         knapsack += plan.knapsack is not None
         many_star += len(plan.part.chp_star) > 14
     assert knapsack >= 60 and many_star >= 30
+
+
+def test_breakpoints_run_no_knapsack(monkeypatch):
+    # a knapsack-case bracket of the second knapsack-heavy search on seed
+    # 2024; the breakpoints are the ones read off the full midpoint plan
+    rng = random.Random(2024)
+    knapsack_heavy_instance(rng)
+    inst = knapsack_heavy_instance(rng)
+    t_fail, t_ok = F(89, 2), F(136, 3)
+    assert _pmtn_plan(inst, (t_fail + t_ok) / 2).knapsack is not None
+    calls = []
+
+    def counted(items, capacity):
+        calls.append(capacity)
+        return continuous_knapsack(items, capacity)
+
+    monkeypatch.setattr(preemptive, "continuous_knapsack", counted)
+    assert _pmtn_breakpoints(inst, t_fail, t_ok) == {F(1161, 26), F(4642, 103)}
+    assert calls == []
