@@ -4,8 +4,6 @@ times: splittable, preemptive and non-preemptive variants, with linear-time
 3/2 jump searches, a feasibility verifier and certified lower bounds."""
 
 from .core import (
-    CapacityError,
-    ClassPartition,
     ContractError,
     Decision,
     Instance,
@@ -17,24 +15,15 @@ from .core import (
     Variant,
     VerifyReport,
     Violation,
-    classify,
     emit_instance,
     job_setup_bound,
     lower_bound_tmin,
     parse_instance,
-    trivial_one_job_per_machine,
     verify_schedule,
 )
 from .nonpreemptive import dual_nonp, exact_integer_search_nonp, next_fit_two_approx
-from .preemptive import (
-    KnapsackItem,
-    KnapsackSolution,
-    class_jump_pmtn,
-    continuous_knapsack,
-    dual_pmtn,
-)
+from .preemptive import class_jump_pmtn, continuous_knapsack, dual_pmtn
 from .search import CertifiedReport, SearchResult, certified_report, epsilon_search
 from .splittable import class_jump_split, dual_split, two_approx_split
-from .wrap import Batch, Gap
 
 __version__ = "0.1.0"

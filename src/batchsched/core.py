@@ -394,9 +394,9 @@ def job_bound_decision(inst: Instance, guess: Rat) -> Optional[Decision]:
 
 
 def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> Decision:
-    """A non-splittable dual from its decision: the rejection as it is, else
-    the decision with its schedule, one job per machine for an accepted guess
-    without a plan or build(inst, guess, plan)."""
+    """A dual from its decision: the rejection as it is, else the decision
+    with its schedule, one job per machine for an accepted guess without a
+    plan (m >= n) or build(inst, guess, plan)."""
     if not d.accepted:
         return d
     if d.plan is None:

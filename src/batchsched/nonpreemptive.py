@@ -184,7 +184,6 @@ class NonpCounts:
                  on those machines (forces an extra setup when positive)
     big_jobs     cheap class -> positions with t_j > T/2
     forced       cheap class -> positions with t_j <= T/2 but s_i + t_j > T/2
-    blocked      True when some class has T <= s_i (guaranteed reject)
 
     No job of a cheap class in big_jobs or forced can share a machine with
     another such job, and neither can any job of an expensive class.
@@ -194,25 +193,24 @@ class NonpCounts:
     leftover: list[Rat]
     big_jobs: dict[int, tuple[int, ...]]
     forced: dict[int, tuple[int, ...]]
-    blocked: bool = False
 
 
 def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
-    # integer comparisons against guess p/q: x > guess/2 iff 2 x q > p
+    """The counts for a guess above every setup (the job-setup bound, which
+    the dual checks first, implies that); ContractError otherwise."""
+    # integer arithmetic on the guess p/q: x > guess/2 iff 2 x q > p, and a
+    # class fills T - s_i = (p - s_i q)/q per machine
     p_, q_ = guess.numerator, guess.denominator
     machines: list[int] = []
     leftover: list[Rat] = []
     big_jobs: dict[int, tuple[int, ...]] = {}
     forced: dict[int, tuple[int, ...]] = {}
-    blocked = False
     for i, cl in enumerate(inst.classes):
+        room = p_ - cl.setup * q_
         if 2 * cl.setup * q_ > p_:
-            if p_ <= cl.setup * q_:
-                blocked = True
-                machines.append(0)
-                leftover.append(Fraction(0))
-                continue
-            mi = math.ceil(Fraction(cl.total) / (guess - cl.setup))
+            if room <= 0:
+                raise ContractError("counts_nonp needs a guess above every setup")
+            mi = -(-cl.total * q_ // room)
         else:
             kw = 0
             big: list[int] = []
@@ -228,16 +226,10 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
                 big_jobs[i] = tuple(big)
             if frc:
                 forced[i] = tuple(frc)
-            mi = len(big) + (math.ceil(Fraction(kw) / (guess - cl.setup)) if kw else 0)
+            mi = len(big) + -(-kw * q_ // room)
         machines.append(mi)
-        leftover.append(Fraction(cl.total) - mi * (guess - cl.setup))
-    return NonpCounts(
-        machines=machines,
-        leftover=leftover,
-        big_jobs=big_jobs,
-        forced=forced,
-        blocked=blocked,
-    )
+        leftover.append(Fraction(cl.total * q_ - mi * room, q_))
+    return NonpCounts(machines=machines, leftover=leftover, big_jobs=big_jobs, forced=forced)
 
 
 def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
@@ -246,9 +238,7 @@ def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
     if early is not None:
         return early
     counts = counts_nonp(inst, guess)
-    if counts.blocked:  # the job-setup bound implies T > s_i for all i
-        raise ContractError("class with setup at or above the guess passed the job bound")
-    load = Fraction(inst.total_work)
+    load = inst.total_work
     for i, cl in enumerate(inst.classes):
         load += counts.machines[i] * cl.setup
         if counts.leftover[i] > 0:

@@ -129,10 +129,9 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
 # Nice instances (no class with 3/4 T < setup + work < T)
 # ---------------------------------------------------------------------------
 
-# A class spec is (class id, setup, [(job ref, duration), ...], total work),
-# all on one time scale with the guess they are held against: the decision's
-# (scale 1) or the build's.  Durations may be job pieces.
-ClsSpec = tuple[int, int, list[tuple[JobRef, Rat]], Rat]
+# A class spec is (class id, setup, [(job ref, duration), ...]), on the
+# build's time scale.  Durations may be job pieces.
+ClsSpec = tuple[int, int, list[tuple[JobRef, int]]]
 
 
 def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
@@ -142,53 +141,13 @@ def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     return max(1, -(-2 * (setup + work) // guess) - 2)
 
 
-@dataclass
-class _NiceParts:
-    plus: list[ClsSpec]  # expensive, setup + work > T
-    minus: list[ClsSpec]  # expensive, setup + work <= 3/4 T
-    cheap: list[ClsSpec]
-    gamma: dict[int, int]
-
-
-def _nice_parts(specs: list[ClsSpec], guess: Rat) -> _NiceParts:
-    """Split a nice instance at the guess, right-continuously: a class with
-    setup + work equal to the guess belongs to the almost-full layer, as it
-    does just above the guess."""
-    plus, minus, cheap = [], [], []
-    gamma: dict[int, int] = {}
-    for spec in specs:
-        cls, setup, items, work = spec
-        if 2 * setup > guess:
-            reach = setup + work
-            if reach > guess:
-                if guess <= setup:
-                    raise ContractError("nice construction needs T > every setup")
-                gamma[cls] = _gamma_count(setup, work, guess)
-                plus.append(spec)
-            elif 4 * reach <= 3 * guess:
-                minus.append(spec)
-            else:
-                raise ContractError("instance is not nice for this guess")
-        else:
-            cheap.append(spec)
-    return _NiceParts(plus=plus, minus=minus, cheap=cheap, gamma=gamma)
-
-
-def _decide_nice_parts(parts: _NiceParts, m: int, guess: Rat) -> Decision:
-    """Whether m machines take the nice instance at the guess."""
-    load = Fraction(0)
-    machines = (len(parts.minus) + 1) // 2
-    for cls, setup, _, work in parts.plus:
-        load += parts.gamma[cls] * setup + work
-        machines += parts.gamma[cls]
-    for _, setup, _, work in parts.minus + parts.cheap:
-        load += setup + work
-    return decide_need(m, guess, load, machines)
-
-
-def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, guess: int) -> None:
-    """Place a nice instance on machines first..first+count-1.  The guess
-    and the parts are ints on the builder's scale, where the guess is even.
+def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[ClsSpec],
+                cheap: dict[int, ClsSpec], first: int, count: int, guess: int) -> None:
+    """Place a nice instance on machines first..first+count-1: the expensive
+    heavy classes (plus, each with its machine count gamma), the expensive
+    light ones (minus) and the cheap ones (keyed by class), each in class
+    order.  The guess and the specs are ints on the builder's scale, where
+    the guess is even.
 
     Each expensive heavy class gets gaps of height T/2 above its setups, with
     the overflow piled onto its last machine (the shape whose reshape points
@@ -199,9 +158,7 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
     half = guess // 2
     threehalf = 3 * half
 
-    for cls, s, items, _ in parts.plus:
-        batch = Batch(cls=cls, setup=s, jobs=tuple(items))
-        g = parts.gamma[cls]
+    for (cls, s, items), g in plus:
         if g == 1:
             gaps = [Gap(base, 0, threehalf)]
         else:
@@ -210,43 +167,39 @@ def _build_nice(builder: Builder, parts: _NiceParts, first: int, count: int, gue
             gaps.append(Gap(base + g - 1, s, threehalf))
         if base + g > limit:
             raise ContractError("nice construction ran out of machines")
-        run_wrap(builder, [batch], gaps)
+        run_wrap(builder, [Batch(cls=cls, setup=s, jobs=tuple(items))], gaps)
         base += g
 
     odd_machine: Optional[int] = None
-    mm = parts.minus
-    for k in range(0, len(mm), 2):
+    for k in range(0, len(minus), 2):
         u = base
         base += 1
         if u >= limit:
             raise ContractError("nice construction ran out of machines")
         t = 0
-        for cls, setup, items, _ in mm[k:k + 2]:
+        for cls, setup, items in minus[k:k + 2]:
             builder.put_setup(u, cls, t, setup)
             t += setup
             for ref, dur in items:
                 builder.put_piece(u, cls, ref, t, dur)
                 t += dur
-        if k + 1 == len(mm):
+        if k + 1 == len(minus):
             odd_machine = u
 
-    if not parts.cheap:
+    if not cheap:
         return
     gaps = []
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
     gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
-    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items)) for cls, setup, items, _ in parts.cheap]
+    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items))
+           for _, (cls, setup, items) in sorted(cheap.items())]
     run_wrap(builder, seq, gaps)
 
 
-def _full_specs(inst: Instance, indices, scale: int) -> list[ClsSpec]:
-    out = []
-    for i in indices:
-        cl = inst.classes[i]
-        items = [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
-        out.append((i, cl.setup * scale, items, cl.total * scale))
-    return out
+def _full_spec(inst: Instance, i: int, scale: int) -> ClsSpec:
+    cl = inst.classes[i]
+    return i, cl.setup * scale, [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +217,7 @@ class _PmtnPlan:
     """
 
     part: ClassPartition
+    gamma: dict[int, int]  # half-gap machines per part.exp_plus class, in class order
     free_time: Rat = Fraction(0)  # F: room for small-setup classes off the dedicated machines
     star_total: int = 0  # setup + work of the star classes, all of which F must take
     knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
@@ -296,12 +250,13 @@ def _star_items(inst: Instance, part: ClassPartition, half: Rat,
 
 
 def _pmtn_counts(inst: Instance, guess: Rat) -> _PmtnPlan:
-    """The plan's arithmetic: the partition, free time, star total, load and
-    machines, before any geometric reject or knapsack."""
+    """The plan's arithmetic: the partition, the heavy classes' machine
+    counts, free time, star total, load and machines, before any geometric
+    reject or knapsack."""
     part = classify(inst, guess)
-    plan = _PmtnPlan(part=part)
     classes = inst.classes
     gamma = {i: _gamma_count(classes[i].setup, classes[i].total, guess) for i in part.exp_plus}
+    plan = _PmtnPlan(part=part, gamma=gamma)
     l = len(part.exp_zero)
     taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
     taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
@@ -386,108 +341,83 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             builder.put_piece(u, i, (i, j), t, dur * scale)
             t += dur * scale
 
-    # Split every oversized job of a small-setup class: the head fits below
-    # half the guess next to its setup, the tail must leave the large machines.
-    head_dur: dict[JobRef, int] = {}
-    tail_dur: dict[JobRef, int] = {}
-    for i in part.chp_star:
-        cl = inst.classes[i]
-        for j in part.big_jobs[i]:
-            head_dur[(i, j)] = half - cl.setup * scale
-            tail_dur[(i, j)] = (cl.setup + cl.jobs[j]) * scale - half
-
-    sub_specs: list[ClsSpec] = _full_specs(
-        inst, list(part.exp_plus) + list(part.exp_minus) + list(part.chp_plus), scale
-    )
+    # The nice remainder: chp_plus whole, each star class as below, and the
+    # other small-setup classes up to the budget the free time leaves.
+    cheap = {i: _full_spec(inst, i, scale) for i in part.chp_plus}
     leftovers: list[tuple[int, JobRef, int]] = []  # (class, job, duration)
     split_cls = None
     star = set(part.chp_star)
-
     if sol is not None:
+        # Every oversized job splits into a head that fits below half the
+        # guess next to its setup and a tail that must leave the large
+        # machines.  A star class keeps its knapsack share of each head and
+        # of its other jobs in the remainder, and every tail.
         split_cls = sol.split_item
+        budget = 0
         for i in part.chp_star:
             cl = inst.classes[i]
-            share = sol.x.get(i, Fraction(0))
+            s = cl.setup * scale
+            share = sol.x[i]
             big = set(part.big_jobs[i])
+            inside: list[tuple[JobRef, int]] = []
+            for j, t in enumerate(cl.jobs):
+                t *= scale
+                if j in big:  # its share of the head, and the tail
+                    d2 = scaled(share * (half - s), 1) + s + t - half
+                else:
+                    d2 = scaled(share * t, 1)
+                if d2 > 0:
+                    inside.append(((i, j), d2))
+                if t > d2:
+                    leftovers.append((i, (i, j), t - d2))
             obligatory = scaled(plan.obligatory[i], scale)
-            if i == split_cls:
-                inside: list[tuple[JobRef, int]] = []
-                for j, t in enumerate(cl.jobs):
-                    t *= scale
-                    if j in big:
-                        d2 = scaled(share * head_dur[(i, j)], 1) + tail_dur[(i, j)]
-                    else:
-                        d2 = scaled(share * t, 1)
-                    if d2 > 0:
-                        inside.append(((i, j), d2))
-                    if t > d2:
-                        leftovers.append((i, (i, j), t - d2))
-                total2 = sum(d for _, d in inside)
-                want = obligatory + share * (cl.total * scale - obligatory)
-                if total2 != want:
-                    raise ContractError("split-class bookkeeping broken")
-                sub_specs.append((i, cl.setup * scale, inside, total2))
-            elif share == 1:
-                sub_specs += _full_specs(inst, [i], scale)
-            else:  # share == 0: only the obligatory tails leave the bottom
-                inside = [((i, j), tail_dur[(i, j)]) for j in part.big_jobs[i]]
-                sub_specs.append((i, cl.setup * scale, inside, obligatory))
-                for j, t in enumerate(cl.jobs):
-                    if j in big:
-                        leftovers.append((i, (i, j), head_dur[(i, j)]))
-                    else:
-                        leftovers.append((i, (i, j), t * scale))
-        for i in part.chp_minus:
-            if i not in star:
-                cl = inst.classes[i]
-                for j, t in enumerate(cl.jobs):
-                    leftovers.append((i, (i, j), t * scale))
+            if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
+                raise ContractError("star-class bookkeeping broken")
+            cheap[i] = (i, s, inside)
     else:
         # Case without a knapsack: everything with an oversized job fits
-        # outside the large machines whole; greedily cut the remaining
-        # small-setup classes so the nice remainder exactly uses the free time.
-        sub_specs += _full_specs(inst, part.chp_star, scale)
+        # outside the large machines whole.
+        cheap.update((i, _full_spec(inst, i, scale)) for i in part.chp_star)
         budget = scaled(plan.free_time - plan.star_total, scale)
         if budget < 0:
             raise ContractError("oversized-job classes overrun the free time")
-        for i in part.chp_minus:
-            if i in star:
-                continue
-            cl = inst.classes[i]
-            setup = cl.setup * scale
-            reach = setup + cl.total * scale
-            if reach <= budget:
-                sub_specs += _full_specs(inst, [i], scale)
-                budget -= reach
-            elif budget > setup:
-                inside: list[tuple[JobRef, int]] = []
-                room = budget - setup
-                split_cls = i
-                for j, t in enumerate(cl.jobs):
-                    t *= scale
-                    if room <= 0:
-                        leftovers.append((i, (i, j), t))
-                        continue
-                    take = min(room, t)
-                    inside.append(((i, j), take))
-                    room -= take
-                    if take < t:
-                        leftovers.append((i, (i, j), t - take))
-                sub_specs.append((i, setup, inside, budget - setup))
-                budget = 0
-            else:
-                for j, t in enumerate(cl.jobs):
-                    leftovers.append((i, (i, j), t * scale))
-                budget = 0  # nothing more fits wholly
+    # Greedily cut the remaining small-setup classes so the nice remainder
+    # exactly uses the free time; the knapsack case leaves none, so there
+    # they all go to the bottoms of the large machines.
+    for i in part.chp_minus:
+        if i in star:
+            continue
+        cl = inst.classes[i]
+        setup = cl.setup * scale
+        reach = setup + cl.total * scale
+        if reach <= budget:
+            cheap[i] = _full_spec(inst, i, scale)
+            budget -= reach
+        elif budget > setup:
+            inside = []
+            room = budget - setup
+            split_cls = i
+            for j, t in enumerate(cl.jobs):
+                t *= scale
+                if room <= 0:
+                    leftovers.append((i, (i, j), t))
+                    continue
+                take = min(room, t)
+                inside.append(((i, j), take))
+                room -= take
+                if take < t:
+                    leftovers.append((i, (i, j), t - take))
+            cheap[i] = (i, setup, inside)
+            budget = 0
+        else:
+            for j, t in enumerate(cl.jobs):
+                leftovers.append((i, (i, j), t * scale))
+            budget = 0  # nothing more fits wholly
 
     # The nice remainder occupies the machines after the large ones.
-    sub_specs.sort(key=lambda sp: sp[0])
-    sub_specs = [sp for sp in sub_specs if sp[2]]
-    parts = _nice_parts(sub_specs, T)
-    d = _decide_nice_parts(parts, inst.m - l, T)
-    if not d.accepted:
-        raise ContractError(f"nice remainder rejected ({d.reason}); budget accounting broken")
-    _build_nice(builder, parts, l, inst.m - l, T)
+    plus = [(_full_spec(inst, i, scale), g) for i, g in plan.gamma.items()]
+    minus = [_full_spec(inst, i, scale) for i in part.exp_minus]
+    _build_nice(builder, plus, minus, cheap, l, inst.m - l, T)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
     # small: setup + piece fits in half the guess.

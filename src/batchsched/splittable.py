@@ -8,7 +8,6 @@ bisecting numerically.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     Rat,
     Schedule,
     decide_need,
+    decided_outcome,
 )
 from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk, close_bracket
 from .wrap import Batch, Builder, Gap, run_wrap
@@ -55,48 +55,48 @@ def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
 
 
 def _decide_split(inst: Instance, guess: Rat) -> Decision:
-    """The dual's verdict on a guess, with the required load and machines.
+    """The dual's verdict on a guess, with the required load and machines;
+    its plan maps each expensive class (setup beyond guess/2) to its setup
+    count beta_i = ceil(2P_i/guess).
 
     The load/machine thresholds certify rejection: any feasible schedule with
-    makespan guess needs ceil(2P_i/guess) setups per class with setup beyond
-    guess/2, and distinct machines for all of those.
+    makespan guess needs beta_i setups per expensive class, and distinct
+    machines for all of those.
     """
     if guess <= 0:
         return Decision(False, "load")
     if guess < inst.s_max:
         return Decision(False, "setup-bound")
-    half = guess / 2
+    # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p
+    p, q = guess.numerator, guess.denominator
     load = Fraction(inst.total_work)
-    machines_exp = 0
-    for cl in inst.classes:
-        if cl.setup > half:
-            beta = math.ceil(Fraction(2 * cl.total) / guess)
+    betas: dict[int, int] = {}
+    for i, cl in enumerate(inst.classes):
+        if 2 * cl.setup * q > p:
+            beta = betas[i] = -(-2 * cl.total * q // p)
             load += beta * cl.setup
-            machines_exp += beta
         else:
             load += cl.setup
-    return decide_need(inst.m, guess, load, machines_exp)
+    return decide_need(inst.m, guess, load, sum(betas.values()), betas)
 
 
 def dual_split(inst: Instance, guess: Rat) -> Decision:
     """The decision with either a schedule of makespan <= (3/2)*guess or a
-    certificate that guess < OPT for the splittable variant.  Built on the
-    scale 2q of the guess p/q, where half the guess is p."""
-    d = _decide_split(inst, guess)
-    if not d.accepted:
-        return d
+    certificate that guess < OPT for the splittable variant."""
+    return decided_outcome(inst, guess, _decide_split(inst, guess), _build_split)
+
+
+def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
+    """The construction on the scale 2q of the guess p/q, where half the
+    guess is p: each expensive class wraps over its beta_i machines, the
+    cheap ones over what is left."""
     scale = 2 * guess.denominator
     half = guess.numerator
     builder = Builder(inst.m, scale)
     base = 0
     leftover_gaps: list[Gap] = []
-    cheap: list[int] = []
-    for i, cl in enumerate(inst.classes):
-        s = cl.setup * scale
-        if s <= half:
-            cheap.append(i)
-            continue
-        beta = -(-cl.total * scale // half)  # ceil(2P/guess)
+    for i, beta in betas.items():
+        s = inst.classes[i].setup * scale
         res = run_wrap(
             builder,
             [_class_batch(inst, i, scale)],
@@ -111,8 +111,9 @@ def dual_split(inst: Instance, guess: Rat) -> Decision:
         if res.last_fill < 2 * half:
             leftover_gaps.append(Gap(res.last_machine, res.last_fill + half, 3 * half))
         base += beta
-    if cheap:
-        seq = (_class_batch(inst, i, scale) for i in cheap)  # one batch alive at a time
+    if len(betas) < inst.c:
+        # one batch alive at a time
+        seq = (_class_batch(inst, i, scale) for i in range(inst.c) if i not in betas)
         run_wrap(
             builder,
             seq,
@@ -122,7 +123,7 @@ def dual_split(inst: Instance, guess: Rat) -> Decision:
             tail_base=base,
             setups_below=True,  # half a guess is reserved under every gap
         )
-    return d._replace(schedule=builder.finalize())
+    return builder.finalize()
 
 
 def class_jump_split(inst: Instance) -> SearchResult:

@@ -1,8 +1,10 @@
 """Ground truth for small instances: exact non-preemptive optimum by
 exhaustive assignment enumeration, a dense breakpoint scan that finds the
-least guess a variant's dual accepts, and two references the library is
-compared with: the verifier that the one-pass `verify_schedule` replaced and
-the non-preemptive construction that the tuple-stack build replaced."""
+least guess a variant's dual accepts, and three references the library is
+compared with: the verifier that the one-pass `verify_schedule` replaced,
+the non-preemptive construction that the tuple-stack build replaced, and the
+preemptive construction that re-classified its nice remainder instead of
+reading it off the plan."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from batchsched.core import (
     PIECE,
     SETUP,
     ContractError,
+    Decision,
     Instance,
     JobRef,
     Rat,
@@ -24,10 +27,12 @@ from batchsched.core import (
     Variant,
     VerifyReport,
     Violation,
+    decide_need,
     lower_bound_tmin,
     scaled,
     trivial_one_job_per_machine,
 )
+from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
 def exact_nonp(inst: Instance, guard: bool = True) -> int:
@@ -613,3 +618,290 @@ def _reference_repair(inst: Instance, st: _Stacks, order: list[int], guess: int,
                 st._push(target, it)
     if carry is not None:
         raise ContractError("repair left an item unplaced")
+
+
+# ---------------------------------------------------------------------------
+# The preemptive construction that re-classified its nice remainder
+# ---------------------------------------------------------------------------
+
+# A class spec is (class id, setup, [(job ref, duration), ...], total work),
+# on one time scale with the guess it is held against.
+ReferenceClsSpec = tuple[int, int, list[tuple[JobRef, Rat]], Rat]
+
+
+def _reference_gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
+    return max(1, -(-2 * (setup + work) // guess) - 2)
+
+
+@dataclass
+class _ReferenceNiceParts:
+    plus: list[ReferenceClsSpec]  # expensive, setup + work > T
+    minus: list[ReferenceClsSpec]  # expensive, setup + work <= 3/4 T
+    cheap: list[ReferenceClsSpec]
+    gamma: dict[int, int]
+
+
+def reference_nice_parts(specs: list[ReferenceClsSpec], guess: Rat) -> _ReferenceNiceParts:
+    """Split a nice instance at the guess, right-continuously: a class with
+    setup + work equal to the guess belongs to the almost-full layer, as it
+    does just above the guess."""
+    plus, minus, cheap = [], [], []
+    gamma: dict[int, int] = {}
+    for spec in specs:
+        cls, setup, items, work = spec
+        if 2 * setup > guess:
+            reach = setup + work
+            if reach > guess:
+                if guess <= setup:
+                    raise ContractError("nice construction needs T > every setup")
+                gamma[cls] = _reference_gamma_count(setup, work, guess)
+                plus.append(spec)
+            elif 4 * reach <= 3 * guess:
+                minus.append(spec)
+            else:
+                raise ContractError("instance is not nice for this guess")
+        else:
+            cheap.append(spec)
+    return _ReferenceNiceParts(plus=plus, minus=minus, cheap=cheap, gamma=gamma)
+
+
+def reference_decide_nice_parts(parts: _ReferenceNiceParts, m: int, guess: Rat) -> Decision:
+    """Whether m machines take the nice instance at the guess."""
+    load = Fraction(0)
+    machines = (len(parts.minus) + 1) // 2
+    for cls, setup, _, work in parts.plus:
+        load += parts.gamma[cls] * setup + work
+        machines += parts.gamma[cls]
+    for _, setup, _, work in parts.minus + parts.cheap:
+        load += setup + work
+    return decide_need(m, guess, load, machines)
+
+
+def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: int, count: int,
+                          guess: int) -> None:
+    """Place a nice instance on machines first..first+count-1.  The guess
+    and the parts are ints on the builder's scale, where the guess is even.
+
+    Each expensive heavy class gets gaps of height T/2 above its setups, with
+    the overflow piled onto its last machine (the shape whose reshape points
+    the jump search walks).
+    """
+    base = first
+    limit = first + count
+    half = guess // 2
+    threehalf = 3 * half
+
+    for cls, s, items, _ in parts.plus:
+        batch = Batch(cls=cls, setup=s, jobs=tuple(items))
+        g = parts.gamma[cls]
+        if g == 1:
+            gaps = [Gap(base, 0, threehalf)]
+        else:
+            gaps = [Gap(base, 0, s + half)]
+            gaps += [Gap(base + r, s, s + half) for r in range(1, g - 1)]
+            gaps.append(Gap(base + g - 1, s, threehalf))
+        if base + g > limit:
+            raise ContractError("nice construction ran out of machines")
+        run_wrap(builder, [batch], gaps)
+        base += g
+
+    odd_machine: Optional[int] = None
+    mm = parts.minus
+    for k in range(0, len(mm), 2):
+        u = base
+        base += 1
+        if u >= limit:
+            raise ContractError("nice construction ran out of machines")
+        t = 0
+        for cls, setup, items, _ in mm[k:k + 2]:
+            builder.put_setup(u, cls, t, setup)
+            t += setup
+            for ref, dur in items:
+                builder.put_piece(u, cls, ref, t, dur)
+                t += dur
+        if k + 1 == len(mm):
+            odd_machine = u
+
+    if not parts.cheap:
+        return
+    gaps = []
+    if odd_machine is not None:
+        gaps.append(Gap(odd_machine, guess, threehalf))
+    gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
+    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items)) for cls, setup, items, _ in parts.cheap]
+    run_wrap(builder, seq, gaps)
+
+
+def _reference_full_specs(inst: Instance, indices, scale: int) -> list[ReferenceClsSpec]:
+    out = []
+    for i in indices:
+        cl = inst.classes[i]
+        items = [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
+        out.append((i, cl.setup * scale, items, cl.total * scale))
+    return out
+
+
+
+def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
+    """The construction for a plan of `preemptive._decide_pmtn`, which sorts
+    and classifies its nice remainder a second time and holds it against the
+    machines left with a second copy of the load and machine count."""
+    sol = plan.knapsack
+    scale = 4 * guess.denominator
+    if sol is not None and sol.split_item is not None:
+        scale *= sol.x[sol.split_item].denominator
+    T = scaled(guess, scale)
+    half, quarter = T // 2, T // 4
+    builder = Builder(inst.m, scale)
+    part = plan.part
+    l = len(part.exp_zero)
+
+    # Dedicated machines: one almost-full expensive class each, starting at
+    # half the guess so their bottoms stay free for leftovers.
+    for u, i in enumerate(part.exp_zero):
+        cl = inst.classes[i]
+        t = half
+        builder.put_setup(u, i, t, cl.setup * scale)
+        t += cl.setup * scale
+        for j, dur in enumerate(cl.jobs):
+            builder.put_piece(u, i, (i, j), t, dur * scale)
+            t += dur * scale
+
+    # Split every oversized job of a small-setup class: the head fits below
+    # half the guess next to its setup, the tail must leave the large machines.
+    head_dur: dict[JobRef, int] = {}
+    tail_dur: dict[JobRef, int] = {}
+    for i in part.chp_star:
+        cl = inst.classes[i]
+        for j in part.big_jobs[i]:
+            head_dur[(i, j)] = half - cl.setup * scale
+            tail_dur[(i, j)] = (cl.setup + cl.jobs[j]) * scale - half
+
+    sub_specs: list[ReferenceClsSpec] = _reference_full_specs(
+        inst, list(part.exp_plus) + list(part.exp_minus) + list(part.chp_plus), scale
+    )
+    leftovers: list[tuple[int, JobRef, int]] = []  # (class, job, duration)
+    split_cls = None
+    star = set(part.chp_star)
+
+    if sol is not None:
+        split_cls = sol.split_item
+        for i in part.chp_star:
+            cl = inst.classes[i]
+            share = sol.x.get(i, Fraction(0))
+            big = set(part.big_jobs[i])
+            obligatory = scaled(plan.obligatory[i], scale)
+            if i == split_cls:
+                inside: list[tuple[JobRef, int]] = []
+                for j, t in enumerate(cl.jobs):
+                    t *= scale
+                    if j in big:
+                        d2 = scaled(share * head_dur[(i, j)], 1) + tail_dur[(i, j)]
+                    else:
+                        d2 = scaled(share * t, 1)
+                    if d2 > 0:
+                        inside.append(((i, j), d2))
+                    if t > d2:
+                        leftovers.append((i, (i, j), t - d2))
+                total2 = sum(d for _, d in inside)
+                want = obligatory + share * (cl.total * scale - obligatory)
+                if total2 != want:
+                    raise ContractError("split-class bookkeeping broken")
+                sub_specs.append((i, cl.setup * scale, inside, total2))
+            elif share == 1:
+                sub_specs += _reference_full_specs(inst, [i], scale)
+            else:  # share == 0: only the obligatory tails leave the bottom
+                inside = [((i, j), tail_dur[(i, j)]) for j in part.big_jobs[i]]
+                sub_specs.append((i, cl.setup * scale, inside, obligatory))
+                for j, t in enumerate(cl.jobs):
+                    if j in big:
+                        leftovers.append((i, (i, j), head_dur[(i, j)]))
+                    else:
+                        leftovers.append((i, (i, j), t * scale))
+        for i in part.chp_minus:
+            if i not in star:
+                cl = inst.classes[i]
+                for j, t in enumerate(cl.jobs):
+                    leftovers.append((i, (i, j), t * scale))
+    else:
+        # Case without a knapsack: everything with an oversized job fits
+        # outside the large machines whole; greedily cut the remaining
+        # small-setup classes so the nice remainder exactly uses the free time.
+        sub_specs += _reference_full_specs(inst, part.chp_star, scale)
+        budget = scaled(plan.free_time - plan.star_total, scale)
+        if budget < 0:
+            raise ContractError("oversized-job classes overrun the free time")
+        for i in part.chp_minus:
+            if i in star:
+                continue
+            cl = inst.classes[i]
+            setup = cl.setup * scale
+            reach = setup + cl.total * scale
+            if reach <= budget:
+                sub_specs += _reference_full_specs(inst, [i], scale)
+                budget -= reach
+            elif budget > setup:
+                inside: list[tuple[JobRef, int]] = []
+                room = budget - setup
+                split_cls = i
+                for j, t in enumerate(cl.jobs):
+                    t *= scale
+                    if room <= 0:
+                        leftovers.append((i, (i, j), t))
+                        continue
+                    take = min(room, t)
+                    inside.append(((i, j), take))
+                    room -= take
+                    if take < t:
+                        leftovers.append((i, (i, j), t - take))
+                sub_specs.append((i, setup, inside, budget - setup))
+                budget = 0
+            else:
+                for j, t in enumerate(cl.jobs):
+                    leftovers.append((i, (i, j), t * scale))
+                budget = 0  # nothing more fits wholly
+
+    # The nice remainder occupies the machines after the large ones.
+    sub_specs.sort(key=lambda sp: sp[0])
+    sub_specs = [sp for sp in sub_specs if sp[2]]
+    parts = reference_nice_parts(sub_specs, T)
+    d = reference_decide_nice_parts(parts, inst.m - l, T)
+    if not d.accepted:
+        raise ContractError(f"nice remainder rejected ({d.reason}); budget accounting broken")
+    _reference_build_nice(builder, parts, l, inst.m - l, T)
+
+    # Leftovers go to the bottoms of the large machines.  Everything here is
+    # small: setup + piece fits in half the guess.
+    for i, ref, dur in leftovers:
+        if inst.classes[i].setup * scale + dur > half:
+            raise ContractError("leftover too large for a bottom")
+    kplus = [(i, ref, dur) for i, ref, dur in leftovers if dur > quarter]
+    kminus = [(i, ref, dur) for i, ref, dur in leftovers if dur <= quarter]
+
+    def cls_order(i: int) -> tuple:
+        return (0 if i == split_cls else 1, i)
+
+    kplus.sort(key=lambda e: (cls_order(e[0]), e[1]))
+    if len(kplus) > l:
+        raise ContractError("more big leftovers than large machines")
+    for u, (i, ref, dur) in enumerate(kplus):
+        s = inst.classes[i].setup * scale
+        builder.put_setup(u, i, 0, s)
+        builder.put_piece(u, i, ref, s, dur)
+    lprime = len(kplus)
+
+    if kminus:
+        if lprime >= l:
+            raise ContractError("no large machine left for small leftovers")
+        by_cls: dict[int, list[tuple[JobRef, int]]] = {}
+        for i, ref, dur in kminus:
+            by_cls.setdefault(i, []).append((ref, dur))
+        seq = [
+            Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
+            for i in sorted(by_cls, key=cls_order)
+        ]
+        gaps = [Gap(lprime, 0, half)]
+        gaps += [Gap(u, quarter, half) for u in range(lprime + 1, l)]
+        run_wrap(builder, seq, gaps)
+
+    return builder.finalize()

@@ -3,7 +3,10 @@ import random
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from batchsched.core import (
+    ContractError,
     Instance,
     JobClass,
     Variant,
@@ -70,6 +73,16 @@ def test_counts_expensive_class():
     # build wraps whole; no job of it is listed per job
     assert 2 * inst.classes[0].setup > 10
     assert c.big_jobs == {} and c.forced == {}
+
+
+def test_counts_refuse_a_guess_at_or_below_a_setup():
+    # the dual reaches counts_nonp only above the job-setup bound, so a guess
+    # at or below a setup is a caller's error, not a reject
+    inst = Instance(m=3, classes=(JobClass(6, (3, 2)), JobClass(1, (1,))))
+    for guess in (F(6), F(11, 2)):
+        with pytest.raises(ContractError):
+            counts_nonp(inst, guess)
+    assert counts_nonp(inst, F(13, 2)).machines == [10, 0]
 
 
 def test_dual_reject_then_accept():

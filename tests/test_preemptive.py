@@ -10,6 +10,7 @@ from batchsched.core import (
     Instance,
     JobClass,
     Variant,
+    decide_need,
     job_setup_bound,
     lower_bound_tmin,
     verify_schedule,
@@ -17,12 +18,10 @@ from batchsched.core import (
 from batchsched import preemptive
 from batchsched.preemptive import (
     KnapsackItem,
-    _decide_nice_parts,
     _decide_pmtn,
-    _full_specs,
     _gamma_count,
-    _nice_parts,
     _pmtn_breakpoints,
+    _pmtn_counts,
     _pmtn_plan,
     class_jump_pmtn,
     continuous_knapsack,
@@ -101,12 +100,14 @@ NICE = Instance(m=4, classes=(JobClass(6, (8,)), JobClass(6, (1,)), JobClass(1, 
 
 def test_nice_decision_formula_values():
     # class 0 packs into max(1, ceil(2*14/10) - 2) = 1 half-gap machine
-    parts = _nice_parts(_full_specs(NICE, range(3), 1), F(10))
-    d = _decide_nice_parts(parts, 4, F(10))
-    assert d.load == 26 and d.machines == 2 and d.accepted
-    d2 = _decide_nice_parts(parts, 2, F(10))
+    plan = _pmtn_counts(NICE, F(10))
+    assert plan.gamma == {0: 1}
+    assert plan.load == 26 and plan.machines == 2
+    d = decide_need(4, F(10), plan.load, plan.machines)
+    assert d.accepted
+    d2 = decide_need(2, F(10), plan.load, plan.machines)
     assert not d2.accepted and d2.reason == "load"
-    d1 = _decide_nice_parts(parts, 1, F(10))
+    d1 = decide_need(1, F(10), plan.load, plan.machines)
     assert not d1.accepted and d1.reason == "machines"
 
 

@@ -30,3 +30,27 @@ def test_core_imports_no_other_module_of_the_package():
         if any(name.split(".")[0] == "batchsched" for name in names):
             found.append(f"core.py:{node.lineno}")
     assert not found, f"core imports the package: {', '.join(found)}"
+
+
+DECISION_CALLS = {
+    "classify", "_gamma_count", "_pmtn_counts", "_pmtn_plan", "counts_nonp", "decide_need",
+}
+
+
+def test_builds_read_their_plan():
+    # a dual decides once; its construction reads the decision's plan and
+    # never derives the partition, counts or verdict a second time
+    builds, found = [], []
+    for name in ("splittable.py", "preemptive.py", "nonpreemptive.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_build_")):
+                continue
+            builds.append(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                    if called in DECISION_CALLS or called.startswith("_decide_"):
+                        found.append(f"{name}:{node.lineno} {fn.name} calls {called}")
+    assert {"_build_split", "_build_pmtn", "_build_nice", "_build_nonp"} <= set(builds)
+    assert not found, "; ".join(found)
