@@ -5,11 +5,12 @@ Instance files:  {"m": int, "classes": [{"setup": int, "jobs": [int, ...]}]}
 Schedule files:  {"scale": D, "makespan": "p/q",
                   "machines": [[row, ...], ...],
                   "compressed": [{"config": [row, ...], "mult": int}, ...]}
-A row is [0, class, start, dur] for a setup or [1, class, start, dur, job,
-piece] for a piece, its times ints t meaning t/D, so nothing is ever rounded;
-other rationals (makespan, guesses, bounds) travel as "p/q" strings.
-Schedule files in the older format, a dict per placement with "p/q" times,
-are rejected: solve the instance again.
+A row is [class, start, dur] for a setup or [class, start, dur, job] for a
+piece, so its length tells its kind, and its times are ints t meaning t/D,
+so nothing is ever rounded; other rationals (makespan, guesses, bounds)
+travel as "p/q" strings.  Schedule files in older formats (a dict per
+placement with "p/q" times, or rows that lead with a kind flag and end in a
+piece number) are rejected: solve the instance again.
 
 Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
 failure.
@@ -67,33 +68,38 @@ def parse_rat(text: str) -> Rat:
 _SCHEDULE_FORMAT = (
     'schedules are {"scale": D, "machines": [[row, ...], ...], '
     '"compressed": [{"config": [row, ...], "mult": k}, ...]} with rows '
-    "[0, class, start, dur] for a setup and [1, class, start, dur, job, piece] "
-    "for a piece, times ints in units of 1/D"
+    "[class, start, dur] for a setup and [class, start, dur, job] for a piece, "
+    "times ints in units of 1/D"
 )
 
 
-def _row(p: PlacementT) -> list:
-    kind, cls, start, dur, job, piece = p
-    return [0, cls, start, dur] if kind == SETUP else [1, cls, start, dur, job, piece]
-
-
 def emit_schedule(sched: Schedule) -> dict:
-    """The schedule's own int times and scale as rows; ContractError for a
-    schedule holding a non-int time (only a hand-built one can)."""
-    scale, top = sched.scale, 0
-    for _, _, start, dur, _, _ in sched.placements():
-        if type(start) is not int or type(dur) is not int:
-            raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
-        top = max(top, start + dur)
+    """The schedule's own int times and scale as rows, checked, written and
+    measured for the makespan in one pass over the placements; ContractError
+    for a schedule holding a non-int time (only a hand-built one can)."""
+    top = 0
+
+    def rows(placements) -> list[list[int]]:
+        nonlocal top
+        out = []
+        for p in placements:
+            start, dur = p[2], p[3]
+            if type(start) is not int or type(dur) is not int:
+                raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
+            if start + dur > top:
+                top = start + dur
+            out.append([p[1], start, dur] if p[0] == SETUP else [p[1], start, dur, p[4]])
+        return out
+
+    machines = [rows(mach) for mach in sched.machines]
+    compressed = [{"config": rows(config), "mult": mult} for config, mult in sched.compressed]
+    scale = sched.scale
     g = math.gcd(top, scale)
     return {
         "scale": scale,
         "makespan": f"{top // g}/{scale // g}" if g != scale else str(top // g),
-        "machines": [[_row(p) for p in mach] for mach in sched.machines],
-        "compressed": [
-            {"config": [_row(p) for p in config], "mult": mult}
-            for config, mult in sched.compressed
-        ],
+        "machines": machines,
+        "compressed": compressed,
     }
 
 
@@ -106,10 +112,10 @@ def _rows(raw) -> list[PlacementT]:
                               f"{_SCHEDULE_FORMAT}")
     out = []
     for r in raw:
-        if len(r) == 4 and r[0] == 0:
-            out.append((SETUP, r[1], r[2], r[3], None, None))
-        elif len(r) == 6 and r[0] == 1:
-            out.append((PIECE, r[1], r[2], r[3], r[4], r[5]))
+        if len(r) == 3:
+            out.append((SETUP, r[0], r[1], r[2], None))
+        elif len(r) == 4:
+            out.append((PIECE, r[0], r[1], r[2], r[3]))
         else:
             raise ValidationError(f"bad schedule row {r!r:.80}; {_SCHEDULE_FORMAT}")
     return out

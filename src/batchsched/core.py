@@ -193,19 +193,18 @@ SETUP = "setup"
 PIECE = "piece"
 
 
-# A placement is the plain tuple (kind, cls, start, dur, job, piece): kind is
-# SETUP or PIECE, start and dur are ints on the schedule's scale (Rats in a
-# hand-built schedule), and job (the position within cls) and piece (the
-# piece counter within the job) are None for setups.  A plain tuple, not a
-# NamedTuple: CPython stops tracking an exact tuple of ints, strs and Nones
-# the first time the cyclic collector sees it, so a built schedule is not
-# rescanned by every full collection while it grows.
-PlacementT = tuple[str, int, Rat, Rat, Optional[int], Optional[int]]
+# A placement is the plain tuple (kind, cls, start, dur, job): kind is SETUP
+# or PIECE, start and dur are ints on the schedule's scale (Rats in a
+# hand-built schedule), and job (the position within cls) is None for a
+# setup.  A plain tuple, not a NamedTuple: CPython stops tracking an exact
+# tuple of ints, strs and Nones the first time the cyclic collector sees it,
+# so a built schedule is not rescanned by every full collection while it
+# grows.
+PlacementT = tuple[str, int, Rat, Rat, Optional[int]]
 
 
-def Placement(kind: str, cls: int, start: Rat, dur: Rat,
-              job: Optional[int] = None, piece: Optional[int] = None) -> PlacementT:
-    return (kind, cls, start, dur, job, piece)
+def Placement(kind: str, cls: int, start: Rat, dur: Rat, job: Optional[int] = None) -> PlacementT:
+    return (kind, cls, start, dur, job)
 
 
 def scaled(x: Rat, scale: int) -> int:
@@ -247,29 +246,14 @@ class Schedule:
                      chain.from_iterable(config for config, _ in self.compressed))
 
     def makespan(self) -> Rat:
-        top = max((start + dur for _, _, start, dur, _, _ in self.placements()), default=0)
+        top = max((start + dur for _, _, start, dur, _ in self.placements()), default=0)
         return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
-        """Materialize the compressed part; piece ids are renumbered in
-        (machine, start) order so the result is in canonical explicit form."""
-        machines = [list(mach) for mach in self.machines]
-        for config, mult in self.compressed:
-            for _ in range(mult):
-                machines.append(list(config))
-        counter: dict[JobRef, int] = {}
-        out: list[list[PlacementT]] = []
-        for mach in machines:
-            row = []
-            for p in sorted(mach, key=itemgetter(2)):
-                kind, cls, start, dur, job, _ = p
-                if kind == PIECE:
-                    k = counter.get((cls, job), 0)
-                    counter[(cls, job)] = k + 1
-                    row.append((PIECE, cls, start, dur, job, k))
-                else:
-                    row.append(p)
-            out.append(row)
+        """Materialize the compressed part: each configuration becomes mult
+        explicit machines, every machine's placements in start order."""
+        copies = [config for config, mult in self.compressed for _ in range(mult)]
+        out = [sorted(mach, key=itemgetter(2)) for mach in self.machines + copies]
         return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
 
     def placement_count(self) -> int:
@@ -488,7 +472,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             continue
         prev_end = ready = None
         for p in sorted(placements, key=itemgetter(2, 3)):
-            kind, cls, start, dur, job, _ = p
+            kind, cls, start, dur, job = p
             end = start + dur
             if not 0 <= cls < len(classes):
                 flag("s", label, start, f"unknown class {cls}")
@@ -569,7 +553,7 @@ def _pieces_of(parts, sizes: list[int], base: list[int], bad: set[int]) -> dict[
     in bad, in schedule order, keyed by job in order of first appearance."""
     found: dict[JobRef, list] = {}
     for _, placements, copies in parts if bad else ():
-        for kind, cls, start, dur, job, _ in placements if copies >= 1 else ():
+        for kind, cls, start, dur, job in placements if copies >= 1 else ():
             if (kind != SETUP and job is not None and 0 <= cls < len(sizes)
                     and 0 <= job < sizes[cls] and base[cls] + job in bad):
                 found.setdefault((cls, job), []).append((start, start + dur, copies))
@@ -581,5 +565,5 @@ def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     machines: list[list[PlacementT]] = []
     for i, cl in enumerate(inst.classes):
         for j, t in enumerate(cl.jobs):
-            machines.append([(SETUP, i, 0, cl.setup, None, None), (PIECE, i, cl.setup, t, j, 0)])
+            machines.append([(SETUP, i, 0, cl.setup, None), (PIECE, i, cl.setup, t, j)])
     return Schedule(m=inst.m, machines=machines)

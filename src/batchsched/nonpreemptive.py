@@ -91,17 +91,11 @@ class _Stacks:
 
     def to_schedule(self) -> Schedule:
         machines: list[list[PlacementT]] = []
-        piece_counter: dict[JobRef, int] = {}
         for stack in self.stacks:
             t = 0
             row = []
             for kind, cls, dur, job, _ in stack:
-                if kind == SETUP:
-                    row.append((SETUP, cls, t, dur, None, None))
-                else:
-                    k = piece_counter.get((cls, job), 0)
-                    piece_counter[(cls, job)] = k + 1
-                    row.append((PIECE, cls, t, dur, job, k))
+                row.append((kind, cls, t, dur, job))
                 t += dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)

@@ -47,7 +47,7 @@ from .search import (
     close_bracket,
     trivial_search,
 )
-from .wrap import Batch, Builder, Gap, run_wrap
+from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,6 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
 # Nice instances (no class with 3/4 T < setup + work < T)
 # ---------------------------------------------------------------------------
 
-# A class spec is (class id, setup, [(job ref, duration), ...]), on the
-# build's time scale.  Durations may be job pieces.
-ClsSpec = tuple[int, int, list[tuple[JobRef, int]]]
-
-
 def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     """Machines the half-gap packing occupies for an expensive heavy class:
     max(1, ceil(2(s+P)/T) - 2).  It only steps on the grid 2(s+P)/k,
@@ -141,13 +136,13 @@ def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     return max(1, -(-2 * (setup + work) // guess) - 2)
 
 
-def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[ClsSpec],
-                cheap: dict[int, ClsSpec], first: int, count: int, guess: int) -> None:
+def _build_nice(builder: Builder, plus: list[tuple[Batch, int]], minus: list[Batch],
+                cheap: dict[int, Batch], first: int, count: int, guess: int) -> None:
     """Place a nice instance on machines first..first+count-1: the expensive
     heavy classes (plus, each with its machine count gamma), the expensive
     light ones (minus) and the cheap ones (keyed by class), each in class
-    order.  The guess and the specs are ints on the builder's scale, where
-    the guess is even.
+    order.  The guess and the batches are ints on the builder's scale, where
+    the guess is even; a batch's durations may be job pieces.
 
     Each expensive heavy class gets gaps of height T/2 above its setups, with
     the overflow piled onto its last machine (the shape whose reshape points
@@ -158,7 +153,8 @@ def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[C
     half = guess // 2
     threehalf = 3 * half
 
-    for (cls, s, items), g in plus:
+    for batch, g in plus:
+        s = batch.setup
         if g == 1:
             gaps = [Gap(base, 0, threehalf)]
         else:
@@ -167,7 +163,7 @@ def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[C
             gaps.append(Gap(base + g - 1, s, threehalf))
         if base + g > limit:
             raise ContractError("nice construction ran out of machines")
-        run_wrap(builder, [Batch(cls=cls, setup=s, jobs=tuple(items))], gaps)
+        run_wrap(builder, [batch], gaps)
         base += g
 
     odd_machine: Optional[int] = None
@@ -177,11 +173,11 @@ def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[C
         if u >= limit:
             raise ContractError("nice construction ran out of machines")
         t = 0
-        for cls, setup, items in minus[k:k + 2]:
-            builder.put_setup(u, cls, t, setup)
-            t += setup
-            for ref, dur in items:
-                builder.put_piece(u, cls, ref, t, dur)
+        for batch in minus[k:k + 2]:
+            builder.put_setup(u, batch.cls, t, batch.setup)
+            t += batch.setup
+            for ref, dur in batch.jobs:
+                builder.put_piece(u, batch.cls, ref, t, dur)
                 t += dur
         if k + 1 == len(minus):
             odd_machine = u
@@ -192,14 +188,7 @@ def _build_nice(builder: Builder, plus: list[tuple[ClsSpec, int]], minus: list[C
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
     gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
-    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items))
-           for _, (cls, setup, items) in sorted(cheap.items())]
-    run_wrap(builder, seq, gaps)
-
-
-def _full_spec(inst: Instance, i: int, scale: int) -> ClsSpec:
-    cl = inst.classes[i]
-    return i, cl.setup * scale, [((i, j), t * scale) for j, t in enumerate(cl.jobs)]
+    run_wrap(builder, [cheap[i] for i in sorted(cheap)], gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +332,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
 
     # The nice remainder: chp_plus whole, each star class as below, and the
     # other small-setup classes up to the budget the free time leaves.
-    cheap = {i: _full_spec(inst, i, scale) for i in part.chp_plus}
+    cheap = {i: class_batch(inst, i, scale) for i in part.chp_plus}
     leftovers: list[tuple[int, JobRef, int]] = []  # (class, job, duration)
     split_cls = None
     star = set(part.chp_star)
@@ -373,11 +362,11 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             obligatory = scaled(plan.obligatory[i], scale)
             if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
                 raise ContractError("star-class bookkeeping broken")
-            cheap[i] = (i, s, inside)
+            cheap[i] = Batch(cls=i, setup=s, jobs=tuple(inside))
     else:
         # Case without a knapsack: everything with an oversized job fits
         # outside the large machines whole.
-        cheap.update((i, _full_spec(inst, i, scale)) for i in part.chp_star)
+        cheap.update((i, class_batch(inst, i, scale)) for i in part.chp_star)
         budget = scaled(plan.free_time - plan.star_total, scale)
         if budget < 0:
             raise ContractError("oversized-job classes overrun the free time")
@@ -391,7 +380,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         setup = cl.setup * scale
         reach = setup + cl.total * scale
         if reach <= budget:
-            cheap[i] = _full_spec(inst, i, scale)
+            cheap[i] = class_batch(inst, i, scale)
             budget -= reach
         elif budget > setup:
             inside = []
@@ -407,7 +396,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
                 room -= take
                 if take < t:
                     leftovers.append((i, (i, j), t - take))
-            cheap[i] = (i, setup, inside)
+            cheap[i] = Batch(cls=i, setup=setup, jobs=tuple(inside))
             budget = 0
         else:
             for j, t in enumerate(cl.jobs):
@@ -415,8 +404,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             budget = 0  # nothing more fits wholly
 
     # The nice remainder occupies the machines after the large ones.
-    plus = [(_full_spec(inst, i, scale), g) for i, g in plan.gamma.items()]
-    minus = [_full_spec(inst, i, scale) for i in part.exp_minus]
+    plus = [(class_batch(inst, i, scale), g) for i, g in plan.gamma.items()]
+    minus = [class_batch(inst, i, scale) for i in part.exp_minus]
     _build_nice(builder, plus, minus, cheap, l, inst.m - l, T)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is

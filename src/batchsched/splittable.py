@@ -20,16 +20,7 @@ from .core import (
     decided_outcome,
 )
 from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk, close_bracket
-from .wrap import Batch, Builder, Gap, run_wrap
-
-
-def _class_batch(inst: Instance, i: int, scale: int) -> Batch:
-    cl = inst.classes[i]
-    return Batch(
-        cls=i,
-        setup=cl.setup * scale,
-        jobs=tuple(((i, j), t * scale) for j, t in enumerate(cl.jobs)),
-    )
+from .wrap import Builder, Gap, class_batch, run_wrap
 
 
 def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
@@ -41,7 +32,7 @@ def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
     scale = per.denominator
     smax, per = inst.s_max * scale, per.numerator
     builder = Builder(inst.m, scale)
-    seq = (_class_batch(inst, i, scale) for i in range(inst.c))
+    seq = (class_batch(inst, i, scale) for i in range(inst.c))
     run_wrap(
         builder,
         seq,
@@ -99,7 +90,7 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
         s = inst.classes[i].setup * scale
         res = run_wrap(
             builder,
-            [_class_batch(inst, i, scale)],
+            [class_batch(inst, i, scale)],
             [Gap(base, 0, s + half)],
             tail_gap=(s, s + half),
             tail_count=beta - 1,
@@ -113,7 +104,7 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
         base += beta
     if len(betas) < inst.c:
         # one batch alive at a time
-        seq = (_class_batch(inst, i, scale) for i in range(inst.c) if i not in betas)
+        seq = (class_batch(inst, i, scale) for i in range(inst.c) if i not in betas)
         run_wrap(
             builder,
             seq,

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import PIECE, SETUP, CapacityError, ContractError, JobRef, PlacementT, Rat, Schedule
+from .core import (PIECE, SETUP, CapacityError, ContractError, Instance, JobRef, PlacementT,
+                   Rat, Schedule)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,13 @@ class Batch:
     jobs: tuple[tuple[JobRef, Rat], ...]
 
 
+def class_batch(inst: Instance, i: int, scale: int) -> Batch:
+    """Class i whole: its setup and every job, on the time scale `scale`."""
+    cl = inst.classes[i]
+    return Batch(cls=i, setup=cl.setup * scale,
+                 jobs=tuple(((i, j), t * scale) for j, t in enumerate(cl.jobs)))
+
+
 def check_template(gaps: list[Gap]):
     for g1, g2 in zip(gaps, gaps[1:]):
         if g2.machine <= g1.machine:
@@ -56,8 +64,8 @@ class Builder:
 
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
-    machine slots.  Piece ids are assigned per job in creation order.  Times
-    are on the integer time scale `scale` (1/scale time units per step).
+    machine slots.  Times are on the integer time scale `scale` (1/scale time
+    units per step).
     """
 
     def __init__(self, m: int, scale: int = 1):
@@ -65,27 +73,21 @@ class Builder:
         self.scale = scale
         self._machines: dict[int, list[PlacementT]] = {}
         self._configs: list[tuple[int, tuple[PlacementT, ...], int]] = []
-        self._piece_counter: dict[JobRef, int] = {}
-
-    def _next_piece(self, ref: JobRef) -> int:
-        k = self._piece_counter.get(ref, 0)
-        self._piece_counter[ref] = k + 1
-        return k
 
     def row(self, machine: int) -> list[PlacementT]:
         return self._machines.setdefault(machine, [])
 
     def put_setup(self, machine: int, cls: int, start: Rat, dur: Rat):
-        self.row(machine).append((SETUP, cls, start, dur, None, None))
+        self.row(machine).append((SETUP, cls, start, dur, None))
 
     def put_piece(self, machine: int, cls: int, ref: JobRef, start: Rat, dur: Rat):
-        self.row(machine).append((PIECE, cls, start, dur, ref[1], self._next_piece(ref)))
+        self.row(machine).append((PIECE, cls, start, dur, ref[1]))
 
     def make_setup(self, cls: int, start: Rat, dur: Rat) -> PlacementT:
-        return (SETUP, cls, start, dur, None, None)
+        return (SETUP, cls, start, dur, None)
 
     def make_piece(self, cls: int, ref: JobRef, start: Rat, dur: Rat) -> PlacementT:
-        return (PIECE, cls, start, dur, ref[1], self._next_piece(ref))
+        return (PIECE, cls, start, dur, ref[1])
 
     def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
         if mult > 0 and placements:

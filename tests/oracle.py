@@ -141,7 +141,7 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
     def flag(rule: str, message: str):  # at the current row's start
         out.append(Violation(rule, label, Fraction(start, scale), message))
 
-    for start, end, (kind, cls, _, _, job, _) in sorted(rows, key=itemgetter(0, 1)):
+    for start, end, (kind, cls, _, _, job) in sorted(rows, key=itemgetter(0, 1)):
         if not (0 <= cls < len(classes)):
             flag("s", f"unknown class {cls}")
             continue
@@ -206,7 +206,7 @@ def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: R
             out.append(Violation("s", label, Fraction(0), "multiplicity < 1"))
             continue
         _check_machine(inst, label, rows, scale, out)
-        for start, end, (kind, cls, _, _, job, _) in rows:
+        for start, end, (kind, cls, _, _, job) in rows:
             if kind != PIECE or job is None:
                 continue
             if not (0 <= cls < inst.c and 0 <= job < len(inst.classes[cls].jobs)):
@@ -335,17 +335,14 @@ class _Stacks:
 
     def to_schedule(self) -> Schedule:
         machines: list[list] = []
-        piece_counter: dict[JobRef, int] = {}
         for stack in self.stacks:
             t = 0
             row = []
             for it in stack:
                 if it.kind == SETUP:
-                    row.append((SETUP, it.cls, t, it.dur, None, None))
+                    row.append((SETUP, it.cls, t, it.dur, None))
                 else:
-                    k = piece_counter.get(it.ref, 0)
-                    piece_counter[it.ref] = k + 1
-                    row.append((PIECE, it.cls, t, it.dur, it.ref[1], k))
+                    row.append((PIECE, it.cls, t, it.dur, it.ref[1]))
                 t += it.dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)

@@ -79,8 +79,8 @@ def _malformed(mutate):
     raw = {
         "scale": 1,
         "makespan": "3",
-        "machines": [[[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]],
-        "compressed": [{"config": [[0, 0, 0, 1], [1, 0, 1, 2, 1, 0]], "mult": 1}],
+        "machines": [[[0, 0, 1], [0, 1, 2, 0]]],
+        "compressed": [{"config": [[0, 0, 1], [0, 1, 2, 1]], "mult": 1}],
     }
     mutate(raw)
     return raw
@@ -95,18 +95,18 @@ def _set_row(machine, index, row):
 @pytest.mark.parametrize(
     "mutate",
     [
-        _set_row(0, 0, [0, 0, 1]),
-        _set_row(0, 1, [1, 0, 1, 2, 0]),
-        _set_row(0, 0, [0, 0, 0, 1, 0, 0]),
-        _set_row(0, 1, [1, 0, 1, 2]),
+        _set_row(0, 0, [0, 1]),
+        _set_row(0, 1, [0]),
+        _set_row(0, 0, [0, 0, 1, 0, 0]),
+        _set_row(0, 1, [1, 2]),
         _set_row(0, 0, []),
-        _set_row(0, 1, [1, 0, "3/2", 2, 0, 0]),
-        _set_row(0, 1, [1, 0, 1.5, 2, 0, 0]),
-        _set_row(0, 1, [1, 0, 1, True, 0, 0]),
-        _set_row(0, 0, [False, 0, 0, 1]),
-        _set_row(0, 1, [1, 0, 1, 2, "0", 0]),
-        _set_row(0, 0, [2, 0, 0, 1]),
-        _set_row(0, 0, ["setup", 0, 0, 1]),
+        _set_row(0, 1, [0, "3/2", 2, 0]),
+        _set_row(0, 1, [0, 1.5, 2, 0]),
+        _set_row(0, 1, [0, 1, True, 0]),
+        _set_row(0, 1, [0, 1, 2, 0, 0]),
+        _set_row(0, 1, [0, 1, 2, "0"]),
+        _set_row(0, 1, [0, 1, 2, 0, 0, 0]),
+        _set_row(0, 1, [1, 0, 1, 2, 0, 0]),
         _set_row(0, 0, {"kind": "setup", "class": 0, "start": "0", "dur": "1"}),
         lambda raw: raw["machines"].__setitem__(0, {"rows": []}),
         lambda raw: raw["compressed"][0].update(mult="1"),
@@ -122,9 +122,9 @@ def _set_row(machine, index, row):
         lambda raw: raw.pop("machines"),
     ],
     ids=[
-        "missing-class", "short-piece-row", "long-setup-row", "piece-row-as-setup",
-        "empty-row", "string-time", "float-time", "bool-time", "bool-kind", "string-job",
-        "kind-2", "kind-name", "dict-row", "dict-machine", "string-mult", "bool-mult",
+        "missing-class", "short-piece-row", "long-setup-row", "row-length-2",
+        "empty-row", "string-time", "float-time", "bool-time", "row-length-5", "string-job",
+        "row-length-6", "kind-led-piece-row", "dict-row", "dict-machine", "string-mult", "bool-mult",
         "missing-config", "dict-compressed", "scale-0", "scale-negative", "string-scale",
         "bool-scale", "float-scale", "missing-scale", "missing-machines",
     ],
@@ -151,16 +151,20 @@ def test_verify_unmutated_malformed_base_is_accepted(tmp_path, capsys):
 def test_verify_old_format_names_the_row_format(tmp_path, capsys):
     setup = {"kind": "setup", "class": 0, "start": "0", "dur": "1"}
     piece = {"kind": "piece", "class": 0, "job": 0, "piece": 0, "start": "1", "dur": "2"}
-    old = {"makespan": "3", "machines": [[setup, piece]],
-           "compressed": [{"config": [setup, dict(piece, job=1)], "mult": 1}]}
+    dict_placements = {"makespan": "3", "machines": [[setup, piece]],
+                       "compressed": [{"config": [setup, dict(piece, job=1)], "mult": 1}]}
+    # rows led by a kind flag (0 setup, 1 piece) and ending in a piece number
+    kind_led_rows = {"scale": 1, "makespan": "3", "machines": [[[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]],
+                     "compressed": [{"config": [[0, 0, 0, 1], [1, 0, 1, 2, 1, 0]], "mult": 1}]}
     inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
     ipath = write_instance(tmp_path, "i.json", inst)
-    spath = write_instance(tmp_path, "s.json", old)
-    code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
-    err = capsys.readouterr().err
-    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
-    assert "[0, class, start, dur]" in err and "[1, class, start, dur, job, piece]" in err
-    assert '"scale": D' in err
+    for old in (dict_placements, kind_led_rows):
+        spath = write_instance(tmp_path, "s.json", old)
+        code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert "[class, start, dur] for a setup" in err and "[class, start, dur, job] for a piece" in err
+        assert '"scale": D' in err
 
 
 @pytest.mark.parametrize("where", ["instance", "schedule"])
@@ -168,7 +172,7 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     # json.loads refuses ints of more than 4,300 digits with a plain ValueError
     huge = "9" * 5000
     inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
-    sched = '{"scale": 1, "machines": [[[0, 0, 0, 1], [1, 0, 1, %s, 0, 0]]]}' % huge
+    sched = '{"scale": 1, "machines": [[[0, 0, 1], [0, 1, %s, 0]]]}' % huge
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(inst)
     spath.write_text(sched)
@@ -212,7 +216,7 @@ def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
                 "--in", ipath, "--emit", "summary"]
     else:
         spath = tmp_path / "s.json"
-        spath.write_text('{"scale": 1, "machines": [[[0, 0, %s, 1], [1, 0, 1, 2, 0, 0]]]}' % ("9" * 4300))
+        spath.write_text('{"scale": 1, "machines": [[[0, %s, 1], [0, 1, 2, 0]]]}' % ("9" * 4300))
         args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
     code = main(args)
     captured = capsys.readouterr()
@@ -228,8 +232,8 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _SMALL = st.integers(-1, 4)
-_GOOD_ROW = (st.tuples(st.just(0), _SMALL, _SMALL, _SMALL).map(list)
-             | st.tuples(st.just(1), _SMALL, _SMALL, _SMALL, _SMALL, _SMALL).map(list))
+_GOOD_ROW = (st.tuples(_SMALL, _SMALL, _SMALL).map(list)
+             | st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(list))
 _ROWS = st.lists(_GOOD_ROW | st.lists(_SMALL | st.booleans() | _JSON, max_size=7), max_size=4) | _JSON
 
 
@@ -299,7 +303,7 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     # tampering: drop a setup row
     raw = json.loads(open(spath).read())
     groups = raw["machines"] + [entry["config"] for entry in raw["compressed"]]
-    rows = next(rows for rows in groups if rows and rows[0][0] == 0)
+    rows = next(rows for rows in groups if rows and len(rows[0]) == 3)
     rows.pop(0)
     tpath = write_instance(tmp_path, "t.json", raw)
     assert main(["verify", "--in", ipath, "--schedule", tpath,

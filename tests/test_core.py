@@ -130,7 +130,7 @@ def test_verify_single_machine_ok():
         m=1,
         machines=[[
             Placement(SETUP, 0, F(0), F(1)),
-            Placement(PIECE, 0, F(1), F(2), job=0, piece=0),
+            Placement(PIECE, 0, F(1), F(2), job=0),
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -142,8 +142,8 @@ def test_verify_same_job_parallel_overlap():
     sched = Schedule(
         m=2,
         machines=[
-            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(2), job=0, piece=0)],
-            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(2), F(2), job=0, piece=1)],
+            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(2), job=0)],
+            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(2), F(2), job=0)],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
@@ -156,7 +156,7 @@ def test_verify_missing_setup():
     inst = Instance(m=1, classes=(JobClass(1, (2,)), JobClass(1, (2,))))
     sched = Schedule(
         m=1,
-        machines=[[Placement(PIECE, 1, F(0), F(2), job=0, piece=0)]],
+        machines=[[Placement(PIECE, 1, F(0), F(2), job=0)]],
     )
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -169,8 +169,8 @@ def test_verify_idle_inside_class_run_allowed():
         m=1,
         machines=[[
             Placement(SETUP, 0, F(0), F(1)),
-            Placement(PIECE, 0, F(2), F(2), job=0, piece=0),
-            Placement(PIECE, 0, F(5), F(1), job=1, piece=0),
+            Placement(PIECE, 0, F(2), F(2), job=0),
+            Placement(PIECE, 0, F(5), F(1), job=1),
         ]],
     )
     assert verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(6)).ok
@@ -182,8 +182,8 @@ def test_verify_overlap_and_bound():
         m=1,
         machines=[[
             Placement(SETUP, 0, F(0), F(1)),
-            Placement(PIECE, 0, F(1), F(2), job=0, piece=0),
-            Placement(PIECE, 0, F(2), F(2), job=1, piece=0),
+            Placement(PIECE, 0, F(1), F(2), job=0),
+            Placement(PIECE, 0, F(2), F(2), job=1),
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -197,7 +197,7 @@ def test_verify_wrong_setup_length():
         m=1,
         machines=[[
             Placement(SETUP, 0, F(0), F(2)),
-            Placement(PIECE, 0, F(2), F(1), job=0, piece=0),
+            Placement(PIECE, 0, F(2), F(1), job=0),
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -209,8 +209,8 @@ def test_verify_machine_budget():
     sched = Schedule(
         m=1,
         machines=[
-            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(1), job=0, piece=0)],
-            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(1), job=1, piece=0)],
+            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(1), job=0)],
+            [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(1), F(1), job=1)],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -224,8 +224,8 @@ def test_verify_machine_budget_from_the_instance():
     sched = Schedule(
         m=2,
         machines=[
-            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=0, piece=0)],
-            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=1, piece=0)],
+            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=0)],
+            [Placement(SETUP, 0, 0, 1), Placement(PIECE, 0, 1, 2, job=1)],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -263,13 +263,13 @@ def test_verifier_catches_mutations():
                 k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == PIECE), None)
                 if k is None:
                     return None
-                _, cls, start, dur, job, piece = machines[u][k]
-                machines[u][k] = Placement(PIECE, cls, start, dur + base.scale, job, piece)
+                _, cls, start, dur, job = machines[u][k]
+                machines[u][k] = Placement(PIECE, cls, start, dur + base.scale, job)
             elif which == "shift_overlap":
                 if len(machines[u]) < 2:
                     return None
-                kind, cls, _, dur, job, piece = machines[u][1]
-                machines[u][1] = Placement(kind, cls, machines[u][0][2], dur, job, piece)
+                kind, cls, _, dur, job = machines[u][1]
+                machines[u][1] = Placement(kind, cls, machines[u][0][2], dur, job)
             elif which == "drop_piece":
                 k = next((k for k, (kind, *_) in enumerate(machines[u]) if kind == PIECE), None)
                 if k is None:
@@ -320,14 +320,14 @@ SCALE_INST = Instance(m=3, classes=(JobClass(1, (1, 2)), JobClass(2, (3,))))
 def _bad_machines():
     return Schedule(m=3, machines=[
         [Placement(SETUP, 0, F(-1, 3), F(1)),
-         Placement(PIECE, 0, F(2, 3), F(1, 4), job=0, piece=0),
-         Placement(PIECE, 0, F(11, 12), F(3, 4), job=0, piece=1),
-         Placement(PIECE, 0, F(5, 3), F(0), job=1, piece=0)],
+         Placement(PIECE, 0, F(2, 3), F(1, 4), job=0),
+         Placement(PIECE, 0, F(11, 12), F(3, 4), job=0),
+         Placement(PIECE, 0, F(5, 3), F(0), job=1)],
         [Placement(SETUP, 1, F(0), F(13, 7)),
-         Placement(PIECE, 1, F(13, 7), F(3), job=0, piece=0),
-         Placement(PIECE, 0, F(1, 7), F(2), job=1, piece=1)],
+         Placement(PIECE, 1, F(13, 7), F(3), job=0),
+         Placement(PIECE, 0, F(1, 7), F(2), job=1)],
         [Placement(SETUP, 5, F(1, 3), F(1)),
-         Placement(PIECE, 0, F(1, 4), F(1, 7), job=7, piece=0)],
+         Placement(PIECE, 0, F(1, 4), F(1, 7), job=7)],
     ])
 
 
@@ -336,24 +336,24 @@ def _bad_compressed():
     # multiplicity 0: 4 machines on an instance with 3
     return Schedule(m=3, machines=[
         [Placement(SETUP, 0, F(0), F(1)),
-         Placement(PIECE, 0, F(1), F(1, 3), job=1, piece=0),
-         Placement(PIECE, 0, F(4, 3), F(1, 4), job=1, piece=1)],
+         Placement(PIECE, 0, F(1), F(1, 3), job=1),
+         Placement(PIECE, 0, F(4, 3), F(1, 4), job=1)],
         [],
     ], compressed=[
         ((Placement(SETUP, 0, F(0), F(1)),
-          Placement(PIECE, 0, F(5, 4), F(1, 2), job=0, piece=0),
-          Placement(PIECE, 0, F(13, 7), F(5, 7), job=1, piece=2)), 2),
-        ((Placement(SETUP, 1, F(0), F(2)), Placement(PIECE, 1, F(2), F(3), job=0, piece=0)), 0),
+          Placement(PIECE, 0, F(5, 4), F(1, 2), job=0),
+          Placement(PIECE, 0, F(13, 7), F(5, 7), job=1)), 2),
+        ((Placement(SETUP, 1, F(0), F(2)), Placement(PIECE, 1, F(2), F(3), job=0)), 0),
     ])
 
 
 def _bad_overlap():
     return Schedule(m=3, machines=[
         [Placement(SETUP, 0, F(0), F(1)),
-         Placement(PIECE, 0, F(1), F(1, 3), job=1, piece=0),
-         Placement(PIECE, 0, F(4, 3), F(1), job=0, piece=0)],
-        [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(5, 4), F(5, 3), job=1, piece=1)],
-        [Placement(SETUP, 1, F(1, 7), F(2)), Placement(PIECE, 1, F(15, 7), F(3), job=0, piece=0)],
+         Placement(PIECE, 0, F(1), F(1, 3), job=1),
+         Placement(PIECE, 0, F(4, 3), F(1), job=0)],
+        [Placement(SETUP, 0, F(0), F(1)), Placement(PIECE, 0, F(5, 4), F(5, 3), job=1)],
+        [Placement(SETUP, 1, F(1, 7), F(2)), Placement(PIECE, 1, F(15, 7), F(3), job=0)],
     ])
 
 
@@ -411,7 +411,7 @@ def test_verify_exact_violations_mixed_denominators(schedule, variant, makespan,
 def test_verify_bound_off_the_time_grid():
     inst = Instance(m=1, classes=(JobClass(1, (1,)),))
     sched = Schedule(m=1, machines=[[
-        Placement(SETUP, 0, F(1, 4), F(1)), Placement(PIECE, 0, F(5, 4), F(1), job=0, piece=0),
+        Placement(SETUP, 0, F(1, 4), F(1)), Placement(PIECE, 0, F(5, 4), F(1), job=0),
     ]])
     ok = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(7, 3))
     assert ok.ok and ok.makespan == F(9, 4) and ok.violations == []
@@ -441,17 +441,17 @@ def test_verify_distinct_prime_denominators_fast():
     for j in range(jobs):
         p, q = primes[2 * j], primes[2 * j + 1]
         machines.append([Placement(SETUP, 0, F(0), F(1)),
-                         Placement(PIECE, 0, F(1), F(1, p), job=j, piece=0)])
+                         Placement(PIECE, 0, F(1), F(1, p), job=j)])
         machines.append([Placement(SETUP, 0, F(1, q), F(1)),
-                         Placement(PIECE, 0, 1 + F(1, q), 2 - F(1, p), job=j, piece=1)])
+                         Placement(PIECE, 0, 1 + F(1, q), 2 - F(1, p), job=j)])
     sched = Schedule(m=inst.m, machines=machines)
-    top = max(start + dur for mach in machines for _, _, start, dur, _, _ in mach)
+    top = max(start + dur for mach in machines for _, _, start, dur, _ in mach)
     t0 = time.perf_counter()
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(7, 2))
     assert time.perf_counter() - t0 <= 2.0
     assert rep.ok and rep.violations == [] and rep.makespan == top == sched.makespan()
     # one stretched piece is reported with its exact time and total
-    machines[1][1] = Placement(PIECE, 0, 1 + F(1, 3), F(2), job=0, piece=1)
+    machines[1][1] = Placement(PIECE, 0, 1 + F(1, 3), F(2), job=0)
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
     assert [(v.rule, v.machine, v.time, v.message) for v in rep.violations] == [
         ("c", "-", F(0), "job (0, 0) placed for 5/2 time units, needs exactly 2"),

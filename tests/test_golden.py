@@ -1,7 +1,7 @@
 """Golden output: the emitted schedules of a fixed corpus, pinned by two
-sha256s (their content in the schedule file format before integer rows, and
-their wire JSON now), plus the invariants of the integer time scale and of
-the wire round trip on the same solves."""
+sha256s (their content in the schedule file format before integer rows, less
+piece numbers, and their wire JSON now), plus the invariants of the integer
+time scale and of the wire round trip on the same solves."""
 
 import hashlib
 import json
@@ -17,11 +17,11 @@ from batchsched.search import epsilon_search, variant_ops
 from test_preemptive import knapsack_heavy_instance
 
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
-# file format before integer rows; the schedules were emitted when every time
-# was still a Fraction
-GOLDEN_SHA256 = "a54ef50d1d0a160559ba8e008b3b28abf2b7ab68c616bf6c0824bd68638f6f0d"
+# file format before integer rows without its piece numbers; the schedules
+# were emitted when every time was still a Fraction
+GOLDEN_SHA256 = "524d9af3685e819fe9dd324c04e04d296967875acae2cab099d2ec7cfbd96435"
 # the same over emit_schedule's rows on the integer scale
-WIRE_SHA256 = "40a15acb916f0dd8650bd8893516d572833ebba78cfadcf004f55fe612027a0b"
+WIRE_SHA256 = "62e44ad90a944f112e5a1f15c8f4fad499c72b86bcc02b3879a001870315d088"
 
 
 def corpus():
@@ -50,7 +50,7 @@ def solves():
 
 def old_format(raw: dict) -> dict:
     """An emitted schedule in the file format before integer rows: a dict per
-    placement with reduced "p/q" times and no scale."""
+    placement with reduced "p/q" times and no scale, and no piece numbers."""
     scale = raw["scale"]
 
     def text(t):
@@ -58,10 +58,10 @@ def old_format(raw: dict) -> dict:
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
     def placement(row):
-        kind, cls, start, dur, *ids = row
-        out = {"kind": ("setup", "piece")[kind], "class": cls, "start": text(start), "dur": text(dur)}
-        if kind == 1:
-            out["job"], out["piece"] = ids
+        cls, start, dur, *job = row
+        out = {"kind": "piece" if job else "setup", "class": cls, "start": text(start), "dur": text(dur)}
+        if job:
+            out["job"] = job[0]
         return out
 
     return {

@@ -42,17 +42,16 @@ def _mutate(rng: random.Random, inst: Instance, sched: Schedule) -> Schedule:
                 step = rng.choice([-2, -1, 1, 2]) * rng.choice([1, sched.scale])
                 row = row[:k] + (row[k] + step,) + row[k + 1:]
             elif what == 1:  # change an id
-                k = rng.choice([1, 4, 5])
+                k = rng.choice([1, 4])
                 cls = row[1]
                 choices = {
                     1: [-1, inst.c, rng.randrange(inst.c)],
                     4: [None, -1, 0, len(inst.classes[cls].jobs) if 0 <= cls < inst.c else 9],
-                    5: [0, 1, 7],
                 }[k]
                 row = row[:k] + (rng.choice(choices),) + row[k + 1:]
             elif what == 2:  # swap the kind
                 row = (PIECE if row[0] == SETUP else SETUP,) + row[1:4] + (
-                    (rng.choice([0, None]), 0) if row[0] == SETUP else (None, None))
+                    rng.choice([0, None]) if row[0] == SETUP else None,)
             if what <= 2:
                 parts[i][j] = row
             else:  # duplicate, delete, or move to any part

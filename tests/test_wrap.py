@@ -11,7 +11,7 @@ def flat(sched):
     return [
         (u, kind, cls, start, dur)
         for u, mach in enumerate(sched.machines)
-        for kind, cls, start, dur, _, _ in sorted(mach, key=lambda q: q[2])
+        for kind, cls, start, dur, _ in sorted(mach, key=lambda q: q[2])
     ]
 
 
@@ -134,8 +134,8 @@ def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
     sched, _ = wrap_tail(seq, (F(2), F(6)), 2)
     total = sum(
-        dur * mult for cfg, mult in sched.compressed for kind, _, _, dur, _, _ in cfg if kind == PIECE
-    ) + sum(dur for m in sched.machines for kind, _, _, dur, _, _ in m if kind == PIECE)
+        dur * mult for cfg, mult in sched.compressed for kind, _, _, dur, _ in cfg if kind == PIECE
+    ) + sum(dur for m in sched.machines for kind, _, _, dur, _ in m if kind == PIECE)
     assert total == 6
 
 
@@ -174,7 +174,7 @@ def test_compressed_matches_plain_on_random_cases():
                 want[ref] = d
         got = {}
         for mach in plain.machines:
-            for kind, cls, _, dur, job, _ in mach:
+            for kind, cls, _, dur, job in mach:
                 if kind == PIECE:
                     got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
@@ -239,11 +239,11 @@ def test_run_wrap_int_gaps_past_float_precision():
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
     assert sched.machines == [
-        [Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0, piece=0)]
+        [Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0)]
     ]
     assert sched.compressed == [
-        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0, piece=1)), 5),
-        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, 1, job=0, piece=2)), 1),
+        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0)), 5),
+        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, 1, job=0)), 1),
     ]
     assert all(type(start) is int and type(dur) is int
-               for _, _, start, dur, _, _ in sched.placements())
+               for _, _, start, dur, _ in sched.placements())
