@@ -27,8 +27,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .core import (
-    PIECE,
-    SETUP,
     ContractError,
     Instance,
     JobClass,
@@ -83,12 +81,12 @@ def emit_schedule(sched: Schedule) -> dict:
         nonlocal top
         out = []
         for p in placements:
-            start, dur = p[2], p[3]
+            start, dur = p[1], p[2]
             if type(start) is not int or type(dur) is not int:
                 raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
             if start + dur > top:
                 top = start + dur
-            out.append([p[1], start, dur] if p[0] == SETUP else [p[1], start, dur, p[4]])
+            out.append([p[0], start, dur] if p[3] is None else [p[0], start, dur, p[3]])
         return out
 
     machines = [rows(mach) for mach in sched.machines]
@@ -113,9 +111,9 @@ def _rows(raw) -> list[PlacementT]:
     out = []
     for r in raw:
         if len(r) == 3:
-            out.append((SETUP, r[0], r[1], r[2], None))
+            out.append((r[0], r[1], r[2], None))
         elif len(r) == 4:
-            out.append((PIECE, r[0], r[1], r[2], r[3]))
+            out.append(tuple(r))
         else:
             raise ValidationError(f"bad schedule row {r!r:.80}; {_SCHEDULE_FORMAT}")
     return out

@@ -110,9 +110,6 @@ class Instance:
     def s_max(self) -> int:
         return max(cl.setup for cl in self.classes)
 
-    def duration(self, ref: JobRef) -> int:
-        return self.classes[ref[0]].jobs[ref[1]]
-
 
 def parse_instance(raw: dict) -> Instance:
     """Build a validated Instance from the JSON-level description.
@@ -189,22 +186,17 @@ def fmt_rat(x: Rat) -> str:
 # Placements and schedules
 # ---------------------------------------------------------------------------
 
-SETUP = "setup"
-PIECE = "piece"
+# A placement is the plain tuple (cls, start, dur, job): start and dur are
+# ints on the schedule's scale (Rats in a hand-built schedule), and job, the
+# position within cls, is None exactly for a setup.  A plain tuple, not a
+# NamedTuple: CPython stops tracking an exact tuple of ints and Nones the
+# first time the cyclic collector sees it, so a built schedule is not
+# rescanned by every full collection while it grows.
+PlacementT = tuple[int, Rat, Rat, Optional[int]]
 
 
-# A placement is the plain tuple (kind, cls, start, dur, job): kind is SETUP
-# or PIECE, start and dur are ints on the schedule's scale (Rats in a
-# hand-built schedule), and job (the position within cls) is None for a
-# setup.  A plain tuple, not a NamedTuple: CPython stops tracking an exact
-# tuple of ints, strs and Nones the first time the cyclic collector sees it,
-# so a built schedule is not rescanned by every full collection while it
-# grows.
-PlacementT = tuple[str, int, Rat, Rat, Optional[int]]
-
-
-def Placement(kind: str, cls: int, start: Rat, dur: Rat, job: Optional[int] = None) -> PlacementT:
-    return (kind, cls, start, dur, job)
+def Placement(cls: int, start: Rat, dur: Rat, job: Optional[int] = None) -> PlacementT:
+    return (cls, start, dur, job)
 
 
 def scaled(x: Rat, scale: int) -> int:
@@ -224,11 +216,12 @@ class Schedule:
     `compressed` is a machine configuration with a multiplicity: the schedule
     behaves as if `mult` further machines carried exactly those placements.
     The machine budget is len(machines) + sum of multiplicities <= m.
-    A placement time t means t / scale.  Every schedule the library builds
-    keeps its times as ints on the scale its construction derived from the
-    guess, and a parsed schedule file holds ints on its own scale; only a
-    hand-built schedule may hold Fractions: the verifier runs the same rules
-    on them, and the JSON writer refuses them.
+    A placement is (cls, start, dur, job), job None for a setup; a time t
+    means t / scale.  Every schedule the library builds keeps its times as
+    ints on the scale its construction derived from the guess, and a parsed
+    schedule file holds ints on its own scale; only a hand-built schedule
+    may hold Fractions: the verifier runs the same rules on them, and the
+    JSON writer refuses them.  A hand-built placement is the same 4-tuple.
     """
 
     m: int
@@ -246,14 +239,14 @@ class Schedule:
                      chain.from_iterable(config for config, _ in self.compressed))
 
     def makespan(self) -> Rat:
-        top = max((start + dur for _, _, start, dur, _ in self.placements()), default=0)
+        top = max((start + dur for _, start, dur, _ in self.placements()), default=0)
         return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
         """Materialize the compressed part: each configuration becomes mult
         explicit machines, every machine's placements in start order."""
         copies = [config for config, mult in self.compressed for _ in range(mult)]
-        out = [sorted(mach, key=itemgetter(2)) for mach in self.machines + copies]
+        out = [sorted(mach, key=itemgetter(1)) for mach in self.machines + copies]
         return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
 
     def placement_count(self) -> int:
@@ -438,9 +431,10 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     The rules run on the schedule's own times over `sched.scale` with +, -,
     comparisons, `* scale` and `Fraction(t, scale)` only: ints for every
     library-built and parsed schedule, and exactly the same rules on a
-    hand-built schedule's Fractions.  The report holds Fractions.  A kind
-    other than SETUP is checked and counted as a piece.  ValidationError
-    when a number a message prints is past CPython's int-string digit limit.
+    hand-built schedule's Fractions, whose placements are the same
+    (cls, start, dur, job) tuples.  The report holds Fractions.
+    ValidationError when a number a message prints is past CPython's
+    int-string digit limit.
     """
     out: list[Violation] = []
     scale = sched.scale
@@ -467,12 +461,12 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
     for label, placements, copies in parts:
         if copies < 1:
-            top = max(top, max((p[2] + p[3] for p in placements), default=0))
+            top = max(top, max((p[1] + p[2] for p in placements), default=0))
             flag("s", label, 0, "multiplicity < 1")
             continue
         prev_end = ready = None
-        for p in sorted(placements, key=itemgetter(2, 3)):
-            kind, cls, start, dur, job = p
+        for p in sorted(placements, key=itemgetter(1, 2)):
+            cls, start, dur, job = p
             end = start + dur
             if not 0 <= cls < len(classes):
                 flag("s", label, start, f"unknown class {cls}")
@@ -486,13 +480,13 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                 flag("a", label, start, "placements overlap on the machine")
             if prev_end is None or end > prev_end:
                 prev_end = end
-            if kind == SETUP:
+            if job is None:
                 if dur != setup_len[cls]:
                     flag("b", label, start, f"setup of class {cls} has length "
                                             f"{Fraction(dur, scale)}, expected {classes[cls].setup}")
                 ready = cls
                 continue
-            if job is None or not 0 <= job < sizes[cls]:
+            if not 0 <= job < sizes[cls]:
                 flag("s", label, start, f"unknown job id ({cls}, {job})")
                 continue
             if ready != cls:
@@ -506,7 +500,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                     first[k] = p
                     continue
                 if k not in spans:
-                    spans[k] = [(first[k][2], first[k][2] + first[k][3], 1)] if seen else []
+                    spans[k] = [(first[k][1], first[k][1] + first[k][2], 1)] if seen else []
                 spans[k].append((start, end, copies))
         if prev_end is not None and prev_end > top:
             top = prev_end
@@ -553,8 +547,8 @@ def _pieces_of(parts, sizes: list[int], base: list[int], bad: set[int]) -> dict[
     in bad, in schedule order, keyed by job in order of first appearance."""
     found: dict[JobRef, list] = {}
     for _, placements, copies in parts if bad else ():
-        for kind, cls, start, dur, job in placements if copies >= 1 else ():
-            if (kind != SETUP and job is not None and 0 <= cls < len(sizes)
+        for cls, start, dur, job in placements if copies >= 1 else ():
+            if (job is not None and 0 <= cls < len(sizes)
                     and 0 <= job < sizes[cls] and base[cls] + job in bad):
                 found.setdefault((cls, job), []).append((start, start + dur, copies))
     return found
@@ -565,5 +559,5 @@ def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     machines: list[list[PlacementT]] = []
     for i, cl in enumerate(inst.classes):
         for j, t in enumerate(cl.jobs):
-            machines.append([(SETUP, i, 0, cl.setup, None), (PIECE, i, cl.setup, t, j)])
+            machines.append([(i, 0, cl.setup, None), (i, cl.setup, t, j)])
     return Schedule(m=inst.m, machines=machines)

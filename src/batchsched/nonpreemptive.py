@@ -15,8 +15,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    PIECE,
-    SETUP,
     ContractError,
     Decision,
     Instance,
@@ -39,12 +37,12 @@ from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_s
 # Machine stacks: items packed back-to-back from time 0
 # ---------------------------------------------------------------------------
 
-# A stack item is the plain tuple (kind, cls, dur, job, seq): kind is SETUP
-# or PIECE, dur an int on the stacks' scale, job the position within cls
-# (None for a setup) and seq the item's number in creation order, so no two
-# items are equal.  Plain tuples of ints, strs and Nones, which the cyclic
-# collector stops tracking, so a full collection does not rescan the stacks.
-StackItem = tuple[str, int, int, Optional[int], int]
+# A stack item is the plain tuple (cls, dur, job, seq): dur an int on the
+# stacks' scale, job the position within cls (None exactly for a setup) and
+# seq the item's number in creation order, so no two items are equal.  Plain
+# tuples of ints and Nones, which the cyclic collector stops tracking, so a
+# full collection does not rescan the stacks.
+StackItem = tuple[int, int, Optional[int], int]
 
 
 class _Stacks:
@@ -58,12 +56,12 @@ class _Stacks:
         self.loads: list[int] = []
         self.seq = 0
 
-    def item(self, kind: str, cls: int, dur: int, job: Optional[int] = None) -> StackItem:
+    def item(self, cls: int, dur: int, job: Optional[int] = None) -> StackItem:
         self.seq += 1
-        return (kind, cls, dur, job, self.seq)
+        return (cls, dur, job, self.seq)
 
     def setup(self, cls: int) -> StackItem:
-        return self.item(SETUP, cls, self.setups[cls])
+        return self.item(cls, self.setups[cls])
 
     def new_machine(self) -> int:
         if len(self.stacks) >= self.m:
@@ -74,28 +72,28 @@ class _Stacks:
 
     def push(self, u: int, it: StackItem):
         self.stacks[u].append(it)
-        self.loads[u] += it[2]
+        self.loads[u] += it[1]
 
     def insert(self, u: int, index: int, it: StackItem):
         self.stacks[u].insert(index, it)
-        self.loads[u] += it[2]
+        self.loads[u] += it[1]
 
     def pop(self, u: int) -> StackItem:
         it = self.stacks[u].pop()
-        self.loads[u] -= it[2]
+        self.loads[u] -= it[1]
         return it
 
     def remove(self, u: int, it: StackItem):
         self.stacks[u].remove(it)
-        self.loads[u] -= it[2]
+        self.loads[u] -= it[1]
 
     def to_schedule(self) -> Schedule:
         machines: list[list[PlacementT]] = []
         for stack in self.stacks:
             t = 0
             row = []
-            for kind, cls, dur, job, _ in stack:
-                row.append((kind, cls, t, dur, job))
+            for cls, dur, job, _ in stack:
+                row.append((cls, t, dur, job))
                 t += dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)
@@ -110,12 +108,12 @@ def _stack_wrap(st: _Stacks, cls: int, items, cap: int) -> list[int]:
         while st.loads[used[-1]] + dur > cap:
             head = cap - st.loads[used[-1]]
             if head > 0:
-                st.push(used[-1], st.item(PIECE, cls, head, job))
+                st.push(used[-1], st.item(cls, head, job))
                 dur -= head
             used.append(st.new_machine())
             st.push(used[-1], st.setup(cls))
         if dur > 0:
-            st.push(used[-1], st.item(PIECE, cls, dur, job))
+            st.push(used[-1], st.item(cls, dur, job))
     return used
 
 
@@ -138,7 +136,7 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     st = _Stacks(inst)
     cur = st.new_machine()
     for i, cl in enumerate(inst.classes):
-        for it in [st.setup(i), *(st.item(PIECE, i, t, j) for j, t in enumerate(cl.jobs))]:
+        for it in [st.setup(i), *(st.item(i, t, j) for j, t in enumerate(cl.jobs))]:
             st.push(cur, it)
             if st.loads[cur] > tmin:
                 cur = st.new_machine()
@@ -147,14 +145,14 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     # with a fresh setup in front of a moved job.
     for u in range(len(st.stacks) - 1):
         it = st.pop(u)
-        if it[0] == PIECE:
-            st.insert(u + 1, 0, st.setup(it[1]))
+        if it[2] is not None:
+            st.insert(u + 1, 0, st.setup(it[0]))
             st.insert(u + 1, 1, it)
         else:
             st.insert(u + 1, 0, it)
     # Trailing setups serve no job: drop them.
     for u in range(len(st.stacks)):
-        while st.stacks[u] and st.stacks[u][-1][0] == SETUP:
+        while st.stacks[u] and st.stacks[u][-1][2] is None:
             st.pop(u)
     st.stacks = [s for s in st.stacks if s]
     sched = st.to_schedule()
@@ -264,7 +262,7 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
         for j in counts.big_jobs.get(i, ()):
             u = st.new_machine()
             st.push(u, st.setup(i))
-            st.push(u, st.item(PIECE, i, cl.jobs[j] * scale, j))
+            st.push(u, st.item(i, cl.jobs[j] * scale, j))
             targets.append(u)
         if i in counts.forced:
             used = _stack_wrap(st, i, [(j, cl.jobs[j] * scale) for j in counts.forced[i]], T)
@@ -291,7 +289,7 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                     ti += 1
                     continue
                 take = min(room, dur)
-                st.push(u, st.item(PIECE, i, take, j))
+                st.push(u, st.item(i, take, j))
                 dur -= take
             if dur > 0:
                 out.append((j, dur))
@@ -324,14 +322,14 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
 
         u = advance()
         for i in sorted(residual):
-            for it in [st.setup(i), *(st.item(PIECE, i, dur, j) for j, dur in residual[i])]:
+            for it in [st.setup(i), *(st.item(i, dur, j) for j, dur in residual[i])]:
                 if st.loads[u] >= T:
                     u = advance()
                 st.push(u, it)
                 if not order or order[-1] != u:
                     order.append(u)
                 if st.loads[u] > T:
-                    crossed.add(it[4])  # stays whole; the greedy just moves on
+                    crossed.add(it[3])  # stays whole; the greedy just moves on
 
     _repair(inst, st, order, step3, crossed, T)
     return st.to_schedule()
@@ -350,21 +348,21 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
     pieces: dict[JobRef, list[tuple[int, StackItem]]] = {}
     for u, stack in enumerate(st.stacks):
         for it in stack:
-            if it[0] == PIECE and it[2] != inst.classes[it[1]].jobs[it[3]] * st.scale:
-                pieces.setdefault((it[1], it[3]), []).append((u, it))
+            if it[2] is not None and it[1] != inst.classes[it[0]].jobs[it[2]] * st.scale:
+                pieces.setdefault((it[0], it[2]), []).append((u, it))
     for u, stack in enumerate(st.stacks):
-        if not stack or stack[-1][0] != PIECE:
+        if not stack or stack[-1][2] is None:
             continue
-        kind, cls, dur, job, seq = stack[-1]
+        cls, dur, job, seq = stack[-1]
         family = pieces.get((cls, job), ())
-        if len(family) < 2 or seq != min(it[4] for _, it in family):
+        if len(family) < 2 or seq != min(it[3] for _, it in family):
             continue
         del pieces[(cls, job)]
         whole = inst.classes[cls].jobs[job] * st.scale
-        stack[-1] = (kind, cls, whole, job, seq)
+        stack[-1] = (cls, whole, job, seq)
         st.loads[u] += whole - dur
         for v, other in family:
-            if other[4] != seq:
+            if other[3] != seq:
                 st.remove(v, other)
 
     # Items that crossed the guess move to the next machine of the greedy
@@ -374,19 +372,19 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
     carry: Optional[StackItem] = None
     for idx, u in enumerate(order):
         stack = st.stacks[u]
-        ins = next((k for k, it in enumerate(stack) if it[4] > step3), len(stack))
+        ins = next((k for k, it in enumerate(stack) if it[3] > step3), len(stack))
         # Read before the inserts, which go below the top or onto a stack
         # with nothing from step 3 (and so nothing that crossed) on it.
-        crosses = bool(stack) and stack[-1][4] in crossed
+        crosses = bool(stack) and stack[-1][3] in crossed
         if carry is not None:
-            if carry[0] == PIECE:
-                st.insert(u, ins, st.setup(carry[1]))
+            if carry[2] is not None:
+                st.insert(u, ins, st.setup(carry[0]))
                 ins += 1
             st.insert(u, ins, carry)
             carry = None
-        elif ins < len(stack) and stack[ins][0] == PIECE:
-            if ins == 0 or stack[ins - 1][1] != stack[ins][1]:
-                st.insert(u, ins, st.setup(stack[ins][1]))
+        elif ins < len(stack) and stack[ins][2] is not None:
+            if ins == 0 or stack[ins - 1][0] != stack[ins][0]:
+                st.insert(u, ins, st.setup(stack[ins][0]))
         if not crosses:
             continue
         it = st.pop(u)
@@ -402,8 +400,8 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
                           None)
             if target is None:
                 raise ContractError("repair found no machine for the final item")
-        if it[0] == PIECE:
-            st.push(target, st.setup(it[1]))
+        if it[2] is not None:
+            st.push(target, st.setup(it[0]))
         st.push(target, it)
     if carry is not None:
         raise ContractError("repair left an item unplaced")

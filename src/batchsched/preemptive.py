@@ -28,7 +28,6 @@ from .core import (
     ContractError,
     Decision,
     Instance,
-    JobRef,
     Rat,
     Schedule,
     Variant,
@@ -174,10 +173,10 @@ def _build_nice(builder: Builder, plus: list[tuple[Batch, int]], minus: list[Bat
             raise ContractError("nice construction ran out of machines")
         t = 0
         for batch in minus[k:k + 2]:
-            builder.put_setup(u, batch.cls, t, batch.setup)
+            builder.put(u, batch.cls, t, batch.setup)
             t += batch.setup
-            for ref, dur in batch.jobs:
-                builder.put_piece(u, batch.cls, ref, t, dur)
+            for job, dur in batch.jobs:
+                builder.put(u, batch.cls, t, dur, job)
                 t += dur
         if k + 1 == len(minus):
             odd_machine = u
@@ -324,16 +323,16 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     for u, i in enumerate(part.exp_zero):
         cl = inst.classes[i]
         t = half
-        builder.put_setup(u, i, t, cl.setup * scale)
+        builder.put(u, i, t, cl.setup * scale)
         t += cl.setup * scale
         for j, dur in enumerate(cl.jobs):
-            builder.put_piece(u, i, (i, j), t, dur * scale)
+            builder.put(u, i, t, dur * scale, j)
             t += dur * scale
 
     # The nice remainder: chp_plus whole, each star class as below, and the
     # other small-setup classes up to the budget the free time leaves.
     cheap = {i: class_batch(inst, i, scale) for i in part.chp_plus}
-    leftovers: list[tuple[int, JobRef, int]] = []  # (class, job, duration)
+    leftovers: list[tuple[int, int, int]] = []  # (class, job, duration)
     split_cls = None
     star = set(part.chp_star)
     if sol is not None:
@@ -348,7 +347,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             s = cl.setup * scale
             share = sol.x[i]
             big = set(part.big_jobs[i])
-            inside: list[tuple[JobRef, int]] = []
+            inside: list[tuple[int, int]] = []
             for j, t in enumerate(cl.jobs):
                 t *= scale
                 if j in big:  # its share of the head, and the tail
@@ -356,9 +355,9 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
                 else:
                     d2 = scaled(share * t, 1)
                 if d2 > 0:
-                    inside.append(((i, j), d2))
+                    inside.append((j, d2))
                 if t > d2:
-                    leftovers.append((i, (i, j), t - d2))
+                    leftovers.append((i, j, t - d2))
             obligatory = scaled(plan.obligatory[i], scale)
             if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
                 raise ContractError("star-class bookkeeping broken")
@@ -389,18 +388,18 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             for j, t in enumerate(cl.jobs):
                 t *= scale
                 if room <= 0:
-                    leftovers.append((i, (i, j), t))
+                    leftovers.append((i, j, t))
                     continue
                 take = min(room, t)
-                inside.append(((i, j), take))
+                inside.append((j, take))
                 room -= take
                 if take < t:
-                    leftovers.append((i, (i, j), t - take))
+                    leftovers.append((i, j, t - take))
             cheap[i] = Batch(cls=i, setup=setup, jobs=tuple(inside))
             budget = 0
         else:
             for j, t in enumerate(cl.jobs):
-                leftovers.append((i, (i, j), t * scale))
+                leftovers.append((i, j, t * scale))
             budget = 0  # nothing more fits wholly
 
     # The nice remainder occupies the machines after the large ones.
@@ -410,11 +409,11 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
     # small: setup + piece fits in half the guess.
-    for i, ref, dur in leftovers:
+    for i, _, dur in leftovers:
         if inst.classes[i].setup * scale + dur > half:
             raise ContractError("leftover too large for a bottom")
-    kplus = [(i, ref, dur) for i, ref, dur in leftovers if dur > quarter]
-    kminus = [(i, ref, dur) for i, ref, dur in leftovers if dur <= quarter]
+    kplus = [e for e in leftovers if e[2] > quarter]
+    kminus = [e for e in leftovers if e[2] <= quarter]
 
     def cls_order(i: int) -> tuple:
         return (0 if i == split_cls else 1, i)
@@ -422,18 +421,18 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     kplus.sort(key=lambda e: (cls_order(e[0]), e[1]))
     if len(kplus) > l:
         raise ContractError("more big leftovers than large machines")
-    for u, (i, ref, dur) in enumerate(kplus):
+    for u, (i, j, dur) in enumerate(kplus):
         s = inst.classes[i].setup * scale
-        builder.put_setup(u, i, 0, s)
-        builder.put_piece(u, i, ref, s, dur)
+        builder.put(u, i, 0, s)
+        builder.put(u, i, s, dur, j)
     lprime = len(kplus)
 
     if kminus:
         if lprime >= l:
             raise ContractError("no large machine left for small leftovers")
-        by_cls: dict[int, list[tuple[JobRef, int]]] = {}
-        for i, ref, dur in kminus:
-            by_cls.setdefault(i, []).append((ref, dur))
+        by_cls: dict[int, list[tuple[int, int]]] = {}
+        for i, j, dur in kminus:
+            by_cls.setdefault(i, []).append((j, dur))
         seq = [
             Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (PIECE, SETUP, CapacityError, ContractError, Instance, JobRef, PlacementT,
-                   Rat, Schedule)
+from .core import CapacityError, ContractError, Instance, PlacementT, Rat, Schedule
 
 
 @dataclass(frozen=True)
@@ -39,18 +38,19 @@ class Gap:
 
 @dataclass(frozen=True)
 class Batch:
-    """A setup followed by (job reference, duration) items of one class."""
+    """A setup followed by (job, duration) items of class cls, job the
+    position within the class."""
 
     cls: int
     setup: Rat
-    jobs: tuple[tuple[JobRef, Rat], ...]
+    jobs: tuple[tuple[int, Rat], ...]
 
 
 def class_batch(inst: Instance, i: int, scale: int) -> Batch:
     """Class i whole: its setup and every job, on the time scale `scale`."""
     cl = inst.classes[i]
     return Batch(cls=i, setup=cl.setup * scale,
-                 jobs=tuple(((i, j), t * scale) for j, t in enumerate(cl.jobs)))
+                 jobs=tuple((j, t * scale) for j, t in enumerate(cl.jobs)))
 
 
 def check_template(gaps: list[Gap]):
@@ -77,17 +77,9 @@ class Builder:
     def row(self, machine: int) -> list[PlacementT]:
         return self._machines.setdefault(machine, [])
 
-    def put_setup(self, machine: int, cls: int, start: Rat, dur: Rat):
-        self.row(machine).append((SETUP, cls, start, dur, None))
-
-    def put_piece(self, machine: int, cls: int, ref: JobRef, start: Rat, dur: Rat):
-        self.row(machine).append((PIECE, cls, start, dur, ref[1]))
-
-    def make_setup(self, cls: int, start: Rat, dur: Rat) -> PlacementT:
-        return (SETUP, cls, start, dur, None)
-
-    def make_piece(self, cls: int, ref: JobRef, start: Rat, dur: Rat) -> PlacementT:
-        return (PIECE, cls, start, dur, ref[1])
+    def put(self, machine: int, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
+        """A setup of cls (job None) or a piece of its job on the machine."""
+        self.row(machine).append((cls, start, dur, job))
 
     def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
         if mult > 0 and placements:
@@ -168,23 +160,15 @@ class _Run:
 
     # -- emission ----------------------------------------------------------
 
-    def put_setup(self, cls: int, start: Rat, dur: Rat):
+    def put(self, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
+        """A setup (job None) or a piece in the current gap."""
         self.placed += 1
         if self._in_tail(self.pos):
             if self.cfg is None:
                 self.cfg = []
-            self.cfg.append(self.b.make_setup(cls, start, dur))
+            self.cfg.append((cls, start, dur, job))
         else:
-            self.b.put_setup(self._machine(self.pos), cls, start, dur)
-
-    def put_piece(self, cls: int, ref: JobRef, start: Rat, dur: Rat):
-        self.placed += 1
-        if self._in_tail(self.pos):
-            if self.cfg is None:
-                self.cfg = []
-            self.cfg.append(self.b.make_piece(cls, ref, start, dur))
-        else:
-            self.b.put_piece(self._machine(self.pos), cls, ref, start, dur)
+            self.b.put(self._machine(self.pos), cls, start, dur, job)
 
     def _flush_cfg(self, final: bool = False):
         if self.cfg is None:
@@ -208,17 +192,14 @@ class _Run:
         self._sync()
         self.t = self.open
 
-    def bulk_full_gaps(self, cls: int, setup: Rat, ref: JobRef, count: int):
+    def bulk_full_gaps(self, cls: int, setup: Rat, job: int, count: int):
         """Emit `count` identical tail gaps fully covered by one job: a setup
         ending at the gap start plus a full-height piece, as one config."""
         if not (self._in_tail(self.pos + 1) and count >= 1):
             raise ContractError("bulk gaps must be at least one tail gap")
         self._flush_cfg()
         a, b = self.tail_gap
-        cfg = (
-            self.b.make_setup(cls, a - setup, setup),
-            self.b.make_piece(cls, ref, a, b - a),
-        )
+        cfg = ((cls, a - setup, setup, None), (cls, a, b - a, job))
         self.placed += 2
         if self.pos + count >= self.total:
             raise CapacityError("wrap sequence exceeds template capacity")
@@ -237,13 +218,13 @@ class _Run:
         )
 
 
-def _place_item(run: _Run, cls: int, setup: Rat, ref: JobRef, dur: Rat):
+def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
     """Place one job (piece), cutting it at gap ends as often as needed."""
     end = run.t + dur
     while end > run.close:
         head = run.close - run.t
         if head > 0:
-            run.put_piece(cls, ref, run.t, head)
+            run.put(cls, run.t, head, job)
         rest = end - run.close
         # Fast path: the remainder spans whole identical tail gaps.
         if run.tail_count and run._in_tail(run.pos + 1):
@@ -253,16 +234,16 @@ def _place_item(run: _Run, cls: int, setup: Rat, ref: JobRef, dur: Rat):
                 avail = run.total - run.pos - 2  # keep one gap for the final piece
                 full = min(full, max(avail, 0))
                 if full >= 1:
-                    run.bulk_full_gaps(cls, setup, ref, full)
+                    run.bulk_full_gaps(cls, setup, job, full)
                     rest -= height * full
                     end = run.t + rest  # run.t == close of the bulk gaps
                     continue
         run.next_gap()
-        run.put_setup(cls, run.open - setup, setup)
+        run.put(cls, run.open - setup, setup)
         run.t = run.open
         end = run.t + rest
     if end > run.t:
-        run.put_piece(cls, ref, run.t, end - run.t)
+        run.put(cls, run.t, end - run.t, job)
     run.t = end
 
 
@@ -276,18 +257,18 @@ def _place_batch(run: _Run, batch: Batch):
         # anchors below it, exactly where it would land after relocating
         # across a preceding gap that shrank to nothing, so the layout is a
         # continuous function of the guess
-        run.put_setup(batch.cls, run.open - batch.setup, batch.setup)
+        run.put(batch.cls, run.open - batch.setup, batch.setup)
     elif run.t + batch.setup > run.close:
         run.next_gap()
-        run.put_setup(batch.cls, run.open - batch.setup, batch.setup)
+        run.put(batch.cls, run.open - batch.setup, batch.setup)
         run.t = run.open
     else:
-        run.put_setup(batch.cls, run.t, batch.setup)
+        run.put(batch.cls, run.t, batch.setup)
         run.t = run.t + batch.setup
-    for ref, dur in batch.jobs:
+    for job, dur in batch.jobs:
         if dur <= 0:
-            raise ValueError(f"job piece {ref} with non-positive duration {dur}")
-        _place_item(run, batch.cls, batch.setup, ref, dur)
+            raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
+        _place_item(run, batch.cls, batch.setup, job, dur)
 
 
 def run_wrap(

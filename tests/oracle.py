@@ -16,8 +16,6 @@ from operator import itemgetter
 from typing import Optional
 
 from batchsched.core import (
-    PIECE,
-    SETUP,
     ContractError,
     Decision,
     Instance,
@@ -33,6 +31,11 @@ from batchsched.core import (
     trivial_one_job_per_machine,
 )
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
+
+# The reference nonp construction's item kinds (a placement itself has no
+# kind: job None marks a setup).
+SETUP = "setup"
+PIECE = "piece"
 
 
 def exact_nonp(inst: Instance, guard: bool = True) -> int:
@@ -141,7 +144,7 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
     def flag(rule: str, message: str):  # at the current row's start
         out.append(Violation(rule, label, Fraction(start, scale), message))
 
-    for start, end, (kind, cls, _, _, job) in sorted(rows, key=itemgetter(0, 1)):
+    for start, end, (cls, _, _, job) in sorted(rows, key=itemgetter(0, 1)):
         if not (0 <= cls < len(classes)):
             flag("s", f"unknown class {cls}")
             continue
@@ -152,13 +155,13 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
         if prev_end is not None and start < prev_end:
             flag("a", "placements overlap on the machine")
         prev_end = end if prev_end is None else max(prev_end, end)
-        if kind == SETUP:
+        if job is None:
             if end - start != classes[cls].setup * scale:
                 flag("b", f"setup of class {cls} has length {Fraction(end - start, scale)}, "
                           f"expected {classes[cls].setup}")
             ready = cls
         else:
-            if job is None or not (0 <= job < len(classes[cls].jobs)):
+            if not (0 <= job < len(classes[cls].jobs)):
                 flag("s", f"unknown job id ({cls}, {job})")
                 continue
             if ready != cls:
@@ -200,14 +203,14 @@ def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: R
     parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
     for label, placements, copies in parts:
-        rows = [(start := p[2], start + p[3], p) for p in placements]
+        rows = [(start := p[1], start + p[2], p) for p in placements]
         top = max(top, max((end for _, end, _ in rows), default=0))
         if copies < 1:
             out.append(Violation("s", label, Fraction(0), "multiplicity < 1"))
             continue
         _check_machine(inst, label, rows, scale, out)
-        for start, end, (kind, cls, _, _, job) in rows:
-            if kind != PIECE or job is None:
+        for start, end, (cls, _, _, job) in rows:
+            if job is None:
                 continue
             if not (0 <= cls < inst.c and 0 <= job < len(inst.classes[cls].jobs)):
                 continue
@@ -339,10 +342,7 @@ class _Stacks:
             t = 0
             row = []
             for it in stack:
-                if it.kind == SETUP:
-                    row.append((SETUP, it.cls, t, it.dur, None))
-                else:
-                    row.append((PIECE, it.cls, t, it.dur, it.ref[1]))
+                row.append((it.cls, t, it.dur, None if it.kind == SETUP else it.ref[1]))
                 t += it.dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)
@@ -465,7 +465,7 @@ def reference_build_nonp(inst: Instance, guess: Rat, branches: Optional[Counter]
 
     forced_by_cls: dict[int, list[tuple[JobRef, int]]] = {}
     for ref in counts.forced:
-        forced_by_cls.setdefault(ref[0], []).append((ref, inst.duration(ref) * scale))
+        forced_by_cls.setdefault(ref[0], []).append((ref, inst.classes[ref[0]].jobs[ref[1]] * scale))
     big_by_cls: dict[int, list[int]] = {}
     for i, j in counts.big_jobs:
         big_by_cls.setdefault(i, []).append(j)
@@ -550,7 +550,7 @@ def _reference_repair(inst: Instance, st: _Stacks, order: list[int], guess: int,
     pieces: dict[JobRef, list[tuple[int, _Item]]] = {}
     for u, stack in enumerate(st.stacks):
         for it in stack:
-            if it.kind == PIECE and it.dur != inst.duration(it.ref) * st.scale:
+            if it.kind == PIECE and it.dur != inst.classes[it.ref[0]].jobs[it.ref[1]] * st.scale:
                 pieces.setdefault(it.ref, []).append((u, it))
     for u in range(len(st.stacks)):
         stack = st.stacks[u]
@@ -565,7 +565,7 @@ def _reference_repair(inst: Instance, st: _Stacks, order: list[int], guess: int,
         if last.seq != min(it.seq for _, it in family):
             continue
         branches["first-piece swap"] += 1
-        whole = inst.duration(last.ref) * st.scale
+        whole = inst.classes[last.ref[0]].jobs[last.ref[1]] * st.scale
         grow = whole - last.dur
         last.dur = whole
         st.loads[u] += grow
@@ -689,7 +689,7 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
     threehalf = 3 * half
 
     for cls, s, items, _ in parts.plus:
-        batch = Batch(cls=cls, setup=s, jobs=tuple(items))
+        batch = Batch(cls=cls, setup=s, jobs=tuple((ref[1], dur) for ref, dur in items))
         g = parts.gamma[cls]
         if g == 1:
             gaps = [Gap(base, 0, threehalf)]
@@ -711,10 +711,10 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
             raise ContractError("nice construction ran out of machines")
         t = 0
         for cls, setup, items, _ in mm[k:k + 2]:
-            builder.put_setup(u, cls, t, setup)
+            builder.put(u, cls, t, setup)
             t += setup
             for ref, dur in items:
-                builder.put_piece(u, cls, ref, t, dur)
+                builder.put(u, cls, t, dur, ref[1])
                 t += dur
         if k + 1 == len(mm):
             odd_machine = u
@@ -725,7 +725,8 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
     gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
-    seq = [Batch(cls=cls, setup=setup, jobs=tuple(items)) for cls, setup, items, _ in parts.cheap]
+    seq = [Batch(cls=cls, setup=setup, jobs=tuple((ref[1], dur) for ref, dur in items))
+           for cls, setup, items, _ in parts.cheap]
     run_wrap(builder, seq, gaps)
 
 
@@ -758,10 +759,10 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     for u, i in enumerate(part.exp_zero):
         cl = inst.classes[i]
         t = half
-        builder.put_setup(u, i, t, cl.setup * scale)
+        builder.put(u, i, t, cl.setup * scale)
         t += cl.setup * scale
         for j, dur in enumerate(cl.jobs):
-            builder.put_piece(u, i, (i, j), t, dur * scale)
+            builder.put(u, i, t, dur * scale, j)
             t += dur * scale
 
     # Split every oversized job of a small-setup class: the head fits below
@@ -883,16 +884,16 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
         raise ContractError("more big leftovers than large machines")
     for u, (i, ref, dur) in enumerate(kplus):
         s = inst.classes[i].setup * scale
-        builder.put_setup(u, i, 0, s)
-        builder.put_piece(u, i, ref, s, dur)
+        builder.put(u, i, 0, s)
+        builder.put(u, i, s, dur, ref[1])
     lprime = len(kplus)
 
     if kminus:
         if lprime >= l:
             raise ContractError("no large machine left for small leftovers")
-        by_cls: dict[int, list[tuple[JobRef, int]]] = {}
+        by_cls: dict[int, list[tuple[int, int]]] = {}
         for i, ref, dur in kminus:
-            by_cls.setdefault(i, []).append((ref, dur))
+            by_cls.setdefault(i, []).append((ref[1], dur))
         seq = [
             Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)

@@ -266,7 +266,7 @@ def test_criterion_8_wrap_compression_oracle():
             smax = max(smax, s)
             durs = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
             seq.append(
-                Batch(cls=ci, setup=F(s), jobs=tuple(((ci, j), F(d)) for j, d in enumerate(durs)))
+                Batch(cls=ci, setup=F(s), jobs=tuple((j, F(d)) for j, d in enumerate(durs)))
             )
             load += s + sum(durs)
         count = rng.randint(1, 20)

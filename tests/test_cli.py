@@ -261,7 +261,7 @@ def test_parse_schedule_any_json_schedule_or_validation_error(raw):
         sched = parse_schedule(raw, 2)
     except ValidationError:
         return
-    assert all(type(p[2]) is int and type(p[3]) is int for p in sched.placements())
+    assert all(type(p[1]) is int and type(p[2]) is int for p in sched.placements())
     # whatever parses, the verifier judges without raising
     inst = parse_instance({"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
     verify_schedule(inst, sched, Variant.PREEMPTIVE, F(9))
@@ -277,11 +277,17 @@ def test_non_utf8_file_exit_one(tmp_path, capsys):
 
 
 def test_emit_rejects_non_int_times():
-    from batchsched.core import PIECE, SETUP, ContractError, Schedule
+    # a hand-built schedule of (cls, start, dur, job) placements with a
+    # Fraction time: the writer refuses it, the verifier judges it
+    from batchsched.core import ContractError, Instance, JobClass, Schedule, VerifyReport
 
-    sched = Schedule(m=1, machines=[[(SETUP, 0, 0, 1, None, None), (PIECE, 0, 1, F(1, 2), 0, 0)]])
+    sched = Schedule(m=1, machines=[[(0, 0, 1, None), (0, 1, F(1, 2), 0)]])
     with pytest.raises(ContractError):
         emit_schedule(sched)
+    inst = Instance(m=1, classes=(JobClass(1, (2,)),))
+    rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
+    assert isinstance(rep, VerifyReport) and rep.makespan == F(3, 2)
+    assert [v.rule for v in rep.violations] == ["c"]
 
 
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):

@@ -105,7 +105,8 @@ def test_golden_schedules_on_the_integer_scale():
     old_texts, wire_texts = [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
-        assert all(type(p) is tuple and type(p[2]) is int and type(p[3]) is int
+        assert all(type(p) is tuple and len(p) == 4 and type(p[1]) is int and type(p[2]) is int
+                   and (p[3] is None or type(p[3]) is int)
                    for p in sched.placements()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
         raw, back, fraction_calls = over_the_wire(sched, inst.m)

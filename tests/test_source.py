@@ -54,3 +54,24 @@ def test_builds_read_their_plan():
                         found.append(f"{name}:{node.lineno} {fn.name} calls {called}")
     assert {"_build_split", "_build_pmtn", "_build_nice", "_build_nonp"} <= set(builds)
     assert not found, "; ".join(found)
+
+
+KIND_NAMES = {"SETUP", "PIECE", "put_setup", "put_piece", "make_setup", "make_piece"}
+
+
+def test_placements_carry_no_kind_tag():
+    # a placement is (cls, start, dur, job) and job None marks a setup, so no
+    # module names a kind, and Builder and _Run each place both with one put
+    found, puts = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a Name's id, an Attribute's attr, a def's, class's or import's name
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name in KIND_NAMES:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+            if isinstance(node, ast.ClassDef) and node.name in ("Builder", "_Run"):
+                puts[node.name] = sorted(f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                                         and f.name.startswith(("put", "make")))
+    assert not found, "; ".join(found)
+    assert puts == {"Builder": ["put", "put_config"], "_Run": ["put"]}

@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 
 from batchsched import Instance, Schedule, Variant, verify_schedule
-from batchsched.core import PIECE, SETUP
 from batchsched.search import variant_ops
 from conftest import random_instance
 from oracle import reference_verify
@@ -38,20 +37,19 @@ def _mutate(rng: random.Random, inst: Instance, sched: Schedule) -> Schedule:
             i, j = rng.choice(rows)
             row = parts[i][j]
             if what == 0:  # shift a time
-                k = rng.choice([2, 3])
+                k = rng.choice([1, 2])
                 step = rng.choice([-2, -1, 1, 2]) * rng.choice([1, sched.scale])
                 row = row[:k] + (row[k] + step,) + row[k + 1:]
             elif what == 1:  # change an id
-                k = rng.choice([1, 4])
-                cls = row[1]
+                k = rng.choice([0, 3])
+                cls = row[0]
                 choices = {
-                    1: [-1, inst.c, rng.randrange(inst.c)],
-                    4: [None, -1, 0, len(inst.classes[cls].jobs) if 0 <= cls < inst.c else 9],
+                    0: [-1, inst.c, rng.randrange(inst.c)],
+                    3: [None, -1, 0, len(inst.classes[cls].jobs) if 0 <= cls < inst.c else 9],
                 }[k]
                 row = row[:k] + (rng.choice(choices),) + row[k + 1:]
-            elif what == 2:  # swap the kind
-                row = (PIECE if row[0] == SETUP else SETUP,) + row[1:4] + (
-                    rng.choice([0, None]) if row[0] == SETUP else None,)
+            elif what == 2:  # a setup becomes a piece of job 0, a piece a setup
+                row = row[:3] + (0 if row[3] is None else None,)
             if what <= 2:
                 parts[i][j] = row
             else:  # duplicate, delete, or move to any part
@@ -68,7 +66,7 @@ def _as_fractions(sched: Schedule, scale: int) -> Schedule:
     """The same times as Fractions on another scale, as a hand-built schedule
     may hold them."""
     def conv(p):
-        return (p[0], p[1], Fraction(p[2] * scale, sched.scale), Fraction(p[3] * scale, sched.scale)) + p[4:]
+        return (p[0], Fraction(p[1] * scale, sched.scale), Fraction(p[2] * scale, sched.scale), p[3])
     return Schedule(
         m=sched.m,
         machines=[[conv(p) for p in m] for m in sched.machines],

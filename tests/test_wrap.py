@@ -3,20 +3,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from batchsched.core import PIECE, SETUP, CapacityError
+from batchsched.core import CapacityError
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
 def flat(sched):
     return [
-        (u, kind, cls, start, dur)
+        (u, cls, start, dur, job)
         for u, mach in enumerate(sched.machines)
-        for kind, cls, start, dur, _ in sorted(mach, key=lambda q: q[2])
+        for cls, start, dur, job in sorted(mach, key=lambda q: q[1])
     ]
 
 
-def batch(cls, s, durs, start_ref=0):
-    return Batch(cls=cls, setup=F(s), jobs=tuple(((cls, start_ref + k), F(d)) for k, d in enumerate(durs)))
+def batch(cls, s, durs):
+    return Batch(cls=cls, setup=F(s), jobs=tuple((j, F(d)) for j, d in enumerate(durs)))
 
 
 def load(seq):
@@ -42,11 +42,11 @@ def test_wrap_two_gap_example():
     tmpl = [Gap(1, F(0), F(6)), Gap(2, F(2), F(6))]
     sched, res = wrap_plain(seq, tmpl, 3)
     assert flat(sched) == [
-        (0, SETUP, 0, F(0), F(2)),
-        (0, PIECE, 0, F(2), F(3)),
-        (0, PIECE, 0, F(5), F(1)),
-        (1, SETUP, 0, F(0), F(2)),
-        (1, PIECE, 0, F(2), F(2)),
+        (0, 0, F(0), F(2), None),
+        (0, 0, F(2), F(3), 0),
+        (0, 0, F(5), F(1), 1),
+        (1, 0, F(0), F(2), None),
+        (1, 0, F(2), F(2), 1),
     ]
 
 
@@ -57,10 +57,10 @@ def test_wrap_setup_exactly_fills_gap():
     tmpl = [Gap(0, F(0), F(4)), Gap(1, F(2), F(8))]
     sched, _ = wrap_plain(seq, tmpl, 2)
     assert flat(sched) == [
-        (0, SETUP, 0, F(0), F(2)),
-        (0, PIECE, 0, F(2), F(2)),
-        (1, SETUP, 1, F(1), F(1)),
-        (1, PIECE, 1, F(2), F(2)),
+        (0, 0, F(0), F(2), None),
+        (0, 0, F(2), F(2), 0),
+        (1, 1, F(1), F(1), None),
+        (1, 1, F(2), F(2), 0),
     ]
 
 
@@ -69,12 +69,12 @@ def test_wrap_long_job_split_across_four_gaps():
     tmpl = [Gap(k, F(0 if k == 0 else 1), F(4)) for k in range(4)]
     sched, _ = wrap_plain(seq, tmpl, 5)
     got = flat(sched)
-    durs = [e[4] for e in got if e[1] == PIECE]
+    durs = [e[3] for e in got if e[4] is not None]
     assert durs == [F(3), F(3), F(3), F(1)]
     assert sum(durs) == 10
     # a fresh setup ends exactly at each later gap start
-    setups = [e for e in got if e[1] == SETUP]
-    assert [(e[0], e[3]) for e in setups] == [(0, F(0)), (1, F(0)), (2, F(0)), (3, F(0))]
+    setups = [e for e in got if e[4] is None]
+    assert [(e[0], e[2]) for e in setups] == [(0, F(0)), (1, F(0)), (2, F(0)), (3, F(0))]
 
 
 def test_wrap_capacity_error():
@@ -97,16 +97,16 @@ def test_split_piece_cut_once():
     sched, res = wrap_plain([batch(0, 1, [5])], tmpl, 2)
     assert (res.last_machine, res.last_fill) == (1, F(5))
     got = flat(sched)
-    assert (0, PIECE, 0, F(4), F(2)) in got
-    assert (1, SETUP, 0, F(1), F(1)) in got  # placed right below the next gap
-    assert (1, PIECE, 0, F(2), F(3)) in got
+    assert (0, 0, F(4), F(2), 0) in got
+    assert (1, 0, F(1), F(1), None) in got  # placed right below the next gap
+    assert (1, 0, F(2), F(3), 0) in got
 
 
 def test_split_exact_fit_no_cut():
     tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
     sched, res = wrap_plain([batch(0, 1, [2])], tmpl, 2)
     assert (res.last_machine, res.last_fill) == (0, F(6))
-    assert flat(sched) == [(0, SETUP, 0, F(3), F(1)), (0, PIECE, 0, F(4), F(2))]
+    assert flat(sched) == [(0, 0, F(3), F(1), None), (0, 0, F(4), F(2), 0)]
 
 
 def test_compressed_single_long_job():
@@ -134,8 +134,8 @@ def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
     sched, _ = wrap_tail(seq, (F(2), F(6)), 2)
     total = sum(
-        dur * mult for cfg, mult in sched.compressed for kind, _, _, dur, _ in cfg if kind == PIECE
-    ) + sum(dur for m in sched.machines for kind, _, _, dur, _ in m if kind == PIECE)
+        dur * mult for cfg, mult in sched.compressed for _, _, dur, job in cfg if job is not None
+    ) + sum(dur for m in sched.machines for _, _, dur, job in m if job is not None)
     assert total == 6
 
 
@@ -143,13 +143,11 @@ def random_case(rng):
     k = rng.randint(1, 4)
     seq = []
     smax = 0
-    ref = 0
     for ci in range(k):
         s = rng.randint(1, 4)
         smax = max(smax, s)
         durs = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
-        seq.append(batch(ci, s, durs, start_ref=ref))
-        ref += len(durs)
+        seq.append(batch(ci, s, durs))
     count = rng.randint(1, 20)
     # identical gaps above a floor that fits every setup, tall enough to fit
     a = F(smax)
@@ -170,12 +168,12 @@ def test_compressed_matches_plain_on_random_cases():
         # conservation: every job placed for exactly its duration
         want = {}
         for b in seq:
-            for ref, d in b.jobs:
-                want[ref] = d
+            for job, d in b.jobs:
+                want[(b.cls, job)] = d
         got = {}
         for mach in plain.machines:
-            for kind, cls, _, dur, job in mach:
-                if kind == PIECE:
+            for cls, _, dur, job in mach:
+                if job is not None:
                     got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
         # work bound: placements <= |Q| + 2 |template|
@@ -194,7 +192,6 @@ def test_wrap_soundness_rules_on_random_templates():
         k = rng.randint(1, 4)
         seq = []
         smax = 0
-        ref = 0
         setups = []
         jobs_by_cls = []
         for ci in range(k):
@@ -234,16 +231,16 @@ def test_run_wrap_int_gaps_past_float_precision():
     H = 2**61 + 1
     s = 2**60 + 3
     builder = Builder(9)
-    res = run_wrap(builder, [Batch(0, s, (((0, 0), 6 * H + 1),))], [Gap(0, 0, s + H)],
+    res = run_wrap(builder, [Batch(0, s, ((0, 6 * H + 1),))], [Gap(0, 0, s + H)],
                    tail_gap=(s, s + H), tail_count=8, tail_base=1)
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
     assert sched.machines == [
-        [Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0)]
+        [Placement(0, 0, s), Placement(0, s, H, job=0)]
     ]
     assert sched.compressed == [
-        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, H, job=0)), 5),
-        ((Placement(SETUP, 0, 0, s), Placement(PIECE, 0, s, 1, job=0)), 1),
+        ((Placement(0, 0, s), Placement(0, s, H, job=0)), 5),
+        ((Placement(0, 0, s), Placement(0, s, 1, job=0)), 1),
     ]
     assert all(type(start) is int and type(dur) is int
-               for _, _, start, dur, _ in sched.placements())
+               for _, start, dur, _ in sched.placements())
