@@ -3,14 +3,16 @@ instances.
 
 Instance files:  {"m": int, "classes": [{"setup": int, "jobs": [int, ...]}]}
 Schedule files:  {"scale": D, "makespan": "p/q",
-                  "machines": [[row, ...], ...],
-                  "compressed": [{"config": [row, ...], "mult": int}, ...]}
-A row is [class, start, dur] for a setup or [class, start, dur, job] for a
-piece, so its length tells its kind, and its times are ints t meaning t/D,
+                  "machines": [[cls, start, dur, job, ...], ...],
+                  "compressed": [{"config": [cls, start, dur, job, ...],
+                                  "mult": int}, ...]}
+A machine or config is one flat list of ints, four per placement: class,
+start, dur and job, with job -1 for a setup.  Times are ints t meaning t/D,
 so nothing is ever rounded; other rationals (makespan, guesses, bounds)
 travel as "p/q" strings.  Schedule files in older formats (a dict per
-placement with "p/q" times, or rows that lead with a kind flag and end in a
-piece number) are rejected: solve the instance again.
+placement with "p/q" times, rows that lead with a kind flag and end in a
+piece number, or a list per placement) are rejected: solve the instance
+again.
 
 Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
 failure.
@@ -24,7 +26,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
 
 from .core import (
     ContractError,
@@ -64,33 +65,37 @@ def parse_rat(text: str) -> Rat:
 
 # Every shape or type error in a schedule file names the one format it takes.
 _SCHEDULE_FORMAT = (
-    'schedules are {"scale": D, "machines": [[row, ...], ...], '
-    '"compressed": [{"config": [row, ...], "mult": k}, ...]} with rows '
-    "[class, start, dur] for a setup and [class, start, dur, job] for a piece, "
-    "times ints in units of 1/D"
+    'schedules are {"scale": D, "machines": [[cls, start, dur, job, ...], ...], '
+    '"compressed": [{"config": [cls, start, dur, job, ...], "mult": k}, ...]}: '
+    "a machine or config is one flat list of ints, four per placement, "
+    "job -1 for a setup, times in units of 1/D"
 )
 
 
 def emit_schedule(sched: Schedule) -> dict:
-    """The schedule's own int times and scale as rows, checked, written and
-    measured for the makespan in one pass over the placements; ContractError
-    for a schedule holding a non-int time (only a hand-built one can)."""
+    """The schedule's own int times and scale as flat int lists, checked,
+    written and measured for the makespan in one pass over the placements;
+    ContractError for a non-int time or a piece of job -1 (only a hand-built
+    schedule can hold either)."""
     top = 0
 
-    def rows(placements) -> list[list[int]]:
+    def flat(placements) -> list[int]:
         nonlocal top
         out = []
-        for p in placements:
-            start, dur = p[1], p[2]
+        for cls, start, dur, job in placements:
             if type(start) is not int or type(dur) is not int:
                 raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
             if start + dur > top:
                 top = start + dur
-            out.append([p[0], start, dur] if p[3] is None else [p[0], start, dur, p[3]])
+            if job is None:
+                job = -1
+            elif job == -1:
+                raise ContractError(f"a piece of job -1 of class {cls} would read back as a setup")
+            out += (cls, start, dur, job)
         return out
 
-    machines = [rows(mach) for mach in sched.machines]
-    compressed = [{"config": rows(config), "mult": mult} for config, mult in sched.compressed]
+    machines = [flat(mach) for mach in sched.machines]
+    compressed = [{"config": flat(config), "mult": mult} for config, mult in sched.compressed]
     scale = sched.scale
     g = math.gcd(top, scale)
     return {
@@ -102,21 +107,13 @@ def emit_schedule(sched: Schedule) -> dict:
 
 
 def _rows(raw) -> list[PlacementT]:
-    """Rows as placements, checking only their shape and types (exact ints,
-    so no bool): the verifier judges everything else."""
-    if type(raw) is not list or set(map(type, raw)) - {list} \
-            or set(map(type, chain.from_iterable(raw))) - {int}:
-        raise ValidationError(f"a machine or config must be a list of rows of ints; "
-                              f"{_SCHEDULE_FORMAT}")
-    out = []
-    for r in raw:
-        if len(r) == 3:
-            out.append((r[0], r[1], r[2], None))
-        elif len(r) == 4:
-            out.append(tuple(r))
-        else:
-            raise ValidationError(f"bad schedule row {r!r:.80}; {_SCHEDULE_FORMAT}")
-    return out
+    """A flat list of ints as placements, checking only its shape and types
+    (exact ints, so no bool): the verifier judges everything else."""
+    if type(raw) is not list or len(raw) % 4 or set(map(type, raw)) - {int}:
+        raise ValidationError(f"a machine or config must be a flat list of ints, four per "
+                              f"placement; {_SCHEDULE_FORMAT}")
+    it = iter(raw)
+    return [(c, s, d, None if j == -1 else j) for c, s, d, j in zip(it, it, it, it)]
 
 
 def parse_schedule(raw, m: int) -> Schedule:

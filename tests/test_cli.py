@@ -14,6 +14,8 @@ from batchsched.cli import (
     parse_schedule,
 )
 from batchsched.core import (
+    ContractError,
+    Schedule,
     ValidationError,
     Variant,
     emit_instance,
@@ -79,35 +81,38 @@ def _malformed(mutate):
     raw = {
         "scale": 1,
         "makespan": "3",
-        "machines": [[[0, 0, 1], [0, 1, 2, 0]]],
-        "compressed": [{"config": [[0, 0, 1], [0, 1, 2, 1]], "mult": 1}],
+        "machines": [[0, 0, 1, -1, 0, 1, 2, 0]],
+        "compressed": [{"config": [0, 0, 1, -1, 0, 1, 2, 1], "mult": 1}],
     }
     mutate(raw)
     return raw
 
 
-def _set_row(machine, index, row):
+def _set_machine(group):
     def mutate(raw):
-        raw["machines"][machine][index] = row
+        raw["machines"][0] = group
     return mutate
 
 
+# each id names what is wrong with the machine's setup or piece
 @pytest.mark.parametrize(
     "mutate",
     [
-        _set_row(0, 0, [0, 1]),
-        _set_row(0, 1, [0]),
-        _set_row(0, 0, [0, 0, 1, 0, 0]),
-        _set_row(0, 1, [1, 2]),
-        _set_row(0, 0, []),
-        _set_row(0, 1, [0, "3/2", 2, 0]),
-        _set_row(0, 1, [0, 1.5, 2, 0]),
-        _set_row(0, 1, [0, 1, True, 0]),
-        _set_row(0, 1, [0, 1, 2, 0, 0]),
-        _set_row(0, 1, [0, 1, 2, "0"]),
-        _set_row(0, 1, [0, 1, 2, 0, 0, 0]),
-        _set_row(0, 1, [1, 0, 1, 2, 0, 0]),
-        _set_row(0, 0, {"kind": "setup", "class": 0, "start": "0", "dur": "1"}),
+        _set_machine([0, 1, -1, 0, 1, 2, 0]),
+        _set_machine([0, 0, 1, -1, 0, 1, 2]),
+        _set_machine([0, 0, 1, -1, 0, 0, 1, 2, 0]),
+        _set_machine([0, 0, 1, -1, 1, 2]),
+        _set_machine([0, 0, 1, -1, [], 1, 2, 0]),
+        _set_machine([0, 0, 1, -1, 0, "3/2", 2, 0]),
+        _set_machine([0, 0, 1, -1, 0, 1.5, 2, 0]),
+        _set_machine([0, 0, 1, -1, 0, 1, True, 0]),
+        _set_machine([0, 0, 1, -1, 0, 1, 2, 0, 0]),
+        _set_machine([0, 0, 1, -1, 0, 1, 2, "0"]),
+        _set_machine([0, 0, 1, -1, 0, 1, 2, 0, 0, 0]),
+        _set_machine([0, 0, 0, 1, 1, 0, 1, 2, 0, 0]),
+        _set_machine([{"kind": "setup", "class": 0, "start": "0", "dur": "1"}, 0, 1, 2]),
+        _set_machine([[0, 0, 1], [0, 1, 2, 0]]),
+        _set_machine([0, 0, 1, None, 0, 1, 2, 0]),
         lambda raw: raw["machines"].__setitem__(0, {"rows": []}),
         lambda raw: raw["compressed"][0].update(mult="1"),
         lambda raw: raw["compressed"][0].update(mult=True),
@@ -124,9 +129,10 @@ def _set_row(machine, index, row):
     ids=[
         "missing-class", "short-piece-row", "long-setup-row", "row-length-2",
         "empty-row", "string-time", "float-time", "bool-time", "row-length-5", "string-job",
-        "row-length-6", "kind-led-piece-row", "dict-row", "dict-machine", "string-mult", "bool-mult",
-        "missing-config", "dict-compressed", "scale-0", "scale-negative", "string-scale",
-        "bool-scale", "float-scale", "missing-scale", "missing-machines",
+        "row-length-6", "kind-led-piece-row", "dict-row", "nested-rows", "null-job",
+        "dict-machine", "string-mult", "bool-mult", "missing-config", "dict-compressed",
+        "scale-0", "scale-negative", "string-scale", "bool-scale", "float-scale",
+        "missing-scale", "missing-machines",
     ],
 )
 def test_verify_malformed_schedule_exit_one(tmp_path, capsys, mutate):
@@ -156,15 +162,18 @@ def test_verify_old_format_names_the_row_format(tmp_path, capsys):
     # rows led by a kind flag (0 setup, 1 piece) and ending in a piece number
     kind_led_rows = {"scale": 1, "makespan": "3", "machines": [[[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]],
                      "compressed": [{"config": [[0, 0, 0, 1], [1, 0, 1, 2, 1, 0]], "mult": 1}]}
+    # a list per placement: [class, start, dur] or [class, start, dur, job]
+    nested_rows = {"scale": 1, "makespan": "3", "machines": [[[0, 0, 1], [0, 1, 2, 0]]],
+                   "compressed": [{"config": [[0, 0, 1], [0, 1, 2, 1]], "mult": 1}]}
     inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
     ipath = write_instance(tmp_path, "i.json", inst)
-    for old in (dict_placements, kind_led_rows):
+    for old in (dict_placements, kind_led_rows, nested_rows):
         spath = write_instance(tmp_path, "s.json", old)
         code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert "[class, start, dur] for a setup" in err and "[class, start, dur, job] for a piece" in err
-        assert '"scale": D' in err
+        assert "one flat list of ints, four per placement" in err and "job -1 for a setup" in err
+        assert '"scale": D' in err and "[cls, start, dur, job, ...]" in err
 
 
 @pytest.mark.parametrize("where", ["instance", "schedule"])
@@ -172,7 +181,7 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     # json.loads refuses ints of more than 4,300 digits with a plain ValueError
     huge = "9" * 5000
     inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
-    sched = '{"scale": 1, "machines": [[[0, 0, 1], [0, 1, %s, 0]]]}' % huge
+    sched = '{"scale": 1, "machines": [[0, 0, 1, -1, 0, 1, %s, 0]]}' % huge
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(inst)
     spath.write_text(sched)
@@ -216,7 +225,7 @@ def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
                 "--in", ipath, "--emit", "summary"]
     else:
         spath = tmp_path / "s.json"
-        spath.write_text('{"scale": 1, "machines": [[[0, %s, 1], [0, 1, 2, 0]]]}' % ("9" * 4300))
+        spath.write_text('{"scale": 1, "machines": [[0, %s, 1, -1, 0, 1, 2, 0]]}' % ("9" * 4300))
         args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
     code = main(args)
     captured = capsys.readouterr()
@@ -232,9 +241,10 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _SMALL = st.integers(-1, 4)
-_GOOD_ROW = (st.tuples(_SMALL, _SMALL, _SMALL).map(list)
-             | st.tuples(_SMALL, _SMALL, _SMALL, _SMALL).map(list))
-_ROWS = st.lists(_GOOD_ROW | st.lists(_SMALL | st.booleans() | _JSON, max_size=7), max_size=4) | _JSON
+# a machine or config of the format's shape: 4 ints per placement, job -1 a setup
+_GOOD_ROWS = st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), max_size=4).map(
+    lambda rows: [x for row in rows for x in row])
+_ROWS = _GOOD_ROWS | st.lists(_SMALL | st.booleans() | _JSON, max_size=17) | _JSON
 
 
 def _schedules(scale, rows, mult, other):
@@ -250,7 +260,7 @@ def _schedules(scale, rows, mult, other):
 _SCHEDULE_LIKE = st.one_of(
     _JSON,
     _schedules(_SMALL | _JSON, _ROWS, _SMALL | _JSON, _JSON),
-    _schedules(st.integers(1, 4), st.lists(_GOOD_ROW, max_size=4), _SMALL, st.nothing()),
+    _schedules(st.integers(1, 4), _GOOD_ROWS, _SMALL, st.nothing()),
 )
 
 
@@ -290,6 +300,40 @@ def test_emit_rejects_non_int_times():
     assert [v.rule for v in rep.violations] == ["c"]
 
 
+def test_emit_rejects_a_piece_of_job_minus_one():
+    # job -1 marks a setup on the wire, so this piece would read back as one
+    sched = Schedule(m=1, machines=[[(0, 0, 1, None), (0, 1, 2, -1)]])
+    with pytest.raises(ContractError):
+        emit_schedule(sched)
+
+
+def test_verify_flat_sentinels_reach_the_verifier(tmp_path, capsys):
+    # only job -1 marks a setup: a piece of job -2 and a setup of the wrong
+    # length parse, and the verifier rejects them (exit 3, not 1)
+    ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    for machine, want in [([0, 0, 1, -1, 0, 1, 2, -2], "unknown job id (0, -2)"),
+                          ([0, 0, 3, -1, 0, 3, 2, 0], "rule (b)")]:
+        spath = write_instance(tmp_path, "s.json", _malformed(_set_machine(machine)))
+        code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
+        captured = capsys.readouterr()
+        assert code == 3 and want in captured.out and captured.err == ""
+
+
+_PLACEMENT = st.tuples(st.integers(-3, 9), st.integers(-3, 2**70), st.integers(-3, 2**70),
+                       st.none() | st.integers(-3, 9).filter(lambda j: j != -1))
+_PLACEMENTS = st.lists(_PLACEMENT, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.builds(Schedule, m=st.integers(1, 9), machines=st.lists(_PLACEMENTS, max_size=4),
+                 compressed=st.lists(st.tuples(_PLACEMENTS.map(tuple), st.integers(-1, 5)), max_size=3),
+                 scale=st.integers(1, 12)))
+def test_emit_parse_round_trip(sched):
+    # empty machines and configs included; dumped as `solve` writes it
+    text = json.dumps(emit_schedule(sched), indent=1, sort_keys=True)
+    assert parse_schedule(json.loads(text), sched.m) == sched
+
+
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     rng = random.Random(5)
     inst = random_instance(rng)
@@ -306,11 +350,11 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     rep = verify_schedule(inst, parsed, Variant.SPLITTABLE, F(3, 2) * r.guess)
     assert rep.ok
 
-    # tampering: drop a setup row
+    # tampering: drop a machine's leading setup (its 4 ints, job -1)
     raw = json.loads(open(spath).read())
     groups = raw["machines"] + [entry["config"] for entry in raw["compressed"]]
-    rows = next(rows for rows in groups if rows and len(rows[0]) == 3)
-    rows.pop(0)
+    group = next(group for group in groups if group and group[3] == -1)
+    del group[:4]
     tpath = write_instance(tmp_path, "t.json", raw)
     assert main(["verify", "--in", ipath, "--schedule", tpath,
                  "--variant", "split", "--bound", bound]) == 3

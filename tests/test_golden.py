@@ -20,8 +20,8 @@ from test_preemptive import knapsack_heavy_instance
 # file format before integer rows without its piece numbers; the schedules
 # were emitted when every time was still a Fraction
 GOLDEN_SHA256 = "524d9af3685e819fe9dd324c04e04d296967875acae2cab099d2ec7cfbd96435"
-# the same over emit_schedule's rows on the integer scale
-WIRE_SHA256 = "62e44ad90a944f112e5a1f15c8f4fad499c72b86bcc02b3879a001870315d088"
+# the same over emit_schedule's flat int lists on the integer scale
+WIRE_SHA256 = "e0546b7b9e3643d7e0b63aff95ed273aad02e6fb57c9e14c98c08c540ea151a9"
 
 
 def corpus():
@@ -57,17 +57,21 @@ def old_format(raw: dict) -> dict:
         x = F(t, scale)
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
-    def placement(row):
-        cls, start, dur, *job = row
-        out = {"kind": "piece" if job else "setup", "class": cls, "start": text(start), "dur": text(dur)}
-        if job:
-            out["job"] = job[0]
+    def placements(group):
+        it = iter(group)
+        out = []
+        for cls, start, dur, job in zip(it, it, it, it):
+            p = {"kind": "piece" if job != -1 else "setup", "class": cls,
+                 "start": text(start), "dur": text(dur)}
+            if job != -1:
+                p["job"] = job
+            out.append(p)
         return out
 
     return {
         "makespan": raw["makespan"],
-        "machines": [[placement(row) for row in mach] for mach in raw["machines"]],
-        "compressed": [{"config": [placement(row) for row in entry["config"]], "mult": entry["mult"]}
+        "machines": [placements(mach) for mach in raw["machines"]],
+        "compressed": [{"config": placements(entry["config"]), "mult": entry["mult"]}
                        for entry in raw["compressed"]],
     }
 
