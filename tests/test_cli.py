@@ -94,7 +94,7 @@ def _set_machine(group):
     return mutate
 
 
-# each id names what is wrong with the machine's setup or piece
+# a "row" in an id is one placement's four ints
 @pytest.mark.parametrize(
     "mutate",
     [
