@@ -289,7 +289,7 @@ def test_non_utf8_file_exit_one(tmp_path, capsys):
 def test_emit_rejects_non_int_times():
     # a hand-built schedule of (cls, start, dur, job) placements with a
     # Fraction time: the writer refuses it, the verifier judges it
-    from batchsched.core import ContractError, Instance, JobClass, Schedule, VerifyReport
+    from batchsched.core import Instance, JobClass, VerifyReport
 
     sched = Schedule(m=1, machines=[[(0, 0, 1, None), (0, 1, F(1, 2), 0)]])
     with pytest.raises(ContractError):
