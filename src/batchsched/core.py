@@ -215,7 +215,10 @@ class Schedule:
     `machines` holds explicitly materialized machines.  Each entry of
     `compressed` is a machine configuration with a multiplicity: the schedule
     behaves as if `mult` further machines carried exactly those placements.
-    The machine budget is len(machines) + sum of multiplicities <= m.
+    The library's builds write only runs of at least two identical machines
+    there (a setup and a piece filling the gap above it, from one long job);
+    every other machine is a row.  The machine budget is len(machines) + sum
+    of multiplicities <= m.
     A placement is (cls, start, dur, job), job None for a setup; a time t
     means t / scale.  Every schedule the library builds keeps its times as
     ints on the scale its construction derived from the guess, and a parsed
@@ -243,8 +246,8 @@ class Schedule:
         return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
-        """Materialize the compressed part: each configuration becomes mult
-        explicit machines, every machine's placements in start order."""
+        """Materialize the compressed part: the rows first, then mult copies
+        of each configuration, every machine's placements in start order."""
         copies = [config for config, mult in self.compressed for _ in range(mult)]
         out = [sorted(mach, key=itemgetter(1)) for mach in self.machines + copies]
         return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)

@@ -117,12 +117,10 @@ class JumpTrace:
     """Class-jump search internals kept for inspection and for the
     jump-density checks."""
 
-    structure_interval: tuple[Rat, Rat]  # bracket (A, B] with constant class layers
     jump_interval: tuple[Rat, Rat]  # X: between consecutive jumps of the fastest member
-    fastest: Optional[int]
     jumps: list[tuple[int, Rat]]  # collected (class, jump) strictly inside X
     final_interval: tuple[Rat, Rat]
-    members: tuple[int, ...]  # classes whose machine count jumps throughout (A, B]
+    members: tuple[int, ...]  # classes whose machine count jumps throughout the walk's (A, B]
 
 
 def _bisect_right_interval(values, probe, lo_idx, hi_idx):
@@ -159,11 +157,9 @@ def class_jump_walk(
     low_end, high_end = cands[lo], cands[hi]
     values = jump_values(high_end)
     x_lo, x_hi = low_end, high_end
-    fastest: Optional[int] = None
     collected: list[tuple[int, Rat]] = []
     if values:
-        fastest = min(values, key=lambda i: (-values[i], i))
-        v = values[fastest]
+        v = max(values.values())  # the fastest member's v
         d_hi = max(d_min, math.ceil(v / high_end))  # largest jump at or below B
         d_cap = d_hi + m + d_min - 1
         # clip the jumps v/d to the open bracket
@@ -190,9 +186,7 @@ def class_jump_walk(
     chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
     lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
     return JumpTrace(
-        structure_interval=(low_end, high_end),
         jump_interval=(x_lo, x_hi),
-        fastest=fastest,
         jumps=collected,
         final_interval=(chain[lo2], chain[hi2]),
         members=tuple(values),

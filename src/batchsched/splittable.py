@@ -95,7 +95,6 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
             tail_gap=(s, s + half),
             tail_count=beta - 1,
             tail_base=base + 1,
-            materialize_last=True,
         )
         # Last machine of the class: reserve half a guess for one cheap setup,
         # then its remaining headroom up to (3/2)*guess is usable.
@@ -135,7 +134,7 @@ def class_jump_split(inst: Instance) -> SearchResult:
     if probe(smax):
         # nothing below s_max is ever accepted, so this is the exact optimum
         # of the search space
-        trace = JumpTrace((smax, smax), (smax, smax), None, [], (smax, smax), ())
+        trace = JumpTrace((smax, smax), [], (smax, smax), ())
         return probe.finish(dual_split, inst, smax, smax, trace)
 
     # Bracket the answer between consecutive doubled setup values: inside,

@@ -8,9 +8,11 @@ of a gap moves below the start of the next gap, a job that would cross is cut
 there and continues at the start of the next gap behind a freshly inserted
 setup of its class.
 
-Templates whose tail consists of many identical parallel gaps can be wrapped
-in compressed form: runs of gaps that carry the same content (the middle gaps
-of one long job) are emitted once with a multiplicity, so the output size is
+A template may end in a tail of identical parallel gaps.  Every tail gap
+the wrap fills becomes a machine row like an explicit gap, except in one
+case: a run of at least two tail gaps fully covered by one long job (a setup
+ending at the gap start and a full-height piece each) is emitted once as a
+compressed configuration with that multiplicity.  So the output size is
 bounded by the sequence length, independent of the gap count.
 
 Times are ints on the Builder's scale.  The code needs only +, -, // and
@@ -82,8 +84,7 @@ class Builder:
         self.row(machine).append((cls, start, dur, job))
 
     def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
-        if mult > 0 and placements:
-            self._configs.append((base_machine, placements, mult))
+        self._configs.append((base_machine, placements, mult))
 
     def finalize(self) -> Schedule:
         explicit = [self._machines[k] for k in sorted(self._machines)]
@@ -108,8 +109,7 @@ class _Run:
         tail_gap: Optional[tuple[Rat, Rat]],
         tail_count: int,
         tail_base: int,
-        materialize_last: bool,
-        setups_below: bool = False,
+        setups_below: bool,
     ):
         self.setups_below = setups_below
         check_template(explicit)
@@ -123,15 +123,12 @@ class _Run:
         self.tail_gap = tail_gap
         self.tail_count = tail_count if tail_gap is not None else 0
         self.tail_base = tail_base
-        self.materialize_last = materialize_last
         self.total = len(explicit) + self.tail_count
         if self.total == 0:
             raise CapacityError("empty wrap template")
         self.pos = 0
-        self.cfg: Optional[list[PlacementT]] = None
         self.placed = 0
-        self.open: Rat = self._open(0)
-        self.close: Rat = self._close(0)
+        self._sync()
         self.t: Rat = self.open
 
     # -- gap geometry ------------------------------------------------------
@@ -157,35 +154,18 @@ class _Run:
     def _sync(self):
         self.open = self._open(self.pos)
         self.close = self._close(self.pos)
+        self.machine = self._machine(self.pos)
 
     # -- emission ----------------------------------------------------------
 
     def put(self, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
-        """A setup (job None) or a piece in the current gap."""
+        """A setup (job None) or a piece in the current gap's machine row."""
         self.placed += 1
-        if self._in_tail(self.pos):
-            if self.cfg is None:
-                self.cfg = []
-            self.cfg.append((cls, start, dur, job))
-        else:
-            self.b.put(self._machine(self.pos), cls, start, dur, job)
-
-    def _flush_cfg(self, final: bool = False):
-        if self.cfg is None:
-            return
-        machine = self._machine(self.pos)
-        if final and self.materialize_last:
-            for p in self.cfg:
-                self.b.row(machine).append(p)
-        else:
-            self.b.put_config(machine, tuple(self.cfg), 1)
-        self.cfg = None
+        self.b.row(self.machine).append((cls, start, dur, job))
 
     # -- movement ----------------------------------------------------------
 
     def next_gap(self):
-        if self._in_tail(self.pos):
-            self._flush_cfg()
         if self.pos + 1 >= self.total:
             raise CapacityError("wrap sequence exceeds template capacity")
         self.pos += 1
@@ -193,11 +173,11 @@ class _Run:
         self.t = self.open
 
     def bulk_full_gaps(self, cls: int, setup: Rat, job: int, count: int):
-        """Emit `count` identical tail gaps fully covered by one job: a setup
-        ending at the gap start plus a full-height piece, as one config."""
-        if not (self._in_tail(self.pos + 1) and count >= 1):
-            raise ContractError("bulk gaps must be at least one tail gap")
-        self._flush_cfg()
+        """Emit a run of `count` >= 2 identical tail gaps fully covered by one
+        job: a setup ending at the gap start plus a full-height piece, as one
+        config of multiplicity `count`.  A single such gap is a machine row."""
+        if not (self._in_tail(self.pos + 1) and count >= 2):
+            raise ContractError("bulk gaps must be a run of at least two tail gaps")
         a, b = self.tail_gap
         cfg = ((cls, a - setup, setup, None), (cls, a, b - a, job))
         self.placed += 2
@@ -209,10 +189,8 @@ class _Run:
         self.t = b  # gap is exactly full; next item immediately crosses
 
     def finish(self) -> WrapResult:
-        if self._in_tail(self.pos):
-            self._flush_cfg(final=True)
         return WrapResult(
-            last_machine=self._machine(self.pos),
+            last_machine=self.machine,
             last_fill=self.t,
             placed=self.placed,
         )
@@ -226,14 +204,14 @@ def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
         if head > 0:
             run.put(cls, run.t, head, job)
         rest = end - run.close
-        # Fast path: the remainder spans whole identical tail gaps.
+        # Fast path: the remainder spans at least two whole identical tail gaps.
         if run.tail_count and run._in_tail(run.pos + 1):
             height = run.tail_gap[1] - run.tail_gap[0]
             if rest > height:
                 full = -(-rest // height) - 1  # ceil, exact on ints past 2**53
                 avail = run.total - run.pos - 2  # keep one gap for the final piece
                 full = min(full, max(avail, 0))
-                if full >= 1:
+                if full >= 2:
                     run.bulk_full_gaps(cls, setup, job, full)
                     rest -= height * full
                     end = run.t + rest  # run.t == close of the bulk gaps
@@ -278,19 +256,15 @@ def run_wrap(
     tail_gap: Optional[tuple[Rat, Rat]] = None,
     tail_count: int = 0,
     tail_base: int = 0,
-    materialize_last: bool = False,
     setups_below: bool = False,
 ) -> WrapResult:
     """Wrap `seq` into the explicit gaps followed by `tail_count` identical
-    parallel gaps on machines tail_base, tail_base+1, ...  The tail is emitted
-    in compressed form.  With materialize_last the final used tail gap becomes
-    an explicit machine (so callers can keep filling it).  setups_below
-    anchors setups that open a gap under its start; only valid when the
-    caller guarantees that much room under every gap."""
-    run = _Run(
-        builder, explicit, tail_gap, tail_count, tail_base, materialize_last,
-        setups_below=setups_below,
-    )
+    parallel gaps on machines tail_base, tail_base+1, ...  Each filled tail
+    gap is a machine row, so callers can keep filling the last one; only a
+    run of at least two gaps fully covered by one job is compressed.
+    setups_below anchors setups that open a gap under its start; only valid
+    when the caller guarantees that much room under every gap."""
+    run = _Run(builder, explicit, tail_gap, tail_count, tail_base, setups_below)
     for batch in seq:
         _place_batch(run, batch)
     return run.finish()

@@ -17,11 +17,11 @@ from batchsched.search import epsilon_search, variant_ops
 from test_preemptive import knapsack_heavy_instance
 
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
-# file format before integer rows without its piece numbers; the schedules
-# were emitted when every time was still a Fraction
-GOLDEN_SHA256 = "524d9af3685e819fe9dd324c04e04d296967875acae2cab099d2ec7cfbd96435"
+# file format before integer rows (reduced "p/q" times) without its piece
+# numbers
+GOLDEN_SHA256 = "5ca65b0608364dfc70ce98d82d8dce2c6eee0334cca2c392eaffc4dae6ea0269"
 # the same over emit_schedule's flat int lists on the integer scale
-WIRE_SHA256 = "e0546b7b9e3643d7e0b63aff95ed273aad02e6fb57c9e14c98c08c540ea151a9"
+WIRE_SHA256 = "d832ce829c8daac8cbdd8217645ac8d90d9c022626c1aa6861647bc42f0a1bc3"
 
 
 def corpus():
@@ -113,6 +113,12 @@ def test_golden_schedules_on_the_integer_scale():
                    and (p[3] is None or type(p[3]) is int)
                    for p in sched.placements()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
+        # the only compressed part a build writes: a run of full tail gaps,
+        # a setup and then one piece from where it ends
+        assert all(mult >= 2 and len(config) == 2 and config[0][3] is None
+                   and config[1][3] is not None and config[1][0] == config[0][0]
+                   and config[1][1] == config[0][1] + config[0][2]
+                   for config, mult in sched.compressed), (inst, variant, algo)
         raw, back, fraction_calls = over_the_wire(sched, inst.m)
         assert back == sched and not fraction_calls, (inst, variant, algo, fraction_calls)
         mem = verify_schedule(inst, sched, variant, bound)

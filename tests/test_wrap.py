@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,7 @@ def wrap_plain(seq, gaps, m):
 
 
 def wrap_tail(seq, gap, count):
-    """Wrap into `count` identical gaps, emitted in compressed form."""
+    """Wrap into `count` identical gaps given as a tail."""
     builder = Builder(count)
     res = run_wrap(builder, seq, [], tail_gap=gap, tail_count=count)
     return builder.finalize(), res
@@ -127,7 +128,7 @@ def test_compressed_no_crossing_matches_plain():
     assert [
         [tuple(p) for p in mach] for mach in sched.expand().machines
     ] == [[tuple(p) for p in mach] for mach in plain.machines]
-    assert all(mult == 1 for _, mult in sched.compressed)
+    assert sched.compressed == []
 
 
 def test_compressed_exact_capacity():
@@ -137,6 +138,27 @@ def test_compressed_exact_capacity():
         dur * mult for cfg, mult in sched.compressed for _, _, dur, job in cfg if job is not None
     ) + sum(dur for m in sched.machines for _, _, dur, job in m if job is not None)
     assert total == 6
+
+
+def machine_multiset(sched):
+    return Counter(map(tuple, sched.machines))
+
+
+@pytest.mark.parametrize("dur, mult", [(4, None), (5, None), (6, 2), (7, 2)])
+def test_bulk_needs_two_full_tail_gaps(dur, mult):
+    # gaps (1, 3) under a setup of 1: the job's head fills the first gap to
+    # its top, so a remainder of 3 or 4 covers one full gap (rows only) and
+    # one of 5 or 6 covers two (a single config of multiplicity 2); the last
+    # gap, full or not, is always a row
+    seq = [batch(0, 1, [dur])]
+    sched, res = wrap_tail(seq, (F(1), F(3)), 5)
+    plain, plain_res = wrap_plain(seq, [Gap(k, F(1), F(3)) for k in range(5)], 5)
+    if mult is None:
+        assert sched.compressed == []
+    else:
+        assert sched.compressed == [(((0, F(0), F(1), None), (0, F(1), F(2), 0)), mult)]
+    assert machine_multiset(sched.expand()) == machine_multiset(plain)
+    assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
 
 
 def random_case(rng):
@@ -162,9 +184,9 @@ def test_compressed_matches_plain_on_random_cases():
         comp, _ = wrap_tail(seq, gap, count)
         tmpl = [Gap(k, gap[0], gap[1]) for k in range(count)]
         plain, res = wrap_plain(seq, tmpl, count)
-        assert [
-            [tuple(p) for p in mach] for mach in comp.expand().machines
-        ] == [[tuple(p) for p in mach] for mach in plain.machines]
+        # equal as machine multisets: expand() lists rows before copies
+        assert machine_multiset(comp.expand()) == machine_multiset(plain)
+        assert all(len(cfg) == 2 and mult >= 2 for cfg, mult in comp.compressed)
         # conservation: every job placed for exactly its duration
         want = {}
         for b in seq:
@@ -236,11 +258,11 @@ def test_run_wrap_int_gaps_past_float_precision():
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
     assert sched.machines == [
-        [Placement(0, 0, s), Placement(0, s, H, job=0)]
+        [Placement(0, 0, s), Placement(0, s, H, job=0)],
+        [Placement(0, 0, s), Placement(0, s, 1, job=0)],
     ]
     assert sched.compressed == [
         ((Placement(0, 0, s), Placement(0, s, H, job=0)), 5),
-        ((Placement(0, 0, s), Placement(0, s, 1, job=0)), 1),
     ]
     assert all(type(start) is int and type(dur) is int
                for _, start, dur, _ in sched.placements())
