@@ -64,8 +64,9 @@ class JobClass:
         equality and hashing still see only setup and jobs."""
         return sum(self.jobs)
 
-    @property
+    @cached_property
     def t_max(self) -> int:
+        """The longest job, found once like total: every probe reads it."""
         return max(self.jobs)
 
 
@@ -268,7 +269,9 @@ class ClassPartition:
     A class is expensive when its setup exceeds T/2, else cheap.  Expensive
     classes split by setup+work against T and (3/4)T; cheap classes split by
     setup against T/4.  chp_star collects the cheap small-setup classes owning
-    at least one job with setup + t_j > T/2 (those jobs are in big_jobs).
+    at least one job with setup + t_j > T/2, that is with setup + t_max > T/2:
+    a partition reads no job, and a build that needs those jobs' positions
+    finds them itself.
     Every boundary case counts with the layer it belongs to just above T
     (right-continuous), so the construction shapes match their limits from
     above, which the exact searches rely on.
@@ -279,8 +282,7 @@ class ClassPartition:
     exp_minus: tuple[int, ...]  # s + P <= 3/4 T
     chp_plus: tuple[int, ...]  # T/4 < s <= T/2
     chp_minus: tuple[int, ...]  # s <= T/4
-    chp_star: tuple[int, ...]  # chp_minus classes with big jobs
-    big_jobs: dict[int, tuple[int, ...]]  # class -> positions with s + t > T/2
+    chp_star: tuple[int, ...]  # chp_minus classes with s + t_max > T/2
 
 
 def classify(inst: Instance, guess: Rat) -> ClassPartition:
@@ -291,7 +293,6 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
     p_, q_ = guess.numerator, guess.denominator
     exp_plus, exp_zero, exp_minus = [], [], []
     chp_plus, chp_minus, chp_star = [], [], []
-    big_jobs: dict[int, tuple[int, ...]] = {}
     for i, cl in enumerate(inst.classes):
         p = cl.total
         sq2 = 2 * cl.setup * q_
@@ -307,9 +308,7 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
             chp_plus.append(i)
         else:
             chp_minus.append(i)
-            big = tuple(j for j, t in enumerate(cl.jobs) if 2 * (cl.setup + t) * q_ > p_)
-            if big:
-                big_jobs[i] = big
+            if 2 * (cl.setup + cl.t_max) * q_ > p_:
                 chp_star.append(i)
     return ClassPartition(
         exp_plus=tuple(exp_plus),
@@ -318,7 +317,6 @@ def classify(inst: Instance, guess: Rat) -> ClassPartition:
         chp_plus=tuple(chp_plus),
         chp_minus=tuple(chp_minus),
         chp_star=tuple(chp_star),
-        big_jobs=big_jobs,
     )
 
 

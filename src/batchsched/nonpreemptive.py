@@ -174,17 +174,15 @@ class NonpCounts:
     machines[i]  least machines any T-feasible schedule opens for class i
     leftover[i]  x_i = P(C_i) - machines[i] * (T - s_i): work that cannot fit
                  on those machines (forces an extra setup when positive)
-    big_jobs     cheap class -> positions with t_j > T/2
-    forced       cheap class -> positions with t_j <= T/2 but s_i + t_j > T/2
 
-    No job of a cheap class in big_jobs or forced can share a machine with
-    another such job, and neither can any job of an expensive class.
+    A cheap class needs one machine per big job (t_j > T/2) plus enough for
+    its forced work (t_j <= T/2 but s_i + t_j > T/2): no two such jobs share
+    a machine.  The counts hold only these per-class numbers; the build sorts
+    the jobs of the one guess it builds by the same tests.
     """
 
     machines: list[int]
     leftover: list[Rat]
-    big_jobs: dict[int, tuple[int, ...]]
-    forced: dict[int, tuple[int, ...]]
 
 
 def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
@@ -195,33 +193,26 @@ def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
     p_, q_ = guess.numerator, guess.denominator
     machines: list[int] = []
     leftover: list[Rat] = []
-    big_jobs: dict[int, tuple[int, ...]] = {}
-    forced: dict[int, tuple[int, ...]] = {}
     for i, cl in enumerate(inst.classes):
         room = p_ - cl.setup * q_
-        if 2 * cl.setup * q_ > p_:
+        sq2 = 2 * cl.setup * q_
+        if sq2 > p_:
             if room <= 0:
                 raise ContractError("counts_nonp needs a guess above every setup")
             mi = -(-cl.total * q_ // room)
-        else:
-            kw = 0
-            big: list[int] = []
-            frc: list[int] = []
-            sq2 = 2 * cl.setup * q_
-            for j, t in enumerate(cl.jobs):
+        elif sq2 + 2 * cl.t_max * q_ > p_:  # else no job of the class is big or forced
+            nbig = kw = 0
+            for t in cl.jobs:
                 if 2 * t * q_ > p_:
-                    big.append(j)
+                    nbig += 1
                 elif sq2 + 2 * t * q_ > p_:
                     kw += t
-                    frc.append(j)
-            if big:
-                big_jobs[i] = tuple(big)
-            if frc:
-                forced[i] = tuple(frc)
-            mi = len(big) + -(-kw * q_ // room)
+            mi = nbig + -(-kw * q_ // room)
+        else:
+            mi = 0
         machines.append(mi)
         leftover.append(Fraction(cl.total * q_ - mi * room, q_))
-    return NonpCounts(machines=machines, leftover=leftover, big_jobs=big_jobs, forced=forced)
+    return NonpCounts(machines=machines, leftover=leftover)
 
 
 def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
@@ -248,40 +239,34 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     """The construction on the scale q of the guess p/q, where the guess is p."""
     scale, T = guess.denominator, guess.numerator
     st = _Stacks(inst, scale)
-    fill_targets: dict[int, list[int]] = {}
 
-    # Step 1: jobs that cannot share a machine.  Expensive classes wrap over
-    # their machine minimum; each big cheap job opens its own machine; the
-    # remaining forced cheap jobs wrap class by class.
-    for i, cl in enumerate(inst.classes):
-        if 2 * st.setups[i] > T:
-            used = _stack_wrap(st, i, [(j, t * scale) for j, t in enumerate(cl.jobs)], T)
-            fill_targets[i] = [used[-1]]
-            continue
-        targets = fill_targets[i] = []
-        for j in counts.big_jobs.get(i, ()):
-            u = st.new_machine()
-            st.push(u, st.setup(i))
-            st.push(u, st.item(i, cl.jobs[j] * scale, j))
-            targets.append(u)
-        if i in counts.forced:
-            used = _stack_wrap(st, i, [(j, cl.jobs[j] * scale) for j in counts.forced[i]], T)
-            targets.append(used[-1])
-
-    # Step 2: top the opened machines of each cheap class up to the guess with
-    # its jobs neither big nor forced, cutting at the border.
+    # Steps 1 and 2, class by class.  Step 1 places the jobs that cannot
+    # share a machine: an expensive class wraps over its machine minimum; a
+    # cheap class's big jobs (2t > T) open one machine each and its forced
+    # ones (2(s+t) > T) wrap.  Step 2 tops those machines up to the guess
+    # with the class's other jobs, cutting at the border.  Neither step
+    # touches another class's machines, and step 2 opens none.
     residual: dict[int, list[tuple[int, int]]] = {}  # class -> its (job, dur) left over
     for i, cl in enumerate(inst.classes):
-        if 2 * st.setups[i] > T:
+        s2 = 2 * st.setups[i]
+        if s2 > T:
+            _stack_wrap(st, i, [(j, t * scale) for j, t in enumerate(cl.jobs)], T)
             continue
-        solo = {*counts.big_jobs.get(i, ()), *counts.forced.get(i, ())}
-        out: list[tuple[int, int]] = []
-        targets = fill_targets[i]
-        ti = 0
+        big, forced, rest = [], [], []  # (job, dur) on the scale
         for j, t in enumerate(cl.jobs):
-            if j in solo:
-                continue
-            dur = t * scale
+            t *= scale
+            (big if 2 * t > T else forced if s2 + 2 * t > T else rest).append((j, t))
+        targets: list[int] = []
+        for j, t in big:
+            u = st.new_machine()
+            st.push(u, st.setup(i))
+            st.push(u, st.item(i, t, j))
+            targets.append(u)
+        if forced:
+            targets.append(_stack_wrap(st, i, forced, T)[-1])
+        out: list[tuple[int, int]] = []
+        ti = 0
+        for j, dur in rest:
             while dur > 0 and ti < len(targets):
                 u = targets[ti]
                 room = T - st.loads[u]

@@ -222,16 +222,17 @@ class _PmtnPlan:
 def _star_items(inst: Instance, part: ClassPartition, half: Rat,
                 free: Rat) -> tuple[list[KnapsackItem], dict[int, Rat], Rat]:
     """The knapsack items of the star classes at half the guess, each one's
-    obligatory spill L*_i (what its oversized jobs overrun half the guess by,
-    next to its setup) and the knapsack capacity the free time leaves after
-    every star setup and spill.  A weight grows by its item's growth per unit
-    of guess."""
+    obligatory spill L*_i (what its oversized jobs, those with s + t > half,
+    overrun half the guess by, next to its setup) and the knapsack capacity
+    the free time leaves after every star setup and spill.  A weight grows by
+    its item's growth per unit of guess."""
     items: list[KnapsackItem] = []
     obligatory: dict[int, Rat] = {}
+    hp, hq = half.numerator, half.denominator  # s + t > half iff (s + t) hq > hp
     for i in part.chp_star:
         cl = inst.classes[i]
-        big = part.big_jobs[i]
-        ob = obligatory[i] = sum(cl.jobs[j] for j in big) - len(big) * (half - cl.setup)
+        big = [t for t in cl.jobs if (cl.setup + t) * hq > hp]
+        ob = obligatory[i] = sum(big) - len(big) * (half - cl.setup)
         items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
                                   growth=Fraction(len(big), 2)))
     return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
@@ -346,11 +347,10 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             cl = inst.classes[i]
             s = cl.setup * scale
             share = sol.x[i]
-            big = set(part.big_jobs[i])
             inside: list[tuple[int, int]] = []
             for j, t in enumerate(cl.jobs):
                 t *= scale
-                if j in big:  # its share of the head, and the tail
+                if s + t > half:  # oversized: its share of the head, and the tail
                     d2 = scaled(share * (half - s), 1) + s + t - half
                 else:
                     d2 = scaled(share * t, 1)

@@ -21,6 +21,7 @@ comparisons on them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -67,27 +68,25 @@ class Builder:
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
     machine slots.  Times are on the integer time scale `scale` (1/scale time
-    units per step).
+    units per step).  `rows` maps a machine id to its placements; a row
+    exists only once something is appended to it.
     """
 
     def __init__(self, m: int, scale: int = 1):
         self.m = m
         self.scale = scale
-        self._machines: dict[int, list[PlacementT]] = {}
+        self.rows: defaultdict[int, list[PlacementT]] = defaultdict(list)
         self._configs: list[tuple[int, tuple[PlacementT, ...], int]] = []
-
-    def row(self, machine: int) -> list[PlacementT]:
-        return self._machines.setdefault(machine, [])
 
     def put(self, machine: int, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
         """A setup of cls (job None) or a piece of its job on the machine."""
-        self.row(machine).append((cls, start, dur, job))
+        self.rows[machine].append((cls, start, dur, job))
 
     def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
         self._configs.append((base_machine, placements, mult))
 
     def finalize(self) -> Schedule:
-        explicit = [self._machines[k] for k in sorted(self._machines)]
+        explicit = [self.rows[k] for k in sorted(self.rows)]
         configs = [(pl, mult) for _, pl, mult in sorted(self._configs, key=lambda e: e[0])]
         return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale)
 
@@ -119,6 +118,7 @@ class _Run:
         if tail_gap is not None and not (0 <= tail_gap[0] < tail_gap[1]):
             raise ValueError("tail gap needs 0 <= open < close")
         self.b = builder
+        self.rows = builder.rows
         self.explicit = explicit
         self.tail_gap = tail_gap
         self.tail_count = tail_count if tail_gap is not None else 0
@@ -161,7 +161,7 @@ class _Run:
     def put(self, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
         """A setup (job None) or a piece in the current gap's machine row."""
         self.placed += 1
-        self.b.row(self.machine).append((cls, start, dur, job))
+        self.rows[self.machine].append((cls, start, dur, job))
 
     # -- movement ----------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Ground truth for small instances: exact non-preemptive optimum by
 exhaustive assignment enumeration, a dense breakpoint scan that finds the
-least guess a variant's dual accepts, and three references the library is
+least guess a variant's dual accepts, and the references the library is
 compared with: the verifier that the one-pass `verify_schedule` replaced,
-the non-preemptive construction that the tuple-stack build replaced, and the
+the non-preemptive construction that the tuple-stack build replaced, the
 preemptive construction that re-classified its nice remainder instead of
-reading it off the plan."""
+reading it off the plan, and the per-job oversized-job positions and the
+knapsack items read off them, which the decisions find from per-class
+aggregates."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from batchsched.core import (
     scaled,
     trivial_one_job_per_machine,
 )
+from batchsched.preemptive import KnapsackItem
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 # The reference nonp construction's item kinds (a placement itself has no
@@ -739,6 +742,28 @@ def _reference_full_specs(inst: Instance, indices, scale: int) -> list[Reference
     return out
 
 
+def reference_big_jobs(inst: Instance, guess: Rat) -> dict[int, tuple[int, ...]]:
+    """The oversized jobs of the small-setup cheap classes (s <= T/4): class
+    -> positions with s + t > T/2, for the classes that have one.  These
+    classes are exactly `classify`'s chp_star."""
+    return {i: big for i, cl in enumerate(inst.classes) if 4 * cl.setup <= guess
+            if (big := tuple(j for j, t in enumerate(cl.jobs) if 2 * (cl.setup + t) > guess))}
+
+
+def reference_star_items(inst: Instance, guess: Rat, free: Rat):
+    """`preemptive._star_items` at half the guess, read off the positions of
+    `reference_big_jobs`: the knapsack items, the obligatory spills and the
+    capacity."""
+    half = guess / 2
+    items: list[KnapsackItem] = []
+    obligatory: dict[int, Rat] = {}
+    for i, big in reference_big_jobs(inst, guess).items():
+        cl = inst.classes[i]
+        ob = obligatory[i] = sum(cl.jobs[j] for j in big) - len(big) * (half - cl.setup)
+        items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
+                                  growth=Fraction(len(big), 2)))
+    return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
+
 
 def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     """The construction for a plan of `preemptive._decide_pmtn`, which sorts
@@ -753,6 +778,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     builder = Builder(inst.m, scale)
     part = plan.part
     l = len(part.exp_zero)
+    big_jobs = reference_big_jobs(inst, guess)
 
     # Dedicated machines: one almost-full expensive class each, starting at
     # half the guess so their bottoms stay free for leftovers.
@@ -771,7 +797,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     tail_dur: dict[JobRef, int] = {}
     for i in part.chp_star:
         cl = inst.classes[i]
-        for j in part.big_jobs[i]:
+        for j in big_jobs[i]:
             head_dur[(i, j)] = half - cl.setup * scale
             tail_dur[(i, j)] = (cl.setup + cl.jobs[j]) * scale - half
 
@@ -787,7 +813,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
         for i in part.chp_star:
             cl = inst.classes[i]
             share = sol.x.get(i, Fraction(0))
-            big = set(part.big_jobs[i])
+            big = set(big_jobs[i])
             obligatory = scaled(plan.obligatory[i], scale)
             if i == split_cls:
                 inside: list[tuple[JobRef, int]] = []
@@ -809,7 +835,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
             elif share == 1:
                 sub_specs += _reference_full_specs(inst, [i], scale)
             else:  # share == 0: only the obligatory tails leave the bottom
-                inside = [((i, j), tail_dur[(i, j)]) for j in part.big_jobs[i]]
+                inside = [((i, j), tail_dur[(i, j)]) for j in big_jobs[i]]
                 sub_specs.append((i, cl.setup * scale, inside, obligatory))
                 for j, t in enumerate(cl.jobs):
                     if j in big:

@@ -285,37 +285,40 @@ def test_criterion_8_wrap_compression_oracle():
     _announce("8", "compressed wrapping expands to the plain wrapping", t0)
 
 
+def _scaling_instance(n, seed, c=None):
+    """Criterion 9's instances: n jobs spread at random over c classes (√n by
+    default), setups and jobs in [1, 100], m = n/10."""
+    rng = random.Random(seed)
+    c = c or int(math.isqrt(n))
+    sizes = [1] * c
+    for _ in range(n - c):
+        sizes[rng.randrange(c)] += 1
+    classes = tuple(
+        JobClass(rng.randint(1, 100), tuple(rng.randint(1, 100) for _ in range(k)))
+        for k in sizes
+    )
+    return Instance(m=max(1, n // 10), classes=classes)
+
+
 def test_criterion_9_near_linear_scaling():
     import gc
 
     t0 = time.time()
     gc.collect()
 
-    def gen(n, seed):
-        rng = random.Random(seed)
-        c = int(math.isqrt(n))
-        sizes = [1] * c
-        for _ in range(n - c):
-            sizes[rng.randrange(c)] += 1
-        classes = tuple(
-            JobClass(rng.randint(1, 100), tuple(rng.randint(1, 100) for _ in range(k)))
-            for k in sizes
-        )
-        return Instance(m=max(1, n // 10), classes=classes)
-
     algos = {
         "split": class_jump_split,
         "pmtn": class_jump_pmtn,
         "nonp": exact_integer_search_nonp,
     }
-    warm = gen(10_000, 7)
+    warm = _scaling_instance(10_000, 7)
     for fn in algos.values():
         fn(warm)
     # A solve at n = 10k takes tens of milliseconds, so one solve per sample reads host noise
     # as much as growth.  Every sample instead times the same work, 160k jobs
     # (16 solves at 10k, 4 at 40k, 1 at 160k), with the cyclic collector on,
     # so its cost stays in the growth; per size the best of three rounds.
-    insts = {n: gen(n, 1) for n in (10_000, 40_000, 160_000)}
+    insts = {n: _scaling_instance(n, 1) for n in (10_000, 40_000, 160_000)}
     times = {}
     for _ in range(3):
         for n, inst in insts.items():
@@ -333,6 +336,44 @@ def test_criterion_9_near_linear_scaling():
     took = time.time() - t0
     assert took < 120, f"scaling bench took {took:.1f}s, over 2 min"
     _announce("9", "near-linear scaling of the 3/2 algorithms", t0)
+
+
+def _opcodes(fn, *args) -> int:
+    """Python opcodes one call executes, counted with the collector off."""
+    import gc
+    import sys
+
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return tracer
+
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return count
+
+
+def test_criterion_9_decisions_flat_in_n():
+    # With c fixed a decision reads per-class aggregates only, so one probe
+    # at 5/4 T_min executes about as many opcodes at n = 40k as at 10k.
+    # Counting opcodes instead of timing makes the check deterministic.
+    t0 = time.time()
+    insts = {n: _scaling_instance(n, 1, c=100) for n in (10_000, 40_000)}
+    for v in Variant:
+        decide = variant_ops(v).decide
+        count = {n: _opcodes(decide, inst, F(5, 4) * lower_bound_tmin(inst, v))
+                 for n, inst in insts.items()}
+        growth = count[40_000] / count[10_000]
+        assert growth <= 1.1, f"{v.value} decision opcodes {count}: growth {growth:.2f}"
+    _announce("9", "decisions flat in n at fixed c", t0)
 
 
 def test_criterion_10_probe_budgets():

@@ -17,6 +17,7 @@ from batchsched.core import (
     parse_instance,
     verify_schedule,
 )
+from batchsched.preemptive import _star_items
 
 from conftest import random_instance
 
@@ -90,7 +91,10 @@ def test_classify_examples():
     assert part.chp_plus == ()
     assert part.chp_minus == (3, 4)
     assert part.chp_star == (3, 4)
-    assert part.big_jobs == {3: (0,), 4: (0,)}
+    # each star class has one oversized job: 2 + 3 and 1 + 4 overrun half
+    # the guess by 1 next to their setups; the others fit
+    _, spills, _ = _star_items(inst, part, F(4), F(0))
+    assert spills == {3: 1, 4: 1}
 
 
 def test_classify_all_cheap_at_double_setup():

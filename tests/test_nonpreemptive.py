@@ -55,8 +55,6 @@ def test_counts_at_six():
     c = counts_nonp(EX, F(6))
     assert c.machines == [1, 1]
     assert c.leftover == [F(1), F(0)]
-    assert c.big_jobs == {0: (0,)}
-    assert c.forced == {1: (0,)}
 
 
 def test_counts_at_seven():
@@ -69,10 +67,8 @@ def test_counts_expensive_class():
     inst = Instance(m=3, classes=(JobClass(6, (3, 2)),))
     c = counts_nonp(inst, F(10))
     assert c.machines == [2]  # ceil(5 / 4)
-    # both jobs are solo as jobs of an expensive class (2 s > T), which the
-    # build wraps whole; no job of it is listed per job
+    # an expensive class (2 s > T) counts by its work, not by its jobs
     assert 2 * inst.classes[0].setup > 10
-    assert c.big_jobs == {} and c.forced == {}
 
 
 def test_counts_refuse_a_guess_at_or_below_a_setup():

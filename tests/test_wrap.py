@@ -187,6 +187,7 @@ def test_compressed_matches_plain_on_random_cases():
         # equal as machine multisets: expand() lists rows before copies
         assert machine_multiset(comp.expand()) == machine_multiset(plain)
         assert all(len(cfg) == 2 and mult >= 2 for cfg, mult in comp.compressed)
+        assert all(comp.machines)  # a row exists only with a placement on it
         # conservation: every job placed for exactly its duration
         want = {}
         for b in seq:
