@@ -157,9 +157,8 @@ def _build_nice(builder: Builder, plus: list[tuple[Batch, int]], minus: list[Bat
         if g == 1:
             gaps = [Gap(base, 0, threehalf)]
         else:
-            gaps = [Gap(base, 0, s + half)]
-            gaps += [Gap(base + r, s, s + half) for r in range(1, g - 1)]
-            gaps.append(Gap(base + g - 1, s, threehalf))
+            gaps = [Gap(base, 0, s + half), Gap(base + 1, s, s + half, g - 2),
+                    Gap(base + g - 1, s, threehalf)]
         if base + g > limit:
             raise ContractError("nice construction ran out of machines")
         run_wrap(builder, [batch], gaps)
@@ -186,7 +185,7 @@ def _build_nice(builder: Builder, plus: list[tuple[Batch, int]], minus: list[Bat
     gaps = []
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
-    gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
+    gaps.append(Gap(base, half, threehalf, limit - base))
     run_wrap(builder, [cheap[i] for i in sorted(cheap)], gaps)
 
 
@@ -437,8 +436,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)
         ]
-        gaps = [Gap(lprime, 0, half)]
-        gaps += [Gap(u, quarter, half) for u in range(lprime + 1, l)]
+        gaps = [Gap(lprime, 0, half), Gap(lprime + 1, quarter, half, l - lprime - 1)]
         run_wrap(builder, seq, gaps)
 
     return builder.finalize()
@@ -520,12 +518,15 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     # Bracket over the thresholds where the class layers or the oversized-job
     # sets change.
     struct: set[Rat] = set()
-    for i, cl in enumerate(inst.classes):
-        s = Fraction(cl.setup)
+    doubled: set[int] = set()  # 2(s + t) over each class's distinct durations
+    for cl in inst.classes:
+        s = cl.setup
         reach = s + cl.total
-        struct.update((2 * s, 4 * s, reach, Fraction(4, 3) * reach))
-        for t in cl.jobs:
-            struct.add(2 * (s + t))
+        struct.update((Fraction(2 * s), Fraction(4 * s), Fraction(reach), Fraction(4 * reach, 3)))
+        doubled.update(2 * (s + t) for t in set(cl.jobs))
+    # only those inside (T_min, 2 T_min) = (p/q, 2p/q) become Fractions
+    p, q = tmin.numerator, tmin.denominator
+    struct.update(Fraction(v) for v in doubled if p < v * q < 2 * p)
     cands = [tmin] + sorted(v for v in struct if tmin < v < top) + [top]
 
     def heavy(high_end: Rat) -> dict[int, Rat]:

@@ -33,14 +33,7 @@ def two_approx_split(inst: Instance) -> tuple[Schedule, Rat]:
     smax, per = inst.s_max * scale, per.numerator
     builder = Builder(inst.m, scale)
     seq = (class_batch(inst, i, scale) for i in range(inst.c))
-    run_wrap(
-        builder,
-        seq,
-        [Gap(0, 0, smax + per)],
-        tail_gap=(smax, smax + per),
-        tail_count=inst.m - 1,
-        tail_base=1,
-    )
+    run_wrap(builder, seq, [Gap(0, 0, smax + per), Gap(1, smax, smax + per, inst.m - 1)])
     sched = builder.finalize()
     return sched, sched.makespan()
 
@@ -85,34 +78,22 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
     half = guess.numerator
     builder = Builder(inst.m, scale)
     base = 0
-    leftover_gaps: list[Gap] = []
+    cheap_gaps: list[Gap] = []
     for i, beta in betas.items():
         s = inst.classes[i].setup * scale
-        res = run_wrap(
-            builder,
-            [class_batch(inst, i, scale)],
-            [Gap(base, 0, s + half)],
-            tail_gap=(s, s + half),
-            tail_count=beta - 1,
-            tail_base=base + 1,
-        )
+        res = run_wrap(builder, [class_batch(inst, i, scale)],
+                       [Gap(base, 0, s + half), Gap(base + 1, s, s + half, beta - 1)])
         # Last machine of the class: reserve half a guess for one cheap setup,
         # then its remaining headroom up to (3/2)*guess is usable.
         if res.last_fill < 2 * half:
-            leftover_gaps.append(Gap(res.last_machine, res.last_fill + half, 3 * half))
+            cheap_gaps.append(Gap(res.last_machine, res.last_fill + half, 3 * half))
         base += beta
     if len(betas) < inst.c:
         # one batch alive at a time
         seq = (class_batch(inst, i, scale) for i in range(inst.c) if i not in betas)
-        run_wrap(
-            builder,
-            seq,
-            leftover_gaps,
-            tail_gap=(half, 3 * half),
-            tail_count=inst.m - base,
-            tail_base=base,
-            setups_below=True,  # half a guess is reserved under every gap
-        )
+        cheap_gaps.append(Gap(base, half, 3 * half, inst.m - base))
+        # half a guess is reserved under every gap
+        run_wrap(builder, seq, cheap_gaps, setups_below=True)
     return builder.finalize()
 
 

@@ -1,19 +1,20 @@
 """Batch wrapping: pour a sequence of setup-prefixed batches into time gaps.
 
-A wrap template is a list of free time gaps, at most one per machine, with
-strictly increasing machine ids.  A wrap sequence is a list of batches, each
-a class setup followed by jobs or job pieces of that class.  Wrapping places
-the sequence left-to-right through the gaps: a setup that would cross the end
-of a gap moves below the start of the next gap, a job that would cross is cut
-there and continues at the start of the next gap behind a freshly inserted
-setup of its class.
+A wrap template is a list of gap runs: `Gap(machine, open, close, count)` is
+`count` identical gaps on machines machine, machine+1, ..., and each run's
+machines come after the previous run's.  A wrap sequence is a list of
+batches, each a class setup followed by jobs or job pieces of that class.
+Wrapping places the sequence left-to-right through the gaps: a setup that
+would cross the end of a gap moves below the start of the next gap, a job
+that would cross is cut there and continues at the start of the next gap
+behind a freshly inserted setup of its class.
 
-A template may end in a tail of identical parallel gaps.  Every tail gap
-the wrap fills becomes a machine row like an explicit gap, except in one
-case: a run of at least two tail gaps fully covered by one long job (a setup
-ending at the gap start and a full-height piece each) is emitted once as a
-compressed configuration with that multiplicity.  So the output size is
-bounded by the sequence length, independent of the gap count.
+Every gap the wrap fills becomes a machine row, except in one case: after a
+crossing, a remainder of one job covering at least two whole gaps of the
+next gap's run, short of that run's last gap, is emitted once as a
+compressed configuration (a setup ending at the gap start and a full-height
+piece) with that multiplicity.  So the output size is bounded by the
+sequence length and the template length, independent of the gap count.
 
 Times are ints on the Builder's scale.  The code needs only +, -, // and
 comparisons on them.
@@ -25,18 +26,24 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import CapacityError, ContractError, Instance, PlacementT, Rat, Schedule
+from .core import CapacityError, Instance, PlacementT, Rat, Schedule
 
 
 @dataclass(frozen=True)
 class Gap:
+    """A run of `count` identical gaps [open, close) on machines machine,
+    machine+1, ...; a run of count 0 holds no gap and is skipped."""
+
     machine: int
     open: Rat
     close: Rat
+    count: int = 1
 
     def __post_init__(self):
         if not (0 <= self.open < self.close):
             raise ValueError(f"gap needs 0 <= open < close, got ({self.open}, {self.close})")
+        if self.count < 0:
+            raise ValueError(f"gap run needs count >= 0, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +63,10 @@ def class_batch(inst: Instance, i: int, scale: int) -> Batch:
                  jobs=tuple((j, t * scale) for j, t in enumerate(cl.jobs)))
 
 
-def check_template(gaps: list[Gap]):
-    for g1, g2 in zip(gaps, gaps[1:]):
-        if g2.machine <= g1.machine:
-            raise ValueError("template machines must be strictly increasing")
+def check_template(runs: list[Gap]):
+    for g1, g2 in zip(runs, runs[1:]):
+        if g2.machine < g1.machine + g1.count:
+            raise ValueError("template runs must follow each other on increasing machines")
 
 
 class Builder:
@@ -99,62 +106,20 @@ class WrapResult:
 
 
 class _Run:
-    """State of one wrapping pass over explicit gaps plus a parallel tail."""
+    """State of one wrapping pass: the current run, the current gap's
+    machine and how many gaps of the run follow it."""
 
-    def __init__(
-        self,
-        builder: Builder,
-        explicit: list[Gap],
-        tail_gap: Optional[tuple[Rat, Rat]],
-        tail_count: int,
-        tail_base: int,
-        setups_below: bool,
-    ):
-        self.setups_below = setups_below
-        check_template(explicit)
-        if explicit and tail_gap is not None and tail_count > 0:
-            if tail_base <= explicit[-1].machine:
-                raise ValueError("tail machines must follow the explicit machines")
-        if tail_gap is not None and not (0 <= tail_gap[0] < tail_gap[1]):
-            raise ValueError("tail gap needs 0 <= open < close")
+    def __init__(self, builder: Builder, gaps: list[Gap], setups_below: bool):
+        self.runs = [g for g in gaps if g.count]
+        check_template(self.runs)
+        if not self.runs:
+            raise CapacityError("empty wrap template")
         self.b = builder
         self.rows = builder.rows
-        self.explicit = explicit
-        self.tail_gap = tail_gap
-        self.tail_count = tail_count if tail_gap is not None else 0
-        self.tail_base = tail_base
-        self.total = len(explicit) + self.tail_count
-        if self.total == 0:
-            raise CapacityError("empty wrap template")
-        self.pos = 0
+        self.setups_below = setups_below
         self.placed = 0
-        self._sync()
-        self.t: Rat = self.open
-
-    # -- gap geometry ------------------------------------------------------
-
-    def _in_tail(self, pos: int) -> bool:
-        return pos >= len(self.explicit)
-
-    def _open(self, pos: int) -> Rat:
-        if self._in_tail(pos):
-            return self.tail_gap[0]
-        return self.explicit[pos].open
-
-    def _close(self, pos: int) -> Rat:
-        if self._in_tail(pos):
-            return self.tail_gap[1]
-        return self.explicit[pos].close
-
-    def _machine(self, pos: int) -> int:
-        if self._in_tail(pos):
-            return self.tail_base + (pos - len(self.explicit))
-        return self.explicit[pos].machine
-
-    def _sync(self):
-        self.open = self._open(self.pos)
-        self.close = self._close(self.pos)
-        self.machine = self._machine(self.pos)
+        self.k, self.left = -1, 0
+        self.next_gap()
 
     # -- emission ----------------------------------------------------------
 
@@ -166,34 +131,39 @@ class _Run:
     # -- movement ----------------------------------------------------------
 
     def next_gap(self):
-        if self.pos + 1 >= self.total:
-            raise CapacityError("wrap sequence exceeds template capacity")
-        self.pos += 1
-        self._sync()
+        if self.left:
+            self.left -= 1
+            self.machine += 1
+        else:
+            self.k += 1
+            if self.k == len(self.runs):
+                raise CapacityError("wrap sequence exceeds template capacity")
+            g = self.runs[self.k]
+            self.machine, self.left = g.machine, g.count - 1
+            self.open, self.close = g.open, g.close
         self.t = self.open
 
-    def bulk_full_gaps(self, cls: int, setup: Rat, job: int, count: int):
-        """Emit a run of `count` >= 2 identical tail gaps fully covered by one
-        job: a setup ending at the gap start plus a full-height piece, as one
-        config of multiplicity `count`.  A single such gap is a machine row."""
-        if not (self._in_tail(self.pos + 1) and count >= 2):
-            raise ContractError("bulk gaps must be a run of at least two tail gaps")
-        a, b = self.tail_gap
-        cfg = ((cls, a - setup, setup, None), (cls, a, b - a, job))
+    def bulk_full_gaps(self, cls: int, setup: Rat, job: int, rest: Rat) -> Rat:
+        """A job that crossed into this gap with `rest` of it left: if rest
+        covers at least two whole gaps of this run, short of its last gap,
+        emit them as one config of a setup ending at the gap start plus a
+        full-height piece, move to the gap after them and return what is
+        left.  Otherwise return rest unchanged; a single full gap is a
+        machine row."""
+        height = self.close - self.open
+        if self.left < 2 or rest <= 2 * height:
+            return rest
+        # ceil(rest / height) - 1, exact on ints past 2**53
+        full = min(-(-rest // height) - 1, self.left)
+        cfg = ((cls, self.open - setup, setup, None), (cls, self.open, height, job))
+        self.b.put_config(self.machine, cfg, full)
         self.placed += 2
-        if self.pos + count >= self.total:
-            raise CapacityError("wrap sequence exceeds template capacity")
-        self.b.put_config(self._machine(self.pos + 1), cfg, count)
-        self.pos += count
-        self._sync()
-        self.t = b  # gap is exactly full; next item immediately crosses
+        self.machine += full
+        self.left -= full
+        return rest - height * full
 
     def finish(self) -> WrapResult:
-        return WrapResult(
-            last_machine=self.machine,
-            last_fill=self.t,
-            placed=self.placed,
-        )
+        return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
 
 
 def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
@@ -204,21 +174,9 @@ def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
         if head > 0:
             run.put(cls, run.t, head, job)
         rest = end - run.close
-        # Fast path: the remainder spans at least two whole identical tail gaps.
-        if run.tail_count and run._in_tail(run.pos + 1):
-            height = run.tail_gap[1] - run.tail_gap[0]
-            if rest > height:
-                full = -(-rest // height) - 1  # ceil, exact on ints past 2**53
-                avail = run.total - run.pos - 2  # keep one gap for the final piece
-                full = min(full, max(avail, 0))
-                if full >= 2:
-                    run.bulk_full_gaps(cls, setup, job, full)
-                    rest -= height * full
-                    end = run.t + rest  # run.t == close of the bulk gaps
-                    continue
         run.next_gap()
+        rest = run.bulk_full_gaps(cls, setup, job, rest)
         run.put(cls, run.open - setup, setup)
-        run.t = run.open
         end = run.t + rest
     if end > run.t:
         run.put(cls, run.t, end - run.t, job)
@@ -239,7 +197,6 @@ def _place_batch(run: _Run, batch: Batch):
     elif run.t + batch.setup > run.close:
         run.next_gap()
         run.put(batch.cls, run.open - batch.setup, batch.setup)
-        run.t = run.open
     else:
         run.put(batch.cls, run.t, batch.setup)
         run.t = run.t + batch.setup
@@ -249,22 +206,14 @@ def _place_batch(run: _Run, batch: Batch):
         _place_item(run, batch.cls, batch.setup, job, dur)
 
 
-def run_wrap(
-    builder: Builder,
-    seq: Iterable[Batch],
-    explicit: list[Gap],
-    tail_gap: Optional[tuple[Rat, Rat]] = None,
-    tail_count: int = 0,
-    tail_base: int = 0,
-    setups_below: bool = False,
-) -> WrapResult:
-    """Wrap `seq` into the explicit gaps followed by `tail_count` identical
-    parallel gaps on machines tail_base, tail_base+1, ...  Each filled tail
-    gap is a machine row, so callers can keep filling the last one; only a
-    run of at least two gaps fully covered by one job is compressed.
+def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
+             setups_below: bool = False) -> WrapResult:
+    """Wrap `seq` into the gap runs `gaps`, in order.  Each filled gap is a
+    machine row, so callers can keep filling the last one; only a stretch of
+    at least two gaps of one run fully covered by one job is compressed.
     setups_below anchors setups that open a gap under its start; only valid
     when the caller guarantees that much room under every gap."""
-    run = _Run(builder, explicit, tail_gap, tail_count, tail_base, setups_below)
+    run = _Run(builder, gaps, setups_below)
     for batch in seq:
         _place_batch(run, batch)
     return run.finish()

@@ -274,7 +274,7 @@ def test_criterion_8_wrap_compression_oracle():
         a = F(smax)
         b = a + F(load, count) + F(rng.randint(1, 5))
         comp, plain = Builder(count), Builder(count)
-        run_wrap(comp, seq, [], tail_gap=(a, b), tail_count=count)
+        run_wrap(comp, seq, [Gap(0, a, b, count)])
         run_wrap(plain, seq, [Gap(u, a, b) for u in range(count)])
         sched = comp.finalize()
         # the verifier gives machine order no meaning, and expand() lists the

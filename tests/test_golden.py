@@ -1,7 +1,8 @@
 """Golden output: the emitted schedules of a fixed corpus, pinned by two
 sha256s (their content in the schedule file format before integer rows, less
-piece numbers, and their wire JSON now), plus the invariants of the integer
-time scale and of the wire round trip on the same solves."""
+piece numbers, and their wire JSON now), the probe lists of its searches,
+pinned by a third, plus the invariants of the integer time scale and of the
+wire round trip on the same solves."""
 
 import hashlib
 import json
@@ -22,6 +23,9 @@ from test_preemptive import knapsack_heavy_instance
 GOLDEN_SHA256 = "5ca65b0608364dfc70ce98d82d8dce2c6eee0334cca2c392eaffc4dae6ea0269"
 # the same over emit_schedule's flat int lists on the integer scale
 WIRE_SHA256 = "d832ce829c8daac8cbdd8217645ac8d90d9c022626c1aa6861647bc42f0a1bc3"
+# the same over (variant, algo, [(guess, accepted), ...]) of every jump and
+# eps search, in probe order
+PROBES_SHA256 = "94bc18e234261919da5d367aa99d912c056182fe83efae670b63df163565a19e"
 
 
 def corpus():
@@ -105,15 +109,15 @@ def over_the_wire(sched, m):
 def test_golden_schedules_on_the_integer_scale():
     rows = list(solves())
     assert len(rows) == 350 * 9
-    split_shares = 0
-    old_texts, wire_texts = [], []
+    split_shares = tmin_rejected = 0
+    old_texts, wire_texts, probe_texts = [], [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
         assert all(type(p) is tuple and len(p) == 4 and type(p[1]) is int and type(p[2]) is int
                    and (p[3] is None or type(p[3]) is int)
                    for p in sched.placements()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
-        # the only compressed part a build writes: a run of full tail gaps,
+        # the only compressed part a build writes: full gaps of one run,
         # a setup and then one piece from where it ends
         assert all(mult >= 2 and len(config) == 2 and config[0][3] is None
                    and config[1][3] is not None and config[1][0] == config[0][0]
@@ -127,11 +131,18 @@ def test_golden_schedules_on_the_integer_scale():
         assert raw["makespan"] == str(r.makespan)
         old_texts.append(json.dumps(old_format(raw), sort_keys=True))
         wire_texts.append(json.dumps(raw, sort_keys=True))
+        if algo != "two-approx":
+            probe_texts.append(json.dumps([variant.value, algo,
+                                           [[str(g), ok] for g, ok in r.probes]]))
+            # the pmtn jump walk past a rejected T_min
+            tmin_rejected += (variant is Variant.PREEMPTIVE and algo == "jump"
+                              and [ok for _, ok in r.probes[:1]] == [False])
         if variant is Variant.PREEMPTIVE and algo != "two-approx":
             sol = _pmtn_plan(inst, r.guess).knapsack
             if sol is not None and sol.split_item is not None:
                 split_shares += sol.x[sol.split_item].denominator > 1
-    assert split_shares >= 1
+    assert split_shares >= 1 and tmin_rejected >= 1
     # every emitted time is the same rational as before integer rows
     assert digest(old_texts) == GOLDEN_SHA256
     assert digest(wire_texts) == WIRE_SHA256
+    assert digest(probe_texts) == PROBES_SHA256

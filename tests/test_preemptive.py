@@ -439,3 +439,25 @@ def test_breakpoints_run_no_knapsack(monkeypatch):
     monkeypatch.setattr(preemptive, "continuous_knapsack", counted)
     assert _pmtn_breakpoints(inst, t_fail, t_ok) == {F(1161, 26), F(4642, 103)}
     assert calls == []
+
+
+def test_pmtn_build_templates_do_not_grow_with_m(monkeypatch):
+    # the build's wrap templates are gap runs, so their length follows the
+    # number of classes, not the machine count (m = 1,000 here)
+    from test_acceptance import _scaling_instance
+
+    inst = _scaling_instance(10_000, 1)
+    guess = lower_bound_tmin(inst, Variant.PREEMPTIVE)
+    d = _decide_pmtn(inst, guess)
+    assert inst.m == 1000 and d.accepted
+    lengths = []
+    real = preemptive.run_wrap
+
+    def recording(builder, seq, gaps, *args, **kwargs):
+        lengths.append(len(gaps))
+        return real(builder, seq, gaps, *args, **kwargs)
+
+    monkeypatch.setattr(preemptive, "run_wrap", recording)
+    sched = preemptive._build_pmtn(inst, guess, d.plan)
+    assert lengths and max(lengths) <= 3, lengths
+    assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(3, 2) * guess).ok

@@ -38,7 +38,7 @@ def test_two_approx_huge_machine_count_compressed():
 
 
 def test_class_jump_huge_machine_count():
-    # two jobs long enough to span about 10m and 2m tail gaps: the search and
+    # two jobs long enough to span about 10m and 2m gaps of a run: the search and
     # its schedule must cost O(output), not O(m)
     m = 10**12
     inst = Instance(m, (JobClass(3, (10 * m + 7,) + (5,) * 25), JobClass(5, (2 * m,) + (9,) * 25)))

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from batchsched.core import CapacityError
+from batchsched import preemptive, splittable
+from batchsched.core import CapacityError, Instance, JobClass, Variant, verify_schedule
+from batchsched.search import variant_ops
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
@@ -31,10 +33,10 @@ def wrap_plain(seq, gaps, m):
     return builder.finalize(), res
 
 
-def wrap_tail(seq, gap, count):
-    """Wrap into `count` identical gaps given as a tail."""
+def wrap_run(seq, gap, count):
+    """Wrap into `count` identical gaps given as one run."""
     builder = Builder(count)
-    res = run_wrap(builder, seq, [], tail_gap=gap, tail_count=count)
+    res = run_wrap(builder, seq, [Gap(0, *gap, count)])
     return builder.finalize(), res
 
 
@@ -84,6 +86,70 @@ def test_wrap_capacity_error():
         wrap_plain(seq, [Gap(0, F(0), F(4))], 1)
 
 
+# -- templates of gap runs ----------------------------------------------------
+
+
+@pytest.mark.parametrize("second", [0, 1, 2])
+def test_runs_overlapping_machines_rejected(second):
+    # the first run holds machines 0-2, so the next may start at 3 at the
+    # earliest
+    with pytest.raises(ValueError):
+        wrap_plain([batch(0, 1, [1])], [Gap(0, F(1), F(3), 3), Gap(second, F(1), F(3))], 4)
+    wrap_plain([batch(0, 1, [1])], [Gap(0, F(1), F(3), 3), Gap(3, F(1), F(3))], 4)
+
+
+def test_run_negative_count_rejected():
+    with pytest.raises(ValueError):
+        Gap(0, F(1), F(3), -1)
+
+
+@pytest.mark.parametrize("runs", [[], [Gap(0, F(1), F(3), 0)],
+                                  [Gap(0, F(1), F(3), 0), Gap(0, F(0), F(9), 0)]])
+def test_template_of_empty_runs_is_out_of_capacity(runs):
+    with pytest.raises(CapacityError):
+        wrap_plain([batch(0, 1, [1])], runs, 1)
+
+
+def test_count_zero_run_skipped():
+    # an empty run holds no machine, so the run after it may reuse its id
+    seq = [batch(0, 1, [3, 4])]
+    runs = [Gap(0, F(1), F(4)), Gap(1, F(2), F(9), 0), Gap(1, F(1), F(6), 2)]
+    got, res = wrap_plain(seq, runs, 3)
+    want, want_res = wrap_plain(seq, [Gap(0, F(1), F(4)), Gap(1, F(1), F(6)),
+                                      Gap(2, F(1), F(6))], 3)
+    assert flat(got) == flat(want)
+    assert (res.last_machine, res.last_fill) == (want_res.last_machine, want_res.last_fill)
+
+
+@pytest.mark.parametrize("variant, inst, guess", [
+    # m = 1: two_approx_split's run of identical gaps is empty
+    (Variant.SPLITTABLE, Instance(1, (JobClass(2, (3, 4)),)), None),
+    # beta = 1: the expensive class has no identical gaps after its first
+    (Variant.SPLITTABLE, Instance(2, (JobClass(10, (3,)), JobClass(1, (2, 2)))), F(12)),
+    # gamma = 2: the heavy class has no half gaps between its first and last
+    (Variant.PREEMPTIVE, Instance(4, (JobClass(4, (19, 9)), JobClass(10, (3,)),
+                                      JobClass(16, (3, 12, 3, 14)))), F(30)),
+])
+def test_builds_pass_count_zero_runs(monkeypatch, variant, inst, guess):
+    templates = []
+    for mod in (splittable, preemptive):
+        def recording(builder, seq, gaps, *args, _real=mod.run_wrap, **kwargs):
+            templates.append(gaps)
+            return _real(builder, seq, gaps, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "run_wrap", recording)
+    if guess is None:
+        sched, makespan = splittable.two_approx_split(inst)
+        assert makespan == inst.total_load
+        bound = makespan
+    else:
+        d = variant_ops(variant).dual(inst, guess)
+        assert d.accepted
+        sched, bound = d.schedule, F(3, 2) * guess
+    assert any(g.count == 0 for g in templates[0])
+    assert verify_schedule(inst, sched, variant, bound).ok
+
+
 # A piece starting at time t inside a gap: the gap opens at t - 1, under the
 # piece's class setup of length 1.
 
@@ -112,7 +178,7 @@ def test_split_exact_fit_no_cut():
 
 def test_compressed_single_long_job():
     seq = [batch(0, 1, [10])]
-    sched, _ = wrap_tail(seq, (F(1), F(2)), 12)
+    sched, _ = wrap_run(seq, (F(1), F(2)), 12)
     assert len(sched.compressed) <= 3 + 1
     assert sched.machine_count() <= 12
     plain, _ = wrap_plain(seq, [Gap(k, F(1), F(2)) for k in range(12)], 12)
@@ -123,7 +189,7 @@ def test_compressed_single_long_job():
 
 def test_compressed_no_crossing_matches_plain():
     seq = [batch(0, 1, [1]), batch(1, 2, [1, 1])]
-    sched, _ = wrap_tail(seq, (F(2), F(9)), 3)
+    sched, _ = wrap_run(seq, (F(2), F(9)), 3)
     plain, _ = wrap_plain(seq, [Gap(k, F(2), F(9)) for k in range(3)], 3)
     assert [
         [tuple(p) for p in mach] for mach in sched.expand().machines
@@ -133,7 +199,7 @@ def test_compressed_no_crossing_matches_plain():
 
 def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
-    sched, _ = wrap_tail(seq, (F(2), F(6)), 2)
+    sched, _ = wrap_run(seq, (F(2), F(6)), 2)
     total = sum(
         dur * mult for cfg, mult in sched.compressed for _, _, dur, job in cfg if job is not None
     ) + sum(dur for m in sched.machines for _, _, dur, job in m if job is not None)
@@ -145,13 +211,13 @@ def machine_multiset(sched):
 
 
 @pytest.mark.parametrize("dur, mult", [(4, None), (5, None), (6, 2), (7, 2)])
-def test_bulk_needs_two_full_tail_gaps(dur, mult):
+def test_bulk_needs_two_full_run_gaps(dur, mult):
     # gaps (1, 3) under a setup of 1: the job's head fills the first gap to
     # its top, so a remainder of 3 or 4 covers one full gap (rows only) and
     # one of 5 or 6 covers two (a single config of multiplicity 2); the last
     # gap, full or not, is always a row
     seq = [batch(0, 1, [dur])]
-    sched, res = wrap_tail(seq, (F(1), F(3)), 5)
+    sched, res = wrap_run(seq, (F(1), F(3)), 5)
     plain, plain_res = wrap_plain(seq, [Gap(k, F(1), F(3)) for k in range(5)], 5)
     if mult is None:
         assert sched.compressed == []
@@ -170,23 +236,47 @@ def random_case(rng):
         smax = max(smax, s)
         durs = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
         seq.append(batch(ci, s, durs))
-    count = rng.randint(1, 20)
-    # identical gaps above a floor that fits every setup, tall enough to fit
-    a = F(smax)
-    height = load(seq) / count + F(rng.randint(1, 5))
-    return seq, (a, a + height), count
+    # 1-3 runs of 0-8 gaps each, on increasing machines with holes between
+    # them, each above its own floor that fits every setup; heights between
+    # half and twice the mean a gap needs, so some templates are too small
+    counts = [rng.randint(0, 8) for _ in range(rng.randint(1, 3))]
+    mean = load(seq) / max(1, sum(counts))
+    runs, u = [], 0
+    for count in counts:
+        a = F(smax + rng.randint(0, 2))
+        runs.append(Gap(u, a, a + mean * F(rng.randint(2, 8), 4), count))
+        u += count + rng.randint(0, 2)
+    return seq, runs, u
 
 
 def test_compressed_matches_plain_on_random_cases():
+    # each template against the same gaps given one per run
     rng = random.Random(20240817)
-    for _ in range(150):
-        seq, gap, count = random_case(rng)
-        comp, _ = wrap_tail(seq, gap, count)
-        tmpl = [Gap(k, gap[0], gap[1]) for k in range(count)]
-        plain, res = wrap_plain(seq, tmpl, count)
+    wrapped = configs = 0
+    for _ in range(400):
+        seq, runs, m = random_case(rng)
+        gaps = [Gap(g.machine + r, g.open, g.close) for g in runs for r in range(g.count)]
+        builder = Builder(m)
+        try:
+            res = run_wrap(builder, seq, runs)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                wrap_plain(seq, gaps, m)
+            continue
+        comp = builder.finalize()
+        plain, plain_res = wrap_plain(seq, gaps, m)
+        wrapped += 1
+        configs += len(comp.compressed)
         # equal as machine multisets: expand() lists rows before copies
         assert machine_multiset(comp.expand()) == machine_multiset(plain)
+        assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
         assert all(len(cfg) == 2 and mult >= 2 for cfg, mult in comp.compressed)
+        # each config covers gaps of one run, short of its last, and none of
+        # them is a machine row as well
+        for base, cfg, mult in builder._configs:
+            assert any(g.machine <= base and base + mult < g.machine + g.count
+                       and cfg[1][1:3] == (g.open, g.close - g.open) for g in runs)
+            assert not set(range(base, base + mult)) & set(builder.rows)
         assert all(comp.machines)  # a row exists only with a placement on it
         # conservation: every job placed for exactly its duration
         want = {}
@@ -201,15 +291,14 @@ def test_compressed_matches_plain_on_random_cases():
         assert got == want
         # work bound: placements <= |Q| + 2 |template|
         q_len = sum(1 + len(b.jobs) for b in seq)
-        assert plain.placement_count() <= q_len + 2 * count
+        assert plain.placement_count() <= q_len + 2 * len(gaps)
+    assert wrapped >= 250 and configs >= 50, (wrapped, configs)
 
 
 def test_wrap_soundness_rules_on_random_templates():
     # whenever the load fits and every later gap has the largest setup's
     # room below it, the output obeys the machine rules: no overlap, every
     # class run behind a completed setup of its class
-    from batchsched.core import Instance, JobClass, Schedule, Variant, verify_schedule
-
     rng = random.Random(90210)
     for _ in range(200):
         k = rng.randint(1, 4)
@@ -247,15 +336,15 @@ def test_wrap_soundness_rules_on_random_templates():
 
 def test_run_wrap_int_gaps_past_float_precision():
     # int times far beyond 2**53: the remainder 5H + 1 spans ceil((5H+1)/H) - 1
-    # = 5 whole tail gaps; a float division would read the ratio as 5.0 and
-    # emit one bulk gap too few
+    # = 5 whole gaps of the run; a float division would read the ratio as 5.0
+    # and emit one bulk gap too few
     from batchsched.core import Placement
 
     H = 2**61 + 1
     s = 2**60 + 3
     builder = Builder(9)
-    res = run_wrap(builder, [Batch(0, s, ((0, 6 * H + 1),))], [Gap(0, 0, s + H)],
-                   tail_gap=(s, s + H), tail_count=8, tail_base=1)
+    res = run_wrap(builder, [Batch(0, s, ((0, 6 * H + 1),))],
+                   [Gap(0, 0, s + H), Gap(1, s, s + H, 8)])
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
     assert sched.machines == [
