@@ -8,7 +8,6 @@ from .core import (
     Decision,
     Instance,
     JobClass,
-    Placement,
     Rat,
     Schedule,
     ValidationError,

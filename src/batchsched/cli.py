@@ -26,12 +26,13 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .core import (
     ContractError,
     Instance,
     JobClass,
-    PlacementT,
     Rat,
     Schedule,
     ValidationError,
@@ -73,52 +74,31 @@ _SCHEDULE_FORMAT = (
 
 
 def emit_schedule(sched: Schedule) -> dict:
-    """The schedule's own int times and scale as flat int lists, checked,
-    written and measured for the makespan in one pass over the placements;
-    ContractError for a non-int time or a piece of job -1 (only a hand-built
-    schedule can hold either)."""
-    top = 0
-
-    def flat(placements) -> list[int]:
-        nonlocal top
-        out = []
-        for cls, start, dur, job in placements:
-            if type(start) is not int or type(dur) is not int:
-                raise ContractError(f"schedule time {start} + {dur} is not an int on its scale")
-            if start + dur > top:
-                top = start + dur
-            if job is None:
-                job = -1
-            elif job == -1:
-                raise ContractError(f"a piece of job -1 of class {cls} would read back as a setup")
-            out += (cls, start, dur, job)
-        return out
-
-    machines = [flat(mach) for mach in sched.machines]
-    compressed = [{"config": flat(config), "mult": mult} for config, mult in sched.compressed]
+    """The schedule's own rows and scale, with its makespan; the payload
+    shares the schedule's row lists.  ContractError for a time that is not
+    an int (only a hand-built schedule can hold one)."""
+    rows = sched.rows()
+    starts = list(chain.from_iterable(row[1::4] for row in rows))
+    durs = list(chain.from_iterable(row[2::4] for row in rows))
+    if set(map(type, starts)) - {int} or set(map(type, durs)) - {int}:
+        bad = next(t for t in starts + durs if type(t) is not int)
+        raise ContractError(f"schedule time {bad} is not an int on its scale")
+    top = max(0, max(map(add, starts, durs), default=0))
     scale = sched.scale
     g = math.gcd(top, scale)
     return {
         "scale": scale,
         "makespan": f"{top // g}/{scale // g}" if g != scale else str(top // g),
-        "machines": machines,
-        "compressed": compressed,
+        "machines": sched.machines,
+        "compressed": [{"config": config, "mult": mult} for config, mult in sched.compressed],
     }
 
 
-def _rows(raw) -> list[PlacementT]:
-    """A flat list of ints as placements, checking only its shape and types
-    (exact ints, so no bool): the verifier judges everything else."""
-    if type(raw) is not list or len(raw) % 4 or set(map(type, raw)) - {int}:
-        raise ValidationError(f"a machine or config must be a flat list of ints, four per "
-                              f"placement; {_SCHEDULE_FORMAT}")
-    it = iter(raw)
-    return [(c, s, d, None if j == -1 else j) for c, s, d, j in zip(it, it, it, it)]
-
-
 def parse_schedule(raw, m: int) -> Schedule:
-    """A schedule file's placements as ints on its scale.  ValidationError
-    for anything not of _SCHEDULE_FORMAT's shape, older files included."""
+    """A schedule file as it is: its rows, ints on its scale, become the
+    schedule's rows.  ValidationError for anything not of
+    _SCHEDULE_FORMAT's shape, older files included; the verifier judges
+    everything else."""
     if not (isinstance(raw, dict) and type(raw.get("scale")) is int and raw["scale"] >= 1
             and type(raw.get("machines")) is list):
         raise ValidationError(f"schedule needs an int scale >= 1 and a machines list; "
@@ -126,14 +106,16 @@ def parse_schedule(raw, m: int) -> Schedule:
     entries = raw.get("compressed", [])
     if type(entries) is not list:
         raise ValidationError(f"compressed must be a list; {_SCHEDULE_FORMAT}")
-    compressed = []
-    for entry in entries:
-        if not (isinstance(entry, dict) and type(entry.get("mult")) is int):
-            raise ValidationError(f"compressed entries need a config and an int mult; "
-                                  f"{_SCHEDULE_FORMAT}")
-        compressed.append((tuple(_rows(entry.get("config"))), entry["mult"]))
-    machines = [_rows(mach) for mach in raw["machines"]]
-    return Schedule(m=m, machines=machines, compressed=compressed, scale=raw["scale"])
+    if not all(isinstance(entry, dict) and type(entry.get("mult")) is int for entry in entries):
+        raise ValidationError(f"compressed entries need a config and an int mult; "
+                              f"{_SCHEDULE_FORMAT}")
+    compressed = [(entry.get("config"), entry["mult"]) for entry in entries]
+    for row in chain(raw["machines"], (config for config, _ in compressed)):
+        # exact ints, so no bool
+        if type(row) is not list or len(row) % 4 or set(map(type, row)) - {int}:
+            raise ValidationError(f"a machine or config must be a flat list of ints, four per "
+                                  f"placement; {_SCHEDULE_FORMAT}")
+    return Schedule(m=m, machines=raw["machines"], compressed=compressed, scale=raw["scale"])
 
 
 def _read_json(path: str):

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import add, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
@@ -187,17 +187,12 @@ def fmt_rat(x: Rat) -> str:
 # Placements and schedules
 # ---------------------------------------------------------------------------
 
-# A placement is the plain tuple (cls, start, dur, job): start and dur are
-# ints on the schedule's scale (Rats in a hand-built schedule), and job, the
-# position within cls, is None exactly for a setup.  A plain tuple, not a
-# NamedTuple: CPython stops tracking an exact tuple of ints and Nones the
-# first time the cyclic collector sees it, so a built schedule is not
-# rescanned by every full collection while it grows.
-PlacementT = tuple[int, Rat, Rat, Optional[int]]
-
-
-def Placement(cls: int, start: Rat, dur: Rat, job: Optional[int] = None) -> PlacementT:
-    return (cls, start, dur, job)
+# A schedule row is one flat list, four entries per placement: cls, start,
+# dur and job.  start and dur are ints on the schedule's scale (Rats in a
+# hand-built schedule), and job, the position within cls, is -1 exactly for a
+# setup.  It is the schedule file's row as it is: builds append to it, the
+# JSON writer and reader pass it through, and the verifier reads it in place.
+Row = list[Union[int, Rat]]
 
 
 def scaled(x: Rat, scale: int) -> int:
@@ -211,50 +206,64 @@ def scaled(x: Rat, scale: int) -> int:
 
 @dataclass
 class Schedule:
-    """Per-machine time-ordered placements, plus an optional compressed part.
+    """Per-machine rows of placements, plus an optional compressed part.
 
-    `machines` holds explicitly materialized machines.  Each entry of
-    `compressed` is a machine configuration with a multiplicity: the schedule
-    behaves as if `mult` further machines carried exactly those placements.
-    The library's builds write only runs of at least two identical machines
-    there (a setup and a piece filling the gap above it, from one long job);
-    every other machine is a row.  The machine budget is len(machines) + sum
-    of multiplicities <= m.
-    A placement is (cls, start, dur, job), job None for a setup; a time t
-    means t / scale.  Every schedule the library builds keeps its times as
-    ints on the scale its construction derived from the guess, and a parsed
-    schedule file holds ints on its own scale; only a hand-built schedule
-    may hold Fractions: the verifier runs the same rules on them, and the
-    JSON writer refuses them.  A hand-built placement is the same 4-tuple.
+    `machines` holds explicitly materialized machines, one flat Row each.
+    Each entry of `compressed` is a machine configuration, one Row, with a
+    multiplicity: the schedule behaves as if `mult` further machines carried
+    exactly those placements.  The library's builds write only runs of at
+    least two identical machines there (a setup and a piece filling the gap
+    above it, from one long job); every other machine is a row.  The machine
+    budget is len(machines) + sum of multiplicities <= m.
+    A time t means t / scale.  Every schedule the library builds keeps its
+    times as ints on the scale its construction derived from the guess, and
+    a parsed schedule file holds ints on its own scale; only a hand-built
+    schedule may hold Fractions, in the same flat rows: the verifier runs the
+    same rules on them, and the JSON writer refuses them.  The builds write
+    rows in start order, except that the preemptive build appends a large
+    machine's bottom after its top; the verifier sorts a row only when its
+    starts do not strictly increase.
     """
 
     m: int
-    machines: list[list[PlacementT]] = field(default_factory=list)
-    compressed: list[tuple[tuple[PlacementT, ...], int]] = field(default_factory=list)
+    machines: list[Row] = field(default_factory=list)
+    compressed: list[tuple[Row, int]] = field(default_factory=list)
     scale: int = 1
+
+    def rows(self) -> list[Row]:
+        """The machine rows, then each configuration's row once."""
+        return self.machines + [config for config, _ in self.compressed]
 
     def machine_count(self) -> int:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
 
-    def placements(self) -> Iterable[PlacementT]:
-        """Every placement once: the machines' in order, then each
-        configuration's (not repeated by its multiplicity)."""
-        return chain(chain.from_iterable(self.machines),
-                     chain.from_iterable(config for config, _ in self.compressed))
+    def placements(self) -> Iterable[tuple]:
+        """Every placement once as a (cls, start, dur, job) tuple: the
+        machines' in order, then each configuration's (not repeated by its
+        multiplicity)."""
+        return chain.from_iterable(map(_quads, self.rows()))
 
     def makespan(self) -> Rat:
-        top = max((start + dur for _, start, dur, _ in self.placements()), default=0)
+        top = max((max(map(add, row[1::4], row[2::4]), default=0) for row in self.rows()),
+                  default=0)
         return Fraction(max(top, 0), self.scale)
 
     def expand(self) -> "Schedule":
         """Materialize the compressed part: the rows first, then mult copies
         of each configuration, every machine's placements in start order."""
         copies = [config for config, mult in self.compressed for _ in range(mult)]
-        out = [sorted(mach, key=itemgetter(1)) for mach in self.machines + copies]
+        out = [list(chain.from_iterable(sorted(_quads(row), key=itemgetter(1))))
+               for row in self.machines + copies]
         return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
 
     def placement_count(self) -> int:
-        return sum(len(m) for m in self.machines) + sum(len(c) for c, _ in self.compressed)
+        return sum(map(len, self.rows())) // 4
+
+
+def _quads(row: Row):
+    """The row's placements as (cls, start, dur, job) tuples, in row order."""
+    it = iter(row)
+    return zip(it, it, it, it)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +429,11 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, job totals and piece counts multiply by the
-    multiplicity.  One pass per machine or configuration, over its
-    placements sorted by (start, dur), runs rules (a) and (b) and the id
-    checks and adds each piece to its job's total and count, kept in flat
-    lists at base[cls] + job (base: prefix sums of the class sizes), so rule
+    multiplicity.  One pass per machine or configuration, over its row in
+    place, runs rules (a) and (b) and the id checks in (start, dur) order
+    (a row whose starts do not strictly increase is sorted first) and adds
+    each piece to its job's total and count, kept in flat lists at
+    base[cls] + job (base: prefix sums of the class sizes), so rule
     (c) is one list comparison.  Only a job with more than one piece or copy
     keeps intervals, for rule (e).  Violators of (d) or (e) are listed by
     first appearance, which takes one more pass over their pieces.  README
@@ -432,8 +442,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     The rules run on the schedule's own times over `sched.scale` with +, -,
     comparisons, `* scale` and `Fraction(t, scale)` only: ints for every
     library-built and parsed schedule, and exactly the same rules on a
-    hand-built schedule's Fractions, whose placements are the same
-    (cls, start, dur, job) tuples.  The report holds Fractions.
+    hand-built schedule's Fractions, in the same flat rows.  The report
+    holds Fractions.
     ValidationError when a number a message prints is past CPython's
     int-string digit limit.
     """
@@ -447,29 +457,36 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         flag("s", "-", 0, f"schedule uses {sched.machine_count()} machines, instance has {inst.m}")
 
     classes = inst.classes
+    ncls = len(classes)
     sizes = [len(cl.jobs) for cl in classes]
     base = list(accumulate(sizes, initial=0))
     setup_len = [cl.setup * scale for cl in classes]
     totals, counts = [0] * inst.n, [0] * inst.n
     pmtn = variant is Variant.PREEMPTIVE
-    # rule (e): first[k] is job k's only piece so far, spans[k] the (start,
-    # end, copies) of a job with more than one piece or copy
-    first: list[Optional[PlacementT]] = [None] * inst.n
+    # rule (e): first[k] and first_end[k] are the start and end of job k's
+    # only piece so far (two lists, so that a piece allocates nothing),
+    # spans[k] the (start, end, copies) of a job with more than one piece
+    # or copy
+    first: list[Optional[Rat]] = [None] * inst.n
+    first_end: list[Optional[Rat]] = [None] * inst.n
     spans: dict[int, list[tuple[Rat, Rat, int]]] = {}
     top = 0
 
     parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
-    for label, placements, copies in parts:
+    for label, row, copies in parts:
+        starts = row[1::4]
         if copies < 1:
-            top = max(top, max((p[1] + p[2] for p in placements), default=0))
+            top = max(top, max(map(add, starts, row[2::4]), default=0))
             flag("s", label, 0, "multiplicity < 1")
             continue
         prev_end = ready = None
-        for p in sorted(placements, key=itemgetter(1, 2)):
-            cls, start, dur, job = p
+        quads = _quads(row)
+        if not all(map(lt, starts, starts[1:])):
+            quads = sorted(quads, key=itemgetter(1, 2))
+        for cls, start, dur, job in quads:
             end = start + dur
-            if not 0 <= cls < len(classes):
+            if not 0 <= cls < ncls:
                 flag("s", label, start, f"unknown class {cls}")
                 top = max(top, end)
                 continue
@@ -481,7 +498,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                 flag("a", label, start, "placements overlap on the machine")
             if prev_end is None or end > prev_end:
                 prev_end = end
-            if job is None:
+            if job == -1:
                 if dur != setup_len[cls]:
                     flag("b", label, start, f"setup of class {cls} has length "
                                             f"{Fraction(dur, scale)}, expected {classes[cls].setup}")
@@ -498,10 +515,10 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             counts[k] = seen + copies
             if pmtn:
                 if not seen and copies == 1:
-                    first[k] = p
+                    first[k], first_end[k] = start, end
                     continue
                 if k not in spans:
-                    spans[k] = [(first[k][1], first[k][1] + first[k][2], 1)] if seen else []
+                    spans[k] = [(first[k], first_end[k], 1)] if seen else []
                 spans[k].append((start, end, copies))
         if prev_end is not None and prev_end > top:
             top = prev_end
@@ -547,18 +564,15 @@ def _pieces_of(parts, sizes: list[int], base: list[int], bad: set[int]) -> dict[
     """The (start, end, copies) of each piece of the jobs whose flat index is
     in bad, in schedule order, keyed by job in order of first appearance."""
     found: dict[JobRef, list] = {}
-    for _, placements, copies in parts if bad else ():
-        for cls, start, dur, job in placements if copies >= 1 else ():
-            if (job is not None and 0 <= cls < len(sizes)
-                    and 0 <= job < sizes[cls] and base[cls] + job in bad):
+    for _, row, copies in parts if bad else ():
+        for cls, start, dur, job in _quads(row) if copies >= 1 else ():
+            if 0 <= cls < len(sizes) and 0 <= job < sizes[cls] and base[cls] + job in bad:
                 found.setdefault((cls, job), []).append((start, start + dur, copies))
     return found
 
 
 def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     """One setup + one job per machine; optimal when m >= n (non-splittable)."""
-    machines: list[list[PlacementT]] = []
-    for i, cl in enumerate(inst.classes):
-        for j, t in enumerate(cl.jobs):
-            machines.append([(i, 0, cl.setup, None), (i, cl.setup, t, j)])
+    machines = [[i, 0, cl.setup, -1, i, cl.setup, t, j]
+                for i, cl in enumerate(inst.classes) for j, t in enumerate(cl.jobs)]
     return Schedule(m=inst.m, machines=machines)

@@ -19,7 +19,6 @@ from .core import (
     Decision,
     Instance,
     JobRef,
-    PlacementT,
     Rat,
     Schedule,
     Variant,
@@ -38,11 +37,11 @@ from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_s
 # ---------------------------------------------------------------------------
 
 # A stack item is the plain tuple (cls, dur, job, seq): dur an int on the
-# stacks' scale, job the position within cls (None exactly for a setup) and
-# seq the item's number in creation order, so no two items are equal.  Plain
-# tuples of ints and Nones, which the cyclic collector stops tracking, so a
-# full collection does not rescan the stacks.
-StackItem = tuple[int, int, Optional[int], int]
+# stacks' scale, job the position within cls (-1 exactly for a setup, as in
+# a schedule row) and seq the item's number in creation order, so no two
+# items are equal.  Plain tuples of ints, which the cyclic collector stops
+# tracking, so a full collection does not rescan the stacks.
+StackItem = tuple[int, int, int, int]
 
 
 class _Stacks:
@@ -56,7 +55,7 @@ class _Stacks:
         self.loads: list[int] = []
         self.seq = 0
 
-    def item(self, cls: int, dur: int, job: Optional[int] = None) -> StackItem:
+    def item(self, cls: int, dur: int, job: int = -1) -> StackItem:
         self.seq += 1
         return (cls, dur, job, self.seq)
 
@@ -88,12 +87,12 @@ class _Stacks:
         self.loads[u] -= it[1]
 
     def to_schedule(self) -> Schedule:
-        machines: list[list[PlacementT]] = []
+        machines = []
         for stack in self.stacks:
             t = 0
             row = []
             for cls, dur, job, _ in stack:
-                row.append((cls, t, dur, job))
+                row += cls, t, dur, job
                 t += dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)
@@ -145,14 +144,14 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     # with a fresh setup in front of a moved job.
     for u in range(len(st.stacks) - 1):
         it = st.pop(u)
-        if it[2] is not None:
+        if it[2] != -1:
             st.insert(u + 1, 0, st.setup(it[0]))
             st.insert(u + 1, 1, it)
         else:
             st.insert(u + 1, 0, it)
     # Trailing setups serve no job: drop them.
     for u in range(len(st.stacks)):
-        while st.stacks[u] and st.stacks[u][-1][2] is None:
+        while st.stacks[u] and st.stacks[u][-1][2] == -1:
             st.pop(u)
     st.stacks = [s for s in st.stacks if s]
     sched = st.to_schedule()
@@ -333,10 +332,10 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
     pieces: dict[JobRef, list[tuple[int, StackItem]]] = {}
     for u, stack in enumerate(st.stacks):
         for it in stack:
-            if it[2] is not None and it[1] != inst.classes[it[0]].jobs[it[2]] * st.scale:
+            if it[2] != -1 and it[1] != inst.classes[it[0]].jobs[it[2]] * st.scale:
                 pieces.setdefault((it[0], it[2]), []).append((u, it))
     for u, stack in enumerate(st.stacks):
-        if not stack or stack[-1][2] is None:
+        if not stack or stack[-1][2] == -1:
             continue
         cls, dur, job, seq = stack[-1]
         family = pieces.get((cls, job), ())
@@ -362,12 +361,12 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
         # with nothing from step 3 (and so nothing that crossed) on it.
         crosses = bool(stack) and stack[-1][3] in crossed
         if carry is not None:
-            if carry[2] is not None:
+            if carry[2] != -1:
                 st.insert(u, ins, st.setup(carry[0]))
                 ins += 1
             st.insert(u, ins, carry)
             carry = None
-        elif ins < len(stack) and stack[ins][2] is not None:
+        elif ins < len(stack) and stack[ins][2] != -1:
             if ins == 0 or stack[ins - 1][0] != stack[ins][0]:
                 st.insert(u, ins, st.setup(stack[ins][0]))
         if not crosses:
@@ -385,7 +384,7 @@ def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: 
                           None)
             if target is None:
                 raise ContractError("repair found no machine for the final item")
-        if it[2] is not None:
+        if it[2] != -1:
             st.push(target, st.setup(it[0]))
         st.push(target, it)
     if carry is not None:

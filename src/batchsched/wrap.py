@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .core import CapacityError, Instance, PlacementT, Rat, Schedule
+from .core import CapacityError, Instance, Rat, Row, Schedule
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,26 @@ class Builder:
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
     machine slots.  Times are on the integer time scale `scale` (1/scale time
-    units per step).  `rows` maps a machine id to its placements; a row
+    units per step).  `rows` maps a machine id to its flat Row; a row
     exists only once something is appended to it.
     """
 
     def __init__(self, m: int, scale: int = 1):
         self.m = m
         self.scale = scale
-        self.rows: defaultdict[int, list[PlacementT]] = defaultdict(list)
-        self._configs: list[tuple[int, tuple[PlacementT, ...], int]] = []
+        self.rows: defaultdict[int, Row] = defaultdict(list)
+        self._configs: list[tuple[int, Row, int]] = []
 
-    def put(self, machine: int, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
-        """A setup of cls (job None) or a piece of its job on the machine."""
-        self.rows[machine].append((cls, start, dur, job))
+    def put(self, machine: int, cls: int, start: Rat, dur: Rat, job: int = -1):
+        """A setup of cls (job -1) or a piece of its job on the machine."""
+        self.rows[machine].extend((cls, start, dur, job))
 
-    def put_config(self, base_machine: int, placements: tuple[PlacementT, ...], mult: int):
-        self._configs.append((base_machine, placements, mult))
+    def put_config(self, base_machine: int, config: Row, mult: int):
+        self._configs.append((base_machine, config, mult))
 
     def finalize(self) -> Schedule:
         explicit = [self.rows[k] for k in sorted(self.rows)]
-        configs = [(pl, mult) for _, pl, mult in sorted(self._configs, key=lambda e: e[0])]
+        configs = [(row, mult) for _, row, mult in sorted(self._configs, key=lambda e: e[0])]
         return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale)
 
 
@@ -123,10 +123,10 @@ class _Run:
 
     # -- emission ----------------------------------------------------------
 
-    def put(self, cls: int, start: Rat, dur: Rat, job: Optional[int] = None):
-        """A setup (job None) or a piece in the current gap's machine row."""
+    def put(self, cls: int, start: Rat, dur: Rat, job: int = -1):
+        """A setup (job -1) or a piece in the current gap's machine row."""
         self.placed += 1
-        self.rows[self.machine].append((cls, start, dur, job))
+        self.rows[self.machine].extend((cls, start, dur, job))
 
     # -- movement ----------------------------------------------------------
 
@@ -155,7 +155,7 @@ class _Run:
             return rest
         # ceil(rest / height) - 1, exact on ints past 2**53
         full = min(-(-rest // height) - 1, self.left)
-        cfg = ((cls, self.open - setup, setup, None), (cls, self.open, height, job))
+        cfg = [cls, self.open - setup, setup, -1, cls, self.open, height, job]
         self.b.put_config(self.machine, cfg, full)
         self.placed += 2
         self.machine += full

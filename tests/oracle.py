@@ -36,7 +36,7 @@ from batchsched.preemptive import KnapsackItem
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 # The reference nonp construction's item kinds (a placement itself has no
-# kind: job None marks a setup).
+# kind: job -1 marks a setup).
 SETUP = "setup"
 PIECE = "piece"
 
@@ -169,6 +169,17 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
                 continue
             if ready != cls:
                 flag("b", f"piece of class {cls} not preceded by a setup of its class")
+
+
+def tuple_view(sched: Schedule) -> Schedule:
+    """The schedule in the shape `reference_verify` reads: each row a list
+    of (cls, start, dur, job) tuples, job None for a setup (-1 in a row)."""
+    def view(row):
+        it = iter(row)
+        return [(c, s, d, None if j == -1 else j) for c, s, d, j in zip(it, it, it, it)]
+    return Schedule(m=sched.m, machines=[view(row) for row in sched.machines],
+                    compressed=[(view(row), mult) for row, mult in sched.compressed],
+                    scale=sched.scale)
 
 
 def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: Rat) -> VerifyReport:
@@ -345,7 +356,7 @@ class _Stacks:
             t = 0
             row = []
             for it in stack:
-                row.append((it.cls, t, it.dur, None if it.kind == SETUP else it.ref[1]))
+                row += it.cls, t, it.dur, -1 if it.kind == SETUP else it.ref[1]
                 t += it.dur
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)

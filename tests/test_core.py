@@ -8,7 +8,6 @@ import pytest
 from batchsched.core import (
     Instance,
     JobClass,
-    Placement,
     Schedule,
     ValidationError,
     Variant,
@@ -131,8 +130,8 @@ def test_verify_single_machine_ok():
     sched = Schedule(
         m=1,
         machines=[[
-            Placement(0, F(0), F(1)),
-            Placement(0, F(1), F(2), job=0),
+            0, F(0), F(1), -1,
+            0, F(1), F(2), 0,
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -144,8 +143,8 @@ def test_verify_same_job_parallel_overlap():
     sched = Schedule(
         m=2,
         machines=[
-            [Placement(0, F(0), F(1)), Placement(0, F(1), F(2), job=0)],
-            [Placement(0, F(0), F(1)), Placement(0, F(2), F(2), job=0)],
+            [0, F(0), F(1), -1, 0, F(1), F(2), 0],
+            [0, F(0), F(1), -1, 0, F(2), F(2), 0],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
@@ -158,7 +157,7 @@ def test_verify_missing_setup():
     inst = Instance(m=1, classes=(JobClass(1, (2,)), JobClass(1, (2,))))
     sched = Schedule(
         m=1,
-        machines=[[Placement(1, F(0), F(2), job=0)]],
+        machines=[[1, F(0), F(2), 0]],
     )
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -170,9 +169,9 @@ def test_verify_idle_inside_class_run_allowed():
     sched = Schedule(
         m=1,
         machines=[[
-            Placement(0, F(0), F(1)),
-            Placement(0, F(2), F(2), job=0),
-            Placement(0, F(5), F(1), job=1),
+            0, F(0), F(1), -1,
+            0, F(2), F(2), 0,
+            0, F(5), F(1), 1,
         ]],
     )
     assert verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(6)).ok
@@ -183,9 +182,9 @@ def test_verify_overlap_and_bound():
     sched = Schedule(
         m=1,
         machines=[[
-            Placement(0, F(0), F(1)),
-            Placement(0, F(1), F(2), job=0),
-            Placement(0, F(2), F(2), job=1),
+            0, F(0), F(1), -1,
+            0, F(1), F(2), 0,
+            0, F(2), F(2), 1,
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -198,8 +197,8 @@ def test_verify_wrong_setup_length():
     sched = Schedule(
         m=1,
         machines=[[
-            Placement(0, F(0), F(2)),
-            Placement(0, F(2), F(1), job=0),
+            0, F(0), F(2), -1,
+            0, F(2), F(1), 0,
         ]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -211,8 +210,8 @@ def test_verify_machine_budget():
     sched = Schedule(
         m=1,
         machines=[
-            [Placement(0, F(0), F(1)), Placement(0, F(1), F(1), job=0)],
-            [Placement(0, F(0), F(1)), Placement(0, F(1), F(1), job=1)],
+            [0, F(0), F(1), -1, 0, F(1), F(1), 0],
+            [0, F(0), F(1), -1, 0, F(1), F(1), 1],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -226,8 +225,8 @@ def test_verify_machine_budget_from_the_instance():
     sched = Schedule(
         m=2,
         machines=[
-            [Placement(0, 0, 1), Placement(0, 1, 2, job=0)],
-            [Placement(0, 0, 1), Placement(0, 1, 2, job=1)],
+            [0, 0, 1, -1, 0, 1, 2, 0],
+            [0, 0, 1, -1, 0, 1, 2, 1],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -253,40 +252,36 @@ def test_verifier_catches_mutations():
         assert verify_schedule(inst, base, Variant.NONPREEMPTIVE, bound).ok
 
         def mutate(which):
+            # placement k of a row is row[4 * k: 4 * k + 4]
             machines = [list(m) for m in base.machines]
             busy = [i for i, m in enumerate(machines) if m]
             u = rng.choice(busy)
+            jobs = machines[u][3::4]
+            setup_at = next((4 * k for k, job in enumerate(jobs) if job == -1), None)
+            piece_at = next((4 * k for k, job in enumerate(jobs) if job != -1), None)
             if which == "drop_setup":
-                k = next((k for k, p in enumerate(machines[u]) if p[3] is None), None)
-                if k is None or all(p[3] is None for p in machines[u]):
+                if setup_at is None or piece_at is None:
                     return None
-                del machines[u][k]
+                del machines[u][setup_at:setup_at + 4]
             elif which == "stretch":
-                k = next((k for k, p in enumerate(machines[u]) if p[3] is not None), None)
-                if k is None:
+                if piece_at is None:
                     return None
-                cls, start, dur, job = machines[u][k]
-                machines[u][k] = Placement(cls, start, dur + base.scale, job)
+                machines[u][piece_at + 2] += base.scale
             elif which == "shift_overlap":
-                if len(machines[u]) < 2:
+                if len(jobs) < 2:
                     return None
-                cls, _, dur, job = machines[u][1]
-                machines[u][1] = Placement(cls, machines[u][0][1], dur, job)
+                machines[u][5] = machines[u][1]
             elif which == "drop_piece":
-                k = next((k for k, p in enumerate(machines[u]) if p[3] is not None), None)
-                if k is None:
+                if piece_at is None:
                     return None
-                del machines[u][k]
+                del machines[u][piece_at:piece_at + 4]
             elif which == "foreign_setup":
-                if inst.c < 2:
+                if inst.c < 2 or piece_at is None:
                     return None
-                k = next((k for k, p in enumerate(machines[u]) if p[3] is not None), None)
-                if k is None:
-                    return None
-                cls, start, *_ = machines[u][k]
+                cls, start = machines[u][piece_at:piece_at + 2]
                 other = (cls + 1) % inst.c
                 setup = inst.classes[other].setup * base.scale
-                machines[u].insert(k, Placement(other, start, setup))
+                machines[u][piece_at:piece_at] = [other, start, setup, -1]
             elif which == "dup_machine":
                 if len(machines) < base.m:
                     machines.append(list(machines[u]))
@@ -321,15 +316,15 @@ SCALE_INST = Instance(m=3, classes=(JobClass(1, (1, 2)), JobClass(2, (3,))))
 
 def _bad_machines():
     return Schedule(m=3, machines=[
-        [Placement(0, F(-1, 3), F(1)),
-         Placement(0, F(2, 3), F(1, 4), job=0),
-         Placement(0, F(11, 12), F(3, 4), job=0),
-         Placement(0, F(5, 3), F(0), job=1)],
-        [Placement(1, F(0), F(13, 7)),
-         Placement(1, F(13, 7), F(3), job=0),
-         Placement(0, F(1, 7), F(2), job=1)],
-        [Placement(5, F(1, 3), F(1)),
-         Placement(0, F(1, 4), F(1, 7), job=7)],
+        [0, F(-1, 3), F(1), -1,
+         0, F(2, 3), F(1, 4), 0,
+         0, F(11, 12), F(3, 4), 0,
+         0, F(5, 3), F(0), 1],
+        [1, F(0), F(13, 7), -1,
+         1, F(13, 7), F(3), 0,
+         0, F(1, 7), F(2), 1],
+        [5, F(1, 3), F(1), -1,
+         0, F(1, 4), F(1, 7), 7],
     ])
 
 
@@ -337,25 +332,25 @@ def _bad_compressed():
     # two explicit machines (one empty), a configuration twice and one with
     # multiplicity 0: 4 machines on an instance with 3
     return Schedule(m=3, machines=[
-        [Placement(0, F(0), F(1)),
-         Placement(0, F(1), F(1, 3), job=1),
-         Placement(0, F(4, 3), F(1, 4), job=1)],
+        [0, F(0), F(1), -1,
+         0, F(1), F(1, 3), 1,
+         0, F(4, 3), F(1, 4), 1],
         [],
     ], compressed=[
-        ((Placement(0, F(0), F(1)),
-          Placement(0, F(5, 4), F(1, 2), job=0),
-          Placement(0, F(13, 7), F(5, 7), job=1)), 2),
-        ((Placement(1, F(0), F(2)), Placement(1, F(2), F(3), job=0)), 0),
+        ([0, F(0), F(1), -1,
+          0, F(5, 4), F(1, 2), 0,
+          0, F(13, 7), F(5, 7), 1], 2),
+        ([1, F(0), F(2), -1, 1, F(2), F(3), 0], 0),
     ])
 
 
 def _bad_overlap():
     return Schedule(m=3, machines=[
-        [Placement(0, F(0), F(1)),
-         Placement(0, F(1), F(1, 3), job=1),
-         Placement(0, F(4, 3), F(1), job=0)],
-        [Placement(0, F(0), F(1)), Placement(0, F(5, 4), F(5, 3), job=1)],
-        [Placement(1, F(1, 7), F(2)), Placement(1, F(15, 7), F(3), job=0)],
+        [0, F(0), F(1), -1,
+         0, F(1), F(1, 3), 1,
+         0, F(4, 3), F(1), 0],
+        [0, F(0), F(1), -1, 0, F(5, 4), F(5, 3), 1],
+        [1, F(1, 7), F(2), -1, 1, F(15, 7), F(3), 0],
     ])
 
 
@@ -413,7 +408,7 @@ def test_verify_exact_violations_mixed_denominators(schedule, variant, makespan,
 def test_verify_bound_off_the_time_grid():
     inst = Instance(m=1, classes=(JobClass(1, (1,)),))
     sched = Schedule(m=1, machines=[[
-        Placement(0, F(1, 4), F(1)), Placement(0, F(5, 4), F(1), job=0),
+        0, F(1, 4), F(1), -1, 0, F(5, 4), F(1), 0,
     ]])
     ok = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(7, 3))
     assert ok.ok and ok.makespan == F(9, 4) and ok.violations == []
@@ -442,18 +437,18 @@ def test_verify_distinct_prime_denominators_fast():
     machines = []
     for j in range(jobs):
         p, q = primes[2 * j], primes[2 * j + 1]
-        machines.append([Placement(0, F(0), F(1)),
-                         Placement(0, F(1), F(1, p), job=j)])
-        machines.append([Placement(0, F(1, q), F(1)),
-                         Placement(0, 1 + F(1, q), 2 - F(1, p), job=j)])
+        machines.append([0, F(0), F(1), -1,
+                         0, F(1), F(1, p), j])
+        machines.append([0, F(1, q), F(1), -1,
+                         0, 1 + F(1, q), 2 - F(1, p), j])
     sched = Schedule(m=inst.m, machines=machines)
-    top = max(start + dur for mach in machines for _, start, dur, _ in mach)
+    top = max(start + dur for _, start, dur, _ in sched.placements())
     t0 = time.perf_counter()
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(7, 2))
     assert time.perf_counter() - t0 <= 2.0
     assert rep.ok and rep.violations == [] and rep.makespan == top == sched.makespan()
     # one stretched piece is reported with its exact time and total
-    machines[1][1] = Placement(0, 1 + F(1, 3), F(2), job=0)
+    machines[1][4:] = [0, 1 + F(1, 3), F(2), 0]
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
     assert [(v.rule, v.machine, v.time, v.message) for v in rep.violations] == [
         ("c", "-", F(0), "job (0, 0) placed for 5/2 time units, needs exactly 2"),

@@ -11,11 +11,10 @@ from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
 def flat(sched):
-    return [
-        (u, cls, start, dur, job)
-        for u, mach in enumerate(sched.machines)
-        for cls, start, dur, job in sorted(mach, key=lambda q: q[1])
-    ]
+    """(machine, cls, start, dur, job) of every placement, each machine's
+    in start order."""
+    return [(u, *p) for u, mach in enumerate(sched.expand().machines)
+            for p in zip(*[iter(mach)] * 4)]
 
 
 def batch(cls, s, durs):
@@ -45,10 +44,10 @@ def test_wrap_two_gap_example():
     tmpl = [Gap(1, F(0), F(6)), Gap(2, F(2), F(6))]
     sched, res = wrap_plain(seq, tmpl, 3)
     assert flat(sched) == [
-        (0, 0, F(0), F(2), None),
+        (0, 0, F(0), F(2), -1),
         (0, 0, F(2), F(3), 0),
         (0, 0, F(5), F(1), 1),
-        (1, 0, F(0), F(2), None),
+        (1, 0, F(0), F(2), -1),
         (1, 0, F(2), F(2), 1),
     ]
 
@@ -60,9 +59,9 @@ def test_wrap_setup_exactly_fills_gap():
     tmpl = [Gap(0, F(0), F(4)), Gap(1, F(2), F(8))]
     sched, _ = wrap_plain(seq, tmpl, 2)
     assert flat(sched) == [
-        (0, 0, F(0), F(2), None),
+        (0, 0, F(0), F(2), -1),
         (0, 0, F(2), F(2), 0),
-        (1, 1, F(1), F(1), None),
+        (1, 1, F(1), F(1), -1),
         (1, 1, F(2), F(2), 0),
     ]
 
@@ -72,11 +71,11 @@ def test_wrap_long_job_split_across_four_gaps():
     tmpl = [Gap(k, F(0 if k == 0 else 1), F(4)) for k in range(4)]
     sched, _ = wrap_plain(seq, tmpl, 5)
     got = flat(sched)
-    durs = [e[3] for e in got if e[4] is not None]
+    durs = [e[3] for e in got if e[4] != -1]
     assert durs == [F(3), F(3), F(3), F(1)]
     assert sum(durs) == 10
     # a fresh setup ends exactly at each later gap start
-    setups = [e for e in got if e[4] is None]
+    setups = [e for e in got if e[4] == -1]
     assert [(e[0], e[2]) for e in setups] == [(0, F(0)), (1, F(0)), (2, F(0)), (3, F(0))]
 
 
@@ -165,7 +164,7 @@ def test_split_piece_cut_once():
     assert (res.last_machine, res.last_fill) == (1, F(5))
     got = flat(sched)
     assert (0, 0, F(4), F(2), 0) in got
-    assert (1, 0, F(1), F(1), None) in got  # placed right below the next gap
+    assert (1, 0, F(1), F(1), -1) in got  # placed right below the next gap
     assert (1, 0, F(2), F(3), 0) in got
 
 
@@ -173,7 +172,7 @@ def test_split_exact_fit_no_cut():
     tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
     sched, res = wrap_plain([batch(0, 1, [2])], tmpl, 2)
     assert (res.last_machine, res.last_fill) == (0, F(6))
-    assert flat(sched) == [(0, 0, F(3), F(1), None), (0, 0, F(4), F(2), 0)]
+    assert flat(sched) == [(0, 0, F(3), F(1), -1), (0, 0, F(4), F(2), 0)]
 
 
 def test_compressed_single_long_job():
@@ -182,27 +181,21 @@ def test_compressed_single_long_job():
     assert len(sched.compressed) <= 3 + 1
     assert sched.machine_count() <= 12
     plain, _ = wrap_plain(seq, [Gap(k, F(1), F(2)) for k in range(12)], 12)
-    assert [
-        [tuple(p) for p in mach] for mach in sched.expand().machines
-    ] == [[tuple(p) for p in mach] for mach in plain.machines]
+    assert sched.expand().machines == plain.machines
 
 
 def test_compressed_no_crossing_matches_plain():
     seq = [batch(0, 1, [1]), batch(1, 2, [1, 1])]
     sched, _ = wrap_run(seq, (F(2), F(9)), 3)
     plain, _ = wrap_plain(seq, [Gap(k, F(2), F(9)) for k in range(3)], 3)
-    assert [
-        [tuple(p) for p in mach] for mach in sched.expand().machines
-    ] == [[tuple(p) for p in mach] for mach in plain.machines]
+    assert sched.expand().machines == plain.machines
     assert sched.compressed == []
 
 
 def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
     sched, _ = wrap_run(seq, (F(2), F(6)), 2)
-    total = sum(
-        dur * mult for cfg, mult in sched.compressed for _, _, dur, job in cfg if job is not None
-    ) + sum(dur for m in sched.machines for _, _, dur, job in m if job is not None)
+    total = sum(dur for _, _, dur, job in sched.expand().placements() if job != -1)
     assert total == 6
 
 
@@ -222,7 +215,7 @@ def test_bulk_needs_two_full_run_gaps(dur, mult):
     if mult is None:
         assert sched.compressed == []
     else:
-        assert sched.compressed == [(((0, F(0), F(1), None), (0, F(1), F(2), 0)), mult)]
+        assert sched.compressed == [([0, F(0), F(1), -1, 0, F(1), F(2), 0], mult)]
     assert machine_multiset(sched.expand()) == machine_multiset(plain)
     assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
 
@@ -270,12 +263,12 @@ def test_compressed_matches_plain_on_random_cases():
         # equal as machine multisets: expand() lists rows before copies
         assert machine_multiset(comp.expand()) == machine_multiset(plain)
         assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
-        assert all(len(cfg) == 2 and mult >= 2 for cfg, mult in comp.compressed)
+        assert all(len(cfg) == 8 and mult >= 2 for cfg, mult in comp.compressed)
         # each config covers gaps of one run, short of its last, and none of
         # them is a machine row as well
         for base, cfg, mult in builder._configs:
             assert any(g.machine <= base and base + mult < g.machine + g.count
-                       and cfg[1][1:3] == (g.open, g.close - g.open) for g in runs)
+                       and cfg[5:7] == [g.open, g.close - g.open] for g in runs)
             assert not set(range(base, base + mult)) & set(builder.rows)
         assert all(comp.machines)  # a row exists only with a placement on it
         # conservation: every job placed for exactly its duration
@@ -284,10 +277,9 @@ def test_compressed_matches_plain_on_random_cases():
             for job, d in b.jobs:
                 want[(b.cls, job)] = d
         got = {}
-        for mach in plain.machines:
-            for cls, _, dur, job in mach:
-                if job is not None:
-                    got[(cls, job)] = got.get((cls, job), F(0)) + dur
+        for cls, _, dur, job in plain.placements():
+            if job != -1:
+                got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
         # work bound: placements <= |Q| + 2 |template|
         q_len = sum(1 + len(b.jobs) for b in seq)
@@ -338,8 +330,6 @@ def test_run_wrap_int_gaps_past_float_precision():
     # int times far beyond 2**53: the remainder 5H + 1 spans ceil((5H+1)/H) - 1
     # = 5 whole gaps of the run; a float division would read the ratio as 5.0
     # and emit one bulk gap too few
-    from batchsched.core import Placement
-
     H = 2**61 + 1
     s = 2**60 + 3
     builder = Builder(9)
@@ -347,12 +337,7 @@ def test_run_wrap_int_gaps_past_float_precision():
                    [Gap(0, 0, s + H), Gap(1, s, s + H, 8)])
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
-    assert sched.machines == [
-        [Placement(0, 0, s), Placement(0, s, H, job=0)],
-        [Placement(0, 0, s), Placement(0, s, 1, job=0)],
-    ]
-    assert sched.compressed == [
-        ((Placement(0, 0, s), Placement(0, s, H, job=0)), 5),
-    ]
+    assert sched.machines == [[0, 0, s, -1, 0, s, H, 0], [0, 0, s, -1, 0, s, 1, 0]]
+    assert sched.compressed == [([0, 0, s, -1, 0, s, H, 0], 5)]
     assert all(type(start) is int and type(dur) is int
                for _, start, dur, _ in sched.placements())
