@@ -240,17 +240,15 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     st = _Stacks(inst, scale)
 
     # Steps 1 and 2, class by class.  Step 1 places the jobs that cannot
-    # share a machine: an expensive class wraps over its machine minimum; a
-    # cheap class's big jobs (2t > T) open one machine each and its forced
-    # ones (2(s+t) > T) wrap.  Step 2 tops those machines up to the guess
-    # with the class's other jobs, cutting at the border.  Neither step
-    # touches another class's machines, and step 2 opens none.
+    # share a machine: a class's big jobs (2t > T) open one machine each and
+    # its forced ones (2(s+t) > T) wrap.  At an accepted guess s + t <= T,
+    # so an expensive class (2s > T) has no big job and every job forced: it
+    # wraps over its machine minimum.  Step 2 tops those machines up to the
+    # guess with the class's other jobs, cutting at the border.  Neither
+    # step touches another class's machines, and step 2 opens none.
     residual: dict[int, list[tuple[int, int]]] = {}  # class -> its (job, dur) left over
     for i, cl in enumerate(inst.classes):
         s2 = 2 * st.setups[i]
-        if s2 > T:
-            _stack_wrap(st, i, [(j, t * scale) for j, t in enumerate(cl.jobs)], T)
-            continue
         big, forced, rest = [], [], []  # (job, dur) on the scale
         for j, t in enumerate(cl.jobs):
             t *= scale

@@ -66,7 +66,6 @@ class KnapsackItem:
 class KnapsackSolution:
     x: dict[int, Rat]  # item -> share in [0, 1]; all 0/1 except the split item
     split_item: Optional[int]
-    value: Rat
 
 
 def _per_weight(x: Rat, weight: Rat) -> tuple[int, int]:
@@ -101,27 +100,20 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
          for it in items if it.weight > 0),
         key=cmp_to_key(_density_order),
     )]
-    x: dict[int, Rat] = {}
-    value = Fraction(0)
-    for it in free:
-        x[it.cls] = Fraction(1)
-        value += it.profit
+    x: dict[int, Rat] = {it.cls: Fraction(1) for it in free}
     remaining = Fraction(capacity)
     split: Optional[int] = None
     for it in rest:
         if remaining >= it.weight:
             x[it.cls] = Fraction(1)
-            value += it.profit
             remaining -= it.weight
         elif split is None:
-            share = remaining / it.weight
-            x[it.cls] = share
-            value += share * it.profit
+            x[it.cls] = remaining / it.weight
             split = it.cls
             remaining = Fraction(0)
         else:
             x[it.cls] = Fraction(0)
-    return KnapsackSolution(x=x, split_item=split, value=value)
+    return KnapsackSolution(x=x, split_item=split)
 
 
 # ---------------------------------------------------------------------------
@@ -135,58 +127,14 @@ def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
     return max(1, -(-2 * (setup + work) // guess) - 2)
 
 
-def _build_nice(builder: Builder, plus: list[tuple[Batch, int]], minus: list[Batch],
-                cheap: dict[int, Batch], first: int, count: int, guess: int) -> None:
-    """Place a nice instance on machines first..first+count-1: the expensive
-    heavy classes (plus, each with its machine count gamma), the expensive
-    light ones (minus) and the cheap ones (keyed by class), each in class
-    order.  The guess and the batches are ints on the builder's scale, where
-    the guess is even; a batch's durations may be job pieces.
-
-    Each expensive heavy class gets gaps of height T/2 above its setups, with
-    the overflow piled onto its last machine (the shape whose reshape points
-    the jump search walks).
-    """
-    base = first
-    limit = first + count
-    half = guess // 2
-    threehalf = 3 * half
-
-    for batch, g in plus:
-        s = batch.setup
-        if g == 1:
-            gaps = [Gap(base, 0, threehalf)]
-        else:
-            gaps = [Gap(base, 0, s + half), Gap(base + 1, s, s + half, g - 2),
-                    Gap(base + g - 1, s, threehalf)]
-        if base + g > limit:
-            raise ContractError("nice construction ran out of machines")
-        run_wrap(builder, [batch], gaps)
-        base += g
-
-    odd_machine: Optional[int] = None
-    for k in range(0, len(minus), 2):
-        u = base
-        base += 1
-        if u >= limit:
-            raise ContractError("nice construction ran out of machines")
-        t = 0
-        for batch in minus[k:k + 2]:
-            builder.put(u, batch.cls, t, batch.setup)
-            t += batch.setup
-            for job, dur in batch.jobs:
-                builder.put(u, batch.cls, t, dur, job)
-                t += dur
-        if k + 1 == len(minus):
-            odd_machine = u
-
-    if not cheap:
-        return
-    gaps = []
-    if odd_machine is not None:
-        gaps.append(Gap(odd_machine, guess, threehalf))
-    gaps.append(Gap(base, half, threehalf, limit - base))
-    run_wrap(builder, [cheap[i] for i in sorted(cheap)], gaps)
+def _stack(builder: Builder, u: int, t: int, batch: Batch) -> int:
+    """Put the batch back to back on machine u from time t; returns its end."""
+    builder.put(u, batch.cls, t, batch.setup)
+    t += batch.setup
+    for job, dur in batch.jobs:
+        builder.put(u, batch.cls, t, dur, job)
+        t += dur
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +261,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     if sol is not None and sol.split_item is not None:
         scale *= sol.x[sol.split_item].denominator
     T = scaled(guess, scale)
-    half, quarter = T // 2, T // 4
+    half, quarter, threehalf = T // 2, T // 4, 3 * T // 2
     builder = Builder(inst.m, scale)
     part = plan.part
     l = len(part.exp_zero)
@@ -321,56 +269,49 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     # Dedicated machines: one almost-full expensive class each, starting at
     # half the guess so their bottoms stay free for leftovers.
     for u, i in enumerate(part.exp_zero):
-        cl = inst.classes[i]
-        t = half
-        builder.put(u, i, t, cl.setup * scale)
-        t += cl.setup * scale
-        for j, dur in enumerate(cl.jobs):
-            builder.put(u, i, t, dur * scale, j)
-            t += dur * scale
+        _stack(builder, u, half, class_batch(inst, i, scale))
 
-    # The nice remainder: chp_plus whole, each star class as below, and the
-    # other small-setup classes up to the budget the free time leaves.
+    # The nice remainder: chp_plus whole, each star class by its share, and
+    # the other small-setup classes up to the budget the free time leaves.
+    # Without a knapsack every star class fits whole outside the large
+    # machines; with one the star classes fill the free time exactly.
     cheap = {i: class_batch(inst, i, scale) for i in part.chp_plus}
     leftovers: list[tuple[int, int, int]] = []  # (class, job, duration)
-    split_cls = None
-    star = set(part.chp_star)
-    if sol is not None:
+    split_cls = None if sol is None else sol.split_item
+    budget = scaled(plan.free_time - plan.star_total, scale) if sol is None else 0
+    if budget < 0:
+        raise ContractError("oversized-job classes overrun the free time")
+    for i in part.chp_star:
+        share = 1 if sol is None else sol.x[i]
+        if share == 1:
+            cheap[i] = class_batch(inst, i, scale)
+            continue
         # Every oversized job splits into a head that fits below half the
         # guess next to its setup and a tail that must leave the large
-        # machines.  A star class keeps its knapsack share of each head and
-        # of its other jobs in the remainder, and every tail.
-        split_cls = sol.split_item
-        budget = 0
-        for i in part.chp_star:
-            cl = inst.classes[i]
-            s = cl.setup * scale
-            share = sol.x[i]
-            inside: list[tuple[int, int]] = []
-            for j, t in enumerate(cl.jobs):
-                t *= scale
-                if s + t > half:  # oversized: its share of the head, and the tail
-                    d2 = scaled(share * (half - s), 1) + s + t - half
-                else:
-                    d2 = scaled(share * t, 1)
-                if d2 > 0:
-                    inside.append((j, d2))
-                if t > d2:
-                    leftovers.append((i, j, t - d2))
-            obligatory = scaled(plan.obligatory[i], scale)
-            if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
-                raise ContractError("star-class bookkeeping broken")
-            cheap[i] = Batch(cls=i, setup=s, jobs=tuple(inside))
-    else:
-        # Case without a knapsack: everything with an oversized job fits
-        # outside the large machines whole.
-        cheap.update((i, class_batch(inst, i, scale)) for i in part.chp_star)
-        budget = scaled(plan.free_time - plan.star_total, scale)
-        if budget < 0:
-            raise ContractError("oversized-job classes overrun the free time")
+        # machines.  The class keeps its share of each head and of its
+        # other jobs in the remainder, and every tail.
+        cl = inst.classes[i]
+        s = cl.setup * scale
+        inside: list[tuple[int, int]] = []
+        for j, t in enumerate(cl.jobs):
+            t *= scale
+            if s + t > half:  # oversized: its share of the head, and the tail
+                d2 = scaled(share * (half - s), 1) + s + t - half
+            else:
+                d2 = scaled(share * t, 1)
+            if d2 > 0:
+                inside.append((j, d2))
+            if t > d2:
+                leftovers.append((i, j, t - d2))
+        obligatory = scaled(plan.obligatory[i], scale)
+        if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
+            raise ContractError("star-class bookkeeping broken")
+        cheap[i] = Batch(cls=i, setup=s, jobs=tuple(inside))
     # Greedily cut the remaining small-setup classes so the nice remainder
-    # exactly uses the free time; the knapsack case leaves none, so there
-    # they all go to the bottoms of the large machines.
+    # exactly uses the free time: the first class that does not fit whole
+    # keeps what room its setup leaves, and the rest go to the bottoms of
+    # the large machines.
+    star = set(part.chp_star)
     for i in part.chp_minus:
         if i in star:
             continue
@@ -380,31 +321,54 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         if reach <= budget:
             cheap[i] = class_batch(inst, i, scale)
             budget -= reach
-        elif budget > setup:
-            inside = []
-            room = budget - setup
-            split_cls = i
-            for j, t in enumerate(cl.jobs):
-                t *= scale
-                if room <= 0:
-                    leftovers.append((i, j, t))
-                    continue
-                take = min(room, t)
+            continue
+        room = budget - setup
+        inside = []
+        for j, t in enumerate(cl.jobs):
+            t *= scale
+            take = min(room, t) if room > 0 else 0
+            if take:
                 inside.append((j, take))
                 room -= take
-                if take < t:
-                    leftovers.append((i, j, t - take))
+            if take < t:
+                leftovers.append((i, j, t - take))
+        if inside:
             cheap[i] = Batch(cls=i, setup=setup, jobs=tuple(inside))
-            budget = 0
-        else:
-            for j, t in enumerate(cl.jobs):
-                leftovers.append((i, j, t * scale))
-            budget = 0  # nothing more fits wholly
+            split_cls = i
+        budget = 0
 
-    # The nice remainder occupies the machines after the large ones.
-    plus = [(class_batch(inst, i, scale), g) for i, g in plan.gamma.items()]
-    minus = [class_batch(inst, i, scale) for i in part.exp_minus]
-    _build_nice(builder, plus, minus, cheap, l, inst.m - l, T)
+    # The nice remainder occupies the machines after the large ones.  Each
+    # expensive heavy class wraps over its gamma machines in gaps of height
+    # T/2 above its setups, the overflow piled onto its last machine (the
+    # shape whose reshape points the jump search walks); the expensive
+    # light ones pair up on a machine each, and the cheap ones wrap over the
+    # rest, in class order.
+    base = l
+    for i, g in plan.gamma.items():
+        batch = class_batch(inst, i, scale)
+        s = batch.setup
+        if g == 1:
+            gaps = [Gap(base, 0, threehalf)]
+        else:
+            gaps = [Gap(base, 0, s + half), Gap(base + 1, s, s + half, g - 2),
+                    Gap(base + g - 1, s, threehalf)]
+        if base + g > inst.m:
+            raise ContractError("nice construction ran out of machines")
+        run_wrap(builder, [batch], gaps)
+        base += g
+    minus = part.exp_minus
+    for k in range(0, len(minus), 2):
+        if base >= inst.m:
+            raise ContractError("nice construction ran out of machines")
+        t = 0
+        for i in minus[k:k + 2]:
+            t = _stack(builder, base, t, class_batch(inst, i, scale))
+        base += 1
+    if cheap:
+        # an odd expensive light class leaves its machine's top to the cheap ones
+        gaps = [Gap(base - 1, T, threehalf)] if len(minus) % 2 else []
+        gaps.append(Gap(base, half, threehalf, inst.m - base))
+        run_wrap(builder, [cheap[i] for i in sorted(cheap)], gaps)
 
     # Leftovers go to the bottoms of the large machines.  Everything here is
     # small: setup + piece fits in half the guess.

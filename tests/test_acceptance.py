@@ -18,18 +18,20 @@ from batchsched.core import (
     verify_schedule,
 )
 from batchsched.nonpreemptive import (
+    _build_nonp,
     dual_nonp,
     exact_integer_search_nonp,
     next_fit_two_approx,
 )
 from batchsched.preemptive import (
     KnapsackItem,
+    _build_pmtn,
     class_jump_pmtn,
     continuous_knapsack,
     dual_pmtn,
 )
 from batchsched.search import epsilon_search, variant_ops
-from batchsched.splittable import class_jump_split, dual_split, two_approx_split
+from batchsched.splittable import _build_split, class_jump_split, dual_split, two_approx_split
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 from conftest import tiny_instances
@@ -251,7 +253,8 @@ def test_criterion_7_knapsack_oracle():
                         cand = v + F(room, weight[k]) * profit[k]
                         if cand > best:
                             best = cand
-        assert sol.value == max(F(best_whole), best)
+        value = sum((sol.x[it.cls] * it.profit for it in items), F(0))
+        assert value == max(F(best_whole), best)
     _announce("7", "continuous knapsack equals brute-force optimum", t0)
 
 
@@ -374,6 +377,24 @@ def test_criterion_9_decisions_flat_in_n():
         growth = count[40_000] / count[10_000]
         assert growth <= 1.1, f"{v.value} decision opcodes {count}: growth {growth:.2f}"
     _announce("9", "decisions flat in n at fixed c", t0)
+
+
+def test_criterion_9_builds_near_linear():
+    # The one build per solve, on its accepted guess's plan, grows about 4x
+    # in opcodes per 4x step in n; counting opcodes keeps the gate
+    # deterministic, unlike the timed test above.
+    t0 = time.time()
+    insts = {n: _scaling_instance(n, 1) for n in (2_500, 10_000)}
+    for v, build in ((Variant.SPLITTABLE, _build_split), (Variant.PREEMPTIVE, _build_pmtn),
+                     (Variant.NONPREEMPTIVE, _build_nonp)):
+        ops = variant_ops(v)
+        count = {}
+        for n, inst in insts.items():
+            guess = ops.search(inst).guess
+            count[n] = _opcodes(build, inst, guess, ops.decide(inst, guess).plan)
+        growth = count[10_000] / count[2_500]
+        assert growth <= 4.5, f"{v.value} build opcodes {count}: growth {growth:.2f}"
+    _announce("9", "builds near-linear in n", t0)
 
 
 def test_criterion_10_probe_budgets():

@@ -7,8 +7,9 @@ reached."""
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
-from batchsched.core import Variant, lower_bound_tmin
+from batchsched.core import Instance, JobClass, Variant, lower_bound_tmin, verify_schedule
 from batchsched.preemptive import class_jump_pmtn, dual_pmtn
 from conftest import random_instance
 from oracle import reference_build_pmtn
@@ -18,17 +19,35 @@ GRID = 8  # guesses T_min * (1 + k / GRID), k = 0 .. GRID
 ABOVE = (1, Fraction(10_001, 10_000), Fraction(1_001, 1_000), Fraction(101, 100), Fraction(21, 20))
 
 
-def _branches(plan) -> Counter:
+SHARE_1 = "share-1 star class under a knapsack"
+
+
+def _branches(inst, plan) -> Counter:
     part, sol = plan.part, plan.knapsack
     seen: Counter = Counter()
     if sol is not None:
         for i in part.chp_star:
             share = sol.x[i]
-            seen["share 0" if share == 0 else "share 1" if share == 1 else "fractional share"] += 1
-    elif part.exp_zero:
-        seen["no knapsack, dedicated machines"] += 1
+            seen["share 0" if share == 0 else SHARE_1 if share == 1 else "fractional share"] += 1
     else:
-        seen["nice"] += 1
+        seen["no knapsack, dedicated machines" if part.exp_zero else "nice"] += 1
+        # the build's greedy cut of the other small-setup classes, replayed
+        # in the plan's units; a cut that ends on a job end has no label
+        budget = plan.free_time - plan.star_total
+        for i in part.chp_minus:
+            if i in part.chp_star:
+                continue
+            cl = inst.classes[i]
+            if cl.setup + cl.total <= budget:
+                seen["class whole within budget"] += 1
+                budget -= cl.setup + cl.total
+                continue
+            room = budget - cl.setup
+            if room <= 0:
+                seen["all left over without a knapsack"] += 1
+            elif room not in accumulate(cl.jobs):
+                seen["cut inside a job"] += 1
+            budget = 0
     for g in plan.gamma.values():
         seen["gamma 1" if g == 1 else "gamma >= 2"] += 1
     if len(part.exp_minus) % 2:
@@ -41,7 +60,7 @@ def _check(inst, guess, branches: Counter) -> bool:
     if not d.accepted or d.plan is None:
         return False
     assert d.schedule == reference_build_pmtn(inst, guess, d.plan), (inst, guess)
-    branches.update(_branches(d.plan))
+    branches.update(_branches(inst, d.plan))
     return True
 
 
@@ -63,7 +82,22 @@ def test_build_equals_the_reference():
         for above in ABOVE:
             heavy += _check(inst, answer * above, branches)
     assert set(branches) == {
-        "share 0", "share 1", "fractional share", "no knapsack, dedicated machines", "nice",
-        "gamma 1", "gamma >= 2", "odd exp_minus machine",
+        "share 0", SHARE_1, "fractional share", "no knapsack, dedicated machines", "nice",
+        "gamma 1", "gamma >= 2", "odd exp_minus machine", "class whole within budget",
+        "cut inside a job", "all left over without a knapsack",
     }
     assert min(branches.values()) >= 50, branches
+
+
+def test_cut_on_a_job_end_equals_the_reference():
+    # the random stream never cuts on a job end: at guess 96 the budget is
+    # 35, class 0 keeps its job 0 whole (3 + 32) and job 1 goes to a bottom
+    inst = Instance(m=5, classes=tuple(JobClass(s, jobs) for s, jobs in (
+        (3, (32, 37)), (7, (56, 32)), (50, (23, 3)), (4, (49, 56)), (11, (38,)), (55, (19,)))))
+    guess = Fraction(96)
+    d = dual_pmtn(inst, guess)
+    assert d.accepted and d.plan.knapsack is None
+    assert d.plan.free_time - d.plan.star_total == 35
+    assert _branches(inst, d.plan)["cut inside a job"] == 0
+    assert d.schedule == reference_build_pmtn(inst, guess, d.plan)
+    assert verify_schedule(inst, d.schedule, Variant.PREEMPTIVE, guess * 3 / 2).ok

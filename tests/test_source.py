@@ -52,7 +52,7 @@ def test_builds_read_their_plan():
                     called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
                     if called in DECISION_CALLS or called.startswith("_decide_"):
                         found.append(f"{name}:{node.lineno} {fn.name} calls {called}")
-    assert {"_build_split", "_build_pmtn", "_build_nice", "_build_nonp"} <= set(builds)
+    assert {"_build_split", "_build_pmtn", "_build_nonp"} <= set(builds)
     assert not found, "; ".join(found)
 
 
