@@ -3,16 +3,17 @@ instances.
 
 Instance files:  {"m": int, "classes": [{"setup": int, "jobs": [int, ...]}]}
 Schedule files:  {"scale": D, "makespan": "p/q",
-                  "machines": [[cls, start, dur, job, ...], ...],
-                  "compressed": [{"config": [cls, start, dur, job, ...],
+                  "machines": [[[cls, start, setup, job, dur, ...], ...], ...],
+                  "compressed": [{"config": [[cls, start, setup, job, dur, ...], ...],
                                   "mult": int}, ...]}
-A machine or config is one flat list of ints, four per placement: class,
-start, dur and job, with job -1 for a setup.  Times are ints t meaning t/D,
-so nothing is ever rounded; other rationals (makespan, guesses, bounds)
-travel as "p/q" strings.  Schedule files in older formats (a dict per
-placement with "p/q" times, rows that lead with a kind flag and end in a
-piece number, or a list per placement) are rejected: solve the instance
-again.
+A machine or config is a list of batches, each one list of ints: a setup
+of class cls from start lasting setup, then its pieces back to back as
+(job, dur) pairs, job -1 for idle time of length dur.  Times are ints t
+meaning t/D, so nothing is ever rounded; other rationals (makespan,
+guesses, bounds) travel as "p/q" strings.  Schedule files in older formats
+(a dict per placement with "p/q" times, rows that lead with a kind flag and
+end in a piece number, a list per placement, or one flat list of four ints
+per placement) are rejected: solve the instance again.
 
 Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
 failure.
@@ -27,7 +28,6 @@ import sys
 import time
 from fractions import Fraction
 from itertools import chain
-from operator import add
 
 from .core import (
     ContractError,
@@ -66,10 +66,11 @@ def parse_rat(text: str) -> Rat:
 
 # Every shape or type error in a schedule file names the one format it takes.
 _SCHEDULE_FORMAT = (
-    'schedules are {"scale": D, "machines": [[cls, start, dur, job, ...], ...], '
-    '"compressed": [{"config": [cls, start, dur, job, ...], "mult": k}, ...]}: '
-    "a machine or config is one flat list of ints, four per placement, "
-    "job -1 for a setup, times in units of 1/D"
+    'schedules are {"scale": D, "machines": [[[cls, start, setup, job, dur, ...], ...], ...], '
+    '"compressed": [{"config": [[cls, start, setup, job, dur, ...], ...], "mult": k}, ...]}: '
+    "a machine or config is a list of batches, each a list of ints: a setup of cls "
+    "from start, then (job, dur) pairs back to back, job -1 for idle time, "
+    "times in units of 1/D"
 )
 
 
@@ -77,13 +78,11 @@ def emit_schedule(sched: Schedule) -> dict:
     """The schedule's own rows and scale, with its makespan; the payload
     shares the schedule's row lists.  ContractError for a time that is not
     an int (only a hand-built schedule can hold one)."""
-    rows = sched.rows()
-    starts = list(chain.from_iterable(row[1::4] for row in rows))
-    durs = list(chain.from_iterable(row[2::4] for row in rows))
-    if set(map(type, starts)) - {int} or set(map(type, durs)) - {int}:
-        bad = next(t for t in starts + durs if type(t) is not int)
+    batches = list(chain.from_iterable(sched.rows()))
+    if set(map(type, chain.from_iterable(batches))) - {int}:
+        bad = next(x for x in chain.from_iterable(batches) if type(x) is not int)
         raise ContractError(f"schedule time {bad} is not an int on its scale")
-    top = max(0, max(map(add, starts, durs), default=0))
+    top = sched.end()
     scale = sched.scale
     g = math.gcd(top, scale)
     return {
@@ -110,11 +109,15 @@ def parse_schedule(raw, m: int) -> Schedule:
         raise ValidationError(f"compressed entries need a config and an int mult; "
                               f"{_SCHEDULE_FORMAT}")
     compressed = [(entry.get("config"), entry["mult"]) for entry in entries]
-    for row in chain(raw["machines"], (config for config, _ in compressed)):
-        # exact ints, so no bool
-        if type(row) is not list or len(row) % 4 or set(map(type, row)) - {int}:
-            raise ValidationError(f"a machine or config must be a flat list of ints, four per "
-                                  f"placement; {_SCHEDULE_FORMAT}")
+    rows = raw["machines"] + [config for config, _ in compressed]
+    # C-level passes: rows of lists, batches of odd length >= 3, exact ints
+    # (so no bool)
+    if (set(map(type, rows)) - {list}
+            or set(map(type, batches := list(chain.from_iterable(rows)))) - {list}
+            or any(n < 3 or not n % 2 for n in set(map(len, batches)))
+            or set(map(type, chain.from_iterable(batches))) - {int}):
+        raise ValidationError(f"a machine or config must be a list of batches, each a list "
+                              f"of ints of odd length >= 3; {_SCHEDULE_FORMAT}")
     return Schedule(m=m, machines=raw["machines"], compressed=compressed, scale=raw["scale"])
 
 

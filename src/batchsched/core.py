@@ -15,8 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import add, itemgetter, lt
-from typing import Iterable, NamedTuple, Optional, Union
+from operator import itemgetter, lt
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
 Rat = Fraction
@@ -85,9 +85,9 @@ class Instance:
                 raise ValidationError(f"classes[{i}].setup must be >= 1")
             if not cl.jobs:
                 raise ValidationError(f"classes[{i}].jobs must be nonempty")
-            for j, t in enumerate(cl.jobs):
-                if t < 1:
-                    raise ValidationError(f"classes[{i}].jobs[{j}] must be >= 1")
+            if min(cl.jobs) < 1:  # one C-level pass; the index only on failure
+                j = next(j for j, t in enumerate(cl.jobs) if t < 1)
+                raise ValidationError(f"classes[{i}].jobs[{j}] must be >= 1")
 
     @property
     def c(self) -> int:
@@ -140,9 +140,8 @@ def parse_instance(raw: dict) -> Instance:
         jobs = entry["jobs"]
         if not isinstance(setup, int) or isinstance(setup, bool):
             raise ValidationError(f"classes[{i}].setup must be an integer")
-        if not isinstance(jobs, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in jobs
-        ):
+        # exact ints, so no bool: one C-level pass over the types
+        if not isinstance(jobs, list) or not set(map(type, jobs)) <= {int}:
             raise ValidationError(f"classes[{i}].jobs must be a list of integers")
         classes.append(JobClass(setup=setup, jobs=tuple(jobs)))
     return Instance(m=m, classes=tuple(classes))
@@ -187,12 +186,16 @@ def fmt_rat(x: Rat) -> str:
 # Placements and schedules
 # ---------------------------------------------------------------------------
 
-# A schedule row is one flat list, four entries per placement: cls, start,
-# dur and job.  start and dur are ints on the schedule's scale (Rats in a
-# hand-built schedule), and job, the position within cls, is -1 exactly for a
-# setup.  It is the schedule file's row as it is: builds append to it, the
-# JSON writer and reader pass it through, and the verifier reads it in place.
-Row = list[Union[int, Rat]]
+# A schedule row is a list of batches: (cls, start, setup, job, dur, job,
+# dur, ...) is a setup of cls from start lasting setup, then its pieces back
+# to back, each a (job, dur) pair with job the position within cls; a pair
+# with job -1 is idle time of length dur.  Times are ints on the schedule's
+# scale (Rats in a hand-built schedule).  It is the schedule file's row as
+# it is: builds append batches to it, the JSON writer and reader pass it
+# through, and the verifier reads it in place.  A build's batch is a tuple,
+# which the cyclic collector stops tracking, so a full collection does not
+# rescan every batch of a large schedule; a parsed file's is the JSON list.
+Row = list[Sequence[Union[int, Rat]]]
 
 
 def scaled(x: Rat, scale: int) -> int:
@@ -204,25 +207,31 @@ def scaled(x: Rat, scale: int) -> int:
     return t
 
 
+def batch_end(batch: Sequence) -> Union[int, Rat]:
+    """Where a batch ends: its start plus its setup, pieces and idle time."""
+    return batch[1] + sum(batch[2::2])
+
+
 @dataclass
 class Schedule:
-    """Per-machine rows of placements, plus an optional compressed part.
+    """Per-machine rows of batches, plus an optional compressed part.
 
-    `machines` holds explicitly materialized machines, one flat Row each.
-    Each entry of `compressed` is a machine configuration, one Row, with a
+    `machines` holds explicitly materialized machines, one Row each.  Each
+    entry of `compressed` is a machine configuration, one Row, with a
     multiplicity: the schedule behaves as if `mult` further machines carried
-    exactly those placements.  The library's builds write only runs of at
-    least two identical machines there (a setup and a piece filling the gap
-    above it, from one long job); every other machine is a row.  The machine
-    budget is len(machines) + sum of multiplicities <= m.
+    exactly those batches.  The library's builds write only runs of at
+    least two identical machines there (one batch: a setup and a piece
+    filling the gap above it, from one long job); every other machine is a
+    row.  The machine budget is len(machines) + sum of multiplicities <= m.
     A time t means t / scale.  Every schedule the library builds keeps its
     times as ints on the scale its construction derived from the guess, and
     a parsed schedule file holds ints on its own scale; only a hand-built
-    schedule may hold Fractions, in the same flat rows: the verifier runs the
+    schedule may hold Fractions, in the same rows: the verifier runs the
     same rules on them, and the JSON writer refuses them.  The builds write
-    rows in start order, except that the preemptive build appends a large
-    machine's bottom after its top; the verifier sorts a row only when its
-    starts do not strictly increase.
+    a row's batches in start order, except that the preemptive build appends
+    a large machine's bottom after its top; the verifier sorts a row only
+    when its batch starts do not strictly increase.  No build writes idle
+    pairs.
     """
 
     m: int
@@ -238,32 +247,44 @@ class Schedule:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
 
     def placements(self) -> Iterable[tuple]:
-        """Every placement once as a (cls, start, dur, job) tuple: the
-        machines' in order, then each configuration's (not repeated by its
-        multiplicity)."""
-        return chain.from_iterable(map(_quads, self.rows()))
+        """Every setup and piece once as a (cls, start, dur, job) tuple, job
+        -1 for a setup: the machines' in order, then each configuration's
+        (not repeated by its multiplicity).  Idle pairs are skipped."""
+        return chain.from_iterable(map(_placements, chain.from_iterable(self.rows())))
+
+    def end(self) -> Union[int, Rat]:
+        """The latest batch end on the schedule's scale; 0 for no batch."""
+        return max(0, max(map(batch_end, chain.from_iterable(self.rows())), default=0))
 
     def makespan(self) -> Rat:
-        top = max((max(map(add, row[1::4], row[2::4]), default=0) for row in self.rows()),
-                  default=0)
-        return Fraction(max(top, 0), self.scale)
+        return Fraction(self.end(), self.scale)
 
     def expand(self) -> "Schedule":
         """Materialize the compressed part: the rows first, then mult copies
-        of each configuration, every machine's placements in start order."""
+        of each configuration, every machine's batches in start order."""
         copies = [config for config, mult in self.compressed for _ in range(mult)]
-        out = [list(chain.from_iterable(sorted(_quads(row), key=itemgetter(1))))
+        out = [[tuple(batch) for batch in sorted(row, key=itemgetter(1))]
                for row in self.machines + copies]
         return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
 
     def placement_count(self) -> int:
-        return sum(map(len, self.rows())) // 4
+        """Setups plus pieces, each configuration's once; idle pairs do not
+        count.  A batch of length 3 + 2k holds 1 + k placements less its
+        idle pairs."""
+        batches = list(chain.from_iterable(self.rows()))
+        idle = sum(batch[3::2].count(-1) for batch in batches if -1 in batch)
+        return (sum(map(len, batches)) - len(batches)) // 2 - idle
 
 
-def _quads(row: Row):
-    """The row's placements as (cls, start, dur, job) tuples, in row order."""
-    it = iter(row)
-    return zip(it, it, it, it)
+def _placements(batch: Sequence):
+    """The batch's setup and pieces as (cls, start, dur, job) tuples."""
+    cls, t, setup = batch[0], batch[1], batch[2]
+    yield cls, t, setup, -1
+    t += setup
+    for job, dur in zip(batch[3::2], batch[4::2]):
+        if job != -1:
+            yield cls, t, dur, job
+        t += dur
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +416,11 @@ def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> Decision:
 # Feasibility verifier
 # ---------------------------------------------------------------------------
 
+_START, _START_SETUP = itemgetter(1), itemgetter(1, 2)
+
 # Rule ids reported by the verifier:
-#   a  per-machine non-overlap (incl. start >= 0, dur > 0)
-#   b  class run not preceded by its completed setup / wrong setup length
+#   a  per-machine non-overlap (incl. start >= 0, dur > 0, idle > 0)
+#   b  wrong setup length (a batch's pieces follow its setup by construction)
 #   c  sum of piece durations of a job differs from its processing time
 #   d  non-preemptive: job not a single contiguous piece on one machine
 #   e  preemptive: pieces of one job overlap in time
@@ -429,21 +452,24 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, job totals and piece counts multiply by the
-    multiplicity.  One pass per machine or configuration, over its row in
-    place, runs rules (a) and (b) and the id checks in (start, dur) order
-    (a row whose starts do not strictly increase is sorted first) and adds
-    each piece to its job's total and count, kept in flat lists at
-    base[cls] + job (base: prefix sums of the class sizes), so rule
-    (c) is one list comparison.  Only a job with more than one piece or copy
-    keeps intervals, for rule (e).  Violators of (d) or (e) are listed by
-    first appearance, which takes one more pass over their pieces.  README
-    gives its measured cost.
+    multiplicity.  One pass per machine or configuration walks its batches
+    in place in (start, setup) order (a row whose batch starts do not
+    strictly increase is sorted first), and each batch's pairs with a
+    running time, the start of each piece.  It runs rules (a) and (b) and
+    the id checks, and adds each piece to its job's total and count, kept in
+    flat lists at base[cls] + job (base: prefix sums of the class sizes), so
+    rule (c) is one list comparison.  A batch occupies its machine from its
+    start to `batch_end`, idle time included, so a batch starting before the
+    end of an earlier one overlaps it.  Only a job with more than one piece
+    or copy keeps intervals, for rule (e).  Violators of (d) or (e) are
+    listed by first appearance, which takes one more pass over their
+    pieces.  README gives its measured cost.
 
     The rules run on the schedule's own times over `sched.scale` with +, -,
     comparisons, `* scale` and `Fraction(t, scale)` only: ints for every
     library-built and parsed schedule, and exactly the same rules on a
-    hand-built schedule's Fractions, in the same flat rows.  The report
-    holds Fractions.
+    hand-built schedule's Fractions, in the same rows.  The report holds
+    Fractions.
     ValidationError when a number a message prints is past CPython's
     int-string digit limit.
     """
@@ -475,51 +501,57 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
     parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
     for label, row, copies in parts:
-        starts = row[1::4]
         if copies < 1:
-            top = max(top, max(map(add, starts, row[2::4]), default=0))
+            top = max(top, max(map(batch_end, row), default=0))
             flag("s", label, 0, "multiplicity < 1")
             continue
-        prev_end = ready = None
-        quads = _quads(row)
+        starts = list(map(_START, row))
         if not all(map(lt, starts, starts[1:])):
-            quads = sorted(quads, key=itemgetter(1, 2))
-        for cls, start, dur, job in quads:
-            end = start + dur
+            row = sorted(row, key=_START_SETUP)
+        prev_end = None
+        for batch in row:
+            pairs = iter(batch)
+            cls, start, setup = next(pairs), next(pairs), next(pairs)
             if not 0 <= cls < ncls:
                 flag("s", label, start, f"unknown class {cls}")
-                top = max(top, end)
+                top = max(top, batch_end(batch))
                 continue
             if start < 0:
                 flag("a", label, start, "placement starts before time 0")
-            if dur <= 0:
+            if setup <= 0:
                 flag("a", label, start, "placement with non-positive duration")
             if prev_end is not None and start < prev_end:
                 flag("a", label, start, "placements overlap on the machine")
-            if prev_end is None or end > prev_end:
-                prev_end = end
-            if job == -1:
-                if dur != setup_len[cls]:
-                    flag("b", label, start, f"setup of class {cls} has length "
-                                            f"{Fraction(dur, scale)}, expected {classes[cls].setup}")
-                ready = cls
-                continue
-            if not 0 <= job < sizes[cls]:
-                flag("s", label, start, f"unknown job id ({cls}, {job})")
-                continue
-            if ready != cls:
-                flag("b", label, start, f"piece of class {cls} not preceded by a setup of its class")
-            k = base[cls] + job
-            totals[k] += dur * copies
-            seen = counts[k]
-            counts[k] = seen + copies
-            if pmtn:
-                if not seen and copies == 1:
-                    first[k], first_end[k] = start, end
+            if setup != setup_len[cls]:
+                flag("b", label, start, f"setup of class {cls} has length "
+                                        f"{Fraction(setup, scale)}, expected {classes[cls].setup}")
+            size, first_k = sizes[cls], base[cls]
+            t = start + setup
+            for job, dur in zip(pairs, pairs):
+                if t < 0 and job != -1:
+                    flag("a", label, t, "placement starts before time 0")
+                if dur <= 0:
+                    flag("a", label, t, "idle time of non-positive length" if job == -1
+                         else "placement with non-positive duration")
+                if not 0 <= job < size:
+                    if job != -1:
+                        flag("s", label, t, f"unknown job id ({cls}, {job})")
+                    t += dur
                     continue
-                if k not in spans:
-                    spans[k] = [(first[k], first_end[k], 1)] if seen else []
-                spans[k].append((start, end, copies))
+                k = first_k + job
+                totals[k] += dur * copies
+                seen = counts[k]
+                counts[k] = seen + copies
+                if pmtn:
+                    if not seen and copies == 1:
+                        first[k], first_end[k] = t, t + dur
+                    else:
+                        if k not in spans:
+                            spans[k] = [(first[k], first_end[k], 1)] if seen else []
+                        spans[k].append((t, t + dur, copies))
+                t += dur
+            if prev_end is None or t > prev_end:
+                prev_end = t
         if prev_end is not None and prev_end > top:
             top = prev_end
 
@@ -565,14 +597,17 @@ def _pieces_of(parts, sizes: list[int], base: list[int], bad: set[int]) -> dict[
     in bad, in schedule order, keyed by job in order of first appearance."""
     found: dict[JobRef, list] = {}
     for _, row, copies in parts if bad else ():
-        for cls, start, dur, job in _quads(row) if copies >= 1 else ():
-            if 0 <= cls < len(sizes) and 0 <= job < sizes[cls] and base[cls] + job in bad:
-                found.setdefault((cls, job), []).append((start, start + dur, copies))
+        for batch in row if copies >= 1 else ():
+            cls, t = batch[0], batch[1] + batch[2]
+            for job, dur in zip(batch[3::2], batch[4::2]) if 0 <= cls < len(sizes) else ():
+                if 0 <= job < sizes[cls] and base[cls] + job in bad:
+                    found.setdefault((cls, job), []).append((t, t + dur, copies))
+                t += dur
     return found
 
 
 def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     """One setup + one job per machine; optimal when m >= n (non-splittable)."""
-    machines = [[i, 0, cl.setup, -1, i, cl.setup, t, j]
+    machines = [[(i, 0, cl.setup, j, t)]
                 for i, cl in enumerate(inst.classes) for j, t in enumerate(cl.jobs)]
     return Schedule(m=inst.m, machines=machines)

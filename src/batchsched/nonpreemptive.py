@@ -37,10 +37,10 @@ from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_s
 # ---------------------------------------------------------------------------
 
 # A stack item is the plain tuple (cls, dur, job, seq): dur an int on the
-# stacks' scale, job the position within cls (-1 exactly for a setup, as in
-# a schedule row) and seq the item's number in creation order, so no two
-# items are equal.  Plain tuples of ints, which the cyclic collector stops
-# tracking, so a full collection does not rescan the stacks.
+# stacks' scale, job the position within cls (-1 exactly for a setup) and
+# seq the item's number in creation order, so no two items are equal.
+# Plain tuples of ints, which the cyclic collector stops tracking, so a full
+# collection does not rescan the stacks.
 StackItem = tuple[int, int, int, int]
 
 
@@ -87,13 +87,27 @@ class _Stacks:
         self.loads[u] -= it[1]
 
     def to_schedule(self) -> Schedule:
+        """Each stack as a row from time 0: a setup opens a batch, the pieces
+        after it extend the batch, and the next setup or the stack's end
+        stores it as a tuple (see `core.Row`).  ContractError for a piece
+        that does not follow a setup or piece of its class."""
         machines = []
         for stack in self.stacks:
-            t = 0
             row = []
+            t = 0
+            batch = None
             for cls, dur, job, _ in stack:
-                row += cls, t, dur, job
+                if job == -1:
+                    if batch:
+                        row.append(tuple(batch))
+                    batch = [cls, t, dur]
+                elif batch and batch[0] == cls:
+                    batch += job, dur
+                else:
+                    raise ContractError(f"a piece of class {cls} follows no setup of its class")
                 t += dur
+            if batch:
+                row.append(tuple(batch))
             machines.append(row)
         return Schedule(m=self.m, machines=machines, scale=self.scale)
 

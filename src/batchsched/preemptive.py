@@ -31,6 +31,7 @@ from .core import (
     Rat,
     Schedule,
     Variant,
+    batch_end,
     classify,
     decide_need,
     decided_outcome,
@@ -129,12 +130,9 @@ def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
 
 def _stack(builder: Builder, u: int, t: int, batch: Batch) -> int:
     """Put the batch back to back on machine u from time t; returns its end."""
-    builder.put(u, batch.cls, t, batch.setup)
-    t += batch.setup
-    for job, dur in batch.jobs:
-        builder.put(u, batch.cls, t, dur, job)
-        t += dur
-    return t
+    placed = (batch.cls, t, batch.setup, *batch.jobs)
+    builder.put(u, placed)
+    return batch_end(placed)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         # other jobs in the remainder, and every tail.
         cl = inst.classes[i]
         s = cl.setup * scale
-        inside: list[tuple[int, int]] = []
+        inside: list[int] = []  # (job, dur, ...), flat as Batch.jobs
         for j, t in enumerate(cl.jobs):
             t *= scale
             if s + t > half:  # oversized: its share of the head, and the tail
@@ -300,11 +298,11 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             else:
                 d2 = scaled(share * t, 1)
             if d2 > 0:
-                inside.append((j, d2))
+                inside += j, d2
             if t > d2:
                 leftovers.append((i, j, t - d2))
         obligatory = scaled(plan.obligatory[i], scale)
-        if sum(d for _, d in inside) != obligatory + share * (cl.total * scale - obligatory):
+        if sum(inside[1::2]) != obligatory + share * (cl.total * scale - obligatory):
             raise ContractError("star-class bookkeeping broken")
         cheap[i] = Batch(cls=i, setup=s, jobs=tuple(inside))
     # Greedily cut the remaining small-setup classes so the nice remainder
@@ -328,7 +326,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             t *= scale
             take = min(room, t) if room > 0 else 0
             if take:
-                inside.append((j, take))
+                inside += j, take
                 room -= take
             if take < t:
                 leftovers.append((i, j, t - take))
@@ -385,17 +383,15 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     if len(kplus) > l:
         raise ContractError("more big leftovers than large machines")
     for u, (i, j, dur) in enumerate(kplus):
-        s = inst.classes[i].setup * scale
-        builder.put(u, i, 0, s)
-        builder.put(u, i, s, dur, j)
+        builder.put(u, (i, 0, inst.classes[i].setup * scale, j, dur))
     lprime = len(kplus)
 
     if kminus:
         if lprime >= l:
             raise ContractError("no large machine left for small leftovers")
-        by_cls: dict[int, list[tuple[int, int]]] = {}
+        by_cls: dict[int, list[int]] = {}  # class -> its (job, dur, ...), flat
         for i, j, dur in kminus:
-            by_cls.setdefault(i, []).append((j, dur))
+            by_cls.setdefault(i, []).extend((j, dur))
         seq = [
             Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)
@@ -506,7 +502,7 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     # No heavy class jumps inside the walk's bracket; the decision can still
     # move at the knapsack case's breakpoints, so bisect those too.
     t_fail, t_ok = trace.final_interval
-    chain = [t_fail] + sorted(_pmtn_breakpoints(inst, t_fail, t_ok)) + [t_ok]
-    lo, hi = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
-    trace.final_interval = (chain[lo], chain[hi])
+    points = [t_fail] + sorted(_pmtn_breakpoints(inst, t_fail, t_ok)) + [t_ok]
+    lo, hi = _bisect_right_interval(points, probe, 0, len(points) - 1)
+    trace.final_interval = (points[lo], points[hi])
     return close_bracket(probe, inst, _decide_pmtn, dual_pmtn, trace)

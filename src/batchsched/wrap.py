@@ -15,6 +15,8 @@ next gap's run, short of that run's last gap, is emitted once as a
 compressed configuration (a setup ending at the gap start and a full-height
 piece) with that multiplicity.  So the output size is bounded by the
 sequence length and the template length, independent of the gap count.
+Each setup opens a batch in its gap's row (see `core.Row`), and the pieces
+after it extend that batch.
 
 Times are ints on the Builder's scale.  The code needs only +, -, // and
 comparisons on them.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Union
 
 from .core import CapacityError, Instance, Rat, Row, Schedule
 
@@ -48,19 +50,22 @@ class Gap:
 
 @dataclass(frozen=True)
 class Batch:
-    """A setup followed by (job, duration) items of class cls, job the
-    position within the class."""
+    """A setup followed by items of class cls.  jobs is flat, (job, dur,
+    job, dur, ...) with job the position within the class, like the tail
+    of a schedule row's batch: one tuple, not one per item."""
 
     cls: int
     setup: Rat
-    jobs: tuple[tuple[int, Rat], ...]
+    jobs: tuple[Union[int, Rat], ...]
 
 
 def class_batch(inst: Instance, i: int, scale: int) -> Batch:
     """Class i whole: its setup and every job, on the time scale `scale`."""
     cl = inst.classes[i]
-    return Batch(cls=i, setup=cl.setup * scale,
-                 jobs=tuple((j, t * scale) for j, t in enumerate(cl.jobs)))
+    jobs = [0] * (2 * len(cl.jobs))
+    jobs[::2] = range(len(cl.jobs))
+    jobs[1::2] = cl.jobs if scale == 1 else [t * scale for t in cl.jobs]
+    return Batch(cls=i, setup=cl.setup * scale, jobs=tuple(jobs))
 
 
 def check_template(runs: list[Gap]):
@@ -70,13 +75,14 @@ def check_template(runs: list[Gap]):
 
 
 class Builder:
-    """Accumulates placements on virtual machine ids, then renumbers them.
+    """Accumulates batches on virtual machine ids, then renumbers them.
 
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
     machine slots.  Times are on the integer time scale `scale` (1/scale time
-    units per step).  `rows` maps a machine id to its flat Row; a row
-    exists only once something is appended to it.
+    units per step).  `rows` maps a machine id to its Row of batches; a row
+    exists only once a batch is put on it.  A batch is put whole, as a tuple
+    (see `core.Row`).
     """
 
     def __init__(self, m: int, scale: int = 1):
@@ -85,9 +91,9 @@ class Builder:
         self.rows: defaultdict[int, Row] = defaultdict(list)
         self._configs: list[tuple[int, Row, int]] = []
 
-    def put(self, machine: int, cls: int, start: Rat, dur: Rat, job: int = -1):
-        """A setup of cls (job -1) or a piece of its job on the machine."""
-        self.rows[machine].extend((cls, start, dur, job))
+    def put(self, machine: int, batch: tuple):
+        """A batch (cls, start, setup, job, dur, ...) on the machine."""
+        self.rows[machine].append(batch)
 
     def put_config(self, base_machine: int, config: Row, mult: int):
         self._configs.append((base_machine, config, mult))
@@ -102,12 +108,16 @@ class Builder:
 class WrapResult:
     last_machine: int  # virtual id of the gap holding the final item
     last_fill: Rat  # end time of the content on that machine
-    placed: int  # number of emitted placements (configs count once)
+    placed: int  # number of emitted setups and pieces (configs count once)
 
 
 class _Run:
     """State of one wrapping pass: the current run, the current gap's
-    machine and how many gaps of the run follow it."""
+    machine and how many gaps of the run follow it, and the open batch, the
+    last setup's, with the row it goes to.  The open batch is a list that
+    becomes a tuple in its row once the next setup opens another or the
+    pass ends: only one batch is ever a list, so no batch lives long enough
+    as one to be moved into the collector's oldest generation."""
 
     def __init__(self, builder: Builder, gaps: list[Gap], setups_below: bool):
         self.runs = [g for g in gaps if g.count]
@@ -118,15 +128,27 @@ class _Run:
         self.rows = builder.rows
         self.setups_below = setups_below
         self.placed = 0
+        self.batch = self.batch_row = None  # opened by the first setup
         self.k, self.left = -1, 0
         self.next_gap()
 
     # -- emission ----------------------------------------------------------
 
-    def put(self, cls: int, start: Rat, dur: Rat, job: int = -1):
-        """A setup (job -1) or a piece in the current gap's machine row."""
+    def setup(self, cls: int, start: Rat, dur: Rat):
+        """A setup opening a batch for the current gap's machine row."""
+        self.end_batch()
         self.placed += 1
-        self.rows[self.machine].extend((cls, start, dur, job))
+        self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
+
+    def piece(self, job: int, dur: Rat):
+        """A piece of the open batch's class, where its content ends."""
+        self.placed += 1
+        self.batch += job, dur
+
+    def end_batch(self):
+        if self.batch is not None:
+            self.batch_row.append(tuple(self.batch))
+            self.batch = None
 
     # -- movement ----------------------------------------------------------
 
@@ -155,14 +177,14 @@ class _Run:
             return rest
         # ceil(rest / height) - 1, exact on ints past 2**53
         full = min(-(-rest // height) - 1, self.left)
-        cfg = [cls, self.open - setup, setup, -1, cls, self.open, height, job]
-        self.b.put_config(self.machine, cfg, full)
+        self.b.put_config(self.machine, [(cls, self.open - setup, setup, job, height)], full)
         self.placed += 2
         self.machine += full
         self.left -= full
         return rest - height * full
 
     def finish(self) -> WrapResult:
+        self.end_batch()
         return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
 
 
@@ -172,14 +194,14 @@ def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
     while end > run.close:
         head = run.close - run.t
         if head > 0:
-            run.put(cls, run.t, head, job)
+            run.piece(job, head)
         rest = end - run.close
         run.next_gap()
         rest = run.bulk_full_gaps(cls, setup, job, rest)
-        run.put(cls, run.open - setup, setup)
+        run.setup(cls, run.open - setup, setup)
         end = run.t + rest
     if end > run.t:
-        run.put(cls, run.t, end - run.t, job)
+        run.piece(job, end - run.t)
     run.t = end
 
 
@@ -193,14 +215,15 @@ def _place_batch(run: _Run, batch: Batch):
         # anchors below it, exactly where it would land after relocating
         # across a preceding gap that shrank to nothing, so the layout is a
         # continuous function of the guess
-        run.put(batch.cls, run.open - batch.setup, batch.setup)
+        run.setup(batch.cls, run.open - batch.setup, batch.setup)
     elif run.t + batch.setup > run.close:
         run.next_gap()
-        run.put(batch.cls, run.open - batch.setup, batch.setup)
+        run.setup(batch.cls, run.open - batch.setup, batch.setup)
     else:
-        run.put(batch.cls, run.t, batch.setup)
+        run.setup(batch.cls, run.t, batch.setup)
         run.t = run.t + batch.setup
-    for job, dur in batch.jobs:
+    items = iter(batch.jobs)
+    for job, dur in zip(items, items):
         if dur <= 0:
             raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
         _place_item(run, batch.cls, batch.setup, job, dur)

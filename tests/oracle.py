@@ -173,10 +173,19 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
 
 def tuple_view(sched: Schedule) -> Schedule:
     """The schedule in the shape `reference_verify` reads: each row a list
-    of (cls, start, dur, job) tuples, job None for a setup (-1 in a row)."""
+    of (cls, start, dur, job) tuples, job None for a setup.  Each batch of a
+    row expands to its setup, then its pieces from where the setup ends,
+    one after the other; an idle pair (job -1) only moves the time on."""
     def view(row):
-        it = iter(row)
-        return [(c, s, d, None if j == -1 else j) for c, s, d, j in zip(it, it, it, it)]
+        out = []
+        for cls, start, setup, *pairs in row:
+            out.append((cls, start, setup, None))
+            t = start + setup
+            for job, dur in zip(pairs[::2], pairs[1::2]):
+                if job != -1:
+                    out.append((cls, t, dur, job))
+                t += dur
+        return out
     return Schedule(m=sched.m, machines=[view(row) for row in sched.machines],
                     compressed=[(view(row), mult) for row, mult in sched.compressed],
                     scale=sched.scale)
@@ -356,9 +365,14 @@ class _Stacks:
             t = 0
             row = []
             for it in stack:
-                row += it.cls, t, it.dur, -1 if it.kind == SETUP else it.ref[1]
+                if it.kind == SETUP:
+                    row.append([it.cls, t, it.dur])
+                else:
+                    if not row or row[-1][0] != it.cls:
+                        raise ContractError("a piece follows no setup of its class")
+                    row[-1] += it.ref[1], it.dur
                 t += it.dur
-            machines.append(row)
+            machines.append(list(map(tuple, row)))
         return Schedule(m=self.m, machines=machines, scale=self.scale)
 
 
@@ -703,7 +717,7 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
     threehalf = 3 * half
 
     for cls, s, items, _ in parts.plus:
-        batch = Batch(cls=cls, setup=s, jobs=tuple((ref[1], dur) for ref, dur in items))
+        batch = Batch(cls=cls, setup=s, jobs=tuple(x for ref, dur in items for x in (ref[1], dur)))
         g = parts.gamma[cls]
         if g == 1:
             gaps = [Gap(base, 0, threehalf)]
@@ -725,11 +739,12 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
             raise ContractError("nice construction ran out of machines")
         t = 0
         for cls, setup, items, _ in mm[k:k + 2]:
-            builder.put(u, cls, t, setup)
+            placed = [cls, t, setup]
             t += setup
             for ref, dur in items:
-                builder.put(u, cls, t, dur, ref[1])
+                placed += ref[1], dur
                 t += dur
+            builder.put(u, tuple(placed))
         if k + 1 == len(mm):
             odd_machine = u
 
@@ -739,7 +754,7 @@ def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: i
     if odd_machine is not None:
         gaps.append(Gap(odd_machine, guess, threehalf))
     gaps += [Gap(u, half, threehalf) for u in range(base, limit)]
-    seq = [Batch(cls=cls, setup=setup, jobs=tuple((ref[1], dur) for ref, dur in items))
+    seq = [Batch(cls=cls, setup=setup, jobs=tuple(x for ref, dur in items for x in (ref[1], dur)))
            for cls, setup, items, _ in parts.cheap]
     run_wrap(builder, seq, gaps)
 
@@ -795,12 +810,10 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     # half the guess so their bottoms stay free for leftovers.
     for u, i in enumerate(part.exp_zero):
         cl = inst.classes[i]
-        t = half
-        builder.put(u, i, t, cl.setup * scale)
-        t += cl.setup * scale
+        placed = [i, half, cl.setup * scale]
         for j, dur in enumerate(cl.jobs):
-            builder.put(u, i, t, dur * scale, j)
-            t += dur * scale
+            placed += j, dur * scale
+        builder.put(u, tuple(placed))
 
     # Split every oversized job of a small-setup class: the head fits below
     # half the guess next to its setup, the tail must leave the large machines.
@@ -920,17 +933,15 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     if len(kplus) > l:
         raise ContractError("more big leftovers than large machines")
     for u, (i, ref, dur) in enumerate(kplus):
-        s = inst.classes[i].setup * scale
-        builder.put(u, i, 0, s)
-        builder.put(u, i, s, dur, ref[1])
+        builder.put(u, (i, 0, inst.classes[i].setup * scale, ref[1], dur))
     lprime = len(kplus)
 
     if kminus:
         if lprime >= l:
             raise ContractError("no large machine left for small leftovers")
-        by_cls: dict[int, list[tuple[int, int]]] = {}
+        by_cls: dict[int, list[int]] = {}
         for i, ref, dur in kminus:
-            by_cls.setdefault(i, []).append((ref[1], dur))
+            by_cls.setdefault(i, []).extend((ref[1], dur))
         seq = [
             Batch(cls=i, setup=inst.classes[i].setup * scale, jobs=tuple(by_cls[i]))
             for i in sorted(by_cls, key=cls_order)

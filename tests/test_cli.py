@@ -81,8 +81,8 @@ def _malformed(mutate):
     raw = {
         "scale": 1,
         "makespan": "3",
-        "machines": [[0, 0, 1, -1, 0, 1, 2, 0]],
-        "compressed": [{"config": [0, 0, 1, -1, 0, 1, 2, 1], "mult": 1}],
+        "machines": [[[0, 0, 1, 0, 2]]],
+        "compressed": [{"config": [[0, 0, 1, 1, 2]], "mult": 1}],
     }
     mutate(raw)
     return raw
@@ -94,25 +94,25 @@ def _set_machine(group):
     return mutate
 
 
-# a "row" in an id is one placement's four ints
+# a "row" in an id is one batch: [cls, start, setup, job, dur, ...]
 @pytest.mark.parametrize(
     "mutate",
     [
-        _set_machine([0, 1, -1, 0, 1, 2, 0]),
-        _set_machine([0, 0, 1, -1, 0, 1, 2]),
-        _set_machine([0, 0, 1, -1, 0, 0, 1, 2, 0]),
-        _set_machine([0, 0, 1, -1, 1, 2]),
-        _set_machine([0, 0, 1, -1, [], 1, 2, 0]),
-        _set_machine([0, 0, 1, -1, 0, "3/2", 2, 0]),
-        _set_machine([0, 0, 1, -1, 0, 1.5, 2, 0]),
-        _set_machine([0, 0, 1, -1, 0, 1, True, 0]),
-        _set_machine([0, 0, 1, -1, 0, 1, 2, 0, 0]),
-        _set_machine([0, 0, 1, -1, 0, 1, 2, "0"]),
-        _set_machine([0, 0, 1, -1, 0, 1, 2, 0, 0, 0]),
-        _set_machine([0, 0, 0, 1, 1, 0, 1, 2, 0, 0]),
-        _set_machine([{"kind": "setup", "class": 0, "start": "0", "dur": "1"}, 0, 1, 2]),
+        _set_machine([[0, 1, 0, 2]]),
+        _set_machine([[0, 0, 1, 0]]),
+        _set_machine([[0, 0, 0, 1, 0, 2]]),
+        _set_machine([[0, 0]]),
+        _set_machine([[]]),
+        _set_machine([[0, 0, 1, 0, "3/2"]]),
+        _set_machine([[0, 0, 1, 0, 1.5]]),
+        _set_machine([[0, 0, True, 0, 2]]),
+        _set_machine([0, 0, 1, 0, 2]),  # the batch without its row's list
+        _set_machine([[0, 0, 1, "0", 2]]),
+        _set_machine([[0, 0, 1, 0, 2, 0]]),
+        _set_machine([[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]),
+        _set_machine([{"kind": "setup", "class": 0, "start": "0", "dur": "1"}]),
         _set_machine([[0, 0, 1], [0, 1, 2, 0]]),
-        _set_machine([0, 0, 1, None, 0, 1, 2, 0]),
+        _set_machine([[0, 0, 1, None, 2]]),
         lambda raw: raw["machines"].__setitem__(0, {"rows": []}),
         lambda raw: raw["compressed"][0].update(mult="1"),
         lambda raw: raw["compressed"][0].update(mult=True),
@@ -165,15 +165,18 @@ def test_verify_old_format_names_the_row_format(tmp_path, capsys):
     # a list per placement: [class, start, dur] or [class, start, dur, job]
     nested_rows = {"scale": 1, "makespan": "3", "machines": [[[0, 0, 1], [0, 1, 2, 0]]],
                    "compressed": [{"config": [[0, 0, 1], [0, 1, 2, 1]], "mult": 1}]}
+    # one flat list per machine, four ints per placement, job -1 a setup
+    flat_rows = {"scale": 1, "makespan": "3", "machines": [[0, 0, 1, -1, 0, 1, 2, 0]],
+                 "compressed": [{"config": [0, 0, 1, -1, 0, 1, 2, 1], "mult": 1}]}
     inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
     ipath = write_instance(tmp_path, "i.json", inst)
-    for old in (dict_placements, kind_led_rows, nested_rows):
+    for old in (dict_placements, kind_led_rows, nested_rows, flat_rows):
         spath = write_instance(tmp_path, "s.json", old)
         code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert "one flat list of ints, four per placement" in err and "job -1 for a setup" in err
-        assert '"scale": D' in err and "[cls, start, dur, job, ...]" in err
+        assert "a list of batches" in err and "job -1 for idle time" in err
+        assert '"scale": D' in err and "[[cls, start, setup, job, dur, ...], ...]" in err
 
 
 @pytest.mark.parametrize("where", ["instance", "schedule"])
@@ -181,7 +184,7 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     # json.loads refuses ints of more than 4,300 digits with a plain ValueError
     huge = "9" * 5000
     inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
-    sched = '{"scale": 1, "machines": [[0, 0, 1, -1, 0, 1, %s, 0]]}' % huge
+    sched = '{"scale": 1, "machines": [[[0, 0, 1, 0, %s]]]}' % huge
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(inst)
     spath.write_text(sched)
@@ -225,7 +228,7 @@ def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
                 "--in", ipath, "--emit", "summary"]
     else:
         spath = tmp_path / "s.json"
-        spath.write_text('{"scale": 1, "machines": [[0, %s, 1, -1, 0, 1, 2, 0]]}' % ("9" * 4300))
+        spath.write_text('{"scale": 1, "machines": [[[0, %s, 1, 0, 2]]]}' % ("9" * 4300))
         args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
     code = main(args)
     captured = capsys.readouterr()
@@ -241,10 +244,18 @@ _JSON = st.recursive(
     max_leaves=12,
 )
 _SMALL = st.integers(-1, 4)
-# a machine or config of the format's shape: 4 ints per placement, job -1 a setup
-_GOOD_ROWS = st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), max_size=4).map(
-    lambda rows: [x for row in rows for x in row])
-_ROWS = _GOOD_ROWS | st.lists(_SMALL | st.booleans() | _JSON, max_size=17) | _JSON
+
+
+def _batches(value, pair):
+    """Rows of the format's shape: batches [cls, start, setup, job, dur, ...]."""
+    batch = st.tuples(value, value, value, st.lists(pair, max_size=3)).map(
+        lambda b: [b[0], b[1], b[2], *(x for p in b[3] for x in p)])
+    return st.lists(batch, max_size=4)
+
+
+_GOOD_ROWS = _batches(_SMALL, st.tuples(_SMALL, _SMALL))
+_ROWS = (_GOOD_ROWS | st.lists(st.lists(_SMALL | st.booleans() | _JSON, max_size=9) | _JSON,
+                               max_size=4) | _JSON)
 
 
 def _schedules(scale, rows, mult, other):
@@ -287,11 +298,11 @@ def test_non_utf8_file_exit_one(tmp_path, capsys):
 
 
 def test_emit_rejects_non_int_times():
-    # a hand-built schedule whose flat row holds a Fraction time: the
-    # writer refuses it, the verifier judges it
+    # a hand-built schedule whose batch holds a Fraction time: the writer
+    # refuses it, the verifier judges it
     from batchsched.core import Instance, JobClass, VerifyReport
 
-    sched = Schedule(m=1, machines=[[0, 0, 1, -1, 0, 1, F(1, 2), 0]])
+    sched = Schedule(m=1, machines=[[[0, 0, 1, 0, F(1, 2)]]])
     with pytest.raises(ContractError):
         emit_schedule(sched)
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
@@ -301,21 +312,19 @@ def test_emit_rejects_non_int_times():
 
 
 def test_verify_flat_sentinels_reach_the_verifier(tmp_path, capsys):
-    # only job -1 marks a setup: a piece of job -2 and a setup of the wrong
-    # length parse, and the verifier rejects them (exit 3, not 1)
+    # only job -1 marks idle time: a piece of job -2 and a setup of the
+    # wrong length parse, and the verifier rejects them (exit 3, not 1)
     ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
-    for machine, want in [([0, 0, 1, -1, 0, 1, 2, -2], "unknown job id (0, -2)"),
-                          ([0, 0, 3, -1, 0, 3, 2, 0], "rule (b)")]:
+    for machine, want in [([[0, 0, 1, -2, 2]], "unknown job id (0, -2)"),
+                          ([[0, 0, 3, 0, 2]], "rule (b)")]:
         spath = write_instance(tmp_path, "s.json", _malformed(_set_machine(machine)))
         code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
         captured = capsys.readouterr()
         assert code == 3 and want in captured.out and captured.err == ""
 
 
-# a flat row: four ints per placement (cls, start, dur, job), job -1 a setup
-_PLACEMENT = st.tuples(st.integers(-3, 9), st.integers(-3, 2**70), st.integers(-3, 2**70),
-                       st.integers(-3, 9))
-_ROW = st.lists(_PLACEMENT, max_size=5).map(lambda ps: [x for p in ps for x in p])
+# a row of batches with times past 2**64
+_ROW = _batches(st.integers(-3, 2**70), st.tuples(st.integers(-3, 9), st.integers(-3, 2**70)))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -328,6 +337,29 @@ def test_emit_parse_round_trip(sched):
     back = parse_schedule(json.loads(text), sched.m)
     assert (back.machines, back.compressed, back.scale) == (
         sched.machines, sched.compressed, sched.scale)
+
+
+def test_readme_schedule_example():
+    # the README's schedule file example, as `solve --variant split --algo
+    # jump` writes it, and its placement count: setups plus pieces, each
+    # configuration's once
+    inst = parse_instance({"m": 9, "classes": [{"setup": 3, "jobs": [5, 1]},
+                                                {"setup": 1, "jobs": [30]}]})
+    sched = class_jump_split(inst).schedule
+    assert json.loads(json.dumps(emit_schedule(sched))) == {
+        "scale": 18, "makespan": "23/3",
+        "machines": [[[0, 0, 54, 0, 46]],
+                     [[0, 0, 54, 0, 44, 1, 2]],
+                     [[0, 0, 54, 1, 16], [1, 98, 18, 0, 22]],
+                     [[1, 28, 18, 0, 58]]],
+        "compressed": [{"config": [[1, 28, 18, 0, 92]], "mult": 5}],
+    }
+    assert sched.placement_count() == 13 and sched.machine_count() == 9
+    # the README's idle pair: setup to 3, idle to 4, job 0 to 50/9; the
+    # idle pair is no placement
+    idle = Schedule(m=1, machines=[[[0, 0, 54, -1, 18, 0, 28]]], scale=18)
+    assert idle.placement_count() == 2 and idle.makespan() == F(50, 9)
+    assert list(idle.placements()) == [(0, 0, 54, -1), (0, 72, 28, 0)]
 
 
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
@@ -346,11 +378,11 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     rep = verify_schedule(inst, parsed, Variant.SPLITTABLE, F(3, 2) * r.guess)
     assert rep.ok
 
-    # tampering: drop a machine's leading setup (its 4 ints, job -1)
+    # tampering: drop a machine's leading setup (its length becomes 0)
     raw = json.loads(open(spath).read())
     groups = raw["machines"] + [entry["config"] for entry in raw["compressed"]]
-    group = next(group for group in groups if group and group[3] == -1)
-    del group[:4]
+    group = next(group for group in groups if group)
+    group[0][2] = 0
     tpath = write_instance(tmp_path, "t.json", raw)
     assert main(["verify", "--in", ipath, "--schedule", tpath,
                  "--variant", "split", "--bound", bound]) == 3
@@ -443,7 +475,7 @@ def test_compressed_schedule_roundtrip(tmp_path):
     a = verify_schedule(inst, sched, Variant.SPLITTABLE, makespan)
     b = verify_schedule(inst, back, Variant.SPLITTABLE, makespan)
     assert a.ok and b.ok and a.makespan == b.makespan
-    assert emit_schedule(back) == raw
+    assert json.dumps(emit_schedule(back)) == json.dumps(raw)
 
 
 def test_gen_matches_committed_golden_file(tmp_path):

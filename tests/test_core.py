@@ -43,6 +43,13 @@ def test_parse_instance_rejects_bad_fields():
         parse_instance({"m": 0, "classes": [{"setup": 1, "jobs": [1]}]})
     with pytest.raises(ValidationError):
         parse_instance({"m": 1, "classes": [{"setup": 1, "jobs": []}]})
+    # the job checks run on the whole list at once; a failure names the job
+    with pytest.raises(ValidationError, match=r"^classes\[1\]\.jobs\[2\] must be >= 1$"):
+        parse_instance({"m": 1, "classes": [{"setup": 1, "jobs": [1]},
+                                            {"setup": 1, "jobs": [3, 2, 0, -1]}]})
+    for bad in ([1, True], [1, 2.0], [1, "2"], [1, None], "12"):
+        with pytest.raises(ValidationError, match=r"^classes\[0\]\.jobs must be a list of integers$"):
+            parse_instance({"m": 1, "classes": [{"setup": 1, "jobs": bad}]})
 
 
 INST = Instance(m=2, classes=(JobClass(2, (3,)), JobClass(1, (1, 1))))
@@ -129,10 +136,7 @@ def test_verify_single_machine_ok():
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
     sched = Schedule(
         m=1,
-        machines=[[
-            0, F(0), F(1), -1,
-            0, F(1), F(2), 0,
-        ]],
+        machines=[[[0, F(0), F(1), 0, F(2)]]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
     assert rep.ok and rep.makespan == 3
@@ -143,8 +147,8 @@ def test_verify_same_job_parallel_overlap():
     sched = Schedule(
         m=2,
         machines=[
-            [0, F(0), F(1), -1, 0, F(1), F(2), 0],
-            [0, F(0), F(1), -1, 0, F(2), F(2), 0],
+            [[0, F(0), F(1), 0, F(2)]],
+            [[0, F(0), F(1), -1, F(1), 0, F(2)]],  # idle from 1 to 2
         ],
     )
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
@@ -154,10 +158,11 @@ def test_verify_same_job_parallel_overlap():
 
 
 def test_verify_missing_setup():
+    # a batch always has a setup: a missing one is a setup of length 0
     inst = Instance(m=1, classes=(JobClass(1, (2,)), JobClass(1, (2,))))
     sched = Schedule(
         m=1,
-        machines=[[1, F(0), F(2), 0]],
+        machines=[[[1, F(0), F(0), 0, F(2)]]],
     )
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -165,15 +170,14 @@ def test_verify_missing_setup():
 
 
 def test_verify_idle_inside_class_run_allowed():
+    # idle pairs: the setup from 0 to 1, idle to 2, job 0 to 4, idle to 5,
+    # job 1 to 6
     inst = Instance(m=1, classes=(JobClass(1, (2, 1)),))
     sched = Schedule(
         m=1,
-        machines=[[
-            0, F(0), F(1), -1,
-            0, F(2), F(2), 0,
-            0, F(5), F(1), 1,
-        ]],
+        machines=[[[0, F(0), F(1), -1, F(1), 0, F(2), -1, F(1), 1, F(1)]]],
     )
+    assert sched.placement_count() == 3
     assert verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(6)).ok
 
 
@@ -181,11 +185,7 @@ def test_verify_overlap_and_bound():
     inst = Instance(m=1, classes=(JobClass(1, (2, 2)),))
     sched = Schedule(
         m=1,
-        machines=[[
-            0, F(0), F(1), -1,
-            0, F(1), F(2), 0,
-            0, F(2), F(2), 1,
-        ]],
+        machines=[[[0, F(0), F(1), 0, F(2)], [0, F(2), F(1), 1, F(2)]]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
     rules = {v.rule for v in rep.violations}
@@ -196,10 +196,7 @@ def test_verify_wrong_setup_length():
     inst = Instance(m=1, classes=(JobClass(3, (1,)),))
     sched = Schedule(
         m=1,
-        machines=[[
-            0, F(0), F(2), -1,
-            0, F(2), F(1), 0,
-        ]],
+        machines=[[[0, F(0), F(2), 0, F(1)]]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -210,8 +207,8 @@ def test_verify_machine_budget():
     sched = Schedule(
         m=1,
         machines=[
-            [0, F(0), F(1), -1, 0, F(1), F(1), 0],
-            [0, F(0), F(1), -1, 0, F(1), F(1), 1],
+            [[0, F(0), F(1), 0, F(1)]],
+            [[0, F(0), F(1), 1, F(1)]],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -225,8 +222,8 @@ def test_verify_machine_budget_from_the_instance():
     sched = Schedule(
         m=2,
         machines=[
-            [0, 0, 1, -1, 0, 1, 2, 0],
-            [0, 0, 1, -1, 0, 1, 2, 1],
+            [[0, 0, 1, 0, 2]],
+            [[0, 0, 1, 1, 2]],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -252,39 +249,33 @@ def test_verifier_catches_mutations():
         assert verify_schedule(inst, base, Variant.NONPREEMPTIVE, bound).ok
 
         def mutate(which):
-            # placement k of a row is row[4 * k: 4 * k + 4]
-            machines = [list(m) for m in base.machines]
+            # a row is a list of batches [cls, start, setup, job, dur, ...]
+            machines = [[list(b) for b in m] for m in base.machines]
             busy = [i for i, m in enumerate(machines) if m]
             u = rng.choice(busy)
-            jobs = machines[u][3::4]
-            setup_at = next((4 * k for k, job in enumerate(jobs) if job == -1), None)
-            piece_at = next((4 * k for k, job in enumerate(jobs) if job != -1), None)
-            if which == "drop_setup":
-                if setup_at is None or piece_at is None:
+            row = machines[u]
+            with_piece = [b for b in row if len(b) > 3]
+            if which == "drop_setup":  # its pieces start where it did
+                if not with_piece:
                     return None
-                del machines[u][setup_at:setup_at + 4]
+                with_piece[0][2] = 0
             elif which == "stretch":
-                if piece_at is None:
+                if not with_piece:
                     return None
-                machines[u][piece_at + 2] += base.scale
-            elif which == "shift_overlap":
-                if len(jobs) < 2:
-                    return None
-                machines[u][5] = machines[u][1]
+                with_piece[0][4] += base.scale
+            elif which == "shift_overlap":  # before 0, or into the batch below
+                row[-1][1] -= base.scale
             elif which == "drop_piece":
-                if piece_at is None:
+                if not with_piece:
                     return None
-                del machines[u][piece_at:piece_at + 4]
-            elif which == "foreign_setup":
-                if inst.c < 2 or piece_at is None:
+                del with_piece[0][3:5]
+            elif which == "foreign_setup":  # the batch's pieces claimed by another class
+                if inst.c < 2 or not with_piece:
                     return None
-                cls, start = machines[u][piece_at:piece_at + 2]
-                other = (cls + 1) % inst.c
-                setup = inst.classes[other].setup * base.scale
-                machines[u][piece_at:piece_at] = [other, start, setup, -1]
+                with_piece[0][0] = (with_piece[0][0] + 1) % inst.c
             elif which == "dup_machine":
                 if len(machines) < base.m:
-                    machines.append(list(machines[u]))
+                    machines.append([list(b) for b in row])
                 else:
                     return None
             return dataclasses.replace(base, machines=machines)
@@ -315,16 +306,13 @@ SCALE_INST = Instance(m=3, classes=(JobClass(1, (1, 2)), JobClass(2, (3,))))
 
 
 def _bad_machines():
+    # machine 2's batches are out of start order
     return Schedule(m=3, machines=[
-        [0, F(-1, 3), F(1), -1,
-         0, F(2, 3), F(1, 4), 0,
-         0, F(11, 12), F(3, 4), 0,
-         0, F(5, 3), F(0), 1],
-        [1, F(0), F(13, 7), -1,
-         1, F(13, 7), F(3), 0,
-         0, F(1, 7), F(2), 1],
-        [5, F(1, 3), F(1), -1,
-         0, F(1, 4), F(1, 7), 7],
+        [[0, F(-1, 3), F(1), 0, F(1, 4), 0, F(3, 4), 1, F(0)]],
+        [[1, F(0), F(13, 7), 0, F(3)],
+         [0, F(1, 7), F(1), -1, F(0), 1, F(2)]],
+        [[5, F(1, 3), F(1), 0, F(1)],
+         [0, F(-3, 4), F(1), 7, F(1, 7)]],
     ])
 
 
@@ -332,25 +320,19 @@ def _bad_compressed():
     # two explicit machines (one empty), a configuration twice and one with
     # multiplicity 0: 4 machines on an instance with 3
     return Schedule(m=3, machines=[
-        [0, F(0), F(1), -1,
-         0, F(1), F(1, 3), 1,
-         0, F(4, 3), F(1, 4), 1],
+        [[0, F(0), F(1), 1, F(1, 3), 1, F(1, 4)]],
         [],
     ], compressed=[
-        ([0, F(0), F(1), -1,
-          0, F(5, 4), F(1, 2), 0,
-          0, F(13, 7), F(5, 7), 1], 2),
-        ([1, F(0), F(2), -1, 1, F(2), F(3), 0], 0),
+        ([[0, F(0), F(1), -1, F(1, 4), 0, F(1, 2), -1, F(3, 28), 1, F(5, 7)]], 2),
+        ([[1, F(0), F(2), 0, F(3)]], 0),
     ])
 
 
 def _bad_overlap():
     return Schedule(m=3, machines=[
-        [0, F(0), F(1), -1,
-         0, F(1), F(1, 3), 1,
-         0, F(4, 3), F(1), 0],
-        [0, F(0), F(1), -1, 0, F(5, 4), F(5, 3), 1],
-        [1, F(1, 7), F(2), -1, 1, F(15, 7), F(3), 0],
+        [[0, F(0), F(1), 1, F(1, 3), 0, F(1)]],
+        [[0, F(0), F(1), -1, F(1, 4), 1, F(5, 3)]],
+        [[1, F(1, 7), F(2), 0, F(3)]],
     ])
 
 
@@ -359,8 +341,8 @@ MACHINE_RULES = [
     ("a", 0, F(5, 3), "placement with non-positive duration"),
     ("b", 1, F(0), "setup of class 1 has length 13/7, expected 2"),
     ("a", 1, F(1, 7), "placements overlap on the machine"),
-    ("b", 1, F(1, 7), "piece of class 0 not preceded by a setup of its class"),
-    ("a", 1, F(13, 7), "placements overlap on the machine"),
+    ("a", 1, F(8, 7), "idle time of non-positive length"),
+    ("a", 2, F(-3, 4), "placement starts before time 0"),
     ("s", 2, F(1, 4), "unknown job id (0, 7)"),
     ("s", 2, F(1, 3), "unknown class 5"),
 ]
@@ -407,9 +389,7 @@ def test_verify_exact_violations_mixed_denominators(schedule, variant, makespan,
 
 def test_verify_bound_off_the_time_grid():
     inst = Instance(m=1, classes=(JobClass(1, (1,)),))
-    sched = Schedule(m=1, machines=[[
-        0, F(1, 4), F(1), -1, 0, F(5, 4), F(1), 0,
-    ]])
+    sched = Schedule(m=1, machines=[[[0, F(1, 4), F(1), 0, F(1)]]])
     ok = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(7, 3))
     assert ok.ok and ok.makespan == F(9, 4) and ok.violations == []
     bad = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(11, 5))
@@ -437,10 +417,8 @@ def test_verify_distinct_prime_denominators_fast():
     machines = []
     for j in range(jobs):
         p, q = primes[2 * j], primes[2 * j + 1]
-        machines.append([0, F(0), F(1), -1,
-                         0, F(1), F(1, p), j])
-        machines.append([0, F(1, q), F(1), -1,
-                         0, 1 + F(1, q), 2 - F(1, p), j])
+        machines.append([[0, F(0), F(1), j, F(1, p)]])
+        machines.append([[0, F(1, q), F(1), j, 2 - F(1, p)]])
     sched = Schedule(m=inst.m, machines=machines)
     top = max(start + dur for _, start, dur, _ in sched.placements())
     t0 = time.perf_counter()
@@ -448,7 +426,7 @@ def test_verify_distinct_prime_denominators_fast():
     assert time.perf_counter() - t0 <= 2.0
     assert rep.ok and rep.violations == [] and rep.makespan == top == sched.makespan()
     # one stretched piece is reported with its exact time and total
-    machines[1][4:] = [0, 1 + F(1, 3), F(2), 0]
+    machines[1][0][3:] = [0, F(2)]
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
     assert [(v.rule, v.machine, v.time, v.message) for v in rep.violations] == [
         ("c", "-", F(0), "job (0, 0) placed for 5/2 time units, needs exactly 2"),

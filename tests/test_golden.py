@@ -1,8 +1,8 @@
 """Golden output: the emitted schedules of a fixed corpus, pinned by two
 sha256s (their content in the schedule file format before integer rows, less
 piece numbers, and their wire JSON now), the probe lists of its searches,
-pinned by a third, plus the invariants of the integer time scale and of the
-wire round trip on the same solves."""
+pinned by a third, plus the invariants of the integer time scale, of the
+batch rows and of the wire round trip on the same solves."""
 
 import hashlib
 import json
@@ -21,8 +21,8 @@ from test_preemptive import knapsack_heavy_instance
 # file format before integer rows (reduced "p/q" times) without its piece
 # numbers
 GOLDEN_SHA256 = "5ca65b0608364dfc70ce98d82d8dce2c6eee0334cca2c392eaffc4dae6ea0269"
-# the same over emit_schedule's flat int lists on the integer scale
-WIRE_SHA256 = "d832ce829c8daac8cbdd8217645ac8d90d9c022626c1aa6861647bc42f0a1bc3"
+# the same over emit_schedule's batch rows on the integer scale
+WIRE_SHA256 = "9f283582cd08675a493955e668726b13fb68cb2d4e0eaa3eb233e7b1f96e487b"
 # the same over (variant, algo, [(guess, accepted), ...]) of every jump and
 # eps search, in probe order
 PROBES_SHA256 = "94bc18e234261919da5d367aa99d912c056182fe83efae670b63df163565a19e"
@@ -54,22 +54,25 @@ def solves():
 
 def old_format(raw: dict) -> dict:
     """An emitted schedule in the file format before integer rows: a dict per
-    placement with reduced "p/q" times and no scale, and no piece numbers."""
+    placement with reduced "p/q" times and no scale, and no piece numbers.
+    Each batch expands to its setup, then its pieces from where the setup
+    ends, one after the other; an idle pair only moves the time on."""
     scale = raw["scale"]
 
     def text(t):
         x = F(t, scale)
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
-    def placements(group):
-        it = iter(group)
+    def placements(batches):
         out = []
-        for cls, start, dur, job in zip(it, it, it, it):
-            p = {"kind": "piece" if job != -1 else "setup", "class": cls,
-                 "start": text(start), "dur": text(dur)}
-            if job != -1:
-                p["job"] = job
-            out.append(p)
+        for cls, start, setup, *pairs in batches:
+            out.append({"kind": "setup", "class": cls, "start": text(start), "dur": text(setup)})
+            t = start + setup
+            for job, dur in zip(pairs[::2], pairs[1::2]):
+                if job != -1:
+                    out.append({"kind": "piece", "class": cls, "job": job,
+                                "start": text(t), "dur": text(dur)})
+                t += dur
         return out
 
     return {
@@ -78,6 +81,10 @@ def old_format(raw: dict) -> dict:
         "compressed": [{"config": placements(entry["config"]), "mult": entry["mult"]}
                        for entry in raw["compressed"]],
     }
+
+
+def as_lists(rows):
+    return [[list(b) for b in row] for row in rows]
 
 
 def digest(texts) -> str:
@@ -113,20 +120,23 @@ def test_golden_schedules_on_the_integer_scale():
     old_texts, wire_texts, probe_texts = [], [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
-        # flat rows of exact ints, four per placement
-        assert all(type(row) is list and len(row) % 4 == 0 and set(map(type, row)) <= {int}
+        # rows of batches, tuples of exact ints, and no idle pair
+        assert all(type(row) is list and all(type(b) is tuple and len(b) % 2 and len(b) >= 3
+                                             and set(map(type, b)) <= {int} and -1 not in b[3::2]
+                                             for b in row)
                    for row in sched.rows()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
         # the only compressed part a build writes: full gaps of one run,
-        # a setup and then one piece from where it ends
-        assert all(mult >= 2 and len(config) == 8 and config[3] == -1
-                   and config[7] != -1 and config[4] == config[0]
-                   and config[5] == config[1] + config[2]
+        # one batch [cls, open - s, s, job, height]
+        assert all(mult >= 2 and len(config) == 1 and len(config[0]) == 5
                    for config, mult in sched.compressed), (inst, variant, algo)
         raw, back, fraction_calls = over_the_wire(sched, inst.m)
-        # the file's rows come back as the very rows that were written
+        # the file's rows come back as the rows that were written, each
+        # batch as the JSON list of the tuple
         assert (back.m, back.machines, back.compressed, back.scale) == (
-            sched.m, sched.machines, sched.compressed, sched.scale), (inst, variant, algo)
+            sched.m, as_lists(sched.machines),
+            [(as_lists([config])[0], mult) for config, mult in sched.compressed],
+            sched.scale), (inst, variant, algo)
         assert not fraction_calls, (inst, variant, algo, fraction_calls)
         mem = verify_schedule(inst, sched, variant, bound)
         wire = verify_schedule(inst, back, variant, bound)

@@ -60,8 +60,9 @@ KIND_NAMES = {"SETUP", "PIECE", "put_setup", "put_piece", "make_setup", "make_pi
 
 
 def test_placements_carry_no_kind_tag():
-    # a placement is (cls, start, dur, job) and job None marks a setup, so no
-    # module names a kind, and Builder and _Run each place both with one put
+    # a placement has no kind: a setup opens a batch and a piece is a
+    # (job, dur) pair of the open batch, so no module names a kind; Builder
+    # puts whole batches with one method, _Run has one per place in a batch
     found, puts = [], {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -72,6 +73,6 @@ def test_placements_carry_no_kind_tag():
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
             if isinstance(node, ast.ClassDef) and node.name in ("Builder", "_Run"):
                 puts[node.name] = sorted(f.name for f in node.body if isinstance(f, ast.FunctionDef)
-                                         and f.name.startswith(("put", "make")))
+                                         and f.name.startswith(("put", "make", "setup", "piece")))
     assert not found, "; ".join(found)
-    assert puts == {"Builder": ["put", "put_config"], "_Run": ["put"]}
+    assert puts == {"Builder": ["put", "put_config"], "_Run": ["piece", "setup"]}

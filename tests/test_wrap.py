@@ -5,24 +5,24 @@ from fractions import Fraction as F
 import pytest
 
 from batchsched import preemptive, splittable
-from batchsched.core import CapacityError, Instance, JobClass, Variant, verify_schedule
+from batchsched.core import CapacityError, Instance, JobClass, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 
 def flat(sched):
-    """(machine, cls, start, dur, job) of every placement, each machine's
-    in start order."""
+    """(machine, cls, start, dur, job) of every setup (job -1) and piece,
+    each machine's in start order."""
     return [(u, *p) for u, mach in enumerate(sched.expand().machines)
-            for p in zip(*[iter(mach)] * 4)]
+            for p in Schedule(1, [mach]).placements()]
 
 
 def batch(cls, s, durs):
-    return Batch(cls=cls, setup=F(s), jobs=tuple((j, F(d)) for j, d in enumerate(durs)))
+    return Batch(cls=cls, setup=F(s), jobs=tuple(x for j, d in enumerate(durs) for x in (j, F(d))))
 
 
 def load(seq):
-    return sum(b.setup + sum(d for _, d in b.jobs) for b in seq)
+    return sum(b.setup + sum(b.jobs[1::2]) for b in seq)
 
 
 def wrap_plain(seq, gaps, m):
@@ -215,7 +215,7 @@ def test_bulk_needs_two_full_run_gaps(dur, mult):
     if mult is None:
         assert sched.compressed == []
     else:
-        assert sched.compressed == [([0, F(0), F(1), -1, 0, F(1), F(2), 0], mult)]
+        assert sched.compressed == [([(0, F(0), F(1), 0, F(2))], mult)]
     assert machine_multiset(sched.expand()) == machine_multiset(plain)
     assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
 
@@ -263,18 +263,20 @@ def test_compressed_matches_plain_on_random_cases():
         # equal as machine multisets: expand() lists rows before copies
         assert machine_multiset(comp.expand()) == machine_multiset(plain)
         assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
-        assert all(len(cfg) == 8 and mult >= 2 for cfg, mult in comp.compressed)
+        assert all(len(cfg) == 1 and len(cfg[0]) == 5 and mult >= 2
+                   for cfg, mult in comp.compressed)
         # each config covers gaps of one run, short of its last, and none of
         # them is a machine row as well
         for base, cfg, mult in builder._configs:
             assert any(g.machine <= base and base + mult < g.machine + g.count
-                       and cfg[5:7] == [g.open, g.close - g.open] for g in runs)
+                       and cfg[0][1] + cfg[0][2] == g.open and cfg[0][4] == g.close - g.open
+                       for g in runs)
             assert not set(range(base, base + mult)) & set(builder.rows)
         assert all(comp.machines)  # a row exists only with a placement on it
         # conservation: every job placed for exactly its duration
         want = {}
         for b in seq:
-            for job, d in b.jobs:
+            for job, d in zip(b.jobs[::2], b.jobs[1::2]):
                 want[(b.cls, job)] = d
         got = {}
         for cls, _, dur, job in plain.placements():
@@ -282,7 +284,7 @@ def test_compressed_matches_plain_on_random_cases():
                 got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
         # work bound: placements <= |Q| + 2 |template|
-        q_len = sum(1 + len(b.jobs) for b in seq)
+        q_len = sum(1 + len(b.jobs) // 2 for b in seq)
         assert plain.placement_count() <= q_len + 2 * len(gaps)
     assert wrapped >= 250 and configs >= 50, (wrapped, configs)
 
@@ -333,11 +335,11 @@ def test_run_wrap_int_gaps_past_float_precision():
     H = 2**61 + 1
     s = 2**60 + 3
     builder = Builder(9)
-    res = run_wrap(builder, [Batch(0, s, ((0, 6 * H + 1),))],
+    res = run_wrap(builder, [Batch(0, s, (0, 6 * H + 1))],
                    [Gap(0, 0, s + H), Gap(1, s, s + H, 8)])
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
-    assert sched.machines == [[0, 0, s, -1, 0, s, H, 0], [0, 0, s, -1, 0, s, 1, 0]]
-    assert sched.compressed == [([0, 0, s, -1, 0, s, H, 0], 5)]
+    assert sched.machines == [[(0, 0, s, 0, H)], [(0, 0, s, 0, 1)]]
+    assert sched.compressed == [([(0, 0, s, 0, H)], 5)]
     assert all(type(start) is int and type(dur) is int
                for _, start, dur, _ in sched.placements())
