@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import itemgetter, lt
+from itertools import accumulate, chain, repeat
+from operator import contains, countOf, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
@@ -212,6 +212,9 @@ def batch_end(batch: Sequence) -> Union[int, Rat]:
     return batch[1] + sum(batch[2::2])
 
 
+_JOB_SLOTS = itemgetter(slice(3, None, 2))  # a batch's job ids, -1 for idle time
+
+
 @dataclass
 class Schedule:
     """Per-machine rows of batches, plus an optional compressed part.
@@ -272,8 +275,10 @@ class Schedule:
         count.  A batch of length 3 + 2k holds 1 + k placements less its
         idle pairs."""
         batches = list(chain.from_iterable(self.rows()))
-        idle = sum(batch[3::2].count(-1) for batch in batches if -1 in batch)
-        return (sum(map(len, batches)) - len(batches)) // 2 - idle
+        count = (sum(map(len, batches)) - len(batches)) // 2
+        if any(map(contains, batches, repeat(-1))):  # built schedules hold no -1
+            count -= sum(map(countOf, map(_JOB_SLOTS, batches), repeat(-1)))
+        return count
 
 
 def _placements(batch: Sequence):

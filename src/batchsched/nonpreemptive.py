@@ -1,27 +1,31 @@
 """Non-preemptive scheduling: every job runs contiguously on one machine.
 
-The 3/2-dual first places all jobs too big to share a machine (wrapping them
-preemptively), fills the opened machines with same-class jobs, distributes
-the remainder greedily, and finally repairs the schedule: split jobs are
-swapped back for their whole parents and items sticking out over the guess
-move on to the next machine behind a fresh setup.
+The 3/2-dual first places all jobs too big to share a machine, fills the
+opened machines with same-class jobs and distributes the remainder greedily.
+A job cut at a machine's border stays whole where it starts, and an item
+sticking out over the guess in the greedy moves on to the next machine
+behind a fresh setup.  Every step places runs of whole jobs, one step per
+machine, and writes the schedule's batches directly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
+from operator import ne, not_
 from typing import Optional
 
 from .core import (
     ContractError,
     Decision,
     Instance,
-    JobRef,
     Rat,
     Schedule,
     Variant,
+    batch_end,
     decide_need,
     decided_outcome,
     job_bound_decision,
@@ -30,104 +34,63 @@ from .core import (
     trivial_one_job_per_machine,
 )
 from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_search
+from .wrap import class_batch
 
 
 # ---------------------------------------------------------------------------
-# Machine stacks: items packed back-to-back from time 0
+# Streams: setups and jobs laid end to end, cut into machines
 # ---------------------------------------------------------------------------
 
-# A stack item is the plain tuple (cls, dur, job, seq): dur an int on the
-# stacks' scale, job the position within cls (-1 exactly for a setup) and
-# seq the item's number in creation order, so no two items are equal.
-# Plain tuples of ints, which the cyclic collector stops tracking, so a full
-# collection does not rescan the stacks.
-StackItem = tuple[int, int, int, int]
+# A segment is (cls, setup, ghost, flat): a setup, then, when ghost > 0, a
+# ghost of that length (the tail of a job the build keeps whole on an
+# earlier machine: it takes room but is never written), then whole jobs as
+# one flat (job, dur, job, dur, ...) tuple.
+Segment = tuple[int, int, int, tuple]
 
 
-class _Stacks:
-    """Machine stacks with durations and loads as ints on the time scale."""
+class _Stream:
+    """Segments end to end: item x (a setup, a ghost or a job) occupies
+    [starts[x], starts[x + 1]), and heads[k] is the item of segment k's setup."""
 
-    def __init__(self, inst: Instance, scale: int = 1):
-        self.m = inst.m
-        self.scale = scale
-        self.setups = [cl.setup * scale for cl in inst.classes]
-        self.stacks: list[list[StackItem]] = []
-        self.loads: list[int] = []
-        self.seq = 0
+    def __init__(self, segs: list[Segment]):
+        self.segs = segs
+        self.heads: list[int] = []
+        lens: list[int] = []
+        for _, setup, ghost, flat in segs:
+            self.heads.append(len(lens))
+            lens.append(setup)
+            if ghost:
+                lens.append(ghost)
+            lens += flat[1::2]
+        self.n = len(lens)
+        self.starts = list(accumulate(lens, initial=0))
+        self.ghosts = {h + 1 for h, seg in zip(self.heads, segs) if seg[2]}
 
-    def item(self, cls: int, dur: int, job: int = -1) -> StackItem:
-        self.seq += 1
-        return (cls, dur, job, self.seq)
-
-    def setup(self, cls: int) -> StackItem:
-        return self.item(cls, self.setups[cls])
-
-    def new_machine(self) -> int:
-        if len(self.stacks) >= self.m:
-            raise ContractError("construction ran out of machines")
-        self.stacks.append([])
-        self.loads.append(0)
-        return len(self.stacks) - 1
-
-    def push(self, u: int, it: StackItem):
-        self.stacks[u].append(it)
-        self.loads[u] += it[1]
-
-    def insert(self, u: int, index: int, it: StackItem):
-        self.stacks[u].insert(index, it)
-        self.loads[u] += it[1]
-
-    def pop(self, u: int) -> StackItem:
-        it = self.stacks[u].pop()
-        self.loads[u] -= it[1]
-        return it
-
-    def remove(self, u: int, it: StackItem):
-        self.stacks[u].remove(it)
-        self.loads[u] -= it[1]
-
-    def to_schedule(self) -> Schedule:
-        """Each stack as a row from time 0: a setup opens a batch, the pieces
-        after it extend the batch, and the next setup or the stack's end
-        stores it as a tuple (see `core.Row`).  ContractError for a piece
-        that does not follow a setup or piece of its class."""
-        machines = []
-        for stack in self.stacks:
-            row = []
-            t = 0
-            batch = None
-            for cls, dur, job, _ in stack:
-                if job == -1:
-                    if batch:
-                        row.append(tuple(batch))
-                    batch = [cls, t, dur]
-                elif batch and batch[0] == cls:
-                    batch += job, dur
-                else:
-                    raise ContractError(f"a piece of class {cls} follows no setup of its class")
-                t += dur
-            if batch:
-                row.append(tuple(batch))
-            machines.append(row)
-        return Schedule(m=self.m, machines=machines, scale=self.scale)
+    def batches(self, a: int, b: int, t: int) -> list[tuple]:
+        """Items [a, b) as batches back to back from time t: each segment's
+        part behind its own setup, or behind a fresh one where the part
+        begins with a job.  A part that holds nothing but a ghost is no
+        batch."""
+        out = []
+        k = bisect_right(self.heads, a) - 1
+        while k < len(self.heads) and self.heads[k] < b:
+            cls, setup, ghost, flat = self.segs[k]
+            first = self.heads[k] + 1 + (ghost > 0)  # the segment's first job
+            jobs = flat[2 * max(a - first, 0):2 * max(b - first, 0)]
+            if a <= self.heads[k] or jobs:
+                out.append((cls, t, setup) + jobs)
+                t += setup + sum(jobs[1::2])
+            k += 1
+        return out
 
 
-def _stack_wrap(st: _Stacks, cls: int, items, cap: int) -> list[int]:
-    """Fill machines [setup, pieces...] up to exactly cap, cutting the
-    (job, dur) items at the border; returns the used machine ids in order."""
-    used = [st.new_machine()]
-    st.push(used[-1], st.setup(cls))
-    for job, dur in items:
-        while st.loads[used[-1]] + dur > cap:
-            head = cap - st.loads[used[-1]]
-            if head > 0:
-                st.push(used[-1], st.item(cls, head, job))
-                dur -= head
-            used.append(st.new_machine())
-            st.push(used[-1], st.setup(cls))
-        if dur > 0:
-            st.push(used[-1], st.item(cls, dur, job))
-    return used
+def _flat(jobs: tuple[int, ...], idx, scale: int) -> list[int]:
+    """The jobs at the positions idx as flat (job, dur, ...) on the scale."""
+    idx = list(idx)
+    flat = [0] * (2 * len(idx))
+    flat[::2] = idx
+    flat[1::2] = map(scale.__mul__, map(jobs.__getitem__, idx))
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +109,32 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
         sched = trivial_one_job_per_machine(inst)
         return sched, sched.makespan()
     tmin = lower_bound_tmin(inst, variant)
-    st = _Stacks(inst)
-    cur = st.new_machine()
-    for i, cl in enumerate(inst.classes):
-        for it in [st.setup(i), *(st.item(i, t, j) for j, t in enumerate(cl.jobs))]:
-            st.push(cur, it)
-            if st.loads[cur] > tmin:
-                cur = st.new_machine()
-    # A machine is opened only when the item on top of the one before went
-    # over the line: move each such item to the start of the next machine,
-    # with a fresh setup in front of a moved job.
-    for u in range(len(st.stacks) - 1):
-        it = st.pop(u)
-        if it[2] != -1:
-            st.insert(u + 1, 0, st.setup(it[0]))
-            st.insert(u + 1, 1, it)
-        else:
-            st.insert(u + 1, 0, it)
-    # Trailing setups serve no job: drop them.
-    for u in range(len(st.stacks)):
-        while st.stacks[u] and st.stacks[u][-1][2] == -1:
-            st.pop(u)
-    st.stacks = [s for s in st.stacks if s]
-    sched = st.to_schedule()
+    lim = math.floor(tmin)  # an int load is over tmin iff it is over floor(tmin)
+    st = _Stream([(i, cl.setup, 0, class_batch(inst, i, 1).jobs)
+                  for i, cl in enumerate(inst.classes)])
+    # Next fit fills a machine until an item takes it over tmin and opens the
+    # next one.  That item then moves to the start of the next machine (behind
+    # a fresh setup if it is a job), so a machine holds the items from its
+    # predecessor's crossing item up to its own: bounds are those items.
+    S, n = st.starts, st.n
+    bounds, f = [0], 0
+    while f < n:
+        last = bisect_right(S, S[f] + lim, f, n) - 1
+        if S[last + 1] - S[f] <= lim:
+            break
+        bounds.append(last)
+        f = last + 1
+    if len(bounds) > inst.m:
+        raise ContractError("construction ran out of machines")
+    bounds.append(n)
+    machines = []
+    for a, b in zip(bounds, bounds[1:]):
+        row = st.batches(a, b, 0)
+        while row and len(row[-1]) == 3:  # trailing setups serve no job
+            row.pop()
+        if row:
+            machines.append(row)
+    sched = Schedule(m=inst.m, machines=machines)
     makespan = sched.makespan()
     if makespan > 2 * tmin:
         raise ContractError(f"next-fit makespan {makespan} exceeds 2*T_min")
@@ -249,158 +215,124 @@ def dual_nonp(inst: Instance, guess: Rat) -> Decision:
 
 
 def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
-    """The construction on the scale q of the guess p/q, where the guess is p."""
+    """The construction on the scale q of the guess p/q, where the guess is p.
+
+    Every machine is filled by whole runs of jobs: prefix sums over the
+    durations and one bisect per machine find the jobs that start below its
+    border.  A job that crosses the border stays whole where it starts; the
+    part of it past the border is a ghost, which takes room on the machines
+    after it but is never written."""
     scale, T = guess.denominator, guess.numerator
-    st = _Stacks(inst, scale)
+    half = T // 2
+    rows: list[list] = []  # per machine its batches
+    loads: list[int] = []  # per machine its load as steps 1-3 see it, ghosts included
+
+    def new_machine(batch: Optional[list] = None, load: int = 0) -> int:
+        if len(loads) >= inst.m:
+            raise ContractError("construction ran out of machines")
+        rows.append([batch] if batch else [])
+        loads.append(load)
+        return len(loads) - 1
 
     # Steps 1 and 2, class by class.  Step 1 places the jobs that cannot
     # share a machine: a class's big jobs (2t > T) open one machine each and
-    # its forced ones (2(s+t) > T) wrap.  At an accepted guess s + t <= T,
-    # so an expensive class (2s > T) has no big job and every job forced: it
-    # wraps over its machine minimum.  Step 2 tops those machines up to the
-    # guess with the class's other jobs, cutting at the border.  Neither
-    # step touches another class's machines, and step 2 opens none.
-    residual: dict[int, list[tuple[int, int]]] = {}  # class -> its (job, dur) left over
+    # its forced ones (2(s+t) > T) wrap over machines filled to T.  At an
+    # accepted guess s + t <= T, so an expensive class (2s > T) has no big job
+    # and every job forced.  Step 2 tops those machines up to T with the
+    # class's other jobs.  Neither step touches another class's machines, and
+    # step 2 opens none.  What is left is step 3's stream.
+    segs: list[Segment] = []
     for i, cl in enumerate(inst.classes):
-        s2 = 2 * st.setups[i]
-        big, forced, rest = [], [], []  # (job, dur) on the scale
-        for j, t in enumerate(cl.jobs):
-            t *= scale
-            (big if 2 * t > T else forced if s2 + 2 * t > T else rest).append((j, t))
-        targets: list[int] = []
-        for j, t in big:
-            u = st.new_machine()
-            st.push(u, st.setup(i))
-            st.push(u, st.item(i, t, j))
-            targets.append(u)
-        if forced:
-            targets.append(_stack_wrap(st, i, forced, T)[-1])
-        out: list[tuple[int, int]] = []
-        ti = 0
-        for j, dur in rest:
-            while dur > 0 and ti < len(targets):
-                u = targets[ti]
-                room = T - st.loads[u]
+        s = cl.setup * scale
+        over = (half - s) // scale  # t > over iff 2(s + t * scale) > T
+        if cl.t_max <= over:
+            ghost, rest, got = 0, class_batch(inst, i, scale).jobs, cl.total * scale
+        else:
+            jobs = cl.jobs
+            is_over = list(map(over.__lt__, jobs))
+            is_big = list(map((half // scale).__lt__, jobs))
+            targets = [new_machine([i, 0, s, j, jobs[j] * scale], s + jobs[j] * scale)
+                       for j in compress(range(len(jobs)), is_big)]
+            forced = _flat(jobs, compress(range(len(jobs)), map(ne, is_over, is_big)), scale)
+            if forced:
+                # machines of room T - s, each holding the jobs that start in it
+                S = list(accumulate(forced[1::2], initial=0))
+                room, pos, a = T - s, 0, 0
+                while pos < S[-1]:
+                    b = bisect_left(S, pos + room, a, len(S) - 1)
+                    u = new_machine([i, 0, s, *forced[2 * a:2 * b]], s + min(room, S[-1] - pos))
+                    pos, a = pos + room, b
+                targets.append(u)
+            rest = _flat(jobs, compress(range(len(jobs)), map(not_, is_over)), scale)
+            # step 2: the rest poured into the targets' room in order
+            S = list(accumulate(rest[1::2], initial=0))
+            pos = a = 0
+            for u in targets:
+                room = T - loads[u]
                 if room <= 0:
-                    ti += 1
                     continue
-                take = min(room, dur)
-                st.push(u, st.item(i, take, j))
-                dur -= take
-            if dur > 0:
-                out.append((j, dur))
-        if out:
-            residual[i] = out
+                if pos >= S[-1]:
+                    break
+                b = bisect_left(S, pos + room, a, len(S) - 1)
+                rows[u][0] += rest[2 * a:2 * b]
+                loads[u] += min(room, S[-1] - pos)
+                pos, a = pos + room, b
+            got = max(S[-1] - pos, 0)
+            ghost, rest = (S[a] - pos if got else 0), tuple(rest[2 * a:])
         want = max(scaled(counts.leftover[i], scale), 0)
-        got = sum(d for _, d in out)
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")
+        if got:
+            segs.append((i, s, ghost, rest))
 
-    # Step 3: one fresh setup per class with residual work, then greedy over
-    # machines below the guess (opened ones first, then fresh), keeping items
-    # whole even when they stick out.  Every item from here on has a seq
-    # above step3; the ones that cross the guess are noted in crossed.
-    step3 = st.seq
-    crossed: set[int] = set()
-    order: list[int] = []
-    if residual:
-        avail = [u for u in range(len(st.stacks)) if st.loads[u] < T]
-        pos = 0
-
-        def advance() -> int:
-            nonlocal pos
-            while pos < len(avail):
-                u2 = avail[pos]
-                if st.loads[u2] < T:
-                    return u2
-                pos += 1
-            return st.new_machine()
-
-        u = advance()
-        for i in sorted(residual):
-            for it in [st.setup(i), *(st.item(i, dur, j) for j, dur in residual[i])]:
-                if st.loads[u] >= T:
-                    u = advance()
-                st.push(u, it)
-                if not order or order[-1] != u:
-                    order.append(u)
-                if st.loads[u] > T:
-                    crossed.add(it[3])  # stays whole; the greedy just moves on
-
-    _repair(inst, st, order, step3, crossed, T)
-    return st.to_schedule()
-
-
-def _repair(inst: Instance, st: _Stacks, order: list[int], step3: int, crossed: set[int],
-            guess: int):
-    """Step 4 (guess on the stacks' scale): make the schedule non-preemptive,
-    then fix loads and setups.  order is step 3's machines in greedy order,
-    step3 the last seq before step 3 and crossed the seqs of the items that
-    crossed the guess there."""
-    # The pieces of each job in more than one piece, that is each piece
-    # shorter than its job: split in step 1 or 2 (or its tail travelled
-    # through step 3).  The first one made, if it tops its machine, grows
-    # back to its whole job, and the others go.
-    pieces: dict[JobRef, list[tuple[int, StackItem]]] = {}
-    for u, stack in enumerate(st.stacks):
-        for it in stack:
-            if it[2] != -1 and it[1] != inst.classes[it[0]].jobs[it[2]] * st.scale:
-                pieces.setdefault((it[0], it[2]), []).append((u, it))
-    for u, stack in enumerate(st.stacks):
-        if not stack or stack[-1][2] == -1:
-            continue
-        cls, dur, job, seq = stack[-1]
-        family = pieces.get((cls, job), ())
-        if len(family) < 2 or seq != min(it[3] for _, it in family):
-            continue
-        del pieces[(cls, job)]
-        whole = inst.classes[cls].jobs[job] * st.scale
-        stack[-1] = (cls, whole, job, seq)
-        st.loads[u] += whole - dur
-        for v, other in family:
-            if other[3] != seq:
-                st.remove(v, other)
-
-    # Items that crossed the guess move to the next machine of the greedy
-    # order (fresh setup in front of moved jobs); a class whose jobs continue
-    # on the next machine without a crossing predecessor gets a setup
-    # inserted below the continuation.
-    carry: Optional[StackItem] = None
-    for idx, u in enumerate(order):
-        stack = st.stacks[u]
-        ins = next((k for k, it in enumerate(stack) if it[3] > step3), len(stack))
-        # Read before the inserts, which go below the top or onto a stack
-        # with nothing from step 3 (and so nothing that crossed) on it.
-        crosses = bool(stack) and stack[-1][3] in crossed
-        if carry is not None:
-            if carry[2] != -1:
-                st.insert(u, ins, st.setup(carry[0]))
-                ins += 1
-            st.insert(u, ins, carry)
-            carry = None
-        elif ins < len(stack) and stack[ins][2] != -1:
-            if ins == 0 or stack[ins - 1][0] != stack[ins][0]:
-                st.insert(u, ins, st.setup(stack[ins][0]))
-        if not crosses:
-            continue
-        it = st.pop(u)
-        if idx < len(order) - 1:
-            carry = it
-            continue
-        # no successor in the greedy order: park the item on an empty machine,
-        # or on any other machine still at or below the guess
-        if len(st.stacks) < st.m:
-            target = st.new_machine()
+    # Step 3: the stream (each class with residual work behind one fresh
+    # setup) goes greedily over the machines below T, opened ones first, then
+    # fresh: a machine takes items while it is below T, so its last item may
+    # stick out.  Step 4: such an item moves on to the start of the next
+    # machine of the greedy (behind a fresh setup if it is a job), and the
+    # last machine's moves to an empty machine or to any other machine still
+    # at or below T.  So a machine holds the stream from the previous move up
+    # to its own.  Where that begins with a job it gets a fresh setup (the
+    # class's own machines are full, so none of them is below it), which
+    # stays even when the job is the one that moves on.
+    for row in rows:  # each holds its machine's steps 1-2 batch, now complete
+        row[0] = tuple(row[0])
+    parked = None
+    if segs:
+        st = _Stream(segs)
+        S, n = st.starts, st.n
+        avail = [u for u, load in enumerate(loads) if load < T]
+        f = e = k = 0  # f: the next item to place, e: the first not yet written
+        while f < n:
+            u = avail[k] if k < len(avail) else new_machine()
+            k += 1
+            room = T - loads[u]
+            end = bisect_left(S, S[f] + room, f, n)  # the items that start below T
+            row = rows[u]
+            batches = st.batches(e, end, batch_end(row[-1]) if row else 0)
+            if S[end] - S[f] > room and end - 1 not in st.ghosts:
+                e = end - 1  # the last item moves on
+                if len(batches[-1]) > 3:
+                    batches[-1] = batches[-1][:-2]
+                else:
+                    batches.pop()
+            else:
+                e = end
+            row += batches
+            f = end
+        if e < n:
+            parked = st.batches(e, n, 0)[0]
+    if parked is not None:
+        if len(rows) < inst.m:
+            target = new_machine()
         else:
-            target = next((v for v in range(len(st.stacks)) if v != u and st.loads[v] <= guess),
-                          None)
+            target = next((v for v, row in enumerate(rows)
+                           if v != u and (batch_end(row[-1]) if row else 0) <= T), None)
             if target is None:
                 raise ContractError("repair found no machine for the final item")
-        if it[2] != -1:
-            st.push(target, st.setup(it[0]))
-        st.push(target, it)
-    if carry is not None:
-        raise ContractError("repair left an item unplaced")
+        row = rows[target]
+        row.append((parked[0], batch_end(row[-1]) if row else 0) + parked[2:])
+    return Schedule(m=inst.m, machines=rows, scale=scale)
 
 
 def exact_integer_search_nonp(inst: Instance) -> SearchResult:

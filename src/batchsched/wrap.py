@@ -7,7 +7,9 @@ batches, each a class setup followed by jobs or job pieces of that class.
 Wrapping places the sequence left-to-right through the gaps: a setup that
 would cross the end of a gap moves below the start of the next gap, a job
 that would cross is cut there and continues at the start of the next gap
-behind a freshly inserted setup of its class.
+behind a freshly inserted setup of its class.  The jobs of a batch that
+end by the current gap's close go in as one run, found by a bisect over the
+batch's prefix sums; only a job that crosses a close is placed on its own.
 
 Every gap the wrap fills becomes a machine row, except in one case: after a
 crossing, a remainder of one job covering at least two whole gaps of the
@@ -24,8 +26,10 @@ comparisons on them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .core import CapacityError, Instance, Rat, Row, Schedule
@@ -140,10 +144,11 @@ class _Run:
         self.placed += 1
         self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
 
-    def piece(self, job: int, dur: Rat):
-        """A piece of the open batch's class, where its content ends."""
-        self.placed += 1
-        self.batch += job, dur
+    def pieces(self, flat: tuple):
+        """Pieces (job, dur, job, dur, ...) of the open batch's class, back
+        to back where its content ends."""
+        self.placed += len(flat) >> 1
+        self.batch += flat
 
     def end_batch(self):
         if self.batch is not None:
@@ -194,14 +199,13 @@ def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
     while end > run.close:
         head = run.close - run.t
         if head > 0:
-            run.piece(job, head)
+            run.pieces((job, head))
         rest = end - run.close
         run.next_gap()
         rest = run.bulk_full_gaps(cls, setup, job, rest)
         run.setup(cls, run.open - setup, setup)
         end = run.t + rest
-    if end > run.t:
-        run.piece(job, end - run.t)
+    run.pieces((job, end - run.t))
     run.t = end
 
 
@@ -222,11 +226,33 @@ def _place_batch(run: _Run, batch: Batch):
     else:
         run.setup(batch.cls, run.t, batch.setup)
         run.t = run.t + batch.setup
-    items = iter(batch.jobs)
-    for job, dur in zip(items, items):
-        if dur <= 0:
-            raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
-        _place_item(run, batch.cls, batch.setup, job, dur)
+    jobs = batch.jobs
+    durs = jobs[1::2]
+    bad = None
+    if durs and min(durs) <= 0:
+        # the jobs before the first bad one are placed, as one at a time would
+        bad = next(k for k, dur in enumerate(durs) if dur <= 0)
+        jobs, durs = jobs[:2 * bad], durs[:bad]
+    # With the prefix sums of the durations, one bisect per gap finds the
+    # run of jobs that ends by its close; only a job that crosses the close
+    # goes through _place_item.
+    ends = list(accumulate(durs))
+    shift = run.t  # the jobs from k on end at shift + ends[k] while none crosses
+    k, n = 0, len(ends)
+    while k < n:
+        fit = bisect_right(ends, run.close - shift, k)
+        if fit > k:
+            run.pieces(jobs[2 * k:2 * fit])
+            run.t = shift + ends[fit - 1]
+            k = fit
+            if k == n:
+                break
+        _place_item(run, batch.cls, batch.setup, jobs[2 * k], jobs[2 * k + 1])
+        shift = run.t - ends[k]
+        k += 1
+    if bad is not None:
+        job, dur = batch.jobs[2 * bad:2 * bad + 2]
+        raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
 
 
 def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],

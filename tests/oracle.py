@@ -2,11 +2,11 @@
 exhaustive assignment enumeration, a dense breakpoint scan that finds the
 least guess a variant's dual accepts, and the references the library is
 compared with: the verifier that the one-pass `verify_schedule` replaced,
-the non-preemptive construction that the tuple-stack build replaced, the
+the non-preemptive construction with an object per setup and piece, the
 preemptive construction that re-classified its nice remainder instead of
-reading it off the plan, and the per-job oversized-job positions and the
+reading it off the plan, the per-job oversized-job positions and the
 knapsack items read off them, which the decisions find from per-class
-aggregates."""
+aggregates, and the wrap that placed one job at a time."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from operator import itemgetter
 from typing import Optional
 
 from batchsched.core import (
+    CapacityError,
     ContractError,
     Decision,
     Instance,
@@ -33,7 +34,7 @@ from batchsched.core import (
     trivial_one_job_per_machine,
 )
 from batchsched.preemptive import KnapsackItem
-from batchsched.wrap import Batch, Builder, Gap, run_wrap
+from batchsched.wrap import Batch, Builder, Gap, WrapResult, check_template, run_wrap
 
 # The reference nonp construction's item kinds (a placement itself has no
 # kind: job -1 marks a setup).
@@ -296,9 +297,9 @@ def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: R
 # ---------------------------------------------------------------------------
 #
 # The non-preemptive dual's counts, construction and next-fit 2-approximation
-# as they were before their machine stacks became plain tuples: one mutable
-# _Item per setup and piece, carrying its creation order and the repair's
-# step-3 and crossing flags.  Kept as the reference the tuple build must
+# placed one item at a time on machine stacks: one mutable _Item per setup
+# and piece, carrying its creation order and the repair's step-3 and
+# crossing flags.  Kept as the reference the run-at-a-time build must
 # equal.  `branches`, when given, counts how often each repair branch runs.
 
 
@@ -951,3 +952,117 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
         run_wrap(builder, seq, gaps)
 
     return builder.finalize()
+
+
+# ---------------------------------------------------------------------------
+# The wrap that placed one job at a time
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceRun:
+    """The wrapping pass with one piece per call.  `events` counts the cases
+    the wrap differential test must reach."""
+
+    def __init__(self, builder: Builder, gaps: list[Gap], setups_below: bool, events: Counter):
+        self.runs = [g for g in gaps if g.count]
+        check_template(self.runs)
+        if not self.runs:
+            raise CapacityError("empty wrap template")
+        self.b = builder
+        self.rows = builder.rows
+        self.setups_below = setups_below
+        self.events = events
+        self.placed = 0
+        self.batch = self.batch_row = None
+        self.k, self.left = -1, 0
+        self.next_gap()
+
+    def setup(self, cls: int, start: Rat, dur: Rat):
+        self.end_batch()
+        self.placed += 1
+        self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
+
+    def piece(self, job: int, dur: Rat):
+        self.placed += 1
+        self.batch += job, dur
+
+    def end_batch(self):
+        if self.batch is not None:
+            self.batch_row.append(tuple(self.batch))
+            self.batch = None
+
+    def next_gap(self):
+        if self.left:
+            self.left -= 1
+            self.machine += 1
+        else:
+            self.k += 1
+            if self.k == len(self.runs):
+                raise CapacityError("wrap sequence exceeds template capacity")
+            g = self.runs[self.k]
+            self.machine, self.left = g.machine, g.count - 1
+            self.open, self.close = g.open, g.close
+        self.t = self.open
+
+    def bulk_full_gaps(self, cls: int, setup: Rat, job: int, rest: Rat) -> Rat:
+        height = self.close - self.open
+        if self.left < 2 or rest <= 2 * height:
+            return rest
+        self.events["bulk full gaps"] += 1
+        full = min(-(-rest // height) - 1, self.left)
+        self.b.put_config(self.machine, [(cls, self.open - setup, setup, job, height)], full)
+        self.placed += 2
+        self.machine += full
+        self.left -= full
+        return rest - height * full
+
+    def finish(self) -> WrapResult:
+        self.end_batch()
+        return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
+
+
+def _reference_place_item(run: _ReferenceRun, cls: int, setup: Rat, job: int, dur: Rat):
+    end = run.t + dur
+    while end > run.close:
+        head = run.close - run.t
+        if head > 0:
+            run.piece(job, head)
+        rest = end - run.close
+        run.next_gap()
+        rest = run.bulk_full_gaps(cls, setup, job, rest)
+        run.setup(cls, run.open - setup, setup)
+        end = run.t + rest
+    if end > run.t:
+        run.piece(job, end - run.t)
+    if end == run.close:
+        run.events["job ends on a close"] += 1
+    run.t = end
+
+
+def _reference_place_batch(run: _ReferenceRun, batch: Batch):
+    if run.setups_below and run.t == run.open and run.t + batch.setup <= run.close:
+        run.events["setup below"] += 1
+        run.setup(batch.cls, run.open - batch.setup, batch.setup)
+    elif run.t + batch.setup > run.close:
+        run.next_gap()
+        run.setup(batch.cls, run.open - batch.setup, batch.setup)
+    else:
+        run.setup(batch.cls, run.t, batch.setup)
+        run.t = run.t + batch.setup
+        if run.t == run.close:
+            run.events["setup fills a gap"] += 1
+    items = iter(batch.jobs)
+    for job, dur in zip(items, items):
+        if dur <= 0:
+            raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
+        _reference_place_item(run, batch.cls, batch.setup, job, dur)
+
+
+def reference_run_wrap(builder: Builder, seq, gaps: list[Gap], setups_below: bool = False,
+                       events: Optional[Counter] = None) -> WrapResult:
+    """`run_wrap` as it placed every job on its own, kept as the reference
+    the run-at-a-time wrap must equal."""
+    run = _ReferenceRun(builder, gaps, setups_below, Counter() if events is None else events)
+    for batch in seq:
+        _reference_place_batch(run, batch)
+    return run.finish()

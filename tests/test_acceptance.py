@@ -398,6 +398,23 @@ def test_criterion_9_builds_near_linear():
     _announce("9", "builds near-linear in n", t0)
 
 
+def test_criterion_9_builds_per_job():
+    # Every build places runs of whole jobs with one step per gap or machine,
+    # so at n = 10k (about 10 jobs per machine) each executes at most 60
+    # opcodes per job, and so does the next-fit 2-approximation.
+    t0 = time.time()
+    inst = _scaling_instance(10_000, 1)
+    count = {"next-fit": _opcodes(next_fit_two_approx, inst, Variant.NONPREEMPTIVE)}
+    for v, build in ((Variant.SPLITTABLE, _build_split), (Variant.PREEMPTIVE, _build_pmtn),
+                     (Variant.NONPREEMPTIVE, _build_nonp)):
+        ops = variant_ops(v)
+        guess = ops.search(inst).guess
+        count[v.value] = _opcodes(build, inst, guess, ops.decide(inst, guess).plan)
+    per_job = {name: round(c / inst.n, 1) for name, c in count.items()}
+    assert max(per_job.values()) <= 60, per_job
+    _announce("9", "builds at most 60 opcodes per job", t0)
+
+
 def test_criterion_10_probe_budgets():
     t0 = time.time()
     rows, _ = _run_corpus_a()

@@ -181,6 +181,18 @@ def test_verify_idle_inside_class_run_allowed():
     assert verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(6)).ok
 
 
+def test_placement_count_skips_idle_pairs_only():
+    # setups plus pieces, each configuration's once: a -1 counts as idle
+    # time only in a job slot, not as a class, start or duration
+    sched = Schedule(
+        m=5,
+        machines=[[(0, 0, 2, -1, 1, 0, 3), (-1, 6, 1, 0, 2)],
+                  [(1, -1, 1, -1, 2, -1, 3, 0, 1, 1, -1)]],
+        compressed=[([(0, 0, 2, 0, -1, -1, 4)], 3)],
+    )
+    assert sched.placement_count() == 2 + 2 + 3 + 2
+
+
 def test_verify_overlap_and_bound():
     inst = Instance(m=1, classes=(JobClass(1, (2, 2)),))
     sched = Schedule(

@@ -1,7 +1,8 @@
-"""The tuple-stack non-preemptive construction against the item-object build
-it replaced: equal schedules from `dual_nonp` and `reference_build_nonp` on
-20,000+ (instance, accepted guess) pairs, with every repair branch reached,
-and equal next-fit 2-approximations on the same instances.  Then the
+"""The non-preemptive construction against the item-object build it
+replaced: equal schedules from `dual_nonp` and `reference_build_nonp` on
+20,000+ (instance, accepted guess) pairs of small instances, with every
+repair branch reached, and on 400 pairs of instances with 50-500 jobs per
+class; equal next-fit 2-approximations on the same instances.  Then the
 decisions' per-class counts against per-job reference lists on 20,000
 (instance, guess) pairs: the non-preemptive machines and leftovers, and the
 preemptive star classes and knapsack items."""
@@ -9,9 +10,10 @@ preemptive star classes and knapsack items."""
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
-from batchsched.core import Variant, lower_bound_tmin
-from batchsched.nonpreemptive import counts_nonp, dual_nonp, next_fit_two_approx
+from batchsched.core import Instance, JobClass, Variant, lower_bound_tmin
+from batchsched.nonpreemptive import _decide_nonp, counts_nonp, dual_nonp, next_fit_two_approx
 from batchsched.preemptive import _pmtn_counts, _star_items
 from conftest import random_instance
 from oracle import (
@@ -21,6 +23,7 @@ from oracle import (
     reference_next_fit_two_approx,
     reference_star_items,
 )
+from test_acceptance import _scaling_instance
 from test_preemptive import knapsack_heavy_instance
 
 GRID = 16  # guesses T_min * (1 + k / GRID), k = 0 .. GRID
@@ -67,6 +70,47 @@ def test_build_and_next_fit_equal_the_reference():
         "parked on a new machine", "parked on an existing machine",
     }
     assert min(branches.values()) >= 50, branches
+
+
+def _large_instance(rng: random.Random) -> Instance:
+    """3-10 classes of 50-500 jobs, m >= 20 and 2-30 jobs per machine: small
+    setups or large ones, short jobs or long ones, so every step of the
+    construction places runs of many jobs."""
+    classes = []
+    for _ in range(rng.randint(3, 10)):
+        k = rng.randint(50, 500) if rng.random() < 0.15 else rng.randint(50, 100)
+        s = rng.randint(1, 20) if rng.random() < 0.5 else rng.randint(40, 150)
+        hi = rng.choice([20, 100, 300])
+        classes.append(JobClass(s, tuple(rng.randint(1, hi) for _ in range(k))))
+    n = sum(len(cl.jobs) for cl in classes)
+    return Instance(max(20, n // rng.choice([2, 3, 4, 8, 16, 30])), tuple(classes))
+
+
+def test_build_and_next_fit_equal_the_reference_on_large_instances():
+    # 180 instances of the generator above and 20 of criterion 9's at
+    # n = 2.5k with 5-50 classes, each at its two lowest accepted grid
+    # guesses: jobs cut in steps 1 and 2, and long greedy runs in step 3
+    rng = random.Random(1103)
+    branches: Counter = Counter()
+    insts = [_large_instance(rng) for _ in range(180)]
+    insts += [_scaling_instance(2_500, seed, c=5 * (1 + seed % 10)) for seed in range(20)]
+    pairs = 0
+    for inst in insts:
+        assert next_fit_two_approx(inst, Variant.NONPREEMPTIVE) == \
+            reference_next_fit_two_approx(inst, Variant.NONPREEMPTIVE), inst
+        tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
+        accepted = (g for g in (tmin * (GRID + k) / GRID for k in range(GRID + 1))
+                    if _decide_nonp(inst, g).accepted)
+        for guess in islice(accepted, 2):
+            pairs += 1
+            assert dual_nonp(inst, guess).schedule == reference_build_nonp(inst, guess, branches), \
+                (inst, guess)
+    assert pairs == 400
+    # an existing machine takes the last item only when m is nearly used up,
+    # which the small instances above reach
+    assert min(branches[b] for b in ("first-piece swap", "carried piece", "carried setup",
+                                     "uncovered continuation", "parked on a new machine")) >= 20, \
+        branches
 
 
 def _decision_pairs(seed: int):

@@ -8,6 +8,7 @@ from batchsched import preemptive, splittable
 from batchsched.core import CapacityError, Instance, JobClass, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
+from oracle import reference_run_wrap
 
 
 def flat(sched):
@@ -343,3 +344,73 @@ def test_run_wrap_int_gaps_past_float_precision():
     assert sched.compressed == [([(0, 0, s, 0, H)], 5)]
     assert all(type(start) is int and type(dur) is int
                for _, start, dur, _ in sched.placements())
+
+
+def _differential_case(rng):
+    """A random (sequence, template, setups_below) for the wrap differential
+    test, and where in a batch a non-positive duration was put (None if
+    nowhere).  Batches of up to 8 jobs, so runs of several jobs fill a gap;
+    a fifth of the cases use Fraction times; some jobs are long enough to
+    cover whole gaps of a run."""
+    frac = rng.random() < 0.2
+
+    def num(lo, hi):
+        return F(rng.randint(lo * 3, hi * 3), 3) if frac else rng.randint(lo, hi)
+
+    seq, smax = [], 0
+    for ci in range(rng.randint(1, 4)):
+        s = num(1, 4)
+        smax = max(smax, s)
+        durs = [num(1, 30) if rng.random() < 0.1 else num(1, 6) for _ in range(rng.randint(1, 8))]
+        seq.append(Batch(ci, s, tuple(x for j, d in enumerate(durs) for x in (j, d))))
+    bad = None
+    if rng.random() < 0.06:
+        b = rng.randrange(len(seq))
+        jobs = list(seq[b].jobs)
+        k = len(jobs) // 2
+        bad = rng.choice(["first", "middle", "last"] if k >= 3 else ["first", "last"])
+        pos = {"first": 0, "middle": rng.randint(1, k - 2) if k >= 3 else 0, "last": k - 1}[bad]
+        jobs[2 * pos + 1] = -jobs[2 * pos + 1] if rng.random() < 0.5 else 0
+        seq[b] = Batch(seq[b].cls, seq[b].setup, tuple(jobs))
+    counts = [rng.randint(0, 8) for _ in range(rng.randint(1, 3))]
+    mean = load(seq) / max(1, sum(counts))
+    runs, u = [], 0
+    for count in counts:
+        a = smax + num(0, 2)
+        h = max(mean * F(rng.randint(2, 8), 4), F(1))
+        if not frac:
+            h = max(1, round(h))
+        runs.append(Gap(u, a, a + h, count))
+        u += count + rng.randint(0, 2)
+    return seq, runs, rng.random() < 0.3, bad
+
+
+def _wrap_outcome(wrap, seq, runs, below, m):
+    builder = Builder(m)
+    try:
+        res = wrap(builder, seq, runs, below)
+    except (ValueError, CapacityError) as exc:
+        return type(exc), str(exc)
+    return builder.finalize(), res
+
+
+def test_run_wrap_equals_the_per_item_reference():
+    # the run-at-a-time wrap against the one that placed every job on its
+    # own: equal schedules and WrapResults, or the same error
+    rng = random.Random(2222)
+    events, kinds = Counter(), Counter()
+    for _ in range(6_000):
+        seq, runs, below, bad = _differential_case(rng)
+        m = runs[-1].machine + runs[-1].count + 1
+        want = _wrap_outcome(
+            lambda b, s, g, below: reference_run_wrap(b, s, g, below, events), seq, runs, below, m)
+        got = _wrap_outcome(run_wrap, seq, runs, below, m)
+        assert got == want, (seq, runs, below)
+        kinds["fraction" if any(type(b.setup) is F for b in seq) else "int"] += 1
+        kinds[want[0].__name__ if isinstance(want[0], type) else "wrapped"] += 1
+        if bad is not None and want[0] is ValueError:
+            kinds[f"non-positive {bad}"] += 1
+    assert min(events[e] for e in ("job ends on a close", "setup fills a gap", "setup below",
+                                   "bulk full gaps")) >= 100, events
+    assert kinds["wrapped"] >= 3_000 and kinds["fraction"] >= 1_000, kinds
+    assert min(kinds[f"non-positive {p}"] for p in ("first", "middle", "last")) >= 20, kinds
