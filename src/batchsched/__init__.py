@@ -15,7 +15,6 @@ from .core import (
     VerifyReport,
     Violation,
     emit_instance,
-    job_setup_bound,
     lower_bound_tmin,
     parse_instance,
     verify_schedule,

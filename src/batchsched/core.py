@@ -3,8 +3,13 @@
 Setups and processing times are ints, guesses, bounds and makespans exact
 Fractions, and a schedule's starts and durations ints on its integer time
 scale (`Schedule.scale`: t means t / scale), or Fractions in a hand-built
-schedule.  Nothing here rounds, ever: accept/reject decisions and ratio
-checks are exact.
+schedule.  A decision reads its guess p/q once, as the two ints p and q,
+and from then on holds every per-class quantity as an int on the guess's
+scale q (x stands for x / q) or a stated multiple of it, and every required
+load as an int in the instance's own units: it compares by
+cross-multiplying, and the one Fraction it can build is the preemptive
+knapsack's split share.  Nothing here rounds, ever: accept/reject decisions
+and ratio checks are exact.
 """
 
 from __future__ import annotations
@@ -111,6 +116,13 @@ class Instance:
     def s_max(self) -> int:
         return max(cl.setup for cl in self.classes)
 
+    @cached_property
+    def job_setup_bound(self) -> int:
+        """max(s_i + longest job of class i): no schedule of the
+        non-splittable variants beats this.  Found once: every probe of
+        their decisions reads it."""
+        return max(cl.setup + cl.t_max for cl in self.classes)
+
 
 def parse_instance(raw: dict) -> Instance:
     """Build a validated Instance from the JSON-level description.
@@ -154,22 +166,17 @@ def emit_instance(inst: Instance) -> dict:
     }
 
 
-def job_setup_bound(inst: Instance) -> int:
-    """max(s_i + longest job of class i): no schedule of the non-splittable
-    variants beats this."""
-    return max(cl.setup + cl.t_max for cl in inst.classes)
-
-
 def lower_bound_tmin(inst: Instance, variant: Variant) -> Rat:
     """Certified lower bound on the optimal makespan of the variant.
 
     Splittable: max(N/m, largest setup).  Preemptive and non-preemptive
-    additionally pay setup + longest job of some class on one machine.
+    pay setup + longest job of some class on one machine instead of the
+    largest setup (`Instance.job_setup_bound`).
     """
-    base = Fraction(inst.total_load, inst.m)
-    if variant is Variant.SPLITTABLE:
-        return max(base, Fraction(inst.s_max))
-    return max(base, Fraction(job_setup_bound(inst)))
+    bound = inst.s_max if variant is Variant.SPLITTABLE else inst.job_setup_bound
+    if bound * inst.m >= inst.total_load:
+        return Fraction(bound)
+    return Fraction(inst.total_load, inst.m)
 
 
 def fmt_rat(x: Rat) -> str:
@@ -196,15 +203,6 @@ def fmt_rat(x: Rat) -> str:
 # which the cyclic collector stops tracking, so a full collection does not
 # rescan every batch of a large schedule; a parsed file's is the JSON list.
 Row = list[Sequence[Union[int, Rat]]]
-
-
-def scaled(x: Rat, scale: int) -> int:
-    """x * scale as an int: a value of the decision moved onto a build's
-    integer time scale.  ContractError unless that is exact."""
-    t, r = divmod(x.numerator * scale, x.denominator)
-    if r:
-        raise ContractError(f"{x} is not on the time scale 1/{scale}")
-    return t
 
 
 def batch_end(batch: Sequence) -> Union[int, Rat]:
@@ -320,30 +318,28 @@ class ClassPartition:
     chp_star: tuple[int, ...]  # chp_minus classes with s + t_max > T/2
 
 
-def classify(inst: Instance, guess: Rat) -> ClassPartition:
-    """Split the classes at the guess, right-continuously."""
-    if guess <= 0:
+def classify(inst: Instance, p: int, q: int) -> ClassPartition:
+    """Split the classes at the guess p/q (q > 0), right-continuously."""
+    if p <= 0:
         raise ContractError("classify needs T > 0")
     # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p etc.
-    p_, q_ = guess.numerator, guess.denominator
     exp_plus, exp_zero, exp_minus = [], [], []
     chp_plus, chp_minus, chp_star = [], [], []
     for i, cl in enumerate(inst.classes):
-        p = cl.total
-        sq2 = 2 * cl.setup * q_
-        if sq2 > p_:
-            reach = (cl.setup + p) * q_
-            if reach > p_:
+        sq2 = 2 * cl.setup * q
+        if sq2 > p:
+            reach = (cl.setup + cl.total) * q
+            if reach > p:
                 exp_plus.append(i)
-            elif 4 * reach > 3 * p_:
+            elif 4 * reach > 3 * p:
                 exp_zero.append(i)
             else:
                 exp_minus.append(i)
-        elif 2 * sq2 > p_:
+        elif 2 * sq2 > p:
             chp_plus.append(i)
         else:
             chp_minus.append(i)
-            if 2 * (cl.setup + cl.t_max) * q_ > p_:
+            if 2 * (cl.setup + cl.t_max) * q > p:
                 chp_star.append(i)
     return ClassPartition(
         exp_plus=tuple(exp_plus),
@@ -367,39 +363,41 @@ class Decision(NamedTuple):
     load), "machines" (m below the required machine count), "setup-bound" or
     "job-bound" (the guess is below a direct lower bound); "" when accepted.
     load and machines are the requirements the guess was held against (None
-    when a direct bound or a geometric certificate decided).  plan is what
-    the construction needs; None when no planning was needed (rejected
-    outright, or accepted because m >= n).  schedule is set by the dual
-    (`dual_split`, `dual_pmtn`, `dual_nonp`) exactly when it accepts: one
-    with makespan <= (3/2)*guess.  The decision functions the searches probe
-    leave it None.
+    when a direct bound or a geometric certificate decided).  load is an
+    int: every required load is a sum of setups and processing times.  plan
+    is what the construction needs; None when no planning was needed
+    (rejected outright, or accepted because m >= n).  schedule is set by the
+    dual (`dual_split`, `dual_pmtn`, `dual_nonp`) exactly when it accepts:
+    one with makespan <= (3/2)*guess.  The decision functions the searches
+    probe leave it None.
     """
 
     accepted: bool
     reason: str
-    load: Optional[Rat] = None
+    load: Optional[int] = None
     machines: Optional[int] = None
     plan: object = None
     schedule: Optional[Schedule] = None
 
 
-def decide_need(m: int, guess: Rat, load: Rat, machines: int, plan: object = None) -> Decision:
-    """Accept unless the guess needs more than m machines or more load than
-    m * guess."""
+def decide_need(m: int, p: int, q: int, load: int, machines: int, plan: object = None) -> Decision:
+    """Accept the guess p/q unless it needs more than m machines or more
+    load than m * p/q."""
     if m < machines:
         return Decision(False, "machines", load, machines, plan)
-    if m * guess < load:
+    if m * p < load * q:
         return Decision(False, "load", load, machines, plan)
     return Decision(True, "", load, machines, plan)
 
 
-def job_bound_decision(inst: Instance, guess: Rat) -> Optional[Decision]:
-    """The start shared by the non-splittable duals: a guess below the
-    job-setup bound is certified infeasible, and with m >= n every other guess
-    is accepted (one job per machine).  None when planning has to decide."""
-    if guess <= 0:
+def job_bound_decision(inst: Instance, p: int, q: int) -> Optional[Decision]:
+    """The start shared by the non-splittable duals on the guess p/q: a
+    guess below the job-setup bound is certified infeasible, and with m >= n
+    every other guess is accepted (one job per machine).  None when planning
+    has to decide."""
+    if p <= 0:
         return Decision(False, "load")
-    if guess < job_setup_bound(inst):
+    if p < inst.job_setup_bound * q:
         return Decision(False, "job-bound")
     if inst.m >= inst.n:
         return Decision(True, "")

@@ -30,7 +30,6 @@ from .core import (
     decided_outcome,
     job_bound_decision,
     lower_bound_tmin,
-    scaled,
     trivial_one_job_per_machine,
 )
 from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_search
@@ -148,11 +147,12 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
 
 @dataclass
 class NonpCounts:
-    """Per-class machine minima and leftovers at a guess T.
+    """Per-class machine minima and leftovers at a guess T = p/q, as ints.
 
     machines[i]  least machines any T-feasible schedule opens for class i
-    leftover[i]  x_i = P(C_i) - machines[i] * (T - s_i): work that cannot fit
-                 on those machines (forces an extra setup when positive)
+    leftover[i]  x_i * q, on the guess's scale q: x_i = P(C_i) - machines[i]
+                 * (T - s_i) is work that cannot fit on those machines
+                 (forces an extra setup when positive)
 
     A cheap class needs one machine per big job (t_j > T/2) plus enough for
     its forced work (t_j <= T/2 but s_i + t_j > T/2): no two such jobs share
@@ -161,51 +161,47 @@ class NonpCounts:
     """
 
     machines: list[int]
-    leftover: list[Rat]
+    leftover: list[int]
 
 
-def counts_nonp(inst: Instance, guess: Rat) -> NonpCounts:
-    """The counts for a guess above every setup (the job-setup bound, which
-    the dual checks first, implies that); ContractError otherwise."""
+def counts_nonp(inst: Instance, p: int, q: int) -> NonpCounts:
+    """The counts for a guess p/q above every setup (the job-setup bound,
+    which the dual checks first, implies that); ContractError otherwise."""
     # integer arithmetic on the guess p/q: x > guess/2 iff 2 x q > p, and a
     # class fills T - s_i = (p - s_i q)/q per machine
-    p_, q_ = guess.numerator, guess.denominator
     machines: list[int] = []
-    leftover: list[Rat] = []
-    for i, cl in enumerate(inst.classes):
-        room = p_ - cl.setup * q_
-        sq2 = 2 * cl.setup * q_
-        if sq2 > p_:
+    leftover: list[int] = []
+    for cl in inst.classes:
+        room = p - cl.setup * q
+        sq2 = 2 * cl.setup * q
+        if sq2 > p:
             if room <= 0:
                 raise ContractError("counts_nonp needs a guess above every setup")
-            mi = -(-cl.total * q_ // room)
-        elif sq2 + 2 * cl.t_max * q_ > p_:  # else no job of the class is big or forced
-            nbig = kw = 0
-            for t in cl.jobs:
-                if 2 * t * q_ > p_:
-                    nbig += 1
-                elif sq2 + 2 * t * q_ > p_:
-                    kw += t
-            mi = nbig + -(-kw * q_ // room)
+            mi = -(-cl.total * q // room)
+        elif sq2 + 2 * cl.t_max * q > p:  # else no job of the class is big or forced
+            # forced or big: 2(s + t) q > p, i.e. t > (p - 2sq) // 2q; big:
+            # 2tq > p, i.e. t > p // 2q
+            over = list(filter(((p - sq2) // (2 * q)).__lt__, cl.jobs))
+            big = list(filter((p // (2 * q)).__lt__, over))
+            mi = len(big) + -(-(sum(over) - sum(big)) * q // room)
         else:
             mi = 0
         machines.append(mi)
-        leftover.append(Fraction(cl.total * q_ - mi * room, q_))
+        leftover.append(cl.total * q - mi * room)
     return NonpCounts(machines=machines, leftover=leftover)
 
 
 def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
     """The dual's verdict on a guess; its plan is the NonpCounts."""
-    early = job_bound_decision(inst, guess)
+    p, q = guess.as_integer_ratio()
+    early = job_bound_decision(inst, p, q)
     if early is not None:
         return early
-    counts = counts_nonp(inst, guess)
+    counts = counts_nonp(inst, p, q)
     load = inst.total_work
-    for i, cl in enumerate(inst.classes):
-        load += counts.machines[i] * cl.setup
-        if counts.leftover[i] > 0:
-            load += cl.setup
-    return decide_need(inst.m, guess, load, sum(counts.machines), counts)
+    for cl, mi, x in zip(inst.classes, counts.machines, counts.leftover):
+        load += (mi + (x > 0)) * cl.setup
+    return decide_need(inst.m, p, q, load, sum(counts.machines), counts)
 
 
 def dual_nonp(inst: Instance, guess: Rat) -> Decision:
@@ -279,7 +275,7 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 pos, a = pos + room, b
             got = max(S[-1] - pos, 0)
             ghost, rest = (S[a] - pos if got else 0), tuple(rest[2 * a:])
-        want = max(scaled(counts.leftover[i], scale), 0)
+        want = max(counts.leftover[i], 0)  # on the decision's scale q, as here
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")
         if got:
@@ -341,11 +337,11 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     guess is a certified lower bound on it and the schedule is within 3/2."""
     if inst.m >= inst.n:
         return trivial_search(inst)
-    tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
+    p, q = lower_bound_tmin(inst, Variant.NONPREEMPTIVE).as_integer_ratio()
     probe = CachedProbe(lambda guess: _decide_nonp(inst, guess).accepted)
 
-    lo = math.ceil(tmin) - 1  # below T_min: certified rejected without a probe
-    hi = math.ceil(2 * tmin)
+    lo = -(-p // q) - 1  # below T_min: certified rejected without a probe
+    hi = -(-2 * p // q)  # ceil(2 T_min)
     if not probe(hi):
         raise ContractError(f"dual rejected ceil(2*T_min) = {hi}")
     # index k stands for the guess lo + k; the top index is passed, since

@@ -17,9 +17,9 @@ breakpoints off the plan at the bracket's midpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, groupby
 from fractions import Fraction
 from typing import Optional
 
@@ -37,7 +37,6 @@ from .core import (
     decided_outcome,
     job_bound_decision,
     lower_bound_tmin,
-    scaled,
 )
 from .search import (
     CachedProbe,
@@ -57,33 +56,50 @@ from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 
 @dataclass(frozen=True)
 class KnapsackItem:
+    """A star class as a knapsack item, in a decision's ints: its setup as
+    the profit, and its weight on the decision's scale 2q of the guess p/q,
+    where the weight grows by `growth` for each unit half the guess grows by.
+    Only ratios of profits, weights and growths matter, so every item of one
+    knapsack shares those scales."""
+
     cls: int
-    profit: Rat  # > 0
-    weight: Rat  # >= 0
-    growth: Rat = 0  # d weight / d guess; orders density ties as just above
+    profit: int  # > 0
+    weight: int  # >= 0
+    growth: int = 0  # d weight / d (guess / 2); orders density ties as just above
 
 
 @dataclass
 class KnapsackSolution:
-    x: dict[int, Rat]  # item -> share in [0, 1]; all 0/1 except the split item
+    x: dict[int, Rat]  # item -> share: 1 or 0 as ints, the split item's a Fraction
     split_item: Optional[int]
 
 
-def _per_weight(x: Rat, weight: Rat) -> tuple[int, int]:
-    """x / weight as an unreduced integer pair (num, den), den > 0."""
-    return x.numerator * weight.denominator, x.denominator * weight.numerator
+def _by_density(items: list[KnapsackItem], growth_ties: bool) -> list[KnapsackItem]:
+    """The items of positive weight by profit per weight, highest first; ties
+    by growth per weight, lowest first, when growth_ties, then by class.
+
+    A sort on float densities, which never inverts two different densities:
+    int true division is correctly rounded, so it is monotone.  Only a run of
+    equal floats is sorted again, on exact int keys over the lcm W of its
+    weights (p/w = p (W/w) / W); an int past the float range puts every item
+    in one such run."""
+    rest = [it for it in items if it.weight > 0]
+    try:
+        density = [-it.profit / it.weight for it in rest]
+    except OverflowError:
+        density = [0.0] * len(rest)
+    out: list[KnapsackItem] = []
+    for _, run in groupby(sorted(range(len(rest)), key=density.__getitem__), density.__getitem__):
+        run = [rest[k] for k in run]
+        if len(run) > 1:
+            W = math.lcm(*(it.weight for it in run))
+            run.sort(key=lambda it: (-it.profit * (W // it.weight),
+                                     it.growth * (W // it.weight) if growth_ties else 0, it.cls))
+        out += run
+    return out
 
 
-def _density_order(a, b) -> int:
-    """Negative when item a goes first: the higher profit per weight, then
-    the lower growth per weight, then the smaller class.  a and b are
-    (profit ratio, growth ratio, item), compared by cross-multiplying."""
-    (pa, qa), (ga, ha), ita = a
-    (pb, qb), (gb, hb), itb = b
-    return (pb * qa - pa * qb) or (ga * hb - gb * ha) or (ita.cls - itb.cls)
-
-
-def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSolution:
+def continuous_knapsack(items: list[KnapsackItem], capacity: int) -> KnapsackSolution:
     """Greedy by profit density; optimal for the continuous relaxation.
 
     Weightless items are taken outright.  At most one item is fractional.
@@ -91,29 +107,24 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
     slower-growing weight first), then towards the smaller class index.  The
     first item that does not fit whole is the split item even when its share
     is 0 (the capacity ran out exactly).  So the solution is the limit of the
-    ones for slightly larger guesses and capacities.
+    ones for slightly larger guesses and capacities.  The capacity is on the
+    weights' scale; the split share is the one Fraction made.
     """
     if capacity < 0:
         raise ContractError("knapsack capacity must be >= 0")
-    free = [it for it in items if it.weight == 0]
-    rest = [it for _, _, it in sorted(
-        ((_per_weight(it.profit, it.weight), _per_weight(it.growth, it.weight), it)
-         for it in items if it.weight > 0),
-        key=cmp_to_key(_density_order),
-    )]
-    x: dict[int, Rat] = {it.cls: Fraction(1) for it in free}
-    remaining = Fraction(capacity)
+    x: dict[int, Rat] = {it.cls: 1 for it in items if it.weight == 0}
+    remaining = capacity
     split: Optional[int] = None
-    for it in rest:
+    for it in _by_density(items, growth_ties=True):
         if remaining >= it.weight:
-            x[it.cls] = Fraction(1)
+            x[it.cls] = 1
             remaining -= it.weight
         elif split is None:
-            x[it.cls] = remaining / it.weight
+            x[it.cls] = Fraction(remaining, it.weight)
             split = it.cls
-            remaining = Fraction(0)
+            remaining = 0
         else:
-            x[it.cls] = Fraction(0)
+            x[it.cls] = 0
     return KnapsackSolution(x=x, split_item=split)
 
 
@@ -121,11 +132,12 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: Rat) -> KnapsackSol
 # Nice instances (no class with 3/4 T < setup + work < T)
 # ---------------------------------------------------------------------------
 
-def _gamma_count(setup: Rat, work: Rat, guess: Rat) -> int:
-    """Machines the half-gap packing occupies for an expensive heavy class:
-    max(1, ceil(2(s+P)/T) - 2).  It only steps on the grid 2(s+P)/k,
-    continuously from the right, so the dual's accept boundary is attained."""
-    return max(1, -(-2 * (setup + work) // guess) - 2)
+def _gamma_count(reach: int, p: int, q: int) -> int:
+    """Machines the half-gap packing occupies for an expensive heavy class of
+    setup + work reach at the guess p/q: max(1, ceil(2 reach/T) - 2).  It
+    only steps on the grid 2 reach/k, continuously from the right, so the
+    dual's accept boundary is attained."""
+    return max(1, -(-2 * reach * q // p) - 2)
 
 
 def _stack(builder: Builder, u: int, t: int, batch: Batch) -> int:
@@ -142,7 +154,10 @@ def _stack(builder: Builder, u: int, t: int, batch: Batch) -> int:
 
 @dataclass
 class _PmtnPlan:
-    """Everything the decision and the construction share for one guess.
+    """Everything the decision and the construction share for one guess p/q,
+    in ints: free_time on the guess's scale q (it stands for free_time / q),
+    the obligatory spills on the knapsack's scale 2q, star_total and load in
+    the instance's own units.
 
     The classes of part.exp_zero get one dedicated machine each.  Without
     them the instance is nice: the plan then has no geometric reject and no
@@ -151,11 +166,11 @@ class _PmtnPlan:
 
     part: ClassPartition
     gamma: dict[int, int]  # half-gap machines per part.exp_plus class, in class order
-    free_time: Rat = Fraction(0)  # F: room for small-setup classes off the dedicated machines
+    free_time: int = 0  # F * q: room for small-setup classes off the dedicated machines
     star_total: int = 0  # setup + work of the star classes, all of which F must take
     knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
-    obligatory: dict[int, Rat] = field(default_factory=dict)  # L*_i per star class
-    load: Rat = Fraction(0)
+    obligatory: dict[int, int] = field(default_factory=dict)  # L*_i * 2q per star class
+    load: int = 0
     machines: int = 0
     # Set when the guess is certified infeasible before the load/machine
     # comparison: setups of at least a quarter guess can never share a machine
@@ -164,54 +179,58 @@ class _PmtnPlan:
     reject: Optional[str] = None
 
 
-def _star_items(inst: Instance, part: ClassPartition, half: Rat,
-                free: Rat) -> tuple[list[KnapsackItem], dict[int, Rat], Rat]:
-    """The knapsack items of the star classes at half the guess, each one's
-    obligatory spill L*_i (what its oversized jobs, those with s + t > half,
-    overrun half the guess by, next to its setup) and the knapsack capacity
-    the free time leaves after every star setup and spill.  A weight grows by
-    its item's growth per unit of guess."""
+def _star_items(inst: Instance, part: ClassPartition, p: int, q: int,
+                free: int) -> tuple[list[KnapsackItem], dict[int, int], int]:
+    """The knapsack items of the star classes at the guess p/q, each one's
+    obligatory spill L*_i (what its oversized jobs, those with s + t above
+    half the guess, overrun half the guess by, next to its setup) and the
+    knapsack capacity the free time F = free / q leaves after every star
+    setup and spill.  Weights, spills and the capacity are on the scale 2q,
+    where half the guess is p."""
     items: list[KnapsackItem] = []
-    obligatory: dict[int, Rat] = {}
-    hp, hq = half.numerator, half.denominator  # s + t > half iff (s + t) hq > hp
+    obligatory: dict[int, int] = {}
+    q2 = 2 * q
+    taken = 0
     for i in part.chp_star:
         cl = inst.classes[i]
-        big = [t for t in cl.jobs if (cl.setup + t) * hq > hp]
-        ob = obligatory[i] = sum(big) - len(big) * (half - cl.setup)
-        items.append(KnapsackItem(cls=i, profit=Fraction(cl.setup), weight=cl.total - ob,
-                                  growth=Fraction(len(big), 2)))
-    return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
+        room = p - cl.setup * q2  # half the guess less the setup: T/2 - s
+        big = list(filter((room // q2).__lt__, cl.jobs))  # t > T/2 - s iff t 2q > room
+        ob = obligatory[i] = sum(big) * q2 - len(big) * room
+        items.append(KnapsackItem(cls=i, profit=cl.setup, weight=cl.total * q2 - ob,
+                                  growth=len(big)))
+        taken += cl.setup * q2 + ob
+    return items, obligatory, 2 * free - taken
 
 
-def _pmtn_counts(inst: Instance, guess: Rat) -> _PmtnPlan:
-    """The plan's arithmetic: the partition, the heavy classes' machine
-    counts, free time, star total, load and machines, before any geometric
-    reject or knapsack."""
-    part = classify(inst, guess)
+def _pmtn_counts(inst: Instance, p: int, q: int) -> _PmtnPlan:
+    """The plan's arithmetic at the guess p/q: the partition, the heavy
+    classes' machine counts, free time, star total, load and machines,
+    before any geometric reject or knapsack."""
+    part = classify(inst, p, q)
     classes = inst.classes
-    gamma = {i: _gamma_count(classes[i].setup, classes[i].total, guess) for i in part.exp_plus}
+    gamma = {i: _gamma_count(classes[i].setup + classes[i].total, p, q) for i in part.exp_plus}
     plan = _PmtnPlan(part=part, gamma=gamma)
     l = len(part.exp_zero)
     taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
     taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
-    plan.free_time = (inst.m - l) * guess - taken
+    plan.free_time = (inst.m - l) * p - taken * q
     plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
     plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
     # every class pays one setup, an expensive heavy class one per machine
-    plan.load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
+    plan.load = inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items())
     return plan
 
 
-def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
-    """The counts, then the geometric reject or the knapsack."""
-    plan = _pmtn_counts(inst, guess)
+def _pmtn_plan(inst: Instance, p: int, q: int) -> _PmtnPlan:
+    """The counts at the guess p/q, then the geometric reject or the knapsack."""
+    plan = _pmtn_counts(inst, p, q)
     part, free, l = plan.part, plan.free_time, len(plan.part.exp_zero)
     if l and free < 0:
         # The classes outside the dedicated machines alone overrun the other
         # m - l machines: certified infeasible.
         plan.reject = "load"
-    elif l and free < plan.star_total:
-        items, plan.obligatory, capacity = _star_items(inst, part, guess / 2, free)
+    elif l and free < plan.star_total * q:
+        items, plan.obligatory, capacity = _star_items(inst, part, p, q, free)
         if capacity < 0:
             # Even the unavoidable spill of the oversized-job classes exceeds
             # the room outside the dedicated machines.
@@ -228,15 +247,16 @@ def _pmtn_plan(inst: Instance, guess: Rat) -> _PmtnPlan:
 
 def _decide_pmtn(inst: Instance, guess: Rat) -> Decision:
     """The dual's verdict on a guess; its plan is the _PmtnPlan."""
-    early = job_bound_decision(inst, guess)
+    p, q = guess.as_integer_ratio()
+    early = job_bound_decision(inst, p, q)
     if early is not None:
         return early
-    plan = _pmtn_plan(inst, guess)
+    plan = _pmtn_plan(inst, p, q)
     if plan.reject is not None:
         # load/machines deliberately None: the reject is a geometric
         # certificate, not captured by the load comparison
         return Decision(False, plan.reject, plan=plan)
-    return decide_need(inst.m, guess, plan.load, plan.machines, plan)
+    return decide_need(inst.m, p, q, plan.load, plan.machines, plan)
 
 
 def dual_pmtn(inst: Instance, guess: Rat) -> Decision:
@@ -253,12 +273,14 @@ def dual_pmtn(inst: Instance, guess: Rat) -> Decision:
 def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     """The construction on the scale 4q of the guess p/q, where a quarter
     guess is p; times the knapsack split share's denominator, so the split
-    class's pieces are ints too."""
+    class's pieces are ints too.  The plan's free time (scale q) and
+    spills (scale 2q) move onto it by multiplication."""
     sol = plan.knapsack
-    scale = 4 * guess.denominator
+    p, q = guess.as_integer_ratio()
+    scale = 4 * q
     if sol is not None and sol.split_item is not None:
         scale *= sol.x[sol.split_item].denominator
-    T = scaled(guess, scale)
+    T = p * (scale // q)
     half, quarter, threehalf = T // 2, T // 4, 3 * T // 2
     builder = Builder(inst.m, scale)
     part = plan.part
@@ -276,7 +298,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     cheap = {i: class_batch(inst, i, scale) for i in part.chp_plus}
     leftovers: list[tuple[int, int, int]] = []  # (class, job, duration)
     split_cls = None if sol is None else sol.split_item
-    budget = scaled(plan.free_time - plan.star_total, scale) if sol is None else 0
+    budget = (plan.free_time - plan.star_total * q) * (scale // q) if sol is None else 0
     if budget < 0:
         raise ContractError("oversized-job classes overrun the free time")
     for i in part.chp_star:
@@ -288,21 +310,24 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         # guess next to its setup and a tail that must leave the large
         # machines.  The class keeps its share of each head and of its
         # other jobs in the remainder, and every tail.
+        # share = num/den, and den divides the scale's factor over 4q, so
+        # each share of a head or job below is an int
+        num, den = share.as_integer_ratio()
         cl = inst.classes[i]
         s = cl.setup * scale
         inside: list[int] = []  # (job, dur, ...), flat as Batch.jobs
         for j, t in enumerate(cl.jobs):
             t *= scale
             if s + t > half:  # oversized: its share of the head, and the tail
-                d2 = scaled(share * (half - s), 1) + s + t - half
+                d2 = (half - s) * num // den + s + t - half
             else:
-                d2 = scaled(share * t, 1)
+                d2 = t * num // den
             if d2 > 0:
                 inside += j, d2
             if t > d2:
                 leftovers.append((i, j, t - d2))
-        obligatory = scaled(plan.obligatory[i], scale)
-        if sum(inside[1::2]) != obligatory + share * (cl.total * scale - obligatory):
+        obligatory = plan.obligatory[i] * (scale // (2 * q))
+        if sum(inside[1::2]) * den != obligatory * den + num * (cl.total * scale - obligatory):
             raise ContractError("star-class bookkeeping broken")
         cheap[i] = Batch(cls=i, setup=s, jobs=tuple(inside))
     # Greedily cut the remaining small-setup classes so the nice remainder
@@ -415,41 +440,50 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
     density order flips and prefix saturation points of the knapsack.
 
     On such a bracket every quantity involved is linear in the guess, so each
-    point is read off the plan's counts at the midpoint (no knapsack runs):
-    the free time grows at rate m - l, each knapsack weight at its item's
-    growth, and the capacity at m - l plus their sum."""
-    mid = (t_fail + t_ok) / 2
-    plan = _pmtn_counts(inst, mid)
+    point is read off the plan's counts and knapsack items at the midpoint
+    p/q (no knapsack runs): the free time grows at rate r = m - l, each
+    knapsack weight at its item's growth per half a guess, and the capacity
+    at r plus half their sum.  Each point is a ratio of ints, and only the
+    points inside the bracket become Fractions."""
+    fp, fq = t_fail.as_integer_ratio()
+    op, oq = t_ok.as_integer_ratio()
+    p, q = fp * oq + op * fq, 2 * fq * oq  # the midpoint p/q
+    plan = _pmtn_counts(inst, p, q)
     part = plan.part
     rate = inst.m - len(part.exp_zero)
     breaks: set[Rat] = set()
 
-    def note(v: Rat):
-        if t_fail < v < t_ok:
-            breaks.add(v)
+    def note(num: int, den: int):
+        # the guess num/den, if den != 0 and it lies inside the bracket
+        if den < 0:
+            num, den = -num, -den
+        if den and fp * den < num * fq and num * oq < op * den:
+            breaks.add(Fraction(num, den))
 
     if not part.exp_zero or rate <= 0:
         return breaks
-    free = plan.free_time
-    note(mid - free / rate)  # F = 0
-    note(mid + (plan.star_total - free) / rate)  # case switch
+    free = plan.free_time  # F * q
+    note(p * rate - free, q * rate)  # F = 0
+    note(p * rate + plan.star_total * q - free, q * rate)  # case switch
     if not part.chp_star:
         return breaks
-    items, _, cap = _star_items(inst, part, mid / 2, free)
-    cap_rate = rate + sum(it.growth for it in items)
-    note(mid - cap / cap_rate)  # capacity = 0
+    # weights and capacity on the scale 2q, each weight growing by its growth
+    # per unit of half the guess
+    items, _, cap = _star_items(inst, part, p, q, free)
+    cap_rate = 2 * rate + sum(it.growth for it in items)  # twice the capacity's
+    note(p * cap_rate - cap, q * cap_rate)  # capacity = 0
     if len(items) <= 14:
         for a, b in combinations(items, 2):
             den = a.profit * b.growth - b.profit * a.growth
-            if den != 0:
-                note(mid + (b.profit * a.weight - a.profit * b.weight) / den)
+            note(p * den + b.profit * a.weight - a.profit * b.weight, q * den)
     # prefix saturation under the midpoint density order (every weight is
     # positive: an oversized job leaves T/2 - s >= T/4 below half the guess)
     weight = growth = 0
-    for it in sorted(items, key=lambda it: (-it.profit / it.weight, it.cls)):
+    for it in _by_density(items, growth_ties=False):
         weight += it.weight
         growth += it.growth
-        note(mid + (cap - weight) / (growth - cap_rate))  # sum of first weights == capacity
+        # sum of first weights == capacity
+        note(p * (growth - cap_rate) + cap - weight, q * (growth - cap_rate))
     return breaks
 
 
@@ -471,31 +505,31 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
     if probe(tmin):
         return probe.finish(dual_pmtn, inst, tmin, tmin)
-    top = 2 * tmin
+    p, q = tmin.as_integer_ratio()
+    top = Fraction(2 * p, q)
     if not probe(top):
         raise ContractError("dual rejected 2*T_min; 2-approximation bound broken")
 
     # Bracket over the thresholds where the class layers or the oversized-job
-    # sets change.
-    struct: set[Rat] = set()
-    doubled: set[int] = set()  # 2(s + t) over each class's distinct durations
+    # sets change: 2s, 4s, s + P, 4(s + P)/3 and 2(s + t), as ints on the
+    # scale 3.  Only those inside (T_min, 2 T_min) become Fractions.
+    struct: set[int] = set()
     for cl in inst.classes:
         s = cl.setup
         reach = s + cl.total
-        struct.update((Fraction(2 * s), Fraction(4 * s), Fraction(reach), Fraction(4 * reach, 3)))
-        doubled.update(2 * (s + t) for t in set(cl.jobs))
-    # only those inside (T_min, 2 T_min) = (p/q, 2p/q) become Fractions
-    p, q = tmin.numerator, tmin.denominator
-    struct.update(Fraction(v) for v in doubled if p < v * q < 2 * p)
-    cands = [tmin] + sorted(v for v in struct if tmin < v < top) + [top]
+        struct.update((6 * s, 12 * s, 3 * reach, 4 * reach))
+        struct.update(6 * (s + t) for t in set(cl.jobs))
+    inside = sorted(x for x in struct if 3 * p < x * q < 6 * p)
+    cands = [tmin, *(Fraction(x, 3) for x in inside), top]
 
-    def heavy(high_end: Rat) -> dict[int, Rat]:
+    def heavy(high_end: Rat) -> dict[int, int]:
         # expensive with setup + work past the guess throughout the open
         # bracket; a class reshapes at 2(s+P)/d, d >= 3
+        hp, hq = high_end.as_integer_ratio()
         return {
-            i: 2 * Fraction(cl.setup + cl.total)
+            i: 2 * (cl.setup + cl.total)
             for i, cl in enumerate(inst.classes)
-            if 2 * cl.setup >= high_end and cl.setup + cl.total >= high_end
+            if 2 * cl.setup * hq >= hp and (cl.setup + cl.total) * hq >= hp
         }
 
     trace = class_jump_walk(probe, cands, heavy, 3, m)

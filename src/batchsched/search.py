@@ -5,7 +5,6 @@ search strategies."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -18,7 +17,6 @@ from .core import (
     Schedule,
     ValidationError,
     Variant,
-    job_setup_bound,
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
@@ -67,7 +65,7 @@ def trivial_search(inst: Instance) -> SearchResult:
     """m >= n, non-splittable: one job per machine is optimal, and its
     makespan is the job-setup bound, so no probe is needed."""
     sched = trivial_one_job_per_machine(inst)
-    best = Fraction(job_setup_bound(inst))
+    best = Fraction(inst.job_setup_bound)
     return SearchResult(
         guess=best, schedule=sched, lower_bound=best, makespan=sched.makespan(), probes=[]
     )
@@ -75,18 +73,20 @@ def trivial_search(inst: Instance) -> SearchResult:
 
 class CachedProbe:
     """A search's view of the dual decision: each distinct guess is decided
-    once, and the decided guesses are recorded in probe order."""
+    once, and the decided guesses are recorded in probe order, each as it
+    was probed (a Fraction, or an int in the integer search).  The cache is
+    keyed by the guess's (numerator, denominator), which hashes as ints."""
 
     def __init__(self, decide: Callable[[Rat], bool]):
         self.decide = decide
-        self.cache: dict[Rat, bool] = {}
+        self.cache: dict[tuple[int, int], bool] = {}
         self.probes: list[tuple[Rat, bool]] = []
 
     def __call__(self, guess: Rat) -> bool:
-        guess = Fraction(guess)
-        ok = self.cache.get(guess)
+        key = guess.as_integer_ratio()
+        ok = self.cache.get(key)
         if ok is None:
-            ok = self.cache[guess] = self.decide(guess)
+            ok = self.cache[key] = self.decide(guess)
             self.probes.append((guess, ok))
         return ok
 
@@ -138,7 +138,7 @@ def _bisect_right_interval(values, probe, lo_idx, hi_idx):
 def class_jump_walk(
     probe: CachedProbe,
     cands: list[Rat],
-    jump_values: Callable[[Rat], dict[int, Rat]],
+    jump_values: Callable[[Rat], dict[int, int]],
     d_min: int,
     m: int,
 ) -> JumpTrace:
@@ -146,9 +146,9 @@ def class_jump_walk(
 
     `cands` are increasing thresholds, cands[0] rejected and cands[-1]
     accepted, between which the class layers do not change.  For the bracket
-    (A, B] found among them, `jump_values(B)` maps each member class to its v:
-    the class needs one more machine each time the guess drops past v/d,
-    d >= d_min.  The jumps of the fastest member (largest v) are bisected,
+    (A, B] found among them, `jump_values(B)` maps each member class to its
+    int v: the class needs one more machine each time the guess drops past
+    v/d, d >= d_min.  The jumps of the fastest member (largest v) are bisected,
     up to m + d_min - 1 of them below B, past which the member alone needs
     more than m machines.  Between two consecutive ones every other member
     jumps at most once, so those jumps are collected and bisected.
@@ -159,29 +159,34 @@ def class_jump_walk(
     x_lo, x_hi = low_end, high_end
     collected: list[tuple[int, Rat]] = []
     if values:
+        # int arithmetic on the bracket's ends lp/lq and hp/hq
+        lp, lq = low_end.as_integer_ratio()
+        hp, hq = high_end.as_integer_ratio()
         v = max(values.values())  # the fastest member's v
-        d_hi = max(d_min, math.ceil(v / high_end))  # largest jump at or below B
+        d_hi = max(d_min, -(-v * hq // hp))  # largest jump at or below B
         d_cap = d_hi + m + d_min - 1
         # clip the jumps v/d to the open bracket
         d_lo = d_hi
-        while d_lo <= d_cap and v / d_lo >= high_end:
+        while d_lo <= d_cap and v * hq >= d_lo * hp:
             d_lo += 1
-        d_top = min(d_cap, math.ceil(v / low_end) - 1)
+        d_top = min(d_cap, -(-v * lq // lp) - 1)
         if d_lo <= d_top:
             # virtual index d_lo-1 stands for B (accepted), d_top+1 for A (rejected)
             a_idx, r_idx = d_lo - 1, d_top + 1
             while r_idx - a_idx > 1:
                 mid = (a_idx + r_idx) // 2
-                if probe(v / mid):
+                if probe(Fraction(v, mid)):
                     a_idx = mid
                 else:
                     r_idx = mid
-            x_hi = v / a_idx if a_idx >= d_lo else high_end
-            x_lo = v / r_idx if r_idx <= d_top else low_end
+            x_hi = Fraction(v, a_idx) if a_idx >= d_lo else high_end
+            x_lo = Fraction(v, r_idx) if r_idx <= d_top else low_end
+        lp, lq = x_lo.as_integer_ratio()
+        hp, hq = x_hi.as_integer_ratio()
         for i, w in values.items():
-            cand = w / max(d_min, math.ceil(w / x_hi))
-            if x_lo < cand < x_hi:
-                collected.append((i, cand))
+            d = max(d_min, -(-w * hq // hp))  # w/d is the member's largest jump below x_hi
+            if lp * d < w * lq and w * hq < hp * d:
+                collected.append((i, Fraction(w, d)))
 
     chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
     lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
@@ -211,12 +216,16 @@ def close_bracket(
     midpoint; the schedule is built once, for the answer.
     """
     t_fail, t_ok = trace.final_interval
-    d = decide(inst, (t_fail + t_ok) / 2)
+    fp, fq = t_fail.as_integer_ratio()
+    op, oq = t_ok.as_integer_ratio()
+    d = decide(inst, Fraction(fp * oq + op * fq, 2 * fq * oq))
     t_star = t_ok
     if d.load is not None and d.machines <= inst.m:
-        t_star = min(d.load / inst.m, t_ok)
-        if t_star <= t_fail:
+        # L/m against the bracket's ends, cross-multiplied
+        if d.load * fq <= inst.m * fp:
             raise ContractError("required load inconsistent across the bracket")
+        if d.load * oq <= inst.m * op:
+            t_star = Fraction(d.load, inst.m)
     return probe.finish(dual, inst, t_star, t_star, trace)
 
 
@@ -231,19 +240,22 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be > 0")
+    en, ed = eps.as_integer_ratio()
     ops = variant_ops(variant)
     probe = CachedProbe(lambda guess: ops.decide(inst, guess).accepted)
-    lo = lower_bound_tmin(inst, variant)  # certified lower bound by construction, never probed
-    hi = 2 * lo
-    if not probe(hi):
-        raise ContractError(f"dual rejected 2*T_min = {hi}; 2-approximation bound broken")
-    while hi > (1 + eps) * lo:
-        mid = (lo + hi) / 2
-        if probe(mid):
-            hi = mid
+    # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay ints
+    L, D = lower_bound_tmin(inst, variant).as_integer_ratio()  # certified, never probed
+    H = 2 * L
+    if not probe(Fraction(H, D)):
+        raise ContractError(f"dual rejected 2*T_min = {Fraction(H, D)}; 2-approximation bound broken")
+    while H * ed > (ed + en) * L:  # hi > (1 + eps) lo
+        L, H, D = 2 * L, 2 * H, 2 * D
+        mid = (L + H) // 2
+        if probe(Fraction(mid, D)):
+            H = mid
         else:
-            lo = mid  # every rejected midpoint lies above lo
-    return probe.finish(ops.dual, inst, hi, lo)
+            L = mid  # every rejected midpoint lies above lo
+    return probe.finish(ops.dual, inst, Fraction(H, D), Fraction(L, D))
 
 
 @dataclass(frozen=True)

@@ -47,21 +47,19 @@ def _decide_split(inst: Instance, guess: Rat) -> Decision:
     makespan guess needs beta_i setups per expensive class, and distinct
     machines for all of those.
     """
-    if guess <= 0:
-        return Decision(False, "load")
-    if guess < inst.s_max:
-        return Decision(False, "setup-bound")
     # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p
-    p, q = guess.numerator, guess.denominator
-    load = Fraction(inst.total_work)
+    p, q = guess.as_integer_ratio()
+    if p <= 0:
+        return Decision(False, "load")
+    if p < inst.s_max * q:
+        return Decision(False, "setup-bound")
+    load = inst.total_load  # one setup per class, beta_i per expensive one
     betas: dict[int, int] = {}
     for i, cl in enumerate(inst.classes):
         if 2 * cl.setup * q > p:
             beta = betas[i] = -(-2 * cl.total * q // p)
-            load += beta * cl.setup
-        else:
-            load += cl.setup
-    return decide_need(inst.m, guess, load, sum(betas.values()), betas)
+            load += (beta - 1) * cl.setup
+    return decide_need(inst.m, p, q, load, sum(betas.values()), betas)
 
 
 def dual_split(inst: Instance, guess: Rat) -> Decision:
@@ -120,19 +118,15 @@ def class_jump_split(inst: Instance) -> SearchResult:
 
     # Bracket the answer between consecutive doubled setup values: inside,
     # the expensive/cheap split does not change.
-    cands = [smax]
-    cands += sorted({Fraction(2 * cl.setup) for cl in inst.classes if 2 * cl.setup > smax})
-    cands.append(top)
+    doubled = sorted({2 * cl.setup for cl in inst.classes if 2 * cl.setup > inst.s_max})
+    cands = [smax, *map(Fraction, doubled), top]
     if not probe(top):
         raise ContractError("dual rejected 2N; load certificate broken")
 
-    def expensive(high_end: Rat) -> dict[int, Rat]:
+    def expensive(high_end: Rat) -> dict[int, int]:
         # expensive throughout the bracket; a class jumps at 2P/d
-        return {
-            i: Fraction(2 * cl.total)
-            for i, cl in enumerate(inst.classes)
-            if 2 * cl.setup >= high_end
-        }
+        hp, hq = high_end.as_integer_ratio()
+        return {i: 2 * cl.total for i, cl in enumerate(inst.classes) if 2 * cl.setup * hq >= hp}
 
     trace = class_jump_walk(probe, cands, expensive, 1, m)
     return close_bracket(probe, inst, _decide_split, dual_split, trace)

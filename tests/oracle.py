@@ -1,7 +1,8 @@
 """Ground truth for small instances: exact non-preemptive optimum by
 exhaustive assignment enumeration, a dense breakpoint scan that finds the
 least guess a variant's dual accepts, and the references the library is
-compared with: the verifier that the one-pass `verify_schedule` replaced,
+compared with: the decisions on `Fraction`s that the integer decisions
+replaced, the verifier that the one-pass `verify_schedule` replaced,
 the non-preemptive construction with an object per setup and piece, the
 preemptive construction that re-classified its nice remainder instead of
 reading it off the plan, the per-job oversized-job positions and the
@@ -12,13 +13,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import itemgetter
 from typing import Optional
 
 from batchsched.core import (
     CapacityError,
+    ClassPartition,
     ContractError,
     Decision,
     Instance,
@@ -28,13 +31,21 @@ from batchsched.core import (
     Variant,
     VerifyReport,
     Violation,
-    decide_need,
     lower_bound_tmin,
-    scaled,
     trivial_one_job_per_machine,
 )
 from batchsched.preemptive import KnapsackItem
 from batchsched.wrap import Batch, Builder, Gap, WrapResult, check_template, run_wrap
+
+
+def scaled(x: Rat, scale: int) -> int:
+    """x * scale as an int: a value moved onto a build's integer time scale.
+    ContractError unless that is exact."""
+    t, r = divmod(x.numerator * scale, x.denominator)
+    if r:
+        raise ContractError(f"{x} is not on the time scale 1/{scale}")
+    return t
+
 
 # The reference nonp construction's item kinds (a placement itself has no
 # kind: job -1 marks a setup).
@@ -700,7 +711,7 @@ def reference_decide_nice_parts(parts: _ReferenceNiceParts, m: int, guess: Rat) 
         machines += parts.gamma[cls]
     for _, setup, _, work in parts.minus + parts.cheap:
         load += setup + work
-    return decide_need(m, guess, load, machines)
+    return reference_decide_need(m, guess, load, machines)
 
 
 def _reference_build_nice(builder: Builder, parts: _ReferenceNiceParts, first: int, count: int,
@@ -792,10 +803,23 @@ def reference_star_items(inst: Instance, guess: Rat, free: Rat):
     return items, obligatory, free - sum(inst.classes[i].setup + ob for i, ob in obligatory.items())
 
 
+def star_items_in_time(items: list[KnapsackItem], obligatory: dict[int, int], capacity: int,
+                       q: int):
+    """`preemptive._star_items`' result at a guess p/q in time units, as
+    `reference_star_items` gives it: weights, spills and capacity off the
+    scale 2q, growth per unit guess (half the growth per half a guess)."""
+    items = [KnapsackItem(cls=it.cls, profit=Fraction(it.profit),
+                          weight=Fraction(it.weight, 2 * q), growth=Fraction(it.growth, 2))
+             for it in items]
+    return items, {i: Fraction(x, 2 * q) for i, x in obligatory.items()}, Fraction(capacity, 2 * q)
+
+
 def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
     """The construction for a plan of `preemptive._decide_pmtn`, which sorts
     and classifies its nice remainder a second time and holds it against the
-    machines left with a second copy of the load and machine count."""
+    machines left with a second copy of the load and machine count.  It
+    reads the plan's free time and spills in time units, off their scales
+    q and 2q of the guess p/q."""
     sol = plan.knapsack
     scale = 4 * guess.denominator
     if sol is not None and sol.split_item is not None:
@@ -839,7 +863,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
             cl = inst.classes[i]
             share = sol.x.get(i, Fraction(0))
             big = set(big_jobs[i])
-            obligatory = scaled(plan.obligatory[i], scale)
+            obligatory = scaled(Fraction(plan.obligatory[i], 2 * guess.denominator), scale)
             if i == split_cls:
                 inside: list[tuple[JobRef, int]] = []
                 for j, t in enumerate(cl.jobs):
@@ -877,7 +901,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
         # outside the large machines whole; greedily cut the remaining
         # small-setup classes so the nice remainder exactly uses the free time.
         sub_specs += _reference_full_specs(inst, part.chp_star, scale)
-        budget = scaled(plan.free_time - plan.star_total, scale)
+        budget = scaled(Fraction(plan.free_time, guess.denominator) - plan.star_total, scale)
         if budget < 0:
             raise ContractError("oversized-job classes overrun the free time")
         for i in part.chp_minus:
@@ -1066,3 +1090,166 @@ def reference_run_wrap(builder: Builder, seq, gaps: list[Gap], setups_below: boo
     for batch in seq:
         _reference_place_batch(run, batch)
     return run.finish()
+
+
+# ---------------------------------------------------------------------------
+# The decisions on Fractions that the integer decisions replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_decide_need(m: int, guess: Rat, load: Rat, machines: int, plan: object = None) -> Decision:
+    """Accept unless the guess needs more than m machines or more load than
+    m * guess, compared as Fractions."""
+    if m < machines:
+        return Decision(False, "machines", load, machines, plan)
+    if m * guess < load:
+        return Decision(False, "load", load, machines, plan)
+    return Decision(True, "", load, machines, plan)
+
+
+def _reference_job_bound(inst: Instance, guess: Rat) -> Optional[Decision]:
+    if guess <= 0:
+        return Decision(False, "load")
+    if guess < max(cl.setup + max(cl.jobs) for cl in inst.classes):
+        return Decision(False, "job-bound")
+    if inst.m >= inst.n:
+        return Decision(True, "")
+    return None
+
+
+def reference_decide_split(inst: Instance, guess: Rat) -> Decision:
+    """`splittable._decide_split` with a Fraction load."""
+    if guess <= 0:
+        return Decision(False, "load")
+    if guess < inst.s_max:
+        return Decision(False, "setup-bound")
+    load = Fraction(inst.total_work)
+    betas: dict[int, int] = {}
+    for i, cl in enumerate(inst.classes):
+        if 2 * cl.setup > guess:
+            beta = betas[i] = math.ceil(2 * cl.total / guess)
+            load += beta * cl.setup
+        else:
+            load += cl.setup
+    return reference_decide_need(inst.m, guess, load, sum(betas.values()), betas)
+
+
+def reference_decide_nonp(inst: Instance, guess: Rat) -> Decision:
+    """`nonpreemptive._decide_nonp` on `reference_counts_nonp`, whose
+    leftovers are Fractions; its plan is those counts."""
+    early = _reference_job_bound(inst, guess)
+    if early is not None:
+        return early
+    counts = reference_counts_nonp(inst, guess)
+    load = inst.total_work
+    for i, cl in enumerate(inst.classes):
+        load += counts.machines[i] * cl.setup
+        if counts.leftover[i] > 0:
+            load += cl.setup
+    return reference_decide_need(inst.m, guess, load, sum(counts.machines), counts)
+
+
+def reference_classify(inst: Instance, guess: Rat) -> ClassPartition:
+    """`core.classify` by Fraction comparisons against the guess."""
+    layers: dict[str, list[int]] = {k: [] for k in ClassPartition.__dataclass_fields__}
+    for i, cl in enumerate(inst.classes):
+        reach = cl.setup + cl.total
+        if 2 * cl.setup > guess:
+            layer = "exp_plus" if reach > guess else "exp_zero" if 4 * reach > 3 * guess else "exp_minus"
+        else:
+            layer = "chp_plus" if 4 * cl.setup > guess else "chp_minus"
+        layers[layer].append(i)
+        if layer == "chp_minus" and 2 * (cl.setup + max(cl.jobs)) > guess:
+            layers["chp_star"].append(i)
+    return ClassPartition(**{k: tuple(v) for k, v in layers.items()})
+
+
+def _reference_per_weight(x: Rat, weight: Rat) -> tuple[int, int]:
+    return x.numerator * weight.denominator, x.denominator * weight.numerator
+
+
+def _reference_density_order(a, b) -> int:
+    (pa, qa), (ga, ha), ita = a
+    (pb, qb), (gb, hb), itb = b
+    return (pb * qa - pa * qb) or (ga * hb - gb * ha) or (ita.cls - itb.cls)
+
+
+def reference_continuous_knapsack(items: list[KnapsackItem], capacity: Rat):
+    """`preemptive.continuous_knapsack` sorting Fraction densities through a
+    comparator: (shares as Fractions, split item)."""
+    if capacity < 0:
+        raise ContractError("knapsack capacity must be >= 0")
+    rest = [it for _, _, it in sorted(
+        ((_reference_per_weight(it.profit, it.weight), _reference_per_weight(it.growth, it.weight), it)
+         for it in items if it.weight > 0),
+        key=cmp_to_key(_reference_density_order),
+    )]
+    x: dict[int, Rat] = {it.cls: Fraction(1) for it in items if it.weight == 0}
+    remaining = Fraction(capacity)
+    split: Optional[int] = None
+    for it in rest:
+        if remaining >= it.weight:
+            x[it.cls] = Fraction(1)
+            remaining -= it.weight
+        elif split is None:
+            x[it.cls] = remaining / it.weight
+            split = it.cls
+            remaining = Fraction(0)
+        else:
+            x[it.cls] = Fraction(0)
+    return x, split
+
+
+@dataclass
+class ReferencePmtnPlan:
+    """`preemptive._PmtnPlan` in time units: Fraction free time, spills,
+    capacity and load."""
+
+    part: ClassPartition
+    gamma: dict[int, int]
+    free_time: Rat = Fraction(0)
+    star_total: int = 0
+    shares: Optional[dict[int, Rat]] = None  # the knapsack's, when one runs
+    split_item: Optional[int] = None
+    obligatory: dict[int, Rat] = field(default_factory=dict)
+    load: Rat = Fraction(0)
+    machines: int = 0
+    reject: Optional[str] = None
+
+
+def reference_pmtn_plan(inst: Instance, guess: Rat) -> ReferencePmtnPlan:
+    """`preemptive._pmtn_plan` on Fractions: the counts, then the geometric
+    reject or the knapsack over `reference_star_items`."""
+    part = reference_classify(inst, guess)
+    classes = inst.classes
+    gamma = {i: _reference_gamma_count(classes[i].setup, classes[i].total, guess) for i in part.exp_plus}
+    plan = ReferencePmtnPlan(part=part, gamma=gamma)
+    l = len(part.exp_zero)
+    taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
+    taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
+    plan.free_time = free = (inst.m - l) * guess - taken
+    plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
+    plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
+    plan.load = Fraction(inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()))
+    if l and free < 0:
+        plan.reject = "load"
+    elif l and free < plan.star_total:
+        items, plan.obligatory, capacity = reference_star_items(inst, guess, free)
+        if capacity < 0:
+            plan.reject = "load"
+            return plan
+        plan.shares, plan.split_item = reference_continuous_knapsack(items, capacity)
+        plan.load += sum(classes[i].setup for i in part.chp_star
+                         if plan.shares[i] == 0 and i != plan.split_item)
+    return plan
+
+
+def reference_decide_pmtn(inst: Instance, guess: Rat) -> Decision:
+    """`preemptive._decide_pmtn` on `reference_pmtn_plan`."""
+    early = _reference_job_bound(inst, guess)
+    if early is not None:
+        return early
+    plan = reference_pmtn_plan(inst, guess)
+    if plan.reject is not None:
+        return Decision(False, plan.reject, plan=plan)
+    return reference_decide_need(inst.m, guess, plan.load, plan.machines, plan)

@@ -90,7 +90,7 @@ def test_classify_examples():
             JobClass(1, (4, 1)),  # cheap small setup, one oversized job
         ),
     )
-    part = classify(inst, F(8))
+    part = classify(inst, 8, 1)
     assert part.exp_plus == (0,)
     assert part.exp_minus == (1,)
     assert part.exp_zero == (2,)
@@ -99,13 +99,14 @@ def test_classify_examples():
     assert part.chp_star == (3, 4)
     # each star class has one oversized job: 2 + 3 and 1 + 4 overrun half
     # the guess by 1 next to their setups; the others fit
-    _, spills, _ = _star_items(inst, part, F(4), F(0))
-    assert spills == {3: 1, 4: 1}
+    # (the spills are on the knapsack's scale 2q, here 2)
+    _, spills, _ = _star_items(inst, part, 8, 1, 0)
+    assert {i: F(x, 2) for i, x in spills.items()} == {3: 1, 4: 1}
 
 
 def test_classify_all_cheap_at_double_setup():
     inst = random_instance(random.Random(7))
-    part = classify(inst, F(2 * inst.s_max))
+    part = classify(inst, 2 * inst.s_max, 1)
     assert part.exp_plus + part.exp_zero + part.exp_minus == ()
     assert sorted(part.chp_plus + part.chp_minus) == list(range(inst.c))
 
@@ -115,7 +116,7 @@ def test_classify_partitions_cover():
     for _ in range(200):
         inst = random_instance(rng)
         guess = F(rng.randint(1, 120), rng.randint(1, 4))
-        part = classify(inst, guess)
+        part = classify(inst, *guess.as_integer_ratio())
         exp = part.exp_plus + part.exp_zero + part.exp_minus
         chp = part.chp_plus + part.chp_minus
         assert sorted(exp) == [i for i, cl in enumerate(inst.classes) if 2 * cl.setup > guess]

@@ -151,7 +151,7 @@ def test_golden_schedules_on_the_integer_scale():
             tmin_rejected += (variant is Variant.PREEMPTIVE and algo == "jump"
                               and [ok for _, ok in r.probes[:1]] == [False])
         if variant is Variant.PREEMPTIVE and algo != "two-approx":
-            sol = _pmtn_plan(inst, r.guess).knapsack
+            sol = _pmtn_plan(inst, *r.guess.as_integer_ratio()).knapsack
             if sol is not None and sol.split_item is not None:
                 split_shares += sol.x[sol.split_item].denominator > 1
     assert split_shares >= 1 and tmin_rejected >= 1

@@ -22,6 +22,7 @@ from oracle import (
     reference_counts_nonp,
     reference_next_fit_two_approx,
     reference_star_items,
+    star_items_in_time,
 )
 from test_acceptance import _scaling_instance
 from test_preemptive import knapsack_heavy_instance
@@ -136,8 +137,11 @@ def test_counts_regroup_the_reference_lists():
     # lists, and its solo list is those lists plus every job of an expensive class
     big = forced = 0
     for inst, guess in _decision_pairs(1102):
-        new, ref = counts_nonp(inst, guess), reference_counts_nonp(inst, guess)
-        assert (new.machines, new.leftover) == (ref.machines, ref.leftover), (inst, guess)
+        p, q = guess.as_integer_ratio()
+        new, ref = counts_nonp(inst, p, q), reference_counts_nonp(inst, guess)
+        # the leftovers are x_i * q on the guess's scale q
+        leftover = [Fraction(x, q) for x in new.leftover]
+        assert (new.machines, leftover) == (ref.machines, ref.leftover), (inst, guess)
         expensive = [(i, j) for i, cl in enumerate(inst.classes) if 2 * cl.setup > guess
                      for j in range(len(cl.jobs))]
         assert set(ref.solo) == {*ref.big_jobs, *ref.forced, *expensive}
@@ -152,9 +156,11 @@ def test_star_classes_and_items_equal_the_reference_positions():
     # equal the ones read off the reference's job positions
     star = 0
     for inst, guess in _decision_pairs(1102):
-        plan = _pmtn_counts(inst, guess)
+        p, q = guess.as_integer_ratio()
+        plan = _pmtn_counts(inst, p, q)
         assert plan.part.chp_star == tuple(reference_big_jobs(inst, guess)), (inst, guess)
-        assert _star_items(inst, plan.part, guess / 2, plan.free_time) == \
-            reference_star_items(inst, guess, plan.free_time), (inst, guess)
+        free = Fraction(plan.free_time, q)  # F * q on the guess's scale q
+        assert star_items_in_time(*_star_items(inst, plan.part, p, q, plan.free_time), q) == \
+            reference_star_items(inst, guess, free), (inst, guess)
         star += bool(plan.part.chp_star)
     assert star >= 5_000, star

@@ -52,20 +52,20 @@ EX = Instance(m=2, classes=(JobClass(1, (4, 2)), JobClass(2, (3, 1))))
 
 
 def test_counts_at_six():
-    c = counts_nonp(EX, F(6))
+    c = counts_nonp(EX, 6, 1)
     assert c.machines == [1, 1]
-    assert c.leftover == [F(1), F(0)]
+    assert [F(x, 1) for x in c.leftover] == [F(1), F(0)]  # x_i * q, q = 1
 
 
 def test_counts_at_seven():
-    c = counts_nonp(EX, F(7))
+    c = counts_nonp(EX, 7, 1)
     assert c.machines == [1, 1]
-    assert c.leftover == [F(0), F(-1)]
+    assert [F(x, 1) for x in c.leftover] == [F(0), F(-1)]  # x_i * q, q = 1
 
 
 def test_counts_expensive_class():
     inst = Instance(m=3, classes=(JobClass(6, (3, 2)),))
-    c = counts_nonp(inst, F(10))
+    c = counts_nonp(inst, 10, 1)
     assert c.machines == [2]  # ceil(5 / 4)
     # an expensive class (2 s > T) counts by its work, not by its jobs
     assert 2 * inst.classes[0].setup > 10
@@ -77,8 +77,10 @@ def test_counts_refuse_a_guess_at_or_below_a_setup():
     inst = Instance(m=3, classes=(JobClass(6, (3, 2)), JobClass(1, (1,))))
     for guess in (F(6), F(11, 2)):
         with pytest.raises(ContractError):
-            counts_nonp(inst, guess)
-    assert counts_nonp(inst, F(13, 2)).machines == [10, 0]
+            counts_nonp(inst, *guess.as_integer_ratio())
+    c = counts_nonp(inst, 13, 2)
+    assert c.machines == [10, 0]
+    assert [F(x, 2) for x in c.leftover] == [0, 1]  # x_i * q, q = 2
 
 
 def test_dual_reject_then_accept():

@@ -22,7 +22,7 @@ ABOVE = (1, Fraction(10_001, 10_000), Fraction(1_001, 1_000), Fraction(101, 100)
 SHARE_1 = "share-1 star class under a knapsack"
 
 
-def _branches(inst, plan) -> Counter:
+def _branches(inst, guess, plan) -> Counter:
     part, sol = plan.part, plan.knapsack
     seen: Counter = Counter()
     if sol is not None:
@@ -32,8 +32,9 @@ def _branches(inst, plan) -> Counter:
     else:
         seen["no knapsack, dedicated machines" if part.exp_zero else "nice"] += 1
         # the build's greedy cut of the other small-setup classes, replayed
-        # in the plan's units; a cut that ends on a job end has no label
-        budget = plan.free_time - plan.star_total
+        # in time units (the plan's free time is F * q on the guess's scale
+        # q); a cut that ends on a job end has no label
+        budget = Fraction(plan.free_time, guess.denominator) - plan.star_total
         for i in part.chp_minus:
             if i in part.chp_star:
                 continue
@@ -60,7 +61,7 @@ def _check(inst, guess, branches: Counter) -> bool:
     if not d.accepted or d.plan is None:
         return False
     assert d.schedule == reference_build_pmtn(inst, guess, d.plan), (inst, guess)
-    branches.update(_branches(inst, d.plan))
+    branches.update(_branches(inst, guess, d.plan))
     return True
 
 
@@ -97,7 +98,7 @@ def test_cut_on_a_job_end_equals_the_reference():
     guess = Fraction(96)
     d = dual_pmtn(inst, guess)
     assert d.accepted and d.plan.knapsack is None
-    assert d.plan.free_time - d.plan.star_total == 35
-    assert _branches(inst, d.plan)["cut inside a job"] == 0
+    assert Fraction(d.plan.free_time, guess.denominator) - d.plan.star_total == 35
+    assert _branches(inst, guess, d.plan)["cut inside a job"] == 0
     assert d.schedule == reference_build_pmtn(inst, guess, d.plan)
     assert verify_schedule(inst, d.schedule, Variant.PREEMPTIVE, guess * 3 / 2).ok

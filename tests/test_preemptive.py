@@ -11,7 +11,6 @@ from batchsched.core import (
     JobClass,
     Variant,
     decide_need,
-    job_setup_bound,
     lower_bound_tmin,
     verify_schedule,
 )
@@ -30,7 +29,7 @@ from batchsched.preemptive import (
 from batchsched.search import certified_report
 
 from conftest import random_instance, tiny_instances
-from oracle import exact_nonp, min_accepted_scan
+from oracle import exact_nonp, min_accepted_scan, reference_continuous_knapsack
 
 
 # -- continuous knapsack ----------------------------------------------------
@@ -41,22 +40,22 @@ def knapsack_value(items, sol):
 
 
 def test_knapsack_example():
-    items = [KnapsackItem(0, F(3), F(4)), KnapsackItem(1, F(2), F(2)), KnapsackItem(2, F(1), F(3))]
-    sol = continuous_knapsack(items, F(5))
+    items = [KnapsackItem(0, 3, 4), KnapsackItem(1, 2, 2), KnapsackItem(2, 1, 3)]
+    sol = continuous_knapsack(items, 5)
     assert sol.x == {1: F(1), 0: F(3, 4), 2: F(0)}
     assert sol.split_item == 0
     assert knapsack_value(items, sol) == F(17, 4)
 
 
 def test_knapsack_unconstrained():
-    items = [KnapsackItem(0, F(3), F(4)), KnapsackItem(1, F(2), F(2))]
-    sol = continuous_knapsack(items, F(100))
+    items = [KnapsackItem(0, 3, 4), KnapsackItem(1, 2, 2)]
+    sol = continuous_knapsack(items, 100)
     assert all(v == 1 for v in sol.x.values()) and sol.split_item is None
 
 
 def test_knapsack_zero_capacity():
-    items = [KnapsackItem(0, F(3), F(4))]
-    sol = continuous_knapsack(items, F(0))
+    items = [KnapsackItem(0, 3, 4)]
+    sol = continuous_knapsack(items, 0)
     assert sol.x == {0: F(0)} and knapsack_value(items, sol) == 0
 
 
@@ -84,16 +83,33 @@ def test_knapsack_matches_bruteforce():
     for _ in range(400):
         n = rng.randint(1, 8)
         items = [
-            KnapsackItem(k, F(rng.randint(1, 9)), F(rng.randint(0, 9)))
+            KnapsackItem(k, rng.randint(1, 9), rng.randint(0, 9))
             for k in range(n)
         ]
-        cap = F(rng.randint(0, 25))
+        cap = rng.randint(0, 25)
         sol = continuous_knapsack(items, cap)
         assert knapsack_value(items, sol) == brute_force_lp(items, cap)
         used = sum((items[k].weight * sol.x[k] for k in range(n)), F(0))
         assert used == min(cap, sum((it.weight for it in items), F(0)))
         fractional = [k for k, v in sol.x.items() if 0 < v < 1]
         assert len(fractional) <= 1
+
+
+def test_density_order_exact_where_floats_cannot_tell():
+    # densities closer than a float resolves, ints past the float range and
+    # exact density ties order as the reference's Fraction comparator does
+    close = [KnapsackItem(0, 2**60 - 1, 2**60), KnapsackItem(1, 1, 1), KnapsackItem(2, 2**60 + 1, 2**60)]
+    huge = [KnapsackItem(3, 10**400, 1), KnapsackItem(4, 10**400 + 1, 1)]
+    ties = [KnapsackItem(5, 1, 2, growth=1), KnapsackItem(6, 2, 4, growth=1)]
+    assert -close[0].profit / close[0].weight == -1.0 == -close[2].profit / close[2].weight
+    for items, want, by_class in ((close, [2, 1, 0], [2, 1, 0]), (huge, [4, 3], [4, 3]),
+                                  (ties, [6, 5], [5, 6])):
+        assert [it.cls for it in preemptive._by_density(items, growth_ties=True)] == want
+        assert [it.cls for it in preemptive._by_density(items, growth_ties=False)] == by_class
+        total = sum(it.weight for it in items)
+        for capacity in (0, 1, total // 3, total - 1, total):
+            sol = continuous_knapsack(items, capacity)
+            assert (sol.x, sol.split_item) == reference_continuous_knapsack(items, capacity)
 
 
 # -- nice instances -----------------------------------------------------------
@@ -104,14 +120,14 @@ NICE = Instance(m=4, classes=(JobClass(6, (8,)), JobClass(6, (1,)), JobClass(1, 
 
 def test_nice_decision_formula_values():
     # class 0 packs into max(1, ceil(2*14/10) - 2) = 1 half-gap machine
-    plan = _pmtn_counts(NICE, F(10))
+    plan = _pmtn_counts(NICE, 10, 1)
     assert plan.gamma == {0: 1}
     assert plan.load == 26 and plan.machines == 2
-    d = decide_need(4, F(10), plan.load, plan.machines)
+    d = decide_need(4, 10, 1, plan.load, plan.machines)
     assert d.accepted
-    d2 = decide_need(2, F(10), plan.load, plan.machines)
+    d2 = decide_need(2, 10, 1, plan.load, plan.machines)
     assert not d2.accepted and d2.reason == "load"
-    d1 = decide_need(1, F(10), plan.load, plan.machines)
+    d1 = decide_need(1, 10, 1, plan.load, plan.machines)
     assert not d1.accepted and d1.reason == "machines"
 
 
@@ -132,7 +148,7 @@ def test_nice_accepts_and_builds_at_valid_guess():
 def test_all_cheap_degenerate_wrap():
     # m = 2 < n = 3 keeps the nice wrap on, not the one-job-per-machine path
     inst = Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(2, (1,))))
-    plan = _pmtn_plan(inst, F(4))
+    plan = _pmtn_plan(inst, 4, 1)
     assert not plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(4))
     assert out.accepted
@@ -147,7 +163,7 @@ def test_plan_without_dedicated_machine_is_the_nice_count():
     seen = Counter()
     for r in range(400):
         inst = random_instance(rng, max_m=1 + r % 2 * 5, max_c=10, max_jobs=4, max_val=30)
-        low, tmin = job_setup_bound(inst), lower_bound_tmin(inst, Variant.PREEMPTIVE)
+        low, tmin = inst.job_setup_bound, lower_bound_tmin(inst, Variant.PREEMPTIVE)
         for k in range(13):
             guess = low + (2 * tmin - low) * F(k, 12)
             cls = list(enumerate(inst.classes))
@@ -164,8 +180,9 @@ def test_plan_without_dedicated_machine_is_the_nice_count():
             assert (d.load, d.machines) == (load, machines), (inst, guess)
             assert d.reason == ("machines" if machines > inst.m else "load" if load > inst.m * guess else "")
             seen[d.reason or "accepted"] += 1
+            # the plan's free time is F * q on the guess's scale q
             seen["free < 0"] += d.plan.free_time < 0
-            seen["0 <= free < star"] += 0 <= d.plan.free_time < d.plan.star_total
+            seen["0 <= free < star"] += 0 <= d.plan.free_time < d.plan.star_total * guess.denominator
     assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
 
@@ -188,7 +205,7 @@ def test_pmtn_reject_example():
 
 def test_pmtn_defers_to_nice_when_nice():
     inst = Instance(m=3, classes=(JobClass(6, (5, 5)), JobClass(1, (2, 2))))
-    plan = _pmtn_plan(inst, F(11))
+    plan = _pmtn_plan(inst, 11, 1)
     assert not plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(11))
     assert out.accepted
@@ -214,7 +231,7 @@ def test_pmtn_knapsack_case_with_rejected_class():
             JobClass(2, (5, 5, 5)),  # wrapped into the bottoms
         ),
     )
-    plan = _pmtn_plan(inst, F(40))
+    plan = _pmtn_plan(inst, 40, 1)
     assert plan.knapsack is not None and plan.knapsack.x == {5: F(1), 6: F(0)}
     out = dual_pmtn(inst, F(40))
     assert out.accepted
@@ -235,7 +252,7 @@ def test_pmtn_greedy_case_with_straddler():
             JobClass(10, (28,)),
         ),
     )
-    plan = _pmtn_plan(inst, F(40))
+    plan = _pmtn_plan(inst, 40, 1)
     assert plan.part.exp_zero and plan.knapsack is None
     out = dual_pmtn(inst, F(40))
     assert out.accepted
@@ -256,7 +273,7 @@ def test_pmtn_knapsack_split_item_case():
         ),
     )
     guess = F(585, 8)
-    plan = _pmtn_plan(inst, guess)
+    plan = _pmtn_plan(inst, *guess.as_integer_ratio())
     assert plan.knapsack is not None and plan.knapsack.split_item == 5
     out = dual_pmtn(inst, guess)
     assert out.accepted
@@ -289,9 +306,8 @@ def test_gamma_jump_arithmetic():
     # with 2 half-gap machines a class with setup 6 and work 10 reshapes at
     # 2*16/4 = 8; the next reshape is at 2*16/5 = 6.4
     assert F(2 * 16, 4) == 8 and F(2 * 16, 5) == F(32, 5)
-    assert _gamma_count(6, 10, F(8)) == 2
-    assert _gamma_count(6, 10, F(8) + F(1, 100)) == 2
-    assert _gamma_count(6, 10, F(8) - F(1, 100)) == 3
+    for guess, gamma in ((F(8), 2), (F(8) + F(1, 100), 2), (F(8) - F(1, 100), 3)):
+        assert _gamma_count(6 + 10, *guess.as_integer_ratio()) == gamma
 
 
 def test_class_jump_single_class_scan_agreement():
@@ -344,7 +360,7 @@ EXHAUSTED_AT_ANSWER = [
 
 @pytest.mark.parametrize("inst,answer", EXHAUSTED_AT_ANSWER)
 def test_class_jump_exact_at_knapsack_exhaustion(inst, answer):
-    sol = _pmtn_plan(inst, answer).knapsack
+    sol = _pmtn_plan(inst, *answer.as_integer_ratio()).knapsack
     assert sol.x[sol.split_item] == 0
     r = class_jump_pmtn(inst)
     assert r.guess == r.lower_bound == answer
@@ -363,7 +379,7 @@ def test_class_jump_exact_at_density_tie():
         JobClass(3, (20,)), JobClass(5, (14, 25)), JobClass(5, (22,)), JobClass(5, (17,)),
         JobClass(23, (2, 8, 2)), JobClass(23, (12,)), JobClass(21, (14, 14)),
     ))
-    assert _pmtn_plan(inst, F(42)).knapsack.split_item == 8
+    assert _pmtn_plan(inst, 42, 1).knapsack.split_item == 8
     r = class_jump_pmtn(inst)
     assert r.guess == r.lower_bound == 42
     assert len(r.probes) <= 8
@@ -375,16 +391,21 @@ def _split_work(rng, work, parts):
     return tuple(b - a for a, b in zip([0] + cuts, cuts + [work]))
 
 
-def knapsack_heavy_instance(rng):
+def knapsack_heavy_instance(rng, k=None):
     """Shapes that drive the preemptive dual into its knapsack case, around an
     answer scale S: classes with setup just above S/2 and little work (setup
     + work in (3/4 S, S), a dedicated machine each), up to two heavy classes,
     and 1-60 small-setup classes with jobs at 35-70% of S (oversized jobs).
-    m is the load over S, clipped to [n/8, n/2]."""
-    S = rng.randint(40, 120)
-    small = rng.randint(1, rng.choice((6, 12, 24, 60)))
+    m is the load over S, clipped to [n/8, n/2].  With a size k, S = 1000
+    and there are k dedicated-size and k small-setup classes (n about 4k)."""
+    if k is None:
+        S = rng.randint(40, 120)
+        small = rng.randint(1, rng.choice((6, 12, 24, 60)))
+        dedicated = max(1, round(small * rng.uniform(0.5, 1.0)))
+    else:
+        S, small, dedicated = 1000, k, k
     classes = []
-    for _ in range(max(1, round(small * rng.uniform(0.5, 1.0)))):
+    for _ in range(dedicated):
         s = S // 2 + rng.randint(1, S // 10)
         work = rng.randint(max(1, 76 * S // 100 - s), max(1, 9 * S // 10 - s))
         classes.append(JobClass(s, _split_work(rng, work, rng.randint(1, 4))))
@@ -420,7 +441,7 @@ def test_class_jump_knapsack_heavy_corpus():
         }
         assert len(needs) == 1, inst
         assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
-        plan = _pmtn_plan(inst, r.guess)
+        plan = _pmtn_plan(inst, *r.guess.as_integer_ratio())
         knapsack += plan.knapsack is not None
         many_star += len(plan.part.chp_star) > 14
     assert knapsack >= 60 and many_star >= 30
@@ -433,7 +454,7 @@ def test_breakpoints_run_no_knapsack(monkeypatch):
     knapsack_heavy_instance(rng)
     inst = knapsack_heavy_instance(rng)
     t_fail, t_ok = F(89, 2), F(136, 3)
-    assert _pmtn_plan(inst, (t_fail + t_ok) / 2).knapsack is not None
+    assert _pmtn_plan(inst, *((t_fail + t_ok) / 2).as_integer_ratio()).knapsack is not None
     calls = []
 
     def counted(items, capacity):

@@ -11,7 +11,6 @@ from batchsched.core import (
     JobClass,
     ValidationError,
     Variant,
-    job_setup_bound,
     lower_bound_tmin,
     verify_schedule,
 )
@@ -83,7 +82,7 @@ def test_decide_matches_dual():
         for v in Variant:
             ops = variant_ops(v)
             tmin = lower_bound_tmin(inst, v)
-            bound = inst.s_max if v is Variant.SPLITTABLE else job_setup_bound(inst)
+            bound = inst.s_max if v is Variant.SPLITTABLE else inst.job_setup_bound
             guesses = [F(bound) - F(1, 2), F(bound) * F(9, 10)]
             guesses += [tmin * q for q in (F(1), F(23, 20), F(4, 3), F(2))]
             for g in guesses:

@@ -56,6 +56,27 @@ def test_builds_read_their_plan():
     assert not found, "; ".join(found)
 
 
+def test_decisions_make_no_fraction():
+    # a decision reads its guess p/q once and compares ints from then on, so
+    # no decision function builds a Fraction or divides with /
+    checked, found = set(), []
+    for name in ("core.py", "splittable.py", "preemptive.py", "nonpreemptive.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if not (isinstance(fn, ast.FunctionDef) and (
+                    fn.name in DECISION_CALLS or fn.name.startswith("_decide_")
+                    or fn.name == "_star_items")):
+                continue
+            checked.add(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction":
+                    found.append(f"{name}:{node.lineno} {fn.name} calls Fraction")
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    found.append(f"{name}:{node.lineno} {fn.name} divides with /")
+    assert checked == DECISION_CALLS | {
+        "_decide_split", "_decide_pmtn", "_decide_nonp", "_star_items"}, checked
+    assert not found, "; ".join(found)
+
+
 KIND_NAMES = {"SETUP", "PIECE", "put_setup", "put_piece", "make_setup", "make_piece"}
 
 
