@@ -314,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and exact-3/2 approximations with certified bounds",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    variants = [v.value for v in Variant]
 
     s = sub.add_parser("solve", help="solve an instance")
-    s.add_argument("--variant", required=True, choices=["split", "pmtn", "nonp"])
+    s.add_argument("--variant", required=True, choices=variants)
     s.add_argument("--algo", required=True, choices=["two-approx", "dual", "eps", "jump"])
     s.add_argument("--T", default=None, help="guess for --algo dual (rational, e.g. 21/2)")
     s.add_argument("--epsilon", default=None, help="tolerance for --algo eps")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check a schedule against an instance")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--schedule", required=True)
-    v.add_argument("--variant", required=True, choices=["split", "pmtn", "nonp"])
+    v.add_argument("--variant", required=True, choices=variants)
     v.add_argument("--bound", required=True)
     v.set_defaults(fn=cmd_verify)
 

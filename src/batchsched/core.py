@@ -52,7 +52,8 @@ class Variant(Enum):
         for v in cls:
             if v.value == text:
                 return v
-        raise ValidationError(f"unknown variant {text!r} (expected split, pmtn or nonp)")
+        *rest, last = (v.value for v in cls)
+        raise ValidationError(f"unknown variant {text!r} (expected {', '.join(rest)} or {last})")
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     if inst.m >= inst.n:
         return trivial_search(inst)
     p, q = lower_bound_tmin(inst, Variant.NONPREEMPTIVE).as_integer_ratio()
-    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess).accepted)
+    probe = CachedProbe(inst, Variant.NONPREEMPTIVE)
 
     lo = -(-p // q) - 1  # below T_min: certified rejected without a probe
     hi = -(-2 * p // q)  # ceil(2 T_min)
@@ -348,4 +348,4 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     # len() of a range past sys.maxsize overflows while indexing it does not
     _, k = _bisect_right_interval(range(lo, hi + 1), probe, 0, hi - lo)
     # all smaller integers are rejected or under T_min
-    return probe.finish(dual_nonp, inst, Fraction(lo + k), Fraction(lo + k))
+    return probe.finish(Fraction(lo + k), Fraction(lo + k))

@@ -38,14 +38,7 @@ from .core import (
     job_bound_decision,
     lower_bound_tmin,
 )
-from .search import (
-    CachedProbe,
-    SearchResult,
-    _bisect_right_interval,
-    class_jump_walk,
-    close_bracket,
-    trivial_search,
-)
+from .search import SearchResult, class_jump_search, trivial_search
 from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 
 
@@ -488,39 +481,26 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
 
 
 def class_jump_pmtn(inst: Instance) -> SearchResult:
-    """Exact 3/2-approximation: returns the least guess the dual accepts.
-
-    Probes the dual only at structural thresholds, at guesses where some
-    heavy class needs another machine (the reshape points 2(s_i+P_i)/k of
-    the half-gap packing), and at the breakpoints of the knapsack case inside
-    the final bracket.  On the bracket left after those the decision's
-    required load and machines are constant, and the decision is
-    right-continuous, so `search.close_bracket` pins the answer in closed
-    form: the bracket top, or required load / m.
-    """
-    m = inst.m
-    if m >= inst.n:
+    """Exact 3/2-approximation: the least guess the dual accepts, by
+    `search.class_jump_search` over [T_min, 2 T_min].  It probes only at
+    structural thresholds, at guesses where some heavy class needs another
+    machine (the reshape points 2(s_i+P_i)/k of the half-gap packing), and
+    at the knapsack case's breakpoints inside the final bracket
+    (`_pmtn_breakpoints`)."""
+    if inst.m >= inst.n:
         return trivial_search(inst)
-    probe = CachedProbe(lambda guess: _decide_pmtn(inst, guess).accepted)
     tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
-    if probe(tmin):
-        return probe.finish(dual_pmtn, inst, tmin, tmin)
-    p, q = tmin.as_integer_ratio()
-    top = Fraction(2 * p, q)
-    if not probe(top):
-        raise ContractError("dual rejected 2*T_min; 2-approximation bound broken")
 
-    # Bracket over the thresholds where the class layers or the oversized-job
-    # sets change: 2s, 4s, s + P, 4(s + P)/3 and 2(s + t), as ints on the
-    # scale 3.  Only those inside (T_min, 2 T_min) become Fractions.
-    struct: set[int] = set()
-    for cl in inst.classes:
-        s = cl.setup
-        reach = s + cl.total
-        struct.update((6 * s, 12 * s, 3 * reach, 4 * reach))
-        struct.update(6 * (s + t) for t in set(cl.jobs))
-    inside = sorted(x for x in struct if 3 * p < x * q < 6 * p)
-    cands = [tmin, *(Fraction(x, 3) for x in inside), top]
+    def layer_changes() -> tuple[set[int], int]:
+        # where the class layers or the oversized-job sets change: 2s, 4s,
+        # s + P, 4(s + P)/3 and 2(s + t), as ints on the scale 3
+        struct: set[int] = set()
+        for cl in inst.classes:
+            s = cl.setup
+            reach = s + cl.total
+            struct.update((6 * s, 12 * s, 3 * reach, 4 * reach))
+            struct.update(6 * (s + t) for t in set(cl.jobs))
+        return struct, 3
 
     def heavy(high_end: Rat) -> dict[int, int]:
         # expensive with setup + work past the guess throughout the open
@@ -532,11 +512,5 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
             if 2 * cl.setup * hq >= hp and (cl.setup + cl.total) * hq >= hp
         }
 
-    trace = class_jump_walk(probe, cands, heavy, 3, m)
-    # No heavy class jumps inside the walk's bracket; the decision can still
-    # move at the knapsack case's breakpoints, so bisect those too.
-    t_fail, t_ok = trace.final_interval
-    points = [t_fail] + sorted(_pmtn_breakpoints(inst, t_fail, t_ok)) + [t_ok]
-    lo, hi = _bisect_right_interval(points, probe, 0, len(points) - 1)
-    trace.final_interval = (points[lo], points[hi])
-    return close_bracket(probe, inst, _decide_pmtn, dual_pmtn, trace)
+    return class_jump_search(inst, Variant.PREEMPTIVE, tmin, 2 * tmin, layer_changes, heavy, 3,
+                             refine=_pmtn_breakpoints)

@@ -1,13 +1,14 @@
-"""Variant-generic makespan search: bisection to a (3/2+eps) guarantee, the
-class-jump walk and the closed-form closing shared by the splittable and
-preemptive exact searches, plus the result/reporting types shared by all
+"""Variant-generic makespan search: bisection to a (3/2+eps) guarantee,
+`class_jump_search`, the one exact class-jump search the splittable and
+preemptive variants run (each names only its bracket ends, thresholds and
+jump members), plus the probe, result and reporting types shared by all
 search strategies."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     ContractError,
@@ -52,13 +53,11 @@ def variant_ops(variant: Variant) -> VariantOps:
     are read at call time, so a function patched into its module is seen."""
     from . import nonpreemptive as nonp, preemptive as pmtn, splittable as split
 
-    return {
-        Variant.SPLITTABLE: VariantOps(split._decide_split, split.dual_split, split.class_jump_split),
-        Variant.PREEMPTIVE: VariantOps(pmtn._decide_pmtn, pmtn.dual_pmtn, pmtn.class_jump_pmtn),
-        Variant.NONPREEMPTIVE: VariantOps(
-            nonp._decide_nonp, nonp.dual_nonp, nonp.exact_integer_search_nonp
-        ),
-    }[variant]
+    if variant is Variant.SPLITTABLE:
+        return VariantOps(split._decide_split, split.dual_split, split.class_jump_split)
+    if variant is Variant.PREEMPTIVE:
+        return VariantOps(pmtn._decide_pmtn, pmtn.dual_pmtn, pmtn.class_jump_pmtn)
+    return VariantOps(nonp._decide_nonp, nonp.dual_nonp, nonp.exact_integer_search_nonp)
 
 
 def trivial_search(inst: Instance) -> SearchResult:
@@ -72,13 +71,15 @@ def trivial_search(inst: Instance) -> SearchResult:
 
 
 class CachedProbe:
-    """A search's view of the dual decision: each distinct guess is decided
-    once, and the decided guesses are recorded in probe order, each as it
-    was probed (a Fraction, or an int in the integer search).  The cache is
-    keyed by the guess's (numerator, denominator), which hashes as ints."""
+    """A search's view of the variant's dual decision on one instance: each
+    distinct guess is decided once, and the decided guesses are recorded in
+    probe order, each as it was probed (a Fraction, or an int in the integer
+    search).  The cache is keyed by the guess's (numerator, denominator),
+    which hashes as ints."""
 
-    def __init__(self, decide: Callable[[Rat], bool]):
-        self.decide = decide
+    def __init__(self, inst: Instance, variant: Variant):
+        self.inst = inst
+        self.ops = variant_ops(variant)
         self.cache: dict[tuple[int, int], bool] = {}
         self.probes: list[tuple[Rat, bool]] = []
 
@@ -86,15 +87,13 @@ class CachedProbe:
         key = guess.as_integer_ratio()
         ok = self.cache.get(key)
         if ok is None:
-            ok = self.cache[key] = self.decide(guess)
+            ok = self.cache[key] = self.ops.decide(self.inst, guess).accepted
             self.probes.append((guess, ok))
         return ok
 
-    def finish(
-        self, dual, inst: Instance, guess: Rat, lower_bound: Rat, trace: Optional[JumpTrace] = None
-    ) -> SearchResult:
+    def finish(self, guess: Rat, lower_bound: Rat, trace: Optional[JumpTrace] = None) -> SearchResult:
         """Build the schedule for the guess the search settled on."""
-        out = dual(inst, guess)
+        out = self.ops.dual(self.inst, guess)
         if not out.accepted:
             raise ContractError(f"search landed on rejected guess {guess}")
         return SearchResult(
@@ -198,27 +197,54 @@ def class_jump_walk(
     )
 
 
-def close_bracket(
-    probe: CachedProbe,
+def class_jump_search(
     inst: Instance,
-    decide: Callable[[Instance, Rat], Decision],
-    dual: Callable[[Instance, Rat], Decision],
-    trace: JumpTrace,
+    variant: Variant,
+    bottom: Rat,
+    top: Rat,
+    thresholds: Callable[[], tuple[Iterable[int], int]],
+    members: Callable[[Rat], dict[int, int]],
+    d_min: int,
+    refine: Optional[Callable[[Instance, Rat, Rat], Iterable[Rat]]] = None,
 ) -> SearchResult:
-    """The least accepted guess in trace.final_interval (t_fail, t_ok].
+    """The least guess in [bottom, top] the variant's dual accepts, by class
+    jumping.  `bottom` is a certified lower bound, so an accepted bottom is
+    the answer (no trace); otherwise `top` must be accepted.  Only then,
+    `thresholds()` gives ints x and a scale: the guesses x/scale where the
+    class layers change.  Those inside (bottom, top) bracket the answer for
+    `class_jump_walk` (with `members` and `d_min`), and `refine(inst, t_fail,
+    t_ok)`, if given, names the further guesses inside the walk's bracket
+    where the decision can change, which are bisected too.
 
-    The caller has narrowed the bracket until the decision's required load L
-    and machines are constant inside it, and the decision is
-    right-continuous, so t_fail decides like the interior.  The interior then
-    accepts exactly from L/m on (machines permitting): the answer is L/m when
-    that lies inside, else the bracket top.  Every guess below the answer is
-    rejected, so it is also the certified lower bound.  Decided at the
+    On the bracket (t_fail, t_ok] left, the required load L and machines are
+    constant, and the decision is right-continuous, so t_fail decides like
+    the interior, which accepts exactly from L/m on (machines permitting):
+    the answer is L/m when that lies inside, else t_ok.  Every guess below
+    it is rejected, so it is also the certified lower bound.  Decided at the
     midpoint; the schedule is built once, for the answer.
     """
+    probe = CachedProbe(inst, variant)
+    if probe(bottom):
+        return probe.finish(bottom, bottom)
+    if not probe(top):
+        raise ContractError(f"dual rejected the search's top guess {top}")
+    xs, scale = thresholds()
+    # x/scale lies inside (bottom, top) iff x_lo < x < x_hi, for ints x
+    bp, bq = bottom.as_integer_ratio()
+    tp, tq = top.as_integer_ratio()
+    x_lo, x_hi = bp * scale // bq, -(-tp * scale // tq)
+    inside = sorted(x for x in xs if x_lo < x < x_hi)
+    cands = [bottom, *(Fraction(x, scale) for x in inside), top]
+    trace = class_jump_walk(probe, cands, members, d_min, inst.m)
     t_fail, t_ok = trace.final_interval
+    if refine is not None:
+        points = [t_fail, *sorted(refine(inst, t_fail, t_ok)), t_ok]
+        lo, hi = _bisect_right_interval(points, probe, 0, len(points) - 1)
+        t_fail, t_ok = trace.final_interval = points[lo], points[hi]
+
     fp, fq = t_fail.as_integer_ratio()
     op, oq = t_ok.as_integer_ratio()
-    d = decide(inst, Fraction(fp * oq + op * fq, 2 * fq * oq))
+    d = probe.ops.decide(inst, Fraction(fp * oq + op * fq, 2 * fq * oq))
     t_star = t_ok
     if d.load is not None and d.machines <= inst.m:
         # L/m against the bracket's ends, cross-multiplied
@@ -226,7 +252,7 @@ def close_bracket(
             raise ContractError("required load inconsistent across the bracket")
         if d.load * oq <= inst.m * op:
             t_star = Fraction(d.load, inst.m)
-    return probe.finish(dual, inst, t_star, t_star, trace)
+    return probe.finish(t_star, t_star, trace)
 
 
 def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
@@ -241,8 +267,7 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     if eps <= 0:
         raise ValidationError("eps must be > 0")
     en, ed = eps.as_integer_ratio()
-    ops = variant_ops(variant)
-    probe = CachedProbe(lambda guess: ops.decide(inst, guess).accepted)
+    probe = CachedProbe(inst, variant)
     # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay ints
     L, D = lower_bound_tmin(inst, variant).as_integer_ratio()  # certified, never probed
     H = 2 * L
@@ -255,7 +280,7 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
             H = mid
         else:
             L = mid  # every rejected midpoint lies above lo
-    return probe.finish(ops.dual, inst, Fraction(H, D), Fraction(L, D))
+    return probe.finish(Fraction(H, D), Fraction(L, D))
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    ContractError,
     Decision,
     Instance,
     Rat,
     Schedule,
+    Variant,
     decide_need,
     decided_outcome,
 )
-from .search import CachedProbe, JumpTrace, SearchResult, class_jump_walk, close_bracket
+from .search import SearchResult, class_jump_search
 from .wrap import Builder, Gap, class_batch, run_wrap
 
 
@@ -96,37 +96,17 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
 
 
 def class_jump_split(inst: Instance) -> SearchResult:
-    """Exact 3/2-approximation: returns the least guess the dual accepts.
-
-    Every class with setup beyond half the guess needs one more setup each
-    time the guess drops past 2P_i/k; between two consecutive such jumps of
-    the class with the largest work, every other class jumps at most once, so
-    all candidate guesses in the bracket can be collected and bisected, and
-    between two neighbours the required load is constant, which pins the
-    answer in closed form (`search.close_bracket`).
-    """
-    m = inst.m
-    probe = CachedProbe(lambda guess: _decide_split(inst, guess).accepted)
-
-    smax = Fraction(inst.s_max)
-    top = Fraction(2 * inst.total_load)
-    if probe(smax):
-        # nothing below s_max is ever accepted, so this is the exact optimum
-        # of the search space
-        trace = JumpTrace((smax, smax), [], (smax, smax), ())
-        return probe.finish(dual_split, inst, smax, smax, trace)
-
-    # Bracket the answer between consecutive doubled setup values: inside,
-    # the expensive/cheap split does not change.
-    doubled = sorted({2 * cl.setup for cl in inst.classes if 2 * cl.setup > inst.s_max})
-    cands = [smax, *map(Fraction, doubled), top]
-    if not probe(top):
-        raise ContractError("dual rejected 2N; load certificate broken")
+    """Exact 3/2-approximation: the least guess the dual accepts, by
+    `search.class_jump_search` over [s_max, 2N] (nothing below s_max is ever
+    accepted).  Between consecutive doubled setups the expensive classes
+    stay the same, and each needs one more setup every time the guess drops
+    past 2P_i/k."""
 
     def expensive(high_end: Rat) -> dict[int, int]:
         # expensive throughout the bracket; a class jumps at 2P/d
         hp, hq = high_end.as_integer_ratio()
         return {i: 2 * cl.total for i, cl in enumerate(inst.classes) if 2 * cl.setup * hq >= hp}
 
-    trace = class_jump_walk(probe, cands, expensive, 1, m)
-    return close_bracket(probe, inst, _decide_split, dual_split, trace)
+    return class_jump_search(
+        inst, Variant.SPLITTABLE, Fraction(inst.s_max), Fraction(2 * inst.total_load),
+        lambda: ({2 * cl.setup for cl in inst.classes}, 1), expensive, 1)

@@ -454,6 +454,28 @@ def test_criterion_9_builds_per_job():
     _announce("9", "builds at most 60 opcodes per job", t0)
 
 
+def test_criterion_9_searches_near_linear():
+    # A deterministic companion to the timed test: each variant's whole exact
+    # search, counted in opcodes per code file, grows at most 4.5x per 4x
+    # step in n in every file that runs at least 1,000 opcodes at n = 40k.
+    # (The sized knapsack-heavy pmtn search is left out: it still grows
+    # faster, in its per-probe classification.)
+    t0 = time.time()
+    sizes = (2_500, 10_000, 40_000)
+    insts = {n: _scaling_instance(n, 1) for n in sizes}
+    for v in Variant:
+        search = variant_ops(v).search
+        count = {n: _opcodes_by_file(search, inst) for n, inst in insts.items()}
+        for path, top in count[40_000].items():
+            if top < 1_000:
+                continue
+            steps = [count[b][path] / max(1, count[a][path]) for a, b in zip(sizes, sizes[1:])]
+            assert max(steps) <= 4.5, (
+                f"{v.value} search opcodes in {path}: "
+                f"{[count[n][path] for n in sizes]}, growth {steps}")
+    _announce("9", "whole searches near-linear in n, file by file", t0)
+
+
 def test_criterion_10_probe_budgets():
     t0 = time.time()
     rows, _ = _run_corpus_a()

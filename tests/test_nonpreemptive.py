@@ -14,7 +14,6 @@ from batchsched.core import (
     verify_schedule,
 )
 from batchsched.nonpreemptive import (
-    _decide_nonp,
     counts_nonp,
     dual_nonp,
     exact_integer_search_nonp,
@@ -125,7 +124,7 @@ def test_integer_search_past_sys_maxsize():
     inst = Instance(m=2, classes=(JobClass(10**30 + 7, (3, 5)), JobClass(2, (1, 1, 1))))
     r = exact_integer_search_nonp(inst)
 
-    probe = CachedProbe(lambda guess: _decide_nonp(inst, guess).accepted)
+    probe = CachedProbe(inst, Variant.NONPREEMPTIVE)
     tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
     lo, hi = math.ceil(tmin) - 1, math.ceil(2 * tmin)
     assert hi - lo > sys.maxsize

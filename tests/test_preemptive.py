@@ -27,6 +27,7 @@ from batchsched.preemptive import (
     dual_pmtn,
 )
 from batchsched.search import certified_report
+from batchsched.splittable import class_jump_split
 
 from conftest import random_instance, tiny_instances
 from oracle import exact_nonp, min_accepted_scan, reference_continuous_knapsack
@@ -320,11 +321,19 @@ def test_class_jump_single_class_scan_agreement():
 
 
 def test_class_jump_accept_first_short_circuit():
-    inst = Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(1, (3,))))
-    r = class_jump_pmtn(inst)
-    # T_min accepted immediately: exactly one probe, optimal certificate
-    assert len(r.probes) == 1 and r.probes[0][1]
-    assert r.guess == r.lower_bound
+    # both exact searches: the bottom of the bracket (T_min = 9/2; s_max for
+    # split) accepted immediately: one probe, optimal certificate, no trace
+    for search, variant, inst, bottom in (
+        (class_jump_pmtn, Variant.PREEMPTIVE,
+         Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(1, (3,)))), F(9, 2)),
+        (class_jump_split, Variant.SPLITTABLE,
+         Instance(m=10, classes=(JobClass(10, (1,)), JobClass(1, (1,)))), F(10)),
+    ):
+        r = search(inst)
+        assert r.probes == [(bottom, True)]
+        assert r.guess == r.lower_bound == bottom
+        assert r.trace is None
+        assert verify_schedule(inst, r.schedule, variant, F(3, 2) * r.guess).ok
 
 
 def test_class_jump_random_scan_agreement():

@@ -98,3 +98,25 @@ def test_placements_carry_no_kind_tag():
                                          and f.name.startswith(("put", "make", "setup", "piece")))
     assert not found, "; ".join(found)
     assert puts == {"Builder": ["put", "put_config"], "_Run": ["pieces", "setup"]}
+
+
+def test_one_class_jump_search():
+    # the splittable and preemptive exact searches share one function,
+    # search.class_jump_search: it alone runs the class-jump walk, and the
+    # closing is inlined there, not a helper of its own
+    found, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        if "close_bracket" in text:
+            found.append(f"{path.name} names close_bracket")
+        if path.name != "search.py":
+            if "class_jump_walk" in text:
+                found.append(f"{path.name} names class_jump_walk")
+            continue
+        for fn in ast.parse(text).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "class_jump_walk"
+                    for node in ast.walk(fn)):
+                callers.add(fn.name)
+    assert not found, "; ".join(found)
+    assert callers == {"class_jump_search"}, callers
