@@ -7,13 +7,17 @@ Schedule files:  {"scale": D, "makespan": "p/q",
                   "compressed": [{"config": [[cls, start, setup, job, dur, ...], ...],
                                   "mult": int}, ...]}
 A machine or config is a list of batches, each one list of ints: a setup
-of class cls from start lasting setup, then its pieces back to back as
-(job, dur) pairs, job -1 for idle time of length dur.  Times are ints t
-meaning t/D, so nothing is ever rounded; other rationals (makespan,
-guesses, bounds) travel as "p/q" strings.  Schedule files in older formats
-(a dict per placement with "p/q" times, rows that lead with a kind flag and
-end in a piece number, a list per placement, or one flat list of four ints
-per placement) are rejected: solve the instance again.
+of class cls from start lasting setup, then (job, dur) pairs back to back.
+A pair runs the class's jobs from job on, in index order, for dur: each
+job whole while dur lasts, the last one cut where dur ends; so a pair no
+longer than its job is a piece of it, and job -1 is idle time of length
+dur.  Files that write one pair per job or piece, as earlier releases did,
+mean the same.  Times are ints t meaning t/D, so nothing is ever rounded;
+other rationals (makespan, guesses, bounds) travel as "p/q" strings.
+Schedule files in older formats (a dict per placement with "p/q" times,
+rows that lead with a kind flag and end in a piece number, a list per
+placement, or one flat list of four ints per placement) are rejected:
+solve the instance again.
 
 Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
 failure.
@@ -69,8 +73,9 @@ _SCHEDULE_FORMAT = (
     'schedules are {"scale": D, "machines": [[[cls, start, setup, job, dur, ...], ...], ...], '
     '"compressed": [{"config": [[cls, start, setup, job, dur, ...], ...], "mult": k}, ...]}: '
     "a machine or config is a list of batches, each a list of ints: a setup of cls "
-    "from start, then (job, dur) pairs back to back, job -1 for idle time, "
-    "times in units of 1/D"
+    "from start, then (job, dur) pairs back to back, each running the class's jobs "
+    "from job on for dur (whole, the last one cut where dur ends), job -1 for idle "
+    "time, times in units of 1/D"
 )
 
 

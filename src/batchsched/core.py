@@ -15,13 +15,14 @@ and ratio checks are exact.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import contains, countOf, itemgetter, lt
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from operator import add, contains, countOf, itemgetter, lt
+from typing import NamedTuple, Optional, Sequence, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
 Rat = Fraction
@@ -195,19 +196,23 @@ def fmt_rat(x: Rat) -> str:
 # ---------------------------------------------------------------------------
 
 # A schedule row is a list of batches: (cls, start, setup, job, dur, job,
-# dur, ...) is a setup of cls from start lasting setup, then its pieces back
-# to back, each a (job, dur) pair with job the position within cls; a pair
-# with job -1 is idle time of length dur.  Times are ints on the schedule's
-# scale (Rats in a hand-built schedule).  It is the schedule file's row as
-# it is: builds append batches to it, the JSON writer and reader pass it
-# through, and the verifier reads it in place.  A build's batch is a tuple,
-# which the cyclic collector stops tracking, so a full collection does not
-# rescan every batch of a large schedule; a parsed file's is the JSON list.
+# dur, ...) is a setup of cls from start lasting setup, then its pairs back
+# to back.  A pair (job, dur) runs the class's jobs from position job on,
+# in index order, for dur time units: each job runs whole while dur lasts,
+# and the last one is cut where dur ends.  So a pair no longer than its job
+# is a piece of that job, and one pair can carry a run of whole jobs (the
+# builds write one per run, see `wrap`); a pair with job -1 is idle time of
+# length dur.  Times are ints on the schedule's scale (Rats in a hand-built
+# schedule).  It is the schedule file's row as it is: builds append batches
+# to it, the JSON writer and reader pass it through, and the verifier reads
+# it in place.  A build's batch is a tuple, which the cyclic collector stops
+# tracking, so a full collection does not rescan every batch of a large
+# schedule; a parsed file's is the JSON list.
 Row = list[Sequence[Union[int, Rat]]]
 
 
 def batch_end(batch: Sequence) -> Union[int, Rat]:
-    """Where a batch ends: its start plus its setup, pieces and idle time."""
+    """Where a batch ends: its start plus its setup, pairs and idle time."""
     return batch[1] + sum(batch[2::2])
 
 
@@ -248,12 +253,6 @@ class Schedule:
     def machine_count(self) -> int:
         return len(self.machines) + sum(mult for _, mult in self.compressed)
 
-    def placements(self) -> Iterable[tuple]:
-        """Every setup and piece once as a (cls, start, dur, job) tuple, job
-        -1 for a setup: the machines' in order, then each configuration's
-        (not repeated by its multiplicity).  Idle pairs are skipped."""
-        return chain.from_iterable(map(_placements, chain.from_iterable(self.rows())))
-
     def end(self) -> Union[int, Rat]:
         """The latest batch end on the schedule's scale; 0 for no batch."""
         return max(0, max(map(batch_end, chain.from_iterable(self.rows())), default=0))
@@ -261,34 +260,17 @@ class Schedule:
     def makespan(self) -> Rat:
         return Fraction(self.end(), self.scale)
 
-    def expand(self) -> "Schedule":
-        """Materialize the compressed part: the rows first, then mult copies
-        of each configuration, every machine's batches in start order."""
-        copies = [config for config, mult in self.compressed for _ in range(mult)]
-        out = [[tuple(batch) for batch in sorted(row, key=itemgetter(1))]
-               for row in self.machines + copies]
-        return Schedule(m=self.m, machines=out, compressed=[], scale=self.scale)
-
     def placement_count(self) -> int:
-        """Setups plus pieces, each configuration's once; idle pairs do not
-        count.  A batch of length 3 + 2k holds 1 + k placements less its
-        idle pairs."""
+        """Setups plus pairs, each configuration's once, with C-level passes
+        over the batches' lengths and job slots: a batch of length 3 + 2k
+        holds 1 + k, less its idle pairs.  A pair that carries a run of
+        whole jobs counts once, so this is the size of the rows, not a count
+        of jobs."""
         batches = list(chain.from_iterable(self.rows()))
         count = (sum(map(len, batches)) - len(batches)) // 2
         if any(map(contains, batches, repeat(-1))):  # built schedules hold no -1
             count -= sum(map(countOf, map(_JOB_SLOTS, batches), repeat(-1)))
         return count
-
-
-def _placements(batch: Sequence):
-    """The batch's setup and pieces as (cls, start, dur, job) tuples."""
-    cls, t, setup = batch[0], batch[1], batch[2]
-    yield cls, t, setup, -1
-    t += setup
-    for job, dur in zip(batch[3::2], batch[4::2]):
-        if job != -1:
-            yield cls, t, dur, job
-        t += dur
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +441,20 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     multiplicity.  One pass per machine or configuration walks its batches
     in place in (start, setup) order (a row whose batch starts do not
     strictly increase is sorted first), and each batch's pairs with a
-    running time, the start of each piece.  It runs rules (a) and (b) and
+    running time, the start of each pair.  It runs rules (a) and (b) and
     the id checks, and adds each piece to its job's total and count, kept in
     flat lists at base[cls] + job (base: prefix sums of the class sizes), so
-    rule (c) is one list comparison.  A batch occupies its machine from its
-    start to `batch_end`, idle time included, so a batch starting before the
-    end of an earlier one overlaps it.  Only a job with more than one piece
-    or copy keeps intervals, for rule (e).  Violators of (d) or (e) are
-    listed by first appearance, which takes one more pass over their
+    rule (c) is one list comparison.  A pair longer than its first job is a
+    run (see `Row`): one bisect on the flat prefix sums of the scaled
+    durations finds its last job, and what is left, that job's piece or the
+    time past the class's last job (an unknown job), is read like any pair.
+    The whole jobs before it go into the totals and counts by C-level slice
+    copies while none of them has a piece yet and the row has one copy
+    (else by C-level slice sums).  A batch occupies its machine from its
+    start to `batch_end`, idle time included, so a batch starting before
+    the end of an earlier one overlaps it.  Only a job with more than one
+    piece or copy keeps intervals, for rule (e).  Violators of (d) or (e)
+    are listed by first appearance, which takes one more pass over their
     pieces.  README gives its measured cost.
 
     The rules run on the schedule's own times over `sched.scale` with +, -,
@@ -491,12 +479,18 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     sizes = [len(cl.jobs) for cl in classes]
     base = list(accumulate(sizes, initial=0))
     setup_len = [cl.setup * scale for cl in classes]
+    durations = list(chain.from_iterable(cl.jobs for cl in classes))
+    lens = durations if scale == 1 else [t * scale for t in durations]
+    # a run from job k reaches job x of its class after sums[x] - sums[k]
+    sums = list(accumulate(lens, initial=0))
     totals, counts = [0] * inst.n, [0] * inst.n
     pmtn = variant is Variant.PREEMPTIVE
     # rule (e): first[k] and first_end[k] are the start and end of job k's
-    # only piece so far (two lists, so that a piece allocates nothing),
-    # spans[k] the (start, end, copies) of a job with more than one piece
-    # or copy
+    # only piece so far (two lists, so that a piece allocates nothing; a
+    # whole job of a run keeps first[k] = its start - sums[k] and first_end[k]
+    # None), spans[k] the (start, end, copies) of job k's pieces once it has
+    # more than one piece or copy, or once a run holding it is read job by
+    # job
     first: list[Optional[Rat]] = [None] * inst.n
     first_end: list[Optional[Rat]] = [None] * inst.n
     spans: dict[int, list[tuple[Rat, Rat, int]]] = {}
@@ -509,9 +503,10 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             top = max(top, max(map(batch_end, row), default=0))
             flag("s", label, 0, "multiplicity < 1")
             continue
-        starts = list(map(_START, row))
-        if not all(map(lt, starts, starts[1:])):
-            row = sorted(row, key=_START_SETUP)
+        if len(row) > 1:
+            starts = list(map(_START, row))
+            if not all(map(lt, starts, starts[1:])):
+                row = sorted(row, key=_START_SETUP)
         prev_end = None
         for batch in row:
             pairs = iter(batch)
@@ -532,17 +527,50 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             size, first_k = sizes[cls], base[cls]
             t = start + setup
             for job, dur in zip(pairs, pairs):
-                if t < 0 and job != -1:
-                    flag("a", label, t, "placement starts before time 0")
-                if dur <= 0:
-                    flag("a", label, t, "idle time of non-positive length" if job == -1
-                         else "placement with non-positive duration")
                 if not 0 <= job < size:
+                    if t < 0 and job != -1:
+                        flag("a", label, t, "placement starts before time 0")
+                    if dur <= 0:
+                        flag("a", label, t, "idle time of non-positive length" if job == -1
+                             else "placement with non-positive duration")
                     if job != -1:
                         flag("s", label, t, f"unknown job id ({cls}, {job})")
                     t += dur
                     continue
                 k = first_k + job
+                if dur > lens[k]:
+                    # a run: the jobs k..x-1 whole, then what is left of dur
+                    reach, shift = sums[k] + dur, t - sums[k]
+                    x = bisect_left(sums, reach, k + 2, first_k + size + 1) - 1
+                    if t < 0:
+                        for y in range(k, x):
+                            if shift + sums[y] < 0:
+                                flag("a", label, shift + sums[y], "placement starts before time 0")
+                    if copies == 1 and not any(counts[k:x]):
+                        totals[k:x] = lens[k:x]
+                        counts[k:x] = [1] * (x - k)
+                        if pmtn:
+                            first[k:x] = [shift] * (x - k)
+                    else:  # a job of the run placed before, or copies of a configuration
+                        totals[k:x] = map(add, totals[k:x], map(copies.__mul__, lens[k:x]))
+                        if pmtn:
+                            for y in range(k, x):
+                                if y not in spans:
+                                    spans[y] = ([_only_piece(first, first_end, sums, y)]
+                                                if counts[y] else [])
+                                spans[y].append((shift + sums[y], shift + sums[y + 1], copies))
+                        counts[k:x] = map(copies.__add__, counts[k:x])
+                    k, t, dur = x, shift + sums[x], reach - sums[x]
+                    if k == first_k + size:  # past the class's last job
+                        if t < 0:
+                            flag("a", label, t, "placement starts before time 0")
+                        flag("s", label, t, f"unknown job id ({cls}, {size})")
+                        t += dur
+                        continue
+                if t < 0:
+                    flag("a", label, t, "placement starts before time 0")
+                if dur <= 0:
+                    flag("a", label, t, "placement with non-positive duration")
                 totals[k] += dur * copies
                 seen = counts[k]
                 counts[k] = seen + copies
@@ -551,7 +579,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                         first[k], first_end[k] = t, t + dur
                     else:
                         if k not in spans:
-                            spans[k] = [(first[k], first_end[k], 1)] if seen else []
+                            spans[k] = [_only_piece(first, first_end, sums, k)] if seen else []
                         spans[k].append((t, t + dur, copies))
                 t += dur
             if prev_end is None or t > prev_end:
@@ -559,8 +587,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         if prev_end is not None and prev_end > top:
             top = prev_end
 
-    durations = list(chain.from_iterable(cl.jobs for cl in classes))
-    if totals != [t * scale for t in durations]:
+    if totals != lens:
         refs = ((i, j) for i, cl in enumerate(classes) for j in range(len(cl.jobs)))
         for (i, j), got, t in zip(refs, totals, durations):
             if got != t * scale:
@@ -571,7 +598,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         bad = {k for k, n in enumerate(counts) if n > 1} if max(counts) > 1 else set()
     else:  # spans is empty unless pmtn
         bad = {k for k, ivs in spans.items() if _rule_e(ivs)}
-    for (i, j), ivs in _pieces_of(parts, sizes, base, bad).items():
+    for (i, j), ivs in _pieces_of(parts, base, bad, lens, sums).items():
         if not pmtn:
             flag("d", "-", 0, f"job ({i}, {j}) split into {fmt_rat(counts[base[i] + j])} pieces")
             continue
@@ -585,6 +612,13 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     return VerifyReport(ok=not out, makespan=makespan, violations=out)
 
 
+def _only_piece(first: list, first_end: list, sums: list, k: int) -> tuple[Rat, Rat, int]:
+    """Job k's only piece so far as (start, end, 1): a whole job of a run
+    keeps its start - sums[k] in first and None in first_end."""
+    f, f_end = first[k], first_end[k]
+    return (f, f_end, 1) if f_end is not None else (f + sums[k], f + sums[k + 1], 1)
+
+
 def _rule_e(ivs: list[tuple[Rat, Rat, int]]) -> Optional[tuple[Rat, int]]:
     """Rule (e) on one job's (start, end, copies): the start and copies of
     the first with copies > 1, else the start and 1 of the first piece that
@@ -596,16 +630,27 @@ def _rule_e(ivs: list[tuple[Rat, Rat, int]]) -> Optional[tuple[Rat, int]]:
     return next(((s2, 1) for (_, e1, _), (s2, _, _) in zip(ivs, ivs[1:]) if s2 < e1), None)
 
 
-def _pieces_of(parts, sizes: list[int], base: list[int], bad: set[int]) -> dict[JobRef, list]:
+def _pieces_of(parts, base: list[int], bad: set[int], lens: list, sums: list) -> dict[JobRef, list]:
     """The (start, end, copies) of each piece of the jobs whose flat index is
-    in bad, in schedule order, keyed by job in order of first appearance."""
+    in bad, in schedule order, keyed by job in order of first appearance.
+    Runs are read as the verifier reads them."""
     found: dict[JobRef, list] = {}
     for _, row, copies in parts if bad else ():
         for batch in row if copies >= 1 else ():
             cls, t = batch[0], batch[1] + batch[2]
-            for job, dur in zip(batch[3::2], batch[4::2]) if 0 <= cls < len(sizes) else ():
-                if 0 <= job < sizes[cls] and base[cls] + job in bad:
-                    found.setdefault((cls, job), []).append((t, t + dur, copies))
+            lo, hi = (base[cls], base[cls + 1]) if 0 <= cls < len(base) - 1 else (0, -1)
+            for job, dur in zip(batch[3::2], batch[4::2]) if lo <= hi else ():
+                k = lo + job
+                if 0 <= job and k < hi and dur > lens[k]:
+                    reach, shift = sums[k] + dur, t - sums[k]
+                    x = bisect_left(sums, reach, k + 2, hi + 1) - 1
+                    for y in range(k, x):
+                        if y in bad:
+                            found.setdefault((cls, y - lo), []).append(
+                                (shift + sums[y], shift + sums[y + 1], copies))
+                    k, t, dur = x, shift + sums[x], reach - sums[x]
+                if 0 <= job and k < hi and k in bad:
+                    found.setdefault((cls, k - lo), []).append((t, t + dur, copies))
                 t += dur
     return found
 

@@ -5,7 +5,8 @@ opened machines with same-class jobs and distributes the remainder greedily.
 A job cut at a machine's border stays whole where it starts, and an item
 sticking out over the guess in the greedy moves on to the next machine
 behind a fresh setup.  Every step places runs of whole jobs, one step per
-machine, and writes the schedule's batches directly.
+machine, and writes the schedule's batches directly; step 3's stream
+writes each run of consecutive jobs as one pair (see `core.Row`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import ne, not_
 from typing import Optional
 
@@ -43,17 +44,21 @@ from .wrap import class_batch
 # A segment is (cls, setup, ghost, flat): a setup, then, when ghost > 0, a
 # ghost of that length (the tail of a job the build keeps whole on an
 # earlier machine: it takes room but is never written), then whole jobs as
-# one flat (job, dur, job, dur, ...) tuple.
+# one flat (job, dur, job, dur, ...) tuple, in index order.
 Segment = tuple[int, int, int, tuple]
 
 
 class _Stream:
     """Segments end to end: item x (a setup, a ghost or a job) occupies
-    [starts[x], starts[x + 1]), and heads[k] is the item of segment k's setup."""
+    [starts[x], starts[x + 1]), and heads[k] is the item of segment k's setup.
+    breaks[k] lists the positions p in segment k's jobs where job p is not
+    job p - 1's successor in the class, so that the jobs between two breaks
+    are written as one run (see `core.Row`)."""
 
     def __init__(self, segs: list[Segment]):
         self.segs = segs
         self.heads: list[int] = []
+        self.breaks: list[list[int]] = []
         lens: list[int] = []
         for _, setup, ghost, flat in segs:
             self.heads.append(len(lens))
@@ -61,6 +66,10 @@ class _Stream:
             if ghost:
                 lens.append(ghost)
             lens += flat[1::2]
+            idx = flat[::2]
+            # the ids increase, so they are consecutive iff they span len(idx)
+            self.breaks.append([] if not idx or idx[-1] - idx[0] == len(idx) - 1 else list(
+                compress(range(1, len(idx)), map(ne, idx[1:], map((1).__add__, idx)))))
         self.n = len(lens)
         self.starts = list(accumulate(lens, initial=0))
         self.ghosts = {h + 1 for h, seg in zip(self.heads, segs) if seg[2]}
@@ -68,17 +77,28 @@ class _Stream:
     def batches(self, a: int, b: int, t: int) -> list[tuple]:
         """Items [a, b) as batches back to back from time t: each segment's
         part behind its own setup, or behind a fresh one where the part
-        begins with a job.  A part that holds nothing but a ghost is no
-        batch."""
+        begins with a job, its jobs one pair per run.  A part that holds
+        nothing but a ghost is no batch."""
         out = []
+        S = self.starts
         k = bisect_right(self.heads, a) - 1
         while k < len(self.heads) and self.heads[k] < b:
             cls, setup, ghost, flat = self.segs[k]
             first = self.heads[k] + 1 + (ghost > 0)  # the segment's first job
-            jobs = flat[2 * max(a - first, 0):2 * max(b - first, 0)]
+            p0, p1 = max(a - first, 0), min(max(b - first, 0), len(flat) >> 1)
+            jobs: tuple = ()
+            if p1 > p0:
+                brk = self.breaks[k]
+                cuts = brk[bisect_right(brk, p0):bisect_left(brk, p1)] if brk else ()
+                if cuts:
+                    cuts = [p0, *cuts, p1]
+                    jobs = tuple(chain.from_iterable((flat[2 * r0], S[first + r1] - S[first + r0])
+                                                     for r0, r1 in zip(cuts, cuts[1:])))
+                else:
+                    jobs = (flat[2 * p0], S[first + p1] - S[first + p0])
             if a <= self.heads[k] or jobs:
                 out.append((cls, t, setup) + jobs)
-                t += setup + sum(jobs[1::2])
+                t += setup + S[first + p1] - S[first + p0]
             k += 1
         return out
 
@@ -307,11 +327,14 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             row = rows[u]
             batches = st.batches(e, end, batch_end(row[-1]) if row else 0)
             if S[end] - S[f] > room and end - 1 not in st.ghosts:
-                e = end - 1  # the last item moves on
-                if len(batches[-1]) > 3:
-                    batches[-1] = batches[-1][:-2]
-                else:
+                e = end - 1  # the last item moves on: off the end of the last run
+                last, moved = batches[-1], S[end] - S[end - 1]
+                if len(last) == 3:
                     batches.pop()
+                elif last[-1] == moved:
+                    batches[-1] = last[:-2]
+                else:
+                    batches[-1] = last[:-1] + (last[-1] - moved,)
             else:
                 e = end
             row += batches

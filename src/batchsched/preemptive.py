@@ -133,9 +133,11 @@ def _gamma_count(reach: int, p: int, q: int) -> int:
     return max(1, -(-2 * reach * q // p) - 2)
 
 
-def _stack(builder: Builder, u: int, t: int, batch: Batch) -> int:
-    """Put the batch back to back on machine u from time t; returns its end."""
-    placed = (batch.cls, t, batch.setup, *batch.jobs)
+def _stack(builder: Builder, inst: Instance, u: int, t: int, i: int, scale: int) -> int:
+    """Put class i whole on machine u from time t, its jobs as one run (see
+    `core.Row`), on the time scale; returns its end."""
+    cl = inst.classes[i]
+    placed = (i, t, cl.setup * scale, 0, cl.total * scale)
     builder.put(u, placed)
     return batch_end(placed)
 
@@ -282,7 +284,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     # Dedicated machines: one almost-full expensive class each, starting at
     # half the guess so their bottoms stay free for leftovers.
     for u, i in enumerate(part.exp_zero):
-        _stack(builder, u, half, class_batch(inst, i, scale))
+        _stack(builder, inst, u, half, i, scale)
 
     # The nice remainder: chp_plus whole, each star class by its share, and
     # the other small-setup classes up to the budget the free time leaves.
@@ -378,7 +380,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
             raise ContractError("nice construction ran out of machines")
         t = 0
         for i in minus[k:k + 2]:
-            t = _stack(builder, base, t, class_batch(inst, i, scale))
+            t = _stack(builder, inst, base, t, i, scale)
         base += 1
     if cheap:
         # an odd expensive light class leaves its machine's top to the cheap ones

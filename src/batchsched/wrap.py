@@ -4,12 +4,17 @@ A wrap template is a list of gap runs: `Gap(machine, open, close, count)` is
 `count` identical gaps on machines machine, machine+1, ..., and each run's
 machines come after the previous run's.  A wrap sequence is a list of
 batches, each a class setup followed by jobs or job pieces of that class.
-Wrapping places the sequence left-to-right through the gaps: a setup that
-would cross the end of a gap moves below the start of the next gap, a job
-that would cross is cut there and continues at the start of the next gap
-behind a freshly inserted setup of its class.  The jobs of a batch that
-end by the current gap's close go in as one run, found by a bisect over the
-batch's prefix sums; only a job that crosses a close is placed on its own.
+Wrapping places the sequence left-to-right through the gaps, as
+McNaughton's wrap-around rule does: a setup that would cross the end of a
+gap moves below the start of the next gap, a job that would cross is cut
+there and continues at the start of the next gap behind a freshly inserted
+setup of its class.  The jobs of a batch that end by the current gap's
+close go in as one run, found by a bisect over the batch's prefix sums;
+only a job that crosses a close is placed on its own.  A batch of a whole
+class (`class_batch`) writes each such run as one pair (see `core.Row`),
+and the head of a job crossing the close right after it ends that pair, so
+a gap holds at most two pairs of it: the tail of the job that crossed into
+it, and one run.  Any other batch writes one pair per job or piece.
 
 Every gap the wrap fills becomes a machine row, except in one case: after a
 crossing, a remainder of one job covering at least two whole gaps of the
@@ -17,7 +22,7 @@ next gap's run, short of that run's last gap, is emitted once as a
 compressed configuration (a setup ending at the gap start and a full-height
 piece) with that multiplicity.  So the output size is bounded by the
 sequence length and the template length, independent of the gap count.
-Each setup opens a batch in its gap's row (see `core.Row`), and the pieces
+Each setup opens a batch in its gap's row (see `core.Row`), and the pairs
 after it extend that batch.
 
 Times are ints on the Builder's scale.  The code needs only +, -, // and
@@ -56,11 +61,14 @@ class Gap:
 class Batch:
     """A setup followed by items of class cls.  jobs is flat, (job, dur,
     job, dur, ...) with job the position within the class, like the tail
-    of a schedule row's batch: one tuple, not one per item."""
+    of a schedule row's batch: one tuple, not one per item.  whole says
+    that the items are the class's jobs, all of them whole and in index
+    order, so that the wrap may write a run of them as one pair."""
 
     cls: int
     setup: Rat
     jobs: tuple[Union[int, Rat], ...]
+    whole: bool = False
 
 
 def class_batch(inst: Instance, i: int, scale: int) -> Batch:
@@ -69,7 +77,7 @@ def class_batch(inst: Instance, i: int, scale: int) -> Batch:
     jobs = [0] * (2 * len(cl.jobs))
     jobs[::2] = range(len(cl.jobs))
     jobs[1::2] = cl.jobs if scale == 1 else [t * scale for t in cl.jobs]
-    return Batch(cls=i, setup=cl.setup * scale, jobs=tuple(jobs))
+    return Batch(cls=i, setup=cl.setup * scale, jobs=tuple(jobs), whole=True)
 
 
 def check_template(runs: list[Gap]):
@@ -144,10 +152,11 @@ class _Run:
         self.placed += 1
         self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
 
-    def pieces(self, flat: tuple):
-        """Pieces (job, dur, job, dur, ...) of the open batch's class, back
-        to back where its content ends."""
-        self.placed += len(flat) >> 1
+    def pieces(self, flat: tuple, jobs: int = 0):
+        """Pairs (job, dur, job, dur, ...) of the open batch's class, back
+        to back where its content ends: one per piece, or one pair that
+        runs `jobs` whole jobs (`placed` counts every job)."""
+        self.placed += jobs or len(flat) >> 1
         self.batch += flat
 
     def end_batch(self):
@@ -193,13 +202,20 @@ class _Run:
         return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
 
 
-def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat):
-    """Place one job (piece), cutting it at gap ends as often as needed."""
+def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat, ends_run: bool = False):
+    """Place one job (piece), cutting it at gap ends as often as needed.
+    ends_run: the open batch's last pair is a run of whole jobs that ends
+    where this job starts, so the job's head extends that pair."""
     end = run.t + dur
     while end > run.close:
         head = run.close - run.t
         if head > 0:
-            run.pieces((job, head))
+            if ends_run:
+                run.batch[-1] += head
+                run.placed += 1
+            else:
+                run.pieces((job, head))
+        ends_run = False
         rest = end - run.close
         run.next_gap()
         rest = run.bulk_full_gaps(cls, setup, job, rest)
@@ -242,14 +258,18 @@ def _place_batch(run: _Run, batch: Batch):
     while k < n:
         fit = bisect_right(ends, run.close - shift, k)
         if fit > k:
-            run.pieces(jobs[2 * k:2 * fit])
-            run.t = shift + ends[fit - 1]
-            k = fit
-            if k == n:
+            t = shift + ends[fit - 1]
+            if batch.whole:  # one pair for the run
+                run.pieces((jobs[2 * k], t - run.t), fit - k)
+            else:
+                run.pieces(jobs[2 * k:2 * fit])
+            run.t = t
+            if fit == n:
                 break
-        _place_item(run, batch.cls, batch.setup, jobs[2 * k], jobs[2 * k + 1])
-        shift = run.t - ends[k]
-        k += 1
+        _place_item(run, batch.cls, batch.setup, jobs[2 * fit], jobs[2 * fit + 1],
+                    batch.whole and fit > k)
+        shift = run.t - ends[fit]
+        k = fit + 1
     if bad is not None:
         job, dur = batch.jobs[2 * bad:2 * bad + 2]
         raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")

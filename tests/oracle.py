@@ -7,7 +7,9 @@ the non-preemptive construction with an object per setup and piece, the
 preemptive construction that re-classified its nice remainder instead of
 reading it off the plan, the per-job oversized-job positions and the
 knapsack items read off them, which the decisions find from per-class
-aggregates, and the wrap that placed one job at a time."""
+aggregates, and the wrap that placed one job at a time; and the expansion
+of a schedule's runs into one pair per job, which the references write
+(`expand_runs`)."""
 
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from batchsched.core import (
     CapacityError,
@@ -183,11 +186,77 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
                 flag("b", f"piece of class {cls} not preceded by a setup of its class")
 
 
-def tuple_view(sched: Schedule) -> Schedule:
+def expand_runs(sched: Schedule, inst: Instance) -> Schedule:
+    """The schedule with one pair per job: the same placements, in the same
+    order.  A pair longer than its job runs the class's jobs from it on,
+    each whole while its duration lasts (see `core.Row`): it becomes a pair
+    per whole job and one for the piece left of the last, or, past the
+    class's last job, one for the unknown job id len(jobs), as the verifier
+    reads it.  Every other pair, and a batch of an unknown class, stays as
+    it is.  Batches become tuples."""
+    scale = sched.scale
+    lens_of = [[t * scale for t in cl.jobs] for cl in inst.classes]
+
+    def batch(b):
+        cls = b[0]
+        if not 0 <= cls < len(lens_of):
+            return tuple(b)
+        lens = lens_of[cls]
+        out = list(b[:3])
+        for job, dur in zip(b[3::2], b[4::2]):
+            while 0 <= job < len(lens) and dur > lens[job]:
+                out += job, lens[job]
+                dur -= lens[job]
+                job += 1
+            out += job, dur
+        return tuple(out)
+
+    return Schedule(m=sched.m, machines=[[batch(b) for b in row] for row in sched.machines],
+                    compressed=[([batch(b) for b in row], mult) for row, mult in sched.compressed],
+                    scale=scale)
+
+
+def run_pairs(sched: Schedule, inst: Instance) -> int:
+    """How many pairs of the schedule's rows span more than one job: a
+    known job, and longer than it."""
+    scale, count = sched.scale, 0
+    for b in chain.from_iterable(sched.rows()):
+        jobs = inst.classes[b[0]].jobs if 0 <= b[0] < len(inst.classes) else ()
+        count += sum(0 <= job < len(jobs) and dur > jobs[job] * scale
+                     for job, dur in zip(b[3::2], b[4::2]))
+    return count
+
+
+def placements(sched: Schedule, inst: Instance) -> Iterator[tuple]:
+    """Every setup and job piece once as a (cls, start, dur, job) tuple, job
+    -1 for a setup: the machines' in order, then each configuration's (not
+    repeated by its multiplicity), runs expanded.  Idle pairs are skipped."""
+    for batch in chain.from_iterable(expand_runs(sched, inst).rows()):
+        cls, t, setup = batch[0], batch[1], batch[2]
+        yield cls, t, setup, -1
+        t += setup
+        for job, dur in zip(batch[3::2], batch[4::2]):
+            if job != -1:
+                yield cls, t, dur, job
+            t += dur
+
+
+def expand(sched: Schedule, inst: Instance) -> Schedule:
+    """Materialize the compressed part and the runs: the rows first, then
+    mult copies of each configuration, every machine's batches in start
+    order, one pair per job."""
+    flat = expand_runs(sched, inst)
+    copies = [config for config, mult in flat.compressed for _ in range(mult)]
+    out = [sorted(row, key=itemgetter(1)) for row in flat.machines + copies]
+    return Schedule(m=sched.m, machines=out, compressed=[], scale=sched.scale)
+
+
+def tuple_view(sched: Schedule, inst: Instance) -> Schedule:
     """The schedule in the shape `reference_verify` reads: each row a list
-    of (cls, start, dur, job) tuples, job None for a setup.  Each batch of a
-    row expands to its setup, then its pieces from where the setup ends,
-    one after the other; an idle pair (job -1) only moves the time on."""
+    of (cls, start, dur, job) tuples, job None for a setup.  Runs are
+    expanded (`expand_runs`), then each batch of a row expands to its setup,
+    then its pieces from where the setup ends, one after the other; an idle
+    pair (job -1) only moves the time on."""
     def view(row):
         out = []
         for cls, start, setup, *pairs in row:
@@ -198,6 +267,7 @@ def tuple_view(sched: Schedule) -> Schedule:
                     out.append((cls, t, dur, job))
                 t += dur
         return out
+    sched = expand_runs(sched, inst)
     return Schedule(m=sched.m, machines=[view(row) for row in sched.machines],
                     compressed=[(view(row), mult) for row, mult in sched.compressed],
                     scale=sched.scale)

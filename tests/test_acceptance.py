@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
@@ -35,7 +36,7 @@ from batchsched.splittable import _build_split, class_jump_split, dual_split, tw
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 from conftest import random_instance, tiny_instances
-from oracle import exact_nonp, min_accepted_scan
+from oracle import exact_nonp, expand, min_accepted_scan
 
 
 def _announce(num, name, t0):
@@ -280,9 +281,10 @@ def test_criterion_8_wrap_compression_oracle():
         run_wrap(comp, seq, [Gap(0, a, b, count)])
         run_wrap(plain, seq, [Gap(u, a, b) for u in range(count)])
         sched = comp.finalize()
-        # the verifier gives machine order no meaning, and expand() lists the
+        inst = Instance(count, tuple(JobClass(b.setup, b.jobs[1::2]) for b in seq))
+        # the verifier gives machine order no meaning, and expand lists the
         # rows before the copies of each config
-        expanded = Counter(map(tuple, sched.expand().machines))
+        expanded = Counter(map(tuple, expand(sched, inst).machines))
         assert expanded == Counter(map(tuple, plain.finalize().machines))
         assert all(len(config) == 1 and len(config[0]) == 5 and mult >= 2
                    for config, mult in sched.compressed)
@@ -474,6 +476,23 @@ def test_criterion_9_searches_near_linear():
                 f"{v.value} search opcodes in {path}: "
                 f"{[count[n][path] for n in sizes]}, growth {steps}")
     _announce("9", "whole searches near-linear in n, file by file", t0)
+
+
+def test_criterion_9_schedules_one_int_per_job():
+    # A pair carries a run of whole jobs (see core.Row), so each variant's
+    # jump schedule on criterion 9's instances holds at most 1 int per job
+    # in its rows, configurations and multiplicities, at n = 10k and 40k
+    # (one pair per job piece holds 2.30-2.52).
+    t0 = time.time()
+    per_job = {}
+    for n in (10_000, 40_000):
+        inst = _scaling_instance(n, 1)
+        for v in Variant:
+            sched = variant_ops(v).search(inst).schedule
+            ints = sum(map(len, chain.from_iterable(sched.rows()))) + len(sched.compressed)
+            per_job[(v.value, n)] = round(ints / inst.n, 3)
+    assert max(per_job.values()) <= 1, per_job
+    _announce("9", f"schedules hold at most {max(per_job.values())} ints per job", t0)
 
 
 def test_criterion_10_probe_budgets():

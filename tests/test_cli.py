@@ -26,6 +26,7 @@ from batchsched.core import (
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance
+from oracle import expand_runs, placements, run_pairs
 
 
 def write_instance(tmp_path, name, obj):
@@ -282,9 +283,9 @@ def test_parse_schedule_any_json_schedule_or_validation_error(raw):
         sched = parse_schedule(raw, 2)
     except ValidationError:
         return
-    assert all(type(p[1]) is int and type(p[2]) is int for p in sched.placements())
-    # whatever parses, the verifier judges without raising
     inst = parse_instance({"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    assert all(type(p[1]) is int and type(p[2]) is int for p in placements(sched, inst))
+    # whatever parses, the verifier judges without raising
     verify_schedule(inst, sched, Variant.PREEMPTIVE, F(9))
 
 
@@ -359,7 +360,7 @@ def test_readme_schedule_example():
     # idle pair is no placement
     idle = Schedule(m=1, machines=[[[0, 0, 54, -1, 18, 0, 28]]], scale=18)
     assert idle.placement_count() == 2 and idle.makespan() == F(50, 9)
-    assert list(idle.placements()) == [(0, 0, 54, -1), (0, 72, 28, 0)]
+    assert list(placements(idle, inst)) == [(0, 0, 54, -1), (0, 72, 28, 0)]
 
 
 def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
@@ -393,6 +394,31 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     assert main(["verify", "--in", ipath, "--schedule", spath,
                  "--variant", "split", "--bound", "1/2"]) == 3
     assert "rule (f)" in capsys.readouterr().out
+
+
+def test_verify_run_past_the_class_end_exits_3(tmp_path, capsys):
+    # a pair of 6 from job 0 runs jobs 0 and 1 whole, then 1 time unit past
+    # the class's last job: an unknown job id; 5 is the class in one run
+    ipath = write_instance(tmp_path, "i.json", {"m": 1, "classes": [{"setup": 1, "jobs": [2, 3]}]})
+    for dur, code in ((5, 0), (6, 3)):
+        spath = write_instance(tmp_path, "s.json", {"scale": 1, "machines": [[[0, 0, 1, 0, dur]]]})
+        assert main(["verify", "--in", ipath, "--schedule", spath,
+                     "--variant", "nonp", "--bound", "9"]) == code
+    assert "rule (s) machine 0 t=6: unknown job id (0, 2)" in capsys.readouterr().out
+
+
+def test_verify_reads_a_file_of_one_pair_per_job(tmp_path, capsys):
+    # earlier releases wrote one pair per job piece; such a file means the
+    # same schedule and verifies
+    inst = generate_instance(seed=3, machines=4, classes=3, proc="uniform:1:9")
+    r = class_jump_split(inst)
+    assert run_pairs(r.schedule, inst) >= 1
+    per_job = emit_schedule(expand_runs(r.schedule, inst))
+    assert per_job != emit_schedule(r.schedule)
+    ipath = write_instance(tmp_path, "i.json", emit_instance(inst))
+    spath = write_instance(tmp_path, "s.json", per_job)
+    assert main(["verify", "--in", ipath, "--schedule", spath,
+                 "--variant", "split", "--bound", str(F(3, 2) * r.guess)]) == 0
 
 
 def test_instance_roundtrip():

@@ -19,6 +19,7 @@ from batchsched.core import (
 from batchsched.preemptive import _star_items
 
 from conftest import random_instance
+from oracle import placements, reference_verify, tuple_view
 
 
 def test_parse_instance_roundtrip():
@@ -192,6 +193,81 @@ def test_placement_count_skips_idle_pairs_only():
         compressed=[([(0, 0, 2, 0, -1, -1, 4)], 3)],
     )
     assert sched.placement_count() == 2 + 2 + 3 + 2
+
+
+def _rules(report):
+    return [(v.rule, v.machine, v.time, v.message) for v in report.violations]
+
+
+def test_verify_run_past_the_class_end():
+    # one pair of 6 from job 0 of a class of jobs 2 and 3: both whole, then
+    # 1 time unit past the class's last job, an unknown job
+    inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
+    sched = Schedule(m=1, machines=[[(0, 0, 1, 0, 6)]])
+    for variant in Variant:
+        rep = verify_schedule(inst, sched, variant, F(9))
+        assert _rules(rep) == [("s", 0, F(6), "unknown job id (0, 2)")]
+        assert rep == reference_verify(inst, tuple_view(sched, inst), variant, F(9))
+    # one unit less is the class in one run
+    assert verify_schedule(inst, Schedule(m=1, machines=[[(0, 0, 1, 0, 5)]]),
+                           Variant.NONPREEMPTIVE, F(6)).ok
+
+
+def test_verify_nonp_run_ending_in_a_split_job():
+    # the run from job 0 ends 2 units into job 1, whose other unit runs on
+    # machine 1: totals are right, but job 1 is in two pieces
+    inst = Instance(m=2, classes=(JobClass(1, (2, 3)),))
+    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 4)], [(0, 0, 1, 1, 1)]])
+    assert _rules(verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(5))) == [
+        ("d", "-", F(0), "job (0, 1) split into 2 pieces")]
+    assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(5)).ok
+
+
+def test_verify_pmtn_whole_job_of_a_run_overlapping_its_other_piece():
+    # jobs 0, 1 and 2 whole in one run, job 1 from 3 to 6; a piece of job 1
+    # from 4 to 5 on machine 1 overlaps it (and makes its total 4)
+    inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
+    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 9)], [(0, 3, 1, 1, 1)]])
+    rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
+    assert _rules(rep) == [
+        ("c", "-", F(0), "job (0, 1) placed for 4 time units, needs exactly 3"),
+        ("e", "-", F(4), "pieces of job (0, 1) overlap in time"),
+    ]
+    assert rep == reference_verify(inst, tuple_view(sched, inst), Variant.PREEMPTIVE, F(10))
+    # moved to start when the run's job 1 ends, the piece overlaps nothing
+    sched.machines[1] = [(0, 5, 1, 1, 1)]
+    assert [v.rule for v in verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10)).violations] \
+        == ["c"]
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_verify_run_in_a_config_of_mult_3(scale):
+    # a configuration of one batch whose pair runs job 0 whole and 3/2 of
+    # job 1, copied 3 times: every job's total and count triple, and in
+    # pmtn each runs on 3 machines in parallel; with Fraction times on the
+    # scale 1 the same report as on the int scale 2
+    inst = Instance(m=3, classes=(JobClass(1, (2, 3)),))
+    config = [(0, F(0), F(1), 0, F(7, 2))] if scale == 1 else [(0, 0, 2, 0, 7)]
+    sched = Schedule(m=3, compressed=[(config, 3)], scale=scale)
+    want = {
+        Variant.SPLITTABLE: [
+            ("c", "-", F(0), "job (0, 0) placed for 6 time units, needs exactly 2"),
+            ("c", "-", F(0), "job (0, 1) placed for 9/2 time units, needs exactly 3")],
+        Variant.PREEMPTIVE: [
+            ("c", "-", F(0), "job (0, 0) placed for 6 time units, needs exactly 2"),
+            ("c", "-", F(0), "job (0, 1) placed for 9/2 time units, needs exactly 3"),
+            ("e", "-", F(1), "job (0, 0) runs on 3 identical machines in parallel"),
+            ("e", "-", F(3), "job (0, 1) runs on 3 identical machines in parallel")],
+        Variant.NONPREEMPTIVE: [
+            ("c", "-", F(0), "job (0, 0) placed for 6 time units, needs exactly 2"),
+            ("c", "-", F(0), "job (0, 1) placed for 9/2 time units, needs exactly 3"),
+            ("d", "-", F(0), "job (0, 0) split into 3 pieces"),
+            ("d", "-", F(0), "job (0, 1) split into 3 pieces")],
+    }
+    for variant, rules in want.items():
+        rep = verify_schedule(inst, sched, variant, F(9, 2))
+        assert _rules(rep) == rules and rep.makespan == F(9, 2), variant
+        assert rep == reference_verify(inst, tuple_view(sched, inst), variant, F(9, 2))
 
 
 def test_verify_overlap_and_bound():
@@ -433,7 +509,7 @@ def test_verify_distinct_prime_denominators_fast():
         machines.append([[0, F(0), F(1), j, F(1, p)]])
         machines.append([[0, F(1, q), F(1), j, 2 - F(1, p)]])
     sched = Schedule(m=inst.m, machines=machines)
-    top = max(start + dur for _, start, dur, _ in sched.placements())
+    top = max(start + dur for _, start, dur, _ in placements(sched, inst))
     t0 = time.perf_counter()
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(7, 2))
     assert time.perf_counter() - t0 <= 2.0

@@ -1,8 +1,10 @@
 """Golden output: the emitted schedules of a fixed corpus, pinned by two
 sha256s (their content in the schedule file format before integer rows, less
-piece numbers, and their wire JSON now), the probe lists of its searches,
-pinned by a third, plus the invariants of the integer time scale, of the
-batch rows and of the wire round trip on the same solves."""
+piece numbers, with runs expanded to one pair per job, and their wire JSON
+now), the probe lists of its searches, pinned by a third, plus the
+invariants of the integer time scale, of the batch rows and of the wire
+round trip on the same solves, and the files earlier releases wrote (one
+pair per job) read back to the same verdict."""
 
 import hashlib
 import json
@@ -15,14 +17,19 @@ from batchsched.core import Variant, verify_schedule
 from batchsched.preemptive import _pmtn_plan
 from batchsched.search import epsilon_search, variant_ops
 
+from oracle import expand_runs
 from test_preemptive import knapsack_heavy_instance
 
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
 # file format before integer rows (reduced "p/q" times) without its piece
-# numbers
+# numbers, one placement per job piece
 GOLDEN_SHA256 = "5ca65b0608364dfc70ce98d82d8dce2c6eee0334cca2c392eaffc4dae6ea0269"
-# the same over emit_schedule's batch rows on the integer scale
-WIRE_SHA256 = "9f283582cd08675a493955e668726b13fb68cb2d4e0eaa3eb233e7b1f96e487b"
+# the same over emit_schedule's batch rows on the integer scale, one pair
+# per run of whole jobs
+WIRE_SHA256 = "99e8a03acade1f434f07c98aeb5346899d94b779d929cf255c16f9976483c664"
+# the same with the runs expanded to one pair per job: the files of the
+# releases before pairs carried runs, byte for byte
+PER_JOB_WIRE_SHA256 = "9f283582cd08675a493955e668726b13fb68cb2d4e0eaa3eb233e7b1f96e487b"
 # the same over (variant, algo, [(guess, accepted), ...]) of every jump and
 # eps search, in probe order
 PROBES_SHA256 = "94bc18e234261919da5d367aa99d912c056182fe83efae670b63df163565a19e"
@@ -52,12 +59,14 @@ def solves():
             yield inst, variant, "eps", r, F(3, 2) * r.guess
 
 
-def old_format(raw: dict) -> dict:
+def old_format(raw: dict, inst) -> dict:
     """An emitted schedule in the file format before integer rows: a dict per
     placement with reduced "p/q" times and no scale, and no piece numbers.
-    Each batch expands to its setup, then its pieces from where the setup
-    ends, one after the other; an idle pair only moves the time on."""
+    Runs expand to one pair per job (`expand_runs`), then each batch to its
+    setup, then its pieces from where the setup ends, one after the other;
+    an idle pair only moves the time on."""
     scale = raw["scale"]
+    raw = emit_schedule(expand_runs(parse_schedule(raw, inst.m), inst))
 
     def text(t):
         x = F(t, scale)
@@ -117,7 +126,7 @@ def test_golden_schedules_on_the_integer_scale():
     rows = list(solves())
     assert len(rows) == 350 * 9
     split_shares = tmin_rejected = 0
-    old_texts, wire_texts, probe_texts = [], [], []
+    old_texts, wire_texts, per_job_texts, probe_texts = [], [], [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
         # rows of batches, tuples of exact ints, and no idle pair
@@ -142,7 +151,13 @@ def test_golden_schedules_on_the_integer_scale():
         wire = verify_schedule(inst, back, variant, bound)
         assert mem.ok and mem == wire, (inst, variant, algo)
         assert raw["makespan"] == str(r.makespan)
-        old_texts.append(json.dumps(old_format(raw), sort_keys=True))
+        old_texts.append(json.dumps(old_format(raw, inst), sort_keys=True))
+        # the file an earlier release wrote, one pair per job, reads back to
+        # the same report
+        per_job = json.loads(json.dumps(emit_schedule(expand_runs(sched, inst)), sort_keys=True))
+        per_job_texts.append(json.dumps(per_job, sort_keys=True))
+        assert verify_schedule(inst, parse_schedule(per_job, inst.m), variant, bound) == mem, \
+            (inst, variant, algo)
         wire_texts.append(json.dumps(raw, sort_keys=True))
         if algo != "two-approx":
             probe_texts.append(json.dumps([variant.value, algo,
@@ -158,4 +173,5 @@ def test_golden_schedules_on_the_integer_scale():
     # every emitted time is the same rational as before integer rows
     assert digest(old_texts) == GOLDEN_SHA256
     assert digest(wire_texts) == WIRE_SHA256
+    assert digest(per_job_texts) == PER_JOB_WIRE_SHA256
     assert digest(probe_texts) == PROBES_SHA256

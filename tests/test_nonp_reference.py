@@ -1,5 +1,6 @@
 """The non-preemptive construction against the item-object build it
-replaced: equal schedules from `dual_nonp` and `reference_build_nonp` on
+replaced: equal schedules, with the build's runs expanded to one pair per
+job (`expand_runs`), from `dual_nonp` and `reference_build_nonp` on
 20,000+ (instance, accepted guess) pairs of small instances, with every
 repair branch reached, and on 400 pairs of instances with 50-500 jobs per
 class; equal next-fit 2-approximations on the same instances.  Then the
@@ -18,16 +19,33 @@ from batchsched.preemptive import _pmtn_counts, _star_items
 from conftest import random_instance
 from oracle import (
     reference_big_jobs,
+    expand_runs,
     reference_build_nonp,
     reference_counts_nonp,
     reference_next_fit_two_approx,
     reference_star_items,
+    run_pairs,
     star_items_in_time,
 )
 from test_acceptance import _scaling_instance
 from test_preemptive import knapsack_heavy_instance
 
 GRID = 16  # guesses T_min * (1 + k / GRID), k = 0 .. GRID
+
+
+def _next_fit(inst: Instance, runs: Counter):
+    """The next-fit 2-approximation with its runs expanded, counting them."""
+    sched, makespan = next_fit_two_approx(inst, Variant.NONPREEMPTIVE)
+    runs["next-fit"] += run_pairs(sched, inst)
+    return expand_runs(sched, inst), makespan
+
+
+def _built(inst: Instance, guess, runs: Counter):
+    """The dual's schedule at an accepted guess with its runs expanded,
+    counting them."""
+    sched = dual_nonp(inst, guess).schedule
+    runs["build"] += run_pairs(sched, inst)
+    return expand_runs(sched, inst)
 
 
 def _accepted(rng: random.Random, inst):
@@ -54,18 +72,22 @@ def _accepted(rng: random.Random, inst):
 def test_build_and_next_fit_equal_the_reference():
     rng = random.Random(1101)
     branches: Counter = Counter()
+    runs: Counter = Counter()  # pairs that span more than one job
     pairs = instances = 0
     while pairs < 20_000:
         inst = random_instance(rng, max_m=5, max_c=3, max_jobs=4)
         if inst.m >= inst.n:
             continue  # one job per machine: no construction runs
         instances += 1
-        assert next_fit_two_approx(inst, Variant.NONPREEMPTIVE) == \
+        assert _next_fit(inst, runs) == \
             reference_next_fit_two_approx(inst, Variant.NONPREEMPTIVE), inst
         for guess, d in _accepted(rng, inst):
             pairs += 1
-            assert d.schedule == reference_build_nonp(inst, guess, branches), (inst, guess)
+            runs["build"] += run_pairs(d.schedule, inst)
+            assert expand_runs(d.schedule, inst) == reference_build_nonp(inst, guess, branches), \
+                (inst, guess)
     assert instances >= 2_000
+    assert min(runs.values()) >= 1_000, runs
     assert set(branches) == {
         "first-piece swap", "carried piece", "carried setup", "uncovered continuation",
         "parked on a new machine", "parked on an existing machine",
@@ -93,20 +115,22 @@ def test_build_and_next_fit_equal_the_reference_on_large_instances():
     # guesses: jobs cut in steps 1 and 2, and long greedy runs in step 3
     rng = random.Random(1103)
     branches: Counter = Counter()
+    runs: Counter = Counter()  # pairs that span more than one job
     insts = [_large_instance(rng) for _ in range(180)]
     insts += [_scaling_instance(2_500, seed, c=5 * (1 + seed % 10)) for seed in range(20)]
     pairs = 0
     for inst in insts:
-        assert next_fit_two_approx(inst, Variant.NONPREEMPTIVE) == \
+        assert _next_fit(inst, runs) == \
             reference_next_fit_two_approx(inst, Variant.NONPREEMPTIVE), inst
         tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
         accepted = (g for g in (tmin * (GRID + k) / GRID for k in range(GRID + 1))
                     if _decide_nonp(inst, g).accepted)
         for guess in islice(accepted, 2):
             pairs += 1
-            assert dual_nonp(inst, guess).schedule == reference_build_nonp(inst, guess, branches), \
+            assert _built(inst, guess, runs) == reference_build_nonp(inst, guess, branches), \
                 (inst, guess)
     assert pairs == 400
+    assert min(runs.values()) >= 1_000, runs
     # an existing machine takes the last item only when m is nearly used up,
     # which the small instances above reach
     assert min(branches[b] for b in ("first-piece swap", "carried piece", "carried setup",

@@ -1,5 +1,6 @@
 """The one-pass batch verifier against the reference verifier it replaced,
-which reads the same schedule expanded into placements: equal reports
+which reads the same schedule expanded into placements, runs of whole jobs
+into one placement per job (`expand_runs`): equal reports
 (violations, their order, times and messages, and the makespan) where both
 read the same placements in the same order, and on every other schedule
 the batch verifier at least as strict, on built, mutated and hand-built
@@ -13,7 +14,7 @@ from operator import itemgetter
 from batchsched import Instance, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
 from conftest import random_instance
-from oracle import reference_verify, tuple_view
+from oracle import reference_verify, run_pairs, tuple_view
 
 
 def _pair_at(rng: random.Random, batch: list, trailing: bool = False) -> int:
@@ -22,20 +23,21 @@ def _pair_at(rng: random.Random, batch: list, trailing: bool = False) -> int:
     return 3 + 2 * rng.randrange((len(batch) - 3) // 2 + trailing)
 
 
-def _mutate(rng: random.Random, inst: Instance, sched: Schedule) -> Schedule:
+def _mutate(rng: random.Random, inst: Instance, sched: Schedule, runs: Counter) -> Schedule:
     """One to three random edits of the batch rows: a shifted start or
     duration, a changed class or job id, added idle time, a changed setup
     length, a duplicated, deleted or moved batch or pair, shuffled batches,
     a changed multiplicity, an extra machine or a machine turned into a
-    configuration."""
+    configuration, or a pair lengthened or shortened by a job's duration,
+    so that a run takes in one more job or one less (tallied in runs)."""
     parts = [[list(b) for b in row] for row in sched.machines]
     parts += [[list(b) for b in row] for row, _ in sched.compressed]
     mults = [mult for _, mult in sched.compressed]
     n_machines = len(sched.machines)
     for _ in range(rng.randint(1, 3)):
         where = [(i, k) for i, p in enumerate(parts) for k in range(len(p))]
-        what = rng.randrange(15)
-        what = 9 if what > 12 else what  # a shuffle three times as often as the rest
+        what = rng.randrange(16)
+        what = 9 if what > 13 else what  # a shuffle three times as often as the rest
         if what == 12 and n_machines:
             parts.append(parts.pop(rng.randrange(n_machines)))
             mults.append(rng.choice([1, 2]))
@@ -68,6 +70,20 @@ def _mutate(rng: random.Random, inst: Instance, sched: Schedule) -> Schedule:
                 if 0 <= cls < inst.c:
                     s = inst.classes[cls].setup * sched.scale
                     batch[2] = rng.choice([0, s - 1, s + 1, 2 * s])
+            elif what == 13:  # a run one job longer or shorter
+                if pairs and 0 <= cls < inst.c:
+                    at = _pair_at(rng, batch) + 1
+                    job, dur = batch[at - 1], batch[at]
+                    durs = [t * sched.scale for t in inst.classes[cls].jobs]
+                    while 0 <= job < size - 1 and dur > durs[job]:  # to the run's last job
+                        dur -= durs[job]
+                        job += 1
+                    if not 0 <= job < size:
+                        job = rng.randrange(size)
+                    # the job after it (or it again, at the class's end), or it
+                    longer = rng.random() < 0.5
+                    batch[at] += durs[min(job + 1, size - 1)] if longer else -durs[job]
+                    runs["longer" if longer else "shorter"] += 1
             elif what in (4, 5, 6):  # duplicate, delete or move the batch
                 if what != 4:
                     del parts[i][k]
@@ -159,18 +175,22 @@ def test_verify_equals_reference_verifier():
     same_rules: Counter = Counter()
     sorted_rows: Counter = Counter()
     schedules = same = 0
+    mutated_runs: Counter = Counter()  # run mutations, and pairs that span more than one job
     while schedules < 3000:
         inst = random_instance(rng, max_m=12, max_c=4, max_jobs=5, max_val=12)
         for built_as in Variant:
             built = variant_ops(built_as).search(inst).schedule
-            family = [built, _mutate(rng, inst, built), _mutate(rng, inst, built)]
+            family = [built, _mutate(rng, inst, built, mutated_runs),
+                      _mutate(rng, inst, built, mutated_runs)]
             if rng.random() < 0.25:
                 frac = _as_fractions(built, rng.choice([1, 3]))
-                family += [frac, _mutate(rng, inst, frac)]
-            for sched in family:
+                family += [frac, _mutate(rng, inst, frac, mutated_runs)]
+            for at, sched in enumerate(family):
                 schedules += 1
                 sorted_rows += _unsorted_rows(sched)
-                view = tuple_view(sched)
+                view = tuple_view(sched, inst)
+                if at % 3:  # a mutated schedule
+                    mutated_runs["pairs"] += run_pairs(sched, inst)
                 same_reading = _same_reading(inst, sched)
                 same += same_reading
                 ms = reference_verify(inst, view, built_as, Fraction(10**9)).makespan
@@ -195,4 +215,6 @@ def test_verify_equals_reference_verifier():
     assert all(rules[r] >= 20 for r in "abcdefs"), rules
     assert all(same_rules[r] >= 20 for r in "abcdefs"), same_rules
     assert same >= 1500 and schedules - same >= 600, (same, schedules)
+    assert mutated_runs["pairs"] >= 500, mutated_runs
+    assert mutated_runs["longer"] >= 100 and mutated_runs["shorter"] >= 100, mutated_runs
     assert sorted_rows["shuffled"] >= 200 and sorted_rows["equal starts"] >= 200, sorted_rows

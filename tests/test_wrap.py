@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
@@ -7,15 +8,22 @@ import pytest
 from batchsched import preemptive, splittable
 from batchsched.core import CapacityError, Instance, JobClass, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
-from batchsched.wrap import Batch, Builder, Gap, run_wrap
-from oracle import reference_run_wrap
+from batchsched.wrap import Batch, Builder, Gap, class_batch, run_wrap
+from oracle import expand, expand_runs, placements, reference_run_wrap, run_pairs
 
 
-def flat(sched):
+def classes_of(seq):
+    """What `expand_runs` reads of an instance, from a wrap sequence whose
+    classes are 0, 1, ... in order: each class's job durations."""
+    return SimpleNamespace(classes=[JobClass(b.setup, b.jobs[1::2]) for b in seq])
+
+
+def flat(sched, seq):
     """(machine, cls, start, dur, job) of every setup (job -1) and piece,
     each machine's in start order."""
-    return [(u, *p) for u, mach in enumerate(sched.expand().machines)
-            for p in Schedule(1, [mach]).placements()]
+    inst = classes_of(seq)
+    return [(u, *p) for u, mach in enumerate(expand(sched, inst).machines)
+            for p in placements(Schedule(1, [mach]), inst)]
 
 
 def batch(cls, s, durs):
@@ -44,7 +52,7 @@ def test_wrap_two_gap_example():
     seq = [batch(0, 2, [3, 3])]
     tmpl = [Gap(1, F(0), F(6)), Gap(2, F(2), F(6))]
     sched, res = wrap_plain(seq, tmpl, 3)
-    assert flat(sched) == [
+    assert flat(sched, seq) == [
         (0, 0, F(0), F(2), -1),
         (0, 0, F(2), F(3), 0),
         (0, 0, F(5), F(1), 1),
@@ -59,7 +67,7 @@ def test_wrap_setup_exactly_fills_gap():
     seq = [batch(0, 2, [2]), batch(1, 1, [2])]
     tmpl = [Gap(0, F(0), F(4)), Gap(1, F(2), F(8))]
     sched, _ = wrap_plain(seq, tmpl, 2)
-    assert flat(sched) == [
+    assert flat(sched, seq) == [
         (0, 0, F(0), F(2), -1),
         (0, 0, F(2), F(2), 0),
         (1, 1, F(1), F(1), -1),
@@ -71,7 +79,7 @@ def test_wrap_long_job_split_across_four_gaps():
     seq = [batch(0, 1, [10])]
     tmpl = [Gap(k, F(0 if k == 0 else 1), F(4)) for k in range(4)]
     sched, _ = wrap_plain(seq, tmpl, 5)
-    got = flat(sched)
+    got = flat(sched, seq)
     durs = [e[3] for e in got if e[4] != -1]
     assert durs == [F(3), F(3), F(3), F(1)]
     assert sum(durs) == 10
@@ -117,7 +125,7 @@ def test_count_zero_run_skipped():
     got, res = wrap_plain(seq, runs, 3)
     want, want_res = wrap_plain(seq, [Gap(0, F(1), F(4)), Gap(1, F(1), F(6)),
                                       Gap(2, F(1), F(6))], 3)
-    assert flat(got) == flat(want)
+    assert flat(got, seq) == flat(want, seq)
     assert (res.last_machine, res.last_fill) == (want_res.last_machine, want_res.last_fill)
 
 
@@ -161,9 +169,10 @@ def test_split_piece_fits():
 
 def test_split_piece_cut_once():
     tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
-    sched, res = wrap_plain([batch(0, 1, [5])], tmpl, 2)
+    seq = [batch(0, 1, [5])]
+    sched, res = wrap_plain(seq, tmpl, 2)
     assert (res.last_machine, res.last_fill) == (1, F(5))
-    got = flat(sched)
+    got = flat(sched, seq)
     assert (0, 0, F(4), F(2), 0) in got
     assert (1, 0, F(1), F(1), -1) in got  # placed right below the next gap
     assert (1, 0, F(2), F(3), 0) in got
@@ -171,9 +180,10 @@ def test_split_piece_cut_once():
 
 def test_split_exact_fit_no_cut():
     tmpl = [Gap(0, F(3), F(6)), Gap(1, F(2), F(8))]
-    sched, res = wrap_plain([batch(0, 1, [2])], tmpl, 2)
+    seq = [batch(0, 1, [2])]
+    sched, res = wrap_plain(seq, tmpl, 2)
     assert (res.last_machine, res.last_fill) == (0, F(6))
-    assert flat(sched) == [(0, 0, F(3), F(1), -1), (0, 0, F(4), F(2), 0)]
+    assert flat(sched, seq) == [(0, 0, F(3), F(1), -1), (0, 0, F(4), F(2), 0)]
 
 
 def test_compressed_single_long_job():
@@ -182,21 +192,22 @@ def test_compressed_single_long_job():
     assert len(sched.compressed) <= 3 + 1
     assert sched.machine_count() <= 12
     plain, _ = wrap_plain(seq, [Gap(k, F(1), F(2)) for k in range(12)], 12)
-    assert sched.expand().machines == plain.machines
+    assert expand(sched, classes_of(seq)).machines == plain.machines
 
 
 def test_compressed_no_crossing_matches_plain():
     seq = [batch(0, 1, [1]), batch(1, 2, [1, 1])]
     sched, _ = wrap_run(seq, (F(2), F(9)), 3)
     plain, _ = wrap_plain(seq, [Gap(k, F(2), F(9)) for k in range(3)], 3)
-    assert sched.expand().machines == plain.machines
+    assert expand(sched, classes_of(seq)).machines == plain.machines
     assert sched.compressed == []
 
 
 def test_compressed_exact_capacity():
     seq = [batch(0, 2, [6])]  # load 8 = 2 gaps of height 4 exactly
     sched, _ = wrap_run(seq, (F(2), F(6)), 2)
-    total = sum(dur for _, _, dur, job in sched.expand().placements() if job != -1)
+    inst = classes_of(seq)
+    total = sum(dur for _, _, dur, job in placements(expand(sched, inst), inst) if job != -1)
     assert total == 6
 
 
@@ -217,7 +228,7 @@ def test_bulk_needs_two_full_run_gaps(dur, mult):
         assert sched.compressed == []
     else:
         assert sched.compressed == [([(0, F(0), F(1), 0, F(2))], mult)]
-    assert machine_multiset(sched.expand()) == machine_multiset(plain)
+    assert machine_multiset(expand(sched, classes_of(seq))) == machine_multiset(plain)
     assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
 
 
@@ -261,8 +272,8 @@ def test_compressed_matches_plain_on_random_cases():
         plain, plain_res = wrap_plain(seq, gaps, m)
         wrapped += 1
         configs += len(comp.compressed)
-        # equal as machine multisets: expand() lists rows before copies
-        assert machine_multiset(comp.expand()) == machine_multiset(plain)
+        # equal as machine multisets: expand lists rows before copies
+        assert machine_multiset(expand(comp, classes_of(seq))) == machine_multiset(plain)
         assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
         assert all(len(cfg) == 1 and len(cfg[0]) == 5 and mult >= 2
                    for cfg, mult in comp.compressed)
@@ -280,7 +291,7 @@ def test_compressed_matches_plain_on_random_cases():
             for job, d in zip(b.jobs[::2], b.jobs[1::2]):
                 want[(b.cls, job)] = d
         got = {}
-        for cls, _, dur, job in plain.placements():
+        for cls, _, dur, job in placements(plain, classes_of(seq)):
             if job != -1:
                 got[(cls, job)] = got.get((cls, job), F(0)) + dur
         assert got == want
@@ -343,16 +354,19 @@ def test_run_wrap_int_gaps_past_float_precision():
     assert sched.machines == [[(0, 0, s, 0, H)], [(0, 0, s, 0, 1)]]
     assert sched.compressed == [([(0, 0, s, 0, H)], 5)]
     assert all(type(start) is int and type(dur) is int
-               for _, start, dur, _ in sched.placements())
+               for _, start, dur, _ in placements(sched, SimpleNamespace(
+                   classes=[JobClass(s, (6 * H + 1,))])))
 
 
 def _differential_case(rng):
     """A random (sequence, template, setups_below) for the wrap differential
     test, and where in a batch a non-positive duration was put (None if
     nowhere).  Batches of up to 8 jobs, so runs of several jobs fill a gap;
+    in half of the cases they are whole classes, written one pair per run;
     a fifth of the cases use Fraction times; some jobs are long enough to
     cover whole gaps of a run."""
     frac = rng.random() < 0.2
+    whole = rng.random() < 0.5
 
     def num(lo, hi):
         return F(rng.randint(lo * 3, hi * 3), 3) if frac else rng.randint(lo, hi)
@@ -362,7 +376,7 @@ def _differential_case(rng):
         s = num(1, 4)
         smax = max(smax, s)
         durs = [num(1, 30) if rng.random() < 0.1 else num(1, 6) for _ in range(rng.randint(1, 8))]
-        seq.append(Batch(ci, s, tuple(x for j, d in enumerate(durs) for x in (j, d))))
+        seq.append(Batch(ci, s, tuple(x for j, d in enumerate(durs) for x in (j, d)), whole))
     bad = None
     if rng.random() < 0.06:
         b = rng.randrange(len(seq))
@@ -371,7 +385,7 @@ def _differential_case(rng):
         bad = rng.choice(["first", "middle", "last"] if k >= 3 else ["first", "last"])
         pos = {"first": 0, "middle": rng.randint(1, k - 2) if k >= 3 else 0, "last": k - 1}[bad]
         jobs[2 * pos + 1] = -jobs[2 * pos + 1] if rng.random() < 0.5 else 0
-        seq[b] = Batch(seq[b].cls, seq[b].setup, tuple(jobs))
+        seq[b] = Batch(seq[b].cls, seq[b].setup, tuple(jobs), whole)
     counts = [rng.randint(0, 8) for _ in range(rng.randint(1, 3))]
     mean = load(seq) / max(1, sum(counts))
     runs, u = [], 0
@@ -396,7 +410,8 @@ def _wrap_outcome(wrap, seq, runs, below, m):
 
 def test_run_wrap_equals_the_per_item_reference():
     # the run-at-a-time wrap against the one that placed every job on its
-    # own: equal schedules and WrapResults, or the same error
+    # own: equal schedules, with the runs of whole classes expanded to one
+    # pair per job, and equal WrapResults, or the same error
     rng = random.Random(2222)
     events, kinds = Counter(), Counter()
     for _ in range(6_000):
@@ -405,6 +420,9 @@ def test_run_wrap_equals_the_per_item_reference():
         want = _wrap_outcome(
             lambda b, s, g, below: reference_run_wrap(b, s, g, below, events), seq, runs, below, m)
         got = _wrap_outcome(run_wrap, seq, runs, below, m)
+        if isinstance(got[0], Schedule):
+            kinds["run pairs"] += run_pairs(got[0], classes_of(seq))
+            got = (expand_runs(got[0], classes_of(seq)), got[1])
         assert got == want, (seq, runs, below)
         kinds["fraction" if any(type(b.setup) is F for b in seq) else "int"] += 1
         kinds[want[0].__name__ if isinstance(want[0], type) else "wrapped"] += 1
@@ -414,3 +432,20 @@ def test_run_wrap_equals_the_per_item_reference():
                                    "bulk full gaps")) >= 100, events
     assert kinds["wrapped"] >= 3_000 and kinds["fraction"] >= 1_000, kinds
     assert min(kinds[f"non-positive {p}"] for p in ("first", "middle", "last")) >= 20, kinds
+    assert kinds["run pairs"] >= 3_000, kinds
+
+
+def test_class_batch_runs_and_heads():
+    # class 0's jobs of 2, 3, 4 and 5 in gaps [0, 7), then [1, 7) above a
+    # setup of 1: jobs 0 and 1 and the head 1 of job 2 are one pair; the
+    # next gap holds job 2's tail 3 and the head 3 of job 3, a run of no
+    # whole job; the last one job 3's tail
+    inst = Instance(3, (JobClass(1, (2, 3, 4, 5)),))
+    builder = Builder(3)
+    res = run_wrap(builder, [class_batch(inst, 0, 1)], [Gap(0, 0, 7), Gap(1, 1, 7, 2)])
+    sched = builder.finalize()
+    assert sched.machines == [[(0, 0, 1, 0, 6)], [(0, 0, 1, 2, 3, 3, 3)], [(0, 0, 1, 3, 2)]]
+    assert res.placed == 3 + 6
+    assert expand_runs(sched, inst).machines == [
+        [(0, 0, 1, 0, 2, 1, 3, 2, 1)], [(0, 0, 1, 2, 3, 3, 3)], [(0, 0, 1, 3, 2)]]
+    assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(7)).ok
