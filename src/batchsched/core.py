@@ -15,13 +15,12 @@ and ratio checks are exact.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import add, contains, countOf, itemgetter, lt
+from itertools import accumulate, chain, compress, repeat
+from operator import add, contains, countOf, eq, itemgetter, lt
 from typing import NamedTuple, Optional, Sequence, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
@@ -59,26 +58,31 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class JobClass:
-    """One class: a setup time and the processing times of its jobs."""
+    """One class: a setup time and the processing times of its jobs.
+
+    `total` (the sum of the processing times) and `t_max` (the longest job,
+    0 for none) are found once, at construction: the decisions read them
+    for every class on every probe.  They are kept in the instance
+    __dict__, outside the fields, so equality and hashing still see only
+    setup and jobs."""
 
     setup: int
     jobs: tuple[int, ...]
 
-    @cached_property
-    def total(self) -> int:
-        """Sum of the processing times, summed once: the decisions read it
-        for every class on every probe.  Kept in the instance __dict__, so
-        equality and hashing still see only setup and jobs."""
-        return sum(self.jobs)
-
-    @cached_property
-    def t_max(self) -> int:
-        """The longest job, found once like total: every probe reads it."""
-        return max(self.jobs)
+    def __post_init__(self):
+        object.__setattr__(self, "total", sum(self.jobs))
+        object.__setattr__(self, "t_max", max(self.jobs, default=0))
 
 
 @dataclass(frozen=True)
 class Instance:
+    """m machines and the job classes.  Validated at construction, when the
+    aggregates every probe reads are found in the same pass and kept outside
+    the fields: `n`, `total_work` (P(J), all processing times), `total_load`
+    (N = P(J) + every setup once), `s_max` and `job_setup_bound` (max of s_i +
+    the longest job of class i: no schedule of the non-splittable variants
+    beats it)."""
+
     m: int
     classes: tuple[JobClass, ...]
 
@@ -87,6 +91,7 @@ class Instance:
             raise ValidationError("m must be >= 1")
         if not self.classes:
             raise ValidationError("no classes")
+        n = work = setups = s_max = job_setup = 0
         for i, cl in enumerate(self.classes):
             if cl.setup < 1:
                 raise ValidationError(f"classes[{i}].setup must be >= 1")
@@ -95,35 +100,20 @@ class Instance:
             if min(cl.jobs) < 1:  # one C-level pass; the index only on failure
                 j = next(j for j, t in enumerate(cl.jobs) if t < 1)
                 raise ValidationError(f"classes[{i}].jobs[{j}] must be >= 1")
+            n += len(cl.jobs)
+            work += cl.total
+            setups += cl.setup
+            if cl.setup > s_max:
+                s_max = cl.setup
+            if cl.setup + cl.t_max > job_setup:
+                job_setup = cl.setup + cl.t_max
+        for name, value in (("n", n), ("total_work", work), ("total_load", work + setups),
+                            ("s_max", s_max), ("job_setup_bound", job_setup)):
+            object.__setattr__(self, name, value)
 
     @property
     def c(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def n(self) -> int:
-        return sum(len(cl.jobs) for cl in self.classes)
-
-    @cached_property
-    def total_work(self) -> int:
-        """Sum of all processing times P(J)."""
-        return sum(cl.total for cl in self.classes)
-
-    @cached_property
-    def total_load(self) -> int:
-        """N = all setups once + all processing times."""
-        return self.total_work + sum(cl.setup for cl in self.classes)
-
-    @cached_property
-    def s_max(self) -> int:
-        return max(cl.setup for cl in self.classes)
-
-    @cached_property
-    def job_setup_bound(self) -> int:
-        """max(s_i + longest job of class i): no schedule of the
-        non-splittable variants beats this.  Found once: every probe of
-        their decisions reads it."""
-        return max(cl.setup + cl.t_max for cl in self.classes)
 
 
 def parse_instance(raw: dict) -> Instance:
@@ -437,31 +427,44 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
 
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
-    per configuration, job totals and piece counts multiply by the
-    multiplicity.  One pass per machine or configuration walks its batches
-    in place in (start, setup) order (a row whose batch starts do not
-    strictly increase is sorted first), and each batch's pairs with a
-    running time, the start of each pair.  It runs rules (a) and (b) and
-    the id checks, and adds each piece to its job's total and count, kept in
-    flat lists at base[cls] + job (base: prefix sums of the class sizes), so
-    rule (c) is one list comparison.  A pair longer than its first job is a
-    run (see `Row`): one bisect on the flat prefix sums of the scaled
-    durations finds its last job, and what is left, that job's piece or the
-    time past the class's last job (an unknown job), is read like any pair.
-    The whole jobs before it go into the totals and counts by C-level slice
-    copies while none of them has a piece yet and the row has one copy
-    (else by C-level slice sums).  A batch occupies its machine from its
-    start to `batch_end`, idle time included, so a batch starting before
-    the end of an earlier one overlaps it.  Only a job with more than one
-    piece or copy keeps intervals, for rule (e).  Violators of (d) or (e)
-    are listed by first appearance, which takes one more pass over their
-    pieces.  README gives its measured cost.
+    per configuration, and its whole jobs and pieces count `mult` times.
+    One pass per machine or configuration walks its batches in place in
+    (start, setup) order (a row whose batch starts do not strictly increase
+    is sorted first), and each batch's pairs with a running time, the start
+    of each pair.  It runs rules (a) and (b) and the id checks.  A batch
+    occupies its machine from its start to `batch_end`, idle time included,
+    so a batch starting before the end of an earlier one overlaps it.
+
+    Jobs have flat indices base[cls] + job (base: prefix sums of the class
+    sizes).  The pass keeps the unscaled durations and their prefix sums
+    usums, and no scaled copy of either.  A pair as long as its job holds
+    it whole.  A longer pair is a run (see `Row`): one bisect on usums finds
+    the jobs it holds whole, and what is left, if anything, is read like any
+    pair: a piece of the next job, or the time past the class's last job
+    (an unknown job id).  Whole jobs cost two stores into a difference
+    array, `whole`, whose running sum `cover` gives each job's whole copies
+    after the pass.  A piece goes into its job's total and count, and in
+    pmtn also keeps its (start, length, copies).  Then the per-job rules
+    are C-level passes over small ints plus a step per job with a piece:
+      (c) holds when every job without a piece is whole exactly once and
+          every job with one is in pieces only, of the right total; else a
+          job-by-job pass writes the messages;
+      (d) a job is split when its cover plus its piece count passes 1;
+      (e) a job in pieces only is decided from its pieces (two take one
+          comparison, more a sort).
+    Violators of (d) and (e) are listed by first appearance, which takes a
+    second pass over the rows (`_pieces_of`).  That pass also decides rule
+    (e) for a job that is whole in a run and placed elsewhere too, or whole
+    more than once; such a job already breaks rule (c), so a schedule that
+    passes (c), (d) and (e) is read once.  README gives the measured cost.
 
     The rules run on the schedule's own times over `sched.scale` with +, -,
-    comparisons, `* scale` and `Fraction(t, scale)` only: ints for every
-    library-built and parsed schedule, and exactly the same rules on a
-    hand-built schedule's Fractions, in the same rows.  The report holds
-    Fractions.
+    comparisons, `* scale`, `// scale` (the bisect key: a pair (k, dur)
+    holds job y - 1 whole exactly when usums[y] <= (usums[k] * scale + dur)
+    // scale, on ints and on Fractions alike) and `Fraction(t, scale)` only:
+    ints for every library-built and parsed schedule, and exactly the same
+    rules on a hand-built schedule's Fractions, in the same rows.  The
+    report holds Fractions.
     ValidationError when a number a message prints is past CPython's
     int-string digit limit.
     """
@@ -475,30 +478,24 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         flag("s", "-", 0, f"schedule uses {sched.machine_count()} machines, instance has {inst.m}")
 
     classes = inst.classes
-    ncls = len(classes)
+    ncls, n = len(classes), inst.n
     sizes = [len(cl.jobs) for cl in classes]
     base = list(accumulate(sizes, initial=0))
     setup_len = [cl.setup * scale for cl in classes]
     durations = list(chain.from_iterable(cl.jobs for cl in classes))
-    lens = durations if scale == 1 else [t * scale for t in durations]
-    # a run from job k reaches job x of its class after sums[x] - sums[k]
-    sums = list(accumulate(lens, initial=0))
-    totals, counts = [0] * inst.n, [0] * inst.n
+    # a run from job k reaches job x of its class after (usums[x] - usums[k]) * scale
+    usums = list(accumulate(durations, initial=0))
+    # a run that holds jobs k..x-1 whole adds its copies at k and takes them off at x
+    whole = [0] * (n + 1)
+    # a job's pieces: their total and count, and in pmtn their (start,
+    # length, copies); cut lists the jobs with a piece
+    totals, counts = [0] * n, [0] * n
+    cut: list[int] = []
     pmtn = variant is Variant.PREEMPTIVE
-    # rule (e): first[k] and first_end[k] are the start and end of job k's
-    # only piece so far (two lists, so that a piece allocates nothing; a
-    # whole job of a run keeps first[k] = its start - sums[k] and first_end[k]
-    # None), spans[k] the (start, end, copies) of job k's pieces once it has
-    # more than one piece or copy, or once a run holding it is read job by
-    # job
-    first: list[Optional[Rat]] = [None] * inst.n
-    first_end: list[Optional[Rat]] = [None] * inst.n
     spans: dict[int, list[tuple[Rat, Rat, int]]] = {}
     top = 0
 
-    parts = [(idx, mach, 1) for idx, mach in enumerate(sched.machines)]
-    parts += [(f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed)]
-    for label, row, copies in parts:
+    for label, row, copies in _parts(sched):
         if copies < 1:
             top = max(top, max(map(batch_end, row), default=0))
             flag("s", label, 0, "multiplicity < 1")
@@ -538,29 +535,29 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                     t += dur
                     continue
                 k = first_k + job
-                if dur > lens[k]:
+                need = durations[k] * scale
+                if dur == need:  # job k whole
+                    if t < 0:
+                        flag("a", label, t, "placement starts before time 0")
+                    whole[k] += copies
+                    whole[k + 1] -= copies
+                    t += dur
+                    continue
+                if dur > need:
                     # a run: the jobs k..x-1 whole, then what is left of dur
-                    reach, shift = sums[k] + dur, t - sums[k]
-                    x = bisect_left(sums, reach, k + 2, first_k + size + 1) - 1
+                    at = usums[k] * scale
+                    reach, shift = at + dur, t - at
+                    x = bisect_right(usums, reach // scale, k + 2, first_k + size + 1) - 1
                     if t < 0:
                         for y in range(k, x):
-                            if shift + sums[y] < 0:
-                                flag("a", label, shift + sums[y], "placement starts before time 0")
-                    if copies == 1 and not any(counts[k:x]):
-                        totals[k:x] = lens[k:x]
-                        counts[k:x] = [1] * (x - k)
-                        if pmtn:
-                            first[k:x] = [shift] * (x - k)
-                    else:  # a job of the run placed before, or copies of a configuration
-                        totals[k:x] = map(add, totals[k:x], map(copies.__mul__, lens[k:x]))
-                        if pmtn:
-                            for y in range(k, x):
-                                if y not in spans:
-                                    spans[y] = ([_only_piece(first, first_end, sums, y)]
-                                                if counts[y] else [])
-                                spans[y].append((shift + sums[y], shift + sums[y + 1], copies))
-                        counts[k:x] = map(copies.__add__, counts[k:x])
-                    k, t, dur = x, shift + sums[x], reach - sums[x]
+                            if shift + usums[y] * scale < 0:
+                                flag("a", label, shift + usums[y] * scale, "placement starts before time 0")
+                    whole[k] += copies
+                    whole[x] -= copies
+                    at = usums[x] * scale
+                    k, t, dur = x, shift + at, reach - at
+                    if not dur:  # the run ends where job x - 1 ends
+                        continue
                     if k == first_k + size:  # past the class's last job
                         if t < 0:
                             flag("a", label, t, "placement starts before time 0")
@@ -574,37 +571,52 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                 totals[k] += dur * copies
                 seen = counts[k]
                 counts[k] = seen + copies
+                if not seen:
+                    cut.append(k)
                 if pmtn:
-                    if not seen and copies == 1:
-                        first[k], first_end[k] = t, t + dur
+                    if seen:
+                        spans[k].append((t, dur, copies))
                     else:
-                        if k not in spans:
-                            spans[k] = [_only_piece(first, first_end, sums, k)] if seen else []
-                        spans[k].append((t, t + dur, copies))
+                        spans[k] = [(t, dur, copies)]
                 t += dur
             if prev_end is None or t > prev_end:
                 prev_end = t
         if prev_end is not None and prev_end > top:
             top = prev_end
 
-    if totals != lens:
+    cover = list(accumulate(whole))  # whole copies per job, and a 0 past the last
+    # rule (c): every job without a piece whole once, every job with one in
+    # pieces only, of the right total; else the job-by-job pass
+    whole_or_cut = (cover.count(1) == n - len(cut) and not any(map(cover.__getitem__, cut))
+                    and all(map(eq, map(totals.__getitem__, cut),
+                                map(scale.__mul__, map(durations.__getitem__, cut)))))
+    if not whole_or_cut:
         refs = ((i, j) for i, cl in enumerate(classes) for j in range(len(cl.jobs)))
-        for (i, j), got, t in zip(refs, totals, durations):
+        for (i, j), t, c, got in zip(refs, durations, cover, totals):
+            got += c * t * scale
             if got != t * scale:
                 flag("c", "-", 0, f"job ({i}, {j}) placed for {fmt_rat(Fraction(got, scale))} "
                                   f"time units, needs exactly {t}")
 
-    if variant is Variant.NONPREEMPTIVE:
-        bad = {k for k, n in enumerate(counts) if n > 1} if max(counts) > 1 else set()
-    else:  # spans is empty unless pmtn
-        bad = {k for k, ivs in spans.items() if _rule_e(ivs)}
-    for (i, j), ivs in _pieces_of(parts, base, bad, lens, sums).items():
+    bad: set[int] = set()
+    if variant is not Variant.SPLITTABLE:
+        # the jobs in more than one piece or copy: under whole_or_cut only
+        # jobs with pieces can be
+        jobs, many = ((cut, map(counts.__getitem__, cut)) if whole_or_cut
+                      else (range(n), map(add, cover, counts)))
+        bad = set(compress(jobs, map((1).__lt__, many)))
+        if pmtn:  # pieces alone are compared here, a whole copy in _pieces_of
+            bad = {k for k in bad if cover[k] or _rule_e(spans[k])}
+    for (i, j), ivs in _pieces_of(sched, base, bad, durations, usums).items():
+        k = base[i] + j
         if not pmtn:
-            flag("d", "-", 0, f"job ({i}, {j}) split into {fmt_rat(counts[base[i] + j])} pieces")
+            flag("d", "-", 0, f"job ({i}, {j}) split into {fmt_rat(cover[k] + counts[k])} pieces")
             continue
-        t, copies = _rule_e(ivs)
-        flag("e", "-", t, f"job ({i}, {j}) runs on {copies} identical machines in parallel"
-                          if copies > 1 else f"pieces of job ({i}, {j}) overlap in time")
+        found = _rule_e(ivs)
+        if found:
+            t, copies = found
+            flag("e", "-", t, f"job ({i}, {j}) runs on {copies} identical machines in parallel"
+                              if copies > 1 else f"pieces of job ({i}, {j}) overlap in time")
 
     makespan = Fraction(top, scale)
     if makespan > bound:
@@ -612,45 +624,57 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     return VerifyReport(ok=not out, makespan=makespan, violations=out)
 
 
-def _only_piece(first: list, first_end: list, sums: list, k: int) -> tuple[Rat, Rat, int]:
-    """Job k's only piece so far as (start, end, 1): a whole job of a run
-    keeps its start - sums[k] in first and None in first_end."""
-    f, f_end = first[k], first_end[k]
-    return (f, f_end, 1) if f_end is not None else (f + sums[k], f + sums[k + 1], 1)
+def _parts(sched: Schedule):
+    """(label, row, copies) of each machine, then of each configuration."""
+    configs = ((f"compressed[{k}]", config, mult) for k, (config, mult) in enumerate(sched.compressed))
+    return chain(zip(range(len(sched.machines)), sched.machines, repeat(1)), configs)
 
 
 def _rule_e(ivs: list[tuple[Rat, Rat, int]]) -> Optional[tuple[Rat, int]]:
-    """Rule (e) on one job's (start, end, copies): the start and copies of
-    the first with copies > 1, else the start and 1 of the first piece that
-    overlaps the one before it in time order, else None."""
+    """Rule (e) on one job's pieces as (start, length, copies): the start
+    and copies of the first with copies > 1, else the start and 1 of the
+    first piece that starts before the one before it in (start, length)
+    order ends, else None.  Two pieces take one comparison to order, not a
+    sort."""
     for start, _, copies in ivs:
         if copies > 1:
             return start, copies
+    if len(ivs) == 2:
+        a, b = ivs if ivs[0] <= ivs[1] else ivs[::-1]
+        return (b[0], 1) if b[0] < a[0] + a[1] else None
     ivs = sorted(ivs)
-    return next(((s2, 1) for (_, e1, _), (s2, _, _) in zip(ivs, ivs[1:]) if s2 < e1), None)
+    return next(((s2, 1) for (s1, d1, _), (s2, _, _) in zip(ivs, ivs[1:]) if s2 < s1 + d1), None)
 
 
-def _pieces_of(parts, base: list[int], bad: set[int], lens: list, sums: list) -> dict[JobRef, list]:
-    """The (start, end, copies) of each piece of the jobs whose flat index is
-    in bad, in schedule order, keyed by job in order of first appearance.
-    Runs are read as the verifier reads them."""
+def _pieces_of(sched: Schedule, base: list[int], bad: set[int], durations: list,
+               usums: list) -> dict[JobRef, list]:
+    """The (start, length, copies) of each piece and whole copy of the jobs
+    whose flat index is in bad, in schedule order, keyed by job in order of
+    first appearance.  Runs are read as the verifier reads them."""
     found: dict[JobRef, list] = {}
-    for _, row, copies in parts if bad else ():
+    if not bad:
+        return found
+    scale = sched.scale
+    for _, row, copies in _parts(sched):
         for batch in row if copies >= 1 else ():
             cls, t = batch[0], batch[1] + batch[2]
             lo, hi = (base[cls], base[cls + 1]) if 0 <= cls < len(base) - 1 else (0, -1)
             for job, dur in zip(batch[3::2], batch[4::2]) if lo <= hi else ():
                 k = lo + job
-                if 0 <= job and k < hi and dur > lens[k]:
-                    reach, shift = sums[k] + dur, t - sums[k]
-                    x = bisect_left(sums, reach, k + 2, hi + 1) - 1
+                if 0 <= job and k < hi and dur > durations[k] * scale:
+                    at = usums[k] * scale
+                    reach, shift = at + dur, t - at
+                    x = bisect_right(usums, reach // scale, k + 2, hi + 1) - 1
                     for y in range(k, x):
                         if y in bad:
                             found.setdefault((cls, y - lo), []).append(
-                                (shift + sums[y], shift + sums[y + 1], copies))
-                    k, t, dur = x, shift + sums[x], reach - sums[x]
+                                (shift + usums[y] * scale, durations[y] * scale, copies))
+                    at = usums[x] * scale
+                    k, t, dur = x, shift + at, reach - at
+                    if not dur:
+                        continue
                 if 0 <= job and k < hi and k in bad:
-                    found.setdefault((cls, k - lo), []).append((t, t + dur, copies))
+                    found.setdefault((cls, k - lo), []).append((t, dur, copies))
                 t += dur
     return found
 

@@ -495,6 +495,33 @@ def test_criterion_9_schedules_one_int_per_job():
     _announce("9", f"schedules hold at most {max(per_job.values())} ints per job", t0)
 
 
+def test_criterion_9_verify_memory_per_job():
+    # The verifier keeps the unscaled durations, their prefix sums and a few
+    # flat lists of small ints per job, and per piece only its job's total,
+    # count and, in pmtn, interval: the tracemalloc peak of one verify of
+    # each variant's jump schedule at n = 40k stays at most 110 bytes per job
+    # (140 for pmtn, whose cut jobs keep their intervals).  Allocation
+    # counts do not depend on the host, so the gate is deterministic.
+    import tracemalloc
+
+    t0 = time.time()
+    inst = _scaling_instance(40_000, 1)
+    limit = {Variant.SPLITTABLE: 110, Variant.PREEMPTIVE: 140, Variant.NONPREEMPTIVE: 110}
+    per_job = {}
+    for v in Variant:
+        r = variant_ops(v).search(inst)
+        tracemalloc.start()
+        try:
+            report = verify_schedule(inst, r.schedule, v, F(3, 2) * r.guess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.violations[:3]
+        per_job[v.value] = round(peak / inst.n, 1)
+    assert all(per_job[v.value] <= limit[v] for v in Variant), per_job
+    _announce("9", f"verify peaks at {per_job} bytes per job", t0)
+
+
 def test_criterion_10_probe_budgets():
     t0 = time.time()
     rows, _ = _run_corpus_a()

@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import re
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -59,7 +61,8 @@ INST = Instance(m=2, classes=(JobClass(2, (3,)), JobClass(1, (1, 1))))
 def test_job_class_total_is_cached_outside_equality_and_hash():
     a, b = JobClass(3, (4, 5)), JobClass(3, (4, 5))
     assert a.total == 9
-    assert "total" in vars(a) and "total" not in vars(b)
+    # found at construction and kept beside the fields, not among them
+    assert vars(b)["total"] == 9 and "total" not in {f.name for f in dataclasses.fields(b)}
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert dataclasses.replace(a, jobs=(1,)).total == 1
@@ -211,6 +214,18 @@ def test_verify_run_past_the_class_end():
     # one unit less is the class in one run
     assert verify_schedule(inst, Schedule(m=1, machines=[[(0, 0, 1, 0, 5)]]),
                            Variant.NONPREEMPTIVE, F(6)).ok
+    # job 1 also runs whole on machine 1 from 6, when it ends on machine 0:
+    # its total is twice its length, but its two copies do not overlap (the
+    # time past the class's end is no part of job 1)
+    inst = Instance(m=2, classes=inst.classes)
+    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 6)], [(0, 5, 1, 1, 3)]])
+    unknown = ("s", 0, F(6), "unknown job id (0, 2)")
+    total = ("c", "-", F(0), "job (0, 1) placed for 6 time units, needs exactly 3")
+    _same_as_reference(inst, sched, F(9), {
+        Variant.SPLITTABLE: [unknown, total],
+        Variant.PREEMPTIVE: [unknown, total],
+        Variant.NONPREEMPTIVE: [unknown, total, ("d", "-", F(0), "job (0, 1) split into 2 pieces")],
+    })
 
 
 def test_verify_nonp_run_ending_in_a_split_job():
@@ -234,10 +249,12 @@ def test_verify_pmtn_whole_job_of_a_run_overlapping_its_other_piece():
         ("e", "-", F(4), "pieces of job (0, 1) overlap in time"),
     ]
     assert rep == reference_verify(inst, tuple_view(sched, inst), Variant.PREEMPTIVE, F(10))
-    # moved to start when the run's job 1 ends, the piece overlaps nothing
+    # moved to start when the run's job 1 ends, the piece overlaps nothing:
+    # the job is decided by the pass over its pieces, and only its total is wrong
     sched.machines[1] = [(0, 5, 1, 1, 1)]
-    assert [v.rule for v in verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10)).violations] \
-        == ["c"]
+    rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
+    assert _rules(rep) == [("c", "-", F(0), "job (0, 1) placed for 4 time units, needs exactly 3")]
+    assert rep == reference_verify(inst, tuple_view(sched, inst), Variant.PREEMPTIVE, F(10))
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -268,6 +285,194 @@ def test_verify_run_in_a_config_of_mult_3(scale):
         rep = verify_schedule(inst, sched, variant, F(9, 2))
         assert _rules(rep) == rules and rep.makespan == F(9, 2), variant
         assert rep == reference_verify(inst, tuple_view(sched, inst), variant, F(9, 2))
+
+
+def _same_as_reference(inst, sched, bound, want):
+    """The report of each variant is want[variant] (rule, machine, time,
+    message), and equals the reference verifier's on the runs expanded."""
+    for variant, rules in want.items():
+        rep = verify_schedule(inst, sched, variant, bound)
+        assert _rules(rep) == rules, variant
+        assert rep == reference_verify(inst, tuple_view(sched, inst), variant, bound), variant
+
+
+def test_verify_run_in_a_config_of_mult_2():
+    # job 0 whole and 2 units of job 1 in one pair, copied twice: job 1's
+    # pieces add up to its length, but both jobs run on 2 machines at once
+    # (job 0 found from its whole copies, job 1 from its pieces)
+    inst = Instance(m=2, classes=(JobClass(1, (2, 4)),))
+    sched = Schedule(m=2, compressed=[([(0, 0, 1, 0, 4)], 2)])
+    total = ("c", "-", F(0), "job (0, 0) placed for 4 time units, needs exactly 2")
+    _same_as_reference(inst, sched, F(5), {
+        Variant.SPLITTABLE: [total],
+        Variant.PREEMPTIVE: [
+            total,
+            ("e", "-", F(1), "job (0, 0) runs on 2 identical machines in parallel"),
+            ("e", "-", F(3), "job (0, 1) runs on 2 identical machines in parallel")],
+        Variant.NONPREEMPTIVE: [
+            total,
+            ("d", "-", F(0), "job (0, 0) split into 2 pieces"),
+            ("d", "-", F(0), "job (0, 1) split into 2 pieces")],
+    })
+
+
+def test_verify_job_whole_in_two_runs():
+    # jobs 0 and 1 whole on machine 0, jobs 1 and 2 whole on machine 1: job 1
+    # is whole twice, from 3 to 6 and from 1 to 4
+    inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
+    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 5)], [(0, 0, 1, 1, 7)]])
+    total = ("c", "-", F(0), "job (0, 1) placed for 6 time units, needs exactly 3")
+    _same_as_reference(inst, sched, F(8), {
+        Variant.SPLITTABLE: [total],
+        Variant.PREEMPTIVE: [total, ("e", "-", F(3), "pieces of job (0, 1) overlap in time")],
+        Variant.NONPREEMPTIVE: [total, ("d", "-", F(0), "job (0, 1) split into 2 pieces")],
+    })
+    # on one machine, one after the other, the job only has the wrong total
+    sched = Schedule(m=1, machines=[[(0, 0, 1, 0, 5), (0, 6, 1, 1, 7)]])
+    _same_as_reference(inst, sched, F(14), {
+        Variant.SPLITTABLE: [total],
+        Variant.PREEMPTIVE: [total],
+        Variant.NONPREEMPTIVE: [total, ("d", "-", F(0), "job (0, 1) split into 2 pieces")],
+    })
+
+
+def test_verify_run_before_time_0():
+    # the setup from -5, then jobs 0, 1 and 2 whole from -4, -2 and 1: a
+    # message for the setup and for each job that starts before 0
+    inst = Instance(m=1, classes=(JobClass(1, (2, 3, 4)),))
+    sched = Schedule(m=1, machines=[[(0, -5, 1, 0, 9)]])
+    early = [("a", 0, F(t), "placement starts before time 0") for t in (-5, -4, -2)]
+    _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
+    # a pair as long as its job, from -1
+    inst = Instance(m=1, classes=(JobClass(1, (2,)),))
+    sched = Schedule(m=1, machines=[[(0, -2, 1, 0, 2)]])
+    early = [("a", 0, F(t), "placement starts before time 0") for t in (-2, -1)]
+    _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
+    # idle time, an unknown job and a run past the class's end from -9: the
+    # idle time starts no placement, the unknown job, both jobs and the time
+    # past the end (from -1) each start one before 0
+    inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
+    sched = Schedule(m=1, machines=[[(0, -9, 1, -1, 1, 7, 1, 0, 7)]])
+    _same_as_reference(inst, sched, F(5), {v: [
+        ("a", 0, F(-9), "placement starts before time 0"),
+        ("a", 0, F(-7), "placement starts before time 0"),
+        ("s", 0, F(-7), "unknown job id (0, 7)"),
+        ("a", 0, F(-6), "placement starts before time 0"),
+        ("a", 0, F(-4), "placement starts before time 0"),
+        ("a", 0, F(-1), "placement starts before time 0"),
+        ("s", 0, F(-1), "unknown job id (0, 2)"),
+    ] for v in Variant})
+
+
+def test_verify_fraction_run_ending_inside_a_job():
+    # On the scale 3, with unscaled prefix sums 0, 2, 5 and 9, a pair from
+    # job 0 of 31/2 reaches 31/6 job time units, 1/6 past the end of job 1:
+    # jobs 0 and 1 whole, then 1/6 of job 2, whose other 23/6 run on machine
+    # 1.  The run's whole jobs come from the floor of 31/6, 5, and a prefix
+    # sum ends within the run exactly when it is at most that floor.
+    inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
+    sched = Schedule(m=2, scale=3, machines=[[(0, F(0), F(3), 0, F(31, 2))],
+                                             [(0, F(0), F(3), 2, F(23, 2))]])
+    _same_as_reference(inst, sched, F(37, 6), {
+        Variant.SPLITTABLE: [],
+        Variant.PREEMPTIVE: [],
+        Variant.NONPREEMPTIVE: [("d", "-", F(0), "job (0, 2) split into 2 pieces")],
+    })
+    # 1/2 more on machine 1: job 2 is placed for 25/6
+    sched.machines[1] = [(0, F(0), F(3), 2, F(12))]
+    total = ("c", "-", F(0), "job (0, 2) placed for 25/6 time units, needs exactly 4")
+    _same_as_reference(inst, sched, F(37, 6), {
+        Variant.SPLITTABLE: [total],
+        Variant.PREEMPTIVE: [total],
+        Variant.NONPREEMPTIVE: [total, ("d", "-", F(0), "job (0, 2) split into 2 pieces")],
+    })
+    # a pair of 29/2 reaches 29/6, 1/6 before the end of job 1, whose last
+    # 1/6 runs on machine 1 before job 2 (the ceiling, 5, would take job 1
+    # whole)
+    sched.machines[:] = [[(0, F(0), F(3), 0, F(29, 2))],
+                         [(0, F(0), F(3), 1, F(1, 2), 2, F(12))]]
+    _same_as_reference(inst, sched, F(35, 6), {
+        Variant.SPLITTABLE: [],
+        Variant.PREEMPTIVE: [],
+        Variant.NONPREEMPTIVE: [("d", "-", F(0), "job (0, 1) split into 2 pieces")],
+    })
+
+
+def _whole_in_runs(inst, sched) -> set:
+    """The jobs (cls, job) that some pair of a row of positive multiplicity
+    holds whole in a run, before its last job (as `expand_runs` reads it)."""
+    out = set()
+    for row, mult in [(row, 1) for row in sched.machines] + sched.compressed:
+        for b in row if mult >= 1 else ():
+            lens = [t * sched.scale for t in inst.classes[b[0]].jobs] if 0 <= b[0] < inst.c else []
+            for job, dur in zip(b[3::2], b[4::2]):
+                while 0 <= job < len(lens) and dur > lens[job]:
+                    out.add((b[0], job))
+                    dur -= lens[job]
+                    job += 1
+    return out
+
+
+def test_verify_whole_copies_decided_by_the_pass_over_pieces(monkeypatch):
+    # a job that is whole in a run and has another piece or copy is found
+    # from its whole copies and decided by the second pass (_pieces_of).
+    # Over mutated schedules, count the reports of rule (d) and (e) that
+    # pass names a job of a run for, and require equal reports wherever the
+    # reference reads the same placements
+    from batchsched import core
+    from batchsched.search import variant_ops
+    from test_verify_reference import _mutate, _same_reading
+
+    rng = random.Random(20261020)
+    passes, hits = [], Counter()
+    real = core._pieces_of
+
+    def pieces_of(*args):
+        found = real(*args)
+        passes.append(set(found))
+        return found
+
+    monkeypatch.setattr(core, "_pieces_of", pieces_of)
+    while min(hits["d"], hits["e"]) < 20:
+        inst = random_instance(rng, max_m=8, max_c=3, max_jobs=5, max_val=9)
+        built = variant_ops(rng.choice(list(Variant))).search(inst).schedule
+        sched = _mutate(rng, inst, built, Counter())
+        if not _same_reading(inst, sched):
+            continue
+        runs = _whole_in_runs(inst, sched)
+        for variant, rule in ((Variant.NONPREEMPTIVE, "d"), (Variant.PREEMPTIVE, "e")):
+            passes.clear()
+            rep = verify_schedule(inst, sched, variant, F(10**6))
+            assert rep == reference_verify(inst, tuple_view(sched, inst), variant, F(10**6))
+            named = {tuple(map(int, re.search(r"job \((\d+), (\d+)\)", v.message).groups()))
+                     for v in rep.violations if v.rule == rule}
+            hits[rule] += bool(named & passes[-1] & runs)
+    assert hits["d"] >= 20 and hits["e"] >= 20, hits
+
+
+def test_verify_python_steps_follow_the_rows_not_the_jobs():
+    # The per-job rules are C-level passes, so a class in one run costs the
+    # verifier as many Python steps at 2,000 jobs as at 20, and so does one
+    # whose last job is cut between two machines (split and pmtn: the
+    # schedule is feasible there)
+    def one_run(n):
+        inst = Instance(m=2, classes=(JobClass(1, (3,) * n),))
+        return inst, Schedule(m=2, machines=[[(0, 0, 1, 0, 3 * n)]])
+
+    def last_cut(n):
+        inst = Instance(m=2, classes=(JobClass(1, (3,) * n),))
+        return inst, Schedule(m=2, machines=[[(0, 0, 1, 0, 3 * n - 2)], [(0, 0, 1, n - 1, 2)]])
+
+    from test_acceptance import _opcodes
+
+    cases = [(one_run, v) for v in Variant] + [(last_cut, Variant.SPLITTABLE), (last_cut, Variant.PREEMPTIVE)]
+    for make, variant in cases:
+        steps = []
+        for n in (20, 2000):
+            inst, sched = make(n)
+            assert verify_schedule(inst, sched, variant, F(10**6)).ok
+            steps.append(_opcodes(verify_schedule, inst, sched, variant, F(10**6)))
+        assert steps[0] == steps[1], (make.__name__, variant, steps)
 
 
 def test_verify_overlap_and_bound():
