@@ -21,7 +21,7 @@ from .core import (
 )
 from .nonpreemptive import dual_nonp, exact_integer_search_nonp, next_fit_two_approx
 from .preemptive import class_jump_pmtn, continuous_knapsack, dual_pmtn
-from .search import CertifiedReport, SearchResult, certified_report, epsilon_search
+from .search import Rejected, SearchResult, certified_report, epsilon_search, solve
 from .splittable import class_jump_split, dual_split, two_approx_split
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ rows that lead with a kind flag and end in a piece number, a list per
 placement, or one flat list of four ints per placement) are rejected:
 solve the instance again.
 
-Exit codes: 0 ok, 1 input error, 2 guess rejected by the dual, 3 verification
-failure.
+Exit codes: 0 ok, 1 input or usage error, 2 guess rejected by the dual,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from .core import (
     parse_instance,
     verify_schedule,
 )
-from .nonpreemptive import next_fit_two_approx
-from .search import SearchResult, certified_report, epsilon_search, variant_ops
-from .splittable import two_approx_split
+from .search import DEFAULT_EPS, Rejected, solve
 
 
 def parse_rat(text: str) -> Rat:
@@ -148,72 +146,32 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def _two_approx(inst: Instance, variant: Variant) -> SearchResult:
-    """The variant's 2-approximation, certified by the instance lower bound."""
-    if variant is Variant.SPLITTABLE:
-        sched, makespan = two_approx_split(inst)
-    else:
-        sched, makespan = next_fit_two_approx(inst, variant)
-    tmin = lower_bound_tmin(inst, variant)
-    return SearchResult(guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan)
-
-
-def _solve_one(inst: Instance, variant: Variant, algo: str, args) -> tuple[int, dict, Schedule]:
-    """Returns (exit code, summary, schedule or None)."""
-    t0 = time.perf_counter()
-    if algo == "two-approx":
-        result = _two_approx(inst, variant)
-    elif algo == "dual":
-        if args.T is None:
-            raise ValidationError("--algo dual needs --T")
-        guess = parse_rat(args.T)
-        out = variant_ops(variant).dual(inst, guess)
-        if not out.accepted:
-            summary = {
-                "accepted": False,
-                "reason": out.reason,
-                "LB": fmt_rat(guess),
-                "wall_time": time.perf_counter() - t0,
-            }
-            return 2, summary, None
-        result = SearchResult(
-            guess=guess,
-            schedule=out.schedule,
-            lower_bound=lower_bound_tmin(inst, variant),
-            makespan=out.schedule.makespan(),
-            probes=[(guess, True)],
-        )
-    elif algo == "eps":
-        eps = parse_rat(args.epsilon) if args.epsilon is not None else Fraction(1, 1000)
-        result = epsilon_search(inst, variant, eps)
-    elif algo == "jump":
-        result = variant_ops(variant).search(inst)
-    else:
-        raise ValidationError(f"unknown algorithm {algo!r}")
-    wall = time.perf_counter() - t0
-    report = certified_report(result)
-    summary = {
-        "accepted": True,
-        "makespan": fmt_rat(report.makespan),
-        "LB": fmt_rat(report.lower_bound),
-        "ratio_bound": fmt_rat(report.ratio_bound),
-        "probes": len(result.probes),
-        "wall_time": wall,
-    }
-    return 0, summary, result.schedule
-
-
 def cmd_solve(args) -> int:
     inst = parse_instance(_read_json(args.infile))
     variant = Variant.parse(args.variant)
-    code, summary, sched = _solve_one(inst, variant, args.algo, args)
-    if args.emit == "schedule" and sched is not None:
-        payload = emit_schedule(sched)
+    guess = None if args.T is None else parse_rat(args.T)
+    eps = DEFAULT_EPS if args.epsilon is None else parse_rat(args.epsilon)
+    t0 = time.perf_counter()
+    try:
+        result = solve(inst, variant, args.algo, eps=eps, guess=guess)
+    except Rejected as rej:
+        _write_json(args.out, {"accepted": False, "reason": rej.reason, "LB": fmt_rat(rej.guess),
+                               "wall_time": time.perf_counter() - t0})
+        return 2
+    summary = {
+        "accepted": True,
+        "makespan": fmt_rat(result.makespan),
+        "LB": fmt_rat(result.lower_bound),
+        "ratio_bound": fmt_rat(result.ratio_bound),
+        "probes": len(result.probes),
+        "wall_time": time.perf_counter() - t0,
+    }
+    payload = summary
+    if args.emit == "schedule":
+        payload = emit_schedule(result.schedule)
         payload["summary"] = summary
-    else:
-        payload = summary
     _write_json(args.out, payload)
-    return code
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +270,16 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error exits 1 through `main`, like every input error (2 means a
+    # rejected guess)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="batchsched",
         description="Makespan scheduling with batch setup times: 2-, 3/2+eps- "
         "and exact-3/2 approximations with certified bounds",
@@ -354,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

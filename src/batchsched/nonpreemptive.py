@@ -33,7 +33,7 @@ from .core import (
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
-from .search import CachedProbe, SearchResult, _bisect_right_interval, trivial_search
+from .search import CachedProbe, SearchResult, _bisect_right_interval
 from .wrap import class_batch
 
 
@@ -358,10 +358,11 @@ def exact_integer_search_nonp(inst: Instance) -> SearchResult:
     """Smallest integer guess the dual accepts, by binary search over
     [ceil(T_min), ceil(2*T_min)].  The optimum is integral, so the returned
     guess is a certified lower bound on it and the schedule is within 3/2."""
-    if inst.m >= inst.n:
-        return trivial_search(inst)
-    p, q = lower_bound_tmin(inst, Variant.NONPREEMPTIVE).as_integer_ratio()
+    tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
     probe = CachedProbe(inst, Variant.NONPREEMPTIVE)
+    if inst.m >= inst.n:  # the dual accepts T_min with one job per machine
+        return probe.finish(tmin, tmin)
+    p, q = tmin.as_integer_ratio()
 
     lo = -(-p // q) - 1  # below T_min: certified rejected without a probe
     hi = -(-2 * p // q)  # ceil(2 T_min)

@@ -38,7 +38,7 @@ from .core import (
     job_bound_decision,
     lower_bound_tmin,
 )
-from .search import SearchResult, class_jump_search, trivial_search
+from .search import CachedProbe, SearchResult, class_jump_search
 from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 
 
@@ -489,9 +489,9 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     machine (the reshape points 2(s_i+P_i)/k of the half-gap packing), and
     at the knapsack case's breakpoints inside the final bracket
     (`_pmtn_breakpoints`)."""
-    if inst.m >= inst.n:
-        return trivial_search(inst)
     tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
+    if inst.m >= inst.n:  # the dual accepts T_min with one job per machine
+        return CachedProbe(inst, Variant.PREEMPTIVE).finish(tmin, tmin)
 
     def layer_changes() -> tuple[set[int], int]:
         # where the class layers or the oversized-job sets change: 2s, 4s,

@@ -1,13 +1,14 @@
-"""Variant-generic makespan search: bisection to a (3/2+eps) guarantee,
+"""Variant-generic makespan search: `solve`, the one dispatch from a
+(variant, algorithm) pair to its answer; bisection to a (3/2+eps) guarantee;
 `class_jump_search`, the one exact class-jump search the splittable and
 preemptive variants run (each names only its bracket ends, thresholds and
-jump members), plus the probe, result and reporting types shared by all
-search strategies."""
+jump members); and the probe and result types all of them share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
@@ -19,19 +20,24 @@ from .core import (
     ValidationError,
     Variant,
     lower_bound_tmin,
-    trivial_one_job_per_machine,
 )
+
+DEFAULT_EPS = Fraction(1, 1000)  # the bisection's tolerance when none is given
 
 
 @dataclass
 class SearchResult:
-    """Outcome of a makespan search.
+    """Outcome of a makespan search, or of any other algorithm `solve` runs.
 
-    guess        the accepted makespan guess the schedule was built for
+    guess        the accepted makespan guess (2 T_min for the 2-approximation)
     schedule     feasible schedule with makespan <= (3/2) * guess
     lower_bound  certified bound: lower_bound <= OPT (largest rejected probe,
                  the instance lower bound, or the exact-search argument)
+    makespan     the schedule's makespan
     probes       (guess, accepted) pairs in probe order
+    trace        the class-jump walk's internals; None unless it ran
+    ratio_bound  exact makespan / lower_bound: the schedule is provably within
+                 this factor of optimal (ContractError for a bound <= 0)
     """
 
     guess: Rat
@@ -41,33 +47,70 @@ class SearchResult:
     probes: list[tuple[Rat, bool]] = field(default_factory=list)
     trace: Optional[JumpTrace] = None
 
+    @cached_property
+    def ratio_bound(self) -> Rat:
+        if self.lower_bound <= 0:
+            raise ContractError("lower bound must be positive")
+        return self.makespan / self.lower_bound
+
+
+class Rejected(Exception):
+    """The 3/2-dual rejected `guess`, certifying guess < OPT, for `reason`."""
+
+    def __init__(self, guess: Rat, reason: str):
+        super().__init__(f"dual rejected guess {guess}: {reason}")
+        self.guess = guess
+        self.reason = reason
+
 
 class VariantOps(NamedTuple):
     decide: Callable[[Instance, Rat], Decision]  # the dual's verdict, no schedule
     dual: Callable[[Instance, Rat], Decision]  # the 3/2-dual: verdict and schedule
     search: Callable[[Instance], SearchResult]  # the exact search
+    two_approx: Callable[[Instance], tuple[Schedule, Rat]]  # schedule within 2 T_min
 
 
 def variant_ops(variant: Variant) -> VariantOps:
-    """The variant's decision, dual and exact search.  The module attributes
-    are read at call time, so a function patched into its module is seen."""
+    """The variant's decision, dual, exact search and 2-approximation.  The
+    module attributes are read at call time, so a function patched into its
+    module is seen."""
     from . import nonpreemptive as nonp, preemptive as pmtn, splittable as split
 
     if variant is Variant.SPLITTABLE:
-        return VariantOps(split._decide_split, split.dual_split, split.class_jump_split)
+        return VariantOps(split._decide_split, split.dual_split, split.class_jump_split,
+                          split.two_approx_split)
+    next_fit = partial(nonp.next_fit_two_approx, variant=variant)
     if variant is Variant.PREEMPTIVE:
-        return VariantOps(pmtn._decide_pmtn, pmtn.dual_pmtn, pmtn.class_jump_pmtn)
-    return VariantOps(nonp._decide_nonp, nonp.dual_nonp, nonp.exact_integer_search_nonp)
+        return VariantOps(pmtn._decide_pmtn, pmtn.dual_pmtn, pmtn.class_jump_pmtn, next_fit)
+    return VariantOps(nonp._decide_nonp, nonp.dual_nonp, nonp.exact_integer_search_nonp, next_fit)
 
 
-def trivial_search(inst: Instance) -> SearchResult:
-    """m >= n, non-splittable: one job per machine is optimal, and its
-    makespan is the job-setup bound, so no probe is needed."""
-    sched = trivial_one_job_per_machine(inst)
-    best = Fraction(inst.job_setup_bound)
-    return SearchResult(
-        guess=best, schedule=sched, lower_bound=best, makespan=sched.makespan(), probes=[]
-    )
+def solve(inst: Instance, variant: Variant, algo: str, *, eps: Rat = DEFAULT_EPS,
+          guess: Optional[Rat] = None) -> SearchResult:
+    """The variant's answer by one of the paper's four algorithms: "two-approx"
+    (linear time, certified by T_min), "dual" (the 3/2-dual at `guess`,
+    certified by T_min; Rejected when it proves guess < OPT), "eps"
+    (`epsilon_search` to (3/2)(1 + eps)) or "jump" (the exact 3/2 search).
+    ValidationError for an unknown algo, or "dual" without a guess."""
+    ops = variant_ops(variant)
+    if algo == "two-approx":
+        sched, makespan = ops.two_approx(inst)
+        tmin = lower_bound_tmin(inst, variant)
+        return SearchResult(guess=2 * tmin, schedule=sched, lower_bound=tmin, makespan=makespan)
+    if algo == "dual":
+        if guess is None:
+            raise ValidationError("algo 'dual' needs a guess (--T)")
+        out = ops.dual(inst, guess)
+        if not out.accepted:
+            raise Rejected(guess, out.reason)
+        return SearchResult(guess=guess, schedule=out.schedule,
+                            lower_bound=lower_bound_tmin(inst, variant),
+                            makespan=out.schedule.makespan(), probes=[(guess, True)])
+    if algo == "eps":
+        return epsilon_search(inst, variant, eps)
+    if algo == "jump":
+        return ops.search(inst)
+    raise ValidationError(f"unknown algorithm {algo!r}")
 
 
 class CachedProbe:
@@ -283,19 +326,7 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     return probe.finish(Fraction(H, D), Fraction(L, D))
 
 
-@dataclass(frozen=True)
-class CertifiedReport:
-    makespan: Rat
-    lower_bound: Rat
-    ratio_bound: Rat  # exact makespan / lower_bound; the schedule is provably
-    # within this factor of optimal
-
-
-def certified_report(result: SearchResult) -> CertifiedReport:
-    if result.lower_bound <= 0:
-        raise ContractError("lower bound must be positive")
-    return CertifiedReport(
-        makespan=result.makespan,
-        lower_bound=result.lower_bound,
-        ratio_bound=result.makespan / result.lower_bound,
-    )
+def certified_report(result: SearchResult) -> SearchResult:
+    """`result`, once its ratio bound is computed: ContractError for a bound <= 0."""
+    result.ratio_bound
+    return result

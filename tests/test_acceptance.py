@@ -31,8 +31,8 @@ from batchsched.preemptive import (
     continuous_knapsack,
     dual_pmtn,
 )
-from batchsched.search import epsilon_search, variant_ops
-from batchsched.splittable import _build_split, class_jump_split, dual_split, two_approx_split
+from batchsched.search import epsilon_search, solve, variant_ops
+from batchsched.splittable import _build_split, class_jump_split, dual_split
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 from conftest import random_instance, tiny_instances
@@ -87,26 +87,24 @@ def _run_corpus_a():
             ok = verify_schedule(inst, sched, variant, bound).ok
             entry["feasible"] = entry["feasible"] and ok
 
-        sched, makespan = two_approx_split(inst)
-        bound = 2 * lower_bound_tmin(inst, Variant.SPLITTABLE)
-        entry["two_ok"] = entry["two_ok"] and makespan <= bound
-        check(sched, Variant.SPLITTABLE, bound)
         bound_np = 2 * lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
-        for variant in (Variant.PREEMPTIVE, Variant.NONPREEMPTIVE):
-            sched, makespan = next_fit_two_approx(inst, variant)
-            entry["two_ok"] = entry["two_ok"] and makespan <= bound_np
-            check(sched, variant, bound_np)
-        for key, variant, fn in (
-            ("jump_split", Variant.SPLITTABLE, class_jump_split),
-            ("jump_pmtn", Variant.PREEMPTIVE, class_jump_pmtn),
-            ("int_nonp", Variant.NONPREEMPTIVE, exact_integer_search_nonp),
+        bounds = {Variant.SPLITTABLE: 2 * lower_bound_tmin(inst, Variant.SPLITTABLE),
+                  Variant.PREEMPTIVE: bound_np, Variant.NONPREEMPTIVE: bound_np}
+        for variant, bound in bounds.items():
+            r = solve(inst, variant, "two-approx")
+            entry["two_ok"] = entry["two_ok"] and r.makespan <= bound
+            check(r.schedule, variant, bound)
+        for key, variant in (
+            ("jump_split", Variant.SPLITTABLE),
+            ("jump_pmtn", Variant.PREEMPTIVE),
+            ("int_nonp", Variant.NONPREEMPTIVE),
         ):
-            r = fn(inst)
+            r = solve(inst, variant, "jump")
             check(r.schedule, variant, F(3, 2) * r.guess)
             entry[key] = r.probes
         entry["eps"] = {}
         for variant in Variant:
-            r = epsilon_search(inst, variant, F(1, 16))
+            r = solve(inst, variant, "eps", eps=F(1, 16))
             check(r.schedule, variant, F(3, 2) * r.guess)
             entry["eps"][variant] = r.probes
         rows.append(entry)

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +21,17 @@ from batchsched.core import (
     ValidationError,
     Variant,
     emit_instance,
+    fmt_rat,
     lower_bound_tmin,
     parse_instance,
     verify_schedule,
 )
+from batchsched.search import Rejected, solve
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance
 from oracle import expand_runs, placements, run_pairs
+from test_golden import corpus
 
 
 def write_instance(tmp_path, name, obj):
@@ -204,7 +209,8 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     ["solve", "--variant", "split", "--algo", "dual", "--T", "1e5000"],
     ["verify", "--variant", "split", "--bound", "1e5000"],
     ["verify", "--variant", "split", "--bound", "1e-5000"],  # used to fail in a violation message
-], ids=["solve-summary", "solve-schedule", "verify-bound", "verify-tiny-bound"])
+    ["solve", "--variant", "split", "--algo", "jump", "--epsilon", "1e5000"],  # read though unused
+], ids=["solve-summary", "solve-schedule", "verify-bound", "verify-tiny-bound", "solve-epsilon"])
 def test_rational_past_the_digit_limit_exit_one(tmp_path, capsys, args):
     # Fraction reads "1e5000" without int()'s digit limit, but it could not be
     # written back as text
@@ -512,3 +518,59 @@ def test_gen_matches_committed_golden_file(tmp_path):
     assert main(["gen", "--seed", "1", "--machines", "4", "--classes", "3",
                  "--proc", "uniform:1:9", "--out", out]) == 0
     assert open(out).read() == open(golden).read()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--variant", "foo", "--algo", "jump", "--in", "i.json"],
+    ["solve", "--variant", "split", "--in", "i.json"],
+    ["gen", "--seed", "x", "--machines", "2", "--classes", "2"],
+    ["solve", "--variant", "split", "--algo", "dual", "--T", "-5/2", "--in", "i.json"],
+], ids=["unknown-variant", "no-algo", "non-int-seed", "option-like-guess"])
+def test_usage_error_exit_one(capsys, args):
+    # exit 2 means a rejected guess, so a usage error exits 1 like every
+    # other input error, with the usage text
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: batchsched ")
+    assert "\nerror: " in captured.err and "Traceback" not in captured.err
+
+
+def test_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: batchsched solve")
+
+
+def test_solve_summary_is_the_record(tmp_path, capsys):
+    # the summary is a view of solve's record, field for field, on a slice of
+    # the golden corpus; a rejected guess is the Rejected it raises
+    seen = Counter()
+    for k, inst in enumerate(islice(corpus(), 0, 300, 10)):
+        path = write_instance(tmp_path, f"{k}.json", emit_instance(inst))
+        for v in Variant:
+            tmin = lower_bound_tmin(inst, v)
+            for algo, kw in (("two-approx", {}), ("jump", {}), ("eps", {"eps": F(1, 64)}),
+                             ("dual", {"guess": 2 * tmin}), ("dual", {"guess": tmin * F(7, 8)})):
+                args = ["solve", "--variant", v.value, "--algo", algo, "--in", path,
+                        "--emit", "summary"]
+                if "eps" in kw:
+                    args += ["--epsilon", fmt_rat(kw["eps"])]
+                if "guess" in kw:
+                    args += ["--T", fmt_rat(kw["guess"])]
+                code = main(args)
+                payload = json.loads(capsys.readouterr().out)
+                assert type(payload.pop("wall_time")) is float
+                try:
+                    r = solve(inst, v, algo, **kw)
+                except Rejected as rej:
+                    want = {"accepted": False, "reason": rej.reason, "LB": fmt_rat(rej.guess)}
+                    assert (code, payload) == (2, want), (k, v, algo)
+                    seen["rejected"] += 1
+                    continue
+                want = {"accepted": True, "makespan": fmt_rat(r.makespan),
+                        "LB": fmt_rat(r.lower_bound), "ratio_bound": fmt_rat(r.ratio_bound),
+                        "probes": len(r.probes)}
+                assert (code, payload) == (0, want), (k, v, algo)
+                seen[algo] += 1
+    assert seen["rejected"] >= 20 and min(seen.values()) >= 20, seen

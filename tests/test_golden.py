@@ -12,10 +12,10 @@ import random
 import sys
 from fractions import Fraction as F
 
-from batchsched.cli import _two_approx, emit_schedule, generate_instance, parse_schedule
+from batchsched.cli import emit_schedule, generate_instance, parse_schedule
 from batchsched.core import Variant, verify_schedule
 from batchsched.preemptive import _pmtn_plan
-from batchsched.search import epsilon_search, variant_ops
+from batchsched.search import solve
 
 from oracle import expand_runs
 from test_preemptive import knapsack_heavy_instance
@@ -51,11 +51,11 @@ def solves():
     2-approximation of every variant on the corpus."""
     for inst in corpus():
         for variant in Variant:
-            r = _two_approx(inst, variant)
+            r = solve(inst, variant, "two-approx")
             yield inst, variant, "two-approx", r, 2 * r.lower_bound
-            r = variant_ops(variant).search(inst)
+            r = solve(inst, variant, "jump")
             yield inst, variant, "jump", r, F(3, 2) * r.guess
-            r = epsilon_search(inst, variant, F(1, 64))
+            r = solve(inst, variant, "eps", eps=F(1, 64))
             yield inst, variant, "eps", r, F(3, 2) * r.guess
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -5,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from batchsched import nonpreemptive, preemptive, splittable
-from batchsched.cli import generate_instance
+from batchsched.cli import emit_schedule, generate_instance
 from batchsched.core import (
+    ContractError,
     Instance,
     JobClass,
     ValidationError,
@@ -14,7 +16,14 @@ from batchsched.core import (
     lower_bound_tmin,
     verify_schedule,
 )
-from batchsched.search import SearchResult, certified_report, epsilon_search, variant_ops
+from batchsched.search import (
+    Rejected,
+    SearchResult,
+    certified_report,
+    epsilon_search,
+    solve,
+    variant_ops,
+)
 from batchsched.splittable import class_jump_split
 
 from conftest import random_instance, tiny_instances
@@ -101,8 +110,15 @@ def test_eps_rejects_bad_tolerance():
 
 def test_certified_report_division():
     r = SearchResult(guess=F(7), schedule=None, lower_bound=F(7), makespan=F(21, 2))
+    assert r.ratio_bound == F(3, 2)
     rep = certified_report(r)
     assert rep.ratio_bound == F(3, 2)
+    for bound in (F(0), F(-7)):
+        r = SearchResult(guess=F(7), schedule=None, lower_bound=bound, makespan=F(21, 2))
+        with pytest.raises(ContractError):
+            r.ratio_bound
+        with pytest.raises(ContractError):
+            certified_report(r)
 
 
 def test_certified_report_jump_always_within_three_halves():
@@ -147,3 +163,76 @@ def test_scan_examples():
     assert min_accepted_scan(easy, Variant.NONPREEMPTIVE) == math.ceil(
         lower_bound_tmin(easy, Variant.NONPREEMPTIVE)
     )
+
+
+# what solve dispatches to, by each function's own name
+DUALS = {Variant.SPLITTABLE: splittable.dual_split, Variant.PREEMPTIVE: preemptive.dual_pmtn,
+         Variant.NONPREEMPTIVE: nonpreemptive.dual_nonp}
+SEARCHES = {Variant.SPLITTABLE: splittable.class_jump_split,
+            Variant.PREEMPTIVE: preemptive.class_jump_pmtn,
+            Variant.NONPREEMPTIVE: nonpreemptive.exact_integer_search_nonp}
+
+
+def _direct(inst, v, algo, guess):
+    """(guess, bound, makespan, probes, schedule) of the algorithm's own
+    function, as solve's callers got them before solve."""
+    tmin = lower_bound_tmin(inst, v)
+    if algo == "two-approx":
+        sched, makespan = (splittable.two_approx_split(inst) if v is Variant.SPLITTABLE
+                           else nonpreemptive.next_fit_two_approx(inst, v))
+        return 2 * tmin, tmin, makespan, [], sched
+    if algo == "dual":
+        sched = DUALS[v](inst, guess).schedule
+        return guess, tmin, sched.makespan(), [(guess, True)], sched
+    r = epsilon_search(inst, v, F(1, 1000)) if algo == "eps" else SEARCHES[v](inst)
+    return r.guess, r.lower_bound, r.makespan, r.probes, r.schedule
+
+
+def test_solve_equals_the_direct_functions():
+    rng = random.Random(2718)
+    trivial = 0
+    for k in range(60):
+        inst = random_instance(rng, max_m=10, max_c=5, max_jobs=5, max_val=40)
+        if k % 5 == 0:  # one job per machine
+            inst = Instance(m=inst.n + rng.randint(0, 2), classes=inst.classes)
+        trivial += inst.m >= inst.n
+        for v in Variant:
+            # the exact search's guess and 2 T_min are accepted by the dual
+            for algo, guess in (("two-approx", None), ("eps", None), ("jump", None),
+                                ("dual", SEARCHES[v](inst).guess),
+                                ("dual", 2 * lower_bound_tmin(inst, v))):
+                r = solve(inst, v, algo, guess=guess)  # eps: the default 1/1000
+                want = _direct(inst, v, algo, guess)
+                got = (r.guess, r.lower_bound, r.makespan, r.probes, r.schedule)
+                assert got[:4] == want[:4], (inst, v, algo)
+                assert [type(g) for g, _ in got[3]] == [type(g) for g, _ in want[3]]
+                assert json.dumps(emit_schedule(got[4]), sort_keys=True) == json.dumps(
+                    emit_schedule(want[4]), sort_keys=True), (inst, v, algo)
+    assert trivial >= 12
+
+
+def test_solve_dual_rejected_raises_the_decision_reason():
+    rng = random.Random(314)
+    reasons = set()
+    for _ in range(80):
+        inst = random_instance(rng, max_m=6, max_c=5, max_jobs=5, max_val=40)
+        for v in Variant:
+            tmin = lower_bound_tmin(inst, v)
+            for g in (tmin - F(1, 2), tmin * F(9, 10), tmin * F(21, 20)):
+                d = variant_ops(v).decide(inst, g)
+                if d.accepted:
+                    continue
+                with pytest.raises(Rejected) as exc:
+                    solve(inst, v, "dual", guess=g)
+                assert (exc.value.guess, exc.value.reason) == (g, d.reason), (inst, v, g)
+                reasons.add((v, d.reason))
+    assert {reason for _, reason in reasons} == {"load", "job-bound", "machines", "setup-bound"}
+
+
+def test_solve_refuses_unknown_algo_and_dual_without_guess():
+    inst = Instance(m=2, classes=(JobClass(2, (3,)), JobClass(1, (1, 1))))
+    for v in Variant:
+        with pytest.raises(ValidationError):
+            solve(inst, v, "bisect")
+        with pytest.raises(ValidationError):
+            solve(inst, v, "dual")

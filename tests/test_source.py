@@ -120,3 +120,38 @@ def test_one_class_jump_search():
                 callers.add(fn.name)
     assert not found, "; ".join(found)
     assert callers == {"class_jump_search"}, callers
+
+
+TWO_APPROX_HOMES = {"two_approx_split": "splittable.py", "next_fit_two_approx": "nonpreemptive.py"}
+
+
+def test_one_variant_table():
+    # search.solve answers every (variant, algorithm) pair through
+    # search.variant_ops, so the CLI imports no algorithm module, and no
+    # module but its own and __init__ names a 2-approximation, except
+    # variant_ops
+    found = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if {name.split(".")[-1] for name in names} & {
+                "splittable", "preemptive", "nonpreemptive", "wrap"}:
+            found.append(f"cli.py:{node.lineno} imports {', '.join(names)}")
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                names = [alias.name for alias in getattr(node, "names", ())
+                         if isinstance(alias, ast.alias)]
+                names += [getattr(node, "id", None) or getattr(node, "attr", None)]
+                for name in set(names) & set(TWO_APPROX_HOMES):
+                    if path.name != TWO_APPROX_HOMES[name] and (
+                            path.name, owner) != ("search.py", "variant_ops"):
+                        found.append(f"{path.name}:{node.lineno} names {name}")
+    assert not found, "; ".join(found)
