@@ -60,17 +60,21 @@ class Variant(Enum):
 class JobClass:
     """One class: a setup time and the processing times of its jobs.
 
-    `total` (the sum of the processing times) and `t_max` (the longest job,
-    0 for none) are found once, at construction: the decisions read them
-    for every class on every probe.  They are kept in the instance
-    __dict__, outside the fields, so equality and hashing still see only
-    setup and jobs."""
+    `sums` (the prefix sums of the processing times, a tuple from 0, so
+    jobs j..x-1 take sums[x] - sums[j]), `total` (sums[-1]) and `t_max`
+    (the longest job, 0 for none) are found once, at construction: the
+    decisions read the aggregates for every class on every probe, and
+    `sums` is the one per-job array the builds and the verifier read of a
+    whole class.  They are kept in the instance __dict__, outside the
+    fields, so equality and hashing still see only setup and jobs."""
 
     setup: int
     jobs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "total", sum(self.jobs))
+        sums = tuple(accumulate(self.jobs, initial=0))
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "total", sums[-1])
         object.__setattr__(self, "t_max", max(self.jobs, default=0))
 
 
@@ -436,16 +440,17 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     so a batch starting before the end of an earlier one overlaps it.
 
     Jobs have flat indices base[cls] + job (base: prefix sums of the class
-    sizes).  The pass keeps the unscaled durations and their prefix sums
-    usums, and no scaled copy of either.  A pair as long as its job holds
-    it whole.  A longer pair is a run (see `Row`): one bisect on usums finds
-    the jobs it holds whole, and what is left, if anything, is read like any
-    pair: a piece of the next job, or the time past the class's last job
-    (an unknown job id).  Whole jobs cost two stores into a difference
-    array, `whole`, whose running sum `cover` gives each job's whole copies
-    after the pass.  A piece goes into its job's total and count, and in
-    pmtn also keeps its (start, length, copies).  Then the per-job rules
-    are C-level passes over small ints plus a step per job with a piece:
+    sizes).  The pass reads each class's own jobs and prefix sums
+    (`JobClass.sums`, unscaled) and copies neither.  A pair as long as its
+    job holds it whole.  A longer pair is a run (see `Row`): one bisect on
+    its class's sums finds the jobs it holds whole, and what is left, if
+    anything, is read like any pair: a piece of the next job, or the time
+    past the class's last job (an unknown job id).  Whole jobs cost two
+    stores into a difference array, `whole`, whose running sum `cover`
+    gives each job's whole copies after the pass.  A piece goes into its
+    job's total and count, and in pmtn also keeps its start, length and
+    copies, flat in one tuple per job.  Then the per-job rules are C-level
+    passes over small ints plus a step per job with a piece:
       (c) holds when every job without a piece is whole exactly once and
           every job with one is in pieces only, of the right total; else a
           job-by-job pass writes the messages;
@@ -459,8 +464,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     passes (c), (d) and (e) is read once.  README gives the measured cost.
 
     The rules run on the schedule's own times over `sched.scale` with +, -,
-    comparisons, `* scale`, `// scale` (the bisect key: a pair (k, dur)
-    holds job y - 1 whole exactly when usums[y] <= (usums[k] * scale + dur)
+    comparisons, `* scale`, `// scale` (the bisect key: a pair (j, dur)
+    holds job y - 1 whole exactly when sums[y] <= (sums[j] * scale + dur)
     // scale, on ints and on Fractions alike) and `Fraction(t, scale)` only:
     ints for every library-built and parsed schedule, and exactly the same
     rules on a hand-built schedule's Fractions, in the same rows.  The
@@ -479,20 +484,18 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
 
     classes = inst.classes
     ncls, n = len(classes), inst.n
-    sizes = [len(cl.jobs) for cl in classes]
-    base = list(accumulate(sizes, initial=0))
+    base = list(accumulate((len(cl.jobs) for cl in classes), initial=0))
     setup_len = [cl.setup * scale for cl in classes]
-    durations = list(chain.from_iterable(cl.jobs for cl in classes))
-    # a run from job k reaches job x of its class after (usums[x] - usums[k]) * scale
-    usums = list(accumulate(durations, initial=0))
     # a run that holds jobs k..x-1 whole adds its copies at k and takes them off at x
     whole = [0] * (n + 1)
     # a job's pieces: their total and count, and in pmtn their (start,
-    # length, copies); cut lists the jobs with a piece
+    # length, copies, start, length, copies, ...); cut lists the jobs with
+    # a piece, need their lengths on the scale
     totals, counts = [0] * n, [0] * n
     cut: list[int] = []
+    need_of_cut: list[Union[int, Rat]] = []
     pmtn = variant is Variant.PREEMPTIVE
-    spans: dict[int, list[tuple[Rat, Rat, int]]] = {}
+    spans: dict[int, tuple] = {}
     top = 0
 
     for label, row, copies in _parts(sched):
@@ -521,7 +524,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             if setup != setup_len[cls]:
                 flag("b", label, start, f"setup of class {cls} has length "
                                         f"{Fraction(setup, scale)}, expected {classes[cls].setup}")
-            size, first_k = sizes[cls], base[cls]
+            lens, sums, first_k = classes[cls].jobs, classes[cls].sums, base[cls]
+            size = len(lens)
             t = start + setup
             for job, dur in zip(pairs, pairs):
                 if not 0 <= job < size:
@@ -534,31 +538,31 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                         flag("s", label, t, f"unknown job id ({cls}, {job})")
                     t += dur
                     continue
-                k = first_k + job
-                need = durations[k] * scale
-                if dur == need:  # job k whole
+                need = lens[job] * scale
+                if dur == need:  # the job whole
                     if t < 0:
                         flag("a", label, t, "placement starts before time 0")
+                    k = first_k + job
                     whole[k] += copies
                     whole[k + 1] -= copies
                     t += dur
                     continue
                 if dur > need:
-                    # a run: the jobs k..x-1 whole, then what is left of dur
-                    at = usums[k] * scale
+                    # a run: the jobs job..x-1 whole, then what is left of dur
+                    at = sums[job] * scale
                     reach, shift = at + dur, t - at
-                    x = bisect_right(usums, reach // scale, k + 2, first_k + size + 1) - 1
+                    x = bisect_right(sums, reach // scale, job + 2, size + 1) - 1
                     if t < 0:
-                        for y in range(k, x):
-                            if shift + usums[y] * scale < 0:
-                                flag("a", label, shift + usums[y] * scale, "placement starts before time 0")
-                    whole[k] += copies
-                    whole[x] -= copies
-                    at = usums[x] * scale
-                    k, t, dur = x, shift + at, reach - at
+                        for y in range(job, x):
+                            if shift + sums[y] * scale < 0:
+                                flag("a", label, shift + sums[y] * scale, "placement starts before time 0")
+                    whole[first_k + job] += copies
+                    whole[first_k + x] -= copies
+                    at = sums[x] * scale
+                    job, t, dur = x, shift + at, reach - at
                     if not dur:  # the run ends where job x - 1 ends
                         continue
-                    if k == first_k + size:  # past the class's last job
+                    if job == size:  # past the class's last job
                         if t < 0:
                             flag("a", label, t, "placement starts before time 0")
                         flag("s", label, t, f"unknown job id ({cls}, {size})")
@@ -568,16 +572,18 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                     flag("a", label, t, "placement starts before time 0")
                 if dur <= 0:
                     flag("a", label, t, "placement with non-positive duration")
+                k = first_k + job
                 totals[k] += dur * copies
                 seen = counts[k]
                 counts[k] = seen + copies
-                if not seen:
+                if seen:
+                    if pmtn:
+                        spans[k] += t, dur, copies
+                else:
                     cut.append(k)
-                if pmtn:
-                    if seen:
-                        spans[k].append((t, dur, copies))
-                    else:
-                        spans[k] = [(t, dur, copies)]
+                    need_of_cut.append(lens[job] * scale)
+                    if pmtn:
+                        spans[k] = t, dur, copies
                 t += dur
             if prev_end is None or t > prev_end:
                 prev_end = t
@@ -588,10 +594,10 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     # rule (c): every job without a piece whole once, every job with one in
     # pieces only, of the right total; else the job-by-job pass
     whole_or_cut = (cover.count(1) == n - len(cut) and not any(map(cover.__getitem__, cut))
-                    and all(map(eq, map(totals.__getitem__, cut),
-                                map(scale.__mul__, map(durations.__getitem__, cut)))))
+                    and all(map(eq, map(totals.__getitem__, cut), need_of_cut)))
     if not whole_or_cut:
         refs = ((i, j) for i, cl in enumerate(classes) for j in range(len(cl.jobs)))
+        durations = chain.from_iterable(cl.jobs for cl in classes)
         for (i, j), t, c, got in zip(refs, durations, cover, totals):
             got += c * t * scale
             if got != t * scale:
@@ -607,7 +613,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         bad = set(compress(jobs, map((1).__lt__, many)))
         if pmtn:  # pieces alone are compared here, a whole copy in _pieces_of
             bad = {k for k in bad if cover[k] or _rule_e(spans[k])}
-    for (i, j), ivs in _pieces_of(sched, base, bad, durations, usums).items():
+    for (i, j), ivs in _pieces_of(sched, classes, base, bad).items():
         k = base[i] + j
         if not pmtn:
             flag("d", "-", 0, f"job ({i}, {j}) split into {fmt_rat(cover[k] + counts[k])} pieces")
@@ -630,27 +636,31 @@ def _parts(sched: Schedule):
     return chain(zip(range(len(sched.machines)), sched.machines, repeat(1)), configs)
 
 
-def _rule_e(ivs: list[tuple[Rat, Rat, int]]) -> Optional[tuple[Rat, int]]:
-    """Rule (e) on one job's pieces as (start, length, copies): the start
-    and copies of the first with copies > 1, else the start and 1 of the
-    first piece that starts before the one before it in (start, length)
-    order ends, else None.  Two pieces take one comparison to order, not a
-    sort."""
-    for start, _, copies in ivs:
+def _rule_e(ivs: Sequence) -> Optional[tuple[Rat, int]]:
+    """Rule (e) on one job's pieces, flat as (start, length, copies, start,
+    length, copies, ...): the start and copies of the first with copies >
+    1, else the start and 1 of the first piece that starts before the one
+    before it in (start, length) order ends, else None.  Two pieces take
+    one comparison to order, not a sort."""
+    if len(ivs) == 6:
+        s1, d1, c1, s2, d2, c2 = ivs
+        if c1 > 1 or c2 > 1:
+            return (s1, c1) if c1 > 1 else (s2, c2)
+        if (s2, d2) < (s1, d1):
+            s1, d1, s2 = s2, d2, s1
+        return (s2, 1) if s2 < s1 + d1 else None
+    for start, copies in zip(ivs[::3], ivs[2::3]):
         if copies > 1:
             return start, copies
-    if len(ivs) == 2:
-        a, b = ivs if ivs[0] <= ivs[1] else ivs[::-1]
-        return (b[0], 1) if b[0] < a[0] + a[1] else None
-    ivs = sorted(ivs)
-    return next(((s2, 1) for (s1, d1, _), (s2, _, _) in zip(ivs, ivs[1:]) if s2 < s1 + d1), None)
+    pieces = sorted(zip(ivs[::3], ivs[1::3]))
+    return next(((s2, 1) for (s1, d1), (s2, _) in zip(pieces, pieces[1:]) if s2 < s1 + d1), None)
 
 
-def _pieces_of(sched: Schedule, base: list[int], bad: set[int], durations: list,
-               usums: list) -> dict[JobRef, list]:
-    """The (start, length, copies) of each piece and whole copy of the jobs
-    whose flat index is in bad, in schedule order, keyed by job in order of
-    first appearance.  Runs are read as the verifier reads them."""
+def _pieces_of(sched: Schedule, classes: Sequence[JobClass], base: list[int],
+               bad: set[int]) -> dict[JobRef, list]:
+    """The start, length and copies of each piece and whole copy of the
+    jobs whose flat index is in bad, flat in schedule order, keyed by job in
+    order of first appearance.  Runs are read as the verifier reads them."""
     found: dict[JobRef, list] = {}
     if not bad:
         return found
@@ -658,23 +668,25 @@ def _pieces_of(sched: Schedule, base: list[int], bad: set[int], durations: list,
     for _, row, copies in _parts(sched):
         for batch in row if copies >= 1 else ():
             cls, t = batch[0], batch[1] + batch[2]
-            lo, hi = (base[cls], base[cls + 1]) if 0 <= cls < len(base) - 1 else (0, -1)
-            for job, dur in zip(batch[3::2], batch[4::2]) if lo <= hi else ():
-                k = lo + job
-                if 0 <= job and k < hi and dur > durations[k] * scale:
-                    at = usums[k] * scale
+            if not 0 <= cls < len(classes):
+                continue
+            lens, sums, first_k = classes[cls].jobs, classes[cls].sums, base[cls]
+            size = len(lens)
+            for job, dur in zip(batch[3::2], batch[4::2]):
+                if 0 <= job < size and dur > lens[job] * scale:
+                    at = sums[job] * scale
                     reach, shift = at + dur, t - at
-                    x = bisect_right(usums, reach // scale, k + 2, hi + 1) - 1
-                    for y in range(k, x):
-                        if y in bad:
-                            found.setdefault((cls, y - lo), []).append(
-                                (shift + usums[y] * scale, durations[y] * scale, copies))
-                    at = usums[x] * scale
-                    k, t, dur = x, shift + at, reach - at
+                    x = bisect_right(sums, reach // scale, job + 2, size + 1) - 1
+                    for y in range(job, x):
+                        if first_k + y in bad:
+                            found.setdefault((cls, y), []).extend(
+                                (shift + sums[y] * scale, lens[y] * scale, copies))
+                    at = sums[x] * scale
+                    job, t, dur = x, shift + at, reach - at
                     if not dur:
                         continue
-                if 0 <= job and k < hi and k in bad:
-                    found.setdefault((cls, k - lo), []).append((t, dur, copies))
+                if 0 <= job < size and first_k + job in bad:
+                    found.setdefault((cls, job), []).extend((t, dur, copies))
                 t += dur
     return found
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import ne, not_
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     ContractError,
@@ -34,18 +34,19 @@ from .core import (
     trivial_one_job_per_machine,
 )
 from .search import CachedProbe, SearchResult, _bisect_right_interval
-from .wrap import class_batch
 
 
 # ---------------------------------------------------------------------------
 # Streams: setups and jobs laid end to end, cut into machines
 # ---------------------------------------------------------------------------
 
-# A segment is (cls, setup, ghost, flat): a setup, then, when ghost > 0, a
-# ghost of that length (the tail of a job the build keeps whole on an
-# earlier machine: it takes room but is never written), then whole jobs as
-# one flat (job, dur, job, dur, ...) tuple, in index order.
-Segment = tuple[int, int, int, tuple]
+# A segment is (cls, setup, ghost, ids, durs): a setup, then, when ghost >
+# 0, a ghost of that length (the tail of a job the build keeps whole on an
+# earlier machine: it takes room but is never written), then whole jobs,
+# their positions in the class in ids and their durations in durs, in index
+# order.  A whole class at scale 1 is range(len(jobs)) and the class's own
+# jobs tuple, so no job of it is copied.
+Segment = tuple[int, int, int, Sequence[int], Sequence[int]]
 
 
 class _Stream:
@@ -60,13 +61,12 @@ class _Stream:
         self.heads: list[int] = []
         self.breaks: list[list[int]] = []
         lens: list[int] = []
-        for _, setup, ghost, flat in segs:
+        for _, setup, ghost, idx, durs in segs:
             self.heads.append(len(lens))
             lens.append(setup)
             if ghost:
                 lens.append(ghost)
-            lens += flat[1::2]
-            idx = flat[::2]
+            lens += durs
             # the ids increase, so they are consecutive iff they span len(idx)
             self.breaks.append([] if not idx or idx[-1] - idx[0] == len(idx) - 1 else list(
                 compress(range(1, len(idx)), map(ne, idx[1:], map((1).__add__, idx)))))
@@ -83,19 +83,19 @@ class _Stream:
         S = self.starts
         k = bisect_right(self.heads, a) - 1
         while k < len(self.heads) and self.heads[k] < b:
-            cls, setup, ghost, flat = self.segs[k]
+            cls, setup, ghost, ids, _ = self.segs[k]
             first = self.heads[k] + 1 + (ghost > 0)  # the segment's first job
-            p0, p1 = max(a - first, 0), min(max(b - first, 0), len(flat) >> 1)
+            p0, p1 = max(a - first, 0), min(max(b - first, 0), len(ids))
             jobs: tuple = ()
             if p1 > p0:
                 brk = self.breaks[k]
                 cuts = brk[bisect_right(brk, p0):bisect_left(brk, p1)] if brk else ()
                 if cuts:
                     cuts = [p0, *cuts, p1]
-                    jobs = tuple(chain.from_iterable((flat[2 * r0], S[first + r1] - S[first + r0])
+                    jobs = tuple(chain.from_iterable((ids[r0], S[first + r1] - S[first + r0])
                                                      for r0, r1 in zip(cuts, cuts[1:])))
                 else:
-                    jobs = (flat[2 * p0], S[first + p1] - S[first + p0])
+                    jobs = (ids[p0], S[first + p1] - S[first + p0])
             if a <= self.heads[k] or jobs:
                 out.append((cls, t, setup) + jobs)
                 t += setup + S[first + p1] - S[first + p0]
@@ -129,7 +129,7 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
         return sched, sched.makespan()
     tmin = lower_bound_tmin(inst, variant)
     lim = math.floor(tmin)  # an int load is over tmin iff it is over floor(tmin)
-    st = _Stream([(i, cl.setup, 0, class_batch(inst, i, 1).jobs)
+    st = _Stream([(i, cl.setup, 0, range(len(cl.jobs)), cl.jobs)
                   for i, cl in enumerate(inst.classes)])
     # Next fit fills a machine until an item takes it over tmin and opens the
     # next one.  That item then moves to the start of the next machine (behind
@@ -262,7 +262,9 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
         s = cl.setup * scale
         over = (half - s) // scale  # t > over iff 2(s + t * scale) > T
         if cl.t_max <= over:
-            ghost, rest, got = 0, class_batch(inst, i, scale).jobs, cl.total * scale
+            ghost, got, ids, durs = 0, cl.total * scale, range(len(cl.jobs)), cl.jobs
+            if scale != 1:
+                durs = list(map(scale.__mul__, durs))
         else:
             jobs = cl.jobs
             is_over = list(map(over.__lt__, jobs))
@@ -294,12 +296,12 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 loads[u] += min(room, S[-1] - pos)
                 pos, a = pos + room, b
             got = max(S[-1] - pos, 0)
-            ghost, rest = (S[a] - pos if got else 0), tuple(rest[2 * a:])
+            ghost, ids, durs = (S[a] - pos if got else 0), rest[2 * a::2], rest[2 * a + 1::2]
         want = max(counts.leftover[i], 0)  # on the decision's scale q, as here
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")
         if got:
-            segs.append((i, s, ghost, rest))
+            segs.append((i, s, ghost, ids, durs))
 
     # Step 3: the stream (each class with residual work behind one fresh
     # setup) goes greedily over the machines below T, opened ones first, then

@@ -72,10 +72,8 @@ class VariantOps(NamedTuple):
 
 def variant_ops(variant: Variant) -> VariantOps:
     """The variant's decision, dual, exact search and 2-approximation.  The
-    module attributes are read at call time, so a function patched into its
-    module is seen."""
-    from . import nonpreemptive as nonp, preemptive as pmtn, splittable as split
-
+    modules are bound once, at the end of this one, but their attributes
+    are read at call time, so a function patched into its module is seen."""
     if variant is Variant.SPLITTABLE:
         return VariantOps(split._decide_split, split.dual_split, split.class_jump_split,
                           split.two_approx_split)
@@ -306,27 +304,35 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     ceil(log2(1/eps)) + 1; the probes only decide, and the schedule is built
     once, for the final guess.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
+    en, ed = eps.as_integer_ratio()  # exact for an int, a float or a Fraction
+    if en <= 0:
         raise ValidationError("eps must be > 0")
-    en, ed = eps.as_integer_ratio()
     probe = CachedProbe(inst, variant)
-    # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay ints
-    L, D = lower_bound_tmin(inst, variant).as_integer_ratio()  # certified, never probed
+    # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay
+    # ints, and each keeps the Fraction it was probed as
+    lo = lower_bound_tmin(inst, variant)  # certified, never probed
+    L, D = lo.as_integer_ratio()
     H = 2 * L
-    if not probe(Fraction(H, D)):
-        raise ContractError(f"dual rejected 2*T_min = {Fraction(H, D)}; 2-approximation bound broken")
+    hi = Fraction(H, D)
+    if not probe(hi):
+        raise ContractError(f"dual rejected 2*T_min = {hi}; 2-approximation bound broken")
     while H * ed > (ed + en) * L:  # hi > (1 + eps) lo
         L, H, D = 2 * L, 2 * H, 2 * D
         mid = (L + H) // 2
-        if probe(Fraction(mid, D)):
-            H = mid
+        guess = Fraction(mid, D)
+        if probe(guess):
+            H, hi = mid, guess
         else:
-            L = mid  # every rejected midpoint lies above lo
-    return probe.finish(Fraction(H, D), Fraction(L, D))
+            L, lo = mid, guess  # every rejected midpoint lies above lo
+    return probe.finish(hi, lo)
 
 
 def certified_report(result: SearchResult) -> SearchResult:
     """`result`, once its ratio bound is computed: ContractError for a bound <= 0."""
     result.ratio_bound
     return result
+
+
+# The variant modules import this one, so they are bound here, at its end,
+# once: variant_ops reads their functions at call time.
+from . import nonpreemptive as nonp, preemptive as pmtn, splittable as split  # noqa: E402

@@ -9,12 +9,13 @@ McNaughton's wrap-around rule does: a setup that would cross the end of a
 gap moves below the start of the next gap, a job that would cross is cut
 there and continues at the start of the next gap behind a freshly inserted
 setup of its class.  The jobs of a batch that end by the current gap's
-close go in as one run, found by a bisect over the batch's prefix sums;
-only a job that crosses a close is placed on its own.  A batch of a whole
-class (`class_batch`) writes each such run as one pair (see `core.Row`),
-and the head of a job crossing the close right after it ends that pair, so
-a gap holds at most two pairs of it: the tail of the job that crossed into
-it, and one run.  Any other batch writes one pair per job or piece.
+close go in as one run, found by one bisect over the batch's prefix sums:
+for a whole class (`class_batch`) the class's own `JobClass.sums`, so no
+job of it is copied; only a job that crosses a close is placed on its own.
+A whole class writes each such run as one pair (see `core.Row`), and the
+head of a job crossing the close right after it ends that pair, so a gap
+holds at most two pairs of it: the tail of the job that crossed into it,
+and one run.  Any other batch writes one pair per job or piece.
 
 Every gap the wrap fills becomes a machine row, except in one case: after a
 crossing, a remainder of one job covering at least two whole gaps of the
@@ -35,7 +36,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .core import CapacityError, Instance, Rat, Row, Schedule
 
@@ -59,25 +60,25 @@ class Gap:
 
 @dataclass(frozen=True)
 class Batch:
-    """A setup followed by items of class cls.  jobs is flat, (job, dur,
-    job, dur, ...) with job the position within the class, like the tail
-    of a schedule row's batch: one tuple, not one per item.  whole says
-    that the items are the class's jobs, all of them whole and in index
-    order, so that the wrap may write a run of them as one pair."""
+    """A setup followed by items of class cls.  A batch is whole when sums
+    is set: its items are the class's jobs, all of them whole and in index
+    order, job j lasting (sums[j + 1] - sums[j]) * scale, with sums the
+    class's unscaled prefix sums (`core.JobClass.sums`), so that the wrap
+    may write a run of them as one pair.  Otherwise jobs is flat, (job,
+    dur, job, dur, ...) with job the position within the class, like the
+    tail of a schedule row's batch: one tuple, not one per item."""
 
     cls: int
     setup: Rat
-    jobs: tuple[Union[int, Rat], ...]
-    whole: bool = False
+    jobs: tuple[Union[int, Rat], ...] = ()
+    sums: Optional[tuple[int, ...]] = None
+    scale: int = 1
 
 
 def class_batch(inst: Instance, i: int, scale: int) -> Batch:
     """Class i whole: its setup and every job, on the time scale `scale`."""
     cl = inst.classes[i]
-    jobs = [0] * (2 * len(cl.jobs))
-    jobs[::2] = range(len(cl.jobs))
-    jobs[1::2] = cl.jobs if scale == 1 else [t * scale for t in cl.jobs]
-    return Batch(cls=i, setup=cl.setup * scale, jobs=tuple(jobs), whole=True)
+    return Batch(cls=i, setup=cl.setup * scale, sums=cl.sums, scale=scale)
 
 
 def check_template(runs: list[Gap]):
@@ -123,156 +124,14 @@ class WrapResult:
     placed: int  # number of emitted setups and pieces (configs count once)
 
 
-class _Run:
-    """State of one wrapping pass: the current run, the current gap's
-    machine and how many gaps of the run follow it, and the open batch, the
-    last setup's, with the row it goes to.  The open batch is a list that
-    becomes a tuple in its row once the next setup opens another or the
-    pass ends: only one batch is ever a list, so no batch lives long enough
-    as one to be moved into the collector's oldest generation."""
-
-    def __init__(self, builder: Builder, gaps: list[Gap], setups_below: bool):
-        self.runs = [g for g in gaps if g.count]
-        check_template(self.runs)
-        if not self.runs:
-            raise CapacityError("empty wrap template")
-        self.b = builder
-        self.rows = builder.rows
-        self.setups_below = setups_below
-        self.placed = 0
-        self.batch = self.batch_row = None  # opened by the first setup
-        self.k, self.left = -1, 0
-        self.next_gap()
-
-    # -- emission ----------------------------------------------------------
-
-    def setup(self, cls: int, start: Rat, dur: Rat):
-        """A setup opening a batch for the current gap's machine row."""
-        self.end_batch()
-        self.placed += 1
-        self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
-
-    def pieces(self, flat: tuple, jobs: int = 0):
-        """Pairs (job, dur, job, dur, ...) of the open batch's class, back
-        to back where its content ends: one per piece, or one pair that
-        runs `jobs` whole jobs (`placed` counts every job)."""
-        self.placed += jobs or len(flat) >> 1
-        self.batch += flat
-
-    def end_batch(self):
-        if self.batch is not None:
-            self.batch_row.append(tuple(self.batch))
-            self.batch = None
-
-    # -- movement ----------------------------------------------------------
-
-    def next_gap(self):
-        if self.left:
-            self.left -= 1
-            self.machine += 1
-        else:
-            self.k += 1
-            if self.k == len(self.runs):
-                raise CapacityError("wrap sequence exceeds template capacity")
-            g = self.runs[self.k]
-            self.machine, self.left = g.machine, g.count - 1
-            self.open, self.close = g.open, g.close
-        self.t = self.open
-
-    def bulk_full_gaps(self, cls: int, setup: Rat, job: int, rest: Rat) -> Rat:
-        """A job that crossed into this gap with `rest` of it left: if rest
-        covers at least two whole gaps of this run, short of its last gap,
-        emit them as one config of a setup ending at the gap start plus a
-        full-height piece, move to the gap after them and return what is
-        left.  Otherwise return rest unchanged; a single full gap is a
-        machine row."""
-        height = self.close - self.open
-        if self.left < 2 or rest <= 2 * height:
-            return rest
-        # ceil(rest / height) - 1, exact on ints past 2**53
-        full = min(-(-rest // height) - 1, self.left)
-        self.b.put_config(self.machine, [(cls, self.open - setup, setup, job, height)], full)
-        self.placed += 2
-        self.machine += full
-        self.left -= full
-        return rest - height * full
-
-    def finish(self) -> WrapResult:
-        self.end_batch()
-        return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
-
-
-def _place_item(run: _Run, cls: int, setup: Rat, job: int, dur: Rat, ends_run: bool = False):
-    """Place one job (piece), cutting it at gap ends as often as needed.
-    ends_run: the open batch's last pair is a run of whole jobs that ends
-    where this job starts, so the job's head extends that pair."""
-    end = run.t + dur
-    while end > run.close:
-        head = run.close - run.t
-        if head > 0:
-            if ends_run:
-                run.batch[-1] += head
-                run.placed += 1
-            else:
-                run.pieces((job, head))
-        ends_run = False
-        rest = end - run.close
-        run.next_gap()
-        rest = run.bulk_full_gaps(cls, setup, job, rest)
-        run.setup(cls, run.open - setup, setup)
-        end = run.t + rest
-    run.pieces((job, end - run.t))
-    run.t = end
-
-
-def _place_batch(run: _Run, batch: Batch):
-    if (
-        run.setups_below
-        and run.t == run.open
-        and run.t + batch.setup <= run.close
-    ):
-        # the caller reserved room under every gap: a setup opening a gap
-        # anchors below it, exactly where it would land after relocating
-        # across a preceding gap that shrank to nothing, so the layout is a
-        # continuous function of the guess
-        run.setup(batch.cls, run.open - batch.setup, batch.setup)
-    elif run.t + batch.setup > run.close:
-        run.next_gap()
-        run.setup(batch.cls, run.open - batch.setup, batch.setup)
-    else:
-        run.setup(batch.cls, run.t, batch.setup)
-        run.t = run.t + batch.setup
-    jobs = batch.jobs
-    durs = jobs[1::2]
-    bad = None
-    if durs and min(durs) <= 0:
-        # the jobs before the first bad one are placed, as one at a time would
-        bad = next(k for k, dur in enumerate(durs) if dur <= 0)
-        jobs, durs = jobs[:2 * bad], durs[:bad]
-    # With the prefix sums of the durations, one bisect per gap finds the
-    # run of jobs that ends by its close; only a job that crosses the close
-    # goes through _place_item.
-    ends = list(accumulate(durs))
-    shift = run.t  # the jobs from k on end at shift + ends[k] while none crosses
-    k, n = 0, len(ends)
-    while k < n:
-        fit = bisect_right(ends, run.close - shift, k)
-        if fit > k:
-            t = shift + ends[fit - 1]
-            if batch.whole:  # one pair for the run
-                run.pieces((jobs[2 * k], t - run.t), fit - k)
-            else:
-                run.pieces(jobs[2 * k:2 * fit])
-            run.t = t
-            if fit == n:
-                break
-        _place_item(run, batch.cls, batch.setup, jobs[2 * fit], jobs[2 * fit + 1],
-                    batch.whole and fit > k)
-        shift = run.t - ends[fit]
-        k = fit + 1
-    if bad is not None:
-        job, dur = batch.jobs[2 * bad:2 * bad + 2]
-        raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
+def _next_run(runs: list[Gap], r: int) -> tuple:
+    """The run after run r as (r + 1, its first machine, how many of its
+    gaps follow that one, open, close)."""
+    r += 1
+    if r == len(runs):
+        raise CapacityError("wrap sequence exceeds template capacity")
+    g = runs[r]
+    return r, g.machine, g.count - 1, g.open, g.close
 
 
 def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
@@ -281,9 +140,123 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     machine row, so callers can keep filling the last one; only a stretch of
     at least two gaps of one run fully covered by one job is compressed.
     setups_below anchors setups that open a gap under its start; only valid
-    when the caller guarantees that much room under every gap."""
-    run = _Run(builder, gaps, setups_below)
-    for batch in seq:
-        _place_batch(run, batch)
-    return run.finish()
+    when the caller guarantees that much room under every gap.
 
+    One pass keeps its state in locals: the current gap (run r, machine,
+    how many gaps of the run follow it, open, close), the fill t, and the
+    open batch, the last setup's, with the row it goes to.  The open batch
+    is a list that becomes a tuple in its row once the next setup opens
+    another or the pass ends: only one batch is ever a list, so no batch
+    lives long enough as one to be moved into the collector's oldest
+    generation."""
+    runs = [g for g in gaps if g.count]
+    check_template(runs)
+    if not runs:
+        raise CapacityError("empty wrap template")
+    rows, put_config = builder.rows, builder.put_config
+    r, machine, left, open_, close = _next_run(runs, -1)
+    t = open_
+    placed = 0
+    cur: Optional[list] = None
+    row: Optional[Row] = None
+    for batch in seq:
+        cls, setup = batch.cls, batch.setup
+        if setups_below and t == open_ and t + setup <= close:
+            # the caller reserved room under every gap: a setup opening a
+            # gap anchors below it, exactly where it would land after
+            # relocating across a preceding gap that shrank to nothing, so
+            # the layout is a continuous function of the guess
+            start = open_ - setup
+        elif t + setup > close:
+            if left:
+                left, machine = left - 1, machine + 1
+            else:
+                r, machine, left, open_, close = _next_run(runs, r)
+            t = open_
+            start = open_ - setup
+        else:
+            start = t
+            t += setup
+        if cur is not None:
+            row.append(tuple(cur))
+        placed += 1
+        cur, row = [cls, start, setup], rows[machine]
+
+        sums, scale, jobs, bad = batch.sums, batch.scale, batch.jobs, None
+        whole = sums is not None
+        if not whole:
+            durs = jobs[1::2]
+            if durs and min(durs) <= 0:
+                # the items before the first bad one are placed, as one at a
+                # time would
+                bad = next(k for k, dur in enumerate(durs) if dur <= 0)
+                durs = durs[:bad]
+            sums, scale = list(accumulate(durs, initial=0)), 1
+        # Items k..x-1 end at shift + sums[x] * scale while none crosses a
+        # close, so one bisect per gap finds the run that ends by it (on a
+        # whole class's ints the key floors: sums[x] * scale <= close - shift
+        # iff sums[x] <= (close - shift) // scale); only an item that
+        # crosses the close is placed on its own.
+        k, n, shift = 0, len(sums) - 1, t
+        while k < n:
+            fit = bisect_right(sums, (close - shift) // scale if whole else close - shift, k + 1) - 1
+            if fit > k:
+                placed += fit - k
+                end = shift + sums[fit] * scale
+                if whole:  # one pair for the run
+                    cur += k, end - t
+                else:
+                    cur += jobs[2 * k:2 * fit]
+                t = end
+                if fit == n:
+                    break
+            # item fit crosses the close: cut it at every close it reaches,
+            # its head ending the run just written if there is one
+            if whole:
+                job, end = fit, t + (sums[fit + 1] - sums[fit]) * scale
+            else:
+                job, end = jobs[2 * fit], t + jobs[2 * fit + 1]
+            ends_run = whole and fit > k
+            while end > close:
+                head = close - t
+                if head > 0:
+                    placed += 1
+                    if ends_run:
+                        cur[-1] += head
+                    else:
+                        cur += job, head
+                ends_run = False
+                rest = end - close
+                if left:
+                    left, machine = left - 1, machine + 1
+                else:
+                    r, machine, left, open_, close = _next_run(runs, r)
+                height = close - open_
+                if left >= 2 and rest > 2 * height:
+                    # rest covers at least two whole gaps of this run, short
+                    # of its last: one config of a setup ending at the gap
+                    # start plus a full-height piece; a single full gap is a
+                    # machine row.  ceil(rest / height) - 1, exact on ints
+                    # past 2**53
+                    full = min(-(-rest // height) - 1, left)
+                    put_config(machine, [(cls, open_ - setup, setup, job, height)], full)
+                    placed += 2
+                    machine += full
+                    left -= full
+                    rest -= height * full
+                row.append(tuple(cur))
+                placed += 1
+                cur, row = [cls, open_ - setup, setup], rows[machine]
+                t = open_
+                end = t + rest
+            cur += job, end - t
+            placed += 1
+            t = end
+            k = fit + 1
+            shift = t - sums[k] * scale
+        if bad is not None:
+            job, dur = jobs[2 * bad:2 * bad + 2]
+            raise ValueError(f"job piece {(cls, job)} with non-positive duration {dur}")
+    if cur is not None:
+        row.append(tuple(cur))
+    return WrapResult(last_machine=machine, last_fill=t, placed=placed)

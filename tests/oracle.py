@@ -1145,8 +1145,12 @@ def _reference_place_batch(run: _ReferenceRun, batch: Batch):
         run.t = run.t + batch.setup
         if run.t == run.close:
             run.events["setup fills a gap"] += 1
-    items = iter(batch.jobs)
-    for job, dur in zip(items, items):
+    if batch.sums is None:
+        items = iter(batch.jobs)
+        pairs = zip(items, items)
+    else:  # a whole class: job j lasts (sums[j + 1] - sums[j]) * scale
+        pairs = enumerate((b - a) * batch.scale for a, b in zip(batch.sums, batch.sums[1:]))
+    for job, dur in pairs:
         if dur <= 0:
             raise ValueError(f"job piece {(batch.cls, job)} with non-positive duration {dur}")
         _reference_place_item(run, batch.cls, batch.setup, job, dur)

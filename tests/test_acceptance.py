@@ -32,7 +32,7 @@ from batchsched.preemptive import (
     dual_pmtn,
 )
 from batchsched.search import epsilon_search, solve, variant_ops
-from batchsched.splittable import _build_split, class_jump_split, dual_split
+from batchsched.splittable import _build_split, class_jump_split, dual_split, two_approx_split
 from batchsched.wrap import Batch, Builder, Gap, run_wrap
 
 from conftest import random_instance, tiny_instances
@@ -491,6 +491,41 @@ def test_criterion_9_schedules_one_int_per_job():
             per_job[(v.value, n)] = round(ints / inst.n, 3)
     assert max(per_job.values()) <= 1, per_job
     _announce("9", f"schedules hold at most {max(per_job.values())} ints per job", t0)
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The tracemalloc peak of one call, in bytes.  Allocation counts do not
+    depend on the host, so a gate on it is deterministic."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_9_build_memory_per_job():
+    # A build reads a whole class through its prefix sums (JobClass.sums)
+    # and copies no class's jobs, so the tracemalloc peak of each build at
+    # n = 40k, the schedule it returns included, stays at most 70 bytes per
+    # job: the 3/2-dual builds of each variant's jump guess, next fit and
+    # the splittable 2-approximation (flat copies of the classes' jobs took
+    # pmtn's, nonp's and next fit's to 73-81).
+    t0 = time.time()
+    inst = _scaling_instance(40_000, 1)
+    per_job = {}
+    for v, build in ((Variant.SPLITTABLE, _build_split), (Variant.PREEMPTIVE, _build_pmtn),
+                     (Variant.NONPREEMPTIVE, _build_nonp)):
+        ops = variant_ops(v)
+        guess = ops.search(inst).guess
+        per_job[v.value] = _peak_bytes(build, inst, guess, ops.decide(inst, guess).plan) / inst.n
+    per_job["next-fit"] = _peak_bytes(next_fit_two_approx, inst, Variant.NONPREEMPTIVE) / inst.n
+    per_job["split two-approx"] = _peak_bytes(two_approx_split, inst) / inst.n
+    per_job = {name: round(b, 1) for name, b in per_job.items()}
+    assert max(per_job.values()) <= 70, per_job
+    _announce("9", f"builds peak at {per_job} bytes per job", t0)
 
 
 def test_criterion_9_verify_memory_per_job():

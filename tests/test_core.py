@@ -316,6 +316,25 @@ def test_verify_run_in_a_config_of_mult_2():
     })
 
 
+@pytest.mark.parametrize("first_copied", [False, True])
+def test_verify_pmtn_job_in_two_pieces_one_copied_twice(first_copied):
+    # job 0 of 4 in a piece of 1 from 1, copied twice, and a piece of 2 from
+    # 3: the total is right and the pieces do not overlap, but the first
+    # piece runs on 2 machines at once; it is the job's first piece or its
+    # second in schedule order (configurations come after machine rows)
+    inst = Instance(m=3, classes=(JobClass(1, (4,)),))
+    copied, once = [(0, 0, 1, 0, 1)], [(0, 2, 1, 0, 2)]
+    if first_copied:
+        sched = Schedule(m=3, compressed=[(copied, 2), (once, 1)])
+    else:
+        sched = Schedule(m=3, machines=[once], compressed=[(copied, 2)])
+    _same_as_reference(inst, sched, F(5), {
+        Variant.SPLITTABLE: [],
+        Variant.PREEMPTIVE: [("e", "-", F(1), "job (0, 0) runs on 2 identical machines in parallel")],
+        Variant.NONPREEMPTIVE: [("d", "-", F(0), "job (0, 0) split into 3 pieces")],
+    })
+
+
 def test_verify_job_whole_in_two_runs():
     # jobs 0 and 1 whole on machine 0, jobs 1 and 2 whole on machine 1: job 1
     # is whole twice, from 3 to 6 and from 1 to 4
@@ -343,6 +362,17 @@ def test_verify_run_before_time_0():
     sched = Schedule(m=1, machines=[[(0, -5, 1, 0, 9)]])
     early = [("a", 0, F(t), "placement starts before time 0") for t in (-5, -4, -2)]
     _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
+    # the setup from -3, then jobs 0 and 1 whole from -2 and 0: job 1 starts
+    # at 0, not before it
+    inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
+    sched = Schedule(m=1, machines=[[(0, -3, 1, 0, 5)]])
+    early = [("a", 0, F(t), "placement starts before time 0") for t in (-3, -2)]
+    _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
+    # the same run past the end of a class of one job of 2: the time past
+    # it starts at 0 too
+    inst = Instance(m=1, classes=(JobClass(1, (2,)),))
+    _same_as_reference(inst, sched, F(5), {v: early + [("s", 0, F(0), "unknown job id (0, 1)")]
+                                           for v in Variant})
     # a pair as long as its job, from -1
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
     sched = Schedule(m=1, machines=[[(0, -2, 1, 0, 2)]])

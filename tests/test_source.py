@@ -83,8 +83,8 @@ KIND_NAMES = {"SETUP", "PIECE", "put_setup", "put_piece", "make_setup", "make_pi
 def test_placements_carry_no_kind_tag():
     # a placement has no kind: a setup opens a batch and a piece is a
     # (job, dur) pair of the open batch, so no module names a kind; Builder
-    # puts whole batches with one method, _Run opens a batch with one and
-    # extends it by a run of pieces with the other
+    # puts whole batches with one method, and the wrap keeps its open batch
+    # in a local list (no _Run class opens or extends it)
     found, puts = [], {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -97,7 +97,7 @@ def test_placements_carry_no_kind_tag():
                 puts[node.name] = sorted(f.name for f in node.body if isinstance(f, ast.FunctionDef)
                                          and f.name.startswith(("put", "make", "setup", "piece")))
     assert not found, "; ".join(found)
-    assert puts == {"Builder": ["put", "put_config"], "_Run": ["pieces", "setup"]}
+    assert puts == {"Builder": ["put", "put_config"]}
 
 
 def test_one_class_jump_search():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 from fractions import Fraction as F
 
@@ -12,10 +13,17 @@ from batchsched.wrap import Batch, Builder, Gap, class_batch, run_wrap
 from oracle import expand, expand_runs, placements, reference_run_wrap, run_pairs
 
 
+def durations(b):
+    """A batch's item durations: a whole class's from its prefix sums."""
+    if b.sums is None:
+        return b.jobs[1::2]
+    return tuple((y - x) * b.scale for x, y in zip(b.sums, b.sums[1:]))
+
+
 def classes_of(seq):
     """What `expand_runs` reads of an instance, from a wrap sequence whose
     classes are 0, 1, ... in order: each class's job durations."""
-    return SimpleNamespace(classes=[JobClass(b.setup, b.jobs[1::2]) for b in seq])
+    return SimpleNamespace(classes=[JobClass(b.setup, durations(b)) for b in seq])
 
 
 def flat(sched, seq):
@@ -31,7 +39,7 @@ def batch(cls, s, durs):
 
 
 def load(seq):
-    return sum(b.setup + sum(b.jobs[1::2]) for b in seq)
+    return sum(b.setup + sum(durations(b)) for b in seq)
 
 
 def wrap_plain(seq, gaps, m):
@@ -362,30 +370,37 @@ def _differential_case(rng):
     """A random (sequence, template, setups_below) for the wrap differential
     test, and where in a batch a non-positive duration was put (None if
     nowhere).  Batches of up to 8 jobs, so runs of several jobs fill a gap;
-    in half of the cases they are whole classes, written one pair per run;
-    a fifth of the cases use Fraction times; some jobs are long enough to
+    in half of the cases they are whole classes, given by their prefix sums
+    (`JobClass.sums`: int jobs of at least 1, on a time scale of 1 to 3) and
+    written one pair per run; a fifth of the cases use Fraction times in
+    setups and gaps, and in the jobs of batches that are not whole, which
+    alone take the non-positive durations; some jobs are long enough to
     cover whole gaps of a run."""
     frac = rng.random() < 0.2
     whole = rng.random() < 0.5
 
-    def num(lo, hi):
+    def num(lo, hi, frac=frac):
         return F(rng.randint(lo * 3, hi * 3), 3) if frac else rng.randint(lo, hi)
 
     seq, smax = [], 0
     for ci in range(rng.randint(1, 4)):
         s = num(1, 4)
         smax = max(smax, s)
-        durs = [num(1, 30) if rng.random() < 0.1 else num(1, 6) for _ in range(rng.randint(1, 8))]
-        seq.append(Batch(ci, s, tuple(x for j, d in enumerate(durs) for x in (j, d)), whole))
+        durs = [num(1, 30, frac and not whole) if rng.random() < 0.1 else num(1, 6, frac and not whole)
+                for _ in range(rng.randint(1, 8))]
+        if whole:
+            seq.append(Batch(ci, s, sums=tuple(accumulate(durs, initial=0)), scale=rng.randint(1, 3)))
+        else:
+            seq.append(Batch(ci, s, tuple(x for j, d in enumerate(durs) for x in (j, d))))
     bad = None
-    if rng.random() < 0.06:
+    if not whole and rng.random() < 0.12:
         b = rng.randrange(len(seq))
         jobs = list(seq[b].jobs)
         k = len(jobs) // 2
         bad = rng.choice(["first", "middle", "last"] if k >= 3 else ["first", "last"])
         pos = {"first": 0, "middle": rng.randint(1, k - 2) if k >= 3 else 0, "last": k - 1}[bad]
         jobs[2 * pos + 1] = -jobs[2 * pos + 1] if rng.random() < 0.5 else 0
-        seq[b] = Batch(seq[b].cls, seq[b].setup, tuple(jobs), whole)
+        seq[b] = Batch(seq[b].cls, seq[b].setup, tuple(jobs))
     counts = [rng.randint(0, 8) for _ in range(rng.randint(1, 3))]
     mean = load(seq) / max(1, sum(counts))
     runs, u = [], 0
