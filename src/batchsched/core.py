@@ -228,11 +228,12 @@ class Schedule:
     times as ints on the scale its construction derived from the guess, and
     a parsed schedule file holds ints on its own scale; only a hand-built
     schedule may hold Fractions, in the same rows: the verifier runs the
-    same rules on them, and the JSON writer refuses them.  The builds write
-    a row's batches in start order, except that the preemptive build appends
-    a large machine's bottom after its top; the verifier sorts a row only
-    when its batch starts do not strictly increase.  No build writes idle
-    pairs.
+    same rules on them, and the JSON writer refuses them.  Every build
+    writes a row's batches in start order (the verifier sorts a row only
+    when its batch starts do not strictly increase), writes no idle pair
+    and no empty row, and follows every setup with a pair of its class but
+    for one case: a wrap's setup that ends exactly where its gap closes,
+    whose job then starts in the next gap.
     """
 
     m: int

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import ne, not_
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     ContractError,
@@ -44,9 +44,10 @@ from .search import CachedProbe, SearchResult, _bisect_right_interval
 # 0, a ghost of that length (the tail of a job the build keeps whole on an
 # earlier machine: it takes room but is never written), then whole jobs,
 # their positions in the class in ids and their durations in durs, in index
-# order.  A whole class at scale 1 is range(len(jobs)) and the class's own
-# jobs tuple, so no job of it is copied.
-Segment = tuple[int, int, int, Sequence[int], Sequence[int]]
+# order.  durs is read once, when the stream is built.  A whole class is
+# range(len(jobs)) and the class's own jobs (times the scale with a
+# C-level map off scale 1), so no job of it is copied.
+Segment = tuple[int, int, int, Sequence[int], Iterable[int]]
 
 
 class _Stream:
@@ -60,33 +61,31 @@ class _Stream:
         self.segs = segs
         self.heads: list[int] = []
         self.breaks: list[list[int]] = []
-        lens: list[int] = []
-        for _, setup, ghost, idx, durs in segs:
-            self.heads.append(len(lens))
-            lens.append(setup)
-            if ghost:
-                lens.append(ghost)
-            lens += durs
+        n = 0
+        for _, _, ghost, idx, _ in segs:
+            self.heads.append(n)
+            n += 1 + (ghost > 0) + len(idx)
             # the ids increase, so they are consecutive iff they span len(idx)
             self.breaks.append([] if not idx or idx[-1] - idx[0] == len(idx) - 1 else list(
                 compress(range(1, len(idx)), map(ne, idx[1:], map((1).__add__, idx)))))
-        self.n = len(lens)
-        self.starts = list(accumulate(lens, initial=0))
+        self.n = n
+        self.starts = list(accumulate(chain.from_iterable(
+            chain((setup, ghost) if ghost else (setup,), durs)
+            for _, setup, ghost, _, durs in segs), initial=0))
         self.ghosts = {h + 1 for h, seg in zip(self.heads, segs) if seg[2]}
 
     def batches(self, a: int, b: int, t: int) -> list[tuple]:
         """Items [a, b) as batches back to back from time t: each segment's
-        part behind its own setup, or behind a fresh one where the part
-        begins with a job, its jobs one pair per run.  A part that holds
-        nothing but a ghost is no batch."""
+        jobs among them behind its own setup, or behind a fresh one where
+        they do not follow it, one pair per run.  A part that holds no job
+        is no batch, so a batch is never a setup alone."""
         out = []
         S = self.starts
         k = bisect_right(self.heads, a) - 1
         while k < len(self.heads) and self.heads[k] < b:
             cls, setup, ghost, ids, _ = self.segs[k]
             first = self.heads[k] + 1 + (ghost > 0)  # the segment's first job
-            p0, p1 = max(a - first, 0), min(max(b - first, 0), len(ids))
-            jobs: tuple = ()
+            p0, p1 = max(a - first, 0), min(b - first, len(ids))
             if p1 > p0:
                 brk = self.breaks[k]
                 cuts = brk[bisect_right(brk, p0):bisect_left(brk, p1)] if brk else ()
@@ -96,7 +95,6 @@ class _Stream:
                                                      for r0, r1 in zip(cuts, cuts[1:])))
                 else:
                     jobs = (ids[p0], S[first + p1] - S[first + p0])
-            if a <= self.heads[k] or jobs:
                 out.append((cls, t, setup) + jobs)
                 t += setup + S[first + p1] - S[first + p0]
             k += 1
@@ -146,14 +144,9 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     if len(bounds) > inst.m:
         raise ContractError("construction ran out of machines")
     bounds.append(n)
-    machines = []
-    for a, b in zip(bounds, bounds[1:]):
-        row = st.batches(a, b, 0)
-        while row and len(row[-1]) == 3:  # trailing setups serve no job
-            row.pop()
-        if row:
-            machines.append(row)
-    sched = Schedule(m=inst.m, machines=machines)
+    # a setup and a job of its class fit in tmin, so a machine holds the
+    # item it starts with and the next: a job, or a setup and its first job
+    sched = Schedule(m=inst.m, machines=[st.batches(a, b, 0) for a, b in zip(bounds, bounds[1:])])
     makespan = sched.makespan()
     if makespan > 2 * tmin:
         raise ContractError(f"next-fit makespan {makespan} exceeds 2*T_min")
@@ -262,9 +255,8 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
         s = cl.setup * scale
         over = (half - s) // scale  # t > over iff 2(s + t * scale) > T
         if cl.t_max <= over:
-            ghost, got, ids, durs = 0, cl.total * scale, range(len(cl.jobs)), cl.jobs
-            if scale != 1:
-                durs = list(map(scale.__mul__, durs))
+            ghost, got, ids = 0, cl.total * scale, range(len(cl.jobs))
+            durs = cl.jobs if scale == 1 else map(scale.__mul__, cl.jobs)
         else:
             jobs = cl.jobs
             is_over = list(map(over.__lt__, jobs))
@@ -310,12 +302,12 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     # machine of the greedy (behind a fresh setup if it is a job), and the
     # last machine's moves to an empty machine or to any other machine still
     # at or below T.  So a machine holds the stream from the previous move up
-    # to its own.  Where that begins with a job it gets a fresh setup (the
-    # class's own machines are full, so none of them is below it), which
-    # stays even when the job is the one that moves on.
-    for row in rows:  # each holds its machine's steps 1-2 batch, now complete
-        row[0] = tuple(row[0])
-    parked = None
+    # to its own, decided before its batches are written: where that begins
+    # with a job it gets a fresh setup (the class's own machines are full, so
+    # none of them is below it), and a setup whose jobs all move on is not
+    # written.
+    for row in rows:  # its steps 1-2 batch, now complete, unless it holds no job
+        row[:] = [tuple(batch) for batch in row if len(batch) > 3]
     if segs:
         st = _Stream(segs)
         S, n = st.starts, st.n
@@ -326,34 +318,22 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             k += 1
             room = T - loads[u]
             end = bisect_left(S, S[f] + room, f, n)  # the items that start below T
+            # the last item moves on if it sticks out, unless it is a ghost
+            stop = end - (S[end] - S[f] > room and end - 1 not in st.ghosts)
             row = rows[u]
-            batches = st.batches(e, end, batch_end(row[-1]) if row else 0)
-            if S[end] - S[f] > room and end - 1 not in st.ghosts:
-                e = end - 1  # the last item moves on: off the end of the last run
-                last, moved = batches[-1], S[end] - S[end - 1]
-                if len(last) == 3:
-                    batches.pop()
-                elif last[-1] == moved:
-                    batches[-1] = last[:-2]
-                else:
-                    batches[-1] = last[:-1] + (last[-1] - moved,)
+            row += st.batches(e, stop, batch_end(row[-1]) if row else 0)
+            e, f = stop, end
+        if e < n:  # the last machine's item moved on
+            if len(rows) < inst.m:
+                target = new_machine()
             else:
-                e = end
-            row += batches
-            f = end
-        if e < n:
-            parked = st.batches(e, n, 0)[0]
-    if parked is not None:
-        if len(rows) < inst.m:
-            target = new_machine()
-        else:
-            target = next((v for v, row in enumerate(rows)
-                           if v != u and (batch_end(row[-1]) if row else 0) <= T), None)
-            if target is None:
-                raise ContractError("repair found no machine for the final item")
-        row = rows[target]
-        row.append((parked[0], batch_end(row[-1]) if row else 0) + parked[2:])
-    return Schedule(m=inst.m, machines=rows, scale=scale)
+                target = next((v for v, row in enumerate(rows)
+                               if v != u and (batch_end(row[-1]) if row else 0) <= T), None)
+                if target is None:
+                    raise ContractError("repair found no machine for the final item")
+            row = rows[target]
+            row += st.batches(e, n, batch_end(row[-1]) if row else 0)
+    return Schedule(m=inst.m, machines=[row for row in rows if row], scale=scale)
 
 
 def exact_integer_search_nonp(inst: Instance) -> SearchResult:

@@ -281,11 +281,6 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     part = plan.part
     l = len(part.exp_zero)
 
-    # Dedicated machines: one almost-full expensive class each, starting at
-    # half the guess so their bottoms stay free for leftovers.
-    for u, i in enumerate(part.exp_zero):
-        _stack(builder, inst, u, half, i, scale)
-
     # The nice remainder: chp_plus whole, each star class by its share, and
     # the other small-setup classes up to the budget the free time leaves.
     # Without a knapsack every star class fits whole outside the large
@@ -388,8 +383,9 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         gaps.append(Gap(base, half, threehalf, inst.m - base))
         run_wrap(builder, [cheap[i] for i in sorted(cheap)], gaps)
 
-    # Leftovers go to the bottoms of the large machines.  Everything here is
-    # small: setup + piece fits in half the guess.
+    # Leftovers go to the bottoms of the large machines, written before
+    # their tops so each row is in start order.  Everything here is small:
+    # setup + piece fits in half the guess.
     for i, _, dur in leftovers:
         if inst.classes[i].setup * scale + dur > half:
             raise ContractError("leftover too large for a bottom")
@@ -419,6 +415,10 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
         gaps = [Gap(lprime, 0, half), Gap(lprime + 1, quarter, half, l - lprime - 1)]
         run_wrap(builder, seq, gaps)
 
+    # Above the bottoms, the dedicated machines: one almost-full expensive
+    # class each, starting at half the guess.
+    for u, i in enumerate(part.exp_zero):
+        _stack(builder, inst, u, half, i, scale)
     return builder.finalize()
 
 

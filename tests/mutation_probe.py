@@ -1,21 +1,25 @@
-"""Seeded AST mutants of the verifier, each run against the verifier's tests.
+"""Seeded AST mutants of the verifier and the non-preemptive build, each
+run against the tests of its module.
 
     python tests/mutation_probe.py [--seed N] [--count K] [--timeout S]
 
-A mutant changes one operator or constant inside `verify_schedule`,
-`_rule_e` or `_pieces_of` in src/batchsched/core.py: a comparison swapped
-(< and <=, > and >=, == and !=, in and not in, is and is not), + and -
-swapped (also in +=, -=), `and` and `or` swapped, or a small int constant
-(0 to 3) moved by one.  The sites are listed in a fixed order and K of
-them are drawn with the seed.  Each mutant is written into a temporary copy
-of src/ and tests/, and tests/test_core.py and tests/test_verify_reference.py
-run there (pytest -x): a failure or a timeout kills the mutant.  The
-repository itself is never written.  The script prints every survivor with
-its line and the kill score; a survivor is either a gap in the tests or an
-equivalent mutant, which only reading it can tell.
+A mutant changes one operator or constant inside one function of TARGETS:
+`verify_schedule`, `_rule_e` or `_pieces_of` in src/batchsched/core.py,
+run against tests/test_core.py and tests/test_verify_reference.py, or
+`_Stream.batches` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
+against tests/test_nonp_reference.py and tests/test_nonpreemptive.py.  The
+change is a comparison swapped (< and <=, > and >=, == and !=, in and not
+in, is and is not), + and - swapped (also in +=, -=), `and` and `or`
+swapped, or a small int constant (0 to 3) moved by one.  The sites of all
+targets are listed in a fixed order and K of them are drawn with the seed.
+Each mutant is written into a temporary copy of src/ and tests/, and its
+target's tests run there (pytest -x): a failure or a timeout kills the
+mutant.  The repository itself is never written.  The script prints every
+survivor with its line and the kill score; a survivor is either a gap in
+the tests or an equivalent mutant, which only reading it can tell.
 
 pytest does not collect this file (its name does not start with test_),
-so it is no tier-1 test: a change to the verifier or its tests runs it and
+so it is no tier-1 test: a change to a target or its tests runs it and
 records the score.
 """
 
@@ -33,9 +37,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CORE = Path("src", "batchsched", "core.py")
-TARGETS = ("verify_schedule", "_rule_e", "_pieces_of")
-TESTS = ("tests/test_core.py", "tests/test_verify_reference.py")
+# (module, the functions mutated in it, the tests a mutant of it runs)
+TARGETS = (
+    (Path("src", "batchsched", "core.py"), ("verify_schedule", "_rule_e", "_pieces_of"),
+     ("tests/test_core.py", "tests/test_verify_reference.py")),
+    (Path("src", "batchsched", "nonpreemptive.py"), ("batches", "_build_nonp"),
+     ("tests/test_nonp_reference.py", "tests/test_nonpreemptive.py")),
+)
 SWAP = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -44,14 +52,14 @@ SWAP = {
 }
 
 
-def sites(tree: ast.Module) -> list[tuple[str, ast.AST, object]]:
-    """Every mutation of the target functions as (function, node, change),
-    in a fixed order: change is ("op", index) for a comparison operator,
-    ("op", None) for the operator of a BinOp, AugAssign or BoolOp, and
-    ("const", delta) for an int constant."""
+def sites(tree: ast.Module, names) -> list[tuple[str, ast.AST, object]]:
+    """Every mutation of the named functions (methods too) as (function,
+    node, change), in a fixed order: change is ("op", index) for a
+    comparison operator, ("op", None) for the operator of a BinOp, AugAssign
+    or BoolOp, and ("const", delta) for an int constant."""
     out = []
-    for fn in tree.body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in TARGETS):
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Compare):
@@ -74,21 +82,21 @@ def apply(node: ast.AST, change: tuple) -> None:
         node.ops[arg] = SWAP[type(node.ops[arg])]()
 
 
-def mutant(source: str, index: int) -> tuple[str, str]:
-    """The module source with mutation number index applied, and a line
-    that describes it."""
+def mutant(source: str, names, index: int, module: str) -> tuple[str, str]:
+    """The module source with mutation number index of the named functions
+    applied, and a line that describes it."""
     tree = ast.parse(source)
-    fn, node, change = sites(tree)[index]
+    fn, node, change = sites(tree, names)[index]
     before = copy.deepcopy(node)
     apply(node, change)
-    where = f"core.py:{node.lineno} {fn}"
+    where = f"{module}:{node.lineno} {fn}"
     return ast.unparse(tree), f"{where}: {ast.unparse(before)}  ->  {ast.unparse(node)}"
 
 
-def run_tests(workdir: Path, timeout: float) -> bool:
-    """Whether the verifier's tests pass in workdir (False on a timeout)."""
+def run_tests(workdir: Path, tests, timeout: float) -> bool:
+    """Whether the tests pass in workdir (False on a timeout)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(cmd, cwd=workdir, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -104,24 +112,29 @@ def main(argv=None) -> int:
     ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
     args = ap.parse_args(argv)
 
-    source = (ROOT / CORE).read_text()
-    total = len(sites(ast.parse(source)))
-    picks = sorted(random.Random(args.seed).sample(range(total), min(args.count, total)))
-    print(f"{total} mutation sites in {', '.join(TARGETS)}; running {len(picks)} (seed {args.seed})")
+    # every site as (target, index among that target's sites)
+    sources = [(ROOT / path).read_text() for path, _, _ in TARGETS]
+    all_sites = [(t, k) for t, ((_, names, _), source) in enumerate(zip(TARGETS, sources))
+                 for k in range(len(sites(ast.parse(source), names)))]
+    picks = sorted(random.Random(args.seed).sample(all_sites, min(args.count, len(all_sites))))
+    names = ", ".join(name for _, fns, _ in TARGETS for name in fns)
+    print(f"{len(all_sites)} mutation sites in {names}; running {len(picks)} (seed {args.seed})")
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
-        if not run_tests(work, args.timeout):
+        if not all(run_tests(work, tests, args.timeout) for _, _, tests in TARGETS):
             print("the unmutated tests fail; nothing to probe")
             return 2
         survivors = []
-        for index in picks:
-            text, what = mutant(source, index)
-            (work / CORE).write_text(text)
-            killed = not run_tests(work, args.timeout)
+        for t, index in picks:
+            path, fns, tests = TARGETS[t]
+            text, what = mutant(sources[t], fns, index, path.name)
+            (work / path).write_text(text)
+            killed = not run_tests(work, tests, args.timeout)
+            (work / path).write_text(sources[t])
             print(f"{'killed  ' if killed else 'SURVIVED'} {what}", flush=True)
             if not killed:
                 survivors.append(what)

@@ -7,9 +7,11 @@ the non-preemptive construction with an object per setup and piece, the
 preemptive construction that re-classified its nice remainder instead of
 reading it off the plan, the per-job oversized-job positions and the
 knapsack items read off them, which the decisions find from per-class
-aggregates, and the wrap that placed one job at a time; and the expansion
+aggregates, and the wrap that placed one job at a time; the expansion
 of a schedule's runs into one pair per job, which the references write
-(`expand_runs`)."""
+(`expand_runs`); and the two mappings from a reference build's schedule
+to today's (`drop_idle_setups` for the non-preemptive one, `rows_by_start`
+for the preemptive one)."""
 
 from __future__ import annotations
 
@@ -249,6 +251,36 @@ def expand(sched: Schedule, inst: Instance) -> Schedule:
     copies = [config for config, mult in flat.compressed for _ in range(mult)]
     out = [sorted(row, key=itemgetter(1)) for row in flat.machines + copies]
     return Schedule(m=sched.m, machines=out, compressed=[], scale=sched.scale)
+
+
+def drop_idle_setups(sched: Schedule) -> Schedule:
+    """The schedule with every batch that is a setup alone dropped, the
+    later batches of its row moved earlier by its length, and the rows left
+    empty dropped: what the non-preemptive build writes since it decides
+    each cut before it writes a batch, from a schedule written before that
+    (`reference_build_nonp`'s).  Rows are read in start order."""
+    def row(batches):
+        out, shift = [], 0
+        for b in batches:
+            if len(b) == 3:
+                shift += b[2]
+            else:
+                out.append((b[0], b[1] - shift, *b[2:]))
+        return out
+
+    return Schedule(m=sched.m, machines=[r for r in map(row, sched.machines) if r],
+                    compressed=sched.compressed, scale=sched.scale)
+
+
+def rows_by_start(sched: Schedule) -> Schedule:
+    """The schedule with each row's batches sorted by start: what the
+    preemptive build writes since it puts a large machine's bottom before
+    its top, from a schedule written before that (`reference_build_pmtn`'s,
+    the top first)."""
+    return Schedule(m=sched.m, machines=[sorted(row, key=itemgetter(1)) for row in sched.machines],
+                    compressed=[(sorted(row, key=itemgetter(1)), mult)
+                                for row, mult in sched.compressed],
+                    scale=sched.scale)
 
 
 def tuple_view(sched: Schedule, inst: Instance) -> Schedule:

@@ -510,8 +510,10 @@ def test_criterion_9_build_memory_per_job():
     # A build reads a whole class through its prefix sums (JobClass.sums)
     # and copies no class's jobs, so the tracemalloc peak of each build at
     # n = 40k, the schedule it returns included, stays at most 70 bytes per
-    # job: the 3/2-dual builds of each variant's jump guess, next fit and
-    # the splittable 2-approximation (flat copies of the classes' jobs took
+    # job: the 3/2-dual builds of each variant's jump guess, the nonp build
+    # at its eps-1/1000 guess (a denominator of 32,768, where a stream of
+    # scaled copies of the jobs took it to 102.5), next fit and the
+    # splittable 2-approximation (flat copies of the classes' jobs took
     # pmtn's, nonp's and next fit's to 73-81).
     t0 = time.time()
     inst = _scaling_instance(40_000, 1)
@@ -521,6 +523,10 @@ def test_criterion_9_build_memory_per_job():
         ops = variant_ops(v)
         guess = ops.search(inst).guess
         per_job[v.value] = _peak_bytes(build, inst, guess, ops.decide(inst, guess).plan) / inst.n
+    guess = solve(inst, Variant.NONPREEMPTIVE, "eps").guess
+    assert guess.denominator > 1
+    plan = variant_ops(Variant.NONPREEMPTIVE).decide(inst, guess).plan
+    per_job["nonp eps"] = _peak_bytes(_build_nonp, inst, guess, plan) / inst.n
     per_job["next-fit"] = _peak_bytes(next_fit_two_approx, inst, Variant.NONPREEMPTIVE) / inst.n
     per_job["split two-approx"] = _peak_bytes(two_approx_split, inst) / inst.n
     per_job = {name: round(b, 1) for name, b in per_job.items()}

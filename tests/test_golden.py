@@ -4,13 +4,17 @@ piece numbers, with runs expanded to one pair per job, and their wire JSON
 now), the probe lists of its searches, pinned by a third, plus the
 invariants of the integer time scale, of the batch rows and of the wire
 round trip on the same solves, and the files earlier releases wrote (one
-pair per job) read back to the same verdict."""
+pair per job) read back to the same verdict; and every built row in
+start order, none empty, with no setup alone from the non-preemptive
+dual or next fit."""
 
 import hashlib
 import json
 import random
 import sys
 from fractions import Fraction as F
+from functools import cache
+from operator import lt
 
 from batchsched.cli import emit_schedule, generate_instance, parse_schedule
 from batchsched.core import Variant, verify_schedule
@@ -23,13 +27,13 @@ from test_preemptive import knapsack_heavy_instance
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
 # file format before integer rows (reduced "p/q" times) without its piece
 # numbers, one placement per job piece
-GOLDEN_SHA256 = "5ca65b0608364dfc70ce98d82d8dce2c6eee0334cca2c392eaffc4dae6ea0269"
+GOLDEN_SHA256 = "a29695f23b5fe04db3332e4024b1f150133e1eb60c16cef95bbf2d473e2f2dc1"
 # the same over emit_schedule's batch rows on the integer scale, one pair
 # per run of whole jobs
-WIRE_SHA256 = "99e8a03acade1f434f07c98aeb5346899d94b779d929cf255c16f9976483c664"
+WIRE_SHA256 = "d6e4c5964795ec7b76615990ebe0292ddcdf6369507dc2ac4e0da6d5834125cd"
 # the same with the runs expanded to one pair per job: the files of the
 # releases before pairs carried runs, byte for byte
-PER_JOB_WIRE_SHA256 = "9f283582cd08675a493955e668726b13fb68cb2d4e0eaa3eb233e7b1f96e487b"
+PER_JOB_WIRE_SHA256 = "f1cb61c941bf218a5cd5a7ef1a1c8051d8a08e84a0696b4d2da29210ffb5785a"
 # the same over (variant, algo, [(guess, accepted), ...]) of every jump and
 # eps search, in probe order
 PROBES_SHA256 = "94bc18e234261919da5d367aa99d912c056182fe83efae670b63df163565a19e"
@@ -46,9 +50,14 @@ def corpus():
         yield knapsack_heavy_instance(rng)
 
 
-def solves():
+@cache
+def solves() -> tuple:
     """(instance, variant, algo, result, bound) for jump, eps 1/64 and the
-    2-approximation of every variant on the corpus."""
+    2-approximation of every variant on the corpus, solved once per session."""
+    return tuple(_solves())
+
+
+def _solves():
     for inst in corpus():
         for variant in Variant:
             r = solve(inst, variant, "two-approx")
@@ -123,7 +132,7 @@ def over_the_wire(sched, m):
 
 
 def test_golden_schedules_on_the_integer_scale():
-    rows = list(solves())
+    rows = solves()
     assert len(rows) == 350 * 9
     split_shares = tmin_rejected = 0
     old_texts, wire_texts, per_job_texts, probe_texts = [], [], [], []
@@ -175,3 +184,20 @@ def test_golden_schedules_on_the_integer_scale():
     assert digest(wire_texts) == WIRE_SHA256
     assert digest(per_job_texts) == PER_JOB_WIRE_SHA256
     assert digest(probe_texts) == PROBES_SHA256
+
+
+def test_built_rows_in_start_order_without_idle_setups():
+    # Every build writes each row's batches in strictly increasing starts
+    # and writes no empty row; the non-preemptive dual and next fit (the
+    # 2-approximation of pmtn and nonp) decide each cut before they write a
+    # batch, so none of their batches is a setup alone.
+    multi = 0
+    for inst, variant, algo, r, _ in solves():
+        rows = r.schedule.rows()
+        for row in rows:
+            starts = [b[1] for b in row]
+            assert starts and all(map(lt, starts, starts[1:])), (inst, variant, algo, row)
+            multi += len(row) > 1
+        if variant is Variant.NONPREEMPTIVE or (variant, algo) == (Variant.PREEMPTIVE, "two-approx"):
+            assert all(len(b) > 3 for row in rows for b in row), (inst, variant, algo)
+    assert multi >= 1_000, multi

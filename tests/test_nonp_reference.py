@@ -1,9 +1,11 @@
 """The non-preemptive construction against the item-object build it
 replaced: equal schedules, with the build's runs expanded to one pair per
-job (`expand_runs`), from `dual_nonp` and `reference_build_nonp` on
-20,000+ (instance, accepted guess) pairs of small instances, with every
-repair branch reached, and on 400 pairs of instances with 50-500 jobs per
-class; equal next-fit 2-approximations on the same instances.  Then the
+job (`expand_runs`) and the reference's setups that serve no job dropped
+(`drop_idle_setups`: the build decides each cut before it writes, so it
+never writes one), from `dual_nonp` and `reference_build_nonp` on 20,000+
+(instance, accepted guess) pairs of small instances, with every repair
+branch reached, and on 400 pairs of instances with 50-500 jobs per class;
+equal next-fit 2-approximations on the same instances.  Then the
 decisions' per-class counts against per-job reference lists on 20,000
 (instance, guess) pairs: the non-preemptive machines and leftovers, and the
 preemptive star classes and knapsack items."""
@@ -18,8 +20,9 @@ from batchsched.nonpreemptive import _decide_nonp, counts_nonp, dual_nonp, next_
 from batchsched.preemptive import _pmtn_counts, _star_items
 from conftest import random_instance
 from oracle import (
-    reference_big_jobs,
+    drop_idle_setups,
     expand_runs,
+    reference_big_jobs,
     reference_build_nonp,
     reference_counts_nonp,
     reference_next_fit_two_approx,
@@ -84,8 +87,8 @@ def test_build_and_next_fit_equal_the_reference():
         for guess, d in _accepted(rng, inst):
             pairs += 1
             runs["build"] += run_pairs(d.schedule, inst)
-            assert expand_runs(d.schedule, inst) == reference_build_nonp(inst, guess, branches), \
-                (inst, guess)
+            assert expand_runs(d.schedule, inst) == \
+                drop_idle_setups(reference_build_nonp(inst, guess, branches)), (inst, guess)
     assert instances >= 2_000
     assert min(runs.values()) >= 1_000, runs
     assert set(branches) == {
@@ -127,8 +130,8 @@ def test_build_and_next_fit_equal_the_reference_on_large_instances():
                     if _decide_nonp(inst, g).accepted)
         for guess in islice(accepted, 2):
             pairs += 1
-            assert _built(inst, guess, runs) == reference_build_nonp(inst, guess, branches), \
-                (inst, guess)
+            assert _built(inst, guess, runs) == \
+                drop_idle_setups(reference_build_nonp(inst, guess, branches)), (inst, guess)
     assert pairs == 400
     assert min(runs.values()) >= 1_000, runs
     # an existing machine takes the last item only when m is nearly used up,

@@ -1,9 +1,10 @@
 """The preemptive construction that reads its nice remainder off the plan
 against the one it replaced, which sorted and classified that remainder a
 second time: equal schedules, with the build's runs expanded to one pair
-per job (`expand_runs`), from `dual_pmtn` and `reference_build_pmtn` on
-10,000+ (instance, accepted guess) pairs, with every branch of the build
-reached."""
+per job (`expand_runs`) and the reference's rows sorted by start
+(`rows_by_start`: the reference wrote a large machine's bottom after its
+top), from `dual_pmtn` and `reference_build_pmtn` on 10,000+ (instance,
+accepted guess) pairs, with every branch of the build reached."""
 
 import random
 from collections import Counter
@@ -13,7 +14,7 @@ from itertools import accumulate
 from batchsched.core import Instance, JobClass, Variant, lower_bound_tmin, verify_schedule
 from batchsched.preemptive import class_jump_pmtn, dual_pmtn
 from conftest import random_instance
-from oracle import expand_runs, reference_build_pmtn, run_pairs
+from oracle import expand_runs, reference_build_pmtn, rows_by_start, run_pairs
 from test_preemptive import knapsack_heavy_instance
 
 GRID = 8  # guesses T_min * (1 + k / GRID), k = 0 .. GRID
@@ -61,7 +62,8 @@ def _check(inst, guess, branches: Counter) -> bool:
     d = dual_pmtn(inst, guess)
     if not d.accepted or d.plan is None:
         return False
-    assert expand_runs(d.schedule, inst) == reference_build_pmtn(inst, guess, d.plan), (inst, guess)
+    assert expand_runs(d.schedule, inst) == \
+        rows_by_start(reference_build_pmtn(inst, guess, d.plan)), (inst, guess)
     branches.update(_branches(inst, guess, d.plan))
     branches["run pairs"] += run_pairs(d.schedule, inst)
     return True
@@ -102,5 +104,5 @@ def test_cut_on_a_job_end_equals_the_reference():
     assert d.accepted and d.plan.knapsack is None
     assert Fraction(d.plan.free_time, guess.denominator) - d.plan.star_total == 35
     assert _branches(inst, guess, d.plan)["cut inside a job"] == 0
-    assert expand_runs(d.schedule, inst) == reference_build_pmtn(inst, guess, d.plan)
+    assert expand_runs(d.schedule, inst) == rows_by_start(reference_build_pmtn(inst, guess, d.plan))
     assert verify_schedule(inst, d.schedule, Variant.PREEMPTIVE, guess * 3 / 2).ok
