@@ -51,14 +51,10 @@ from .search import DEFAULT_EPS, Rejected, solve
 
 
 def parse_rat(text: str) -> Rat:
-    """ASCII "p/q" or "p" text directly, anything else as Fraction reads it.
-    A numerator or denominator past CPython's int-string digit limit is
-    refused, as it is in a JSON file: it could not be written back."""
+    """The rational that Fraction reads from the text.  A numerator or
+    denominator past CPython's int-string digit limit is refused, as it is
+    in a JSON file: it could not be written back."""
     try:
-        if isinstance(text, str):
-            num, slash, den = text.partition("/")
-            if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                return Fraction(int(num), int(den) if slash else 1)
         x = Fraction(text)
         fmt_rat(x)  # "1e5000" reads, but only int() checks the digit limit
         return x

@@ -33,7 +33,7 @@ from .core import (
     lower_bound_tmin,
     trivial_one_job_per_machine,
 )
-from .search import CachedProbe, SearchResult, _bisect_right_interval
+from .search import Probe, SearchResult, _bisect
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +337,18 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
 
 
 def exact_integer_search_nonp(inst: Instance) -> SearchResult:
-    """Smallest integer guess the dual accepts, by binary search over
-    [ceil(T_min), ceil(2*T_min)].  The optimum is integral, so the returned
-    guess is a certified lower bound on it and the schedule is within 3/2."""
-    tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
-    probe = CachedProbe(inst, Variant.NONPREEMPTIVE)
-    if inst.m >= inst.n:  # the dual accepts T_min with one job per machine
-        return probe.finish(tmin, tmin)
-    p, q = tmin.as_integer_ratio()
-
-    lo = -(-p // q) - 1  # below T_min: certified rejected without a probe
-    hi = -(-2 * p // q)  # ceil(2 T_min)
-    if not probe(hi):
+    """Smallest integer guess the dual accepts: ceil(T_min) when it is
+    accepted, else the integers up to ceil(2*T_min), which must be accepted,
+    are bisected.  The optimum is integral, so the returned guess is a
+    certified lower bound on it and the schedule is within 3/2."""
+    p, q = lower_bound_tmin(inst, Variant.NONPREEMPTIVE).as_integer_ratio()
+    probe = Probe(inst, Variant.NONPREEMPTIVE)
+    lo, hi = -(-p // q), -(-2 * p // q)  # ceil(T_min), ceil(2 T_min)
+    if probe(lo):
+        hi = lo
+    elif not probe(hi):
         raise ContractError(f"dual rejected ceil(2*T_min) = {hi}")
-    # index k stands for the guess lo + k; the top index is passed, since
-    # len() of a range past sys.maxsize overflows while indexing it does not
-    _, k = _bisect_right_interval(range(lo, hi + 1), probe, 0, hi - lo)
+    else:
+        _, hi = _bisect(int, probe, lo, hi)  # each index is its own guess
     # all smaller integers are rejected or under T_min
-    return probe.finish(Fraction(lo + k), Fraction(lo + k))
+    return probe.finish(Fraction(hi), Fraction(hi))

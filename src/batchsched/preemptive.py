@@ -36,9 +36,8 @@ from .core import (
     decide_need,
     decided_outcome,
     job_bound_decision,
-    lower_bound_tmin,
 )
-from .search import CachedProbe, SearchResult, class_jump_search
+from .search import SearchResult, class_jump_search
 from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 
 
@@ -484,14 +483,12 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
 
 def class_jump_pmtn(inst: Instance) -> SearchResult:
     """Exact 3/2-approximation: the least guess the dual accepts, by
-    `search.class_jump_search` over [T_min, 2 T_min].  It probes only at
-    structural thresholds, at guesses where some heavy class needs another
-    machine (the reshape points 2(s_i+P_i)/k of the half-gap packing), and
-    at the knapsack case's breakpoints inside the final bracket
-    (`_pmtn_breakpoints`)."""
-    tmin = lower_bound_tmin(inst, Variant.PREEMPTIVE)
-    if inst.m >= inst.n:  # the dual accepts T_min with one job per machine
-        return CachedProbe(inst, Variant.PREEMPTIVE).finish(tmin, tmin)
+    `search.class_jump_search`.  Past T_min it probes only at structural
+    thresholds, at guesses where some heavy class needs another machine (the
+    reshape points 2(s_i+P_i)/k of the half-gap packing), and at the
+    knapsack case's breakpoints inside the final bracket
+    (`_pmtn_breakpoints`).  With m >= n the dual accepts T_min, one job per
+    machine."""
 
     def layer_changes() -> tuple[set[int], int]:
         # where the class layers or the oversized-job sets change: 2s, 4s,
@@ -514,5 +511,5 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
             if 2 * cl.setup * hq >= hp and (cl.setup + cl.total) * hq >= hp
         }
 
-    return class_jump_search(inst, Variant.PREEMPTIVE, tmin, 2 * tmin, layer_changes, heavy, 3,
+    return class_jump_search(inst, Variant.PREEMPTIVE, layer_changes, heavy, 3,
                              refine=_pmtn_breakpoints)

@@ -1,8 +1,9 @@
 """Variant-generic makespan search: `solve`, the one dispatch from a
 (variant, algorithm) pair to its answer; bisection to a (3/2+eps) guarantee;
 `class_jump_search`, the one exact class-jump search the splittable and
-preemptive variants run (each names only its bracket ends, thresholds and
-jump members); and the probe and result types all of them share."""
+preemptive variants run (each names only its thresholds and jump members);
+`_bisect`, the one bisection of the exact searches; and the probe and result
+types all of them share."""
 
 from __future__ import annotations
 
@@ -111,25 +112,20 @@ def solve(inst: Instance, variant: Variant, algo: str, *, eps: Rat = DEFAULT_EPS
     raise ValidationError(f"unknown algorithm {algo!r}")
 
 
-class CachedProbe:
+class Probe:
     """A search's view of the variant's dual decision on one instance: each
-    distinct guess is decided once, and the decided guesses are recorded in
-    probe order, each as it was probed (a Fraction, or an int in the integer
-    search).  The cache is keyed by the guess's (numerator, denominator),
-    which hashes as ints."""
+    guess is decided and recorded in probe order, as it was probed (a
+    Fraction, or an int in the integer search).  Every search probes each
+    guess once, strictly inside the bracket it has left."""
 
     def __init__(self, inst: Instance, variant: Variant):
         self.inst = inst
         self.ops = variant_ops(variant)
-        self.cache: dict[tuple[int, int], bool] = {}
         self.probes: list[tuple[Rat, bool]] = []
 
     def __call__(self, guess: Rat) -> bool:
-        key = guess.as_integer_ratio()
-        ok = self.cache.get(key)
-        if ok is None:
-            ok = self.cache[key] = self.ops.decide(self.inst, guess).accepted
-            self.probes.append((guess, ok))
+        ok = self.ops.decide(self.inst, guess).accepted
+        self.probes.append((guess, ok))
         return ok
 
     def finish(self, guess: Rat, lower_bound: Rat, trace: Optional[JumpTrace] = None) -> SearchResult:
@@ -163,20 +159,21 @@ class JumpTrace:
     members: tuple[int, ...]  # classes whose machine count jumps throughout the walk's (A, B]
 
 
-def _bisect_right_interval(values, probe, lo_idx, hi_idx):
-    """Indices into `values` with values[lo_idx] rejected, values[hi_idx]
-    accepted; narrows to an adjacent such pair."""
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if probe(values[mid]):
-            hi_idx = mid
+def _bisect(at: Callable[[int], Rat], probe: Probe, bad: int, good: int) -> tuple[int, int]:
+    """Narrow the indices bad (its guess at(bad) rejected) and good (at(good)
+    accepted), in either order, to adjacent ones; only indices strictly
+    between them are probed."""
+    while abs(good - bad) > 1:
+        mid = (bad + good) // 2
+        if probe(at(mid)):
+            good = mid
         else:
-            lo_idx = mid
-    return lo_idx, hi_idx
+            bad = mid
+    return bad, good
 
 
 def class_jump_walk(
-    probe: CachedProbe,
+    probe: Probe,
     cands: list[Rat],
     jump_values: Callable[[Rat], dict[int, int]],
     d_min: int,
@@ -193,7 +190,7 @@ def class_jump_walk(
     more than m machines.  Between two consecutive ones every other member
     jumps at most once, so those jumps are collected and bisected.
     """
-    lo, hi = _bisect_right_interval(cands, probe, 0, len(cands) - 1)
+    lo, hi = _bisect(cands.__getitem__, probe, 0, len(cands) - 1)
     low_end, high_end = cands[lo], cands[hi]
     values = jump_values(high_end)
     x_lo, x_hi = low_end, high_end
@@ -206,19 +203,11 @@ def class_jump_walk(
         d_hi = max(d_min, -(-v * hq // hp))  # largest jump at or below B
         d_cap = d_hi + m + d_min - 1
         # clip the jumps v/d to the open bracket
-        d_lo = d_hi
-        while d_lo <= d_cap and v * hq >= d_lo * hp:
-            d_lo += 1
+        d_lo = max(d_min, v * hq // hp + 1)
         d_top = min(d_cap, -(-v * lq // lp) - 1)
         if d_lo <= d_top:
-            # virtual index d_lo-1 stands for B (accepted), d_top+1 for A (rejected)
-            a_idx, r_idx = d_lo - 1, d_top + 1
-            while r_idx - a_idx > 1:
-                mid = (a_idx + r_idx) // 2
-                if probe(Fraction(v, mid)):
-                    a_idx = mid
-                else:
-                    r_idx = mid
+            # index d_lo-1 stands for B (accepted), d_top+1 for A (rejected)
+            r_idx, a_idx = _bisect(partial(Fraction, v), probe, d_top + 1, d_lo - 1)
             x_hi = Fraction(v, a_idx) if a_idx >= d_lo else high_end
             x_lo = Fraction(v, r_idx) if r_idx <= d_top else low_end
         lp, lq = x_lo.as_integer_ratio()
@@ -229,7 +218,7 @@ def class_jump_walk(
                 collected.append((i, Fraction(w, d)))
 
     chain = [x_lo] + sorted({t for _, t in collected}) + [x_hi]
-    lo2, hi2 = _bisect_right_interval(chain, probe, 0, len(chain) - 1)
+    lo2, hi2 = _bisect(chain.__getitem__, probe, 0, len(chain) - 1)
     return JumpTrace(
         jump_interval=(x_lo, x_hi),
         jumps=collected,
@@ -241,21 +230,19 @@ def class_jump_walk(
 def class_jump_search(
     inst: Instance,
     variant: Variant,
-    bottom: Rat,
-    top: Rat,
     thresholds: Callable[[], tuple[Iterable[int], int]],
     members: Callable[[Rat], dict[int, int]],
     d_min: int,
     refine: Optional[Callable[[Instance, Rat, Rat], Iterable[Rat]]] = None,
 ) -> SearchResult:
-    """The least guess in [bottom, top] the variant's dual accepts, by class
-    jumping.  `bottom` is a certified lower bound, so an accepted bottom is
-    the answer (no trace); otherwise `top` must be accepted.  Only then,
+    """The least guess in [T_min, 2 T_min] the variant's dual accepts, by
+    class jumping.  T_min is a certified lower bound, so an accepted T_min is
+    the answer (no trace); otherwise 2 T_min must be accepted.  Only then,
     `thresholds()` gives ints x and a scale: the guesses x/scale where the
-    class layers change.  Those inside (bottom, top) bracket the answer for
-    `class_jump_walk` (with `members` and `d_min`), and `refine(inst, t_fail,
-    t_ok)`, if given, names the further guesses inside the walk's bracket
-    where the decision can change, which are bisected too.
+    class layers change.  Those inside (T_min, 2 T_min) bracket the answer
+    for `class_jump_walk` (with `members` and `d_min`), and `refine(inst,
+    t_fail, t_ok)`, if given, names the further guesses inside the walk's
+    bracket where the decision can change, which are bisected too.
 
     On the bracket (t_fail, t_ok] left, the required load L and machines are
     constant, and the decision is right-continuous, so t_fail decides like
@@ -264,11 +251,13 @@ def class_jump_search(
     it is rejected, so it is also the certified lower bound.  Decided at the
     midpoint; the schedule is built once, for the answer.
     """
-    probe = CachedProbe(inst, variant)
+    probe = Probe(inst, variant)
+    bottom = lower_bound_tmin(inst, variant)
     if probe(bottom):
         return probe.finish(bottom, bottom)
+    top = 2 * bottom
     if not probe(top):
-        raise ContractError(f"dual rejected the search's top guess {top}")
+        raise ContractError(f"dual rejected 2*T_min = {top}; 2-approximation bound broken")
     xs, scale = thresholds()
     # x/scale lies inside (bottom, top) iff x_lo < x < x_hi, for ints x
     bp, bq = bottom.as_integer_ratio()
@@ -280,7 +269,7 @@ def class_jump_search(
     t_fail, t_ok = trace.final_interval
     if refine is not None:
         points = [t_fail, *sorted(refine(inst, t_fail, t_ok)), t_ok]
-        lo, hi = _bisect_right_interval(points, probe, 0, len(points) - 1)
+        lo, hi = _bisect(points.__getitem__, probe, 0, len(points) - 1)
         t_fail, t_ok = trace.final_interval = points[lo], points[hi]
 
     fp, fq = t_fail.as_integer_ratio()
@@ -307,7 +296,7 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     en, ed = eps.as_integer_ratio()  # exact for an int, a float or a Fraction
     if en <= 0:
         raise ValidationError("eps must be > 0")
-    probe = CachedProbe(inst, variant)
+    probe = Probe(inst, variant)
     # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay
     # ints, and each keeps the Fraction it was probed as
     lo = lower_bound_tmin(inst, variant)  # certified, never probed

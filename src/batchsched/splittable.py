@@ -97,16 +97,14 @@ def _build_split(inst: Instance, guess: Rat, betas: dict[int, int]) -> Schedule:
 
 def class_jump_split(inst: Instance) -> SearchResult:
     """Exact 3/2-approximation: the least guess the dual accepts, by
-    `search.class_jump_search` over [s_max, 2N] (nothing below s_max is ever
-    accepted).  Between consecutive doubled setups the expensive classes
-    stay the same, and each needs one more setup every time the guess drops
-    past 2P_i/k."""
+    `search.class_jump_search`.  Between consecutive doubled setups the
+    expensive classes stay the same, and each needs one more setup every
+    time the guess drops past 2P_i/k."""
 
     def expensive(high_end: Rat) -> dict[int, int]:
         # expensive throughout the bracket; a class jumps at 2P/d
         hp, hq = high_end.as_integer_ratio()
         return {i: 2 * cl.total for i, cl in enumerate(inst.classes) if 2 * cl.setup * hq >= hp}
 
-    return class_jump_search(
-        inst, Variant.SPLITTABLE, Fraction(inst.s_max), Fraction(2 * inst.total_load),
-        lambda: ({2 * cl.setup for cl in inst.classes}, 1), expensive, 1)
+    return class_jump_search(inst, Variant.SPLITTABLE,
+                             lambda: ({2 * cl.setup for cl in inst.classes}, 1), expensive, 1)

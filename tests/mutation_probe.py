@@ -1,5 +1,5 @@
-"""Seeded AST mutants of the verifier and the non-preemptive build, each
-run against the tests of its module.
+"""Seeded AST mutants of the verifier, the non-preemptive build and the
+exact searches, each run against the tests of its module.
 
     python tests/mutation_probe.py [--seed N] [--count K] [--timeout S]
 
@@ -7,7 +7,11 @@ A mutant changes one operator or constant inside one function of TARGETS:
 `verify_schedule`, `_rule_e` or `_pieces_of` in src/batchsched/core.py,
 run against tests/test_core.py and tests/test_verify_reference.py, or
 `_Stream.batches` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
-against tests/test_nonp_reference.py and tests/test_nonpreemptive.py.  The
+against tests/test_nonp_reference.py and tests/test_nonpreemptive.py, or
+`_bisect`, `class_jump_walk` or `class_jump_search` in
+src/batchsched/search.py, run against tests/test_search_oracle.py,
+tests/test_splittable.py, tests/test_preemptive.py and
+tests/test_nonpreemptive.py.  The
 change is a comparison swapped (< and <=, > and >=, == and !=, in and not
 in, is and is not), + and - swapped (also in +=, -=), `and` and `or`
 swapped, or a small int constant (0 to 3) moved by one.  The sites of all
@@ -43,6 +47,9 @@ TARGETS = (
      ("tests/test_core.py", "tests/test_verify_reference.py")),
     (Path("src", "batchsched", "nonpreemptive.py"), ("batches", "_build_nonp"),
      ("tests/test_nonp_reference.py", "tests/test_nonpreemptive.py")),
+    (Path("src", "batchsched", "search.py"), ("_bisect", "class_jump_walk", "class_jump_search"),
+     ("tests/test_search_oracle.py", "tests/test_splittable.py", "tests/test_preemptive.py",
+      "tests/test_nonpreemptive.py")),
 )
 SWAP = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

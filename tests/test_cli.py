@@ -484,7 +484,7 @@ def test_parse_rat():
     "\u0663", "\u00b2", "", 3,
 ])
 def test_parse_rat_agrees_with_fraction(text):
-    # the direct path for ASCII digit text accepts and rejects what Fraction does
+    # parse_rat accepts and rejects what Fraction does
     try:
         want = F(text)
     except (TypeError, ValueError, ZeroDivisionError):

@@ -394,6 +394,23 @@ def test_verify_run_before_time_0():
     ] for v in Variant})
 
 
+def test_verify_zero_setup_and_run_from_minus_one():
+    # a setup of length 0 at time 0 is a placement of non-positive duration
+    # as well as a setup of the wrong length
+    inst = Instance(m=1, classes=(JobClass(1, (2,)),))
+    sched = Schedule(m=1, machines=[[(0, 0, 0, 0, 2)]])
+    _same_as_reference(inst, sched, F(5), {v: [
+        ("a", 0, F(0), "placement with non-positive duration"),
+        ("b", 0, F(0), "setup of class 0 has length 0, expected 1"),
+    ] for v in Variant})
+    # the setup from -3, then a run of both jobs from -1: job 0 starts at
+    # -1, before 0, and job 1 at 0
+    inst = Instance(m=1, classes=(JobClass(2, (1, 1)),))
+    sched = Schedule(m=1, machines=[[(0, -3, 2, 0, 2)]])
+    early = [("a", 0, F(t), "placement starts before time 0") for t in (-3, -1)]
+    _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
+
+
 def test_verify_fraction_run_ending_inside_a_job():
     # On the scale 3, with unscaled prefix sums 0, 2, 5 and 9, a pair from
     # job 0 of 31/2 reaches 31/6 job time units, 1/6 past the end of job 1:

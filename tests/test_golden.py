@@ -36,7 +36,7 @@ WIRE_SHA256 = "d6e4c5964795ec7b76615990ebe0292ddcdf6369507dc2ac4e0da6d5834125cd"
 PER_JOB_WIRE_SHA256 = "f1cb61c941bf218a5cd5a7ef1a1c8051d8a08e84a0696b4d2da29210ffb5785a"
 # the same over (variant, algo, [(guess, accepted), ...]) of every jump and
 # eps search, in probe order
-PROBES_SHA256 = "94bc18e234261919da5d367aa99d912c056182fe83efae670b63df163565a19e"
+PROBES_SHA256 = "22d78a9b92941bf1df499d0be11e82182472bb14ee939a58e204ace748950211"
 
 
 def corpus():

@@ -20,7 +20,7 @@ from batchsched.nonpreemptive import (
     next_fit_two_approx,
 )
 
-from batchsched.search import CachedProbe
+from batchsched.search import Probe
 from conftest import random_instance, tiny_instances
 from oracle import exact_nonp
 
@@ -109,7 +109,7 @@ def test_integer_search_trivial_case():
     inst = Instance(m=5, classes=(JobClass(2, (3,)), JobClass(1, (4,))))
     r = exact_integer_search_nonp(inst)
     assert r.guess == 5 == exact_nonp(inst)
-    assert r.probes == []
+    assert r.probes == [(5, True)]  # m >= n: the dual accepts ceil(T_min)
 
 
 def test_integer_search_unit_instance():
@@ -119,15 +119,16 @@ def test_integer_search_unit_instance():
 
 
 def test_integer_search_past_sys_maxsize():
-    # a guess range of about 10**30 integers: the bisection indexes a range
-    # too long for len(), and probes exactly as a plain integer bisection
+    # a guess range of about 10**30 integers, past sys.maxsize: the search
+    # probes exactly as a plain integer bisection that opens at ceil(T_min)
     inst = Instance(m=2, classes=(JobClass(10**30 + 7, (3, 5)), JobClass(2, (1, 1, 1))))
     r = exact_integer_search_nonp(inst)
 
-    probe = CachedProbe(inst, Variant.NONPREEMPTIVE)
+    probe = Probe(inst, Variant.NONPREEMPTIVE)
     tmin = lower_bound_tmin(inst, Variant.NONPREEMPTIVE)
-    lo, hi = math.ceil(tmin) - 1, math.ceil(2 * tmin)
+    lo, hi = math.ceil(tmin), math.ceil(2 * tmin)
     assert hi - lo > sys.maxsize
+    assert not probe(lo)
     assert probe(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -321,11 +321,14 @@ def test_class_jump_single_class_scan_agreement():
 
 
 def test_class_jump_accept_first_short_circuit():
-    # both exact searches: the bottom of the bracket (T_min = 9/2; s_max for
-    # split) accepted immediately: one probe, optimal certificate, no trace
+    # both exact searches: the bottom of the bracket, T_min, accepted
+    # immediately: one probe, optimal certificate, no trace; with m >= n the
+    # pmtn dual accepts T_min with one job per machine
     for search, variant, inst, bottom in (
         (class_jump_pmtn, Variant.PREEMPTIVE,
          Instance(m=2, classes=(JobClass(1, (2, 2)), JobClass(1, (3,)))), F(9, 2)),
+        (class_jump_pmtn, Variant.PREEMPTIVE,
+         Instance(m=4, classes=(JobClass(2, (3, 5)), JobClass(1, (4,)))), F(7)),
         (class_jump_split, Variant.SPLITTABLE,
          Instance(m=10, classes=(JobClass(10, (1,)), JobClass(1, (1,)))), F(10)),
     ):
@@ -334,6 +337,24 @@ def test_class_jump_accept_first_short_circuit():
         assert r.guess == r.lower_bound == bottom
         assert r.trace is None
         assert verify_schedule(inst, r.schedule, variant, F(3, 2) * r.guess).ok
+
+
+@pytest.mark.parametrize("inst, answer", [
+    (Instance(m=3, classes=(JobClass(53, (8, 7, 9, 18, 3, 19, 2, 12, 15)),)), F(73)),
+    (Instance(m=3, classes=(JobClass(56, (8, 6, 3, 17, 14, 16, 15, 19, 1)),)), F(155, 2)),
+], ids=["292/4", "310/4"])
+def test_class_jump_answer_on_a_reshape_past_m(inst, answer):
+    # one heavy class: T_min is rejected, and the answer is the class's
+    # reshape point 2(s+P)/d at d = m + 1, where it takes d - 2 = 2 of the
+    # 3 machines; the walk's cap on d (m + d_min - 1 jumps below the
+    # bracket's top) has to reach it
+    cl = inst.classes[0]
+    r = class_jump_pmtn(inst)
+    assert r.guess == r.lower_bound == answer == F(2 * (cl.setup + cl.total), inst.m + 1)
+    assert r.guess == min_accepted_scan(inst, Variant.PREEMPTIVE)
+    assert r.probes[0] == (lower_bound_tmin(inst, Variant.PREEMPTIVE), False)
+    assert r.probes[-1] == (answer, True) and r.trace.members == (0,)
+    assert verify_schedule(inst, r.schedule, Variant.PREEMPTIVE, F(3, 2) * r.guess).ok
 
 
 def test_class_jump_random_scan_agreement():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,7 @@ from batchsched.splittable import class_jump_split
 
 from conftest import random_instance, tiny_instances
 from oracle import exact_nonp, min_accepted_scan
+from test_golden import solves
 
 
 def test_eps_one_needs_single_probe():
@@ -209,6 +211,30 @@ def test_solve_equals_the_direct_functions():
                 assert json.dumps(emit_schedule(got[4]), sort_keys=True) == json.dumps(
                     emit_schedule(want[4]), sort_keys=True), (inst, v, algo)
     assert trivial >= 12
+
+
+def test_jump_probes_open_at_the_bottom_inside_one_bracket():
+    # every exact search on the golden corpus probes its certified bottom
+    # first (T_min, or ceil(T_min) for nonp), is done if that is accepted,
+    # and otherwise probes distinct guesses within [T_min, 2 T_min]
+    # ([ceil(T_min), ceil(2 T_min)] for nonp)
+    opened_past = Counter()
+    for inst, v, algo, r, _ in solves():
+        if algo != "jump":
+            continue
+        tmin = lower_bound_tmin(inst, v)
+        bottom, top = tmin, 2 * tmin
+        if v is Variant.NONPREEMPTIVE:
+            bottom, top = math.ceil(bottom), math.ceil(top)
+        guesses = [g for g, _ in r.probes]
+        assert guesses[:1] == [bottom], (inst, v, r.probes[:2])
+        assert len(set(guesses)) == len(guesses), (inst, v, r.probes)
+        assert all(bottom <= g <= top for g in guesses), (inst, v, r.probes)
+        if r.probes[0][1]:
+            assert len(r.probes) == 1 and r.guess == bottom, (inst, v, r.probes)
+        else:
+            opened_past[v] += 1
+    assert all(opened_past[v] >= 40 for v in Variant), opened_past
 
 
 def test_solve_dual_rejected_raises_the_decision_reason():

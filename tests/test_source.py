@@ -102,13 +102,16 @@ def test_placements_carry_no_kind_tag():
 
 def test_one_class_jump_search():
     # the splittable and preemptive exact searches share one function,
-    # search.class_jump_search: it alone runs the class-jump walk, and the
-    # closing is inlined there, not a helper of its own
-    found, callers = [], set()
+    # search.class_jump_search: it alone runs the class-jump walk, the
+    # closing is inlined there, not a helper of its own, and it takes no
+    # bracket (it opens at T_min); every exact search bisects through
+    # search._bisect
+    found, callers, params = [], set(), None
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        if "close_bracket" in text:
-            found.append(f"{path.name} names close_bracket")
+        for name in ("close_bracket", "_bisect_right_interval"):
+            if name in text:
+                found.append(f"{path.name} names {name}")
         if path.name != "search.py":
             if "class_jump_walk" in text:
                 found.append(f"{path.name} names class_jump_walk")
@@ -118,8 +121,11 @@ def test_one_class_jump_search():
                     isinstance(node, ast.Call) and getattr(node.func, "id", None) == "class_jump_walk"
                     for node in ast.walk(fn)):
                 callers.add(fn.name)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "class_jump_search":
+                params = [arg.arg for arg in fn.args.args]
     assert not found, "; ".join(found)
     assert callers == {"class_jump_search"}, callers
+    assert params == ["inst", "variant", "thresholds", "members", "d_min", "refine"], params
 
 
 TWO_APPROX_HOMES = {"two_approx_split": "splittable.py", "next_fit_two_approx": "nonpreemptive.py"}
