@@ -124,7 +124,7 @@ def _read_json(path: str):
     with (sys.stdin if path == "-" else open(path)) as f:
         try:
             return json.load(f)
-        except ValueError as exc:  # bad JSON or bytes, or an int past CPython's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON or bytes, too many digits, deep nesting
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -184,8 +184,8 @@ def cmd_verify(args) -> int:
     if report.ok:
         print(f"ok makespan={fmt_rat(report.makespan)} bound={fmt_rat(bound)}")
         return 0
-    for v in report.violations:
-        print(str(v))
+    # joined before any is printed: a line that cannot be written leaves stdout empty
+    print("\n".join(map(str, report.violations)))
     return 3
 
 

@@ -417,7 +417,7 @@ class Violation:
     message: str
 
     def __str__(self) -> str:
-        return f"rule ({self.rule}) machine {self.machine} t={self.time}: {self.message}"
+        return f"rule ({self.rule}) machine {self.machine} t={fmt_rat(self.time)}: {self.message}"
 
 
 @dataclass
@@ -481,7 +481,8 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
         out.append(Violation(rule, label, Fraction(t, scale), message))
 
     if sched.machine_count() > inst.m:
-        flag("s", "-", 0, f"schedule uses {sched.machine_count()} machines, instance has {inst.m}")
+        flag("s", "-", 0, f"schedule uses {fmt_rat(sched.machine_count())} machines, "
+                          f"instance has {inst.m}")
 
     classes = inst.classes
     ncls, n = len(classes), inst.n

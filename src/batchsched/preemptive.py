@@ -12,14 +12,14 @@ reject and no knapsack.
 The class-jumping search walks the finitely many guesses at which some class
 needs another machine instead of bisecting, which yields the exact smallest
 guess the dual accepts; inside its last bracket it reads the knapsack case's
-breakpoints off the plan at the bracket's midpoint.
+breakpoints off the plan at the bracket's midpoint, until none is left.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import groupby
 from fractions import Fraction
 from typing import Optional
 
@@ -66,9 +66,9 @@ class KnapsackSolution:
     split_item: Optional[int]
 
 
-def _by_density(items: list[KnapsackItem], growth_ties: bool) -> list[KnapsackItem]:
+def _by_density(items: list[KnapsackItem]) -> list[KnapsackItem]:
     """The items of positive weight by profit per weight, highest first; ties
-    by growth per weight, lowest first, when growth_ties, then by class.
+    by growth per weight, lowest first, then by class.
 
     A sort on float densities, which never inverts two different densities:
     int true division is correctly rounded, so it is monotone.  Only a run of
@@ -85,8 +85,8 @@ def _by_density(items: list[KnapsackItem], growth_ties: bool) -> list[KnapsackIt
         run = [rest[k] for k in run]
         if len(run) > 1:
             W = math.lcm(*(it.weight for it in run))
-            run.sort(key=lambda it: (-it.profit * (W // it.weight),
-                                     it.growth * (W // it.weight) if growth_ties else 0, it.cls))
+            run.sort(key=lambda it: (-it.profit * (W // it.weight), it.growth * (W // it.weight),
+                                     it.cls))
         out += run
     return out
 
@@ -107,7 +107,7 @@ def continuous_knapsack(items: list[KnapsackItem], capacity: int) -> KnapsackSol
     x: dict[int, Rat] = {it.cls: 1 for it in items if it.weight == 0}
     remaining = capacity
     split: Optional[int] = None
-    for it in _by_density(items, growth_ties=True):
+    for it in _by_density(items):
         if remaining >= it.weight:
             x[it.cls] = 1
             remaining -= it.weight
@@ -427,11 +427,16 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
 
 
 def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
-    """All guesses in (t_fail, t_ok) at which the dual's decision data can
+    """Guesses in (t_fail, t_ok) at which the dual's decision data can
     change, assuming the class layers and the heavy-class machine counts are
     constant on the bracket (the class-jump walk's final bracket): sign
-    changes of the free time and the knapsack capacity, the case switch,
-    density order flips and prefix saturation points of the knapsack.
+    changes of the free time and the knapsack capacity, the case switch, and
+    the events of the midpoint's split item sigma (the first item in the
+    knapsack's order whose prefix weight passes the capacity): the prefix
+    before or through sigma fills the capacity, or an item's density crosses
+    sigma's.  With none inside, the rejected items are constant, as an item
+    changes sides of sigma only by crossing its density; the search asks
+    again on each bracket it bisects down to.
 
     On such a bracket every quantity involved is linear in the guess, so each
     point is read off the plan's counts and knapsack items at the midpoint
@@ -461,23 +466,25 @@ def _pmtn_breakpoints(inst: Instance, t_fail: Rat, t_ok: Rat) -> set[Rat]:
     note(p * rate + plan.star_total * q - free, q * rate)  # case switch
     if not part.chp_star:
         return breaks
-    # weights and capacity on the scale 2q, each weight growing by its growth
-    # per unit of half the guess
+    # weights (each positive: an oversized job leaves T/2 - s >= T/4 below
+    # half the guess) and capacity on the scale 2q, each weight growing by
+    # its growth per unit of half the guess
     items, _, cap = _star_items(inst, part, p, q, free)
     cap_rate = 2 * rate + sum(it.growth for it in items)  # twice the capacity's
     note(p * cap_rate - cap, q * cap_rate)  # capacity = 0
-    if len(items) <= 14:
-        for a, b in combinations(items, 2):
-            den = a.profit * b.growth - b.profit * a.growth
-            note(p * den + b.profit * a.weight - a.profit * b.weight, q * den)
-    # prefix saturation under the midpoint density order (every weight is
-    # positive: an oversized job leaves T/2 - s >= T/4 below half the guess)
-    weight = growth = 0
-    for it in _by_density(items, growth_ties=False):
-        weight += it.weight
-        growth += it.growth
-        # sum of first weights == capacity
-        note(p * (growth - cap_rate) + cap - weight, q * (growth - cap_rate))
+    weight = growth = 0  # the prefix before sigma
+    for sigma in _by_density(items):
+        if weight + sigma.weight > cap:
+            break
+        weight += sigma.weight
+        growth += sigma.growth
+    else:
+        return breaks  # every item fits
+    for w, g in ((weight, growth), (weight + sigma.weight, growth + sigma.growth)):
+        note(p * (g - cap_rate) + cap - w, q * (g - cap_rate))  # the prefix fills the capacity
+    for it in items:  # its density crosses sigma's
+        den = it.profit * sigma.growth - sigma.profit * it.growth
+        note(p * den + sigma.profit * it.weight - it.profit * sigma.weight, q * den)
     return breaks
 
 
@@ -486,7 +493,7 @@ def class_jump_pmtn(inst: Instance) -> SearchResult:
     `search.class_jump_search`.  Past T_min it probes only at structural
     thresholds, at guesses where some heavy class needs another machine (the
     reshape points 2(s_i+P_i)/k of the half-gap packing), and at the
-    knapsack case's breakpoints inside the final bracket
+    knapsack case's breakpoints inside each bracket left
     (`_pmtn_breakpoints`).  With m >= n the dual accepts T_min, one job per
     machine."""
 

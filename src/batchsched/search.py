@@ -2,7 +2,7 @@
 (variant, algorithm) pair to its answer; bisection to a (3/2+eps) guarantee;
 `class_jump_search`, the one exact class-jump search the splittable and
 preemptive variants run (each names only its thresholds and jump members);
-`_bisect`, the one bisection of the exact searches; and the probe and result
+`_bisect`, the one bisection of every search; and the probe and result
 types all of them share."""
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def class_jump_search(
     the answer (no trace); otherwise 2 T_min must be accepted.  Only then,
     `thresholds()` gives ints x and a scale: the guesses x/scale where the
     class layers change.  Those inside (T_min, 2 T_min) bracket the answer
-    for `class_jump_walk` (with `members` and `d_min`), and `refine(inst,
-    t_fail, t_ok)`, if given, names the further guesses inside the walk's
-    bracket where the decision can change, which are bisected too.
+    for `class_jump_walk` (with `members` and `d_min`).  `refine(inst,
+    t_fail, t_ok)`, if given, names guesses inside the bracket where the
+    decision can change; they are bisected until it names none.
 
     On the bracket (t_fail, t_ok] left, the required load L and machines are
     constant, and the decision is right-continuous, so t_fail decides like
@@ -267,8 +267,8 @@ def class_jump_search(
     cands = [bottom, *(Fraction(x, scale) for x in inside), top]
     trace = class_jump_walk(probe, cands, members, d_min, inst.m)
     t_fail, t_ok = trace.final_interval
-    if refine is not None:
-        points = [t_fail, *sorted(refine(inst, t_fail, t_ok)), t_ok]
+    while refine is not None and (inner := sorted(refine(inst, t_fail, t_ok))):
+        points = [t_fail, *inner, t_ok]
         lo, hi = _bisect(points.__getitem__, probe, 0, len(points) - 1)
         t_fail, t_ok = trace.final_interval = points[lo], points[hi]
 
@@ -286,34 +286,26 @@ def class_jump_search(
 
 
 def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
-    """Bisect makespan guesses in [T_min, 2*T_min] with the variant's dual.
-
-    Keeps (lo rejected-or-T_min, hi accepted) and stops once hi <= (1+eps)*lo,
-    so the schedule is within (3/2)(1+eps) of optimal.  Probe count is at most
-    ceil(log2(1/eps)) + 1; the probes only decide, and the schedule is built
-    once, for the final guess.
-    """
+    """Bisect the grid T_min (1 + i/2^k) of [T_min, 2 T_min], k the least
+    with 2^k >= 1/eps, by `_bisect` from T_min (certified, never probed) and
+    2 T_min: the accepted guess ends within T_min/2^k <= eps T_min of a
+    rejected guess or T_min, so the schedule is within (3/2)(1+eps) of
+    optimal.  Exactly k + 1 probes, which only decide; the schedule is built
+    once, for the final guess."""
     en, ed = eps.as_integer_ratio()  # exact for an int, a float or a Fraction
     if en <= 0:
         raise ValidationError("eps must be > 0")
     probe = Probe(inst, variant)
-    # lo and hi are L/D and H/D; D doubles with each midpoint, so all stay
-    # ints, and each keeps the Fraction it was probed as
-    lo = lower_bound_tmin(inst, variant)  # certified, never probed
-    L, D = lo.as_integer_ratio()
-    H = 2 * L
-    hi = Fraction(H, D)
-    if not probe(hi):
-        raise ContractError(f"dual rejected 2*T_min = {hi}; 2-approximation bound broken")
-    while H * ed > (ed + en) * L:  # hi > (1 + eps) lo
-        L, H, D = 2 * L, 2 * H, 2 * D
-        mid = (L + H) // 2
-        guess = Fraction(mid, D)
-        if probe(guess):
-            H, hi = mid, guess
-        else:
-            L, lo = mid, guess  # every rejected midpoint lies above lo
-    return probe.finish(hi, lo)
+    L, D = lower_bound_tmin(inst, variant).as_integer_ratio()
+    K = 1 << (-(-ed // en) - 1).bit_length()  # 2^k
+
+    def at(i: int) -> Rat:  # the grid's point i, 0 <= i <= 2^k
+        return Fraction(L * (K + i), D * K)
+
+    if not probe(at(K)):
+        raise ContractError(f"dual rejected 2*T_min = {at(K)}; 2-approximation bound broken")
+    lo, hi = _bisect(at, probe, 0, K)
+    return probe.finish(at(hi), at(lo))
 
 
 def certified_report(result: SearchResult) -> SearchResult:

@@ -8,13 +8,15 @@ A mutant changes one operator or constant inside one function of TARGETS:
 run against tests/test_core.py and tests/test_verify_reference.py, or
 `_Stream.batches` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
 against tests/test_nonp_reference.py and tests/test_nonpreemptive.py, or
-`_bisect`, `class_jump_walk` or `class_jump_search` in
-src/batchsched/search.py, run against tests/test_search_oracle.py,
-tests/test_splittable.py, tests/test_preemptive.py and
-tests/test_nonpreemptive.py.  The
-change is a comparison swapped (< and <=, > and >=, == and !=, in and not
-in, is and is not), + and - swapped (also in +=, -=), `and` and `or`
-swapped, or a small int constant (0 to 3) moved by one.  The sites of all
+`_bisect`, `class_jump_walk`, `class_jump_search` (its refinement loop
+included) or `epsilon_search` in src/batchsched/search.py, run against
+tests/test_search_oracle.py, tests/test_splittable.py,
+tests/test_preemptive.py and tests/test_nonpreemptive.py, or
+`_pmtn_breakpoints` in src/batchsched/preemptive.py, run against
+tests/test_preemptive.py and tests/test_search_oracle.py.  The change
+is a comparison swapped (< and <=, > and >=, == and !=, in and not in, is
+and is not), + and - swapped (also in +=, -=), `and` and `or` swapped,
+or a small int constant (0 to 3) moved by one.  The sites of all
 targets are listed in a fixed order and K of them are drawn with the seed.
 Each mutant is written into a temporary copy of src/ and tests/, and its
 target's tests run there (pytest -x): a failure or a timeout kills the
@@ -47,9 +49,12 @@ TARGETS = (
      ("tests/test_core.py", "tests/test_verify_reference.py")),
     (Path("src", "batchsched", "nonpreemptive.py"), ("batches", "_build_nonp"),
      ("tests/test_nonp_reference.py", "tests/test_nonpreemptive.py")),
-    (Path("src", "batchsched", "search.py"), ("_bisect", "class_jump_walk", "class_jump_search"),
+    (Path("src", "batchsched", "search.py"),
+     ("_bisect", "class_jump_walk", "class_jump_search", "epsilon_search"),
      ("tests/test_search_oracle.py", "tests/test_splittable.py", "tests/test_preemptive.py",
       "tests/test_nonpreemptive.py")),
+    (Path("src", "batchsched", "preemptive.py"), ("_pmtn_breakpoints",),
+     ("tests/test_preemptive.py", "tests/test_search_oracle.py")),
 )
 SWAP = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

@@ -185,16 +185,21 @@ def test_verify_old_format_names_the_row_format(tmp_path, capsys):
         assert '"scale": D' in err and "[[cls, start, setup, job, dur, ...], ...]" in err
 
 
-@pytest.mark.parametrize("where", ["instance", "schedule"])
+@pytest.mark.parametrize("where", ["instance", "schedule", "nested-instance", "nested-schedule"])
 def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
-    # json.loads refuses ints of more than 4,300 digits with a plain ValueError
+    # json.loads refuses ints of more than 4,300 digits with a plain
+    # ValueError, and nesting past the recursion limit with a RecursionError
     huge = "9" * 5000
     inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
     sched = '{"scale": 1, "machines": [[[0, 0, 1, 0, %s]]]}' % huge
+    if where == "nested-instance":
+        inst = "[" * 200_000
+    elif where == "nested-schedule":
+        sched = "[" * 200_000
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(inst)
     spath.write_text(sched)
-    if where == "instance":
+    if where.endswith("instance"):
         code = main(["solve", "--variant", "split", "--algo", "jump", "--in", str(ipath)])
     else:
         code = main(["verify", "--in", str(ipath), "--schedule", str(spath),
@@ -225,17 +230,27 @@ def test_rational_past_the_digit_limit_exit_one(tmp_path, capsys, args):
     assert captured.err.startswith("error: unparsable rational") and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("cmd", ["solve", "verify"])
+@pytest.mark.parametrize("cmd", ["solve", "verify", "verify-machines", "verify-time"])
 def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
-    # inputs that read fine, but the makespan they give has 4,301 digits: a
-    # 4,300-digit guess, or a schedule time of 4,300 nines plus a duration
+    # inputs that read fine, but a number a message prints has 4,301 digits:
+    # the makespan of a 4,300-digit guess or of a schedule time of 4,300
+    # nines plus a duration, the machine count of two configs of
+    # multiplicity 10^4300 - 1, or the start of a pair after an idle time of
+    # -(10^4300 - 1) from a batch start of as much
     ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
+    nines = "9" * 4300
     if cmd == "solve":
         args = ["solve", "--variant", "split", "--algo", "dual", "--T", "9" * 4299 + "8",
                 "--in", ipath, "--emit", "summary"]
     else:
         spath = tmp_path / "s.json"
-        spath.write_text('{"scale": 1, "machines": [[[0, %s, 1, 0, 2]]]}' % ("9" * 4300))
+        spath.write_text({
+            "verify": '{"scale": 1, "machines": [[[0, %s, 1, 0, 2]]]}' % nines,
+            "verify-machines": '{"scale": 1, "machines": [], "compressed": ['
+                               '{"config": [[0, 0, 1, 0, 2]], "mult": %s},'
+                               '{"config": [[0, 0, 1, 1, 2]], "mult": %s}]}' % (nines, nines),
+            "verify-time": '{"scale": 1, "machines": [[[0, -%s, 1, -1, -%s, 0, 2]]]}' % (nines, nines),
+        }[cmd])
         args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
     code = main(args)
     captured = capsys.readouterr()

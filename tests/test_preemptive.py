@@ -103,10 +103,8 @@ def test_density_order_exact_where_floats_cannot_tell():
     huge = [KnapsackItem(3, 10**400, 1), KnapsackItem(4, 10**400 + 1, 1)]
     ties = [KnapsackItem(5, 1, 2, growth=1), KnapsackItem(6, 2, 4, growth=1)]
     assert -close[0].profit / close[0].weight == -1.0 == -close[2].profit / close[2].weight
-    for items, want, by_class in ((close, [2, 1, 0], [2, 1, 0]), (huge, [4, 3], [4, 3]),
-                                  (ties, [6, 5], [5, 6])):
-        assert [it.cls for it in preemptive._by_density(items, growth_ties=True)] == want
-        assert [it.cls for it in preemptive._by_density(items, growth_ties=False)] == by_class
+    for items, want in ((close, [2, 1, 0]), (huge, [4, 3]), (ties, [6, 5])):
+        assert [it.cls for it in preemptive._by_density(items)] == want
         total = sum(it.weight for it in items)
         for capacity in (0, 1, total // 3, total - 1, total):
             sol = continuous_knapsack(items, capacity)
@@ -475,6 +473,21 @@ def test_class_jump_knapsack_heavy_corpus():
         knapsack += plan.knapsack is not None
         many_star += len(plan.part.chp_star) > 14
     assert knapsack >= 60 and many_star >= 30
+
+
+def test_refinement_reaches_a_fixed_point():
+    # the search refines until the breakpoints name no guess inside its
+    # bracket, whatever the number of knapsack items
+    rng = random.Random(2)
+    walks = 0
+    for _ in range(3000):
+        inst = knapsack_heavy_instance(rng)
+        r = class_jump_pmtn(inst)
+        if r.trace is None:
+            continue  # T_min accepted: no walk
+        walks += 1
+        assert _pmtn_breakpoints(inst, *r.trace.final_interval) == set(), inst
+    assert walks >= 1500
 
 
 def test_breakpoints_run_no_knapsack(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -39,13 +40,14 @@ def test_eps_one_needs_single_probe():
 
 
 def test_eps_probe_budget():
+    # 2 T_min, then one midpoint per level down to the grid T_min/2^k with
+    # 2^k >= 1/eps: ceil(log2(1/eps)) + 1 probes, whatever the answer
     rng = random.Random(12)
-    eps = F(1, 2**10)
     for _ in range(30):
         inst = random_instance(rng)
-        for v in Variant:
+        for v, (eps, probes) in itertools.product(Variant, ((F(1, 2**10), 11), (F(1, 3), 3))):
             r = epsilon_search(inst, v, eps)
-            assert len(r.probes) <= 11
+            assert len(r.probes) == probes
             assert r.guess <= (1 + eps) * max(r.lower_bound, lower_bound_tmin(inst, v))
             assert verify_schedule(inst, r.schedule, v, F(3, 2) * r.guess).ok
 

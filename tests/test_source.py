@@ -161,3 +161,25 @@ def test_one_variant_table():
                             path.name, owner) != ("search.py", "variant_ops"):
                         found.append(f"{path.name}:{node.lineno} names {name}")
     assert not found, "; ".join(found)
+
+
+def test_one_path_per_search_step():
+    # the knapsack refinement follows its split item to a fixed point, with
+    # no pair loop over the items and no cap on their number, in the
+    # knapsack's one density order; the eps search bisects through
+    # search._bisect, with no loop of its own
+    text = (SRC / "preemptive.py").read_text()
+    assert "combinations" not in text and "growth_ties" not in text
+    pmtn = {fn.name: fn for fn in ast.walk(ast.parse(text)) if isinstance(fn, ast.FunctionDef)}
+    caps = [node.lineno for node in ast.walk(pmtn["_pmtn_breakpoints"])
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and getattr(side.func, "id", None) == "len"
+                for side in (node.left, *node.comparators))]
+    assert not caps, f"item cap at preemptive.py:{caps}"
+    assert [arg.arg for arg in pmtn["_by_density"].args.args] == ["items"]
+    eps = next(fn for fn in ast.parse((SRC / "search.py").read_text()).body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "epsilon_search")
+    nodes = list(ast.walk(eps))
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension)) for node in nodes)
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bisect"
+               for node in nodes)
