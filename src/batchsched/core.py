@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
@@ -56,47 +56,49 @@ class Variant(Enum):
         raise ValidationError(f"unknown variant {text!r} (expected {', '.join(rest)} or {last})")
 
 
-@dataclass(frozen=True)
-class JobClass:
+class JobClass(namedtuple("JobClass", "setup jobs sums total t_max")):
     """One class: a setup time and the processing times of its jobs.
 
     `sums` (the prefix sums of the processing times, a tuple from 0, so
     jobs j..x-1 take sums[x] - sums[j]), `total` (sums[-1]) and `t_max`
-    (the longest job, 0 for none) are found once, at construction: the
-    decisions read the aggregates for every class on every probe, and
-    `sums` is the one per-job array the builds and the verifier read of a
-    whole class.  They are kept in the instance __dict__, outside the
-    fields, so equality and hashing still see only setup and jobs."""
+    (the longest job, 0 for none) are found once, at construction, as the
+    tuple's last items: the decisions read the aggregates for every class
+    on every probe, and `sums` is the one per-job array the builds and the
+    verifier read of a whole class.  They follow from the jobs, so equality
+    and hashing decide as on setup and jobs alone, and every copy
+    (`_replace`, `copy`, pickle) is built from setup and jobs again."""
 
-    setup: int
-    jobs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        sums = tuple(accumulate(self.jobs, initial=0))
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "total", sums[-1])
-        object.__setattr__(self, "t_max", max(self.jobs, default=0))
+    def __new__(cls, setup: int, jobs: tuple[int, ...]) -> JobClass:
+        sums = tuple(accumulate(jobs, initial=0))
+        return tuple.__new__(cls, (setup, jobs, sums, sums[-1], max(jobs, default=0)))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def _replace(self, **changes) -> JobClass:
+        return JobClass(**{"setup": self.setup, "jobs": self.jobs, **changes})
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "m classes n total_work total_load s_max job_setup_bound")):
     """m machines and the job classes.  Validated at construction, when the
-    aggregates every probe reads are found in the same pass and kept outside
-    the fields: `n`, `total_work` (P(J), all processing times), `total_load`
-    (N = P(J) + every setup once), `s_max` and `job_setup_bound` (max of s_i +
-    the longest job of class i: no schedule of the non-splittable variants
-    beats it)."""
+    aggregates every probe reads are found in the same pass and kept as the
+    tuple's last items: `n`, `total_work` (P(J), all processing times),
+    `total_load` (N = P(J) + every setup once), `s_max` and `job_setup_bound`
+    (max of s_i + the longest job of class i: no schedule of the
+    non-splittable variants beats it).  As with `JobClass`, equality and
+    hashing decide as on m and classes, and a copy is validated again."""
 
-    m: int
-    classes: tuple[JobClass, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, classes: tuple[JobClass, ...]) -> Instance:
+        if m < 1:
             raise ValidationError("m must be >= 1")
-        if not self.classes:
+        if not classes:
             raise ValidationError("no classes")
         n = work = setups = s_max = job_setup = 0
-        for i, cl in enumerate(self.classes):
+        for i, cl in enumerate(classes):
             if cl.setup < 1:
                 raise ValidationError(f"classes[{i}].setup must be >= 1")
             if not cl.jobs:
@@ -111,9 +113,13 @@ class Instance:
                 s_max = cl.setup
             if cl.setup + cl.t_max > job_setup:
                 job_setup = cl.setup + cl.t_max
-        for name, value in (("n", n), ("total_work", work), ("total_load", work + setups),
-                            ("s_max", s_max), ("job_setup_bound", job_setup)):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (m, classes, n, work, work + setups, s_max, job_setup))
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def _replace(self, **changes) -> Instance:
+        return Instance(**{"m": self.m, "classes": self.classes, **changes})
 
     @property
     def c(self) -> int:
@@ -213,8 +219,7 @@ def batch_end(batch: Sequence) -> Union[int, Rat]:
 _JOB_SLOTS = itemgetter(slice(3, None, 2))  # a batch's job ids, -1 for idle time
 
 
-@dataclass
-class Schedule:
+class Schedule(namedtuple("Schedule", "m machines compressed scale")):
     """Per-machine rows of batches, plus an optional compressed part.
 
     `machines` holds explicitly materialized machines, one Row each.  Each
@@ -233,13 +238,16 @@ class Schedule:
     when its batch starts do not strictly increase), writes no idle pair
     and no empty row, and follows every setup with a pair of its class but
     for one case: a wrap's setup that ends exactly where its gap closes,
-    whose job then starts in the next gap.
+    whose job then starts in the next gap.  Without machines or
+    configurations a schedule gets a new empty list there.
     """
 
-    m: int
-    machines: list[Row] = field(default_factory=list)
-    compressed: list[tuple[Row, int]] = field(default_factory=list)
-    scale: int = 1
+    __slots__ = ()
+
+    def __new__(cls, m: int, machines: Optional[list[Row]] = None,
+                compressed: Optional[list[tuple[Row, int]]] = None, scale: int = 1) -> Schedule:
+        return tuple.__new__(cls, (m, [] if machines is None else machines,
+                                   [] if compressed is None else compressed, scale))
 
     def rows(self) -> list[Row]:
         """The machine rows, then each configuration's row once."""
@@ -273,8 +281,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     """Split of the classes induced by a makespan guess T.
 
     A class is expensive when its setup exceeds T/2, else cheap.  Expensive
@@ -319,14 +326,7 @@ def classify(inst: Instance, p: int, q: int) -> ClassPartition:
             chp_minus.append(i)
             if 2 * (cl.setup + cl.t_max) * q > p:
                 chp_star.append(i)
-    return ClassPartition(
-        exp_plus=tuple(exp_plus),
-        exp_zero=tuple(exp_zero),
-        exp_minus=tuple(exp_minus),
-        chp_plus=tuple(chp_plus),
-        chp_minus=tuple(chp_minus),
-        chp_star=tuple(chp_star),
-    )
+    return ClassPartition(*map(tuple, (exp_plus, exp_zero, exp_minus, chp_plus, chp_minus, chp_star)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +409,7 @@ _START, _START_SETUP = itemgetter(1), itemgetter(1, 2)
 #   s  structural (unknown ids, machine budget)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     machine: Union[int, str]
     time: Rat
@@ -420,8 +419,7 @@ class Violation:
         return f"rule ({self.rule}) machine {self.machine} t={fmt_rat(self.time)}: {self.message}"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     makespan: Rat
     violations: list[Violation]

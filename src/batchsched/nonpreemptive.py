@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import ne, not_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     ContractError,
@@ -158,8 +157,7 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NonpCounts:
+class NonpCounts(NamedTuple):
     """Per-class machine minima and leftovers at a guess T = p/q, as ints.
 
     machines[i]  least machines any T-feasible schedule opens for class i

@@ -18,10 +18,10 @@ breakpoints off the plan at the bracket's midpoint, until none is left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import groupby
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .core import (
     ClassPartition,
@@ -46,8 +46,7 @@ from .wrap import Batch, Builder, Gap, class_batch, run_wrap
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnapsackItem:
+class KnapsackItem(NamedTuple):
     """A star class as a knapsack item, in a decision's ints: its setup as
     the profit, and its weight on the decision's scale 2q of the guess p/q,
     where the weight grows by `growth` for each unit half the guess grows by.
@@ -60,8 +59,7 @@ class KnapsackItem:
     growth: int = 0  # d weight / d (guess / 2); orders density ties as just above
 
 
-@dataclass
-class KnapsackSolution:
+class KnapsackSolution(NamedTuple):
     x: dict[int, Rat]  # item -> share: 1 or 0 as ints, the split item's a Fraction
     split_item: Optional[int]
 
@@ -146,31 +144,37 @@ def _stack(builder: Builder, inst: Instance, u: int, t: int, i: int, scale: int)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _PmtnPlan:
     """Everything the decision and the construction share for one guess p/q,
     in ints: free_time on the guess's scale q (it stands for free_time / q),
     the obligatory spills on the knapsack's scale 2q, star_total and load in
-    the instance's own units.
+    the instance's own units.  The decision fills it in step by step; two
+    plans are equal when every field is.
 
     The classes of part.exp_zero get one dedicated machine each.  Without
     them the instance is nice: the plan then has no geometric reject and no
     knapsack, and its load and machine count are the nice instance's.
     """
 
-    part: ClassPartition
-    gamma: dict[int, int]  # half-gap machines per part.exp_plus class, in class order
-    free_time: int = 0  # F * q: room for small-setup classes off the dedicated machines
-    star_total: int = 0  # setup + work of the star classes, all of which F must take
-    knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
-    obligatory: dict[int, int] = field(default_factory=dict)  # L*_i * 2q per star class
-    load: int = 0
-    machines: int = 0
-    # Set when the guess is certified infeasible before the load/machine
-    # comparison: setups of at least a quarter guess can never share a machine
-    # with a dedicated almost-full class, so negative free time (or negative
-    # knapsack capacity) already proves guess < OPT.
-    reject: Optional[str] = None
+    __slots__ = ("part", "gamma", "free_time", "star_total", "knapsack", "obligatory", "load",
+                 "machines", "reject")
+
+    def __init__(self, part: ClassPartition, gamma: dict[int, int]):
+        self.part = part
+        self.gamma = gamma  # half-gap machines per part.exp_plus class, in class order
+        self.free_time = 0  # F * q: room for small-setup classes off the dedicated machines
+        self.star_total = 0  # setup + work of the star classes, all of which F must take
+        self.knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
+        self.obligatory: dict[int, int] = {}  # L*_i * 2q per star class
+        self.load = self.machines = 0
+        # Set when the guess is certified infeasible before the load/machine comparison:
+        # setups of at least a quarter guess can never share a machine with a dedicated
+        # almost-full class, so negative free time (or knapsack capacity) proves guess < OPT.
+        self.reject: Optional[str] = None
+
+    def __eq__(self, other) -> bool:
+        values = attrgetter(*_PmtnPlan.__slots__)
+        return type(other) is _PmtnPlan and values(self) == values(other)
 
 
 def _star_items(inst: Instance, part: ClassPartition, p: int, q: int,
@@ -190,8 +194,7 @@ def _star_items(inst: Instance, part: ClassPartition, p: int, q: int,
         room = p - cl.setup * q2  # half the guess less the setup: T/2 - s
         big = list(filter((room // q2).__lt__, cl.jobs))  # t > T/2 - s iff t 2q > room
         ob = obligatory[i] = sum(big) * q2 - len(big) * room
-        items.append(KnapsackItem(cls=i, profit=cl.setup, weight=cl.total * q2 - ob,
-                                  growth=len(big)))
+        items.append(KnapsackItem(i, cl.setup, cl.total * q2 - ob, len(big)))
         taken += cl.setup * q2 + ob
     return items, obligatory, 2 * free - taken
 

@@ -7,7 +7,7 @@ types all of them share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -26,8 +26,7 @@ from .core import (
 DEFAULT_EPS = Fraction(1, 1000)  # the bisection's tolerance when none is given
 
 
-@dataclass
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "guess schedule lower_bound makespan probes trace")):
     """Outcome of a makespan search, or of any other algorithm `solve` runs.
 
     guess        the accepted makespan guess (2 T_min for the 2-approximation)
@@ -38,15 +37,15 @@ class SearchResult:
     probes       (guess, accepted) pairs in probe order
     trace        the class-jump walk's internals; None unless it ran
     ratio_bound  exact makespan / lower_bound: the schedule is provably within
-                 this factor of optimal (ContractError for a bound <= 0)
+                 this factor of optimal (ContractError for a bound <= 0), found
+                 on the first read and kept beside the fields
     """
 
-    guess: Rat
-    schedule: Schedule
-    lower_bound: Rat
-    makespan: Rat
-    probes: list[tuple[Rat, bool]] = field(default_factory=list)
-    trace: Optional[JumpTrace] = None
+    def __new__(cls, guess: Rat, schedule: Schedule, lower_bound: Rat, makespan: Rat,
+                probes: Optional[list[tuple[Rat, bool]]] = None,
+                trace: Optional[JumpTrace] = None) -> SearchResult:
+        return tuple.__new__(cls, (guess, schedule, lower_bound, makespan,
+                                   [] if probes is None else probes, trace))
 
     @cached_property
     def ratio_bound(self) -> Rat:
@@ -148,8 +147,7 @@ class Probe:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JumpTrace:
+class JumpTrace(NamedTuple):
     """Class-jump search internals kept for inspection and for the
     jump-density checks."""
 
@@ -270,7 +268,8 @@ def class_jump_search(
     while refine is not None and (inner := sorted(refine(inst, t_fail, t_ok))):
         points = [t_fail, *inner, t_ok]
         lo, hi = _bisect(points.__getitem__, probe, 0, len(points) - 1)
-        t_fail, t_ok = trace.final_interval = points[lo], points[hi]
+        t_fail, t_ok = points[lo], points[hi]
+        trace = trace._replace(final_interval=(t_fail, t_ok))
 
     fp, fq = t_fail.as_integer_ratio()
     op, oq = t_ok.as_integer_ratio()
@@ -296,11 +295,13 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     if en <= 0:
         raise ValidationError("eps must be > 0")
     probe = Probe(inst, variant)
-    L, D = lower_bound_tmin(inst, variant).as_integer_ratio()
+    tmin = lower_bound_tmin(inst, variant)
+    L, D = tmin.as_integer_ratio()
     K = 1 << (-(-ed // en) - 1).bit_length()  # 2^k
+    grid = {0: tmin}  # the points made so far
 
-    def at(i: int) -> Rat:  # the grid's point i, 0 <= i <= 2^k
-        return Fraction(L * (K + i), D * K)
+    def at(i: int) -> Rat:  # the grid's point i, 0 <= i <= 2^k, made once
+        return grid[i] if i in grid else grid.setdefault(i, Fraction(L * (K + i), D * K))
 
     if not probe(at(K)):
         raise ContractError(f"dual rejected 2*T_min = {at(K)}; 2-approximation bound broken")

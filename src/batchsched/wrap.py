@@ -33,33 +33,33 @@ comparisons on them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .core import CapacityError, Instance, Rat, Row, Schedule
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(namedtuple("Gap", "machine open close count")):
     """A run of `count` identical gaps [open, close) on machines machine,
-    machine+1, ...; a run of count 0 holds no gap and is skipped."""
+    machine+1, ...; a run of count 0 holds no gap and is skipped.  Checked
+    at construction, and so is every copy (`_replace`)."""
 
-    machine: int
-    open: Rat
-    close: Rat
-    count: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.open < self.close):
-            raise ValueError(f"gap needs 0 <= open < close, got ({self.open}, {self.close})")
-        if self.count < 0:
-            raise ValueError(f"gap run needs count >= 0, got {self.count}")
+    def __new__(cls, machine: int, open: Rat, close: Rat, count: int = 1) -> Gap:
+        if not (0 <= open < close):
+            raise ValueError(f"gap needs 0 <= open < close, got ({open}, {close})")
+        if count < 0:
+            raise ValueError(f"gap run needs count >= 0, got {count}")
+        return tuple.__new__(cls, (machine, open, close, count))
+
+    @classmethod
+    def _make(cls, fields) -> Gap:
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(NamedTuple):
     """A setup followed by items of class cls.  A batch is whole when sums
     is set: its items are the class's jobs, all of them whole and in index
     order, job j lasting (sums[j + 1] - sums[j]) * scale, with sums the
@@ -117,8 +117,7 @@ class Builder:
         return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale)
 
 
-@dataclass
-class WrapResult:
+class WrapResult(NamedTuple):
     last_machine: int  # virtual id of the gap holding the final item
     last_fill: Rat  # end time of the content on that machine
     placed: int  # number of emitted setups and pieces (configs count once)

@@ -1,7 +1,7 @@
 """Seeded AST mutants of the verifier, the non-preemptive build and the
 exact searches, each run against the tests of its module.
 
-    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S]
+    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S] [--memory-mb M]
 
 A mutant changes one operator or constant inside one function of TARGETS:
 `verify_schedule`, `_rule_e` or `_pieces_of` in src/batchsched/core.py,
@@ -20,9 +20,13 @@ or a small int constant (0 to 3) moved by one.  The sites of all
 targets are listed in a fixed order and K of them are drawn with the seed.
 Each mutant is written into a temporary copy of src/ and tests/, and its
 target's tests run there (pytest -x): a failure or a timeout kills the
-mutant.  The repository itself is never written.  The script prints every
-survivor with its line and the kill score; a survivor is either a gap in
-the tests or an equivalent mutant, which only reading it can tell.
+mutant.  A mutant's run gets 5 times its target's clean run, at least 30
+s, unless --timeout sets one for all, and every test process's address
+space is capped at --memory-mb (a run past it fails, so it kills the
+mutant too): a mutant that loops and grows ends there.  The repository
+itself is never written.  The script prints every survivor with its line,
+the kill score and the wall time; a survivor is either a gap in the tests
+or an equivalent mutant, which only reading it can tell.
 
 pytest does not collect this file (its name does not start with test_),
 so it is no tier-1 test: a change to a target or its tests runs it and
@@ -36,10 +40,12 @@ import ast
 import copy
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,12 +111,17 @@ def mutant(source: str, names, index: int, module: str) -> tuple[str, str]:
     return ast.unparse(tree), f"{where}: {ast.unparse(before)}  ->  {ast.unparse(node)}"
 
 
-def run_tests(workdir: Path, tests, timeout: float) -> bool:
-    """Whether the tests pass in workdir (False on a timeout)."""
+def run_tests(workdir: Path, tests, timeout: float | None, memory: int) -> bool:
+    """Whether the tests pass in workdir within timeout seconds (None: no
+    limit) and memory bytes of address space (False past either)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+
+    def cap():  # in the test process only, before pytest starts
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
     try:
-        done = subprocess.run(cmd, cwd=workdir, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=workdir, env=env, timeout=timeout, preexec_fn=cap,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return False
@@ -121,8 +132,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--count", type=int, default=30)
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant's test run")
+    ap.add_argument("--timeout", type=float, default=None,
+                    help="seconds per mutant's test run (default: 5x its target's clean run, "
+                         "at least 30)")
+    ap.add_argument("--memory-mb", type=int, default=512,
+                    help="address-space cap of each test process, in MiB")
     args = ap.parse_args(argv)
+    memory = args.memory_mb << 20
+    start = time.perf_counter()
 
     # every site as (target, index among that target's sites)
     sources = [(ROOT / path).read_text() for path, _, _ in TARGETS]
@@ -137,21 +154,28 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
-        if not all(run_tests(work, tests, args.timeout) for _, _, tests in TARGETS):
-            print("the unmutated tests fail; nothing to probe")
-            return 2
+        timeouts = []
+        for path, _, tests in TARGETS:
+            clean = time.perf_counter()
+            if not run_tests(work, tests, args.timeout, memory):
+                print(f"the unmutated tests of {path.name} fail; nothing to probe")
+                return 2
+            timeouts.append(args.timeout or max(30.0, 5 * (time.perf_counter() - clean)))
+        print("timeouts: " + ", ".join(f"{path.name} {s:.0f} s"
+                                       for (path, _, _), s in zip(TARGETS, timeouts)))
         survivors = []
         for t, index in picks:
             path, fns, tests = TARGETS[t]
             text, what = mutant(sources[t], fns, index, path.name)
             (work / path).write_text(text)
-            killed = not run_tests(work, tests, args.timeout)
+            killed = not run_tests(work, tests, timeouts[t], memory)
             (work / path).write_text(sources[t])
             print(f"{'killed  ' if killed else 'SURVIVED'} {what}", flush=True)
             if not killed:
                 survivors.append(what)
     killed = len(picks) - len(survivors)
-    print(f"killed {killed} of {len(picks)} ({killed / len(picks):.0%})")
+    print(f"killed {killed} of {len(picks)} ({killed / len(picks):.0%}) "
+          f"in {time.perf_counter() - start:.0f} s")
     for what in survivors:
         print(f"survivor: {what}")
     return 0

@@ -1257,7 +1257,7 @@ def reference_decide_nonp(inst: Instance, guess: Rat) -> Decision:
 
 def reference_classify(inst: Instance, guess: Rat) -> ClassPartition:
     """`core.classify` by Fraction comparisons against the guess."""
-    layers: dict[str, list[int]] = {k: [] for k in ClassPartition.__dataclass_fields__}
+    layers: dict[str, list[int]] = {k: [] for k in ClassPartition._fields}
     for i, cl in enumerate(inst.classes):
         reach = cl.setup + cl.total
         if 2 * cl.setup > guess:

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 import re
 import time
@@ -61,11 +62,39 @@ INST = Instance(m=2, classes=(JobClass(2, (3,)), JobClass(1, (1, 1))))
 def test_job_class_total_is_cached_outside_equality_and_hash():
     a, b = JobClass(3, (4, 5)), JobClass(3, (4, 5))
     assert a.total == 9
-    # found at construction and kept beside the fields, not among them
-    assert vars(b)["total"] == 9 and "total" not in {f.name for f in dataclasses.fields(b)}
+    # found at construction, after the fields that define the class
+    assert a._fields == ("setup", "jobs", "sums", "total", "t_max") and a[:2] == (3, (4, 5))
+    assert a[2:] == ((0, 4, 9), 9, 5)
     assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert dataclasses.replace(a, jobs=(1,)).total == 1
+    assert len({a, b}) == 1 and a != JobClass(3, (5, 4)) and a != JobClass(4, (4, 5))
+    assert a._replace(jobs=(1,)).total == 1
+    with pytest.raises(AttributeError):
+        a.total = 1
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda x, **kw: x._replace(**kw),
+    lambda x, **kw: copy.copy(x)._replace(**kw),
+    lambda x, **kw: pickle.loads(pickle.dumps(x))._replace(**kw),
+])
+def test_copies_with_new_jobs_carry_their_own_aggregates(copy_of):
+    cl = copy_of(JobClass(3, (4, 5)), jobs=(7, 1, 2))
+    assert cl == JobClass(3, (7, 1, 2)) and type(cl) is JobClass
+    assert (cl.sums, cl.total, cl.t_max) == ((0, 7, 8, 10), 10, 7)
+    inst = copy_of(INST, classes=(cl,))
+    assert inst == Instance(m=2, classes=(cl,)) and type(inst) is Instance
+    assert (inst.n, inst.total_work, inst.total_load, inst.s_max, inst.job_setup_bound) == (3, 10, 13, 3, 10)
+    assert copy_of(INST, m=5).n == INST.n == 3
+    # an aggregate is no field a copy may set, and a copy is validated again
+    for bad in ({"total": 1}, {"sums": (0, 1)}):
+        with pytest.raises(TypeError):
+            copy_of(cl, **bad)
+    with pytest.raises(TypeError):
+        copy_of(INST, n=1)
+    with pytest.raises(ValidationError, match="m must be >= 1"):
+        copy_of(INST, m=0)
+    with pytest.raises(ValidationError, match=r"classes\[0\]\.jobs\[1\] must be >= 1"):
+        copy_of(INST, classes=(JobClass(1, (1, 0)),))
 
 
 def test_lower_bound_splittable():
@@ -619,7 +648,7 @@ def test_verifier_catches_mutations():
                     machines.append([list(b) for b in row])
                 else:
                     return None
-            return dataclasses.replace(base, machines=machines)
+            return base._replace(machines=machines)
 
         for which in caught:
             sched = mutate(which)
@@ -633,7 +662,7 @@ def test_verifier_catches_mutations():
         rs = class_jump_split(inst)
         if rs.schedule.compressed:
             cfgs = [(c, mult + 1) for c, mult in rs.schedule.compressed]
-            bad = dataclasses.replace(rs.schedule, compressed=cfgs)
+            bad = rs.schedule._replace(compressed=cfgs)
             rep = verify_schedule(inst, bad, Variant.SPLITTABLE, F(3, 2) * rs.guess)
             assert any(v.rule == "c" for v in rep.violations), (rep, inst)
     assert all(v > 0 for v in caught.values()), caught

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "batchsched"
@@ -183,3 +185,30 @@ def test_one_path_per_search_step():
     assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension)) for node in nodes)
     assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bisect"
                for node in nodes)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples and plain classes: building @dataclass
+    # classes cost every import of the package milliseconds
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if "dataclasses" in (name.split(".")[0] for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"dataclasses imported at {', '.join(found)}"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses pulls in inspect, which a CLI process would pay for on
+    # every run; -S keeps site hooks out, so only the package's imports count
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import batchsched.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["[]"], out.stdout
