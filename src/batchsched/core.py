@@ -485,7 +485,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     classes = inst.classes
     ncls, n = len(classes), inst.n
     base = list(accumulate((len(cl.jobs) for cl in classes), initial=0))
-    setup_len = [cl.setup * scale for cl in classes]
+    of_class = [(cl.setup * scale, cl.jobs, cl.sums, k) for cl, k in zip(classes, base)]
     # a run that holds jobs k..x-1 whole adds its copies at k and takes them off at x
     whole = [0] * (n + 1)
     # a job's pieces: their total and count, and in pmtn their (start,
@@ -515,16 +515,16 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
                 flag("s", label, start, f"unknown class {cls}")
                 top = max(top, batch_end(batch))
                 continue
+            need_setup, lens, sums, first_k = of_class[cls]
             if start < 0:
                 flag("a", label, start, "placement starts before time 0")
             if setup <= 0:
                 flag("a", label, start, "placement with non-positive duration")
             if prev_end is not None and start < prev_end:
                 flag("a", label, start, "placements overlap on the machine")
-            if setup != setup_len[cls]:
+            if setup != need_setup:
                 flag("b", label, start, f"setup of class {cls} has length "
                                         f"{Fraction(setup, scale)}, expected {classes[cls].setup}")
-            lens, sums, first_k = classes[cls].jobs, classes[cls].sums, base[cls]
             size = len(lens)
             t = start + setup
             for job, dur in zip(pairs, pairs):
