@@ -65,8 +65,8 @@ class JobClass(namedtuple("JobClass", "setup jobs sums total t_max")):
     tuple's last items: the decisions read the aggregates for every class
     on every probe, and `sums` is the one per-job array the builds and the
     verifier read of a whole class.  They follow from the jobs, so equality
-    and hashing decide as on setup and jobs alone, and every copy
-    (`_replace`, `copy`, pickle) is built from setup and jobs again."""
+    and hashing decide as on setup and jobs alone, and every copy (`_replace`,
+    `copy.replace`, `_make`, `copy`, pickle) is built from setup and jobs again."""
 
     __slots__ = ()
 
@@ -79,6 +79,8 @@ class JobClass(namedtuple("JobClass", "setup jobs sums total t_max")):
 
     def _replace(self, **changes) -> JobClass:
         return JobClass(**{"setup": self.setup, "jobs": self.jobs, **changes})
+
+    __replace__, _make = _replace, classmethod(lambda cls, fields: cls(*fields))
 
 
 class Instance(namedtuple("Instance", "m classes n total_work total_load s_max job_setup_bound")):
@@ -120,6 +122,8 @@ class Instance(namedtuple("Instance", "m classes n total_work total_load s_max j
 
     def _replace(self, **changes) -> Instance:
         return Instance(**{"m": self.m, "classes": self.classes, **changes})
+
+    __replace__, _make = _replace, classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def c(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
@@ -295,13 +295,12 @@ def epsilon_search(inst: Instance, variant: Variant, eps: Rat) -> SearchResult:
     if en <= 0:
         raise ValidationError("eps must be > 0")
     probe = Probe(inst, variant)
-    tmin = lower_bound_tmin(inst, variant)
-    L, D = tmin.as_integer_ratio()
+    L, D = lower_bound_tmin(inst, variant).as_integer_ratio()
     K = 1 << (-(-ed // en) - 1).bit_length()  # 2^k
-    grid = {0: tmin}  # the points made so far
 
+    @cache
     def at(i: int) -> Rat:  # the grid's point i, 0 <= i <= 2^k, made once
-        return grid[i] if i in grid else grid.setdefault(i, Fraction(L * (K + i), D * K))
+        return Fraction(L * (K + i), D * K)
 
     if not probe(at(K)):
         raise ContractError(f"dual rejected 2*T_min = {at(K)}; 2-approximation bound broken")

@@ -43,7 +43,7 @@ from .core import CapacityError, Instance, Rat, Row, Schedule
 class Gap(namedtuple("Gap", "machine open close count")):
     """A run of `count` identical gaps [open, close) on machines machine,
     machine+1, ...; a run of count 0 holds no gap and is skipped.  Checked
-    at construction, and so is every copy (`_replace`)."""
+    at construction."""
 
     __slots__ = ()
 
@@ -53,10 +53,6 @@ class Gap(namedtuple("Gap", "machine open close count")):
         if count < 0:
             raise ValueError(f"gap run needs count >= 0, got {count}")
         return tuple.__new__(cls, (machine, open, close, count))
-
-    @classmethod
-    def _make(cls, fields) -> Gap:
-        return cls(*fields)
 
 
 class Batch(NamedTuple):

@@ -1,7 +1,7 @@
 """Seeded AST mutants of the verifier, the non-preemptive build and the
 exact searches, each run against the tests of its module.
 
-    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S] [--memory-mb M]
+    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S]
 
 A mutant changes one operator or constant inside one function of TARGETS:
 `verify_schedule`, `_rule_e` or `_pieces_of` in src/batchsched/core.py,
@@ -22,7 +22,7 @@ Each mutant is written into a temporary copy of src/ and tests/, and its
 target's tests run there (pytest -x): a failure or a timeout kills the
 mutant.  A mutant's run gets 5 times its target's clean run, at least 30
 s, unless --timeout sets one for all, and every test process's address
-space is capped at --memory-mb (a run past it fails, so it kills the
+space is capped at MEMORY, 512 MiB (a run past it fails, so it kills the
 mutant too): a mutant that loops and grows ends there.  The repository
 itself is never written.  The script prints every survivor with its line,
 the kill score and the wall time; a survivor is either a gap in the tests
@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEMORY = 512 << 20  # address-space cap of each test process, in bytes
 # (module, the functions mutated in it, the tests a mutant of it runs)
 TARGETS = (
     (Path("src", "batchsched", "core.py"), ("verify_schedule", "_rule_e", "_pieces_of"),
@@ -111,14 +112,14 @@ def mutant(source: str, names, index: int, module: str) -> tuple[str, str]:
     return ast.unparse(tree), f"{where}: {ast.unparse(before)}  ->  {ast.unparse(node)}"
 
 
-def run_tests(workdir: Path, tests, timeout: float | None, memory: int) -> bool:
+def run_tests(workdir: Path, tests, timeout: float | None) -> bool:
     """Whether the tests pass in workdir within timeout seconds (None: no
-    limit) and memory bytes of address space (False past either)."""
+    limit) and MEMORY bytes of address space (False past either)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
 
     def cap():  # in the test process only, before pytest starts
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
     try:
         done = subprocess.run(cmd, cwd=workdir, env=env, timeout=timeout, preexec_fn=cap,
@@ -135,10 +136,7 @@ def main(argv=None) -> int:
     ap.add_argument("--timeout", type=float, default=None,
                     help="seconds per mutant's test run (default: 5x its target's clean run, "
                          "at least 30)")
-    ap.add_argument("--memory-mb", type=int, default=512,
-                    help="address-space cap of each test process, in MiB")
     args = ap.parse_args(argv)
-    memory = args.memory_mb << 20
     start = time.perf_counter()
 
     # every site as (target, index among that target's sites)
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
         timeouts = []
         for path, _, tests in TARGETS:
             clean = time.perf_counter()
-            if not run_tests(work, tests, args.timeout, memory):
+            if not run_tests(work, tests, args.timeout):
                 print(f"the unmutated tests of {path.name} fail; nothing to probe")
                 return 2
             timeouts.append(args.timeout or max(30.0, 5 * (time.perf_counter() - clean)))
@@ -168,7 +166,7 @@ def main(argv=None) -> int:
             path, fns, tests = TARGETS[t]
             text, what = mutant(sources[t], fns, index, path.name)
             (work / path).write_text(text)
-            killed = not run_tests(work, tests, timeouts[t], memory)
+            killed = not run_tests(work, tests, timeouts[t])
             (work / path).write_text(sources[t])
             print(f"{'killed  ' if killed else 'SURVIVED'} {what}", flush=True)
             if not killed:

@@ -70,12 +70,20 @@ def test_job_class_total_is_cached_outside_equality_and_hash():
     assert a._replace(jobs=(1,)).total == 1
     with pytest.raises(AttributeError):
         a.total = 1
+    # a whole tuple, stale aggregates and all, is refused rather than taken as it is
+    with pytest.raises(TypeError):
+        JobClass._make((3, (1,), (0, 9), 9, 9))
+    with pytest.raises(TypeError):
+        Instance._make(tuple(INST))
 
 
 @pytest.mark.parametrize("copy_of", [
     lambda x, **kw: x._replace(**kw),
     lambda x, **kw: copy.copy(x)._replace(**kw),
     lambda x, **kw: pickle.loads(pickle.dumps(x))._replace(**kw),
+    lambda x, **kw: type(x)._make({**dict(zip(x._fields, x[:2])), **kw}.values()),
+    # copy.replace from Python 3.13 on; the protocol it calls before
+    getattr(copy, "replace", lambda x, **kw: type(x).__replace__(x, **kw)),
 ])
 def test_copies_with_new_jobs_carry_their_own_aggregates(copy_of):
     cl = copy_of(JobClass(3, (4, 5)), jobs=(7, 1, 2))
