@@ -3,21 +3,16 @@ instances.
 
 Instance files:  {"m": int, "classes": [{"setup": int, "jobs": [int, ...]}]}
 Schedule files:  {"scale": D, "makespan": "p/q",
-                  "machines": [[[cls, start, setup, job, dur, ...], ...], ...],
-                  "compressed": [{"config": [[cls, start, setup, job, dur, ...], ...],
+                  "machines": [[cls, start, setup, k, job, dur, ..., cls, ...], ...],
+                  "compressed": [{"config": [cls, start, setup, k, job, dur, ...],
                                   "mult": int}, ...]}
-A machine or config is a list of batches, each one list of ints: a setup
-of class cls from start lasting setup, then (job, dur) pairs back to back.
-A pair runs the class's jobs from job on, in index order, for dur: each
-job whole while dur lasts, the last one cut where dur ends; so a pair no
-longer than its job is a piece of it, and job -1 is idle time of length
-dur.  Files that write one pair per job or piece, as earlier releases did,
-mean the same.  Times are ints t meaning t/D, so nothing is ever rounded;
-other rationals (makespan, guesses, bounds) travel as "p/q" strings.
-Schedule files in older formats (a dict per placement with "p/q" times,
-rows that lead with a kind flag and end in a piece number, a list per
-placement, or one flat list of four ints per placement) are rejected:
-solve the instance again.
+A machine or config is one list of ints, its batches back to back (see
+`core.Row`): a setup, then exactly k (job, dur) pairs, each running the
+class's jobs from job on for dur, job -1 for idle time.  Times are ints t
+meaning t/D, so nothing is ever rounded; other rationals travel as "p/q"
+strings.  Files of older formats (a dict per placement, rows led by a kind
+flag, a list per placement, four ints per placement, a list per batch)
+are rejected: solve the instance again.
 
 Exit codes: 0 ok, 1 input or usage error, 2 guess rejected by the dual,
 3 verification failure.
@@ -45,6 +40,7 @@ from .core import (
     fmt_rat,
     lower_bound_tmin,
     parse_instance,
+    row_batches,
     verify_schedule,
 )
 from .search import DEFAULT_EPS, Rejected, solve
@@ -64,22 +60,21 @@ def parse_rat(text: str) -> Rat:
 
 # Every shape or type error in a schedule file names the one format it takes.
 _SCHEDULE_FORMAT = (
-    'schedules are {"scale": D, "machines": [[[cls, start, setup, job, dur, ...], ...], ...], '
-    '"compressed": [{"config": [[cls, start, setup, job, dur, ...], ...], "mult": k}, ...]}: '
-    "a machine or config is a list of batches, each a list of ints: a setup of cls "
-    "from start, then (job, dur) pairs back to back, each running the class's jobs "
-    "from job on for dur (whole, the last one cut where dur ends), job -1 for idle "
-    "time, times in units of 1/D"
+    'schedules are {"scale": D, "machines": [[cls, start, setup, k, job, dur, ...], ...], '
+    '"compressed": [{"config": [cls, start, setup, k, job, dur, ...], "mult": n}, ...]}: '
+    "a machine or config is one list of ints, its batches back to back, each a setup of "
+    "cls from start, then exactly k >= 0 (job, dur) pairs, each running the class's jobs "
+    "from job on for dur (the last one cut where dur ends), job -1 for idle time, in 1/D"
 )
 
 
 def emit_schedule(sched: Schedule) -> dict:
     """The schedule's own rows and scale, with its makespan; the payload
-    shares the schedule's row lists.  ContractError for a time that is not
-    an int (only a hand-built schedule can hold one)."""
-    batches = list(chain.from_iterable(sched.rows()))
-    if set(map(type, chain.from_iterable(batches))) - {int}:
-        bad = next(x for x in chain.from_iterable(batches) if type(x) is not int)
+    shares the schedule's rows.  ContractError for a time that is not an
+    int (only a hand-built schedule can hold one)."""
+    rows = sched.rows()
+    if list(map(type, chain.from_iterable(rows))).count(int) != sum(map(len, rows)):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise ContractError(f"schedule time {bad} is not an int on its scale")
     top = sched.end()
     scale = sched.scale
@@ -109,14 +104,16 @@ def parse_schedule(raw, m: int) -> Schedule:
                               f"{_SCHEDULE_FORMAT}")
     compressed = [(entry.get("config"), entry["mult"]) for entry in entries]
     rows = raw["machines"] + [config for config, _ in compressed]
-    # C-level passes: rows of lists, batches of odd length >= 3, exact ints
-    # (so no bool)
+    # C-level passes: lists of exact ints (so no bool); then each row's
+    # counts must tile it
     if (set(map(type, rows)) - {list}
-            or set(map(type, batches := list(chain.from_iterable(rows)))) - {list}
-            or any(n < 3 or not n % 2 for n in set(map(len, batches)))
-            or set(map(type, chain.from_iterable(batches))) - {int}):
-        raise ValidationError(f"a machine or config must be a list of batches, each a list "
-                              f"of ints of odd length >= 3; {_SCHEDULE_FORMAT}")
+            or list(map(type, chain.from_iterable(rows))).count(int) != sum(map(len, rows))):
+        raise ValidationError(f"a machine or config must be one list of ints; {_SCHEDULE_FORMAT}")
+    try:
+        for row in rows:
+            row_batches(row)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; {_SCHEDULE_FORMAT}") from None
     return Schedule(m=m, machines=raw["machines"], compressed=compressed, scale=raw["scale"])
 
 
@@ -267,8 +264,7 @@ def cmd_gen(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # a usage error exits 1 through `main`, like every input error (2 means a
-    # rejected guess)
+    # a usage error exits 1 through `main`, like any input error (2: a rejected guess)
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(message)

@@ -1,15 +1,13 @@
 """Data model, exact time arithmetic, class partitions and the feasibility verifier.
 
 Setups and processing times are ints, guesses, bounds and makespans exact
-Fractions, and a schedule's starts and durations ints on its integer time
-scale (`Schedule.scale`: t means t / scale), or Fractions in a hand-built
-schedule.  A decision reads its guess p/q once, as the two ints p and q,
-and from then on holds every per-class quantity as an int on the guess's
-scale q (x stands for x / q) or a stated multiple of it, and every required
-load as an int in the instance's own units: it compares by
-cross-multiplying, and the one Fraction it can build is the preemptive
-knapsack's split share.  Nothing here rounds, ever: accept/reject decisions
-and ratio checks are exact.
+Fractions, and a schedule's times ints on its integer scale (`Schedule.scale`:
+t means t / scale), or Fractions in a hand-built schedule.  A decision reads
+its guess p/q once, as the ints p and q, then holds every per-class quantity
+as an int on the scale q (x stands for x / q) or a stated multiple of it and
+every required load as an int in the instance's units, and compares by
+cross-multiplying; the one Fraction it can build is the preemptive
+knapsack's split share.  Nothing here rounds, ever.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
-from operator import add, contains, countOf, eq, itemgetter, lt
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import add, contains, eq, itemgetter, lt
 from typing import NamedTuple, Optional, Sequence, Union
 
 # Exact rational times: guesses, bounds, makespans (schedule times: see Schedule).
@@ -59,14 +57,13 @@ class Variant(Enum):
 class JobClass(namedtuple("JobClass", "setup jobs sums total t_max")):
     """One class: a setup time and the processing times of its jobs.
 
-    `sums` (the prefix sums of the processing times, a tuple from 0, so
-    jobs j..x-1 take sums[x] - sums[j]), `total` (sums[-1]) and `t_max`
-    (the longest job, 0 for none) are found once, at construction, as the
-    tuple's last items: the decisions read the aggregates for every class
-    on every probe, and `sums` is the one per-job array the builds and the
-    verifier read of a whole class.  They follow from the jobs, so equality
-    and hashing decide as on setup and jobs alone, and every copy (`_replace`,
-    `copy.replace`, `_make`, `copy`, pickle) is built from setup and jobs again."""
+    `sums` (the prefix sums of the processing times from 0, so jobs j..x-1
+    take sums[x] - sums[j]), `total` (sums[-1]) and `t_max` (the longest
+    job, 0 for none) are found once, at construction, as the tuple's last
+    items: the decisions read the aggregates on every probe, and `sums` is
+    the one per-job array the builds and the verifier read of a class.
+    Equality and hashing decide as on setup and jobs alone, and every copy
+    (`_replace`, `copy.replace`, `_make`, `copy`, pickle) is built anew."""
 
     __slots__ = ()
 
@@ -199,51 +196,67 @@ def fmt_rat(x: Rat) -> str:
 # Placements and schedules
 # ---------------------------------------------------------------------------
 
-# A schedule row is a list of batches: (cls, start, setup, job, dur, job,
-# dur, ...) is a setup of cls from start lasting setup, then its pairs back
-# to back.  A pair (job, dur) runs the class's jobs from position job on,
-# in index order, for dur time units: each job runs whole while dur lasts,
-# and the last one is cut where dur ends.  So a pair no longer than its job
-# is a piece of that job, and one pair can carry a run of whole jobs (the
-# builds write one per run, see `wrap`); a pair with job -1 is idle time of
-# length dur.  Times are ints on the schedule's scale (Rats in a hand-built
-# schedule).  It is the schedule file's row as it is: builds append batches
-# to it, the JSON writer and reader pass it through, and the verifier reads
-# it in place.  A build's batch is a tuple, which the cyclic collector stops
-# tracking, so a full collection does not rescan every batch of a large
-# schedule; a parsed file's is the JSON list.
-Row = list[Sequence[Union[int, Rat]]]
+# A schedule row is one flat list, its batches back to back: a batch (cls,
+# start, setup, k, job, dur, ..., job, dur) is a setup of cls from start
+# lasting setup, then exactly k >= 0 pairs back to back.  A pair (job, dur)
+# runs the class's jobs from position job on, in index order, for dur time
+# units, each whole while dur lasts and the last one cut where dur ends: a
+# piece of one job, or a run of whole jobs (see `wrap`); job -1 is idle
+# time.  Times are ints on the schedule's scale (Rats in a hand-built
+# schedule).  A file's row is this list as it is, and every reader finds
+# its batches through `row_batches`, the one walk of the layout.
+Row = list[Union[int, Rat]]
 
 
-def batch_end(batch: Sequence) -> Union[int, Rat]:
-    """Where a batch ends: its start plus its setup, pairs and idle time."""
-    return batch[1] + sum(batch[2::2])
+def row_batches(row: Row) -> Sequence[int]:
+    """Where each batch of the row begins, then where the row ends: batch b
+    is row[at[b]:at[b + 1]] (see `Row`).  ValidationError when a count is
+    not an int >= 0 or the counts do not tile the row exactly."""
+    size = len(row)
+    try:  # most rows hold one batch; << refuses a count that is no int
+        if (row[3] << 1) + 4 == size:
+            return 0, size
+    except (IndexError, TypeError):
+        pass
+    at, bounds = 0, [0]
+    while at + 3 < size and isinstance(k := row[at + 3], int) and k >= 0:
+        at += 4 + 2 * k
+        bounds.append(at)
+    if at != size:  # a batch runs past the row's end, or has no count that is an int >= 0
+        raise ValidationError(f"the batch at slot {bounds[-2] if at > size else at} of a row has "
+                              f"no count, or one that is not an int >= 0 or runs past the row")
+    return bounds
 
 
-_JOB_SLOTS = itemgetter(slice(3, None, 2))  # a batch's job ids, -1 for idle time
+def rows_end(rows) -> Union[int, Rat]:
+    """Where the latest batch of the rows ends; 0 if negative or none."""
+    top = 0
+    for row in rows:
+        at = row_batches(row)
+        for a, b in (at,) if len(at) == 2 else pairwise(at):  # one batch: its bounds
+            end = row[a + 1] + row[a + 2] + sum(row[a + 5:b:2])
+            if end > top:
+                top = end
+    return top
 
 
 class Schedule(namedtuple("Schedule", "m machines compressed scale")):
-    """Per-machine rows of batches, plus an optional compressed part.
+    """Per-machine flat rows, plus an optional compressed part.
 
     `machines` holds explicitly materialized machines, one Row each.  Each
     entry of `compressed` is a machine configuration, one Row, with a
     multiplicity: the schedule behaves as if `mult` further machines carried
-    exactly those batches.  The library's builds write only runs of at
-    least two identical machines there (one batch: a setup and a piece
-    filling the gap above it, from one long job); every other machine is a
-    row.  The machine budget is len(machines) + sum of multiplicities <= m.
-    A time t means t / scale.  Every schedule the library builds keeps its
-    times as ints on the scale its construction derived from the guess, and
-    a parsed schedule file holds ints on its own scale; only a hand-built
-    schedule may hold Fractions, in the same rows: the verifier runs the
-    same rules on them, and the JSON writer refuses them.  Every build
-    writes a row's batches in start order (the verifier sorts a row only
-    when its batch starts do not strictly increase), writes no idle pair
-    and no empty row, and follows every setup with a pair of its class but
-    for one case: a wrap's setup that ends exactly where its gap closes,
-    whose job then starts in the next gap.  Without machines or
-    configurations a schedule gets a new empty list there.
+    exactly those batches.  The builds write only runs of at least two
+    identical machines there (a setup and a piece filling the gap above it,
+    from one long job).  The machine budget is len(machines) + sum of
+    multiplicities <= m.  A time t means t / scale: ints on the scale a
+    build derived from its guess, or on a file's own; only a hand-built
+    schedule may hold Fractions, which the verifier judges by the same rules
+    and the JSON writer refuses.  Every build writes a row's batches in
+    start order, no idle pair, no empty row and no setup without a pair but
+    a wrap's setup that ends exactly where its gap closes (k = 0); so a
+    built schedule holds one list per machine or configuration, none per
+    batch.
     """
 
     __slots__ = ()
@@ -262,21 +275,19 @@ class Schedule(namedtuple("Schedule", "m machines compressed scale")):
 
     def end(self) -> Union[int, Rat]:
         """The latest batch end on the schedule's scale; 0 for no batch."""
-        return max(0, max(map(batch_end, chain.from_iterable(self.rows())), default=0))
+        return rows_end(self.rows())
 
     def makespan(self) -> Rat:
         return Fraction(self.end(), self.scale)
 
     def placement_count(self) -> int:
-        """Setups plus pairs, each configuration's once, with C-level passes
-        over the batches' lengths and job slots: a batch of length 3 + 2k
-        holds 1 + k, less its idle pairs.  A pair that carries a run of
-        whole jobs counts once, so this is the size of the rows, not a count
-        of jobs."""
-        batches = list(chain.from_iterable(self.rows()))
-        count = (sum(map(len, batches)) - len(batches)) // 2
-        if any(map(contains, batches, repeat(-1))):  # built schedules hold no -1
-            count -= sum(map(countOf, map(_JOB_SLOTS, batches), repeat(-1)))
+        """Setups plus pairs less idle pairs, each configuration's once: a row
+        of length L with b batches holds L/2 - b, a run counting once."""
+        rows = self.rows()
+        count = sum(map(len, rows)) // 2 - sum(map(len, map(row_batches, rows))) + len(rows)
+        if any(map(contains, rows, repeat(-1))):  # built schedules hold no -1
+            count -= sum(row[a + 4:b:2].count(-1) for row in rows
+                         for a, b in pairwise(row_batches(row)))
         return count
 
 
@@ -290,13 +301,11 @@ class ClassPartition(NamedTuple):
 
     A class is expensive when its setup exceeds T/2, else cheap.  Expensive
     classes split by setup+work against T and (3/4)T; cheap classes split by
-    setup against T/4.  chp_star collects the cheap small-setup classes owning
-    at least one job with setup + t_j > T/2, that is with setup + t_max > T/2:
-    a partition reads no job, and a build that needs those jobs' positions
-    finds them itself.
-    Every boundary case counts with the layer it belongs to just above T
-    (right-continuous), so the construction shapes match their limits from
-    above, which the exact searches rely on.
+    setup against T/4.  chp_star collects the cheap small-setup classes with
+    setup + t_max > T/2 (a partition reads no job; a build that needs those
+    jobs finds them).  Every boundary case counts with the layer it belongs
+    to just above T (right-continuous), so the construction shapes match
+    their limits from above, which the exact searches rely on.
     """
 
     exp_plus: tuple[int, ...]  # T < s + P
@@ -311,13 +320,13 @@ def classify(inst: Instance, p: int, q: int) -> ClassPartition:
     """Split the classes at the guess p/q (q > 0), right-continuously."""
     if p <= 0:
         raise ContractError("classify needs T > 0")
-    # integer comparisons against the guess p/q: x > guess/2 iff 2 x q > p etc.
-    exp_plus, exp_zero, exp_minus = [], [], []
-    chp_plus, chp_minus, chp_star = [], [], []
-    for i, cl in enumerate(inst.classes):
-        sq2 = 2 * cl.setup * q
+    # ints against the guess p/q (x > guess/2 iff 2 x q > p), each class
+    # unpacked once: a NamedTuple field read is not specialized
+    exp_plus, exp_zero, exp_minus, chp_plus, chp_minus, chp_star = [], [], [], [], [], []
+    for i, (setup, _, _, total, t_max) in enumerate(inst.classes):
+        sq2 = 2 * setup * q
         if sq2 > p:
-            reach = (cl.setup + cl.total) * q
+            reach = (setup + total) * q
             if reach > p:
                 exp_plus.append(i)
             elif 4 * reach > 3 * p:
@@ -328,7 +337,7 @@ def classify(inst: Instance, p: int, q: int) -> ClassPartition:
             chp_plus.append(i)
         else:
             chp_minus.append(i)
-            if 2 * (cl.setup + cl.t_max) * q > p:
+            if 2 * (setup + t_max) * q > p:
                 chp_star.append(i)
     return ClassPartition(*map(tuple, (exp_plus, exp_zero, exp_minus, chp_plus, chp_minus, chp_star)))
 
@@ -344,14 +353,12 @@ class Decision(NamedTuple):
     reason says why a guess is rejected: "load" (m*T below the required
     load), "machines" (m below the required machine count), "setup-bound" or
     "job-bound" (the guess is below a direct lower bound); "" when accepted.
-    load and machines are the requirements the guess was held against (None
-    when a direct bound or a geometric certificate decided).  load is an
-    int: every required load is a sum of setups and processing times.  plan
-    is what the construction needs; None when no planning was needed
-    (rejected outright, or accepted because m >= n).  schedule is set by the
-    dual (`dual_split`, `dual_pmtn`, `dual_nonp`) exactly when it accepts:
-    one with makespan <= (3/2)*guess.  The decision functions the searches
-    probe leave it None.
+    load (an int: a sum of setups and processing times) and machines are
+    the requirements the guess was held against (None when a direct bound or
+    a geometric certificate decided).  plan is what the construction needs
+    (None when rejected outright, or accepted because m >= n).  schedule is
+    set by the duals exactly when they accept, with makespan <= (3/2)*guess;
+    the decision functions the searches probe leave it None.
     """
 
     accepted: bool
@@ -401,7 +408,7 @@ def decided_outcome(inst: Instance, guess: Rat, d: Decision, build) -> Decision:
 # Feasibility verifier
 # ---------------------------------------------------------------------------
 
-_START, _START_SETUP = itemgetter(1), itemgetter(1, 2)
+_START, _START_SETUP = itemgetter(1), itemgetter(1, 2)  # of a batch cut out of its row
 
 # Rule ids reported by the verifier:
 #   a  per-machine non-overlap (incl. start >= 0, dur > 0, idle > 0)
@@ -435,23 +442,21 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     Returns a report with all violations; `ok` means none.  Compressed parts
     are verified without materializing the copies: per-machine rules run once
     per configuration, and its whole jobs and pieces count `mult` times.
-    One pass per machine or configuration walks its batches in place in
-    (start, setup) order (a row whose batch starts do not strictly increase
-    is sorted first), and each batch's pairs with a running time, the start
-    of each pair.  It runs rules (a) and (b) and the id checks.  A batch
-    occupies its machine from its start to `batch_end`, idle time included,
-    so a batch starting before the end of an earlier one overlaps it.
+    One pass per machine or configuration walks its batches (`row_batches`;
+    a row of one batch in place) in (start, setup) order, a row whose batch
+    starts do not strictly increase sorted first, and each batch's pairs
+    with a running time.  It runs rules (a) and (b) and the id checks; a
+    batch occupies its machine from its start to its end, idle included.
 
     Jobs have flat indices base[cls] + job (base: prefix sums of the class
-    sizes).  The pass reads each class's own jobs and prefix sums
-    (`JobClass.sums`, unscaled) and copies neither.  A pair as long as its
-    job holds it whole.  A longer pair is a run (see `Row`): one bisect on
-    its class's sums finds the jobs it holds whole, and what is left, if
-    anything, is read like any pair: a piece of the next job, or the time
-    past the class's last job (an unknown job id).  Whole jobs cost two
-    stores into a difference array, `whole`, whose running sum `cover`
-    gives each job's whole copies after the pass.  A piece goes into its
-    job's total and count, and in pmtn also keeps its start, length and
+    sizes).  The pass reads each class's own jobs and unscaled prefix sums
+    (`JobClass.sums`).  A pair as long as its job holds it whole.  A longer
+    pair is a run (see `Row`): one bisect on the sums finds the jobs it
+    holds whole, and what is left is read like any pair: a piece of the
+    next job, or the time past the class's last job (an unknown job id).
+    Whole jobs cost two stores into a difference array, `whole`, whose
+    running sum `cover` gives each job's whole copies.  A piece goes into
+    its job's total and count, and in pmtn also keeps its start, length and
     copies, flat in one tuple per job.  Then the per-job rules are C-level
     passes over small ints plus a step per job with a piece:
       (c) holds when every job without a piece is whole exactly once and
@@ -469,12 +474,11 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     The rules run on the schedule's own times over `sched.scale` with +, -,
     comparisons, `* scale`, `// scale` (the bisect key: a pair (j, dur)
     holds job y - 1 whole exactly when sums[y] <= (sums[j] * scale + dur)
-    // scale, on ints and on Fractions alike) and `Fraction(t, scale)` only:
-    ints for every library-built and parsed schedule, and exactly the same
-    rules on a hand-built schedule's Fractions, in the same rows.  The
-    report holds Fractions.
-    ValidationError when a number a message prints is past CPython's
-    int-string digit limit.
+    // scale, on ints and on Fractions alike) and `Fraction(t, scale)` only,
+    so a hand-built schedule's Fractions get exactly the same rules.  The
+    report holds Fractions.  ValidationError when a number a message prints
+    is past CPython's int-string digit limit, or a row's counts do not
+    tile it.
     """
     out: list[Violation] = []
     scale = sched.scale
@@ -489,7 +493,7 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
     classes = inst.classes
     ncls, n = len(classes), inst.n
     base = list(accumulate((len(cl.jobs) for cl in classes), initial=0))
-    of_class = [(cl.setup * scale, cl.jobs, cl.sums, k) for cl, k in zip(classes, base)]
+    of_class = [(cl.setup * scale, cl.jobs, cl.sums, k, len(cl.jobs)) for cl, k in zip(classes, base)]
     # a run that holds jobs k..x-1 whole adds its copies at k and takes them off at x
     whole = [0] * (n + 1)
     # a job's pieces: their total and count, and in pmtn their (start,
@@ -504,22 +508,26 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
 
     for label, row, copies in _parts(sched):
         if copies < 1:
-            top = max(top, max(map(batch_end, row), default=0))
+            top = max(top, rows_end((row,)))
             flag("s", label, 0, "multiplicity < 1")
             continue
-        if len(row) > 1:
-            starts = list(map(_START, row))
+        bounds = row_batches(row)
+        if len(bounds) == 2:  # one batch: read in place
+            batches = (row,)
+        else:
+            batches = [row[a:b] for a, b in pairwise(bounds)]
+            starts = list(map(_START, batches))
             if not all(map(lt, starts, starts[1:])):
-                row = sorted(row, key=_START_SETUP)
+                batches.sort(key=_START_SETUP)
         prev_end = None
-        for batch in row:
+        for batch in batches:
             pairs = iter(batch)
-            cls, start, setup = next(pairs), next(pairs), next(pairs)
+            cls, start, setup, _ = next(pairs), next(pairs), next(pairs), next(pairs)
             if not 0 <= cls < ncls:
                 flag("s", label, start, f"unknown class {cls}")
-                top = max(top, batch_end(batch))
+                top = max(top, start + setup + sum(batch[5::2]))
                 continue
-            need_setup, lens, sums, first_k = of_class[cls]
+            need_setup, lens, sums, first_k, size = of_class[cls]
             if start < 0:
                 flag("a", label, start, "placement starts before time 0")
             if setup <= 0:
@@ -529,7 +537,6 @@ def verify_schedule(inst: Instance, sched: Schedule, variant: Variant, bound: Ra
             if setup != need_setup:
                 flag("b", label, start, f"setup of class {cls} has length "
                                         f"{Fraction(setup, scale)}, expected {classes[cls].setup}")
-            size = len(lens)
             t = start + setup
             for job, dur in zip(pairs, pairs):
                 if not 0 <= job < size:
@@ -670,13 +677,13 @@ def _pieces_of(sched: Schedule, classes: Sequence[JobClass], base: list[int],
         return found
     scale = sched.scale
     for _, row, copies in _parts(sched):
-        for batch in row if copies >= 1 else ():
-            cls, t = batch[0], batch[1] + batch[2]
+        for a, b in pairwise(row_batches(row)) if copies >= 1 else ():
+            cls, t = row[a], row[a + 1] + row[a + 2]
             if not 0 <= cls < len(classes):
                 continue
             lens, sums, first_k = classes[cls].jobs, classes[cls].sums, base[cls]
             size = len(lens)
-            for job, dur in zip(batch[3::2], batch[4::2]):
+            for job, dur in zip(row[a + 4:b:2], row[a + 5:b:2]):
                 if 0 <= job < size and dur > lens[job] * scale:
                     at = sums[job] * scale
                     reach, shift = at + dur, t - at
@@ -697,6 +704,6 @@ def _pieces_of(sched: Schedule, classes: Sequence[JobClass], base: list[int],
 
 def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     """One setup + one job per machine; optimal when m >= n (non-splittable)."""
-    machines = [[(i, 0, cl.setup, j, t)]
+    machines = [[i, 0, cl.setup, 1, j, t]
                 for i, cl in enumerate(inst.classes) for j, t in enumerate(cl.jobs)]
     return Schedule(m=inst.m, machines=machines)

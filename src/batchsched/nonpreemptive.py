@@ -5,8 +5,9 @@ opened machines with same-class jobs and distributes the remainder greedily.
 A job cut at a machine's border stays whole where it starts, and an item
 sticking out over the guess in the greedy moves on to the next machine
 behind a fresh setup.  Every step places runs of whole jobs, one step per
-machine, and writes the schedule's batches directly; step 3's stream
-writes each run of consecutive jobs as one pair (see `core.Row`).
+machine, and writes the batches straight into each machine's flat row;
+step 3's stream writes each run of consecutive jobs as one pair (see
+`core.Row`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, pairwise
 from operator import ne, not_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -25,7 +26,6 @@ from .core import (
     Rat,
     Schedule,
     Variant,
-    batch_end,
     decide_need,
     decided_outcome,
     job_bound_decision,
@@ -40,12 +40,11 @@ from .search import Probe, SearchResult, _bisect
 # ---------------------------------------------------------------------------
 
 # A segment is (cls, setup, ghost, ids, durs): a setup, then, when ghost >
-# 0, a ghost of that length (the tail of a job the build keeps whole on an
-# earlier machine: it takes room but is never written), then whole jobs,
-# their positions in the class in ids and their durations in durs, in index
-# order.  durs is read once, when the stream is built.  A whole class is
-# range(len(jobs)) and the class's own jobs (times the scale with a
-# C-level map off scale 1), so no job of it is copied.
+# 0, a ghost of that length (the tail of a job kept whole on an earlier
+# machine: it takes room but is never written), then whole jobs, their
+# positions in the class in ids and their durations in durs (read once), in
+# index order.  A whole class is range(len(jobs)) and the class's own jobs
+# (times the scale with a C-level map off scale 1), so none is copied.
 Segment = tuple[int, int, int, Sequence[int], Iterable[int]]
 
 
@@ -53,8 +52,7 @@ class _Stream:
     """Segments end to end: item x (a setup, a ghost or a job) occupies
     [starts[x], starts[x + 1]), and heads[k] is the item of segment k's setup.
     breaks[k] lists the positions p in segment k's jobs where job p is not
-    job p - 1's successor in the class, so that the jobs between two breaks
-    are written as one run (see `core.Row`)."""
+    job p - 1's successor, so the jobs between two breaks are one run."""
 
     def __init__(self, segs: list[Segment]):
         self.segs = segs
@@ -73,12 +71,11 @@ class _Stream:
             for _, setup, ghost, _, durs in segs), initial=0))
         self.ghosts = {h + 1 for h, seg in zip(self.heads, segs) if seg[2]}
 
-    def batches(self, a: int, b: int, t: int) -> list[tuple]:
-        """Items [a, b) as batches back to back from time t: each segment's
-        jobs among them behind its own setup, or behind a fresh one where
-        they do not follow it, one pair per run.  A part that holds no job
-        is no batch, so a batch is never a setup alone."""
-        out = []
+    def write(self, row: list, a: int, b: int, t: int) -> int:
+        """Items [a, b) as batches back to back from time t at the end of row,
+        returning where they end: each segment's jobs among them behind its
+        own setup, or behind a fresh one where they do not follow it, one
+        pair per run.  A part that holds no job is no batch."""
         S = self.starts
         k = bisect_right(self.heads, a) - 1
         while k < len(self.heads) and self.heads[k] < b:
@@ -90,14 +87,14 @@ class _Stream:
                 cuts = brk[bisect_right(brk, p0):bisect_left(brk, p1)] if brk else ()
                 if cuts:
                     cuts = [p0, *cuts, p1]
-                    jobs = tuple(chain.from_iterable((ids[r0], S[first + r1] - S[first + r0])
-                                                     for r0, r1 in zip(cuts, cuts[1:])))
+                    row += cls, t, setup, len(cuts) - 1
+                    row += chain.from_iterable((ids[r0], S[first + r1] - S[first + r0])
+                                               for r0, r1 in pairwise(cuts))
                 else:
-                    jobs = (ids[p0], S[first + p1] - S[first + p0])
-                out.append((cls, t, setup) + jobs)
+                    row += cls, t, setup, 1, ids[p0], S[first + p1] - S[first + p0]
                 t += setup + S[first + p1] - S[first + p0]
             k += 1
-        return out
+        return t
 
 
 def _flat(jobs: tuple[int, ...], idx, scale: int) -> list[int]:
@@ -145,7 +142,10 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     bounds.append(n)
     # a setup and a job of its class fit in tmin, so a machine holds the
     # item it starts with and the next: a job, or a setup and its first job
-    sched = Schedule(m=inst.m, machines=[st.batches(a, b, 0) for a, b in zip(bounds, bounds[1:])])
+    machines: list[list] = [[] for _ in bounds[1:]]
+    for row, (a, b) in zip(machines, pairwise(bounds)):
+        st.write(row, a, b, 0)
+    sched = Schedule(m=inst.m, machines=machines)
     makespan = sched.makespan()
     if makespan > 2 * tmin:
         raise ContractError(f"next-fit makespan {makespan} exceeds 2*T_min")
@@ -182,23 +182,23 @@ def counts_nonp(inst: Instance, p: int, q: int) -> NonpCounts:
     # class fills T - s_i = (p - s_i q)/q per machine
     machines: list[int] = []
     leftover: list[int] = []
-    for cl in inst.classes:
-        room = p - cl.setup * q
-        sq2 = 2 * cl.setup * q
+    for setup, jobs, _, total, t_max in inst.classes:  # unpacked once, as in classify
+        room = p - setup * q
+        sq2 = 2 * setup * q
         if sq2 > p:
             if room <= 0:
                 raise ContractError("counts_nonp needs a guess above every setup")
-            mi = -(-cl.total * q // room)
-        elif sq2 + 2 * cl.t_max * q > p:  # else no job of the class is big or forced
+            mi = -(-total * q // room)
+        elif sq2 + 2 * t_max * q > p:  # else no job of the class is big or forced
             # forced or big: 2(s + t) q > p, i.e. t > (p - 2sq) // 2q; big:
             # 2tq > p, i.e. t > p // 2q
-            over = list(filter(((p - sq2) // (2 * q)).__lt__, cl.jobs))
+            over = list(filter(((p - sq2) // (2 * q)).__lt__, jobs))
             big = list(filter((p // (2 * q)).__lt__, over))
             mi = len(big) + -(-(sum(over) - sum(big)) * q // room)
         else:
             mi = 0
         machines.append(mi)
-        leftover.append(cl.total * q - mi * room)
+        leftover.append(total * q - mi * room)
     return NonpCounts(machines=machines, leftover=leftover)
 
 
@@ -210,8 +210,8 @@ def _decide_nonp(inst: Instance, guess: Rat) -> Decision:
         return early
     counts = counts_nonp(inst, p, q)
     load = inst.total_work
-    for cl, mi, x in zip(inst.classes, counts.machines, counts.leftover):
-        load += (mi + (x > 0)) * cl.setup
+    for (setup, _, _, _, _), mi, x in zip(inst.classes, counts.machines, counts.leftover):
+        load += (mi + (x > 0)) * setup
     return decide_need(inst.m, p, q, load, sum(counts.machines), counts)
 
 
@@ -231,14 +231,16 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     after it but is never written."""
     scale, T = guess.denominator, guess.numerator
     half = T // 2
-    rows: list[list] = []  # per machine its batches
+    rows: list[list] = []  # per machine its flat row
     loads: list[int] = []  # per machine its load as steps 1-3 see it, ghosts included
+    ends: list[int] = []  # per machine where its last batch ends (its load unless given)
 
-    def new_machine(batch: Optional[list] = None, load: int = 0) -> int:
+    def new_machine(row: Optional[list] = None, load: int = 0, end: Optional[int] = None) -> int:
         if len(loads) >= inst.m:
             raise ContractError("construction ran out of machines")
-        rows.append([batch] if batch else [])
+        rows.append([] if row is None else row)
         loads.append(load)
+        ends.append(load if end is None else end)
         return len(loads) - 1
 
     # Steps 1 and 2, class by class.  Step 1 places the jobs that cannot
@@ -259,7 +261,7 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             jobs = cl.jobs
             is_over = list(map(over.__lt__, jobs))
             is_big = list(map((half // scale).__lt__, jobs))
-            targets = [new_machine([i, 0, s, j, jobs[j] * scale], s + jobs[j] * scale)
+            targets = [new_machine([i, 0, s, 1, j, jobs[j] * scale], s + jobs[j] * scale)
                        for j in compress(range(len(jobs)), is_big)]
             forced = _flat(jobs, compress(range(len(jobs)), map(ne, is_over, is_big)), scale)
             if forced:
@@ -268,7 +270,8 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 room, pos, a = T - s, 0, 0
                 while pos < S[-1]:
                     b = bisect_left(S, pos + room, a, len(S) - 1)
-                    u = new_machine([i, 0, s, *forced[2 * a:2 * b]], s + min(room, S[-1] - pos))
+                    u = new_machine([i, 0, s, b - a, *forced[2 * a:2 * b]],
+                                s + min(room, S[-1] - pos), s + S[b] - S[a])
                     pos, a = pos + room, b
                 targets.append(u)
             rest = _flat(jobs, compress(range(len(jobs)), map(not_, is_over)), scale)
@@ -282,8 +285,11 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 if pos >= S[-1]:
                     break
                 b = bisect_left(S, pos + room, a, len(S) - 1)
-                rows[u][0] += rest[2 * a:2 * b]
+                row = rows[u]  # its one batch, whose count grows by the jobs added
+                row += rest[2 * a:2 * b]
+                row[3] += b - a
                 loads[u] += min(room, S[-1] - pos)
+                ends[u] += S[b] - S[a]
                 pos, a = pos + room, b
             got = max(S[-1] - pos, 0)
             ghost, ids, durs = (S[a] - pos if got else 0), rest[2 * a::2], rest[2 * a + 1::2]
@@ -304,8 +310,10 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     # with a job it gets a fresh setup (the class's own machines are full, so
     # none of them is below it), and a setup whose jobs all move on is not
     # written.
-    for row in rows:  # its steps 1-2 batch, now complete, unless it holds no job
-        row[:] = [tuple(batch) for batch in row if len(batch) > 3]
+    for u, row in enumerate(rows):  # its steps 1-2 batch, now complete, unless it holds no job
+        if not row[3]:
+            row.clear()
+            ends[u] = 0
     if segs:
         st = _Stream(segs)
         S, n = st.starts, st.n
@@ -318,19 +326,16 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
             end = bisect_left(S, S[f] + room, f, n)  # the items that start below T
             # the last item moves on if it sticks out, unless it is a ghost
             stop = end - (S[end] - S[f] > room and end - 1 not in st.ghosts)
-            row = rows[u]
-            row += st.batches(e, stop, batch_end(row[-1]) if row else 0)
+            ends[u] = st.write(rows[u], e, stop, ends[u])
             e, f = stop, end
         if e < n:  # the last machine's item moved on
             if len(rows) < inst.m:
                 target = new_machine()
             else:
-                target = next((v for v, row in enumerate(rows)
-                               if v != u and (batch_end(row[-1]) if row else 0) <= T), None)
+                target = next((v for v, end in enumerate(ends) if v != u and end <= T), None)
                 if target is None:
                     raise ContractError("repair found no machine for the final item")
-            row = rows[target]
-            row += st.batches(e, n, batch_end(row[-1]) if row else 0)
+            st.write(rows[target], e, n, ends[target])
     return Schedule(m=inst.m, machines=[row for row in rows if row], scale=scale)
 
 

@@ -31,7 +31,6 @@ from .core import (
     Rat,
     Schedule,
     Variant,
-    batch_end,
     classify,
     decide_need,
     decided_outcome,
@@ -134,9 +133,9 @@ def _stack(builder: Builder, inst: Instance, u: int, t: int, i: int, scale: int)
     """Put class i whole on machine u from time t, its jobs as one run (see
     `core.Row`), on the time scale; returns its end."""
     cl = inst.classes[i]
-    placed = (i, t, cl.setup * scale, 0, cl.total * scale)
-    builder.put(u, placed)
-    return batch_end(placed)
+    setup, work = cl.setup * scale, cl.total * scale
+    builder.put(u, (i, t, setup, 1, 0, work))
+    return t + setup + work
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     if len(kplus) > l:
         raise ContractError("more big leftovers than large machines")
     for u, (i, j, dur) in enumerate(kplus):
-        builder.put(u, (i, 0, inst.classes[i].setup * scale, j, dur))
+        builder.put(u, (i, 0, inst.classes[i].setup * scale, 1, j, dur))
     lprime = len(kplus)
 
     if kminus:

@@ -10,12 +10,9 @@ gap moves below the start of the next gap, a job that would cross is cut
 there and continues at the start of the next gap behind a freshly inserted
 setup of its class.  The jobs of a batch that end by the current gap's
 close go in as one run, found by one bisect over the batch's prefix sums:
-for a whole class (`class_batch`) the class's own `JobClass.sums`, so no
-job of it is copied; only a job that crosses a close is placed on its own.
-A whole class writes each such run as one pair (see `core.Row`), and the
-head of a job crossing the close right after it ends that pair, so a gap
-holds at most two pairs of it: the tail of the job that crossed into it,
-and one run.  Any other batch writes one pair per job or piece.
+for a whole class (`class_batch`) the class's own `JobClass.sums`, written
+as one pair (see `core.Row`) that the head of a job crossing the close
+extends; any other batch writes one pair per job or piece.
 
 Every gap the wrap fills becomes a machine row, except in one case: after a
 crossing, a remainder of one job covering at least two whole gaps of the
@@ -23,11 +20,8 @@ next gap's run, short of that run's last gap, is emitted once as a
 compressed configuration (a setup ending at the gap start and a full-height
 piece) with that multiplicity.  So the output size is bounded by the
 sequence length and the template length, independent of the gap count.
-Each setup opens a batch in its gap's row (see `core.Row`), and the pairs
-after it extend that batch.
-
-Times are ints on the Builder's scale.  The code needs only +, -, // and
-comparisons on them.
+Each batch goes into its gap's flat row.  Times are ints on the Builder's
+scale, read with +, -, // and comparisons.
 """
 
 from __future__ import annotations
@@ -57,12 +51,10 @@ class Gap(namedtuple("Gap", "machine open close count")):
 
 class Batch(NamedTuple):
     """A setup followed by items of class cls.  A batch is whole when sums
-    is set: its items are the class's jobs, all of them whole and in index
-    order, job j lasting (sums[j + 1] - sums[j]) * scale, with sums the
-    class's unscaled prefix sums (`core.JobClass.sums`), so that the wrap
-    may write a run of them as one pair.  Otherwise jobs is flat, (job,
-    dur, job, dur, ...) with job the position within the class, like the
-    tail of a schedule row's batch: one tuple, not one per item."""
+    is set: its items are the class's jobs, whole and in index order, job j
+    lasting (sums[j + 1] - sums[j]) * scale with sums the class's unscaled
+    `core.JobClass.sums`, so the wrap may write a run of them as one pair.
+    Otherwise jobs is flat, (job, dur, job, dur, ...), one tuple."""
 
     cls: int
     setup: Rat
@@ -89,9 +81,8 @@ class Builder:
     Explicit machines keep their relative order and are packed to 0..E-1;
     compressed configurations follow, occupying the next sum-of-multiplicities
     machine slots.  Times are on the integer time scale `scale` (1/scale time
-    units per step).  `rows` maps a machine id to its Row of batches; a row
-    exists only once a batch is put on it.  A batch is put whole, as a tuple
-    (see `core.Row`).
+    units per step).  `rows` maps a machine id to its flat Row (`core.Row`),
+    which exists once a batch is put on it; a batch is written into it.
     """
 
     def __init__(self, m: int, scale: int = 1):
@@ -101,8 +92,9 @@ class Builder:
         self._configs: list[tuple[int, Row, int]] = []
 
     def put(self, machine: int, batch: tuple):
-        """A batch (cls, start, setup, job, dur, ...) on the machine."""
-        self.rows[machine].append(batch)
+        """A batch (cls, start, setup, k, job, dur, ...) with k pairs, at
+        the end of the machine's row."""
+        self.rows[machine] += batch
 
     def put_config(self, base_machine: int, config: Row, mult: int):
         self._configs.append((base_machine, config, mult))
@@ -139,11 +131,8 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
 
     One pass keeps its state in locals: the current gap (run r, machine,
     how many gaps of the run follow it, open, close), the fill t, and the
-    open batch, the last setup's, with the row it goes to.  The open batch
-    is a list that becomes a tuple in its row once the next setup opens
-    another or the pass ends: only one batch is ever a list, so no batch
-    lives long enough as one to be moved into the collector's oldest
-    generation."""
+    open batch's row and count slot; the count is set from the row's length
+    once the next setup opens another batch or the pass ends."""
     runs = [g for g in gaps if g.count]
     check_template(runs)
     if not runs:
@@ -152,8 +141,8 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     r, machine, left, open_, close = _next_run(runs, -1)
     t = open_
     placed = 0
-    cur: Optional[list] = None
     row: Optional[Row] = None
+    at = 0  # the open batch's count slot in row
     for batch in seq:
         cls, setup = batch.cls, batch.setup
         if setups_below and t == open_ and t + setup <= close:
@@ -172,10 +161,12 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
         else:
             start = t
             t += setup
-        if cur is not None:
-            row.append(tuple(cur))
+        if row is not None:
+            row[at] = (len(row) - at - 1) // 2
         placed += 1
-        cur, row = [cls, start, setup], rows[machine]
+        row = rows[machine]
+        row += cls, start, setup, 0
+        at = len(row) - 1
 
         sums, scale, jobs, bad = batch.sums, batch.scale, batch.jobs, None
         whole = sums is not None
@@ -199,9 +190,9 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
                 placed += fit - k
                 end = shift + sums[fit] * scale
                 if whole:  # one pair for the run
-                    cur += k, end - t
+                    row += k, end - t
                 else:
-                    cur += jobs[2 * k:2 * fit]
+                    row += jobs[2 * k:2 * fit]
                 t = end
                 if fit == n:
                     break
@@ -217,9 +208,9 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
                 if head > 0:
                     placed += 1
                     if ends_run:
-                        cur[-1] += head
+                        row[-1] += head
                     else:
-                        cur += job, head
+                        row += job, head
                 ends_run = False
                 rest = end - close
                 if left:
@@ -234,17 +225,19 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
                     # machine row.  ceil(rest / height) - 1, exact on ints
                     # past 2**53
                     full = min(-(-rest // height) - 1, left)
-                    put_config(machine, [(cls, open_ - setup, setup, job, height)], full)
+                    put_config(machine, [cls, open_ - setup, setup, 1, job, height], full)
                     placed += 2
                     machine += full
                     left -= full
                     rest -= height * full
-                row.append(tuple(cur))
+                row[at] = (len(row) - at - 1) // 2
                 placed += 1
-                cur, row = [cls, open_ - setup, setup], rows[machine]
+                row = rows[machine]
+                row += cls, open_ - setup, setup, 0
+                at = len(row) - 1
                 t = open_
                 end = t + rest
-            cur += job, end - t
+            row += job, end - t
             placed += 1
             t = end
             k = fit + 1
@@ -252,6 +245,6 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
         if bad is not None:
             job, dur = jobs[2 * bad:2 * bad + 2]
             raise ValueError(f"job piece {(cls, job)} with non-positive duration {dur}")
-    if cur is not None:
-        row.append(tuple(cur))
+    if row is not None:
+        row[at] = (len(row) - at - 1) // 2
     return WrapResult(last_machine=machine, last_fill=t, placed=placed)

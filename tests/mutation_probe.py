@@ -1,12 +1,17 @@
-"""Seeded AST mutants of the verifier, the non-preemptive build and the
-exact searches, each run against the tests of its module.
+"""Seeded AST mutants of the verifier, the schedule rows and file, the
+non-preemptive build and the exact searches, each run against the tests of
+its module.
 
-    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S]
+    python tests/mutation_probe.py [--seed N] [--count K] [--timeout S] [--only FILE,...]
 
 A mutant changes one operator or constant inside one function of TARGETS:
 `verify_schedule`, `_rule_e` or `_pieces_of` in src/batchsched/core.py,
 run against tests/test_core.py and tests/test_verify_reference.py, or
-`_Stream.batches` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
+`row_batches`, `rows_end` or `Schedule.placement_count` there, the row
+layout, run against tests/test_core.py and tests/test_cli.py, or
+`emit_schedule` or `parse_schedule` in src/batchsched/cli.py, run against
+tests/test_cli.py and tests/test_golden.py, or
+`_Stream.write` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
 against tests/test_nonp_reference.py and tests/test_nonpreemptive.py, or
 `_bisect`, `class_jump_walk`, `class_jump_search` (its refinement loop
 included) or `epsilon_search` in src/batchsched/search.py, run against
@@ -17,7 +22,8 @@ tests/test_preemptive.py and tests/test_search_oracle.py.  The change
 is a comparison swapped (< and <=, > and >=, == and !=, in and not in, is
 and is not), + and - swapped (also in +=, -=), `and` and `or` swapped,
 or a small int constant (0 to 3) moved by one.  The sites of all
-targets are listed in a fixed order and K of them are drawn with the seed.
+targets (of the targets in the named files, with --only) are listed in a
+fixed order and K of them are drawn with the seed.
 Each mutant is written into a temporary copy of src/ and tests/, and its
 target's tests run there (pytest -x): a failure or a timeout kills the
 mutant.  A mutant's run gets 5 times its target's clean run, at least 30
@@ -54,7 +60,11 @@ MEMORY = 512 << 20  # address-space cap of each test process, in bytes
 TARGETS = (
     (Path("src", "batchsched", "core.py"), ("verify_schedule", "_rule_e", "_pieces_of"),
      ("tests/test_core.py", "tests/test_verify_reference.py")),
-    (Path("src", "batchsched", "nonpreemptive.py"), ("batches", "_build_nonp"),
+    (Path("src", "batchsched", "core.py"), ("row_batches", "rows_end", "placement_count"),
+     ("tests/test_core.py", "tests/test_cli.py")),
+    (Path("src", "batchsched", "cli.py"), ("emit_schedule", "parse_schedule"),
+     ("tests/test_cli.py", "tests/test_golden.py")),
+    (Path("src", "batchsched", "nonpreemptive.py"), ("write", "_build_nonp"),
      ("tests/test_nonp_reference.py", "tests/test_nonpreemptive.py")),
     (Path("src", "batchsched", "search.py"),
      ("_bisect", "class_jump_walk", "class_jump_search", "epsilon_search"),
@@ -136,15 +146,19 @@ def main(argv=None) -> int:
     ap.add_argument("--timeout", type=float, default=None,
                     help="seconds per mutant's test run (default: 5x its target's clean run, "
                          "at least 30)")
+    ap.add_argument("--only", default=None,
+                    help="comma-separated module file names: mutate only their targets")
     args = ap.parse_args(argv)
     start = time.perf_counter()
+    targets = TARGETS if args.only is None else tuple(
+        target for target in TARGETS if target[0].name in args.only.split(","))
 
     # every site as (target, index among that target's sites)
-    sources = [(ROOT / path).read_text() for path, _, _ in TARGETS]
-    all_sites = [(t, k) for t, ((_, names, _), source) in enumerate(zip(TARGETS, sources))
+    sources = [(ROOT / path).read_text() for path, _, _ in targets]
+    all_sites = [(t, k) for t, ((_, names, _), source) in enumerate(zip(targets, sources))
                  for k in range(len(sites(ast.parse(source), names)))]
     picks = sorted(random.Random(args.seed).sample(all_sites, min(args.count, len(all_sites))))
-    names = ", ".join(name for _, fns, _ in TARGETS for name in fns)
+    names = ", ".join(name for _, fns, _ in targets for name in fns)
     print(f"{len(all_sites)} mutation sites in {names}; running {len(picks)} (seed {args.seed})")
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         work = Path(tmp)
@@ -153,17 +167,17 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
         timeouts = []
-        for path, _, tests in TARGETS:
+        for path, _, tests in targets:
             clean = time.perf_counter()
             if not run_tests(work, tests, args.timeout):
                 print(f"the unmutated tests of {path.name} fail; nothing to probe")
                 return 2
             timeouts.append(args.timeout or max(30.0, 5 * (time.perf_counter() - clean)))
         print("timeouts: " + ", ".join(f"{path.name} {s:.0f} s"
-                                       for (path, _, _), s in zip(TARGETS, timeouts)))
+                                       for (path, _, _), s in zip(targets, timeouts)))
         survivors = []
         for t, index in picks:
-            path, fns, tests = TARGETS[t]
+            path, fns, tests = targets[t]
             text, what = mutant(sources[t], fns, index, path.name)
             (work / path).write_text(text)
             killed = not run_tests(work, tests, timeouts[t])

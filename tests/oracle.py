@@ -11,7 +11,10 @@ aggregates, and the wrap that placed one job at a time; the expansion
 of a schedule's runs into one pair per job, which the references write
 (`expand_runs`); and the two mappings from a reference build's schedule
 to today's (`drop_idle_setups` for the non-preemptive one, `rows_by_start`
-for the preemptive one)."""
+for the preemptive one).  The references write each batch as a sequence
+of its own, as earlier releases did, and their schedules are flattened
+into rows (`flat_row`) where they are written; every reader here walks a
+flat row through `core.row_batches` (`batch_list`)."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -37,6 +40,7 @@ from batchsched.core import (
     VerifyReport,
     Violation,
     lower_bound_tmin,
+    row_batches,
     trivial_one_job_per_machine,
 )
 from batchsched.preemptive import KnapsackItem
@@ -188,6 +192,34 @@ def _check_machine(inst: Instance, label, rows, scale: int, out: list[Violation]
                 flag("b", f"piece of class {cls} not preceded by a setup of its class")
 
 
+def flat_row(batches) -> list:
+    """Batches (cls, start, setup, job, dur, ...), each a sequence of its
+    own as earlier releases and the references write them, as one flat row
+    (see `core.Row`): each batch's count of pairs after its setup."""
+    out: list = []
+    for b in batches:
+        out += b[0], b[1], b[2], (len(b) - 3) // 2, *b[3:]
+    return out
+
+
+def batch_list(row) -> list[tuple]:
+    """A flat row's batches as (cls, start, setup, job, dur, ...) tuples,
+    the count left out, found through `core.row_batches`."""
+    return [(row[a], row[a + 1], row[a + 2], *row[a + 4:b]) for a, b in pairwise(row_batches(row))]
+
+
+def _map_rows(sched: Schedule, fn) -> Schedule:
+    """The schedule with fn applied to every machine's and configuration's row."""
+    return Schedule(m=sched.m, machines=[fn(row) for row in sched.machines],
+                    compressed=[(fn(row), mult) for row, mult in sched.compressed], scale=sched.scale)
+
+
+def flatten(sched: Schedule) -> Schedule:
+    """A schedule whose rows hold a sequence per batch, as the frozen
+    references write it, with flat rows."""
+    return _map_rows(sched, flat_row)
+
+
 def expand_runs(sched: Schedule, inst: Instance) -> Schedule:
     """The schedule with one pair per job: the same placements, in the same
     order.  A pair longer than its job runs the class's jobs from it on,
@@ -195,14 +227,14 @@ def expand_runs(sched: Schedule, inst: Instance) -> Schedule:
     per whole job and one for the piece left of the last, or, past the
     class's last job, one for the unknown job id len(jobs), as the verifier
     reads it.  Every other pair, and a batch of an unknown class, stays as
-    it is.  Batches become tuples."""
+    it is.  Rows stay flat, with each batch's count of its new pairs."""
     scale = sched.scale
     lens_of = [[t * scale for t in cl.jobs] for cl in inst.classes]
 
     def batch(b):
         cls = b[0]
         if not 0 <= cls < len(lens_of):
-            return tuple(b)
+            return b
         lens = lens_of[cls]
         out = list(b[:3])
         for job, dur in zip(b[3::2], b[4::2]):
@@ -211,18 +243,16 @@ def expand_runs(sched: Schedule, inst: Instance) -> Schedule:
                 dur -= lens[job]
                 job += 1
             out += job, dur
-        return tuple(out)
+        return out
 
-    return Schedule(m=sched.m, machines=[[batch(b) for b in row] for row in sched.machines],
-                    compressed=[([batch(b) for b in row], mult) for row, mult in sched.compressed],
-                    scale=scale)
+    return _map_rows(sched, lambda row: flat_row(map(batch, batch_list(row))))
 
 
 def run_pairs(sched: Schedule, inst: Instance) -> int:
     """How many pairs of the schedule's rows span more than one job: a
     known job, and longer than it."""
     scale, count = sched.scale, 0
-    for b in chain.from_iterable(sched.rows()):
+    for b in chain.from_iterable(map(batch_list, sched.rows())):
         jobs = inst.classes[b[0]].jobs if 0 <= b[0] < len(inst.classes) else ()
         count += sum(0 <= job < len(jobs) and dur > jobs[job] * scale
                      for job, dur in zip(b[3::2], b[4::2]))
@@ -233,7 +263,7 @@ def placements(sched: Schedule, inst: Instance) -> Iterator[tuple]:
     """Every setup and job piece once as a (cls, start, dur, job) tuple, job
     -1 for a setup: the machines' in order, then each configuration's (not
     repeated by its multiplicity), runs expanded.  Idle pairs are skipped."""
-    for batch in chain.from_iterable(expand_runs(sched, inst).rows()):
+    for batch in chain.from_iterable(map(batch_list, expand_runs(sched, inst).rows())):
         cls, t, setup = batch[0], batch[1], batch[2]
         yield cls, t, setup, -1
         t += setup
@@ -243,13 +273,17 @@ def placements(sched: Schedule, inst: Instance) -> Iterator[tuple]:
             t += dur
 
 
+def _by_start(row) -> list:
+    return flat_row(sorted(batch_list(row), key=itemgetter(1)))
+
+
 def expand(sched: Schedule, inst: Instance) -> Schedule:
     """Materialize the compressed part and the runs: the rows first, then
     mult copies of each configuration, every machine's batches in start
     order, one pair per job."""
     flat = expand_runs(sched, inst)
     copies = [config for config, mult in flat.compressed for _ in range(mult)]
-    out = [sorted(row, key=itemgetter(1)) for row in flat.machines + copies]
+    out = [_by_start(row) for row in flat.machines + copies]
     return Schedule(m=sched.m, machines=out, compressed=[], scale=sched.scale)
 
 
@@ -259,14 +293,14 @@ def drop_idle_setups(sched: Schedule) -> Schedule:
     empty dropped: what the non-preemptive build writes since it decides
     each cut before it writes a batch, from a schedule written before that
     (`reference_build_nonp`'s).  Rows are read in start order."""
-    def row(batches):
+    def row(flat):
         out, shift = [], 0
-        for b in batches:
+        for b in batch_list(flat):
             if len(b) == 3:
                 shift += b[2]
             else:
                 out.append((b[0], b[1] - shift, *b[2:]))
-        return out
+        return flat_row(out)
 
     return Schedule(m=sched.m, machines=[r for r in map(row, sched.machines) if r],
                     compressed=sched.compressed, scale=sched.scale)
@@ -277,10 +311,7 @@ def rows_by_start(sched: Schedule) -> Schedule:
     preemptive build writes since it puts a large machine's bottom before
     its top, from a schedule written before that (`reference_build_pmtn`'s,
     the top first)."""
-    return Schedule(m=sched.m, machines=[sorted(row, key=itemgetter(1)) for row in sched.machines],
-                    compressed=[(sorted(row, key=itemgetter(1)), mult)
-                                for row, mult in sched.compressed],
-                    scale=sched.scale)
+    return _map_rows(sched, _by_start)
 
 
 def tuple_view(sched: Schedule, inst: Instance) -> Schedule:
@@ -291,7 +322,7 @@ def tuple_view(sched: Schedule, inst: Instance) -> Schedule:
     pair (job -1) only moves the time on."""
     def view(row):
         out = []
-        for cls, start, setup, *pairs in row:
+        for cls, start, setup, *pairs in batch_list(row):
             out.append((cls, start, setup, None))
             t = start + setup
             for job, dur in zip(pairs[::2], pairs[1::2]):
@@ -299,10 +330,15 @@ def tuple_view(sched: Schedule, inst: Instance) -> Schedule:
                     out.append((cls, t, dur, job))
                 t += dur
         return out
-    sched = expand_runs(sched, inst)
-    return Schedule(m=sched.m, machines=[view(row) for row in sched.machines],
-                    compressed=[(view(row), mult) for row, mult in sched.compressed],
-                    scale=sched.scale)
+    return _map_rows(expand_runs(sched, inst), view)
+
+
+class _ReferenceBuilder(Builder):
+    """A Builder that takes a batch as the references write it, (cls,
+    start, setup, job, dur, ...), and puts it flat."""
+
+    def put(self, machine: int, batch: tuple):
+        super().put(machine, flat_row([batch]))
 
 
 def reference_verify(inst: Instance, sched: Schedule, variant: Variant, bound: Rat) -> VerifyReport:
@@ -486,7 +522,7 @@ class _Stacks:
                         raise ContractError("a piece follows no setup of its class")
                     row[-1] += it.ref[1], it.dur
                 t += it.dur
-            machines.append(list(map(tuple, row)))
+            machines.append(flat_row(row))
         return Schedule(m=self.m, machines=machines, scale=self.scale)
 
 
@@ -928,7 +964,7 @@ def reference_build_pmtn(inst: Instance, guess: Rat, plan) -> Schedule:
         scale *= sol.x[sol.split_item].denominator
     T = scaled(guess, scale)
     half, quarter = T // 2, T // 4
-    builder = Builder(inst.m, scale)
+    builder = _ReferenceBuilder(inst.m, scale)
     part = plan.part
     l = len(part.exp_zero)
     big_jobs = reference_big_jobs(inst, guess)
@@ -1114,7 +1150,7 @@ class _ReferenceRun:
 
     def end_batch(self):
         if self.batch is not None:
-            self.batch_row.append(tuple(self.batch))
+            self.batch_row += flat_row([self.batch])
             self.batch = None
 
     def next_gap(self):
@@ -1136,7 +1172,7 @@ class _ReferenceRun:
             return rest
         self.events["bulk full gaps"] += 1
         full = min(-(-rest // height) - 1, self.left)
-        self.b.put_config(self.machine, [(cls, self.open - setup, setup, job, height)], full)
+        self.b.put_config(self.machine, flat_row([(cls, self.open - setup, setup, job, height)]), full)
         self.placed += 2
         self.machine += full
         self.left -= full

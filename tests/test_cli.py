@@ -87,8 +87,8 @@ def _malformed(mutate):
     raw = {
         "scale": 1,
         "makespan": "3",
-        "machines": [[[0, 0, 1, 0, 2]]],
-        "compressed": [{"config": [[0, 0, 1, 1, 2]], "mult": 1}],
+        "machines": [[0, 0, 1, 1, 0, 2]],
+        "compressed": [{"config": [0, 0, 1, 1, 1, 2], "mult": 1}],
     }
     mutate(raw)
     return raw
@@ -100,25 +100,30 @@ def _set_machine(group):
     return mutate
 
 
-# a "row" in an id is one batch: [cls, start, setup, job, dur, ...]
+# a "row" in an id is one batch: [cls, start, setup, k, job, dur, ...]
 @pytest.mark.parametrize(
     "mutate",
     [
-        _set_machine([[0, 1, 0, 2]]),
-        _set_machine([[0, 0, 1, 0]]),
-        _set_machine([[0, 0, 0, 1, 0, 2]]),
-        _set_machine([[0, 0]]),
+        _set_machine([0, 1, 1, 0, 2]),  # no class: count 0, then a 2 after the batch
+        _set_machine([0, 0, 1, 1, 0]),
+        _set_machine([0, 0, 0, 1, 1, 0, 2]),
+        _set_machine([0, 0]),
         _set_machine([[]]),
-        _set_machine([[0, 0, 1, 0, "3/2"]]),
-        _set_machine([[0, 0, 1, 0, 1.5]]),
-        _set_machine([[0, 0, True, 0, 2]]),
-        _set_machine([0, 0, 1, 0, 2]),  # the batch without its row's list
-        _set_machine([[0, 0, 1, "0", 2]]),
-        _set_machine([[0, 0, 1, 0, 2, 0]]),
+        _set_machine([0, 0, 1, 1, 0, "3/2"]),
+        _set_machine([0, 0, 1, 1, 0, 1.5]),
+        _set_machine([0, 0, True, 1, 0, 2]),
+        _set_machine([0, 0, 1, 0, 2]),  # a batch of the list-per-batch format, without its count
+        _set_machine([0, 0, 1, 1, "0", 2]),
+        _set_machine([0, 0, 1, 0, 2, 0]),
         _set_machine([[0, 0, 0, 1], [1, 0, 1, 2, 0, 0]]),
         _set_machine([{"kind": "setup", "class": 0, "start": "0", "dur": "1"}]),
         _set_machine([[0, 0, 1], [0, 1, 2, 0]]),
-        _set_machine([[0, 0, 1, None, 2]]),
+        _set_machine([0, 0, 1, 1, None, 2]),
+        _set_machine([0, 0, 1, -1, 0, 2]),
+        _set_machine([0, 0, 1, 2, 0, 2]),
+        _set_machine([0, 0, 1, 1, 0, 2, 0, 0, 1]),
+        _set_machine([0, 0, 1, 1.0, 0, 2]),
+        _set_machine([0, 0, 1, "1", 0, 2]),
         lambda raw: raw["machines"].__setitem__(0, {"rows": []}),
         lambda raw: raw["compressed"][0].update(mult="1"),
         lambda raw: raw["compressed"][0].update(mult=True),
@@ -138,7 +143,8 @@ def _set_machine(group):
         "row-length-6", "kind-led-piece-row", "dict-row", "nested-rows", "null-job",
         "dict-machine", "string-mult", "bool-mult", "missing-config", "dict-compressed",
         "scale-0", "scale-negative", "string-scale", "bool-scale", "float-scale",
-        "missing-scale", "missing-machines",
+        "missing-scale", "missing-machines", "negative-count", "count-past-row-end",
+        "ints-after-last-batch", "float-count", "string-count",
     ],
 )
 def test_verify_malformed_schedule_exit_one(tmp_path, capsys, mutate):
@@ -174,15 +180,18 @@ def test_verify_old_format_names_the_row_format(tmp_path, capsys):
     # one flat list per machine, four ints per placement, job -1 a setup
     flat_rows = {"scale": 1, "makespan": "3", "machines": [[0, 0, 1, -1, 0, 1, 2, 0]],
                  "compressed": [{"config": [0, 0, 1, -1, 0, 1, 2, 1], "mult": 1}]}
+    # a list per batch: [cls, start, setup, job, dur, ...]
+    batch_lists = {"scale": 1, "makespan": "3", "machines": [[[0, 0, 1, 0, 2]]],
+                   "compressed": [{"config": [[0, 0, 1, 1, 2]], "mult": 1}]}
     inst = {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]}
     ipath = write_instance(tmp_path, "i.json", inst)
-    for old in (dict_placements, kind_led_rows, nested_rows, flat_rows):
+    for old in (dict_placements, kind_led_rows, nested_rows, flat_rows, batch_lists):
         spath = write_instance(tmp_path, "s.json", old)
         code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert "a list of batches" in err and "job -1 for idle time" in err
-        assert '"scale": D' in err and "[[cls, start, setup, job, dur, ...], ...]" in err
+        assert "one list of ints, its batches back to back" in err and "job -1 for idle time" in err
+        assert '"scale": D' in err and "[[cls, start, setup, k, job, dur, ...], ...]" in err
 
 
 @pytest.mark.parametrize("where", ["instance", "schedule", "nested-instance", "nested-schedule"])
@@ -191,7 +200,7 @@ def test_int_past_the_digit_limit_exit_one(tmp_path, capsys, where):
     # ValueError, and nesting past the recursion limit with a RecursionError
     huge = "9" * 5000
     inst = '{"m": 2, "classes": [{"setup": 1, "jobs": [%s]}]}' % (huge if where == "instance" else "2")
-    sched = '{"scale": 1, "machines": [[[0, 0, 1, 0, %s]]]}' % huge
+    sched = '{"scale": 1, "machines": [[0, 0, 1, 1, 0, %s]]}' % huge
     if where == "nested-instance":
         inst = "[" * 200_000
     elif where == "nested-schedule":
@@ -245,11 +254,11 @@ def test_derived_int_past_the_digit_limit_exit_one(tmp_path, capsys, cmd):
     else:
         spath = tmp_path / "s.json"
         spath.write_text({
-            "verify": '{"scale": 1, "machines": [[[0, %s, 1, 0, 2]]]}' % nines,
+            "verify": '{"scale": 1, "machines": [[0, %s, 1, 1, 0, 2]]}' % nines,
             "verify-machines": '{"scale": 1, "machines": [], "compressed": ['
-                               '{"config": [[0, 0, 1, 0, 2]], "mult": %s},'
-                               '{"config": [[0, 0, 1, 1, 2]], "mult": %s}]}' % (nines, nines),
-            "verify-time": '{"scale": 1, "machines": [[[0, -%s, 1, -1, -%s, 0, 2]]]}' % (nines, nines),
+                               '{"config": [0, 0, 1, 1, 0, 2], "mult": %s},'
+                               '{"config": [0, 0, 1, 1, 1, 2], "mult": %s}]}' % (nines, nines),
+            "verify-time": '{"scale": 1, "machines": [[0, -%s, 1, 2, -1, -%s, 0, 2]]}' % (nines, nines),
         }[cmd])
         args = ["verify", "--variant", "split", "--bound", "9", "--in", ipath, "--schedule", str(spath)]
     code = main(args)
@@ -269,15 +278,18 @@ _SMALL = st.integers(-1, 4)
 
 
 def _batches(value, pair):
-    """Rows of the format's shape: batches [cls, start, setup, job, dur, ...]."""
+    """Rows of the format's shape: batches [cls, start, setup, k, job, dur,
+    ...] with k pairs (k = 0 and idle pairs included) back to back in one
+    list, empty rows included."""
     batch = st.tuples(value, value, value, st.lists(pair, max_size=3)).map(
-        lambda b: [b[0], b[1], b[2], *(x for p in b[3] for x in p)])
-    return st.lists(batch, max_size=4)
+        lambda b: [b[0], b[1], b[2], len(b[3]), *(x for p in b[3] for x in p)])
+    return st.lists(batch, max_size=4).map(lambda batches: [x for b in batches for x in b])
 
 
 _GOOD_ROWS = _batches(_SMALL, st.tuples(_SMALL, _SMALL))
-_ROWS = (_GOOD_ROWS | st.lists(st.lists(_SMALL | st.booleans() | _JSON, max_size=9) | _JSON,
-                               max_size=4) | _JSON)
+# flat int lists whose counts may or may not tile them, and anything else
+_ROWS = (_GOOD_ROWS | st.lists(_SMALL, max_size=12)
+         | st.lists(st.lists(_SMALL | st.booleans() | _JSON, max_size=9) | _JSON, max_size=4) | _JSON)
 
 
 def _schedules(scale, rows, mult, other):
@@ -324,7 +336,7 @@ def test_emit_rejects_non_int_times():
     # refuses it, the verifier judges it
     from batchsched.core import Instance, JobClass, VerifyReport
 
-    sched = Schedule(m=1, machines=[[[0, 0, 1, 0, F(1, 2)]]])
+    sched = Schedule(m=1, machines=[[0, 0, 1, 1, 0, F(1, 2)]])
     with pytest.raises(ContractError):
         emit_schedule(sched)
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
@@ -337,8 +349,8 @@ def test_verify_flat_sentinels_reach_the_verifier(tmp_path, capsys):
     # only job -1 marks idle time: a piece of job -2 and a setup of the
     # wrong length parse, and the verifier rejects them (exit 3, not 1)
     ipath = write_instance(tmp_path, "i.json", {"m": 2, "classes": [{"setup": 1, "jobs": [2, 2]}]})
-    for machine, want in [([[0, 0, 1, -2, 2]], "unknown job id (0, -2)"),
-                          ([[0, 0, 3, 0, 2]], "rule (b)")]:
+    for machine, want in [([0, 0, 1, 1, -2, 2], "unknown job id (0, -2)"),
+                          ([0, 0, 3, 1, 0, 2], "rule (b)")]:
         spath = write_instance(tmp_path, "s.json", _malformed(_set_machine(machine)))
         code = main(["verify", "--in", ipath, "--schedule", spath, "--variant", "pmtn", "--bound", "9"])
         captured = capsys.readouterr()
@@ -370,16 +382,16 @@ def test_readme_schedule_example():
     sched = class_jump_split(inst).schedule
     assert json.loads(json.dumps(emit_schedule(sched))) == {
         "scale": 18, "makespan": "23/3",
-        "machines": [[[0, 0, 54, 0, 46]],
-                     [[0, 0, 54, 0, 44, 1, 2]],
-                     [[0, 0, 54, 1, 16], [1, 98, 18, 0, 22]],
-                     [[1, 28, 18, 0, 58]]],
-        "compressed": [{"config": [[1, 28, 18, 0, 92]], "mult": 5}],
+        "machines": [[0, 0, 54, 1, 0, 46],
+                     [0, 0, 54, 2, 0, 44, 1, 2],
+                     [0, 0, 54, 1, 1, 16, 1, 98, 18, 1, 0, 22],
+                     [1, 28, 18, 1, 0, 58]],
+        "compressed": [{"config": [1, 28, 18, 1, 0, 92], "mult": 5}],
     }
     assert sched.placement_count() == 13 and sched.machine_count() == 9
     # the README's idle pair: setup to 3, idle to 4, job 0 to 50/9; the
     # idle pair is no placement
-    idle = Schedule(m=1, machines=[[[0, 0, 54, -1, 18, 0, 28]]], scale=18)
+    idle = Schedule(m=1, machines=[[0, 0, 54, 2, -1, 18, 0, 28]], scale=18)
     assert idle.placement_count() == 2 and idle.makespan() == F(50, 9)
     assert list(placements(idle, inst)) == [(0, 0, 54, -1), (0, 72, 28, 0)]
 
@@ -404,7 +416,7 @@ def test_verify_roundtrip_and_exit_codes(tmp_path, capsys):
     raw = json.loads(open(spath).read())
     groups = raw["machines"] + [entry["config"] for entry in raw["compressed"]]
     group = next(group for group in groups if group)
-    group[0][2] = 0
+    group[2] = 0  # its first batch's setup
     tpath = write_instance(tmp_path, "t.json", raw)
     assert main(["verify", "--in", ipath, "--schedule", tpath,
                  "--variant", "split", "--bound", bound]) == 3
@@ -422,7 +434,7 @@ def test_verify_run_past_the_class_end_exits_3(tmp_path, capsys):
     # the class's last job: an unknown job id; 5 is the class in one run
     ipath = write_instance(tmp_path, "i.json", {"m": 1, "classes": [{"setup": 1, "jobs": [2, 3]}]})
     for dur, code in ((5, 0), (6, 3)):
-        spath = write_instance(tmp_path, "s.json", {"scale": 1, "machines": [[[0, 0, 1, 0, dur]]]})
+        spath = write_instance(tmp_path, "s.json", {"scale": 1, "machines": [[0, 0, 1, 1, 0, dur]]})
         assert main(["verify", "--in", ipath, "--schedule", spath,
                      "--variant", "nonp", "--bound", "9"]) == code
     assert "rule (s) machine 0 t=6: unknown job id (0, 2)" in capsys.readouterr().out

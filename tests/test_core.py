@@ -22,7 +22,7 @@ from batchsched.core import (
 from batchsched.preemptive import _star_items
 
 from conftest import random_instance
-from oracle import placements, reference_verify, tuple_view
+from oracle import batch_list, flat_row, placements, reference_verify, tuple_view
 
 
 def test_parse_instance_roundtrip():
@@ -178,7 +178,7 @@ def test_verify_single_machine_ok():
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
     sched = Schedule(
         m=1,
-        machines=[[[0, F(0), F(1), 0, F(2)]]],
+        machines=[[0, F(0), F(1), 1, 0, F(2)]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
     assert rep.ok and rep.makespan == 3
@@ -189,8 +189,8 @@ def test_verify_same_job_parallel_overlap():
     sched = Schedule(
         m=2,
         machines=[
-            [[0, F(0), F(1), 0, F(2)]],
-            [[0, F(0), F(1), -1, F(1), 0, F(2)]],  # idle from 1 to 2
+            [0, F(0), F(1), 1, 0, F(2)],
+            [0, F(0), F(1), 2, -1, F(1), 0, F(2)],  # idle from 1 to 2
         ],
     )
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
@@ -204,7 +204,7 @@ def test_verify_missing_setup():
     inst = Instance(m=1, classes=(JobClass(1, (2,)), JobClass(1, (2,))))
     sched = Schedule(
         m=1,
-        machines=[[[1, F(0), F(0), 0, F(2)]]],
+        machines=[[1, F(0), F(0), 1, 0, F(2)]],
     )
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -217,7 +217,7 @@ def test_verify_idle_inside_class_run_allowed():
     inst = Instance(m=1, classes=(JobClass(1, (2, 1)),))
     sched = Schedule(
         m=1,
-        machines=[[[0, F(0), F(1), -1, F(1), 0, F(2), -1, F(1), 1, F(1)]]],
+        machines=[[0, F(0), F(1), 4, -1, F(1), 0, F(2), -1, F(1), 1, F(1)]],
     )
     assert sched.placement_count() == 3
     assert verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(6)).ok
@@ -228,9 +228,9 @@ def test_placement_count_skips_idle_pairs_only():
     # time only in a job slot, not as a class, start or duration
     sched = Schedule(
         m=5,
-        machines=[[(0, 0, 2, -1, 1, 0, 3), (-1, 6, 1, 0, 2)],
-                  [(1, -1, 1, -1, 2, -1, 3, 0, 1, 1, -1)]],
-        compressed=[([(0, 0, 2, 0, -1, -1, 4)], 3)],
+        machines=[[0, 0, 2, 2, -1, 1, 0, 3, -1, 6, 1, 1, 0, 2],
+                  [1, -1, 1, 4, -1, 2, -1, 3, 0, 1, 1, -1]],
+        compressed=[([0, 0, 2, 2, 0, -1, -1, 4], 3)],
     )
     assert sched.placement_count() == 2 + 2 + 3 + 2
 
@@ -243,19 +243,19 @@ def test_verify_run_past_the_class_end():
     # one pair of 6 from job 0 of a class of jobs 2 and 3: both whole, then
     # 1 time unit past the class's last job, an unknown job
     inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
-    sched = Schedule(m=1, machines=[[(0, 0, 1, 0, 6)]])
+    sched = Schedule(m=1, machines=[[0, 0, 1, 1, 0, 6]])
     for variant in Variant:
         rep = verify_schedule(inst, sched, variant, F(9))
         assert _rules(rep) == [("s", 0, F(6), "unknown job id (0, 2)")]
         assert rep == reference_verify(inst, tuple_view(sched, inst), variant, F(9))
     # one unit less is the class in one run
-    assert verify_schedule(inst, Schedule(m=1, machines=[[(0, 0, 1, 0, 5)]]),
+    assert verify_schedule(inst, Schedule(m=1, machines=[[0, 0, 1, 1, 0, 5]]),
                            Variant.NONPREEMPTIVE, F(6)).ok
     # job 1 also runs whole on machine 1 from 6, when it ends on machine 0:
     # its total is twice its length, but its two copies do not overlap (the
     # time past the class's end is no part of job 1)
     inst = Instance(m=2, classes=inst.classes)
-    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 6)], [(0, 5, 1, 1, 3)]])
+    sched = Schedule(m=2, machines=[[0, 0, 1, 1, 0, 6], [0, 5, 1, 1, 1, 3]])
     unknown = ("s", 0, F(6), "unknown job id (0, 2)")
     total = ("c", "-", F(0), "job (0, 1) placed for 6 time units, needs exactly 3")
     _same_as_reference(inst, sched, F(9), {
@@ -269,7 +269,7 @@ def test_verify_nonp_run_ending_in_a_split_job():
     # the run from job 0 ends 2 units into job 1, whose other unit runs on
     # machine 1: totals are right, but job 1 is in two pieces
     inst = Instance(m=2, classes=(JobClass(1, (2, 3)),))
-    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 4)], [(0, 0, 1, 1, 1)]])
+    sched = Schedule(m=2, machines=[[0, 0, 1, 1, 0, 4], [0, 0, 1, 1, 1, 1]])
     assert _rules(verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(5))) == [
         ("d", "-", F(0), "job (0, 1) split into 2 pieces")]
     assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(5)).ok
@@ -279,7 +279,7 @@ def test_verify_pmtn_whole_job_of_a_run_overlapping_its_other_piece():
     # jobs 0, 1 and 2 whole in one run, job 1 from 3 to 6; a piece of job 1
     # from 4 to 5 on machine 1 overlaps it (and makes its total 4)
     inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
-    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 9)], [(0, 3, 1, 1, 1)]])
+    sched = Schedule(m=2, machines=[[0, 0, 1, 1, 0, 9], [0, 3, 1, 1, 1, 1]])
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
     assert _rules(rep) == [
         ("c", "-", F(0), "job (0, 1) placed for 4 time units, needs exactly 3"),
@@ -288,7 +288,7 @@ def test_verify_pmtn_whole_job_of_a_run_overlapping_its_other_piece():
     assert rep == reference_verify(inst, tuple_view(sched, inst), Variant.PREEMPTIVE, F(10))
     # moved to start when the run's job 1 ends, the piece overlaps nothing:
     # the job is decided by the pass over its pieces, and only its total is wrong
-    sched.machines[1] = [(0, 5, 1, 1, 1)]
+    sched.machines[1] = [0, 5, 1, 1, 1, 1]
     rep = verify_schedule(inst, sched, Variant.PREEMPTIVE, F(10))
     assert _rules(rep) == [("c", "-", F(0), "job (0, 1) placed for 4 time units, needs exactly 3")]
     assert rep == reference_verify(inst, tuple_view(sched, inst), Variant.PREEMPTIVE, F(10))
@@ -301,7 +301,7 @@ def test_verify_run_in_a_config_of_mult_3(scale):
     # pmtn each runs on 3 machines in parallel; with Fraction times on the
     # scale 1 the same report as on the int scale 2
     inst = Instance(m=3, classes=(JobClass(1, (2, 3)),))
-    config = [(0, F(0), F(1), 0, F(7, 2))] if scale == 1 else [(0, 0, 2, 0, 7)]
+    config = [0, F(0), F(1), 1, 0, F(7, 2)] if scale == 1 else [0, 0, 2, 1, 0, 7]
     sched = Schedule(m=3, compressed=[(config, 3)], scale=scale)
     want = {
         Variant.SPLITTABLE: [
@@ -338,7 +338,7 @@ def test_verify_run_in_a_config_of_mult_2():
     # pieces add up to its length, but both jobs run on 2 machines at once
     # (job 0 found from its whole copies, job 1 from its pieces)
     inst = Instance(m=2, classes=(JobClass(1, (2, 4)),))
-    sched = Schedule(m=2, compressed=[([(0, 0, 1, 0, 4)], 2)])
+    sched = Schedule(m=2, compressed=[([0, 0, 1, 1, 0, 4], 2)])
     total = ("c", "-", F(0), "job (0, 0) placed for 4 time units, needs exactly 2")
     _same_as_reference(inst, sched, F(5), {
         Variant.SPLITTABLE: [total],
@@ -360,7 +360,7 @@ def test_verify_pmtn_job_in_two_pieces_one_copied_twice(first_copied):
     # piece runs on 2 machines at once; it is the job's first piece or its
     # second in schedule order (configurations come after machine rows)
     inst = Instance(m=3, classes=(JobClass(1, (4,)),))
-    copied, once = [(0, 0, 1, 0, 1)], [(0, 2, 1, 0, 2)]
+    copied, once = [0, 0, 1, 1, 0, 1], [0, 2, 1, 1, 0, 2]
     if first_copied:
         sched = Schedule(m=3, compressed=[(copied, 2), (once, 1)])
     else:
@@ -376,7 +376,7 @@ def test_verify_job_whole_in_two_runs():
     # jobs 0 and 1 whole on machine 0, jobs 1 and 2 whole on machine 1: job 1
     # is whole twice, from 3 to 6 and from 1 to 4
     inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
-    sched = Schedule(m=2, machines=[[(0, 0, 1, 0, 5)], [(0, 0, 1, 1, 7)]])
+    sched = Schedule(m=2, machines=[[0, 0, 1, 1, 0, 5], [0, 0, 1, 1, 1, 7]])
     total = ("c", "-", F(0), "job (0, 1) placed for 6 time units, needs exactly 3")
     _same_as_reference(inst, sched, F(8), {
         Variant.SPLITTABLE: [total],
@@ -384,7 +384,7 @@ def test_verify_job_whole_in_two_runs():
         Variant.NONPREEMPTIVE: [total, ("d", "-", F(0), "job (0, 1) split into 2 pieces")],
     })
     # on one machine, one after the other, the job only has the wrong total
-    sched = Schedule(m=1, machines=[[(0, 0, 1, 0, 5), (0, 6, 1, 1, 7)]])
+    sched = Schedule(m=1, machines=[[0, 0, 1, 1, 0, 5, 0, 6, 1, 1, 1, 7]])
     _same_as_reference(inst, sched, F(14), {
         Variant.SPLITTABLE: [total],
         Variant.PREEMPTIVE: [total],
@@ -396,13 +396,13 @@ def test_verify_run_before_time_0():
     # the setup from -5, then jobs 0, 1 and 2 whole from -4, -2 and 1: a
     # message for the setup and for each job that starts before 0
     inst = Instance(m=1, classes=(JobClass(1, (2, 3, 4)),))
-    sched = Schedule(m=1, machines=[[(0, -5, 1, 0, 9)]])
+    sched = Schedule(m=1, machines=[[0, -5, 1, 1, 0, 9]])
     early = [("a", 0, F(t), "placement starts before time 0") for t in (-5, -4, -2)]
     _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
     # the setup from -3, then jobs 0 and 1 whole from -2 and 0: job 1 starts
     # at 0, not before it
     inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
-    sched = Schedule(m=1, machines=[[(0, -3, 1, 0, 5)]])
+    sched = Schedule(m=1, machines=[[0, -3, 1, 1, 0, 5]])
     early = [("a", 0, F(t), "placement starts before time 0") for t in (-3, -2)]
     _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
     # the same run past the end of a class of one job of 2: the time past
@@ -412,14 +412,14 @@ def test_verify_run_before_time_0():
                                            for v in Variant})
     # a pair as long as its job, from -1
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
-    sched = Schedule(m=1, machines=[[(0, -2, 1, 0, 2)]])
+    sched = Schedule(m=1, machines=[[0, -2, 1, 1, 0, 2]])
     early = [("a", 0, F(t), "placement starts before time 0") for t in (-2, -1)]
     _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
     # idle time, an unknown job and a run past the class's end from -9: the
     # idle time starts no placement, the unknown job, both jobs and the time
     # past the end (from -1) each start one before 0
     inst = Instance(m=1, classes=(JobClass(1, (2, 3)),))
-    sched = Schedule(m=1, machines=[[(0, -9, 1, -1, 1, 7, 1, 0, 7)]])
+    sched = Schedule(m=1, machines=[[0, -9, 1, 3, -1, 1, 7, 1, 0, 7]])
     _same_as_reference(inst, sched, F(5), {v: [
         ("a", 0, F(-9), "placement starts before time 0"),
         ("a", 0, F(-7), "placement starts before time 0"),
@@ -435,7 +435,7 @@ def test_verify_zero_setup_and_run_from_minus_one():
     # a setup of length 0 at time 0 is a placement of non-positive duration
     # as well as a setup of the wrong length
     inst = Instance(m=1, classes=(JobClass(1, (2,)),))
-    sched = Schedule(m=1, machines=[[(0, 0, 0, 0, 2)]])
+    sched = Schedule(m=1, machines=[[0, 0, 0, 1, 0, 2]])
     _same_as_reference(inst, sched, F(5), {v: [
         ("a", 0, F(0), "placement with non-positive duration"),
         ("b", 0, F(0), "setup of class 0 has length 0, expected 1"),
@@ -443,7 +443,7 @@ def test_verify_zero_setup_and_run_from_minus_one():
     # the setup from -3, then a run of both jobs from -1: job 0 starts at
     # -1, before 0, and job 1 at 0
     inst = Instance(m=1, classes=(JobClass(2, (1, 1)),))
-    sched = Schedule(m=1, machines=[[(0, -3, 2, 0, 2)]])
+    sched = Schedule(m=1, machines=[[0, -3, 2, 1, 0, 2]])
     early = [("a", 0, F(t), "placement starts before time 0") for t in (-3, -1)]
     _same_as_reference(inst, sched, F(5), {v: early for v in Variant})
 
@@ -455,15 +455,15 @@ def test_verify_fraction_run_ending_inside_a_job():
     # 1.  The run's whole jobs come from the floor of 31/6, 5, and a prefix
     # sum ends within the run exactly when it is at most that floor.
     inst = Instance(m=2, classes=(JobClass(1, (2, 3, 4)),))
-    sched = Schedule(m=2, scale=3, machines=[[(0, F(0), F(3), 0, F(31, 2))],
-                                             [(0, F(0), F(3), 2, F(23, 2))]])
+    sched = Schedule(m=2, scale=3, machines=[[0, F(0), F(3), 1, 0, F(31, 2)],
+                                             [0, F(0), F(3), 1, 2, F(23, 2)]])
     _same_as_reference(inst, sched, F(37, 6), {
         Variant.SPLITTABLE: [],
         Variant.PREEMPTIVE: [],
         Variant.NONPREEMPTIVE: [("d", "-", F(0), "job (0, 2) split into 2 pieces")],
     })
     # 1/2 more on machine 1: job 2 is placed for 25/6
-    sched.machines[1] = [(0, F(0), F(3), 2, F(12))]
+    sched.machines[1] = [0, F(0), F(3), 1, 2, F(12)]
     total = ("c", "-", F(0), "job (0, 2) placed for 25/6 time units, needs exactly 4")
     _same_as_reference(inst, sched, F(37, 6), {
         Variant.SPLITTABLE: [total],
@@ -473,8 +473,8 @@ def test_verify_fraction_run_ending_inside_a_job():
     # a pair of 29/2 reaches 29/6, 1/6 before the end of job 1, whose last
     # 1/6 runs on machine 1 before job 2 (the ceiling, 5, would take job 1
     # whole)
-    sched.machines[:] = [[(0, F(0), F(3), 0, F(29, 2))],
-                         [(0, F(0), F(3), 1, F(1, 2), 2, F(12))]]
+    sched.machines[:] = [[0, F(0), F(3), 1, 0, F(29, 2)],
+                         [0, F(0), F(3), 2, 1, F(1, 2), 2, F(12)]]
     _same_as_reference(inst, sched, F(35, 6), {
         Variant.SPLITTABLE: [],
         Variant.PREEMPTIVE: [],
@@ -487,7 +487,7 @@ def _whole_in_runs(inst, sched) -> set:
     holds whole in a run, before its last job (as `expand_runs` reads it)."""
     out = set()
     for row, mult in [(row, 1) for row in sched.machines] + sched.compressed:
-        for b in row if mult >= 1 else ():
+        for b in batch_list(row) if mult >= 1 else ():
             lens = [t * sched.scale for t in inst.classes[b[0]].jobs] if 0 <= b[0] < inst.c else []
             for job, dur in zip(b[3::2], b[4::2]):
                 while 0 <= job < len(lens) and dur > lens[job]:
@@ -541,11 +541,11 @@ def test_verify_python_steps_follow_the_rows_not_the_jobs():
     # schedule is feasible there)
     def one_run(n):
         inst = Instance(m=2, classes=(JobClass(1, (3,) * n),))
-        return inst, Schedule(m=2, machines=[[(0, 0, 1, 0, 3 * n)]])
+        return inst, Schedule(m=2, machines=[[0, 0, 1, 1, 0, 3 * n]])
 
     def last_cut(n):
         inst = Instance(m=2, classes=(JobClass(1, (3,) * n),))
-        return inst, Schedule(m=2, machines=[[(0, 0, 1, 0, 3 * n - 2)], [(0, 0, 1, n - 1, 2)]])
+        return inst, Schedule(m=2, machines=[[0, 0, 1, 1, 0, 3 * n - 2], [0, 0, 1, 1, n - 1, 2]])
 
     from test_acceptance import _opcodes
 
@@ -563,7 +563,7 @@ def test_verify_overlap_and_bound():
     inst = Instance(m=1, classes=(JobClass(1, (2, 2)),))
     sched = Schedule(
         m=1,
-        machines=[[[0, F(0), F(1), 0, F(2)], [0, F(2), F(1), 1, F(2)]]],
+        machines=[[0, F(0), F(1), 1, 0, F(2), 0, F(2), F(1), 1, 1, F(2)]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
     rules = {v.rule for v in rep.violations}
@@ -574,7 +574,7 @@ def test_verify_wrong_setup_length():
     inst = Instance(m=1, classes=(JobClass(3, (1,)),))
     sched = Schedule(
         m=1,
-        machines=[[[0, F(0), F(2), 0, F(1)]]],
+        machines=[[0, F(0), F(2), 1, 0, F(1)]],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
     assert any(v.rule == "b" for v in rep.violations)
@@ -585,8 +585,8 @@ def test_verify_machine_budget():
     sched = Schedule(
         m=1,
         machines=[
-            [[0, F(0), F(1), 0, F(1)]],
-            [[0, F(0), F(1), 1, F(1)]],
+            [0, F(0), F(1), 1, 0, F(1)],
+            [0, F(0), F(1), 1, 1, F(1)],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(10))
@@ -600,8 +600,8 @@ def test_verify_machine_budget_from_the_instance():
     sched = Schedule(
         m=2,
         machines=[
-            [[0, 0, 1, 0, 2]],
-            [[0, 0, 1, 1, 2]],
+            [0, 0, 1, 1, 0, 2],
+            [0, 0, 1, 1, 1, 2],
         ],
     )
     rep = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(3))
@@ -627,8 +627,9 @@ def test_verifier_catches_mutations():
         assert verify_schedule(inst, base, Variant.NONPREEMPTIVE, bound).ok
 
         def mutate(which):
-            # a row is a list of batches [cls, start, setup, job, dur, ...]
-            machines = [[list(b) for b in m] for m in base.machines]
+            # each row as a list of batches [cls, start, setup, job, dur, ...],
+            # flattened again below
+            machines = [list(map(list, batch_list(m))) for m in base.machines]
             busy = [i for i, m in enumerate(machines) if m]
             u = rng.choice(busy)
             row = machines[u]
@@ -656,7 +657,7 @@ def test_verifier_catches_mutations():
                     machines.append([list(b) for b in row])
                 else:
                     return None
-            return base._replace(machines=machines)
+            return base._replace(machines=list(map(flat_row, machines)))
 
         for which in caught:
             sched = mutate(which)
@@ -686,11 +687,9 @@ SCALE_INST = Instance(m=3, classes=(JobClass(1, (1, 2)), JobClass(2, (3,))))
 def _bad_machines():
     # machine 2's batches are out of start order
     return Schedule(m=3, machines=[
-        [[0, F(-1, 3), F(1), 0, F(1, 4), 0, F(3, 4), 1, F(0)]],
-        [[1, F(0), F(13, 7), 0, F(3)],
-         [0, F(1, 7), F(1), -1, F(0), 1, F(2)]],
-        [[5, F(1, 3), F(1), 0, F(1)],
-         [0, F(-3, 4), F(1), 7, F(1, 7)]],
+        [0, F(-1, 3), F(1), 3, 0, F(1, 4), 0, F(3, 4), 1, F(0)],
+        [1, F(0), F(13, 7), 1, 0, F(3), 0, F(1, 7), F(1), 2, -1, F(0), 1, F(2)],
+        [5, F(1, 3), F(1), 1, 0, F(1), 0, F(-3, 4), F(1), 1, 7, F(1, 7)],
     ])
 
 
@@ -698,19 +697,19 @@ def _bad_compressed():
     # two explicit machines (one empty), a configuration twice and one with
     # multiplicity 0: 4 machines on an instance with 3
     return Schedule(m=3, machines=[
-        [[0, F(0), F(1), 1, F(1, 3), 1, F(1, 4)]],
+        [0, F(0), F(1), 2, 1, F(1, 3), 1, F(1, 4)],
         [],
     ], compressed=[
-        ([[0, F(0), F(1), -1, F(1, 4), 0, F(1, 2), -1, F(3, 28), 1, F(5, 7)]], 2),
-        ([[1, F(0), F(2), 0, F(3)]], 0),
+        ([0, F(0), F(1), 4, -1, F(1, 4), 0, F(1, 2), -1, F(3, 28), 1, F(5, 7)], 2),
+        ([1, F(0), F(2), 1, 0, F(3)], 0),
     ])
 
 
 def _bad_overlap():
     return Schedule(m=3, machines=[
-        [[0, F(0), F(1), 1, F(1, 3), 0, F(1)]],
-        [[0, F(0), F(1), -1, F(1, 4), 1, F(5, 3)]],
-        [[1, F(1, 7), F(2), 0, F(3)]],
+        [0, F(0), F(1), 2, 1, F(1, 3), 0, F(1)],
+        [0, F(0), F(1), 2, -1, F(1, 4), 1, F(5, 3)],
+        [1, F(1, 7), F(2), 1, 0, F(3)],
     ])
 
 
@@ -767,7 +766,7 @@ def test_verify_exact_violations_mixed_denominators(schedule, variant, makespan,
 
 def test_verify_bound_off_the_time_grid():
     inst = Instance(m=1, classes=(JobClass(1, (1,)),))
-    sched = Schedule(m=1, machines=[[[0, F(1, 4), F(1), 0, F(1)]]])
+    sched = Schedule(m=1, machines=[[0, F(1, 4), F(1), 1, 0, F(1)]])
     ok = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(7, 3))
     assert ok.ok and ok.makespan == F(9, 4) and ok.violations == []
     bad = verify_schedule(inst, sched, Variant.NONPREEMPTIVE, F(11, 5))
@@ -795,8 +794,8 @@ def test_verify_distinct_prime_denominators_fast():
     machines = []
     for j in range(jobs):
         p, q = primes[2 * j], primes[2 * j + 1]
-        machines.append([[0, F(0), F(1), j, F(1, p)]])
-        machines.append([[0, F(1, q), F(1), j, 2 - F(1, p)]])
+        machines.append([0, F(0), F(1), 1, j, F(1, p)])
+        machines.append([0, F(1, q), F(1), 1, j, 2 - F(1, p)])
     sched = Schedule(m=inst.m, machines=machines)
     top = max(start + dur for _, start, dur, _ in placements(sched, inst))
     t0 = time.perf_counter()
@@ -804,7 +803,7 @@ def test_verify_distinct_prime_denominators_fast():
     assert time.perf_counter() - t0 <= 2.0
     assert rep.ok and rep.violations == [] and rep.makespan == top == sched.makespan()
     # one stretched piece is reported with its exact time and total
-    machines[1][0][3:] = [0, F(2)]
+    machines[1][4:] = [0, F(2)]
     rep = verify_schedule(inst, sched, Variant.SPLITTABLE, F(3))
     assert [(v.rule, v.machine, v.time, v.message) for v in rep.violations] == [
         ("c", "-", F(0), "job (0, 0) placed for 5/2 time units, needs exactly 2"),

@@ -2,7 +2,7 @@
 sha256s (their content in the schedule file format before integer rows, less
 piece numbers, with runs expanded to one pair per job, and their wire JSON
 now), the probe lists of its searches, pinned by a third, plus the
-invariants of the integer time scale, of the batch rows and of the wire
+invariants of the integer time scale, of the flat rows and of the wire
 round trip on the same solves, and the files earlier releases wrote (one
 pair per job) read back to the same verdict; and every built row in
 start order, none empty, with no setup alone from the non-preemptive
@@ -21,19 +21,20 @@ from batchsched.core import Variant, verify_schedule
 from batchsched.preemptive import _pmtn_plan
 from batchsched.search import solve
 
-from oracle import expand_runs
+from oracle import batch_list, expand_runs
 from test_preemptive import knapsack_heavy_instance
 
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
 # file format before integer rows (reduced "p/q" times) without its piece
 # numbers, one placement per job piece
 GOLDEN_SHA256 = "a29695f23b5fe04db3332e4024b1f150133e1eb60c16cef95bbf2d473e2f2dc1"
-# the same over emit_schedule's batch rows on the integer scale, one pair
-# per run of whole jobs
-WIRE_SHA256 = "d6e4c5964795ec7b76615990ebe0292ddcdf6369507dc2ac4e0da6d5834125cd"
-# the same with the runs expanded to one pair per job: the files of the
-# releases before pairs carried runs, byte for byte
-PER_JOB_WIRE_SHA256 = "f1cb61c941bf218a5cd5a7ef1a1c8051d8a08e84a0696b4d2da29210ffb5785a"
+# the same over emit_schedule's flat rows on the integer scale, one pair
+# per run of whole jobs (the list-per-batch files' digest was d6e4c596...;
+# each batch given its count after the setup, they hash to this one)
+WIRE_SHA256 = "1073cd9775c7179fb6d8f408d8ab202edfb06b9e0a836696bb32d1078d6c10c1"
+# the same with the runs expanded to one pair per job (f1cb61c9... in the
+# list-per-batch files, mapped the same way)
+PER_JOB_WIRE_SHA256 = "07c020fb6b2a69ee5529729f8908eba5fdd47aa7055a61a99ac919527756d966"
 # the same over (variant, algo, [(guess, accepted), ...]) of every jump and
 # eps search, in probe order
 PROBES_SHA256 = "22d78a9b92941bf1df499d0be11e82182472bb14ee939a58e204ace748950211"
@@ -81,9 +82,9 @@ def old_format(raw: dict, inst) -> dict:
         x = F(t, scale)
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
-    def placements(batches):
+    def placements(row):
         out = []
-        for cls, start, setup, *pairs in batches:
+        for cls, start, setup, *pairs in batch_list(row):
             out.append({"kind": "setup", "class": cls, "start": text(start), "dur": text(setup)})
             t = start + setup
             for job, dur in zip(pairs[::2], pairs[1::2]):
@@ -99,10 +100,6 @@ def old_format(raw: dict, inst) -> dict:
         "compressed": [{"config": placements(entry["config"]), "mult": entry["mult"]}
                        for entry in raw["compressed"]],
     }
-
-
-def as_lists(rows):
-    return [[list(b) for b in row] for row in rows]
 
 
 def digest(texts) -> str:
@@ -138,23 +135,20 @@ def test_golden_schedules_on_the_integer_scale():
     old_texts, wire_texts, per_job_texts, probe_texts = [], [], [], []
     for inst, variant, algo, r, bound in rows:
         sched = r.schedule
-        # rows of batches, tuples of exact ints, and no idle pair
-        assert all(type(row) is list and all(type(b) is tuple and len(b) % 2 and len(b) >= 3
-                                             and set(map(type, b)) <= {int} and -1 not in b[3::2]
-                                             for b in row)
+        # flat rows of exact ints, one list per machine or configuration and
+        # none per batch, tiled by their counts, and no idle pair
+        assert all(type(row) is list and set(map(type, row)) <= {int}
+                   and all(-1 not in b[3::2] for b in batch_list(row))
                    for row in sched.rows()), (inst, variant, algo)
         assert type(sched.makespan()) is F and sched.makespan() == r.makespan
         # the only compressed part a build writes: full gaps of one run,
-        # one batch [cls, open - s, s, job, height]
-        assert all(mult >= 2 and len(config) == 1 and len(config[0]) == 5
+        # one batch [cls, open - s, s, 1, job, height]
+        assert all(mult >= 2 and len(config) == 6 and config[3] == 1
                    for config, mult in sched.compressed), (inst, variant, algo)
         raw, back, fraction_calls = over_the_wire(sched, inst.m)
-        # the file's rows come back as the rows that were written, each
-        # batch as the JSON list of the tuple
+        # the file's rows come back as the rows that were written
         assert (back.m, back.machines, back.compressed, back.scale) == (
-            sched.m, as_lists(sched.machines),
-            [(as_lists([config])[0], mult) for config, mult in sched.compressed],
-            sched.scale), (inst, variant, algo)
+            sched.m, sched.machines, sched.compressed, sched.scale), (inst, variant, algo)
         assert not fraction_calls, (inst, variant, algo, fraction_calls)
         mem = verify_schedule(inst, sched, variant, bound)
         wire = verify_schedule(inst, back, variant, bound)
@@ -195,9 +189,9 @@ def test_built_rows_in_start_order_without_idle_setups():
     for inst, variant, algo, r, _ in solves():
         rows = r.schedule.rows()
         for row in rows:
-            starts = [b[1] for b in row]
+            starts = [b[1] for b in batch_list(row)]
             assert starts and all(map(lt, starts, starts[1:])), (inst, variant, algo, row)
-            multi += len(row) > 1
+            multi += len(starts) > 1
         if variant is Variant.NONPREEMPTIVE or (variant, algo) == (Variant.PREEMPTIVE, "two-approx"):
-            assert all(len(b) > 3 for row in rows for b in row), (inst, variant, algo)
+            assert all(len(b) > 3 for row in rows for b in batch_list(row)), (inst, variant, algo)
     assert multi >= 1_000, multi

@@ -14,7 +14,7 @@ from operator import itemgetter
 from batchsched import Instance, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
 from conftest import random_instance
-from oracle import reference_verify, run_pairs, tuple_view
+from oracle import batch_list, flat_row, reference_verify, run_pairs, tuple_view
 
 
 def _pair_at(rng: random.Random, batch: list, trailing: bool = False) -> int:
@@ -30,8 +30,10 @@ def _mutate(rng: random.Random, inst: Instance, sched: Schedule, runs: Counter) 
     a changed multiplicity, an extra machine or a machine turned into a
     configuration, or a pair lengthened or shortened by a job's duration,
     so that a run takes in one more job or one less (tallied in runs)."""
-    parts = [[list(b) for b in row] for row in sched.machines]
-    parts += [[list(b) for b in row] for row, _ in sched.compressed]
+    # each row as a list of batches [cls, start, setup, job, dur, ...],
+    # flattened again at the end
+    parts = [list(map(list, batch_list(row))) for row in sched.machines]
+    parts += [list(map(list, batch_list(row))) for row, _ in sched.compressed]
     mults = [mult for _, mult in sched.compressed]
     n_machines = len(sched.machines)
     for _ in range(rng.randint(1, 3)):
@@ -100,6 +102,7 @@ def _mutate(rng: random.Random, inst: Instance, sched: Schedule, runs: Counter) 
                     dest = parts[j][h] if h < len(parts[j]) else batch
                     at = _pair_at(rng, dest, trailing=True)
                     dest[at:at] = pair
+    parts = list(map(flat_row, parts))
     return Schedule(m=sched.m, machines=parts[:n_machines],
                     compressed=list(zip(parts[n_machines:], mults)), scale=sched.scale)
 
@@ -108,8 +111,8 @@ def _as_fractions(sched: Schedule, scale: int) -> Schedule:
     """The same times as Fractions on another scale, as a hand-built schedule
     may hold them: each batch's start and every length."""
     def conv(row):
-        return [[Fraction(x * scale, sched.scale) if k == 1 or k and k % 2 == 0 else x
-                 for k, x in enumerate(b)] for b in row]
+        return flat_row([Fraction(x * scale, sched.scale) if k == 1 or k and k % 2 == 0 else x
+                         for k, x in enumerate(b)] for b in batch_list(row))
     return Schedule(
         m=sched.m,
         machines=[conv(row) for row in sched.machines],
@@ -120,10 +123,11 @@ def _as_fractions(sched: Schedule, scale: int) -> Schedule:
 
 def _walk(row: list) -> list:
     """The row's batches in the order the verifier reads them."""
-    starts = [b[1] for b in row]
+    batches = batch_list(row)
+    starts = [b[1] for b in batches]
     if all(a < b for a, b in zip(starts, starts[1:])):
-        return row
-    return sorted(row, key=itemgetter(1, 2))
+        return batches
+    return sorted(batches, key=itemgetter(1, 2))
 
 
 def _same_reading(inst: Instance, sched: Schedule) -> bool:
@@ -133,7 +137,7 @@ def _same_reading(inst: Instance, sched: Schedule) -> bool:
     multiplicity no batch starts before the one before it ends."""
     for row, mult in [(row, 1) for row in sched.machines] + sched.compressed:
         end = None
-        for b in _walk(row) if mult >= 1 else row:
+        for b in _walk(row) if mult >= 1 else batch_list(row):
             if not 0 <= b[0] < inst.c or min(b[2::2]) <= 0 or len(b) > 3 and b[-2] == -1:
                 return False
             if mult >= 1:
@@ -149,7 +153,7 @@ def _unsorted_rows(sched: Schedule) -> Counter:
     rows = sched.machines + [row for row, mult in sched.compressed if mult >= 1]
     out: Counter = Counter()
     for row in rows:
-        starts = [b[1] for b in row]
+        starts = [b[1] for b in batch_list(row)]
         if starts != sorted(starts):
             out["shuffled"] += 1
         elif len(set(starts)) < len(starts):

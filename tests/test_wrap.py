@@ -235,7 +235,7 @@ def test_bulk_needs_two_full_run_gaps(dur, mult):
     if mult is None:
         assert sched.compressed == []
     else:
-        assert sched.compressed == [([(0, F(0), F(1), 0, F(2))], mult)]
+        assert sched.compressed == [([0, F(0), F(1), 1, 0, F(2)], mult)]
     assert machine_multiset(expand(sched, classes_of(seq))) == machine_multiset(plain)
     assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
 
@@ -283,13 +283,12 @@ def test_compressed_matches_plain_on_random_cases():
         # equal as machine multisets: expand lists rows before copies
         assert machine_multiset(expand(comp, classes_of(seq))) == machine_multiset(plain)
         assert (res.last_machine, res.last_fill) == (plain_res.last_machine, plain_res.last_fill)
-        assert all(len(cfg) == 1 and len(cfg[0]) == 5 and mult >= 2
-                   for cfg, mult in comp.compressed)
+        assert all(len(cfg) == 6 and cfg[3] == 1 and mult >= 2 for cfg, mult in comp.compressed)
         # each config covers gaps of one run, short of its last, and none of
         # them is a machine row as well
         for base, cfg, mult in builder._configs:
             assert any(g.machine <= base and base + mult < g.machine + g.count
-                       and cfg[0][1] + cfg[0][2] == g.open and cfg[0][4] == g.close - g.open
+                       and cfg[1] + cfg[2] == g.open and cfg[5] == g.close - g.open
                        for g in runs)
             assert not set(range(base, base + mult)) & set(builder.rows)
         assert all(comp.machines)  # a row exists only with a placement on it
@@ -359,8 +358,8 @@ def test_run_wrap_int_gaps_past_float_precision():
                    [Gap(0, 0, s + H), Gap(1, s, s + H, 8)])
     sched = builder.finalize()
     assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
-    assert sched.machines == [[(0, 0, s, 0, H)], [(0, 0, s, 0, 1)]]
-    assert sched.compressed == [([(0, 0, s, 0, H)], 5)]
+    assert sched.machines == [[0, 0, s, 1, 0, H], [0, 0, s, 1, 0, 1]]
+    assert sched.compressed == [([0, 0, s, 1, 0, H], 5)]
     assert all(type(start) is int and type(dur) is int
                for _, start, dur, _ in placements(sched, SimpleNamespace(
                    classes=[JobClass(s, (6 * H + 1,))])))
@@ -459,8 +458,8 @@ def test_class_batch_runs_and_heads():
     builder = Builder(3)
     res = run_wrap(builder, [class_batch(inst, 0, 1)], [Gap(0, 0, 7), Gap(1, 1, 7, 2)])
     sched = builder.finalize()
-    assert sched.machines == [[(0, 0, 1, 0, 6)], [(0, 0, 1, 2, 3, 3, 3)], [(0, 0, 1, 3, 2)]]
+    assert sched.machines == [[0, 0, 1, 1, 0, 6], [0, 0, 1, 2, 2, 3, 3, 3], [0, 0, 1, 1, 3, 2]]
     assert res.placed == 3 + 6
     assert expand_runs(sched, inst).machines == [
-        [(0, 0, 1, 0, 2, 1, 3, 2, 1)], [(0, 0, 1, 2, 3, 3, 3)], [(0, 0, 1, 3, 2)]]
+        [0, 0, 1, 3, 0, 2, 1, 3, 2, 1], [0, 0, 1, 2, 2, 3, 3, 3], [0, 0, 1, 1, 3, 2]]
     assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(7)).ok
