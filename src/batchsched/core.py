@@ -257,14 +257,26 @@ class Schedule(namedtuple("Schedule", "m machines compressed scale")):
     a wrap's setup that ends exactly where its gap closes (k = 0); so a
     built schedule holds one list per machine or configuration, none per
     batch.
+
+    A build passes `end`, where its batches end, and `end()` reads it: it is
+    kept beside the fields, as `SearchResult.ratio_bound` is, so equality,
+    `_replace`, `_make`, copies and pickle see only the four fields, and any
+    other schedule's `end()` walks its rows.  The verifier never reads it.
     """
 
-    __slots__ = ()
+    built_end: Union[int, Rat, None] = None
 
     def __new__(cls, m: int, machines: Optional[list[Row]] = None,
-                compressed: Optional[list[tuple[Row, int]]] = None, scale: int = 1) -> Schedule:
-        return tuple.__new__(cls, (m, [] if machines is None else machines,
+                compressed: Optional[list[tuple[Row, int]]] = None, scale: int = 1,
+                *, end: Union[int, Rat, None] = None) -> Schedule:
+        self = tuple.__new__(cls, (m, [] if machines is None else machines,
                                    [] if compressed is None else compressed, scale))
+        if end is not None:
+            self.built_end = end
+        return self
+
+    def __getstate__(self):  # a copy or pickle records no end
+        return None
 
     def rows(self) -> list[Row]:
         """The machine rows, then each configuration's row once."""
@@ -275,7 +287,8 @@ class Schedule(namedtuple("Schedule", "m machines compressed scale")):
 
     def end(self) -> Union[int, Rat]:
         """The latest batch end on the schedule's scale; 0 for no batch."""
-        return rows_end(self.rows())
+        end = self.built_end
+        return rows_end(self.rows()) if end is None else end
 
     def makespan(self) -> Rat:
         return Fraction(self.end(), self.scale)
@@ -706,4 +719,4 @@ def trivial_one_job_per_machine(inst: Instance) -> Schedule:
     """One setup + one job per machine; optimal when m >= n (non-splittable)."""
     machines = [[i, 0, cl.setup, 1, j, t]
                 for i, cl in enumerate(inst.classes) for j, t in enumerate(cl.jobs)]
-    return Schedule(m=inst.m, machines=machines)
+    return Schedule(m=inst.m, machines=machines, end=inst.job_setup_bound)

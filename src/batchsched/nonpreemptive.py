@@ -143,9 +143,8 @@ def next_fit_two_approx(inst: Instance, variant: Variant) -> tuple[Schedule, Rat
     # a setup and a job of its class fit in tmin, so a machine holds the
     # item it starts with and the next: a job, or a setup and its first job
     machines: list[list] = [[] for _ in bounds[1:]]
-    for row, (a, b) in zip(machines, pairwise(bounds)):
-        st.write(row, a, b, 0)
-    sched = Schedule(m=inst.m, machines=machines)
+    end = max(st.write(row, a, b, 0) for row, (a, b) in zip(machines, pairwise(bounds)))
+    sched = Schedule(m=inst.m, machines=machines, end=end)
     makespan = sched.makespan()
     if makespan > 2 * tmin:
         raise ContractError(f"next-fit makespan {makespan} exceeds 2*T_min")
@@ -335,8 +334,8 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                 target = next((v for v, end in enumerate(ends) if v != u and end <= T), None)
                 if target is None:
                     raise ContractError("repair found no machine for the final item")
-            st.write(rows[target], e, n, ends[target])
-    return Schedule(m=inst.m, machines=[row for row in rows if row], scale=scale)
+            ends[target] = st.write(rows[target], e, n, ends[target])
+    return Schedule(m=inst.m, machines=[row for row in rows if row], scale=scale, end=max(ends))
 
 
 def exact_integer_search_nonp(inst: Instance) -> SearchResult:

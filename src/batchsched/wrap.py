@@ -83,6 +83,8 @@ class Builder:
     machine slots.  Times are on the integer time scale `scale` (1/scale time
     units per step).  `rows` maps a machine id to its flat Row (`core.Row`),
     which exists once a batch is put on it; a batch is written into it.
+    `end` is where the latest batch written so far ends: `put`, `put_config`
+    and `run_wrap` raise it, so a row written any other way must raise it too.
     """
 
     def __init__(self, m: int, scale: int = 1):
@@ -90,19 +92,24 @@ class Builder:
         self.scale = scale
         self.rows: defaultdict[int, Row] = defaultdict(list)
         self._configs: list[tuple[int, Row, int]] = []
+        self.end: Rat = 0
 
     def put(self, machine: int, batch: tuple):
         """A batch (cls, start, setup, k, job, dur, ...) with k pairs, at
         the end of the machine's row."""
         self.rows[machine] += batch
+        self.end = max(self.end, batch[1] + batch[2] + sum(batch[5::2]))
 
     def put_config(self, base_machine: int, config: Row, mult: int):
+        """A configuration of one batch, as `put` takes it, on mult machines."""
         self._configs.append((base_machine, config, mult))
+        self.end = max(self.end, config[1] + config[2] + sum(config[5::2]))
 
     def finalize(self) -> Schedule:
         explicit = [self.rows[k] for k in sorted(self.rows)]
         configs = [(row, mult) for _, row, mult in sorted(self._configs, key=lambda e: e[0])]
-        return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale)
+        return Schedule(m=self.m, machines=explicit, compressed=configs, scale=self.scale,
+                        end=self.end)
 
 
 class WrapResult(NamedTuple):
@@ -132,7 +139,9 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     One pass keeps its state in locals: the current gap (run r, machine,
     how many gaps of the run follow it, open, close), the fill t, and the
     open batch's row and count slot; the count is set from the row's length
-    once the next setup opens another batch or the pass ends."""
+    once the next setup opens another batch or the pass ends.  top is where
+    the gaps left so far end (a gap a crossing job leaves ends at its close,
+    one left for a setup at its fill), raising `builder.end` at the end."""
     runs = [g for g in gaps if g.count]
     check_template(runs)
     if not runs:
@@ -140,7 +149,7 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     rows, put_config = builder.rows, builder.put_config
     r, machine, left, open_, close = _next_run(runs, -1)
     t = open_
-    placed = 0
+    placed = top = 0
     row: Optional[Row] = None
     at = 0  # the open batch's count slot in row
     for batch in seq:
@@ -152,6 +161,8 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
             # the layout is a continuous function of the guess
             start = open_ - setup
         elif t + setup > close:
+            if row is not None and t > top:  # the first gap may be left empty
+                top = t
             if left:
                 left, machine = left - 1, machine + 1
             else:
@@ -213,6 +224,8 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
                         row += job, head
                 ends_run = False
                 rest = end - close
+                if close > top:
+                    top = close
                 if left:
                     left, machine = left - 1, machine + 1
                 else:
@@ -247,4 +260,5 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
             raise ValueError(f"job piece {(cls, job)} with non-positive duration {dur}")
     if row is not None:
         row[at] = (len(row) - at - 1) // 2
+        builder.end = max(builder.end, top, t)
     return WrapResult(last_machine=machine, last_fill=t, placed=placed)

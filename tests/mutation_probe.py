@@ -13,6 +13,10 @@ layout, run against tests/test_core.py and tests/test_cli.py, or
 tests/test_cli.py and tests/test_golden.py, or
 `_Stream.write` or `_build_nonp` in src/batchsched/nonpreemptive.py, run
 against tests/test_nonp_reference.py and tests/test_nonpreemptive.py, or
+the builds' end bookkeeping, `run_wrap` and `Builder.put`, `put_config`
+and `finalize` in src/batchsched/wrap.py and `_build_nonp` and
+`next_fit_two_approx` in src/batchsched/nonpreemptive.py, run against
+tests/test_golden.py, tests/test_wrap.py and tests/test_nonpreemptive.py, or
 `_bisect`, `class_jump_walk`, `class_jump_search` (its refinement loop
 included) or `epsilon_search` in src/batchsched/search.py, run against
 tests/test_search_oracle.py, tests/test_splittable.py,
@@ -66,6 +70,10 @@ TARGETS = (
      ("tests/test_cli.py", "tests/test_golden.py")),
     (Path("src", "batchsched", "nonpreemptive.py"), ("write", "_build_nonp"),
      ("tests/test_nonp_reference.py", "tests/test_nonpreemptive.py")),
+    (Path("src", "batchsched", "wrap.py"), ("run_wrap", "put", "put_config", "finalize"),
+     ("tests/test_golden.py", "tests/test_wrap.py", "tests/test_nonpreemptive.py")),
+    (Path("src", "batchsched", "nonpreemptive.py"), ("_build_nonp", "next_fit_two_approx"),
+     ("tests/test_golden.py", "tests/test_wrap.py", "tests/test_nonpreemptive.py")),
     (Path("src", "batchsched", "search.py"),
      ("_bisect", "class_jump_walk", "class_jump_search", "epsilon_search"),
      ("tests/test_search_oracle.py", "tests/test_splittable.py", "tests/test_preemptive.py",

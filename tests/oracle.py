@@ -41,6 +41,7 @@ from batchsched.core import (
     Violation,
     lower_bound_tmin,
     row_batches,
+    rows_end,
     trivial_one_job_per_machine,
 )
 from batchsched.preemptive import KnapsackItem
@@ -200,6 +201,12 @@ def flat_row(batches) -> list:
     for b in batches:
         out += b[0], b[1], b[2], (len(b) - 3) // 2, *b[3:]
     return out
+
+
+def records_its_end(sched: Schedule) -> bool:
+    """Whether the schedule holds the end its build recorded and that end is
+    where its rows end."""
+    return sched.built_end is not None and sched.built_end == rows_end(sched.rows())
 
 
 def batch_list(row) -> list[tuple]:
@@ -1131,18 +1138,17 @@ class _ReferenceRun:
         if not self.runs:
             raise CapacityError("empty wrap template")
         self.b = builder
-        self.rows = builder.rows
         self.setups_below = setups_below
         self.events = events
         self.placed = 0
-        self.batch = self.batch_row = None
+        self.batch = self.batch_machine = None
         self.k, self.left = -1, 0
         self.next_gap()
 
     def setup(self, cls: int, start: Rat, dur: Rat):
         self.end_batch()
         self.placed += 1
-        self.batch, self.batch_row = [cls, start, dur], self.rows[self.machine]
+        self.batch, self.batch_machine = [cls, start, dur], self.machine
 
     def piece(self, job: int, dur: Rat):
         self.placed += 1
@@ -1150,7 +1156,7 @@ class _ReferenceRun:
 
     def end_batch(self):
         if self.batch is not None:
-            self.batch_row += flat_row([self.batch])
+            self.b.put(self.batch_machine, flat_row([self.batch]))
             self.batch = None
 
     def next_gap(self):

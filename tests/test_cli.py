@@ -331,6 +331,31 @@ def test_non_utf8_file_exit_one(tmp_path, capsys):
     assert err.startswith("error: invalid JSON") and "Traceback" not in err
 
 
+def test_solve_and_emit_walk_no_row(monkeypatch):
+    # every build records where its schedule ends, so neither the search's
+    # makespan nor the file's walks the rows again; a parsed schedule does
+    from batchsched import core
+
+    calls = Counter()
+    walk = core.rows_end
+
+    def counted(rows):
+        calls["rows_end"] += 1
+        return walk(rows)
+
+    monkeypatch.setattr(core, "rows_end", counted)
+    for inst in islice(corpus(), 0, 350, 35):
+        for variant in Variant:
+            guess = 2 * lower_bound_tmin(inst, variant)  # every dual accepts it
+            for algo in ("two-approx", "dual", "jump", "eps"):
+                r = solve(inst, variant, algo, guess=guess)
+                raw = emit_schedule(r.schedule)
+                assert calls["rows_end"] == 0, (inst, variant, algo)
+                assert raw["makespan"] == fmt_rat(r.makespan)
+    back = parse_schedule(json.loads(json.dumps(raw)), inst.m)
+    assert back.end() == r.schedule.end() and calls["rows_end"] == 1
+
+
 def test_emit_rejects_non_int_times():
     # a hand-built schedule whose batch holds a Fraction time: the writer
     # refuses it, the verifier judges it

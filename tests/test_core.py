@@ -235,6 +235,27 @@ def test_placement_count_skips_idle_pairs_only():
     assert sched.placement_count() == 2 + 2 + 3 + 2
 
 
+def test_a_recorded_end_is_read_but_never_judged():
+    # a build's end is kept beside the four fields: equality, repr, copies
+    # and pickle see only those, and a copy or a hand-built schedule finds
+    # its end from its rows
+    rows = [[0, 0, 2, 1, 0, 3], [1, 0, 1, 1, 0, 2]]
+    wrong = Schedule(m=2, machines=rows, end=9)
+    plain = Schedule(m=2, machines=rows)
+    assert wrong.end() == 9 and wrong.makespan() == 9 and plain.end() == 5
+    assert wrong == plain and repr(wrong) == repr(plain) and tuple(wrong) == tuple(plain)
+    for copied in (wrong._replace(), wrong._replace(scale=1), Schedule._make(wrong),
+                   copy.copy(wrong), copy.deepcopy(wrong), pickle.loads(pickle.dumps(wrong))):
+        assert copied.built_end is None and copied.end() == 5 and copied == plain
+    # the verifier judges the rows, whatever end was recorded
+    for end in (9, 4, 0):
+        sched = Schedule(m=2, machines=rows, end=end)
+        assert verify_schedule(INST, sched, Variant.NONPREEMPTIVE, F(5)) == \
+            verify_schedule(INST, plain, Variant.NONPREEMPTIVE, F(5))
+    rep = verify_schedule(INST, Schedule(m=2, machines=rows, end=4), Variant.NONPREEMPTIVE, F(4))
+    assert not rep.ok and rep.makespan == 5 and [v.rule for v in rep.violations] == ["f"]
+
+
 def _rules(report):
     return [(v.rule, v.machine, v.time, v.message) for v in report.violations]
 

@@ -4,9 +4,11 @@ piece numbers, with runs expanded to one pair per job, and their wire JSON
 now), the probe lists of its searches, pinned by a third, plus the
 invariants of the integer time scale, of the flat rows and of the wire
 round trip on the same solves, and the files earlier releases wrote (one
-pair per job) read back to the same verdict; and every built row in
-start order, none empty, with no setup alone from the non-preemptive
-dual or next fit."""
+pair per job) read back to the same verdict; every built row in start
+order, none empty, with no setup alone from the non-preemptive dual or
+next fit; and every build's recorded end where its rows end and where the
+verifier finds the makespan, on the corpus, on larger and setup-dominated
+instances and on drawn instances at drawn guesses."""
 
 import hashlib
 import json
@@ -16,12 +18,17 @@ from fractions import Fraction as F
 from functools import cache
 from operator import lt
 
-from batchsched.cli import emit_schedule, generate_instance, parse_schedule
-from batchsched.core import Variant, verify_schedule
-from batchsched.preemptive import _pmtn_plan
-from batchsched.search import solve
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import batch_list, expand_runs
+from batchsched.cli import emit_schedule, generate_instance, parse_schedule
+from batchsched.core import Instance, JobClass, Variant, lower_bound_tmin, verify_schedule
+from batchsched.preemptive import _pmtn_plan
+from batchsched.search import solve, variant_ops
+
+from oracle import batch_list, expand_runs, records_its_end
+from test_acceptance import _corpus_setups, _scaling_instance
 from test_preemptive import knapsack_heavy_instance
 
 # sha256 over the sort_keys JSON of every schedule below, in order, in the
@@ -140,7 +147,6 @@ def test_golden_schedules_on_the_integer_scale():
         assert all(type(row) is list and set(map(type, row)) <= {int}
                    and all(-1 not in b[3::2] for b in batch_list(row))
                    for row in sched.rows()), (inst, variant, algo)
-        assert type(sched.makespan()) is F and sched.makespan() == r.makespan
         # the only compressed part a build writes: full gaps of one run,
         # one batch [cls, open - s, s, 1, job, height]
         assert all(mult >= 2 and len(config) == 6 and config[3] == 1
@@ -153,6 +159,9 @@ def test_golden_schedules_on_the_integer_scale():
         mem = verify_schedule(inst, sched, variant, bound)
         wire = verify_schedule(inst, back, variant, bound)
         assert mem.ok and mem == wire, (inst, variant, algo)
+        assert type(r.makespan) is F and r.makespan == mem.makespan, (inst, variant, algo)
+        assert records_its_end(sched) and sched.end() == mem.makespan * sched.scale, \
+            (inst, variant, algo)
         assert raw["makespan"] == str(r.makespan)
         old_texts.append(json.dumps(old_format(raw, inst), sort_keys=True))
         # the file an earlier release wrote, one pair per job, reads back to
@@ -195,3 +204,50 @@ def test_built_rows_in_start_order_without_idle_setups():
         if variant is Variant.NONPREEMPTIVE or (variant, algo) == (Variant.PREEMPTIVE, "two-approx"):
             assert all(len(b) > 3 for row in rows for b in batch_list(row)), (inst, variant, algo)
     assert multi >= 1_000, multi
+
+
+def _end_cases():
+    """(instance, variant, algo) past the corpus: criterion 9's instance at
+    n = 10k, a sized knapsack-heavy one, and setup-dominated ones."""
+    for inst in (_scaling_instance(10_000, 1), knapsack_heavy_instance(random.Random(34), 300)):
+        for variant in Variant:
+            for algo in ("two-approx", "jump", "eps"):
+                yield inst, variant, algo
+    for inst in _corpus_setups(34)[:200]:
+        for variant in Variant:
+            yield inst, variant, "jump"
+
+
+def test_builds_record_where_their_rows_end():
+    # the recorded end is the rows' end and the makespan the verifier finds
+    cases = 0
+    for inst, variant, algo in _end_cases():
+        r = solve(inst, variant, algo)
+        sched = r.schedule
+        bound = 2 * r.lower_bound if algo == "two-approx" else F(3, 2) * r.guess
+        report = verify_schedule(inst, sched, variant, bound)
+        assert report.ok and records_its_end(sched), (inst, variant, algo)
+        assert sched.end() == report.makespan * sched.scale == r.makespan * sched.scale
+        cases += 1
+    assert cases == 2 * 9 + 200 * 3
+
+
+_INSTANCES = st.builds(
+    Instance, m=st.integers(1, 6),
+    classes=st.lists(st.builds(JobClass, setup=st.integers(1, 40),
+                               jobs=st.lists(st.integers(1, 40), min_size=1, max_size=5).map(tuple)),
+                     min_size=1, max_size=5).map(tuple))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@settings(max_examples=150, deadline=None, database=None)
+@given(inst=_INSTANCES, step=st.integers(0, 16))
+def test_each_dual_records_where_its_rows_end(variant, inst, step):
+    # the variant's dual at T_min (1 + step/16), up to 2 T_min, which it
+    # accepts; a schedule it builds records the end the verifier finds
+    guess = lower_bound_tmin(inst, variant) * (16 + step) / 16
+    d = variant_ops(variant).dual(inst, guess)
+    if d.accepted:
+        report = verify_schedule(inst, d.schedule, variant, F(3, 2) * guess)
+        assert report.ok and records_its_end(d.schedule)
+        assert d.schedule.end() == report.makespan * d.schedule.scale

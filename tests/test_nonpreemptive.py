@@ -11,6 +11,7 @@ from batchsched.core import (
     JobClass,
     Variant,
     lower_bound_tmin,
+    rows_end,
     verify_schedule,
 )
 from batchsched.nonpreemptive import (
@@ -22,7 +23,7 @@ from batchsched.nonpreemptive import (
 
 from batchsched.search import Probe
 from conftest import random_instance, tiny_instances
-from oracle import exact_nonp
+from oracle import exact_nonp, records_its_end
 
 
 def test_next_fit_two_classes():
@@ -99,6 +100,19 @@ def test_dual_single_machine_exact_fit():
     assert out.schedule.makespan() == 8
 
 
+def test_repair_records_where_the_moved_item_ends():
+    # at T = 10 steps 1-2 give class 0 machine 0 (ends at 6) and class 1
+    # machine 1 (ends at 8); class 2's setup fits machine 0's room of 4 but
+    # its job sticks out, so with no machine left step 4 moves the job behind
+    # a fresh setup onto machine 1, the other one at or below T, to end at 13
+    inst = Instance(m=2, classes=(JobClass(4, (2,)), JobClass(3, (5,)), JobClass(3, (2,))))
+    out = dual_nonp(inst, F(10))
+    assert out.accepted
+    assert out.schedule.machines == [[0, 0, 4, 1, 0, 2], [1, 0, 3, 1, 0, 5, 2, 8, 3, 1, 0, 2]]
+    assert out.schedule.end() == rows_end(out.schedule.rows()) == 13
+    assert records_its_end(out.schedule)
+
+
 def test_integer_search_matches_oracle():
     r = exact_integer_search_nonp(EX)
     assert r.guess == 7
@@ -153,12 +167,16 @@ def test_probe_budget():
 
 
 def test_schedules_are_contiguous_per_job():
+    # the dual's schedule and next fit's, each with the end it recorded
     rng = random.Random(21)
     for _ in range(150):
         inst = random_instance(rng)
         r = exact_integer_search_nonp(inst)
         rep = verify_schedule(inst, r.schedule, Variant.NONPREEMPTIVE, F(3, 2) * r.guess)
         assert rep.ok, [str(v) for v in rep.violations][:4]
+        sched, makespan = next_fit_two_approx(inst, Variant.NONPREEMPTIVE)
+        assert records_its_end(r.schedule) and records_its_end(sched), inst
+        assert makespan == verify_schedule(inst, sched, Variant.NONPREEMPTIVE, makespan).makespan
 
 
 def test_rejections_certify_on_tiny_family():

@@ -4,7 +4,8 @@ second time: equal schedules, with the build's runs expanded to one pair
 per job (`expand_runs`) and the reference's rows sorted by start
 (`rows_by_start`: the reference wrote a large machine's bottom after its
 top), from `dual_pmtn` and `reference_build_pmtn` on 10,000+ (instance,
-accepted guess) pairs, with every branch of the build reached."""
+accepted guess) pairs, with every branch of the build reached; both record
+where their rows end."""
 
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from itertools import accumulate
 from batchsched.core import Instance, JobClass, Variant, lower_bound_tmin, verify_schedule
 from batchsched.preemptive import class_jump_pmtn, dual_pmtn
 from conftest import random_instance
-from oracle import expand_runs, reference_build_pmtn, rows_by_start, run_pairs
+from oracle import expand_runs, records_its_end, reference_build_pmtn, rows_by_start, run_pairs
 from test_preemptive import knapsack_heavy_instance
 
 GRID = 8  # guesses T_min * (1 + k / GRID), k = 0 .. GRID
@@ -62,8 +63,9 @@ def _check(inst, guess, branches: Counter) -> bool:
     d = dual_pmtn(inst, guess)
     if not d.accepted or d.plan is None:
         return False
-    assert expand_runs(d.schedule, inst) == \
-        rows_by_start(reference_build_pmtn(inst, guess, d.plan)), (inst, guess)
+    ref = reference_build_pmtn(inst, guess, d.plan)
+    assert expand_runs(d.schedule, inst) == rows_by_start(ref), (inst, guess)
+    assert records_its_end(d.schedule) and records_its_end(ref), (inst, guess)
     branches.update(_branches(inst, guess, d.plan))
     branches["run pairs"] += run_pairs(d.schedule, inst)
     return True

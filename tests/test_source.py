@@ -212,3 +212,24 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.split() == ["[]"], out.stdout
+
+
+def test_judges_never_read_a_recorded_end():
+    # a build's recorded end (`Schedule.built_end`, read by `end()` and
+    # `makespan()`) is never trusted: the verifier finds the makespan from the
+    # rows, and a file's "makespan" becomes no recorded end
+    judges = {"core.py": {"verify_schedule", "_pieces_of", "_parts"}, "cli.py": {"parse_schedule"}}
+    seen, found = set(), []
+    for name, fns in judges.items():
+        for fn in ast.walk(ast.parse((SRC / name).read_text())):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in fns):
+                continue
+            seen.add(fn.name)
+            for node in ast.walk(fn):
+                read = (node.attr if isinstance(node, ast.Attribute)
+                        else node.value if isinstance(node, ast.Constant) else None)
+                if read in ("built_end", "end", "makespan", "__dict__") or (
+                        isinstance(node, ast.keyword) and node.arg == "end"):
+                    found.append(f"{name}:{node.lineno} {fn.name} reads {read or 'end='}")
+    assert seen == set().union(*judges.values())
+    assert not found, "; ".join(found)

@@ -10,7 +10,7 @@ from batchsched import preemptive, splittable
 from batchsched.core import CapacityError, Instance, JobClass, Schedule, Variant, verify_schedule
 from batchsched.search import variant_ops
 from batchsched.wrap import Batch, Builder, Gap, class_batch, run_wrap
-from oracle import expand, expand_runs, placements, reference_run_wrap, run_pairs
+from oracle import expand, expand_runs, placements, records_its_end, reference_run_wrap, run_pairs
 
 
 def durations(b):
@@ -425,7 +425,8 @@ def _wrap_outcome(wrap, seq, runs, below, m):
 def test_run_wrap_equals_the_per_item_reference():
     # the run-at-a-time wrap against the one that placed every job on its
     # own: equal schedules, with the runs of whole classes expanded to one
-    # pair per job, and equal WrapResults, or the same error
+    # pair per job, and equal WrapResults, or the same error; each records
+    # where its rows end
     rng = random.Random(2222)
     events, kinds = Counter(), Counter()
     for _ in range(6_000):
@@ -435,6 +436,7 @@ def test_run_wrap_equals_the_per_item_reference():
             lambda b, s, g, below: reference_run_wrap(b, s, g, below, events), seq, runs, below, m)
         got = _wrap_outcome(run_wrap, seq, runs, below, m)
         if isinstance(got[0], Schedule):
+            assert records_its_end(got[0]) and records_its_end(want[0]), (seq, runs, below)
             kinds["run pairs"] += run_pairs(got[0], classes_of(seq))
             got = (expand_runs(got[0], classes_of(seq)), got[1])
         assert got == want, (seq, runs, below)
@@ -447,6 +449,21 @@ def test_run_wrap_equals_the_per_item_reference():
     assert kinds["wrapped"] >= 3_000 and kinds["fraction"] >= 1_000, kinds
     assert min(kinds[f"non-positive {p}"] for p in ("first", "middle", "last")) >= 20, kinds
     assert kinds["run pairs"] >= 3_000, kinds
+
+
+def test_a_config_above_every_row_records_the_end():
+    # class 0's job of 19 behind a setup of 1: its head of 1 fills the gap
+    # [0, 2), the next run's first three gaps [5, 10) are one config, and
+    # the tail of 3 ends at 8 in its last: only the config reaches 10
+    inst = Instance(5, (JobClass(1, (19,)),))
+    builder = Builder(5)
+    run_wrap(builder, [class_batch(inst, 0, 1)], [Gap(0, 0, 2), Gap(1, 5, 10, 4)])
+    sched = builder.finalize()
+    assert sched.machines == [[0, 0, 1, 1, 0, 1], [0, 4, 1, 1, 0, 3]]
+    assert sched.compressed == [([0, 4, 1, 1, 0, 5], 3)]
+    assert sched.end() == 10 and records_its_end(sched)
+    report = verify_schedule(inst, sched, Variant.SPLITTABLE, F(10))
+    assert report.ok and report.makespan == 10
 
 
 def test_class_batch_runs_and_heads():
