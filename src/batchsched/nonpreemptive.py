@@ -232,23 +232,46 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
     half = T // 2
     rows: list[list] = []  # per machine its flat row
     loads: list[int] = []  # per machine its load as steps 1-3 see it, ghosts included
-    ends: list[int] = []  # per machine where its last batch ends (its load unless given)
+    ends: list[int] = []  # per machine where its last batch ends
 
-    def new_machine(row: Optional[list] = None, load: int = 0, end: Optional[int] = None) -> int:
+    def new_machine(row: Optional[list] = None, load: int = 0) -> int:
         if len(loads) >= inst.m:
             raise ContractError("construction ran out of machines")
         rows.append([] if row is None else row)
         loads.append(load)
-        ends.append(load if end is None else end)
+        ends.append(load)
         return len(loads) - 1
+
+    def pour(flat: list, targets: list[int]) -> tuple[int, int, int]:
+        """Pour the jobs of one class (flat as in `_flat`) into the targets'
+        room below T in order, each target's one batch growing by the jobs
+        that start in it; returns the residual work, its ghost and the
+        first job left."""
+        S = list(accumulate(flat[1::2], initial=0))
+        pos = a = 0
+        for u in targets:
+            room = T - loads[u]
+            if room <= 0:
+                continue
+            if pos >= S[-1]:
+                break
+            b = bisect_left(S, pos + room, a, len(S) - 1)
+            row = rows[u]
+            row += flat[2 * a:2 * b]
+            row[3] += b - a
+            loads[u] += min(room, S[-1] - pos)
+            ends[u] += S[b] - S[a]
+            pos, a = pos + room, b
+        got = max(S[-1] - pos, 0)
+        return got, (S[a] - pos if got else 0), a
 
     # Steps 1 and 2, class by class.  Step 1 places the jobs that cannot
     # share a machine: a class's big jobs (2t > T) open one machine each and
-    # its forced ones (2(s+t) > T) wrap over machines filled to T.  At an
-    # accepted guess s + t <= T, so an expensive class (2s > T) has no big job
-    # and every job forced.  Step 2 tops those machines up to T with the
-    # class's other jobs.  Neither step touches another class's machines, and
-    # step 2 opens none.  What is left is step 3's stream.
+    # its forced ones (2(s+t) > T) are poured into fresh machines up to T.  At
+    # an accepted guess s + t <= T, so an expensive class (2s > T) has no big
+    # job and every job forced.  Step 2 pours the class's other jobs into
+    # those machines up to T.  Neither step touches another class's machines,
+    # and step 2 opens none.  What is left is step 3's stream.
     segs: list[Segment] = []
     for i, cl in enumerate(inst.classes):
         s = cl.setup * scale
@@ -264,34 +287,15 @@ def _build_nonp(inst: Instance, guess: Rat, counts: NonpCounts) -> Schedule:
                        for j in compress(range(len(jobs)), is_big)]
             forced = _flat(jobs, compress(range(len(jobs)), map(ne, is_over, is_big)), scale)
             if forced:
-                # machines of room T - s, each holding the jobs that start in it
-                S = list(accumulate(forced[1::2], initial=0))
-                room, pos, a = T - s, 0, 0
-                while pos < S[-1]:
-                    b = bisect_left(S, pos + room, a, len(S) - 1)
-                    u = new_machine([i, 0, s, b - a, *forced[2 * a:2 * b]],
-                                s + min(room, S[-1] - pos), s + S[b] - S[a])
-                    pos, a = pos + room, b
-                targets.append(u)
-            rest = _flat(jobs, compress(range(len(jobs)), map(not_, is_over)), scale)
+                # fresh machines of room T - s, each holding the jobs that start in it
+                fresh = [new_machine([i, 0, s, 0], s)
+                         for _ in range(-(-sum(forced[1::2]) // (T - s)))]
+                pour(forced, fresh)
+                targets.append(fresh[-1])
             # step 2: the rest poured into the targets' room in order
-            S = list(accumulate(rest[1::2], initial=0))
-            pos = a = 0
-            for u in targets:
-                room = T - loads[u]
-                if room <= 0:
-                    continue
-                if pos >= S[-1]:
-                    break
-                b = bisect_left(S, pos + room, a, len(S) - 1)
-                row = rows[u]  # its one batch, whose count grows by the jobs added
-                row += rest[2 * a:2 * b]
-                row[3] += b - a
-                loads[u] += min(room, S[-1] - pos)
-                ends[u] += S[b] - S[a]
-                pos, a = pos + room, b
-            got = max(S[-1] - pos, 0)
-            ghost, ids, durs = (S[a] - pos if got else 0), rest[2 * a::2], rest[2 * a + 1::2]
+            rest = _flat(jobs, compress(range(len(jobs)), map(not_, is_over)), scale)
+            got, ghost, a = pour(rest, targets)
+            ids, durs = rest[2 * a::2], rest[2 * a + 1::2]
         want = max(counts.leftover[i], 0)  # on the decision's scale q, as here
         if got != want:
             raise ContractError(f"residual work {got} != leftover bound {want}")

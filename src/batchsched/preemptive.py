@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from itertools import groupby
 from fractions import Fraction
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -129,51 +128,34 @@ def _gamma_count(reach: int, p: int, q: int) -> int:
     return max(1, -(-2 * reach * q // p) - 2)
 
 
-def _stack(builder: Builder, inst: Instance, u: int, t: int, i: int, scale: int) -> int:
-    """Put class i whole on machine u from time t, its jobs as one run (see
-    `core.Row`), on the time scale; returns its end."""
-    cl = inst.classes[i]
-    setup, work = cl.setup * scale, cl.total * scale
-    builder.put(u, (i, t, setup, 1, 0, work))
-    return t + setup + work
-
-
 # ---------------------------------------------------------------------------
 # General instances
 # ---------------------------------------------------------------------------
 
 
-class _PmtnPlan:
+class _PmtnPlan(NamedTuple):
     """Everything the decision and the construction share for one guess p/q,
     in ints: free_time on the guess's scale q (it stands for free_time / q),
     the obligatory spills on the knapsack's scale 2q, star_total and load in
-    the instance's own units.  The decision fills it in step by step; two
-    plans are equal when every field is.
+    the instance's own units.
 
     The classes of part.exp_zero get one dedicated machine each.  Without
     them the instance is nice: the plan then has no geometric reject and no
     knapsack, and its load and machine count are the nice instance's.
     """
 
-    __slots__ = ("part", "gamma", "free_time", "star_total", "knapsack", "obligatory", "load",
-                 "machines", "reject")
-
-    def __init__(self, part: ClassPartition, gamma: dict[int, int]):
-        self.part = part
-        self.gamma = gamma  # half-gap machines per part.exp_plus class, in class order
-        self.free_time = 0  # F * q: room for small-setup classes off the dedicated machines
-        self.star_total = 0  # setup + work of the star classes, all of which F must take
-        self.knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
-        self.obligatory: dict[int, int] = {}  # L*_i * 2q per star class
-        self.load = self.machines = 0
-        # Set when the guess is certified infeasible before the load/machine comparison:
-        # setups of at least a quarter guess can never share a machine with a dedicated
-        # almost-full class, so negative free time (or knapsack capacity) proves guess < OPT.
-        self.reject: Optional[str] = None
-
-    def __eq__(self, other) -> bool:
-        values = attrgetter(*_PmtnPlan.__slots__)
-        return type(other) is _PmtnPlan and values(self) == values(other)
+    part: ClassPartition
+    gamma: dict[int, int]  # half-gap machines per part.exp_plus class, in class order
+    free_time: int  # F * q: room for small-setup classes off the dedicated machines
+    star_total: int  # setup + work of the star classes, all of which F must take
+    load: int
+    machines: int
+    knapsack: Optional[KnapsackSolution] = None  # set when F cannot take every star class whole
+    obligatory: Optional[dict[int, int]] = None  # L*_i * 2q per star class, with the knapsack
+    # Set when the guess is certified infeasible before the load/machine comparison:
+    # setups of at least a quarter guess can never share a machine with a dedicated
+    # almost-full class, so negative free time (or knapsack capacity) proves guess < OPT.
+    reject: Optional[str] = None
 
 
 def _star_items(inst: Instance, part: ClassPartition, p: int, q: int,
@@ -205,16 +187,15 @@ def _pmtn_counts(inst: Instance, p: int, q: int) -> _PmtnPlan:
     part = classify(inst, p, q)
     classes = inst.classes
     gamma = {i: _gamma_count(classes[i].setup + classes[i].total, p, q) for i in part.exp_plus}
-    plan = _PmtnPlan(part=part, gamma=gamma)
     l = len(part.exp_zero)
     taken = sum(g * classes[i].setup + classes[i].total for i, g in gamma.items())
     taken += sum(classes[i].setup + classes[i].total for i in part.exp_minus + part.chp_plus)
-    plan.free_time = (inst.m - l) * p - taken * q
-    plan.star_total = sum(classes[i].setup + classes[i].total for i in part.chp_star)
-    plan.machines = l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values())
-    # every class pays one setup, an expensive heavy class one per machine
-    plan.load = inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items())
-    return plan
+    return _PmtnPlan(
+        part=part, gamma=gamma, free_time=(inst.m - l) * p - taken * q,
+        star_total=sum(classes[i].setup + classes[i].total for i in part.chp_star),
+        # every class pays one setup, an expensive heavy class one per machine
+        load=inst.total_load + sum((g - 1) * classes[i].setup for i, g in gamma.items()),
+        machines=l + (len(part.exp_minus) + 1) // 2 + sum(gamma.values()))
 
 
 def _pmtn_plan(inst: Instance, p: int, q: int) -> _PmtnPlan:
@@ -224,20 +205,20 @@ def _pmtn_plan(inst: Instance, p: int, q: int) -> _PmtnPlan:
     if l and free < 0:
         # The classes outside the dedicated machines alone overrun the other
         # m - l machines: certified infeasible.
-        plan.reject = "load"
-    elif l and free < plan.star_total * q:
-        items, plan.obligatory, capacity = _star_items(inst, part, p, q, free)
+        return plan._replace(reject="load")
+    if l and free < plan.star_total * q:
+        items, obligatory, capacity = _star_items(inst, part, p, q, free)
         if capacity < 0:
             # Even the unavoidable spill of the oversized-job classes exceeds
             # the room outside the dedicated machines.
-            plan.reject = "load"
-            return plan
-        sol = plan.knapsack = continuous_knapsack(items, capacity)
+            return plan._replace(reject="load")
+        sol = continuous_knapsack(items, capacity)
         # a rejected class (share 0) pays a second setup; the split item pays
         # none, even at share 0, so the load is right-continuous where the
         # capacity runs out
-        plan.load += sum(inst.classes[i].setup for i in part.chp_star
-                         if sol.x[i] == 0 and i != sol.split_item)
+        load = plan.load + sum(inst.classes[i].setup for i in part.chp_star
+                               if sol.x[i] == 0 and i != sol.split_item)
+        return plan._replace(knapsack=sol, obligatory=obligatory, load=load)
     return plan
 
 
@@ -374,9 +355,8 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     for k in range(0, len(minus), 2):
         if base >= inst.m:
             raise ContractError("nice construction ran out of machines")
-        t = 0
-        for i in minus[k:k + 2]:
-            t = _stack(builder, inst, base, t, i, scale)
+        run_wrap(builder, [class_batch(inst, i, scale) for i in minus[k:k + 2]],
+                 [Gap(base, 0, threehalf)])
         base += 1
     if cheap:
         # an odd expensive light class leaves its machine's top to the cheap ones
@@ -419,7 +399,7 @@ def _build_pmtn(inst: Instance, guess: Rat, plan: _PmtnPlan) -> Schedule:
     # Above the bottoms, the dedicated machines: one almost-full expensive
     # class each, starting at half the guess.
     for u, i in enumerate(part.exp_zero):
-        _stack(builder, inst, u, half, i, scale)
+        run_wrap(builder, [class_batch(inst, i, scale)], [Gap(u, half, threehalf)])
     return builder.finalize()
 
 

@@ -115,7 +115,6 @@ class Builder:
 class WrapResult(NamedTuple):
     last_machine: int  # virtual id of the gap holding the final item
     last_fill: Rat  # end time of the content on that machine
-    placed: int  # number of emitted setups and pieces (configs count once)
 
 
 def _next_run(runs: list[Gap], r: int) -> tuple:
@@ -149,7 +148,7 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     rows, put_config = builder.rows, builder.put_config
     r, machine, left, open_, close = _next_run(runs, -1)
     t = open_
-    placed = top = 0
+    top = 0
     row: Optional[Row] = None
     at = 0  # the open batch's count slot in row
     for batch in seq:
@@ -174,7 +173,6 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
             t += setup
         if row is not None:
             row[at] = (len(row) - at - 1) // 2
-        placed += 1
         row = rows[machine]
         row += cls, start, setup, 0
         at = len(row) - 1
@@ -198,7 +196,6 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
         while k < n:
             fit = bisect_right(sums, (close - shift) // scale if whole else close - shift, k + 1) - 1
             if fit > k:
-                placed += fit - k
                 end = shift + sums[fit] * scale
                 if whole:  # one pair for the run
                     row += k, end - t
@@ -217,7 +214,6 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
             while end > close:
                 head = close - t
                 if head > 0:
-                    placed += 1
                     if ends_run:
                         row[-1] += head
                     else:
@@ -239,19 +235,16 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
                     # past 2**53
                     full = min(-(-rest // height) - 1, left)
                     put_config(machine, [cls, open_ - setup, setup, 1, job, height], full)
-                    placed += 2
                     machine += full
                     left -= full
                     rest -= height * full
                 row[at] = (len(row) - at - 1) // 2
-                placed += 1
                 row = rows[machine]
                 row += cls, open_ - setup, setup, 0
                 at = len(row) - 1
                 t = open_
                 end = t + rest
             row += job, end - t
-            placed += 1
             t = end
             k = fit + 1
             shift = t - sums[k] * scale
@@ -261,4 +254,4 @@ def run_wrap(builder: Builder, seq: Iterable[Batch], gaps: list[Gap],
     if row is not None:
         row[at] = (len(row) - at - 1) // 2
         builder.end = max(builder.end, top, t)
-    return WrapResult(last_machine=machine, last_fill=t, placed=placed)
+    return WrapResult(last_machine=machine, last_fill=t)

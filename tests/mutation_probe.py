@@ -22,7 +22,10 @@ included) or `epsilon_search` in src/batchsched/search.py, run against
 tests/test_search_oracle.py, tests/test_splittable.py,
 tests/test_preemptive.py and tests/test_nonpreemptive.py, or
 `_pmtn_breakpoints` in src/batchsched/preemptive.py, run against
-tests/test_preemptive.py and tests/test_search_oracle.py.  The change
+tests/test_preemptive.py and tests/test_search_oracle.py, or the
+preemptive build and plan, `_build_pmtn`, `_pmtn_plan` and `_pmtn_counts`
+there, run against tests/test_pmtn_reference.py, tests/test_preemptive.py,
+tests/test_decision_reference.py and tests/test_golden.py.  The change
 is a comparison swapped (< and <=, > and >=, == and !=, in and not in, is
 and is not), + and - swapped (also in +=, -=), `and` and `or` swapped,
 or a small int constant (0 to 3) moved by one.  The sites of all
@@ -80,6 +83,9 @@ TARGETS = (
       "tests/test_nonpreemptive.py")),
     (Path("src", "batchsched", "preemptive.py"), ("_pmtn_breakpoints",),
      ("tests/test_preemptive.py", "tests/test_search_oracle.py")),
+    (Path("src", "batchsched", "preemptive.py"), ("_build_pmtn", "_pmtn_plan", "_pmtn_counts"),
+     ("tests/test_pmtn_reference.py", "tests/test_preemptive.py",
+      "tests/test_decision_reference.py", "tests/test_golden.py")),
 )
 SWAP = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

@@ -1140,18 +1140,15 @@ class _ReferenceRun:
         self.b = builder
         self.setups_below = setups_below
         self.events = events
-        self.placed = 0
         self.batch = self.batch_machine = None
         self.k, self.left = -1, 0
         self.next_gap()
 
     def setup(self, cls: int, start: Rat, dur: Rat):
         self.end_batch()
-        self.placed += 1
         self.batch, self.batch_machine = [cls, start, dur], self.machine
 
     def piece(self, job: int, dur: Rat):
-        self.placed += 1
         self.batch += job, dur
 
     def end_batch(self):
@@ -1179,14 +1176,13 @@ class _ReferenceRun:
         self.events["bulk full gaps"] += 1
         full = min(-(-rest // height) - 1, self.left)
         self.b.put_config(self.machine, flat_row([(cls, self.open - setup, setup, job, height)]), full)
-        self.placed += 2
         self.machine += full
         self.left -= full
         return rest - height * full
 
     def finish(self) -> WrapResult:
         self.end_batch()
-        return WrapResult(last_machine=self.machine, last_fill=self.t, placed=self.placed)
+        return WrapResult(last_machine=self.machine, last_fill=self.t)
 
 
 def _reference_place_item(run: _ReferenceRun, cls: int, setup: Rat, job: int, dur: Rat):

@@ -357,7 +357,8 @@ def test_run_wrap_int_gaps_past_float_precision():
     res = run_wrap(builder, [Batch(0, s, (0, 6 * H + 1))],
                    [Gap(0, 0, s + H), Gap(1, s, s + H, 8)])
     sched = builder.finalize()
-    assert (res.last_machine, res.last_fill, res.placed) == (6, s + 1, 6)
+    assert (res.last_machine, res.last_fill) == (6, s + 1)
+    assert sched.placement_count() == 6
     assert sched.machines == [[0, 0, s, 1, 0, H], [0, 0, s, 1, 0, 1]]
     assert sched.compressed == [([0, 0, s, 1, 0, H], 5)]
     assert all(type(start) is int and type(dur) is int
@@ -473,10 +474,10 @@ def test_class_batch_runs_and_heads():
     # whole job; the last one job 3's tail
     inst = Instance(3, (JobClass(1, (2, 3, 4, 5)),))
     builder = Builder(3)
-    res = run_wrap(builder, [class_batch(inst, 0, 1)], [Gap(0, 0, 7), Gap(1, 1, 7, 2)])
+    run_wrap(builder, [class_batch(inst, 0, 1)], [Gap(0, 0, 7), Gap(1, 1, 7, 2)])
     sched = builder.finalize()
     assert sched.machines == [[0, 0, 1, 1, 0, 6], [0, 0, 1, 2, 2, 3, 3, 3], [0, 0, 1, 1, 3, 2]]
-    assert res.placed == 3 + 6
+    assert expand_runs(sched, inst).placement_count() == 3 + 6
     assert expand_runs(sched, inst).machines == [
         [0, 0, 1, 3, 0, 2, 1, 3, 2, 1], [0, 0, 1, 2, 2, 3, 3, 3], [0, 0, 1, 1, 3, 2]]
     assert verify_schedule(inst, sched, Variant.PREEMPTIVE, F(7)).ok
